@@ -280,7 +280,6 @@ def cmd_pump(args) -> int:
     n_set = _parse_n_set(args.n) if args.n else DEFAULT_N_SET
     limits = _limits(npda, args.word, args)
     try:
-        params = pumping_params(npda)
         result = extract(npda, args.word, mode=mode, limits=limits)
     except PumpingLengthOverflowError as exc:
         raise CliError(EXIT_LIMITS, str(exc)) from None
@@ -304,6 +303,7 @@ def cmd_pump(args) -> int:
             )
         raise CliError(EXIT_NO_WITNESS, f"{exc}{detail}") from None
 
+    params = result.decomposition.params
     report = verify(npda, result.path, result.decomposition, params, args.word, n_set)
     if args.report == "json":
         payload = _report_json(result, report, params)

@@ -9,6 +9,13 @@ accepting run, measure its level l within the mode's window, then
 - l < p': find two path positions with equal depth-l configurations and pump
   the letters between them (case 1).
 
+Both repeat scans are linear in the scanned run: positions (case 1) or
+heights (case 2) are grouped by key in one pass, the number of candidate
+pairs is computed from the group sizes, and the pairs themselves are drawn
+lazily in (i, j) or (g, h) order, so a scan that stops at its first usable
+pair never lists the rest. Case 1 still builds its depth-l configuration
+per position, O(n*l).
+
 Every candidate is defensively replay-verified for a small set of pump
 counts before being returned; failing candidates are skipped and recorded,
 because a repeat observed through a depth-limited window is not always a
@@ -34,7 +41,7 @@ from .levels import (
     configurations_up_to,
     extract_sublevel,
     first_pop,
-    full_state,
+    full_states,
     last_push,
     max_level,
 )
@@ -159,33 +166,45 @@ def _build_case2(path: RunPath, params: PumpingParams, triple: LevelTriple, g: i
     )
 
 
+def _equal_key_pairs(keys, base: int = 0):
+    """Index pairs (a, b), a < b, whose keys are equal, offset by `base`.
+
+    Returns the number of such pairs, Σ C(k, 2) over the groups of equal
+    keys, and a lazy iterator over them with a ascending, then b ascending.
+    Grouping costs O(len(keys)); each pair costs O(1) when it is drawn.
+    """
+    groups: dict = {}
+    slots = []  # per index: its key's group and its rank in that group
+    for index, key in enumerate(keys):
+        group = groups.setdefault(key, [])
+        slots.append((group, len(group)))
+        group.append(index + base)
+    available = sum(len(g) * (len(g) - 1) // 2 for g in groups.values())
+
+    def pairs():
+        for a, (group, rank) in enumerate(slots, base):
+            for r in range(rank + 1, len(group)):
+                yield a, group[r]
+
+    return available, pairs()
+
+
 def _case1_pairs(path: RunPath, window_end: int, depth: int):
-    """(i, j) pairs with equal depth-limited configurations, in (i, j) order."""
-    configs = configurations_up_to(path, window_end, depth)
-    seen: dict = {}
-    for pos, cfg in enumerate(configs):
-        seen.setdefault(cfg, []).append(pos)
-    pairs = []
-    for positions in seen.values():
-        for a in range(len(positions)):
-            for b in range(a + 1, len(positions)):
-                pairs.append((positions[a], positions[b]))
-    pairs.sort()
-    return pairs
+    """Position pairs (i, j) with equal depth-limited configurations.
+
+    Returns (count, lazy iterator in (i, j) order); one pass over positions
+    0..window_end, the pairs themselves are never listed.
+    """
+    return _equal_key_pairs(configurations_up_to(path, window_end, depth))
 
 
 def _case2_pairs(path: RunPath, triple: LevelTriple):
-    """(g, h) height pairs with equal full states, g then h ascending."""
-    profile = path.profile
-    lo = profile[triple.i]
-    hi = profile[triple.j]
-    states = {h: full_state(path, triple, h) for h in range(lo, hi + 1)}
-    pairs = []
-    for g in range(lo, hi + 1):
-        for h in range(g + 1, hi + 1):
-            if states[g] == states[h]:
-                pairs.append((g, h))
-    return pairs
+    """Height pairs (g, h) with equal full states.
+
+    Returns (count, lazy iterator, g then h ascending); full states come
+    from one linear pass over the triple, the pairs are never listed.
+    """
+    return _equal_key_pairs(full_states(path, triple), base=path.profile[triple.i])
 
 
 def case1_decompose(
@@ -202,12 +221,13 @@ def case1_decompose(
     """
     if window_end is None:
         window_end = min(params.p, len(path.steps))
-    pairs = _case1_pairs(path, window_end, level)
-    if not pairs:
+    _, pairs = _case1_pairs(path, window_end, level)
+    first = next(pairs, None)
+    if first is None:
         raise NoRepeatFoundError(
             f"no repeated depth-{level} configuration in positions 0..{window_end}"
         )
-    i, j = pairs[0]
+    i, j = first
     if path.letters_read[i] == path.letters_read[j]:
         raise MinimalityViolationError(
             f"positions {i} and {j} repeat a configuration without reading input"
@@ -221,10 +241,11 @@ def case2_decompose(path: RunPath, triple: LevelTriple, params: PumpingParams) -
     Raises NoRepeatFoundError when all full states are distinct, and
     MinimalityViolationError when the cut would pump zero letters.
     """
-    pairs = _case2_pairs(path, triple)
-    if not pairs:
+    _, pairs = _case2_pairs(path, triple)
+    first = next(pairs, None)
+    if first is None:
         raise NoRepeatFoundError("no repeated full state among the triple's heights")
-    g, h = pairs[0]
+    g, h = first
     d = _build_case2(path, params, triple, g, h)
     if len(d.v) + len(d.y) == 0:
         raise MinimalityViolationError(
@@ -310,16 +331,15 @@ def extract(
             case2_triples.append(witness)
 
     for triple in case2_triples:
-        pairs = _case2_pairs(path, triple)
-        fs_pairs += len(pairs)
+        available, pairs = _case2_pairs(path, triple)
+        fs_pairs += available
         for g, h in pairs:
             d = attempt("case2", (g, h), lambda: _build_case2(path, params, triple, g, h))
             if d is not None:
                 return ExtractionResult(d, diag("case2"), path)
 
     if level < params.p_prime or not strict:
-        pairs = _case1_pairs(path, window_end, level)
-        config_pairs = len(pairs)
+        config_pairs, pairs = _case1_pairs(path, window_end, level)
         for i, j in pairs:
             if path.letters_read[i] == path.letters_read[j]:
                 fallbacks.append(Fallback("case1", (i, j), "empty-pump"))

@@ -199,20 +199,64 @@ def configuration_at(path: RunPath, pos: int, depth: int) -> Configuration:
     return Configuration(path.state_at(pos), top_first)
 
 
+def _stacks_up_to(path: RunPath, last_pos: int):
+    """The stack at positions 0..last_pos, from one forward walk over the
+    steps. Yields one list, mutated in place between positions."""
+    stack = list(path.initial_stack)
+    yield stack
+    for pos in range(last_pos):
+        stack.pop()
+        stack.extend(path.steps[pos].push)
+        yield stack
+
+
 def configurations_up_to(path: RunPath, last_pos: int, depth: int) -> list[Configuration]:
     """Configurations at positions 0..last_pos in one pass over the steps."""
     out = []
-    stack = list(path.initial_stack)
-    for pos in range(last_pos + 1):
-        if pos > 0:
-            t = path.steps[pos - 1]
-            stack.pop()
-            stack.extend(t.push)
+    for pos, stack in enumerate(_stacks_up_to(path, last_pos)):
         top_first = tuple(reversed(stack[-depth:] if depth else ()))
         if len(top_first) < depth:
             top_first = top_first + (BLANK,) * (depth - len(top_first))
         out.append(Configuration(path.state_at(pos), top_first))
     return out
+
+
+def _first_at_each_height(profile, positions, lo: int, hi: int) -> list:
+    """For each height lo..hi, the first of `positions` where the profile
+    sits at it (None if it never does)."""
+    found = [None] * (hi - lo + 1)
+    for y in positions:
+        d = profile[y] - lo
+        if 0 <= d < len(found) and found[d] is None:
+            found[d] = y
+    return found
+
+
+def _full_state_reader(path: RunPath, triple: LevelTriple):
+    """h -> FullState for the triple's heights, each O(1) after one pass.
+
+    The pass walks j down to i for every height's last push, j up to k for
+    its first pop, and the steps up to k for the stack top at each position.
+    """
+    profile = path.profile
+    lo, hi = profile[triple.i], profile[triple.j]
+    pushes = _first_at_each_height(profile, range(triple.j, triple.i - 1, -1), lo, hi)
+    pops = _first_at_each_height(profile, range(triple.j, triple.k + 1), lo, hi)
+    tops = [stack[-1] if stack else None for stack in _stacks_up_to(path, triple.k)]
+
+    def read(h: int) -> FullState:
+        lp, fp = pushes[h - lo], pops[h - lo]
+        if lp is None:
+            raise ValueError(f"height {h} does not occur on the rising flank")
+        if fp is None:
+            raise ValueError(f"height {h} does not occur on the falling flank")
+        if tops[lp] != tops[fp]:
+            raise TopSymbolMismatchError(
+                f"height {h}: top symbol {tops[lp]!r} at position {lp} but {tops[fp]!r} at position {fp}"
+            )
+        return FullState(path.state_at(lp), tops[lp], path.state_at(fp))
+
+    return read
 
 
 def full_state(path: RunPath, triple: LevelTriple, h: int) -> FullState:
@@ -223,15 +267,16 @@ def full_state(path: RunPath, triple: LevelTriple, h: int) -> FullState:
     function checks this and raises TopSymbolMismatchError on corrupted
     paths, since a mismatch falsifies the construction the caller is running.
     """
-    lp = last_push(path.profile, triple, h)
-    fp = first_pop(path.profile, triple, h)
-    top_lp = path.stack_at(lp)[-1]
-    top_fp = path.stack_at(fp)[-1]
-    if top_lp != top_fp:
-        raise TopSymbolMismatchError(
-            f"height {h}: top symbol {top_lp!r} at position {lp} but {top_fp!r} at position {fp}"
-        )
-    return FullState(path.state_at(lp), top_lp, path.state_at(fp))
+    if not (path.profile[triple.i] <= h <= path.profile[triple.j]):
+        raise ValueError(f"height {h} outside the triple's range")
+    return _full_state_reader(path, triple)(h)
+
+
+def full_states(path: RunPath, triple: LevelTriple) -> list[FullState]:
+    """Full states of heights s_i..s_j of a level triple, lowest first, in
+    time linear in k; checked as full_state checks each one."""
+    read = _full_state_reader(path, triple)
+    return [read(h) for h in range(path.profile[triple.i], path.profile[triple.j] + 1)]
 
 
 def extract_sublevel(profile, triple: LevelTriple, target: int) -> LevelTriple:

@@ -1,6 +1,6 @@
 import pytest
 
-from pumpkit import BUILTINS, PdaDocument, dumps
+from pumpkit import BOTTOM, BUILTINS, GeneralTransition, PdaDocument, RunPath, dumps
 
 
 @pytest.fixture
@@ -29,3 +29,23 @@ def dyck1_file(tmp_path):
     entry = BUILTINS["DYCK1"]
     path.write_text(dumps(PdaDocument(entry.pda, entry.name)), encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture
+def mismatched_tops_path():
+    """A hand-built non-unit-push run where the symbol at height 2 differs
+    between the last push (X) and the first pop back (Y)."""
+    steps = (
+        GeneralTransition("q", "a", BOTTOM, (BOTTOM, "X"), "q"),
+        GeneralTransition("q", "a", "X", ("Y", "Z"), "q"),
+        GeneralTransition("q", "a", "Z", (), "q"),
+        GeneralTransition("q", "a", "Y", (), "q"),
+    )
+    return RunPath(
+        word="aaaa",
+        steps=steps,
+        profile=(1, 2, 3, 2, 1),
+        letters_read=(0, 1, 2, 3, 4),
+        initial_state="q",
+        initial_stack=(BOTTOM,),
+    )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from pumpkit import (
@@ -15,14 +17,21 @@ from pumpkit import (
     NotAcceptedError,
     RunPath,
     StrictPreconditionError,
+    TopSymbolMismatchError,
     case1_decompose,
     case2_decompose,
+    configuration_at,
     extract,
+    extract_sublevel,
+    first_pop,
+    last_push,
+    max_level,
     minimal_accepting_path,
     normalize,
     pumping_params,
     verify_by_replay,
 )
+from pumpkit.extract import _case1_pairs, _case2_pairs
 
 
 def single_word_machine():
@@ -36,6 +45,35 @@ def single_word_machine():
         accept_states=["qa"],
         transitions=[NormalizedTransition("q0", "a", BOTTOM, None, "qa")],
     )
+
+
+def reference_case1_pairs(path, window_end, depth):
+    """Every equal-configuration pair, listed and sorted; each configuration
+    replayed from position 0."""
+    seen: dict = {}
+    for pos in range(window_end + 1):
+        seen.setdefault(configuration_at(path, pos, depth), []).append(pos)
+    pairs = []
+    for positions in seen.values():
+        for a in range(len(positions)):
+            for b in range(a + 1, len(positions)):
+                pairs.append((positions[a], positions[b]))
+    pairs.sort()
+    return pairs
+
+
+def reference_case2_pairs(path, triple):
+    """Every equal-full-state height pair, g then h ascending; each full state
+    found by flank scans and two stack replays from position 0."""
+    profile = path.profile
+    lo, hi = profile[triple.i], profile[triple.j]
+    states = {}
+    for h in range(lo, hi + 1):
+        lp, fp = last_push(profile, triple, h), first_pop(profile, triple, h)
+        top = path.stack_at(lp)[-1]
+        assert path.stack_at(fp)[-1] == top
+        states[h] = (path.state_at(lp), top, path.state_at(fp))
+    return [(g, h) for g in range(lo, hi + 1) for h in range(g + 1, hi + 1) if states[g] == states[h]]
 
 
 class TestExtract:
@@ -111,6 +149,17 @@ class TestExtract:
         assert isinstance(w, Case2Witness)
         assert w.triple == LevelTriple(6593, 6601, 6609, 8)
         assert max(w.lp_g, w.lp_h, w.fp_h, w.fp_g) <= 13122
+
+    def test_long_word_memory_stays_flat(self, reg_ab):
+        # 2.56M equal-configuration pairs are counted but never listed
+        tracemalloc.start()
+        try:
+            res = extract(reg_ab, "ab" * 1600, mode=ExtractionMode.BEST_EFFORT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.diagnostics.config_pairs_available == 2_560_000
+        assert peak < 16 * 2**20
 
     def test_internal_replay_check_passes_for_all_candidates(self, anbn):
         res = extract(anbn, "a" * 6 + "b" * 6, mode=ExtractionMode.BEST_EFFORT)
@@ -199,6 +248,35 @@ class TestCase2Decompose:
         params = pumping_params(single_word_machine())
         with pytest.raises(MinimalityViolationError):
             case2_decompose(path, LevelTriple(0, 2, 4, 2), params)
+
+    def test_mismatched_tops_raise(self, mismatched_tops_path):
+        params = pumping_params(single_word_machine())
+        with pytest.raises(TopSymbolMismatchError):
+            case2_decompose(mismatched_tops_path, LevelTriple(0, 2, 4, 2), params)
+
+
+class TestPairOrder:
+    """The lazy pair scans yield exactly the reference enumerations."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_matches_reference(self, name):
+        entry = BUILTINS[name]
+        pda = normalize(entry.pda)
+        for m in range(2, 41):
+            path = minimal_accepting_path(pda, entry.generate(m))
+            last = len(path.steps)
+            level, witness = max_level(path.profile, last)
+            for depth in sorted({0, 1, level}):
+                expected = reference_case1_pairs(path, last, depth)
+                available, pairs = _case1_pairs(path, last, depth)
+                assert (available, list(pairs)) == (len(expected), expected)
+            if witness is None:
+                continue
+            for target in sorted({1, witness.n}):
+                triple = extract_sublevel(path.profile, witness, target)
+                expected = reference_case2_pairs(path, triple)
+                available, pairs = _case2_pairs(path, triple)
+                assert (available, list(pairs)) == (len(expected), expected)
 
 
 class TestOnNormalizedGeneralMachines:

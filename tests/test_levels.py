@@ -7,9 +7,7 @@ from pumpkit import (
     BOTTOM,
     Configuration,
     FullState,
-    GeneralTransition,
     LevelTriple,
-    RunPath,
     TopSymbolMismatchError,
     brute_force_max_level,
     configuration_at,
@@ -168,25 +166,9 @@ class TestFullState:
         for h in (2, 3, 4, 5):
             assert full_state(path, t, h) == FullState("q0", "X", "q0")
 
-    def test_mismatched_tops_raise(self):
-        # a hand-built non-unit-push run where the symbol at height 2 differs
-        # between the last push and the first pop back
-        steps = (
-            GeneralTransition("q", "a", BOTTOM, (BOTTOM, "X"), "q"),
-            GeneralTransition("q", "a", "X", ("Y", "Z"), "q"),
-            GeneralTransition("q", "a", "Z", (), "q"),
-            GeneralTransition("q", "a", "Y", (), "q"),
-        )
-        path = RunPath(
-            word="aaaa",
-            steps=steps,
-            profile=(1, 2, 3, 2, 1),
-            letters_read=(0, 1, 2, 3, 4),
-            initial_state="q",
-            initial_stack=(BOTTOM,),
-        )
+    def test_mismatched_tops_raise(self, mismatched_tops_path):
         with pytest.raises(TopSymbolMismatchError):
-            full_state(path, LevelTriple(0, 2, 4, 2), 2)
+            full_state(mismatched_tops_path, LevelTriple(0, 2, 4, 2), 2)
 
 
 class TestSublevel:
