@@ -23,7 +23,7 @@ from .errors import (
     StrictPreconditionError,
 )
 from .extract import Case1Witness, ExtractionMode, extract
-from .normalize import normalize, pumping_params
+from .normalize import DEFAULT_P_BIT_LIMIT, PRINTABLE_P_BIT_LIMIT, normalize, pumping_params
 from .pda import validate
 from .run import (
     Accepted,
@@ -98,7 +98,7 @@ def cmd_params(args) -> int:
     doc = _load(args.pda)
     npda = normalize(doc.pda)
     try:
-        params = pumping_params(npda)
+        params = pumping_params(npda, bit_limit=PRINTABLE_P_BIT_LIMIT)
     except PumpingLengthOverflowError as exc:
         raise CliError(EXIT_LIMITS, str(exc)) from None
     changed = len(npda.states) != len(doc.pda.states) or len(npda.transitions) != len(
@@ -152,10 +152,6 @@ def cmd_check(args) -> int:
     return worst
 
 
-def _segment_json(word_part: str) -> str:
-    return word_part
-
-
 def _witnesses_json(result) -> dict:
     d = result.decomposition
     diag = result.diagnostics
@@ -186,11 +182,11 @@ def _report_json(result, report, params) -> dict:
     diag = result.diagnostics
     return {
         "word": report.word,
-        "u": _segment_json(d.u),
-        "v": _segment_json(d.v),
-        "x": _segment_json(d.x),
-        "y": _segment_json(d.y),
-        "z": _segment_json(d.z),
+        "u": d.u,
+        "v": d.v,
+        "x": d.x,
+        "y": d.y,
+        "z": d.z,
         "caseTag": d.case,
         "witnesses": _witnesses_json(result),
         "params": {
@@ -272,15 +268,15 @@ def _parse_n_set(text: str) -> tuple[int, ...]:
     return values
 
 
-def cmd_pump(args) -> int:
-    doc = _load(args.pda)
-    _check_word(doc.pda, args.word)
-    npda = normalize(doc.pda)
+def _extract(npda, args, limits, p_bit_limit: int, witness_detail: bool):
+    """extract() with the exception -> exit mapping that pump and profile share.
+
+    witness_detail appends the pair and candidate counts to the no-witness
+    message (pump does, profile keeps the bare message).
+    """
     mode = ExtractionMode.STRICT if args.mode == "strict" else ExtractionMode.BEST_EFFORT
-    n_set = _parse_n_set(args.n) if args.n else DEFAULT_N_SET
-    limits = _limits(npda, args.word, args)
     try:
-        result = extract(npda, args.word, mode=mode, limits=limits)
+        return extract(npda, args.word, mode=mode, limits=limits, p_bit_limit=p_bit_limit)
     except PumpingLengthOverflowError as exc:
         raise CliError(EXIT_LIMITS, str(exc)) from None
     except NotAcceptedError as exc:
@@ -295,13 +291,23 @@ def cmd_pump(args) -> int:
     except NoWitnessError as exc:
         diag = exc.diagnostics
         detail = ""
-        if diag is not None:
+        if witness_detail and diag is not None:
             detail = (
                 f" (config pairs: {diag.config_pairs_available},"
                 f" full-state pairs: {diag.full_state_pairs_available},"
                 f" candidates tried: {diag.candidates_tried})"
             )
         raise CliError(EXIT_NO_WITNESS, f"{exc}{detail}") from None
+
+
+def cmd_pump(args) -> int:
+    doc = _load(args.pda)
+    _check_word(doc.pda, args.word)
+    npda = normalize(doc.pda)
+    n_set = _parse_n_set(args.n) if args.n else DEFAULT_N_SET
+    limits = _limits(npda, args.word, args)
+    # Both report formats print p.
+    result = _extract(npda, args, limits, PRINTABLE_P_BIT_LIMIT, witness_detail=True)
 
     params = result.decomposition.params
     report = verify(npda, result.path, result.decomposition, params, args.word, n_set)
@@ -324,20 +330,9 @@ def cmd_profile(args) -> int:
     markers: tuple = ()
     spans: tuple = ()
     if args.annotate:
-        mode = ExtractionMode.STRICT if args.mode == "strict" else ExtractionMode.BEST_EFFORT
-        try:
-            result = extract(npda, args.word, mode=mode, limits=limits)
-        except NotAcceptedError as exc:
-            raise CliError(EXIT_REJECTED, str(exc)) from None
-        except SearchLimitError as exc:
-            raise CliError(EXIT_LIMITS, str(exc)) from None
-        except StrictPreconditionError as exc:
-            raise CliError(
-                EXIT_USAGE,
-                f"strict mode needs |word| > p: {exc.word_length} <= {exc.p}",
-            ) from None
-        except NoWitnessError as exc:
-            raise CliError(EXIT_NO_WITNESS, str(exc)) from None
+        # Charts never show p; only the strict |word| > p message does.
+        p_bit_limit = PRINTABLE_P_BIT_LIMIT if args.mode == "strict" else DEFAULT_P_BIT_LIMIT
+        result = _extract(npda, args, limits, p_bit_limit, witness_detail=False)
         path = result.path
         markers, spans = decomposition_annotations(result.decomposition, path)
     else:

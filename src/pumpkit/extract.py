@@ -45,7 +45,7 @@ from .levels import (
     last_push,
     max_level,
 )
-from .normalize import PumpingParams, pumping_params
+from .normalize import DEFAULT_P_BIT_LIMIT, PumpingParams, pumping_params
 from .pda import NormalizedPda
 from .run import LimitExceeded, NotAccepted, RunPath, SearchLimits, minimal_accepting_path
 from .verify import verify_by_replay
@@ -260,6 +260,7 @@ def extract(
     mode: ExtractionMode = ExtractionMode.STRICT,
     limits: SearchLimits | None = None,
     pumps_checked: tuple[int, ...] = (0, 2),
+    p_bit_limit: int = DEFAULT_P_BIT_LIMIT,
 ) -> ExtractionResult:
     """Decompose an accepted word into u, v, x, y, z ready for pumping.
 
@@ -267,9 +268,10 @@ def extract(
     p+1 path positions (level window k <= p); best-effort scans the whole
     run and falls back from case 2 to case 1 before giving up. Candidates
     that fail the internal replay check for `pumps_checked` are skipped and
-    the skip recorded in the diagnostics.
+    the skip recorded in the diagnostics. p_bit_limit bounds p as in
+    pumping_params, which raises PumpingLengthOverflowError past it.
     """
-    params = pumping_params(pda)
+    params = pumping_params(pda, bit_limit=p_bit_limit)
     outcome = minimal_accepting_path(pda, word, limits)
     if isinstance(outcome, NotAccepted):
         raise NotAcceptedError(f"word of length {len(word)} is not accepted")

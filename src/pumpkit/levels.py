@@ -10,14 +10,12 @@ every height currently not undercut, the span of positions at that height and
 the peak seen inside the span. brute_force_max_level enumerates all (i, j, k)
 triples and tests the three conditions directly (vectorized with numpy, but
 still the O(n^3) check); it shares no code with the sweep and exists as an
-oracle for it.
+oracle for it. It is the only user of numpy, which it imports on call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import TopSymbolMismatchError
 from .pda import BLANK
@@ -130,6 +128,8 @@ def brute_force_max_level(profile, window_end: int) -> tuple[int, LevelTriple | 
     cross-checking of max_level, not production use. Returns the
     lexicographically first maximal witness.
     """
+    import numpy as np
+
     end = min(window_end, len(profile) - 1)
     if end < 2:
         return 0, None

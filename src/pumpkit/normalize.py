@@ -18,6 +18,11 @@ from .pda import GeneralPda, NormalizedPda, NormalizedTransition
 # this are not usable at desk scale anyway.
 DEFAULT_P_BIT_LIMIT = 1_000_000
 
+# Python refuses to convert an int of more than 4300 decimal digits to text
+# by default, and every p below 2**14_000 has fewer. Callers that print p
+# size it under this limit so they fail with the overflow reason instead.
+PRINTABLE_P_BIT_LIMIT = 14_000
+
 
 def _fresh_prefix(states: frozenset[str]) -> str:
     prefix = "@"

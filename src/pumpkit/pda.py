@@ -53,12 +53,12 @@ class NormalizedTransition:
     pop: str
     extra: str | None
     target: str
+    # The pushed sequence, set once by __post_init__ for the search and
+    # replay loops; outside ==, hash and repr, which extra already determines.
+    push: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def push(self) -> tuple[str, ...]:
-        if self.extra is None:
-            return ()
-        return (self.pop, self.extra)
+    def __post_init__(self):
+        object.__setattr__(self, "push", () if self.extra is None else (self.pop, self.extra))
 
 
 Transition = GeneralTransition | NormalizedTransition

@@ -10,6 +10,12 @@ regardless of stack depth.
 accepts() answers membership only. It is a deliberately separate search loop
 (and also simulates general machines) so it can serve as an oracle that
 shares no decomposition or path-reconstruction code.
+
+Both searches start by indexing the transitions by (source state, popped
+symbol) into a move table whose buckets keep declared order, so a dequeued
+description looks up its moves once instead of scanning every transition of
+its state, and both intern stack cells inline. Each search builds its own
+table and runs its own loop; they share only the _Node cell type.
 """
 
 from __future__ import annotations
@@ -118,33 +124,6 @@ class _Node:
         self.size = size
 
 
-class _StackPool:
-    def __init__(self):
-        self._table: dict = {}
-
-    def push(self, below, sym):
-        key = (sym, id(below))
-        node = self._table.get(key)
-        if node is None:
-            size = 1 if below is None else below.size + 1
-            node = _Node(sym, below, size)
-            self._table[key] = node
-        return node
-
-    def build(self, symbols):
-        node = None
-        for sym in symbols:
-            node = self.push(node, sym)
-        return node
-
-
-def _by_source(pda: Pda) -> dict:
-    adj: dict = {}
-    for t in pda.transitions:
-        adj.setdefault(t.source, []).append(t)
-    return adj
-
-
 def minimal_accepting_path(pda: NormalizedPda, word, limits: SearchLimits | None = None):
     """Find a minimal accepting run, or prove there is none.
 
@@ -154,47 +133,66 @@ def minimal_accepting_path(pda: NormalizedPda, word, limits: SearchLimits | None
     """
     if limits is None:
         limits = default_limits(pda, word)
-    pool = _StackPool()
-    adj = _by_source(pda)
+    max_steps = limits.max_steps
+    max_height = limits.max_stack_height
+    # (state, top) -> [(letter, target, extra, transition)], declared order
+    table: dict = {}
+    for t in pda.transitions:
+        table.setdefault((t.source, t.pop), []).append((t.letter, t.target, t.extra, t))
+    moves_for = table.get
+    interned: dict = {}  # (symbol, cell below) -> cell
+    lookup = interned.get
+    root = None
+    for sym in pda.initial_stack:
+        cell = _Node(sym, root, 1 if root is None else root.size + 1)
+        interned[(sym, root)] = cell
+        root = cell
     n = len(word)
-    root = pool.build(pda.initial_stack)
+    accept_states = pda.accept_states
     # entry: (state, pos, node, depth, parent_entry, transition)
     start = (pda.initial_state, 0, root, 0, None, None)
     visited = {(start[0], start[1], start[2])}
+    mark = visited.add
     queue = deque([start])
+    dequeue = queue.popleft
+    enqueue = queue.append
     cut_steps = cut_height = False
 
     while queue:
-        entry = queue.popleft()
+        entry = dequeue()
         state, pos, node, depth, _, _ = entry
-        if state in pda.accept_states and pos == n:
+        if state in accept_states and pos == n:
             return _reconstruct(word, entry, pda)
         if node is None:
             continue  # empty stack: no transition can fire
-        top = node.sym
-        for t in adj.get(state, ()):
-            if t.pop != top:
-                continue
+        bucket = moves_for((state, node.sym))
+        if bucket is None:
+            continue
+        letter_here = word[pos] if pos < n else None
+        depth += 1
+        for letter, target, extra, t in bucket:
             npos = pos
-            if t.letter is not None:
-                if pos >= n or word[pos] != t.letter:
+            if letter is not None:
+                if letter != letter_here:
                     continue
                 npos = pos + 1
-            if t.extra is None:
-                child_node = node.below
+            if extra is None:
+                child = node.below
             else:
-                child_node = pool.push(node, t.extra)
-            key = (t.target, npos, child_node)
+                child = lookup((extra, node))
+                if child is None:
+                    child = interned[(extra, node)] = _Node(extra, node, node.size + 1)
+            key = (target, npos, child)
             if key in visited:
                 continue
-            if depth + 1 > limits.max_steps:
+            if depth > max_steps:
                 cut_steps = True
                 continue
-            if child_node is not None and child_node.size > limits.max_stack_height:
+            if child is not None and child.size > max_height:
                 cut_height = True
                 continue
-            visited.add(key)
-            queue.append((t.target, npos, child_node, depth + 1, entry, t))
+            mark(key)
+            enqueue((target, npos, child, depth, entry, t))
 
     if cut_steps or cut_height:
         return LimitExceeded(by_steps=cut_steps, by_height=cut_height)
@@ -233,44 +231,72 @@ def accepts(pda: Pda, word, limits: SearchLimits | None = None):
     """
     if limits is None:
         limits = default_limits(pda, word)
-    pool = _StackPool()
-    adj = _by_source(pda)
+    max_steps = limits.max_steps
+    max_height = limits.max_stack_height
+    # (state, top) -> [(letter, target, keeps_top, suffix)], declared order.
+    # A push that starts with the popped symbol keeps the current cell and
+    # pushes only the rest: interning makes that the cell a pop followed by
+    # the full push would reach.
+    moves: dict = {}
+    for t in pda.transitions:
+        push = t.push
+        keeps_top = bool(push) and push[0] == t.pop
+        moves.setdefault((t.source, t.pop), []).append(
+            (t.letter, t.target, keeps_top, push[1:] if keeps_top else push)
+        )
+    moves_for = moves.get
+    cells: dict = {}  # (symbol, cell below) -> cell
+    get_cell = cells.get
+    node = None
+    for sym in pda.initial_stack:
+        above = _Node(sym, node, 1 if node is None else node.size + 1)
+        cells[(sym, node)] = above
+        node = above
     n = len(word)
-    root = pool.build(pda.initial_stack)
-    start = (pda.initial_state, 0, root, 0)
-    visited = {(start[0], start[1], start[2])}
-    queue = deque([start])
+    accept_states = pda.accept_states
+    visited = {(pda.initial_state, 0, node)}
+    seen = visited.add
+    queue = deque([(pda.initial_state, 0, node, 0)])
+    popleft = queue.popleft
+    append = queue.append
     cut_steps = cut_height = False
 
     while queue:
-        state, pos, node, depth = queue.popleft()
-        if state in pda.accept_states and pos == n:
+        state, pos, node, depth = popleft()
+        if state in accept_states and pos == n:
             return Accepted()
         if node is None:
             continue
-        top = node.sym
-        for t in adj.get(state, ()):
-            if t.pop != top:
-                continue
+        bucket = moves_for((state, node.sym))
+        if bucket is None:
+            continue
+        here = word[pos] if pos < n else None
+        depth += 1
+        for letter, target, keeps_top, suffix in bucket:
             npos = pos
-            if t.letter is not None:
-                if pos >= n or word[pos] != t.letter:
+            if letter is not None:
+                if letter != here:
                     continue
                 npos = pos + 1
-            child = node.below
-            for sym in t.push:
-                child = pool.push(child, sym)
-            key = (t.target, npos, child)
+            child = node if keeps_top else node.below
+            for sym in suffix:
+                above = get_cell((sym, child))
+                if above is None:
+                    above = cells[(sym, child)] = _Node(
+                        sym, child, 1 if child is None else child.size + 1
+                    )
+                child = above
+            key = (target, npos, child)
             if key in visited:
                 continue
-            if depth + 1 > limits.max_steps:
+            if depth > max_steps:
                 cut_steps = True
                 continue
-            if child is not None and child.size > limits.max_stack_height:
+            if child is not None and child.size > max_height:
                 cut_height = True
                 continue
-            visited.add(key)
-            queue.append((t.target, npos, child, depth + 1))
+            seen(key)
+            append((target, npos, child, depth))
 
     if cut_steps or cut_height:
         return LimitExceeded(by_steps=cut_steps, by_height=cut_height)

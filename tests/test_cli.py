@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from pumpkit import dumps, is_star_form, loads
+from pumpkit import BUILTINS, dumps, is_star_form, loads
 from pumpkit.cli import main
 from pumpkit.pda import BOTTOM, NormalizedPda, NormalizedTransition
 
@@ -290,3 +291,70 @@ class TestProfile:
         code, _, err = run(capsys, "profile", "DYCK1", "(())", "--annotate", "--mode", "strict")
         assert code == 2
         assert "|word| > p" in err
+
+    def test_no_witness_keeps_the_short_message(self, capsys):
+        code, _, err = run(capsys, "profile", "ANBN", "ab", "--annotate")
+        assert code == 4
+        assert err == "pumpkit: no usable repeated configuration or full state in the run\n"
+        code, _, err = run(capsys, "pump", "ANBN", "ab", "--mode", "best-effort")
+        assert code == 4
+        assert err == (
+            "pumpkit: no usable repeated configuration or full state in the run"
+            " (config pairs: 0, full-state pairs: 0, candidates tried: 0)\n"
+        )
+
+
+def dyck1_with_unused_states(tmp_path, extra: int) -> str:
+    """DYCK1 plus `extra` unreachable states: the same language, but p grows
+    as (extra + 2) * 3**(2 * (extra + 2)**2)."""
+    dyck1 = BUILTINS["DYCK1"].pda
+    big = replace(dyck1, states=dyck1.states | {f"u{i}" for i in range(extra)})
+    path = tmp_path / f"dyck1_plus{extra}.json"
+    path.write_text(dumps(big), encoding="utf-8")
+    return str(path)
+
+
+class TestUnprintablePumpingLength:
+    """p past 4300 decimal digits cannot be printed. With 400 extra states p
+    has about 154k digits and passes the 1M-bit guard of pumping_params;
+    with 700 it fails that guard too. Every command that shows p exits 3
+    with the overflow reason; the others still work."""
+
+    @pytest.fixture(params=[400, 700])
+    def machine(self, request, tmp_path):
+        return dyck1_with_unused_states(tmp_path, request.param)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("params",),
+            ("pump", "(())"),
+            ("pump", "(())", "--report", "json"),
+            ("pump", "(())", "--mode", "best-effort"),
+            ("pump", "(())", "--mode", "best-effort", "--report", "json"),
+            ("profile", "(())", "--annotate", "--mode", "strict"),
+        ],
+        ids=" ".join,
+    )
+    def test_commands_that_show_p_exit_3(self, capsys, machine, argv):
+        code, out, err = run(capsys, argv[0], machine, *argv[1:])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("pumpkit: pumping length 3^")
+        assert "scaled by the state count exceeds" in err
+
+    def test_check_and_plain_profile_still_work(self, capsys, machine):
+        code, out, _ = run(capsys, "check", machine, "(())")
+        assert (code, out) == (0, "accepted\t(())\n")
+        code, out, _ = run(capsys, "profile", machine, "(())")
+        assert code == 0
+        assert out.startswith("stack profile: 6 positions")
+
+    def test_best_effort_chart_needs_p_under_the_guard(self, capsys, tmp_path):
+        under, over = (dyck1_with_unused_states(tmp_path, extra) for extra in (400, 700))
+        code, out, _ = run(capsys, "profile", under, "(())", "--annotate")
+        assert code == 0
+        assert out.startswith("stack profile: 6 positions")
+        code, out, err = run(capsys, "profile", over, "(())", "--annotate")
+        assert (code, out) == (3, "")
+        assert "exceeds 1000000 bits" in err

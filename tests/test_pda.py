@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from pumpkit import (
@@ -40,6 +42,15 @@ class TestTransitions:
         push_one = NormalizedTransition("q", "a", "X", "Y", "q")
         assert push_one.push == ("X", "Y")
         assert stack_effect(push_one) == +1
+
+    def test_normalized_push_is_stored_and_stays_out_of_identity(self):
+        t = NormalizedTransition("q", "a", "X", "Y", "q")
+        assert t.push is t.push
+        assert replace(t, extra=None).push == ()
+        # equality, hash and repr see the five declared fields only
+        assert t == NormalizedTransition("q", "a", "X", "Y", "q")
+        assert hash(t) == hash(("q", "a", "X", "Y", "q"))
+        assert repr(t) == "NormalizedTransition(source='q', letter='a', pop='X', extra='Y', target='q')"
 
     def test_general_stack_effect(self):
         assert stack_effect(GeneralTransition("q", None, "X", (), "q")) == -1

@@ -1,0 +1,288 @@
+"""The move-table searches in run.py against the loops they replaced.
+
+reference_accepts and reference_minimal_path are the earlier membership and
+minimal-run searches, kept here verbatim in behaviour: they scan every
+transition of the current state and intern stack cells through a small
+pool. The searches under test must give the same verdict, including the
+LimitExceeded flags, and the same minimal run on every corpus machine, in
+general and normalized form, and on hypothesis-generated machines.
+"""
+
+from collections import deque
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pumpkit import (
+    BOTTOM,
+    BUILTINS,
+    Accepted,
+    GeneralPda,
+    GeneralTransition,
+    LimitExceeded,
+    NormalizedPda,
+    NotAccepted,
+    RunPath,
+    SearchLimits,
+    accepts,
+    default_limits,
+    load_path,
+    minimal_accepting_path,
+    normalize,
+)
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "pumpkit" / "data"
+LIMIT_GRID = (None, SearchLimits(2, 100), SearchLimits(5, 5), SearchLimits(40, 3))
+
+
+class _Cell:
+    __slots__ = ("sym", "below", "size")
+
+    def __init__(self, sym, below, size):
+        self.sym = sym
+        self.below = below
+        self.size = size
+
+
+class _Pool:
+    def __init__(self):
+        self._table = {}
+
+    def push(self, below, sym):
+        key = (sym, id(below))
+        node = self._table.get(key)
+        if node is None:
+            node = _Cell(sym, below, 1 if below is None else below.size + 1)
+            self._table[key] = node
+        return node
+
+    def build(self, symbols):
+        node = None
+        for sym in symbols:
+            node = self.push(node, sym)
+        return node
+
+
+def _by_source(pda):
+    adj = {}
+    for t in pda.transitions:
+        adj.setdefault(t.source, []).append(t)
+    return adj
+
+
+def reference_accepts(pda, word, limits=None):
+    if limits is None:
+        limits = default_limits(pda, word)
+    pool = _Pool()
+    adj = _by_source(pda)
+    n = len(word)
+    root = pool.build(pda.initial_stack)
+    visited = {(pda.initial_state, 0, root)}
+    queue = deque([(pda.initial_state, 0, root, 0)])
+    cut_steps = cut_height = False
+    while queue:
+        state, pos, node, depth = queue.popleft()
+        if state in pda.accept_states and pos == n:
+            return Accepted()
+        if node is None:
+            continue
+        for t in adj.get(state, ()):
+            if t.pop != node.sym:
+                continue
+            npos = pos
+            if t.letter is not None:
+                if pos >= n or word[pos] != t.letter:
+                    continue
+                npos = pos + 1
+            child = node.below
+            for sym in t.push:
+                child = pool.push(child, sym)
+            key = (t.target, npos, child)
+            if key in visited:
+                continue
+            if depth + 1 > limits.max_steps:
+                cut_steps = True
+                continue
+            if child is not None and child.size > limits.max_stack_height:
+                cut_height = True
+                continue
+            visited.add(key)
+            queue.append((t.target, npos, child, depth + 1))
+    if cut_steps or cut_height:
+        return LimitExceeded(by_steps=cut_steps, by_height=cut_height)
+    return NotAccepted()
+
+
+def reference_minimal_path(pda, word, limits=None):
+    """(steps, profile) of the minimal run, or the verdict when there is none."""
+    if limits is None:
+        limits = default_limits(pda, word)
+    pool = _Pool()
+    adj = _by_source(pda)
+    n = len(word)
+    start = (pda.initial_state, 0, pool.build(pda.initial_stack), 0, None, None)
+    visited = {start[:3]}
+    queue = deque([start])
+    cut_steps = cut_height = False
+    while queue:
+        entry = queue.popleft()
+        state, pos, node, depth, _, _ = entry
+        if state in pda.accept_states and pos == n:
+            steps, profile = [], []
+            while entry is not None:
+                profile.append(0 if entry[2] is None else entry[2].size)
+                if entry[5] is not None:
+                    steps.append(entry[5])
+                entry = entry[4]
+            return tuple(reversed(steps)), tuple(reversed(profile))
+        if node is None:
+            continue
+        for t in adj.get(state, ()):
+            if t.pop != node.sym:
+                continue
+            npos = pos
+            if t.letter is not None:
+                if pos >= n or word[pos] != t.letter:
+                    continue
+                npos = pos + 1
+            child = node.below if t.extra is None else pool.push(node, t.extra)
+            key = (t.target, npos, child)
+            if key in visited:
+                continue
+            if depth + 1 > limits.max_steps:
+                cut_steps = True
+                continue
+            if child is not None and child.size > limits.max_stack_height:
+                cut_height = True
+                continue
+            visited.add(key)
+            queue.append((t.target, npos, child, depth + 1, entry, t))
+    if cut_steps or cut_height:
+        return LimitExceeded(by_steps=cut_steps, by_height=cut_height)
+    return NotAccepted()
+
+
+def _minimal_path_summary(pda, word, limits):
+    out = minimal_accepting_path(pda, word, limits)
+    if isinstance(out, RunPath):
+        return out.steps, out.profile
+    return out
+
+
+def _corpus_machines():
+    """(label, machine, language entry): builtins and data files as they
+    come, plus the normalized form of every general one."""
+    found = [(name, entry.pda, entry) for name, entry in BUILTINS.items()]
+    for path in sorted(DATA.glob("*.json")):
+        language = "ANBN" if path.stem == "ANBN_GENERAL" else path.stem
+        found.append((path.name, load_path(path).pda, BUILTINS[language]))
+    found += [
+        (f"normalize({label})", normalize(pda), entry)
+        for label, pda, entry in list(found)
+        if isinstance(pda, GeneralPda)
+    ]
+    return found
+
+
+def _words(entry, top=40):
+    """In-language words and near misses at m = 0..top, where defined."""
+    words = []
+    for m in range(top + 1):
+        for make in (entry.generate, entry.generate_near_miss):
+            try:
+                words.append(make(m))
+            except ValueError:
+                pass  # no word of this kind at this m
+    return words
+
+
+CORPUS = _corpus_machines()
+
+
+def test_corpus_covers_general_and_normalized_forms():
+    kinds = {type(pda) for _, pda, _ in CORPUS}
+    assert kinds == {GeneralPda, NormalizedPda}
+    assert len(CORPUS) == 4 + 5 + 6
+
+
+@pytest.mark.parametrize("label, pda, entry", CORPUS, ids=[label for label, _, _ in CORPUS])
+def test_accepts_matches_reference_on_corpus(label, pda, entry):
+    verdicts = set()
+    for word in _words(entry):
+        for limits in LIMIT_GRID:
+            got = accepts(pda, word, limits)
+            assert got == reference_accepts(pda, word, limits), (label, word, limits)
+            verdicts.add(got)
+    # every verdict kind actually occurs
+    assert {Accepted(), NotAccepted()} <= verdicts
+    assert any(isinstance(v, LimitExceeded) for v in verdicts)
+
+
+def test_limit_grid_cuts_by_steps_and_by_height():
+    dyck1 = BUILTINS["DYCK1"]
+    verdicts = {
+        accepts(dyck1.pda, word, limits) for word in _words(dyck1) for limits in LIMIT_GRID
+    }
+    assert LimitExceeded(by_steps=True, by_height=False) in verdicts
+    assert LimitExceeded(by_steps=False, by_height=True) in verdicts
+
+
+NORMALIZED = [c for c in CORPUS if isinstance(c[1], NormalizedPda)]
+
+
+@pytest.mark.parametrize("label, pda, entry", NORMALIZED, ids=[label for label, _, _ in NORMALIZED])
+def test_minimal_path_matches_reference_on_corpus(label, pda, entry):
+    for word in _words(entry):
+        for limits in LIMIT_GRID:
+            expected = reference_minimal_path(pda, word, limits)
+            assert _minimal_path_summary(pda, word, limits) == expected, (label, word, limits)
+
+
+@st.composite
+def machines(draw):
+    """Small general machines: pushes of length 0-3, some starting with the
+    popped symbol, epsilon moves, several initial symbols."""
+    states = [f"q{i}" for i in range(draw(st.integers(1, 2)))]
+    symbols = [BOTTOM] + [f"S{i}" for i in range(draw(st.integers(0, 2)))]
+    transitions = [
+        GeneralTransition(
+            source=draw(st.sampled_from(states)),
+            letter=draw(st.one_of(st.none(), st.sampled_from(["a", "b"]))),
+            pop=draw(st.sampled_from(symbols)),
+            push=tuple(draw(st.lists(st.sampled_from(symbols), max_size=3))),
+            target=draw(st.sampled_from(states)),
+        )
+        for _ in range(draw(st.integers(0, 10)))
+    ]
+    return GeneralPda(
+        states=states,
+        input_alphabet=["a", "b"],
+        stack_alphabet=symbols,
+        initial_state="q0",
+        initial_stack=[BOTTOM] + draw(st.lists(st.sampled_from(symbols), max_size=2)),
+        accept_states=draw(st.sets(st.sampled_from(states), max_size=len(states))),
+        transitions=transitions,
+    )
+
+
+# Explicit limits only: on epsilon-push loops the defaults (10 * (|word| + 1)
+# for a general machine, up to a million steps for a normalized one) let the
+# search fill every stack up to that height. The corpus tests cover them.
+small_limits = st.builds(SearchLimits, st.integers(0, 12), st.integers(0, 6))
+
+
+@given(machines(), st.text("ab", max_size=6), small_limits)
+@settings(max_examples=200, deadline=None)
+def test_accepts_matches_reference_on_generated_machines(pda, word, limits):
+    assert accepts(pda, word, limits) == reference_accepts(pda, word, limits)
+    npda = normalize(pda)
+    assert accepts(npda, word, limits) == reference_accepts(npda, word, limits)
+
+
+@given(machines(), st.text("ab", max_size=6), small_limits)
+@settings(max_examples=150, deadline=None)
+def test_minimal_path_matches_reference_on_generated_machines(pda, word, limits):
+    npda = normalize(pda)
+    assert _minimal_path_summary(npda, word, limits) == reference_minimal_path(npda, word, limits)
