@@ -15,6 +15,7 @@ import sys
 from .charts import ascii_chart, decomposition_annotations, svg_chart
 from .corpus import BUILTINS
 from .errors import (
+    PRINTABLE_P_BIT_LIMIT,
     FormatError,
     NotAcceptedError,
     NoWitnessError,
@@ -23,7 +24,7 @@ from .errors import (
     StrictPreconditionError,
 )
 from .extract import Case1Witness, ExtractionMode, extract
-from .normalize import DEFAULT_P_BIT_LIMIT, PRINTABLE_P_BIT_LIMIT, normalize, pumping_params
+from .normalize import DEFAULT_P_BIT_LIMIT, normalize, pumping_params
 from .pda import validate
 from .run import (
     Accepted,
@@ -113,12 +114,7 @@ def cmd_params(args) -> int:
 def cmd_normalize(args) -> int:
     doc = _load(args.input)
     npda = normalize(doc.pda)
-    text = dumps(PdaDocument(pda=npda, name=doc.name, description=doc.description))
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_out(args, dumps(PdaDocument(pda=npda, name=doc.name, description=doc.description)))
     return EXIT_OK
 
 

@@ -1,5 +1,10 @@
 """Exception types shared across the toolkit."""
 
+# Python refuses to convert an int of more than 4300 decimal digits to text
+# by default, and every p below 2**14_000 has fewer. Callers that print p
+# size it under this limit so they fail with the overflow reason instead.
+PRINTABLE_P_BIT_LIMIT = 14_000
+
 
 class PumpkitError(Exception):
     """Base class for all toolkit errors."""
@@ -49,7 +54,8 @@ class StrictPreconditionError(ExtractionError):
     def __init__(self, word_length: int, p: int):
         self.word_length = word_length
         self.p = p
-        super().__init__(f"strict mode needs |w| > p but |w|={word_length} and p={p}")
+        shown = f"p={p}" if p.bit_length() <= PRINTABLE_P_BIT_LIMIT else f"p has {p.bit_length()} bits"
+        super().__init__(f"strict mode needs |w| > p but |w|={word_length} and {shown}")
 
 
 class SearchLimitError(ExtractionError):

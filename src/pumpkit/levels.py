@@ -11,6 +11,11 @@ the peak seen inside the span. brute_force_max_level enumerates all (i, j, k)
 triples and tests the three conditions directly (vectorized with numpy, but
 still the O(n^3) check); it shares no code with the sweep and exists as an
 oracle for it. It is the only user of numpy, which it imports on call.
+
+Configurations and full states read stacks from RunPath.stacks, the run's
+one forward walk. last_push and first_pop scan a flank for one height (and
+serve extract_sublevel); the full-state reader scans each flank once for
+all heights of a triple.
 """
 
 from __future__ import annotations
@@ -187,38 +192,24 @@ def first_pop(profile, triple: LevelTriple, h: int) -> int:
     raise ValueError(f"height {h} does not occur on the falling flank")
 
 
-def configuration_at(path: RunPath, pos: int, depth: int) -> Configuration:
-    """Observable configuration: state plus the top `depth` symbols at a
-    path position, blank-padded when the stack is shallower."""
+def configurations_up_to(path: RunPath, last_pos: int, depth: int) -> list[Configuration]:
+    """Observable configurations at positions 0..last_pos, in one pass over
+    the steps: state plus the top `depth` symbols, blank-padded when the
+    stack is shallower."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    stack = path.stack_at(pos)
-    top_first = tuple(reversed(stack[-depth:] if depth else ()))
-    if len(top_first) < depth:
-        top_first = top_first + (BLANK,) * (depth - len(top_first))
-    return Configuration(path.state_at(pos), top_first)
-
-
-def _stacks_up_to(path: RunPath, last_pos: int):
-    """The stack at positions 0..last_pos, from one forward walk over the
-    steps. Yields one list, mutated in place between positions."""
-    stack = list(path.initial_stack)
-    yield stack
-    for pos in range(last_pos):
-        stack.pop()
-        stack.extend(path.steps[pos].push)
-        yield stack
-
-
-def configurations_up_to(path: RunPath, last_pos: int, depth: int) -> list[Configuration]:
-    """Configurations at positions 0..last_pos in one pass over the steps."""
     out = []
-    for pos, stack in enumerate(_stacks_up_to(path, last_pos)):
+    for pos, stack in enumerate(path.stacks(last_pos)):
         top_first = tuple(reversed(stack[-depth:] if depth else ()))
         if len(top_first) < depth:
             top_first = top_first + (BLANK,) * (depth - len(top_first))
         out.append(Configuration(path.state_at(pos), top_first))
     return out
+
+
+def configuration_at(path: RunPath, pos: int, depth: int) -> Configuration:
+    """The observable configuration at one path position."""
+    return configurations_up_to(path, pos, depth)[pos]
 
 
 def _first_at_each_height(profile, positions, lo: int, hi: int) -> list:
@@ -242,7 +233,7 @@ def _full_state_reader(path: RunPath, triple: LevelTriple):
     lo, hi = profile[triple.i], profile[triple.j]
     pushes = _first_at_each_height(profile, range(triple.j, triple.i - 1, -1), lo, hi)
     pops = _first_at_each_height(profile, range(triple.j, triple.k + 1), lo, hi)
-    tops = [stack[-1] if stack else None for stack in _stacks_up_to(path, triple.k)]
+    tops = [stack[-1] if stack else None for stack in path.stacks(triple.k)]
 
     def read(h: int) -> FullState:
         lp, fp = pushes[h - lo], pops[h - lo]
@@ -289,15 +280,4 @@ def extract_sublevel(profile, triple: LevelTriple, target: int) -> LevelTriple:
     if not (1 <= target <= triple.n):
         raise ValueError("target must be between 1 and the triple's level")
     want = profile[triple.j] - target
-    i2 = k2 = None
-    for y in range(triple.j, triple.i - 1, -1):
-        if profile[y] == want:
-            i2 = y
-            break
-    for y in range(triple.j, triple.k + 1):
-        if profile[y] == want:
-            k2 = y
-            break
-    if i2 is None or k2 is None:
-        raise ValueError("target height does not occur on both flanks")
-    return LevelTriple(i2, triple.j, k2, target)
+    return LevelTriple(last_push(profile, triple, want), triple.j, first_pop(profile, triple, want), target)

@@ -12,16 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PumpingLengthOverflowError
-from .pda import GeneralPda, NormalizedPda, NormalizedTransition
+from .pda import GeneralPda, NormalizedPda, NormalizedTransition, is_star_transition
 
 # Generous ceiling on the bit length of the pumping length. Machines beyond
 # this are not usable at desk scale anyway.
 DEFAULT_P_BIT_LIMIT = 1_000_000
-
-# Python refuses to convert an int of more than 4300 decimal digits to text
-# by default, and every p below 2**14_000 has fewer. Callers that print p
-# size it under this limit so they fail with the overflow reason instead.
-PRINTABLE_P_BIT_LIMIT = 14_000
 
 
 def _fresh_prefix(states: frozenset[str]) -> str:
@@ -48,11 +43,9 @@ def normalize(pda: GeneralPda) -> NormalizedPda:
 
     for idx, t in enumerate(pda.transitions):
         push = t.push
-        if len(push) == 0:
-            out.append(NormalizedTransition(t.source, t.letter, t.pop, None, t.target))
-            continue
-        if len(push) == 2 and push[0] == t.pop:
-            out.append(NormalizedTransition(t.source, t.letter, t.pop, push[1], t.target))
+        if is_star_transition(t):
+            extra = push[1] if push else None
+            out.append(NormalizedTransition(t.source, t.letter, t.pop, extra, t.target))
             continue
         # Expansion: the original letter rides on the initial pop.
         chain = [f"{prefix}{idx}.{i}" for i in range(len(push))]

@@ -70,14 +70,17 @@ def stack_effect(t: Transition) -> int:
 
 
 @dataclass(frozen=True)
-class GeneralPda:
+class _MachineRecord:
+    """The fields shared by both machine kinds, coerced to immutable
+    containers. == tells the kinds apart: dataclass equality needs one class."""
+
     states: frozenset[str]
     input_alphabet: frozenset[str]
     stack_alphabet: frozenset[str]
     initial_state: str
     initial_stack: tuple[str, ...]
     accept_states: frozenset[str]
-    transitions: tuple[GeneralTransition, ...]
+    transitions: tuple[Transition, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "states", frozenset(self.states))
@@ -88,30 +91,17 @@ class GeneralPda:
         object.__setattr__(self, "transitions", tuple(self.transitions))
 
 
-@dataclass(frozen=True)
-class NormalizedPda:
+class GeneralPda(_MachineRecord):
+    """A machine whose transitions may push any sequence (GeneralTransition)."""
+
+
+class NormalizedPda(_MachineRecord):
     """A machine whose transitions all have the pop-only or push-one shape.
 
     Consecutive stack sizes along any run differ by exactly 1, which is what
     the level analysis relies on. The shape is checked by validate(), not
     enforced by construction.
     """
-
-    states: frozenset[str]
-    input_alphabet: frozenset[str]
-    stack_alphabet: frozenset[str]
-    initial_state: str
-    initial_stack: tuple[str, ...]
-    accept_states: frozenset[str]
-    transitions: tuple[NormalizedTransition, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "input_alphabet", frozenset(self.input_alphabet))
-        object.__setattr__(self, "stack_alphabet", frozenset(self.stack_alphabet))
-        object.__setattr__(self, "initial_stack", tuple(self.initial_stack))
-        object.__setattr__(self, "accept_states", frozenset(self.accept_states))
-        object.__setattr__(self, "transitions", tuple(self.transitions))
 
 
 Pda = GeneralPda | NormalizedPda
@@ -166,17 +156,16 @@ def step(
     return InstantaneousDescription(t.target, pos, desc.stack[:-1] + t.push)
 
 
+def is_star_transition(t: Transition) -> bool:
+    """True iff t pushes either nothing or exactly [popped, extra]."""
+    push = t.push
+    return len(push) == 0 or (len(push) == 2 and push[0] == t.pop)
+
+
 def is_star_form(pda: Pda) -> bool:
     """True iff every transition pops one symbol and pushes either nothing
     or exactly [popped, extra]."""
-    for t in pda.transitions:
-        push = t.push
-        if len(push) == 0:
-            continue
-        if len(push) == 2 and push[0] == t.pop:
-            continue
-        return False
-    return True
+    return all(is_star_transition(t) for t in pda.transitions)
 
 
 @dataclass(frozen=True)
@@ -248,7 +237,7 @@ def validate(pda: Pda) -> ValidationReport:
         for sym in push:
             if sym not in pda.stack_alphabet:
                 err("undeclared-stack-symbol", f"{where}: push symbol {sym!r} is not declared")
-        if normalized and not (len(push) == 0 or (len(push) == 2 and push[0] == t.pop)):
+        if normalized and not is_star_transition(t):
             err(
                 "star-violation",
                 f"{where}: normalized transitions must push nothing or [popped, extra], got {list(push)}",

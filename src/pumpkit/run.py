@@ -16,6 +16,9 @@ symbol) into a move table whose buckets keep declared order, so a dequeued
 description looks up its moves once instead of scanning every transition of
 its state, and both intern stack cells inline. Each search builds its own
 table and runs its own loop; they share only the _Node cell type.
+
+RunPath.stacks is the one forward walk over the stacks of a run; stack_at
+and the configuration and full-state readers in levels.py all use it.
 """
 
 from __future__ import annotations
@@ -37,18 +40,20 @@ class SearchLimits:
 
 
 def default_limits(pda: Pda, word) -> SearchLimits:
-    """max(10*(|w|+1), 4p when p is computable), capped at one million.
+    """max(10*(|w|+1), 4p for normalized machines), capped at one million.
 
-    The limits exist only to guarantee termination on pathological
-    epsilon-push loops; they are far above anything a minimal accepting run
-    of a well-behaved machine needs.
+    p is sized under a 64-bit guard: pumping_params overestimates the bit
+    length of p by at most a factor of two, so an overflow there means
+    p >= 2**32 and 4p is past the cap already. The limits exist only to
+    guarantee termination on pathological epsilon-push loops; they are far
+    above anything a minimal accepting run of a well-behaved machine needs.
     """
     bound = 10 * (len(word) + 1)
     if isinstance(pda, NormalizedPda):
         try:
-            bound = max(bound, 4 * pumping_params(pda).p)
+            bound = max(bound, 4 * pumping_params(pda, bit_limit=64).p)
         except PumpingLengthOverflowError:
-            pass
+            bound = STEP_CAP
     bound = min(bound, STEP_CAP)
     return SearchLimits(max_steps=bound, max_stack_height=bound)
 
@@ -105,11 +110,19 @@ class RunPath:
             return self.initial_state
         return self.steps[pos - 1].target
 
-    def stack_at(self, pos: int) -> tuple[str, ...]:
+    def stacks(self, last_pos: int):
+        """The stack at positions 0..last_pos, from one forward walk over the
+        steps. Yields one list, mutated in place between positions."""
         stack = list(self.initial_stack)
-        for t in self.steps[:pos]:
+        yield stack
+        for t in self.steps[:last_pos]:
             stack.pop()
             stack.extend(t.push)
+            yield stack
+
+    def stack_at(self, pos: int) -> tuple[str, ...]:
+        for stack in self.stacks(pos):
+            pass
         return tuple(stack)
 
 

@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import FormatError
-from .pda import GeneralPda, GeneralTransition, NormalizedPda, Pda
+from .pda import GeneralPda, GeneralTransition, Pda, _MachineRecord
 
 FORMAT_VERSION = "pumpkit/1"
 
@@ -147,7 +147,7 @@ def to_document(pda: Pda, name: str | None = None, description: str | None = Non
 
 def dumps(doc: dict | PdaDocument | Pda) -> str:
     """Canonical text: sorted keys, two-space indent, trailing newline."""
-    if isinstance(doc, (GeneralPda, NormalizedPda)):
+    if isinstance(doc, _MachineRecord):
         doc = to_document(doc)
     elif isinstance(doc, PdaDocument):
         doc = to_document(doc.pda, doc.name, doc.description)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .run import Accepted, LimitExceeded, RunPath, SearchLimits, accepts, default_limits, replay
+from .run import Accepted, LimitExceeded, RunPath, SearchLimits, accepts, replay
 
 
 def pumped_word(decomposition, n: int):
@@ -47,7 +47,7 @@ def verify_by_replay(pda, path: RunPath, decomposition, n: int) -> bool:
 def verify_by_search(pda, decomposition, n: int, limits: SearchLimits | None = None) -> str:
     """Membership verdict for the pumped word: accepted / rejected / limit."""
     word = pumped_word(decomposition, n)
-    outcome = accepts(pda, word, limits or default_limits(pda, word))
+    outcome = accepts(pda, word, limits)
     if isinstance(outcome, Accepted):
         return "accepted"
     if isinstance(outcome, LimitExceeded):

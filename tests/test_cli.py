@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -358,3 +362,17 @@ class TestUnprintablePumpingLength:
         code, out, err = run(capsys, "profile", over, "(())", "--annotate")
         assert (code, out) == (3, "")
         assert "exceeds 1000000 bits" in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """The runtime is stdlib-only; numpy serves the brute-force test oracle."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, pumpkit.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "False\n"

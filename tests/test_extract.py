@@ -1,8 +1,10 @@
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from pumpkit import (
+    BLANK,
     BOTTOM,
     BUILTINS,
     Case1Witness,
@@ -20,7 +22,6 @@ from pumpkit import (
     TopSymbolMismatchError,
     case1_decompose,
     case2_decompose,
-    configuration_at,
     extract,
     extract_sublevel,
     first_pop,
@@ -47,12 +48,27 @@ def single_word_machine():
     )
 
 
+def reference_stack(path, pos):
+    """The stack after `pos` steps, replayed from position 0."""
+    stack = list(path.initial_stack)
+    for t in path.steps[:pos]:
+        stack.pop()
+        stack.extend(t.push)
+    return stack
+
+
+def reference_configuration(path, pos, depth):
+    """State plus the top `depth` symbols, top first, blank-padded."""
+    top_first = list(reversed(reference_stack(path, pos)))[:depth]
+    return (path.state_at(pos), tuple(top_first + [BLANK] * (depth - len(top_first))))
+
+
 def reference_case1_pairs(path, window_end, depth):
     """Every equal-configuration pair, listed and sorted; each configuration
     replayed from position 0."""
     seen: dict = {}
     for pos in range(window_end + 1):
-        seen.setdefault(configuration_at(path, pos, depth), []).append(pos)
+        seen.setdefault(reference_configuration(path, pos, depth), []).append(pos)
     pairs = []
     for positions in seen.values():
         for a in range(len(positions)):
@@ -70,8 +86,8 @@ def reference_case2_pairs(path, triple):
     states = {}
     for h in range(lo, hi + 1):
         lp, fp = last_push(profile, triple, h), first_pop(profile, triple, h)
-        top = path.stack_at(lp)[-1]
-        assert path.stack_at(fp)[-1] == top
+        top = reference_stack(path, lp)[-1]
+        assert reference_stack(path, fp)[-1] == top
         states[h] = (path.state_at(lp), top, path.state_at(fp))
     return [(g, h) for g in range(lo, hi + 1) for h in range(g + 1, hi + 1) if states[g] == states[h]]
 
@@ -107,6 +123,18 @@ class TestExtract:
             extract(dyck1, "(())", mode=ExtractionMode.STRICT)
         assert exc.value.word_length == 4
         assert exc.value.p == 13122
+
+    def test_strict_precondition_with_unprintable_p(self, dyck1):
+        # 400 unused states: p passes the 1M-bit guard but has 154k digits,
+        # past what Python converts to text.
+        padded = normalize(replace(dyck1, states=dyck1.states | {f"u{i}" for i in range(400)}))
+        with pytest.raises(StrictPreconditionError) as exc:
+            extract(padded, "(())", mode=ExtractionMode.STRICT)
+        assert exc.value.word_length == 4
+        assert exc.value.p == pumping_params(padded).p
+        assert str(exc.value) == (
+            f"strict mode needs |w| > p but |w|=4 and p has {exc.value.p.bit_length()} bits"
+        )
 
     def test_rejected_word(self, dyck1):
         with pytest.raises(NotAcceptedError):

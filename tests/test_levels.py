@@ -148,6 +148,8 @@ class TestConfigurations:
         assert configuration_at(path, 0, 0) == Configuration("q0", ())
         with pytest.raises(ValueError):
             configuration_at(path, 0, -1)
+        with pytest.raises(ValueError):
+            configurations_up_to(path, len(path.steps), -1)
 
     def test_batch_matches_single(self, dyck1):
         path = minimal_accepting_path(dyck1, "(())")

@@ -102,6 +102,49 @@ class TestStep:
         assert d1.pos == 1
 
 
+RECORD_FIELDS = dict(
+    states=["q"],
+    input_alphabet=["a"],
+    stack_alphabet=[BOTTOM],
+    initial_state="q",
+    initial_stack=[BOTTOM],
+    accept_states=["q"],
+    transitions=[],
+)
+
+
+class TestMachineRecord:
+    def test_kinds_differ_on_equal_fields(self):
+        general, normalized = GeneralPda(**RECORD_FIELDS), NormalizedPda(**RECORD_FIELDS)
+        assert general != normalized and normalized != general
+        assert general == GeneralPda(**RECORD_FIELDS)
+        assert normalized == NormalizedPda(**RECORD_FIELDS)
+        assert len({general, normalized}) == 2
+
+    def test_hash_is_the_field_tuple(self):
+        for kind in (GeneralPda, NormalizedPda):
+            m = kind(**RECORD_FIELDS)
+            fields = (
+                m.states,
+                m.input_alphabet,
+                m.stack_alphabet,
+                m.initial_state,
+                m.initial_stack,
+                m.accept_states,
+                m.transitions,
+            )
+            assert hash(m) == hash(fields)
+
+    def test_repr_names_the_kind(self):
+        body = (
+            "(states=frozenset({'q'}), input_alphabet=frozenset({'a'}),"
+            " stack_alphabet=frozenset({'⊥'}), initial_state='q', initial_stack=('⊥',),"
+            " accept_states=frozenset({'q'}), transitions=())"
+        )
+        assert repr(GeneralPda(**RECORD_FIELDS)) == "GeneralPda" + body
+        assert repr(NormalizedPda(**RECORD_FIELDS)) == "NormalizedPda" + body
+
+
 class TestStarForm:
     def test_star_form_accepts_both_shapes(self):
         pda = NormalizedPda(

@@ -6,9 +6,14 @@ transition of the current state and intern stack cells through a small
 pool. The searches under test must give the same verdict, including the
 LimitExceeded flags, and the same minimal run on every corpus machine, in
 general and normalized form, and on hypothesis-generated machines.
+
+reference_default_limits is the earlier default_limits, which sized p under
+the 1M-bit guard and fell back to the word-length bound past it: the
+current one must agree with it on the corpus and stay monotone in p.
 """
 
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +29,7 @@ from pumpkit import (
     LimitExceeded,
     NormalizedPda,
     NotAccepted,
+    PumpingLengthOverflowError,
     RunPath,
     SearchLimits,
     accepts,
@@ -31,7 +37,9 @@ from pumpkit import (
     load_path,
     minimal_accepting_path,
     normalize,
+    pumping_params,
 )
+from pumpkit.run import STEP_CAP
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "pumpkit" / "data"
 LIMIT_GRID = (None, SearchLimits(2, 100), SearchLimits(5, 5), SearchLimits(40, 3))
@@ -286,3 +294,32 @@ def test_accepts_matches_reference_on_generated_machines(pda, word, limits):
 def test_minimal_path_matches_reference_on_generated_machines(pda, word, limits):
     npda = normalize(pda)
     assert _minimal_path_summary(npda, word, limits) == reference_minimal_path(npda, word, limits)
+
+
+def reference_default_limits(pda, word):
+    bound = 10 * (len(word) + 1)
+    if isinstance(pda, NormalizedPda):
+        try:
+            bound = max(bound, 4 * pumping_params(pda).p)
+        except PumpingLengthOverflowError:
+            pass
+    bound = min(bound, STEP_CAP)
+    return SearchLimits(max_steps=bound, max_stack_height=bound)
+
+
+@pytest.mark.parametrize("label, pda, entry", CORPUS, ids=[label for label, _, _ in CORPUS])
+def test_default_limits_match_reference_on_corpus(label, pda, entry):
+    # m = 2000 and 3000 straddle 4p = 52488 for DYCK1; 60000 passes the cap.
+    for word in _words(entry) + [entry.generate(m) for m in (2000, 3000, 60000)]:
+        assert default_limits(pda, word) == reference_default_limits(pda, word), (label, len(word))
+
+
+def test_default_limits_grow_with_unused_states():
+    dyck1 = BUILTINS["DYCK1"].pda
+    padded = (
+        replace(dyck1, states=dyck1.states | {f"u{i}" for i in range(extra)})
+        for extra in (0, 1, 400, 700)
+    )
+    bounds = [default_limits(pda, "(())").max_steps for pda in padded]
+    # p: 13122, about 2**30, 154k digits, past the 1M-bit guard.
+    assert bounds == [4 * 13122, STEP_CAP, STEP_CAP, STEP_CAP]
