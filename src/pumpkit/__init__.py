@@ -9,9 +9,6 @@ from .errors import (
     ConstructionFalsifiedError,
     ExtractionError,
     FormatError,
-    InapplicableTransitionError,
-    MinimalityViolationError,
-    NoRepeatFoundError,
     NotAcceptedError,
     NoWitnessError,
     PumpingLengthOverflowError,
@@ -27,8 +24,6 @@ from .extract import (
     Diagnostics,
     ExtractionMode,
     ExtractionResult,
-    case1_decompose,
-    case2_decompose,
     extract,
 )
 from .levels import (
@@ -36,11 +31,10 @@ from .levels import (
     FullState,
     LevelTriple,
     brute_force_max_level,
-    configuration_at,
     configurations_up_to,
     extract_sublevel,
     first_pop,
-    full_state,
+    full_states,
     is_valid_level_triple,
     last_push,
     max_level,
@@ -51,17 +45,12 @@ from .pda import (
     BOTTOM,
     GeneralPda,
     GeneralTransition,
-    InstantaneousDescription,
     Issue,
     NormalizedPda,
     NormalizedTransition,
     Pda,
     ValidationReport,
-    initial_description,
-    is_accepting,
     is_star_form,
-    stack_effect,
-    step,
     validate,
 )
 from .run import (

@@ -9,7 +9,6 @@ refer to true path positions, whatever the downsampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 ASCII_MAX_COLUMNS = 400
 ASCII_MAX_ROWS = 20
@@ -29,20 +28,20 @@ class Span:
     char: str
 
 
-def _columns(profile, max_columns: int):
+def _columns(profile):
     n = len(profile)
-    bucket = -(-n // max_columns) if n > max_columns else 1
+    bucket = -(-n // ASCII_MAX_COLUMNS) if n > ASCII_MAX_COLUMNS else 1
     cols = [max(profile[c : c + bucket]) for c in range(0, n, bucket)]
     return cols, bucket
 
 
-def ascii_chart(profile, markers=(), spans=(), max_columns: int = ASCII_MAX_COLUMNS, max_rows: int = ASCII_MAX_ROWS) -> str:
+def ascii_chart(profile, markers=(), spans=()) -> str:
     """Bar chart of the profile, one text column per (pooled) position."""
     if not profile:
         raise ValueError("empty profile")
-    cols, bucket = _columns(profile, max_columns)
+    cols, bucket = _columns(profile)
     vmax = max(max(cols), 1)
-    rows = min(vmax, max_rows)
+    rows = min(vmax, ASCII_MAX_ROWS)
     gutter = len(str(vmax))
 
     header = f"stack profile: {len(profile)} positions, height 0..{max(profile)}"
@@ -77,6 +76,11 @@ def ascii_chart(profile, markers=(), spans=(), max_columns: int = ASCII_MAX_COLU
     return "\n".join(lines) + "\n"
 
 
+def _escape(text: str) -> str:
+    """Escape text for SVG character data."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 SVG_WIDTH = 800
 SVG_HEIGHT = 320
 _ML, _MR, _MT, _MB = 46, 14, 26, 52
@@ -102,7 +106,7 @@ def svg_chart(profile, markers=(), spans=(), title: str | None = None) -> str:
         f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}" font-family="monospace" font-size="11">'
     ]
     if title:
-        parts.append(f'<text x="{_ML}" y="16">{escape(title)}</text>')
+        parts.append(f'<text x="{_ML}" y="16">{_escape(title)}</text>')
 
     baseline = y(0)
     for s in spans:
@@ -114,7 +118,7 @@ def svg_chart(profile, markers=(), spans=(), title: str | None = None) -> str:
             f'fill="#dddddd" stroke="#888888"/>'
         )
         parts.append(
-            f'<text x="{(x0 + x1) / 2:.2f}" y="{baseline + 19:.2f}" text-anchor="middle">{escape(s.char)}</text>'
+            f'<text x="{(x0 + x1) / 2:.2f}" y="{baseline + 19:.2f}" text-anchor="middle">{_escape(s.char)}</text>'
         )
     for m in markers:
         mx = x(m.pos)
@@ -123,7 +127,7 @@ def svg_chart(profile, markers=(), spans=(), title: str | None = None) -> str:
             f'stroke="#aa4444" stroke-dasharray="3 3"/>'
         )
         parts.append(
-            f'<text x="{mx:.2f}" y="{_MT - 4 + 12 * m.row:.2f}" text-anchor="middle" fill="#aa4444">{escape(m.char)}</text>'
+            f'<text x="{mx:.2f}" y="{_MT - 4 + 12 * m.row:.2f}" text-anchor="middle" fill="#aa4444">{_escape(m.char)}</text>'
         )
 
     parts.append(

@@ -1,23 +1,24 @@
 """Built-in example machines and word generators for them.
 
-Each entry carries the machine, a generator for in-language words, and a
-generator for near-miss words (off by one boundary letter), so tests and
-demos can sweep sizes without hand-writing words.
+Each machine is read from its pumpkit/1 file in the package's data/
+directory, the same files the CLI accepts by path. A machine already in
+star form comes back as a NormalizedPda (normalize maps it one-to-one);
+any other stays general. Each entry pairs the machine with a generator for
+in-language words and one for near-miss words (off by one boundary
+letter), so tests and demos can sweep sizes without hand-writing words.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable
 
-from .pda import (
-    BOTTOM,
-    GeneralPda,
-    GeneralTransition,
-    NormalizedPda,
-    NormalizedTransition,
-    Pda,
-)
+from .normalize import normalize
+from .pda import GeneralPda, Pda, is_star_form
+from .serialize import PdaDocument, load_path
+
+_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 @dataclass(frozen=True)
@@ -27,25 +28,6 @@ class CorpusEntry:
     pda: Pda
     generate: Callable[[int], str]
     generate_near_miss: Callable[[int], str]
-
-
-def _dyck1() -> NormalizedPda:
-    # Balanced parentheses, one bracket kind. Stack counts open depth.
-    q0, qf = "q0", "qf"
-    return NormalizedPda(
-        states=[q0, qf],
-        input_alphabet=["(", ")"],
-        stack_alphabet=[BOTTOM, "X"],
-        initial_state=q0,
-        initial_stack=[BOTTOM],
-        accept_states=[qf],
-        transitions=[
-            NormalizedTransition(q0, "(", BOTTOM, "X", q0),
-            NormalizedTransition(q0, "(", "X", "X", q0),
-            NormalizedTransition(q0, ")", "X", None, q0),
-            NormalizedTransition(q0, None, BOTTOM, None, qf),
-        ],
-    )
 
 
 def _dyck1_gen(m: int) -> str:
@@ -58,24 +40,6 @@ def _dyck1_near(m: int) -> str:
     return "(" * m + ")" * (m - 1)
 
 
-def _reg_ab() -> NormalizedPda:
-    # (ab)*: a regular language driven through the stack bottom so runs
-    # bounce between heights 1 and 2.
-    q0, q1 = "q0", "q1"
-    return NormalizedPda(
-        states=[q0, q1],
-        input_alphabet=["a", "b"],
-        stack_alphabet=[BOTTOM],
-        initial_state=q0,
-        initial_stack=[BOTTOM],
-        accept_states=[q0],
-        transitions=[
-            NormalizedTransition(q0, "a", BOTTOM, BOTTOM, q1),
-            NormalizedTransition(q1, "b", BOTTOM, None, q0),
-        ],
-    )
-
-
 def _reg_ab_gen(m: int) -> str:
     return "ab" * m
 
@@ -84,26 +48,6 @@ def _reg_ab_near(m: int) -> str:
     if m < 1:
         raise ValueError("near-miss needs m >= 1")
     return "ab" * (m - 1) + "a"
-
-
-def _anbn() -> NormalizedPda:
-    # a^n b^n, n >= 1.
-    q0, q1, qf = "q0", "q1", "qf"
-    return NormalizedPda(
-        states=[q0, q1, qf],
-        input_alphabet=["a", "b"],
-        stack_alphabet=[BOTTOM, "A"],
-        initial_state=q0,
-        initial_stack=[BOTTOM],
-        accept_states=[qf],
-        transitions=[
-            NormalizedTransition(q0, "a", BOTTOM, "A", q0),
-            NormalizedTransition(q0, "a", "A", "A", q0),
-            NormalizedTransition(q0, "b", "A", None, q1),
-            NormalizedTransition(q1, "b", "A", None, q1),
-            NormalizedTransition(q1, None, BOTTOM, None, qf),
-        ],
-    )
 
 
 def _anbn_gen(m: int) -> str:
@@ -116,58 +60,6 @@ def _anbn_near(m: int) -> str:
     if m < 1:
         raise ValueError("near-miss needs m >= 1")
     return "a" * m + "b" * (m - 1)
-
-
-def _anbn_general() -> GeneralPda:
-    # Same language as _anbn but with a multi-symbol push (first pushed
-    # symbol differs from the popped one), so conversion to pop-one
-    # push-at-most-two form actually has work to do.
-    p0, p1, p2, pf = "p0", "p1", "p2", "pf"
-    return GeneralPda(
-        states=[p0, p1, p2, pf],
-        input_alphabet=["a", "b"],
-        stack_alphabet=[BOTTOM, "Z", "S", "A"],
-        initial_state=p0,
-        initial_stack=[BOTTOM, "Z"],
-        accept_states=[pf],
-        transitions=[
-            GeneralTransition(p0, "a", "Z", ("S", "A"), p0),
-            GeneralTransition(p0, "a", "A", ("A", "A"), p0),
-            GeneralTransition(p0, "b", "A", (), p1),
-            GeneralTransition(p1, "b", "A", (), p1),
-            GeneralTransition(p1, None, "S", (), p2),
-            GeneralTransition(p2, None, BOTTOM, (), pf),
-        ],
-    )
-
-
-def _gen_pal() -> GeneralPda:
-    # Even-length binary palindromes, empty word included. Guesses the
-    # midpoint nondeterministically; letters push doubled markers so the
-    # machine exercises pushes of width 1, 2 and 3.
-    g0, g1, g1a, g1b, g2, gf = "g0", "g1", "g1a", "g1b", "g2", "gf"
-    ts = []
-    for t in ("E", "A", "B"):
-        ts.append(GeneralTransition(g0, "0", t, (t, "A", "A"), g0))
-        ts.append(GeneralTransition(g0, "1", t, (t, "B", "B"), g0))
-        ts.append(GeneralTransition(g0, None, t, (t,), g1))
-    ts += [
-        GeneralTransition(g1, "0", "A", (), g1a),
-        GeneralTransition(g1a, None, "A", (), g1),
-        GeneralTransition(g1, "1", "B", (), g1b),
-        GeneralTransition(g1b, None, "B", (), g1),
-        GeneralTransition(g1, None, "E", (), g2),
-        GeneralTransition(g2, None, BOTTOM, (), gf),
-    ]
-    return GeneralPda(
-        states=[g0, g1, g1a, g1b, g2, gf],
-        input_alphabet=["0", "1"],
-        stack_alphabet=[BOTTOM, "E", "A", "B"],
-        initial_state=g0,
-        initial_stack=[BOTTOM, "E"],
-        accept_states=[gf],
-        transitions=ts,
-    )
 
 
 def _pal_half(m: int) -> str:
@@ -188,35 +80,25 @@ def _gen_pal_near(m: int) -> str:
     return w[:-1] + flipped
 
 
+def _load(file_stem: str) -> PdaDocument:
+    return load_path(os.path.join(_DATA_DIR, f"{file_stem}.json"))
+
+
+def _entry(name: str, generate, generate_near_miss) -> CorpusEntry:
+    doc = _load(name)
+    pda = normalize(doc.pda) if is_star_form(doc.pda) else doc.pda
+    return CorpusEntry(doc.name, doc.description, pda, generate, generate_near_miss)
+
+
 BUILTINS: dict[str, CorpusEntry] = {
-    "DYCK1": CorpusEntry(
-        name="DYCK1",
-        description="balanced parentheses over one bracket pair",
-        pda=_dyck1(),
-        generate=_dyck1_gen,
-        generate_near_miss=_dyck1_near,
-    ),
-    "REG_AB": CorpusEntry(
-        name="REG_AB",
-        description="the regular language (ab)*",
-        pda=_reg_ab(),
-        generate=_reg_ab_gen,
-        generate_near_miss=_reg_ab_near,
-    ),
-    "ANBN": CorpusEntry(
-        name="ANBN",
-        description="a^n b^n with n >= 1",
-        pda=_anbn(),
-        generate=_anbn_gen,
-        generate_near_miss=_anbn_near,
-    ),
-    "GEN_PAL": CorpusEntry(
-        name="GEN_PAL",
-        description="even-length binary palindromes (general form, multi-symbol pushes)",
-        pda=_gen_pal(),
-        generate=_gen_pal_gen,
-        generate_near_miss=_gen_pal_near,
-    ),
+    # one bracket kind; the stack counts open depth
+    "DYCK1": _entry("DYCK1", _dyck1_gen, _dyck1_near),
+    # driven through the stack bottom, so runs bounce between heights 1 and 2
+    "REG_AB": _entry("REG_AB", _reg_ab_gen, _reg_ab_near),
+    "ANBN": _entry("ANBN", _anbn_gen, _anbn_near),
+    # guesses the midpoint; letters push doubled markers, so pushes have
+    # width 1, 2 and 3
+    "GEN_PAL": _entry("GEN_PAL", _gen_pal_gen, _gen_pal_near),
 }
 
 
@@ -232,8 +114,9 @@ def general_variant(name: str) -> GeneralPda:
     """A general-form machine for the same language as the named entry.
 
     Only defined where the builtin is already normalized; used to test that
-    conversion preserves the language.
+    conversion preserves the language. ANBN's variant pushes a sequence whose
+    first symbol differs from the popped one, so normalize has work to do.
     """
     if name == "ANBN":
-        return _anbn_general()
+        return _load("ANBN_GENERAL").pda
     raise KeyError(f"no general variant for {name!r}")

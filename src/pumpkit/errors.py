@@ -10,14 +10,6 @@ class PumpkitError(Exception):
     """Base class for all toolkit errors."""
 
 
-class InapplicableTransitionError(PumpkitError):
-    """A transition was applied to a description that does not satisfy its preconditions."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 class PumpingLengthOverflowError(PumpkitError):
     """The pumping length would exceed the configured representable range.
 
@@ -76,17 +68,6 @@ class NoWitnessError(ExtractionError):
     def __init__(self, message: str, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics
-
-
-class MinimalityViolationError(ExtractionError):
-    """A repetition that should be impossible on a minimal run was encountered.
-
-    Returned instead of a decomposition whose pumped block would be empty.
-    """
-
-
-class NoRepeatFoundError(ExtractionError):
-    """The scanned window contains no repeated configuration or full state."""
 
 
 class TopSymbolMismatchError(PumpkitError):

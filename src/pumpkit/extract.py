@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 
 from .errors import (
     ConstructionFalsifiedError,
-    MinimalityViolationError,
-    NoRepeatFoundError,
     NotAcceptedError,
     NoWitnessError,
     SearchLimitError,
@@ -49,6 +47,9 @@ from .normalize import DEFAULT_P_BIT_LIMIT, PumpingParams, pumping_params
 from .pda import NormalizedPda
 from .run import LimitExceeded, NotAccepted, RunPath, SearchLimits, minimal_accepting_path
 from .verify import verify_by_replay
+
+# Pump counts each candidate is replayed for before extract returns it.
+PUMPS_CHECKED = (0, 2)
 
 
 class ExtractionMode(enum.Enum):
@@ -207,59 +208,11 @@ def _case2_pairs(path: RunPath, triple: LevelTriple):
     return _equal_key_pairs(full_states(path, triple), base=path.profile[triple.i])
 
 
-def case1_decompose(
-    path: RunPath,
-    level: int,
-    params: PumpingParams,
-    window_end: int | None = None,
-) -> Decomposition:
-    """First repeated depth-`level` configuration pair, pumped between.
-
-    Raises NoRepeatFoundError when the window holds no repeat, and
-    MinimalityViolationError when the first repeat consumed no letters (a
-    minimal run should never revisit a configuration for free).
-    """
-    if window_end is None:
-        window_end = min(params.p, len(path.steps))
-    _, pairs = _case1_pairs(path, window_end, level)
-    first = next(pairs, None)
-    if first is None:
-        raise NoRepeatFoundError(
-            f"no repeated depth-{level} configuration in positions 0..{window_end}"
-        )
-    i, j = first
-    if path.letters_read[i] == path.letters_read[j]:
-        raise MinimalityViolationError(
-            f"positions {i} and {j} repeat a configuration without reading input"
-        )
-    return _build_case1(path, params, i, j, level)
-
-
-def case2_decompose(path: RunPath, triple: LevelTriple, params: PumpingParams) -> Decomposition:
-    """First pair of heights in the triple with equal full states.
-
-    Raises NoRepeatFoundError when all full states are distinct, and
-    MinimalityViolationError when the cut would pump zero letters.
-    """
-    _, pairs = _case2_pairs(path, triple)
-    first = next(pairs, None)
-    if first is None:
-        raise NoRepeatFoundError("no repeated full state among the triple's heights")
-    g, h = first
-    d = _build_case2(path, params, triple, g, h)
-    if len(d.v) + len(d.y) == 0:
-        raise MinimalityViolationError(
-            f"heights {g} and {h} repeat a full state without reading input"
-        )
-    return d
-
-
 def extract(
     pda: NormalizedPda,
     word,
     mode: ExtractionMode = ExtractionMode.STRICT,
     limits: SearchLimits | None = None,
-    pumps_checked: tuple[int, ...] = (0, 2),
     p_bit_limit: int = DEFAULT_P_BIT_LIMIT,
 ) -> ExtractionResult:
     """Decompose an accepted word into u, v, x, y, z ready for pumping.
@@ -267,7 +220,7 @@ def extract(
     Strict mode requires |word| > p and scans repeats only inside the first
     p+1 path positions (level window k <= p); best-effort scans the whole
     run and falls back from case 2 to case 1 before giving up. Candidates
-    that fail the internal replay check for `pumps_checked` are skipped and
+    that fail the internal replay check for PUMPS_CHECKED are skipped and
     the skip recorded in the diagnostics. p_bit_limit bounds p as in
     pumping_params, which raises PumpingLengthOverflowError past it.
     """
@@ -300,7 +253,7 @@ def extract(
         if len(d.v) + len(d.y) == 0:
             fallbacks.append(Fallback(case, candidate, "empty-pump"))
             return None
-        for n in pumps_checked:
+        for n in PUMPS_CHECKED:
             if not verify_by_replay(pda, path, d, n):
                 fallbacks.append(Fallback(case, candidate, f"replay-failed-n{n}"))
                 return None

@@ -14,8 +14,8 @@ oracle for it. It is the only user of numpy, which it imports on call.
 
 Configurations and full states read stacks from RunPath.stacks, the run's
 one forward walk. last_push and first_pop scan a flank for one height (and
-serve extract_sublevel); the full-state reader scans each flank once for
-all heights of a triple.
+serve extract_sublevel and the case-2 cut); full_states scans each flank
+once for all heights of a triple.
 """
 
 from __future__ import annotations
@@ -207,11 +207,6 @@ def configurations_up_to(path: RunPath, last_pos: int, depth: int) -> list[Confi
     return out
 
 
-def configuration_at(path: RunPath, pos: int, depth: int) -> Configuration:
-    """The observable configuration at one path position."""
-    return configurations_up_to(path, pos, depth)[pos]
-
-
 def _first_at_each_height(profile, positions, lo: int, hi: int) -> list:
     """For each height lo..hi, the first of `positions` where the profile
     sits at it (None if it never does)."""
@@ -223,20 +218,24 @@ def _first_at_each_height(profile, positions, lo: int, hi: int) -> list:
     return found
 
 
-def _full_state_reader(path: RunPath, triple: LevelTriple):
-    """h -> FullState for the triple's heights, each O(1) after one pass.
+def full_states(path: RunPath, triple: LevelTriple) -> list[FullState]:
+    """Full states of heights s_i..s_j of a level triple, lowest first, in
+    time linear in k.
 
-    The pass walks j down to i for every height's last push, j up to k for
+    One pass walks j down to i for every height's last push, j up to k for
     its first pop, and the steps up to k for the stack top at each position.
+    The symbol at a height when it was last established on the rising flank
+    provably still rests there at the first return on the falling flank;
+    this is checked, and TopSymbolMismatchError raised, on corrupted paths,
+    since a mismatch falsifies the construction the caller is running.
     """
     profile = path.profile
     lo, hi = profile[triple.i], profile[triple.j]
     pushes = _first_at_each_height(profile, range(triple.j, triple.i - 1, -1), lo, hi)
     pops = _first_at_each_height(profile, range(triple.j, triple.k + 1), lo, hi)
     tops = [stack[-1] if stack else None for stack in path.stacks(triple.k)]
-
-    def read(h: int) -> FullState:
-        lp, fp = pushes[h - lo], pops[h - lo]
+    out = []
+    for h, lp, fp in zip(range(lo, hi + 1), pushes, pops):
         if lp is None:
             raise ValueError(f"height {h} does not occur on the rising flank")
         if fp is None:
@@ -245,29 +244,8 @@ def _full_state_reader(path: RunPath, triple: LevelTriple):
             raise TopSymbolMismatchError(
                 f"height {h}: top symbol {tops[lp]!r} at position {lp} but {tops[fp]!r} at position {fp}"
             )
-        return FullState(path.state_at(lp), tops[lp], path.state_at(fp))
-
-    return read
-
-
-def full_state(path: RunPath, triple: LevelTriple, h: int) -> FullState:
-    """Full state of a height within a level triple.
-
-    The symbol at height h when it was last established on the rising flank
-    provably still rests there at the first return on the falling flank; the
-    function checks this and raises TopSymbolMismatchError on corrupted
-    paths, since a mismatch falsifies the construction the caller is running.
-    """
-    if not (path.profile[triple.i] <= h <= path.profile[triple.j]):
-        raise ValueError(f"height {h} outside the triple's range")
-    return _full_state_reader(path, triple)(h)
-
-
-def full_states(path: RunPath, triple: LevelTriple) -> list[FullState]:
-    """Full states of heights s_i..s_j of a level triple, lowest first, in
-    time linear in k; checked as full_state checks each one."""
-    read = _full_state_reader(path, triple)
-    return [read(h) for h in range(path.profile[triple.i], path.profile[triple.j] + 1)]
+        out.append(FullState(path.state_at(lp), tops[lp], path.state_at(fp)))
+    return out
 
 
 def extract_sublevel(profile, triple: LevelTriple, target: int) -> LevelTriple:

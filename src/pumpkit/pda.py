@@ -1,4 +1,4 @@
-"""Pushdown automaton core: machine types, single-step semantics, validation.
+"""Pushdown automaton core: machine types, the star-shape test, validation.
 
 Conventions used throughout the toolkit:
 
@@ -19,8 +19,6 @@ Conventions used throughout the toolkit:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from .errors import InapplicableTransitionError
 
 BOTTOM = "⊥"  # bottom-of-stack marker
 BLANK = "␣"   # padding symbol, never a member of the stack alphabet
@@ -64,11 +62,6 @@ class NormalizedTransition:
 Transition = GeneralTransition | NormalizedTransition
 
 
-def stack_effect(t: Transition) -> int:
-    """Net change in stack size when t fires."""
-    return len(t.push) - 1
-
-
 @dataclass(frozen=True)
 class _MachineRecord:
     """The fields shared by both machine kinds, coerced to immutable
@@ -105,55 +98,6 @@ class NormalizedPda(_MachineRecord):
 
 
 Pda = GeneralPda | NormalizedPda
-
-
-@dataclass(frozen=True)
-class InstantaneousDescription:
-    """A point in a run: control state, input cursor, full stack (top last)."""
-
-    state: str
-    pos: int
-    stack: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "stack", tuple(self.stack))
-
-
-def initial_description(pda: Pda) -> InstantaneousDescription:
-    return InstantaneousDescription(pda.initial_state, 0, pda.initial_stack)
-
-
-def is_accepting(pda: Pda, desc: InstantaneousDescription, word_length: int) -> bool:
-    return desc.state in pda.accept_states and desc.pos == word_length
-
-
-def step(
-    pda: Pda,
-    desc: InstantaneousDescription,
-    t: Transition,
-    word=None,
-) -> InstantaneousDescription:
-    """Apply one transition to a description.
-
-    Raises InapplicableTransitionError when any precondition fails: wrong
-    source state, empty stack, top symbol differs from t.pop, or (when the
-    word is supplied) an input letter that does not match the cursor.
-    """
-    if t.source != desc.state:
-        raise InapplicableTransitionError("source state mismatch")
-    if not desc.stack:
-        raise InapplicableTransitionError("empty stack")
-    if desc.stack[-1] != t.pop:
-        raise InapplicableTransitionError("top symbol mismatch")
-    pos = desc.pos
-    if t.letter is not None:
-        if word is not None:
-            if pos >= len(word):
-                raise InapplicableTransitionError("input exhausted")
-            if word[pos] != t.letter:
-                raise InapplicableTransitionError("input letter mismatch")
-        pos += 1
-    return InstantaneousDescription(t.target, pos, desc.stack[:-1] + t.push)
 
 
 def is_star_transition(t: Transition) -> bool:

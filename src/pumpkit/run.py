@@ -105,7 +105,12 @@ class RunPath:
     initial_state: str
     initial_stack: tuple[str, ...]
 
+    def _check_position(self, pos: int) -> None:
+        if not 0 <= pos <= len(self.steps):
+            raise IndexError(f"position {pos} outside 0..{len(self.steps)}")
+
     def state_at(self, pos: int) -> str:
+        self._check_position(pos)
         if pos == 0:
             return self.initial_state
         return self.steps[pos - 1].target
@@ -121,6 +126,7 @@ class RunPath:
             yield stack
 
     def stack_at(self, pos: int) -> tuple[str, ...]:
+        self._check_position(pos)
         for stack in self.stacks(pos):
             pass
         return tuple(stack)

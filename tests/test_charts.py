@@ -45,9 +45,9 @@ class TestAsciiChart:
 
     def test_vertical_scaling(self):
         prof = tuple(range(1, 101)) + tuple(range(100, 0, -1))
-        chart = ascii_chart(prof, max_rows=10)
+        chart = ascii_chart(prof)
         rows = [l for l in chart.splitlines() if "|" in l]
-        assert len(rows) == 10
+        assert len(rows) == 20
         assert rows[0].strip().startswith("100")
 
     def test_markers_and_spans(self):
@@ -99,6 +99,7 @@ class TestSvgChart:
         assert "j" in texts
         assert "u" in texts
         assert "with <escapes> & such" in texts
+        assert '<text x="46" y="16">with &lt;escapes&gt; &amp; such</text>' in svg.splitlines()
 
     def test_deterministic(self):
         prof = (1, 2, 3, 2, 1, 0)

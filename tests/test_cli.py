@@ -365,9 +365,13 @@ class TestUnprintablePumpingLength:
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    """The runtime is stdlib-only; numpy serves the brute-force test oracle."""
+    """The runtime is stdlib-only; numpy serves the brute-force test oracle.
+    SVG escaping is done by hand, so xml.sax and what it pulls in stay out."""
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, pumpkit.cli; print('numpy' in sys.modules)"
+    probe = (
+        "import sys, pumpkit.cli; "
+        "print([m for m in ('numpy', 'xml.sax', 'urllib.request') if m in sys.modules])"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -375,4 +379,4 @@ def test_cli_import_leaves_numpy_unloaded():
         text=True,
         check=True,
     )
-    assert done.stdout == "False\n"
+    assert done.stdout == "[]\n"

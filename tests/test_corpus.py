@@ -5,6 +5,8 @@ import pytest
 from pumpkit import (
     Accepted,
     BUILTINS,
+    GeneralPda,
+    NormalizedPda,
     NotAccepted,
     accepts,
     corpus_get,
@@ -34,6 +36,11 @@ class TestEntries:
         assert is_star_form(BUILTINS["REG_AB"].pda)
         assert is_star_form(BUILTINS["ANBN"].pda)
         assert not is_star_form(BUILTINS["GEN_PAL"].pda)
+        # loaded machines come back normalized exactly when in star form
+        for name in ("DYCK1", "REG_AB", "ANBN"):
+            assert type(BUILTINS[name].pda) is NormalizedPda
+        assert type(BUILTINS["GEN_PAL"].pda) is GeneralPda
+        assert type(general_variant("ANBN")) is GeneralPda
 
 
 class TestGenerators:

@@ -10,21 +10,16 @@ from pumpkit import (
     Case1Witness,
     Case2Witness,
     ExtractionMode,
-    GeneralTransition,
     LevelTriple,
-    MinimalityViolationError,
-    NoRepeatFoundError,
     NormalizedPda,
     NormalizedTransition,
     NotAcceptedError,
-    RunPath,
     StrictPreconditionError,
     TopSymbolMismatchError,
-    case1_decompose,
-    case2_decompose,
     extract,
     extract_sublevel,
     first_pop,
+    full_states,
     last_push,
     max_level,
     minimal_accepting_path,
@@ -197,9 +192,7 @@ class TestExtract:
 
 class TestCase1Decompose:
     def test_first_pair_semantics(self, reg_ab):
-        path = minimal_accepting_path(reg_ab, "abab")
-        params = pumping_params(reg_ab)
-        d = case1_decompose(path, level=1, params=params)
+        d = extract(reg_ab, "abab", mode=ExtractionMode.BEST_EFFORT).decomposition
         assert (d.witness.i, d.witness.j) == (0, 2)
         assert d.v == "ab"
         assert d.y == "" and d.z == ""
@@ -207,35 +200,17 @@ class TestCase1Decompose:
     def test_no_repeat(self):
         pda = single_word_machine()
         path = minimal_accepting_path(pda, "a")
-        params = pumping_params(pda)
-        with pytest.raises(NoRepeatFoundError):
-            case1_decompose(path, level=0, params=params)
-
-    def test_zero_letter_repeat_is_a_minimality_violation(self):
-        # hand-built epsilon ramp: configurations at depth 0 repeat without
-        # consuming input, which a minimal run must never do
-        t1 = GeneralTransition("q0", None, BOTTOM, (BOTTOM, "A"), "q1")
-        t2 = GeneralTransition("q1", None, "A", ("A", "A"), "q1")
-        path = RunPath(
-            word="",
-            steps=(t1, t2, t2),
-            profile=(1, 2, 3, 4),
-            letters_read=(0, 0, 0, 0),
-            initial_state="q0",
-            initial_stack=(BOTTOM,),
-        )
-        params = pumping_params(single_word_machine())
-        with pytest.raises(MinimalityViolationError):
-            case1_decompose(path, level=0, params=params)
+        available, pairs = _case1_pairs(path, len(path.steps), 0)
+        assert available == 0
+        assert next(pairs, None) is None
 
 
 class TestCase2Decompose:
     def test_golden_first_pair(self, dyck1):
         path = minimal_accepting_path(dyck1, "(((())))")
-        params = pumping_params(dyck1)
-        d = case2_decompose(path, LevelTriple(0, 4, 8, 4), params)
-        assert (d.witness.g, d.witness.h) == (2, 3)
-        assert (d.u, d.v, d.x, d.y, d.z) == ("(", "(", "(())", ")", ")")
+        available, pairs = _case2_pairs(path, LevelTriple(0, 4, 8, 4))
+        assert available == 6
+        assert next(pairs) == (2, 3)
 
     def test_all_distinct_full_states(self):
         # each height carries a different symbol/state combination
@@ -256,31 +231,60 @@ class TestCase2Decompose:
         )
         path = minimal_accepting_path(pda, "aabb")
         assert path.profile == (1, 2, 3, 2, 1, 0)
-        with pytest.raises(NoRepeatFoundError):
-            case2_decompose(path, LevelTriple(0, 2, 4, 2), pumping_params(pda))
-
-    def test_zero_letter_pump_is_a_minimality_violation(self):
-        # epsilon push/pop bump: heights 2 and 3 share a full state but the
-        # pumped segments contain no input
-        t_up1 = GeneralTransition("q", None, BOTTOM, (BOTTOM, "A"), "q")
-        t_up2 = GeneralTransition("q", None, "A", ("A", "A"), "q")
-        t_down = GeneralTransition("q", None, "A", (), "q")
-        path = RunPath(
-            word="",
-            steps=(t_up1, t_up2, t_down, t_down),
-            profile=(1, 2, 3, 2, 1),
-            letters_read=(0, 0, 0, 0, 0),
-            initial_state="q",
-            initial_stack=(BOTTOM,),
-        )
-        params = pumping_params(single_word_machine())
-        with pytest.raises(MinimalityViolationError):
-            case2_decompose(path, LevelTriple(0, 2, 4, 2), params)
+        triple = LevelTriple(0, 2, 4, 2)
+        assert len(set(full_states(path, triple))) == 3
+        available, pairs = _case2_pairs(path, triple)
+        assert available == 0
+        assert next(pairs, None) is None
 
     def test_mismatched_tops_raise(self, mismatched_tops_path):
-        params = pumping_params(single_word_machine())
         with pytest.raises(TopSymbolMismatchError):
-            case2_decompose(mismatched_tops_path, LevelTriple(0, 2, 4, 2), params)
+            _case2_pairs(mismatched_tops_path, LevelTriple(0, 2, 4, 2))
+
+
+class TestFallbacks:
+    """Candidates extract skips, on a machine whose first depth-0 repeats
+    either read no input or do not pump."""
+
+    @pytest.fixture
+    def machine(self):
+        return NormalizedPda(
+            states=["q0", "q2"],
+            input_alphabet=["b"],
+            stack_alphabet=[BOTTOM, "X"],
+            initial_state="q0",
+            initial_stack=[BOTTOM],
+            accept_states=["q0"],
+            transitions=[
+                NormalizedTransition("q0", None, BOTTOM, "X", "q0"),
+                NormalizedTransition("q0", "b", "X", "X", "q2"),
+                NormalizedTransition("q2", "b", "X", "X", "q0"),
+                NormalizedTransition("q2", None, "X", None, "q0"),
+            ],
+        )
+
+    @pytest.mark.parametrize(
+        "word, tried, reasons",
+        [
+            ("bb", 3, [((0, 1), "empty-pump"), ((0, 3), "replay-failed-n2")]),
+            (
+                "bbbb",
+                4,
+                [((0, 1), "empty-pump"), ((0, 3), "replay-failed-n0"), ((0, 5), "replay-failed-n2")],
+            ),
+        ],
+    )
+    def test_skipped_candidates_are_recorded(self, machine, word, tried, reasons):
+        res = extract(machine, word, mode=ExtractionMode.BEST_EFFORT)
+        diag = res.diagnostics
+        assert diag.candidates_tried == tried
+        assert [(f.case, f.candidate, f.reason) for f in diag.fallbacks] == [
+            ("case1", pair, reason) for pair, reason in reasons
+        ]
+        d = res.decomposition
+        assert d.case == "case1"
+        assert (d.witness.i, d.witness.j) == (1, 3)
+        assert d.v == "bb"
 
 
 class TestPairOrder:

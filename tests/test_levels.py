@@ -10,11 +10,10 @@ from pumpkit import (
     LevelTriple,
     TopSymbolMismatchError,
     brute_force_max_level,
-    configuration_at,
     configurations_up_to,
     extract_sublevel,
     first_pop,
-    full_state,
+    full_states,
     is_valid_level_triple,
     last_push,
     max_level,
@@ -139,38 +138,38 @@ class TestCutPositions:
 class TestConfigurations:
     def test_top_first_with_padding(self, dyck1):
         path = minimal_accepting_path(dyck1, "()")
-        assert configuration_at(path, 1, 2) == Configuration("q0", ("X", BOTTOM))
-        assert configuration_at(path, 1, 3) == Configuration("q0", ("X", BOTTOM, BLANK))
-        assert configuration_at(path, 3, 2) == Configuration("qf", (BLANK, BLANK))
+        assert configurations_up_to(path, 1, 2)[1] == Configuration("q0", ("X", BOTTOM))
+        assert configurations_up_to(path, 1, 3)[1] == Configuration("q0", ("X", BOTTOM, BLANK))
+        assert configurations_up_to(path, 3, 2)[3] == Configuration("qf", (BLANK, BLANK))
 
     def test_depth_zero_is_state_only(self, dyck1):
         path = minimal_accepting_path(dyck1, "()")
-        assert configuration_at(path, 0, 0) == Configuration("q0", ())
+        assert configurations_up_to(path, 0, 0) == [Configuration("q0", ())]
         with pytest.raises(ValueError):
-            configuration_at(path, 0, -1)
+            configurations_up_to(path, 0, -1)
         with pytest.raises(ValueError):
             configurations_up_to(path, len(path.steps), -1)
 
     def test_batch_matches_single(self, dyck1):
+        # each position read on its own from state_at and stack_at
         path = minimal_accepting_path(dyck1, "(())")
         for depth in (0, 1, 2, 4):
-            batch = configurations_up_to(path, len(path.steps), depth)
-            assert batch == [
-                configuration_at(path, pos, depth) for pos in range(len(path.steps) + 1)
-            ]
+            single = []
+            for pos in range(len(path.steps) + 1):
+                top_first = tuple(reversed(path.stack_at(pos)))[:depth]
+                single.append(Configuration(path.state_at(pos), top_first + (BLANK,) * (depth - len(top_first))))
+            assert configurations_up_to(path, len(path.steps), depth) == single
 
 
 class TestFullState:
     def test_dyck1_golden_run(self, dyck1):
         path = minimal_accepting_path(dyck1, "(((())))")
         t = LevelTriple(0, 4, 8, 4)
-        assert full_state(path, t, 1) == FullState("q0", BOTTOM, "q0")
-        for h in (2, 3, 4, 5):
-            assert full_state(path, t, h) == FullState("q0", "X", "q0")
+        assert full_states(path, t) == [FullState("q0", BOTTOM, "q0")] + [FullState("q0", "X", "q0")] * 4
 
     def test_mismatched_tops_raise(self, mismatched_tops_path):
         with pytest.raises(TopSymbolMismatchError):
-            full_state(mismatched_tops_path, LevelTriple(0, 2, 4, 2), 2)
+            full_states(mismatched_tops_path, LevelTriple(0, 2, 4, 2))
 
 
 class TestSublevel:

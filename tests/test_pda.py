@@ -1,20 +1,16 @@
 from dataclasses import replace
 
-import pytest
-
 from pumpkit import (
     BLANK,
     BOTTOM,
     GeneralPda,
     GeneralTransition,
-    InapplicableTransitionError,
     NormalizedPda,
     NormalizedTransition,
-    initial_description,
-    is_accepting,
+    ReplayError,
+    RunPath,
     is_star_form,
-    stack_effect,
-    step,
+    replay,
     validate,
 )
 
@@ -37,11 +33,9 @@ class TestTransitions:
     def test_normalized_push_shapes(self):
         pop_only = NormalizedTransition("q", "a", "X", None, "q")
         assert pop_only.push == ()
-        assert stack_effect(pop_only) == -1
 
         push_one = NormalizedTransition("q", "a", "X", "Y", "q")
         assert push_one.push == ("X", "Y")
-        assert stack_effect(push_one) == +1
 
     def test_normalized_push_is_stored_and_stays_out_of_identity(self):
         t = NormalizedTransition("q", "a", "X", "Y", "q")
@@ -52,54 +46,42 @@ class TestTransitions:
         assert hash(t) == hash(("q", "a", "X", "Y", "q"))
         assert repr(t) == "NormalizedTransition(source='q', letter='a', pop='X', extra='Y', target='q')"
 
-    def test_general_stack_effect(self):
-        assert stack_effect(GeneralTransition("q", None, "X", (), "q")) == -1
-        assert stack_effect(GeneralTransition("q", None, "X", ("X",), "q")) == 0
-        assert stack_effect(GeneralTransition("q", None, "X", ("A", "B", "C"), "q")) == 2
-
     def test_push_coerced_to_tuple(self):
         t = GeneralTransition("q", None, "X", ["A", "B"], "q")
         assert t.push == ("A", "B")
 
 
 class TestStep:
+    """Single-step semantics, through replay of one- and two-step runs."""
+
     def test_step_applies_push_deepest_first(self):
         pda = make_general()
-        d0 = initial_description(pda)
-        d1 = step(pda, d0, pda.transitions[0], word="a")
-        assert d1.state == "qf"
-        assert d1.pos == 1
-        assert d1.stack == (BOTTOM, "A")
-        assert is_accepting(pda, d1, word_length=1)
-        assert not is_accepting(pda, d1, word_length=2)
+        run = replay(pda, pda.transitions, "a")
+        assert isinstance(run, RunPath)
+        assert run.state_at(1) == "qf"
+        assert run.letters_read == (0, 1)
+        assert run.stack_at(1) == (BOTTOM, "A")
+        assert replay(pda, pda.transitions, "aa") == ReplayError(1, "input-remaining")
 
     def test_step_rejects_wrong_source(self):
         pda = make_general()
         bad = GeneralTransition("qf", "a", BOTTOM, (), "q0")
-        with pytest.raises(InapplicableTransitionError):
-            step(pda, initial_description(pda), bad)
+        assert replay(pda, [bad], "a") == ReplayError(0, "inapplicable")
 
     def test_step_rejects_wrong_top(self):
         pda = make_general()
         bad = GeneralTransition("q0", "a", "A", (), "qf")
-        with pytest.raises(InapplicableTransitionError):
-            step(pda, initial_description(pda), bad)
+        assert replay(pda, [bad], "a") == ReplayError(0, "inapplicable")
 
     def test_step_rejects_empty_stack(self):
         pda = make_general()
-        d0 = initial_description(pda)
-        popped = step(pda, d0, GeneralTransition("q0", None, BOTTOM, (), "q0"))
-        assert popped.stack == ()
-        with pytest.raises(InapplicableTransitionError):
-            step(pda, popped, pda.transitions[0], word="a")
+        pop_bottom = GeneralTransition("q0", None, BOTTOM, (), "q0")
+        assert replay(pda, [pop_bottom, pda.transitions[0]], "a") == ReplayError(1, "inapplicable")
 
     def test_step_checks_word_letter(self):
         pda = make_general()
-        with pytest.raises(InapplicableTransitionError):
-            step(pda, initial_description(pda), pda.transitions[0], word="b")
-        # without the word, the letter is taken on faith and the cursor moves
-        d1 = step(pda, initial_description(pda), pda.transitions[0])
-        assert d1.pos == 1
+        assert replay(pda, pda.transitions, "b") == ReplayError(0, "input-mismatch")
+        assert replay(pda, pda.transitions, "") == ReplayError(0, "input-mismatch")
 
 
 RECORD_FIELDS = dict(

@@ -61,6 +61,14 @@ class TestMinimalPath:
         assert path.stack_at(1) == (BOTTOM, "X")
         assert path.stack_at(3) == ()
 
+    def test_positions_outside_the_run_raise(self, dyck1):
+        path = minimal_accepting_path(dyck1, "()")
+        for pos in (-1, 4, 99):
+            with pytest.raises(IndexError):
+                path.stack_at(pos)
+            with pytest.raises(IndexError):
+                path.state_at(pos)
+
     def test_empty_word(self, dyck1):
         path = minimal_accepting_path(dyck1, "")
         assert isinstance(path, RunPath)
