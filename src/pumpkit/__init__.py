@@ -73,6 +73,7 @@ from .verify import (
     VerificationReport,
     check_constraints,
     pumped_word,
+    replay_pumps,
     spliced_steps,
     verify,
     verify_by_replay,

@@ -41,12 +41,12 @@ from .levels import (
     first_pop,
     full_states,
     last_push,
-    max_level,
+    max_levels,
 )
 from .normalize import DEFAULT_P_BIT_LIMIT, PumpingParams, pumping_params
 from .pda import NormalizedPda
 from .run import LimitExceeded, NotAccepted, RunPath, SearchLimits, minimal_accepting_path
-from .verify import verify_by_replay
+from .verify import replay_pumps
 
 # Pump counts each candidate is replayed for before extract returns it.
 PUMPS_CHECKED = (0, 2)
@@ -238,8 +238,7 @@ def extract(
 
     steps_total = len(path.steps)
     window_end = min(params.p, steps_total) if strict else steps_total
-    level, witness = max_level(path.profile, window_end)
-    whole_level = level if window_end == steps_total else max_level(path.profile, steps_total)[0]
+    (level, witness), (whole_level, _) = max_levels(path.profile, window_end)
 
     fallbacks: list[Fallback] = []
     tried = 0
@@ -253,8 +252,8 @@ def extract(
         if len(d.v) + len(d.y) == 0:
             fallbacks.append(Fallback(case, candidate, "empty-pump"))
             return None
-        for n in PUMPS_CHECKED:
-            if not verify_by_replay(pda, path, d, n):
+        for n, ok in zip(PUMPS_CHECKED, replay_pumps(pda, path, d, PUMPS_CHECKED)):
+            if not ok:
                 fallbacks.append(Fallback(case, candidate, f"replay-failed-n{n}"))
                 return None
         return d

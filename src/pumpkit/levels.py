@@ -7,10 +7,12 @@ confined to [s_i, s_j] on both flanks [i, j] and [j, k]. The level of a run
 
 max_level is the fast path: a single left-to-right sweep that tracks, for
 every height currently not undercut, the span of positions at that height and
-the peak seen inside the span. brute_force_max_level enumerates all (i, j, k)
-triples and tests the three conditions directly (vectorized with numpy, but
-still the O(n^3) check); it shares no code with the sweep and exists as an
-oracle for it. It is the only user of numpy, which it imports on call.
+the peak seen inside the span; max_levels reads the windowed and the
+whole-run level off one such sweep. brute_force_max_level enumerates all
+(i, j, k) triples and tests the three conditions directly (vectorized with
+numpy, but still the O(n^3) check); it shares no code with the sweep and
+exists as an oracle for it. It is the only user of numpy, which it imports
+on call.
 
 Configurations and full states read stacks from RunPath.stacks, the run's
 one forward walk. last_push and first_pop scan a flank for one height (and
@@ -76,25 +78,10 @@ def _check_unit_steps(profile) -> None:
             raise ValueError("profile must move in unit steps")
 
 
-def max_level(profile, window_end: int) -> tuple[int, LevelTriple | None]:
-    """Largest N such that an N-level with k <= window_end exists, plus one witness.
-
-    Single sweep: an "era" opens for height h when the profile steps up onto
-    h and closes when it steps below h (heights never undercut stay open to
-    the end). Within an era, candidate triples are (first position at h,
-    position of the era's peak, last position at h).
-    """
-    end = min(window_end, len(profile) - 1)
-    s = profile[: end + 1]
-    _check_unit_steps(s)
-    if len(s) < 3:
-        return 0, None
-
-    best_n = 0
-    best: LevelTriple | None = None
-    # era record: [height, first, last, peak, peak_pos]
-    eras = [[s[0], 0, 0, s[0], 0]]
-    for pos in range(1, len(s)):
+def _sweep(s, start: int, stop: int, eras: list, best_n: int, best):
+    """Advance the era sweep over positions start..stop-1 of s, updating
+    eras in place; returns the best closed triple so far."""
+    for pos in range(start, stop):
         v = s[pos]
         if v > s[pos - 1]:
             eras.append([v, pos, pos, v, pos])
@@ -115,15 +102,54 @@ def max_level(profile, window_end: int) -> tuple[int, LevelTriple | None]:
             # First touch of height v in this segment, reached from above:
             # the closed excursion predates it, so its peak must not count.
             eras.append([v, pos, pos, v, pos])
-    # Eras still open at the end close with their recorded last touch. Their
-    # peaks do not propagate upward: an enclosing era's last touch predates
-    # any child that survived to the end, so such peaks sit past its k.
-    while eras:
-        h, first, last, peak, peak_pos = eras.pop()
+    return best_n, best
+
+
+def _close(eras: list, best_n: int, best) -> tuple[int, LevelTriple | None]:
+    """The sweep's result if the profile ended here, without changing eras.
+
+    Eras still open close with their recorded last touch, topmost first.
+    Their peaks do not propagate upward: an enclosing era's last touch
+    predates any child that survived to the end, so such peaks sit past its k.
+    """
+    for h, first, last, peak, peak_pos in reversed(eras):
         if peak > h and last > first and peak - h > best_n:
             best_n = peak - h
             best = LevelTriple(first, peak_pos, last, best_n)
     return best_n, best
+
+
+def max_level(profile, window_end: int) -> tuple[int, LevelTriple | None]:
+    """Largest N such that an N-level with k <= window_end exists, plus one witness.
+
+    Single sweep: an "era" opens for height h when the profile steps up onto
+    h and closes when it steps below h (heights never undercut stay open to
+    the end). Within an era, candidate triples are (first position at h,
+    position of the era's peak, last position at h).
+    """
+    s = profile[: min(window_end, len(profile) - 1) + 1]
+    return max_levels(s, len(s) - 1)[0]
+
+
+def max_levels(profile, window_end: int) -> tuple[tuple[int, LevelTriple | None], tuple[int, LevelTriple | None]]:
+    """max_level(profile, window_end) and max_level(profile, len(profile) - 1)
+    from one sweep; a window_end below 0 gives (0, None) for the window.
+
+    The windowed result is the sweep's state at window_end with every open
+    era closed; the sweep then goes on to the end of the profile.
+    """
+    _check_unit_steps(profile)
+    if len(profile) < 3:
+        return (0, None), (0, None)
+    last = len(profile) - 1
+    end = max(min(window_end, last), 0)
+    # era record: [height, first, last, peak, peak_pos]
+    eras = [[profile[0], 0, 0, profile[0], 0]]
+    best = _sweep(profile, 1, end + 1, eras, 0, None)
+    windowed = _close(eras, *best)
+    if end == last:
+        return windowed, windowed
+    return windowed, _close(eras, *_sweep(profile, end + 1, last + 1, eras, *best))
 
 
 def brute_force_max_level(profile, window_end: int) -> tuple[int, LevelTriple | None]:

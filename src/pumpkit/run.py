@@ -19,12 +19,17 @@ table and runs its own loop; they share only the _Node cell type.
 
 RunPath.stacks is the one forward walk over the stacks of a run; stack_at
 and the configuration and full-state readers in levels.py all use it.
+
+walk is the one copy of the replay step semantics: replay runs it over a
+whole transition sequence, and verify.replay_pumps over the pieces of a run
+between its checkpoints.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import PumpingLengthOverflowError
 from .normalize import pumping_params
@@ -117,7 +122,9 @@ class RunPath:
 
     def stacks(self, last_pos: int):
         """The stack at positions 0..last_pos, from one forward walk over the
-        steps. Yields one list, mutated in place between positions."""
+        steps. Yields one list, mutated in place between positions; raises
+        IndexError when last_pos is outside 0..len(steps)."""
+        self._check_position(last_pos)
         stack = list(self.initial_stack)
         yield stack
         for t in self.steps[:last_pos]:
@@ -126,7 +133,6 @@ class RunPath:
             yield stack
 
     def stack_at(self, pos: int) -> tuple[str, ...]:
-        self._check_position(pos)
         for stack in self.stacks(pos):
             pass
         return tuple(stack)
@@ -322,19 +328,17 @@ def accepts(pda: Pda, word, limits: SearchLimits | None = None):
     return NotAccepted()
 
 
-def replay(pda: Pda, steps, word):
-    """Apply a transition sequence from the initial description.
+def walk(steps, word, state, stack, pos):
+    """Apply steps one by one from state, stack and input position pos.
 
-    Returns the resulting RunPath when it is an accepting run of the word,
-    otherwise a ReplayError naming the first offending step index and the
-    reason (inapplicable / input-mismatch / not-accepting / input-remaining).
+    stack is a list, updated in place. Returns the (state, pos) reached, or
+    a ReplayError naming the first step (indexed within steps) that cannot
+    fire: inapplicable or input-mismatch. Acceptance is for the caller to
+    judge.
     """
-    state = pda.initial_state
-    stack = list(pda.initial_stack)
-    pos = 0
     n = len(word)
-    profile = [len(stack)]
-    letters = [0]
+    pop = stack.pop
+    extend = stack.extend
     for i, t in enumerate(steps):
         if t.source != state or not stack or stack[-1] != t.pop:
             return ReplayError(i, "inapplicable")
@@ -342,20 +346,33 @@ def replay(pda: Pda, steps, word):
             if pos >= n or word[pos] != t.letter:
                 return ReplayError(i, "input-mismatch")
             pos += 1
-        stack.pop()
-        stack.extend(t.push)
+        pop()
+        extend(t.push)
         state = t.target
-        profile.append(len(stack))
-        letters.append(pos)
+    return state, pos
+
+
+def replay(pda: Pda, steps, word):
+    """Apply a transition sequence from the initial description.
+
+    Returns the resulting RunPath when it is an accepting run of the word,
+    otherwise a ReplayError naming the first offending step index and the
+    reason (inapplicable / input-mismatch / not-accepting / input-remaining).
+    """
+    reached = walk(steps, word, pda.initial_state, list(pda.initial_stack), 0)
+    if isinstance(reached, ReplayError):
+        return reached
+    state, pos = reached
     if state not in pda.accept_states:
         return ReplayError(len(steps), "not-accepting")
-    if pos != n:
+    if pos != len(word):
         return ReplayError(len(steps), "input-remaining")
+    # Every step fired, so each popped one symbol and pushed its push.
     return RunPath(
         word=word,
         steps=tuple(steps),
-        profile=tuple(profile),
-        letters_read=tuple(letters),
+        profile=tuple(accumulate((len(t.push) - 1 for t in steps), initial=len(pda.initial_stack))),
+        letters_read=tuple(accumulate((t.letter is not None for t in steps), initial=0)),
         initial_state=pda.initial_state,
         initial_stack=pda.initial_stack,
     )

@@ -1,17 +1,31 @@
 """Decomposition verification along two independent routes.
 
-verify_by_replay splices the original run's transitions according to the
+The replay route splices the original run's transitions according to the
 decomposition's witness positions and replays the spliced sequence against
 the pumped word. verify_by_search ignores the run entirely and asks the
 membership search. The two routes share no splicing or decomposition logic,
 so a bug in the construction cannot silently confirm itself.
+
+replay_pumps checks several pump counts against one walk of the found run.
+The pumped run u·v^n·x·y^n·z is the found run with the steps between two
+cuts a <= e repeated (a, e = i, j in case 1 and lp_g, fp_g in case 2), so
+the walk keeps the configuration (state, stack, input position) at a and at
+e, and whether the steps after e end accepting with all input read. For
+each n the steps between the cuts are always walked. The part before a is
+taken from the first checkpoint only when the pumped word starts with the
+letters the found run read up to a; the part after e is taken from the
+found run's verdict only when the walk reaches e's state with an equal
+stack and the input left equals the found run's. Replay is deterministic
+and a step reads nothing but the state, the stack top and the next letter,
+so an equal configuration before equal steps and equal input gives an
+equal outcome: the reuse is exact, and every other case is walked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .run import Accepted, LimitExceeded, RunPath, SearchLimits, accepts, replay
+from .run import Accepted, LimitExceeded, ReplayError, RunPath, SearchLimits, accepts, walk
 
 
 def pumped_word(decomposition, n: int):
@@ -38,10 +52,65 @@ def spliced_steps(path: RunPath, decomposition, n: int) -> tuple:
     )
 
 
+def _accepting(pda, reached, word) -> bool:
+    """Whether a walk's outcome is an accept state with all of word read."""
+    if isinstance(reached, ReplayError):
+        return False
+    state, pos = reached
+    return state in pda.accept_states and pos == len(word)
+
+
+def replay_pumps(pda, path: RunPath, decomposition, n_set) -> tuple[bool, ...]:
+    """For each n in n_set, whether the spliced run accepts the n-pumped word.
+
+    Equal to replaying spliced_steps against pumped_word for each n, from
+    one walk of the found run; see the module docstring.
+    """
+    d = decomposition
+    w = d.witness
+    steps, word = path.steps, path.word
+    a, e = (w.i, w.j) if d.case == "case1" else (w.lp_g, w.fp_g)
+    if not 0 <= a <= e <= len(steps):
+        a, e = 0, len(steps)  # cuts outside the run: walk each spliced run whole
+    tail = len(steps) - e
+
+    start = end = None  # (state, stack, pos) at a and at e
+    suffix_ok = False
+    stack = list(pda.initial_stack)
+    reached = walk(steps[:a], word, pda.initial_state, stack, 0)
+    if not isinstance(reached, ReplayError):
+        start = (reached[0], stack.copy(), reached[1])
+        reached = walk(steps[a:e], word, reached[0], stack, reached[1])
+        if not isinstance(reached, ReplayError):
+            end = (reached[0], stack.copy(), reached[1])
+            suffix_ok = _accepting(pda, walk(steps[e:], word, reached[0], stack, reached[1]), word)
+
+    def pumped_run_accepts(n: int) -> bool:
+        wn = pumped_word(d, n)
+        spliced = spliced_steps(path, d, n)
+        if start is not None and wn[: start[2]] == word[: start[2]]:
+            state, stack, pos = start[0], start[1].copy(), start[2]
+        else:
+            stack = list(pda.initial_stack)
+            reached = walk(spliced[:a], wn, pda.initial_state, stack, 0)
+            if isinstance(reached, ReplayError):
+                return False
+            state, pos = reached
+        middle_end = len(spliced) - tail
+        reached = walk(spliced[a:middle_end], wn, state, stack, pos)
+        if isinstance(reached, ReplayError):
+            return False
+        state, pos = reached
+        if end is not None and state == end[0] and stack == end[1] and wn[pos:] == word[end[2] :]:
+            return suffix_ok
+        return _accepting(pda, walk(spliced[middle_end:], wn, state, stack, pos), wn)
+
+    return tuple(pumped_run_accepts(n) for n in n_set)
+
+
 def verify_by_replay(pda, path: RunPath, decomposition, n: int) -> bool:
     """Replay the spliced run against the pumped word."""
-    outcome = replay(pda, spliced_steps(path, decomposition, n), pumped_word(decomposition, n))
-    return isinstance(outcome, RunPath)
+    return replay_pumps(pda, path, decomposition, (n,))[0]
 
 
 def verify_by_search(pda, decomposition, n: int, limits: SearchLimits | None = None) -> str:
@@ -132,13 +201,11 @@ DEFAULT_N_SET = (0, 1, 2, 3, 4)
 
 def verify(pda, path: RunPath, decomposition, params, word, n_set=DEFAULT_N_SET) -> VerificationReport:
     """Run both verification routes for each n and collect the report."""
+    n_set = tuple(n_set)
+    replayed = replay_pumps(pda, path, decomposition, n_set)
     verdicts = tuple(
-        PumpVerdict(
-            n=n,
-            replay_ok=verify_by_replay(pda, path, decomposition, n),
-            search=verify_by_search(pda, decomposition, n),
-        )
-        for n in n_set
+        PumpVerdict(n=n, replay_ok=ok, search=verify_by_search(pda, decomposition, n))
+        for n, ok in zip(n_set, replayed)
     )
     return VerificationReport(
         word=word,

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,8 @@ from pumpkit import (
     max_level,
     minimal_accepting_path,
 )
+from pumpkit.levels import max_levels
+
 
 
 class TestTripleValidity:
@@ -37,7 +40,69 @@ class TestTripleValidity:
         assert not is_valid_level_triple(prof, LevelTriple(0, 1, 6, 1))
 
 
+def reference_max_level(profile, window_end):
+    """The level sweep as it was before the windowed and whole-run results
+    came from one pass: a separate sweep per window, kept as the reference
+    for max_levels and for max_level itself."""
+    end = min(window_end, len(profile) - 1)
+    s = profile[: end + 1]
+    for a, b in zip(s, s[1:]):
+        if abs(a - b) != 1:
+            raise ValueError("profile must move in unit steps")
+    if len(s) < 3:
+        return 0, None
+    best_n = 0
+    best = None
+    eras = [[s[0], 0, 0, s[0], 0]]
+    for pos in range(1, len(s)):
+        v = s[pos]
+        if v > s[pos - 1]:
+            eras.append([v, pos, pos, v, pos])
+            continue
+        h, first, last, peak, peak_pos = eras.pop()
+        if peak > h and last > first and peak - h > best_n:
+            best_n = peak - h
+            best = LevelTriple(first, peak_pos, last, best_n)
+        if eras and eras[-1][0] == v:
+            parent = eras[-1]
+            parent[2] = pos
+            if peak > parent[3]:
+                parent[3] = peak
+                parent[4] = peak_pos
+        else:
+            eras.append([v, pos, pos, v, pos])
+    while eras:
+        h, first, last, peak, peak_pos = eras.pop()
+        if peak > h and last > first and peak - h > best_n:
+            best_n = peak - h
+            best = LevelTriple(first, peak_pos, last, best_n)
+    return best_n, best
+
+
 class TestMaxLevel:
+    def test_one_sweep_matches_a_sweep_per_window(self):
+        # the 1000 seeded profiles of acceptance criterion 4
+        rng = np.random.default_rng(20260819)
+        for trial in range(1000):
+            length = int(rng.integers(2, 201))
+            profile = [int(rng.integers(0, 5))]
+            for _ in range(length - 1):
+                if profile[-1] == 0:
+                    profile.append(1)
+                else:
+                    profile.append(profile[-1] + (1 if rng.integers(0, 2) else -1))
+            profile = tuple(profile)
+            window_end = int(rng.integers(0, length))
+            windowed = reference_max_level(profile, window_end)
+            whole = reference_max_level(profile, length - 1)
+            assert max_levels(profile, window_end) == (windowed, whole), (trial, window_end)
+            assert max_levels(profile, length - 1) == (whole, whole)
+            assert max_level(profile, window_end) == windowed
+
+    def test_one_sweep_checks_steps_past_the_window(self):
+        with pytest.raises(ValueError):
+            max_levels((1, 2, 1, 3, 1), 2)
+
     def test_known_profiles(self):
         assert max_level((1, 2, 3, 2, 1, 0), 5) == (2, LevelTriple(0, 2, 4, 2))
         assert max_level((1, 0), 1) == (0, None)
@@ -149,6 +214,14 @@ class TestConfigurations:
             configurations_up_to(path, 0, -1)
         with pytest.raises(ValueError):
             configurations_up_to(path, len(path.steps), -1)
+
+    def test_positions_outside_the_run_raise(self, dyck1):
+        path = minimal_accepting_path(dyck1, "()")
+        for pos in (-1, 4, 99):
+            with pytest.raises(IndexError):
+                configurations_up_to(path, pos, 1)
+            with pytest.raises(IndexError):
+                list(path.stacks(pos))
 
     def test_batch_matches_single(self, dyck1):
         # each position read on its own from state_at and stack_at

@@ -1,22 +1,46 @@
 import dataclasses
+import importlib
+import json
+from collections import Counter
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pumpkit import (
+    BOTTOM,
     BUILTINS,
+    Case1Witness,
+    Case2Witness,
+    Decomposition,
     ExtractionMode,
+    LevelTriple,
+    NormalizedPda,
+    NormalizedTransition,
     NoWitnessError,
+    RunPath,
     check_constraints,
     extract,
+    load_path,
     normalize,
     pumped_word,
     pumping_params,
+    replay,
+    replay_pumps,
     spliced_steps,
     verify,
     verify_by_replay,
     verify_by_search,
 )
+from pumpkit.cli import main
+
+# pumpkit.verify and pumpkit.run as modules: the package re-exports
+# functions under the same names.
+verify_module = importlib.import_module("pumpkit.verify")
+run_module = importlib.import_module("pumpkit.run")
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "pumpkit" / "data"
+PUMPS = tuple(range(6))
 
 
 class TestPumpedWord:
@@ -145,3 +169,226 @@ def test_routes_always_agree_on_corpus_words(name, m):
         assert search != "limit"
         assert replay_ok == (search == "accepted")
         assert replay_ok
+
+
+def full_replay(pda, path, d, n) -> bool:
+    """The per-n route replay_pumps replaces: replay the whole spliced run."""
+    return isinstance(replay(pda, spliced_steps(path, d, n), pumped_word(d, n)), RunPath)
+
+
+def record_walks(monkeypatch) -> list:
+    """Make pumpkit.verify's step loop record (steps walked, start position)
+    for each call."""
+    calls = []
+    original = verify_module.walk
+
+    def recording(steps, word, state, stack, pos):
+        calls.append((len(steps), pos))
+        return original(steps, word, state, stack, pos)
+
+    monkeypatch.setattr(verify_module, "walk", recording)
+    return calls
+
+
+def check_replay_pumps(pda, path, d, calls, reached) -> None:
+    """replay_pumps equals the full replay for each n in 0..5, one n at a
+    time and all at once; counts in `reached` which part each n walked
+    explicitly instead of reusing a checkpoint.
+
+    `path` is an accepting run, so the walk of the found run is three calls
+    (before a, a to e, after e). After it, each n starts either with the
+    middle, from the first checkpoint's position, or with the prefix from
+    position 0; the suffix is walked when one more call follows the middle.
+    """
+    w = d.witness
+    a = w.i if d.case == "case1" else w.lp_g
+    expected = tuple(full_replay(pda, path, d, n) for n in PUMPS)
+    for n in PUMPS:
+        calls.clear()
+        assert replay_pumps(pda, path, d, (n,)) == (expected[n],)
+        per_n = calls[3:]
+        prefix = per_n[0][1] != path.letters_read[a]
+        reached["prefix"] += prefix
+        reached["suffix"] += len(per_n) == 2 + prefix
+    assert replay_pumps(pda, path, d, PUMPS) == expected
+    assert tuple(verify_by_replay(pda, path, d, n) for n in PUMPS) == expected
+
+
+def _machines():
+    for name, entry in sorted(BUILTINS.items()):
+        yield name, normalize(entry.pda), entry.generate
+    for file in sorted(DATA.glob("*.json")):
+        name = file.stem
+        generate = BUILTINS[name].generate if name in BUILTINS else BUILTINS["ANBN"].generate
+        yield file.name, normalize(load_path(str(file)).pda), generate
+
+
+def _decompositions():
+    """(label, machine, extraction) for best-effort words on every builtin and
+    data file, and strict words where |w| > p is small enough to run."""
+    out = []
+    for label, pda, generate in _machines():
+        for m in (3, 4, 5, 8):
+            try:
+                out.append((label, pda, extract(pda, generate(m), mode=ExtractionMode.BEST_EFFORT)))
+            except NoWitnessError:
+                pass
+        p = pumping_params(pda).p
+        if label.startswith("REG_AB"):
+            out.append((label, pda, extract(pda, generate(p // 2 + 1), mode=ExtractionMode.STRICT)))
+        if label.startswith("DYCK1"):
+            out.append((label, pda, extract(pda, generate(p // 2 + 40), mode=ExtractionMode.STRICT)))
+    return out
+
+
+DECOMPOSITIONS = _decompositions()
+
+
+class TestReplayPumps:
+    def test_covers_every_machine_and_both_modes(self):
+        labels = {label for label, _, _ in DECOMPOSITIONS}
+        assert labels == {"ANBN", "DYCK1", "GEN_PAL", "REG_AB"} | {f.name for f in DATA.glob("*.json")}
+        modes = Counter(res.diagnostics.mode for _, _, res in DECOMPOSITIONS)
+        assert modes["strict"] == 4 and modes["best-effort"] > 20
+        assert {res.decomposition.case for _, _, res in DECOMPOSITIONS} == {"case1", "case2"}
+
+    def test_extracted_decompositions(self, monkeypatch):
+        calls = record_walks(monkeypatch)
+        reached = Counter()
+        for _, pda, res in DECOMPOSITIONS:
+            check_replay_pumps(pda, res.path, res.decomposition, calls, reached)
+
+    def test_cuts_moved_by_one(self, monkeypatch):
+        calls = record_walks(monkeypatch)
+        reached = Counter()
+        for _, pda, res in DECOMPOSITIONS:
+            word, d = res.path.word, res.decomposition
+            for b in range(4):
+                for delta in (-1, 1):
+                    cuts = list(d.boundaries)
+                    cuts[b] += delta
+                    if not 0 <= cuts[0] <= cuts[1] <= cuts[2] <= cuts[3] <= len(word):
+                        continue
+                    broken = dataclasses.replace(
+                        d,
+                        u=word[: cuts[0]],
+                        v=word[cuts[0] : cuts[1]],
+                        x=word[cuts[1] : cuts[2]],
+                        y=word[cuts[2] : cuts[3]],
+                        z=word[cuts[3] :],
+                    )
+                    check_replay_pumps(pda, res.path, broken, calls, reached)
+        assert reached["prefix"] > 0 and reached["suffix"] > 0
+
+    def test_corrupted_pieces(self, monkeypatch):
+        calls = record_walks(monkeypatch)
+        reached = Counter()
+        for _, pda, res in DECOMPOSITIONS:
+            d = res.decomposition
+            letter = res.path.word[0]
+            for piece in ("u", "v", "y", "z"):
+                value = getattr(d, piece)
+                for corrupted in {value[:-1], value[1:], value + letter, letter + value}:
+                    broken = dataclasses.replace(d, **{piece: corrupted})
+                    check_replay_pumps(pda, res.path, broken, calls, reached)
+        assert reached["prefix"] > 0 and reached["suffix"] > 0
+
+    def test_cuts_in_the_wrong_order(self, dyck1, reg_ab):
+        res = extract(reg_ab, "ab" * 17, mode=ExtractionMode.STRICT)
+        w = res.decomposition.witness
+        swapped = dataclasses.replace(res.decomposition, witness=Case1Witness(w.j, w.i, w.depth))
+        res2 = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
+        w2 = res2.decomposition.witness
+        past_end = dataclasses.replace(res2.decomposition, witness=dataclasses.replace(w2, fp_g=99))
+        for pda, path, d in ((reg_ab, res.path, swapped), (dyck1, res2.path, past_end)):
+            assert replay_pumps(pda, path, d, PUMPS) == tuple(full_replay(pda, path, d, n) for n in PUMPS)
+
+
+SYMBOLS = (BOTTOM, "A", "B")
+
+
+@st.composite
+def runs_with_cuts(draw):
+    """A normalized machine, a run of it drawn step by step, and a
+    decomposition cut at drawn positions of that run, optionally with one
+    piece replaced by drawn letters.
+
+    The run accepts unless the machine's accept states are redrawn, and the
+    cuts are in order and inside the run unless redrawn as any four
+    positions."""
+    states = ["q0", "q1", "q2"][: draw(st.integers(1, 3))]
+    transitions = draw(
+        st.lists(
+            st.builds(
+                NormalizedTransition,
+                source=st.sampled_from(states),
+                letter=st.one_of(st.none(), st.sampled_from("ab")),
+                pop=st.sampled_from(SYMBOLS),
+                extra=st.one_of(st.none(), st.sampled_from(SYMBOLS[1:])),
+                target=st.sampled_from(states),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    state, stack, letters, steps = "q0", [BOTTOM], [], []
+    for _ in range(draw(st.integers(0, 24))):
+        moves = [t for t in transitions if t.source == state and stack and stack[-1] == t.pop]
+        if not moves:
+            break
+        t = draw(st.sampled_from(moves))
+        stack.pop()
+        stack.extend(t.push)
+        state = t.target
+        steps.append(t)
+        if t.letter is not None:
+            letters.append(t.letter)
+    pda = NormalizedPda(states, ["a", "b"], SYMBOLS, "q0", [BOTTOM], [state], transitions)
+    path = replay(pda, steps, "".join(letters))
+    assert isinstance(path, RunPath)
+    if draw(st.booleans()):
+        pda = dataclasses.replace(pda, accept_states=draw(st.sets(st.sampled_from(states))))
+    cuts = sorted(draw(st.lists(st.integers(0, len(steps)), min_size=4, max_size=4)))
+    at = [path.letters_read[c] for c in cuts]
+    if draw(st.booleans()):
+        cuts = draw(st.lists(st.integers(-2, len(steps) + 2), min_size=4, max_size=4))
+    word = path.word
+    pieces = dict(
+        u=word[: at[0]], v=word[at[0] : at[1]], x=word[at[1] : at[2]], y=word[at[2] : at[3]], z=word[at[3] :]
+    )
+    if draw(st.booleans()):
+        witness, case = Case1Witness(cuts[0], cuts[3], 0), "case1"
+        pieces.update(v=word[at[0] : at[3]], x=word[at[3] :], y="", z="")
+    else:
+        witness = Case2Witness(LevelTriple(0, 1, 2, 1), 0, 1, *cuts)
+        case = "case2"
+    corrupt = draw(st.sampled_from((None, "u", "v", "x", "y", "z")))
+    if corrupt is not None:
+        pieces[corrupt] = draw(st.text("ab", max_size=3))
+    return pda, path, Decomposition(case=case, witness=witness, params=None, **pieces)
+
+
+@given(runs_with_cuts())
+@settings(max_examples=300, deadline=None)
+def test_replay_pumps_matches_full_replay_on_generated_runs(drawn):
+    pda, path, d = drawn
+    assert replay_pumps(pda, path, d, PUMPS) == tuple(full_replay(pda, path, d, n) for n in PUMPS)
+
+
+def test_strict_pump_walks_the_run_at_most_three_times(monkeypatch, capsys):
+    """extract's candidate check and verify's n = 0..4 walk the found run
+    once each, plus the pumped middles; one full replay per n would be 7."""
+    walked = []
+    original = run_module.walk
+
+    def counting(steps, word, state, stack, pos):
+        walked.append(len(steps))
+        return original(steps, word, state, stack, pos)
+
+    for module in (run_module, verify_module):
+        monkeypatch.setattr(module, "walk", counting)
+    word = "(" * 6601 + ")" * 6601
+    assert main(["pump", "DYCK1", word, "--mode", "strict", "--report", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["caseTag"] == "case2"
+    assert 0 < sum(walked) <= 3 * report["diagnostics"]["pathLength"]
