@@ -33,10 +33,9 @@ from .levels import (
     brute_force_max_level,
     configurations_up_to,
     extract_sublevel,
-    first_pop,
+    flank_cuts,
     full_states,
     is_valid_level_triple,
-    last_push,
     max_level,
 )
 from .normalize import PumpingParams, normalize, pumping_params

@@ -51,14 +51,23 @@ class CliError(Exception):
         self.code = code
 
 
+def _unreadable(path, exc: Exception) -> CliError:
+    """Exit 2 with the reason a file could not be read as UTF-8 text."""
+    if isinstance(exc, FileNotFoundError):
+        return CliError(EXIT_USAGE, f"no such file: {path}")
+    if isinstance(exc, UnicodeDecodeError):
+        return CliError(EXIT_USAGE, f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+    return CliError(EXIT_USAGE, f"{path}: {exc.strerror or exc}")
+
+
 def _load(path) -> PdaDocument:
     if path in BUILTINS:
         entry = BUILTINS[path]
         return PdaDocument(pda=entry.pda, name=entry.name, description=entry.description)
     try:
         doc = load_path(path)
-    except FileNotFoundError:
-        raise CliError(EXIT_USAGE, f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from None
     except FormatError as exc:
         raise CliError(EXIT_USAGE, f"{path}: {exc}") from None
     report = validate(doc.pda)
@@ -68,8 +77,12 @@ def _load(path) -> PdaDocument:
     return doc
 
 
+def _outside_alphabet(pda, word: str) -> list[str]:
+    return sorted(set(word) - set(pda.input_alphabet))
+
+
 def _check_word(pda, word: str) -> None:
-    bad = sorted(set(word) - set(pda.input_alphabet))
+    bad = _outside_alphabet(pda, word)
     if bad:
         raise CliError(EXIT_USAGE, f"word contains symbols outside the input alphabet: {bad}")
 
@@ -86,8 +99,11 @@ def _limits(pda, word, args) -> SearchLimits | None:
 
 def _write_out(args, text: str) -> None:
     if getattr(args, "output", None) and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(EXIT_USAGE, f"cannot write {args.output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -124,15 +140,17 @@ _VERDICT_RANK = {EXIT_OK: 0, EXIT_REJECTED: 1, EXIT_LIMITS: 2, EXIT_USAGE: 3}
 def cmd_check(args) -> int:
     doc = _load(args.pda)
     if args.word_file is not None:
-        with open(args.word_file, encoding="utf-8") as fh:
-            words = fh.read().splitlines()
+        try:
+            with open(args.word_file, encoding="utf-8") as fh:
+                words = fh.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _unreadable(args.word_file, exc) from None
     else:
         words = [args.word]
 
     worst = EXIT_OK
     for word in words:
-        bad = sorted(set(word) - set(doc.pda.input_alphabet))
-        if bad:
+        if _outside_alphabet(doc.pda, word):
             verdict, code = "invalid-symbols", EXIT_USAGE
         else:
             outcome = accepts(doc.pda, word, _limits(doc.pda, word, args))

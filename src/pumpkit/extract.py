@@ -14,18 +14,24 @@ heights (case 2) are grouped by key in one pass, the number of candidate
 pairs is computed from the group sizes, and the pairs themselves are drawn
 lazily in (i, j) or (g, h) order, so a scan that stops at its first usable
 pair never lists the rest. Case 1 still builds its depth-l configuration
-per position, O(n*l).
+per position, O(n*l). Case 2 reads the flank cuts of the triple's heights
+once (levels.flank_cuts); each candidate (g, h) looks its four positions up
+in that list.
 
-Every candidate is defensively replay-verified for a small set of pump
-counts before being returned; failing candidates are skipped and recorded,
-because a repeat observed through a depth-limited window is not always a
-sound pump site.
+One builder slices the word at the letters read by four step positions:
+case 2 passes (lp_g, lp_h, fp_h, fp_g), case 1 passes (i, j, end, end), so
+its x runs to the end of the word and y and z come out empty.
+
+Every candidate with a nonempty pump is defensively replay-verified for a
+small set of pump counts before being returned; empty-pump and failing
+candidates are skipped and recorded, because a repeat observed through a
+depth-limited window is not always a sound pump site.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     ConstructionFalsifiedError,
@@ -38,9 +44,8 @@ from .levels import (
     LevelTriple,
     configurations_up_to,
     extract_sublevel,
-    first_pop,
+    flank_cuts,
     full_states,
-    last_push,
     max_levels,
 )
 from .normalize import DEFAULT_P_BIT_LIMIT, PumpingParams, pumping_params
@@ -126,43 +131,19 @@ class ExtractionResult:
     path: RunPath
 
 
-def _empty_like(word):
-    return word[0:0]
-
-
-def _build_case1(path: RunPath, params: PumpingParams, i: int, j: int, depth: int) -> Decomposition:
+def _decomposition(path: RunPath, params: PumpingParams, cuts, case: str, witness) -> Decomposition:
+    """Slice the word at the letters read by four step positions: u ends at
+    the first, v at the second, x at the third and y at the fourth."""
     w = path.word
-    a = path.letters_read[i]
-    b = path.letters_read[j]
-    empty = _empty_like(w)
-    return Decomposition(
-        u=w[:a],
-        v=w[a:b],
-        x=w[b:],
-        y=empty,
-        z=empty,
-        case="case1",
-        witness=Case1Witness(i, j, depth),
-        params=params,
-    )
-
-
-def _build_case2(path: RunPath, params: PumpingParams, triple: LevelTriple, g: int, h: int) -> Decomposition:
-    profile = path.profile
-    lp_g = last_push(profile, triple, g)
-    lp_h = last_push(profile, triple, h)
-    fp_h = first_pop(profile, triple, h)
-    fp_g = first_pop(profile, triple, g)
-    w = path.word
-    a, b, c, d = (path.letters_read[p] for p in (lp_g, lp_h, fp_h, fp_g))
+    a, b, c, d = (path.letters_read[p] for p in cuts)
     return Decomposition(
         u=w[:a],
         v=w[a:b],
         x=w[b:c],
         y=w[c:d],
         z=w[d:],
-        case="case2",
-        witness=Case2Witness(triple, g, h, lp_g, lp_h, fp_h, fp_g),
+        case=case,
+        witness=witness,
         params=params,
     )
 
@@ -199,13 +180,14 @@ def _case1_pairs(path: RunPath, window_end: int, depth: int):
     return _equal_key_pairs(configurations_up_to(path, window_end, depth))
 
 
-def _case2_pairs(path: RunPath, triple: LevelTriple):
-    """Height pairs (g, h) with equal full states.
+def _case2_pairs(path: RunPath, cuts):
+    """Height pairs (g, h) with equal full states, over the heights whose
+    flank_cuts are `cuts`.
 
     Returns (count, lazy iterator, g then h ascending); full states come
-    from one linear pass over the triple, the pairs are never listed.
+    from one linear pass over the run, the pairs are never listed.
     """
-    return _equal_key_pairs(full_states(path, triple), base=path.profile[triple.i])
+    return _equal_key_pairs(full_states(path, cuts), base=path.profile[cuts[0][0]])
 
 
 def extract(
@@ -245,10 +227,10 @@ def extract(
     config_pairs = 0
     fs_pairs = 0
 
-    def attempt(case: str, candidate: tuple, build) -> Decomposition | None:
+    def attempt(case: str, candidate: tuple, cuts: tuple, found) -> Decomposition | None:
         nonlocal tried
         tried += 1
-        d = build()
+        d = _decomposition(path, params, cuts, case, found)
         if len(d.v) + len(d.y) == 0:
             fallbacks.append(Fallback(case, candidate, "empty-pump"))
             return None
@@ -277,29 +259,28 @@ def extract(
 
     # Case 2 first when the level is rich enough (or on any best-effort
     # triple at all); case 1 otherwise, over the mode's window.
-    case2_triples: list[LevelTriple] = []
+    triple = None
     if witness is not None:
         if level >= params.p_prime:
-            case2_triples.append(extract_sublevel(path.profile, witness, params.p_prime))
+            triple = extract_sublevel(path.profile, witness, params.p_prime)
         elif not strict:
-            case2_triples.append(witness)
+            triple = witness
 
-    for triple in case2_triples:
-        available, pairs = _case2_pairs(path, triple)
-        fs_pairs += available
+    if triple is not None:
+        cuts = flank_cuts(path.profile, triple)
+        fs_pairs, pairs = _case2_pairs(path, cuts)
+        base = path.profile[triple.i]
         for g, h in pairs:
-            d = attempt("case2", (g, h), lambda: _build_case2(path, params, triple, g, h))
+            (lp_g, fp_g), (lp_h, fp_h) = cuts[g - base], cuts[h - base]
+            found = Case2Witness(triple, g, h, lp_g, lp_h, fp_h, fp_g)
+            d = attempt("case2", (g, h), (lp_g, lp_h, fp_h, fp_g), found)
             if d is not None:
                 return ExtractionResult(d, diag("case2"), path)
 
     if level < params.p_prime or not strict:
         config_pairs, pairs = _case1_pairs(path, window_end, level)
         for i, j in pairs:
-            if path.letters_read[i] == path.letters_read[j]:
-                fallbacks.append(Fallback("case1", (i, j), "empty-pump"))
-                tried += 1
-                continue
-            d = attempt("case1", (i, j), lambda: _build_case1(path, params, i, j, level))
+            d = attempt("case1", (i, j), (i, j, steps_total, steps_total), Case1Witness(i, j, level))
             if d is not None:
                 return ExtractionResult(d, diag("case1"), path)
 

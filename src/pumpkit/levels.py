@@ -15,9 +15,11 @@ exists as an oracle for it. It is the only user of numpy, which it imports
 on call.
 
 Configurations and full states read stacks from RunPath.stacks, the run's
-one forward walk. last_push and first_pop scan a flank for one height (and
-serve extract_sublevel and the case-2 cut); full_states scans each flank
-once for all heights of a triple.
+one forward walk. flank_cuts is the one flank reader: it scans both flanks
+of a triple outward from the peak once and returns the last push and first
+pop of every height from a chosen bottom up to s_j. extract_sublevel reads
+its two positions from it, full_states takes its list, and extract's case 2
+cuts the word at its entries.
 """
 
 from __future__ import annotations
@@ -125,9 +127,10 @@ def max_level(profile, window_end: int) -> tuple[int, LevelTriple | None]:
     Single sweep: an "era" opens for height h when the profile steps up onto
     h and closes when it steps below h (heights never undercut stay open to
     the end). Within an era, candidate triples are (first position at h,
-    position of the era's peak, last position at h).
+    position of the era's peak, last position at h). A window_end below 0
+    gives (0, None), as in max_levels.
     """
-    s = profile[: min(window_end, len(profile) - 1) + 1]
+    s = profile[: max(window_end + 1, 0)]
     return max_levels(s, len(s) - 1)[0]
 
 
@@ -196,26 +199,38 @@ def brute_force_max_level(profile, window_end: int) -> tuple[int, LevelTriple | 
     return best, LevelTriple(i, j, k, best)
 
 
-def last_push(profile, triple: LevelTriple, h: int) -> int:
-    """Largest position y <= j with s_y = h; the last time height h was
-    (re)established before the peak."""
-    if not (profile[triple.i] <= h <= profile[triple.j]):
-        raise ValueError(f"height {h} outside the triple's range")
-    for y in range(triple.j, triple.i - 1, -1):
-        if profile[y] == h:
-            return y
-    raise ValueError(f"height {h} does not occur on the rising flank")
+def flank_cuts(profile, triple: LevelTriple, bottom: int | None = None) -> list[tuple[int, int]]:
+    """(last push, first pop) of each height bottom..s_j of a level triple,
+    lowest height first; bottom defaults to s_i.
 
-
-def first_pop(profile, triple: LevelTriple, h: int) -> int:
-    """Smallest position y >= j with s_y = h; the first return to height h
-    after the peak."""
-    if not (profile[triple.i] <= h <= profile[triple.j]):
-        raise ValueError(f"height {h} outside the triple's range")
-    for y in range(triple.j, triple.k + 1):
-        if profile[y] == h:
-            return y
-    raise ValueError(f"height {h} does not occur on the falling flank")
+    The last push of h is the largest position y <= j with s_y = h, the last
+    time h was (re)established before the peak; the first pop is the
+    smallest y >= j with s_y = h, the first return to h after it. Each flank
+    is scanned outward from j, inside [i, k], and the scan stops once every
+    height is found, so the cost follows the heights asked for, not the
+    triple's width.
+    """
+    lo = profile[triple.i] if bottom is None else bottom
+    hi = profile[triple.j]
+    if not (profile[triple.i] <= lo <= hi):
+        raise ValueError(f"height {lo} outside the triple's range")
+    flanks = (range(triple.j, triple.i - 1, -1), range(triple.j, triple.k + 1))
+    found = ([None] * (hi - lo + 1), [None] * (hi - lo + 1))
+    for positions, first_at in zip(flanks, found):
+        missing = len(first_at)
+        for y in positions:
+            d = profile[y] - lo
+            if 0 <= d < len(first_at) and first_at[d] is None:
+                first_at[d] = y
+                missing -= 1
+                if not missing:
+                    break
+    for h, lp, fp in zip(range(lo, hi + 1), *found):
+        if lp is None:
+            raise ValueError(f"height {h} does not occur on the rising flank")
+        if fp is None:
+            raise ValueError(f"height {h} does not occur on the falling flank")
+    return list(zip(*found))
 
 
 def configurations_up_to(path: RunPath, last_pos: int, depth: int) -> list[Configuration]:
@@ -233,39 +248,20 @@ def configurations_up_to(path: RunPath, last_pos: int, depth: int) -> list[Confi
     return out
 
 
-def _first_at_each_height(profile, positions, lo: int, hi: int) -> list:
-    """For each height lo..hi, the first of `positions` where the profile
-    sits at it (None if it never does)."""
-    found = [None] * (hi - lo + 1)
-    for y in positions:
-        d = profile[y] - lo
-        if 0 <= d < len(found) and found[d] is None:
-            found[d] = y
-    return found
+def full_states(path: RunPath, cuts: list[tuple[int, int]]) -> list[FullState]:
+    """Full states of the heights whose flank_cuts are `cuts`, lowest first,
+    in time linear in the last cut.
 
-
-def full_states(path: RunPath, triple: LevelTriple) -> list[FullState]:
-    """Full states of heights s_i..s_j of a level triple, lowest first, in
-    time linear in k.
-
-    One pass walks j down to i for every height's last push, j up to k for
-    its first pop, and the steps up to k for the stack top at each position.
-    The symbol at a height when it was last established on the rising flank
-    provably still rests there at the first return on the falling flank;
-    this is checked, and TopSymbolMismatchError raised, on corrupted paths,
-    since a mismatch falsifies the construction the caller is running.
+    One walk of the steps up to the farthest first pop records the stack top
+    at each position. The symbol at a height when it was last established on
+    the rising flank provably still rests there at the first return on the
+    falling flank; this is checked, and TopSymbolMismatchError raised, on
+    corrupted paths, since a mismatch falsifies the construction the caller
+    is running.
     """
-    profile = path.profile
-    lo, hi = profile[triple.i], profile[triple.j]
-    pushes = _first_at_each_height(profile, range(triple.j, triple.i - 1, -1), lo, hi)
-    pops = _first_at_each_height(profile, range(triple.j, triple.k + 1), lo, hi)
-    tops = [stack[-1] if stack else None for stack in path.stacks(triple.k)]
+    tops = [stack[-1] if stack else None for stack in path.stacks(max(fp for _, fp in cuts))]
     out = []
-    for h, lp, fp in zip(range(lo, hi + 1), pushes, pops):
-        if lp is None:
-            raise ValueError(f"height {h} does not occur on the rising flank")
-        if fp is None:
-            raise ValueError(f"height {h} does not occur on the falling flank")
+    for h, (lp, fp) in enumerate(cuts, path.profile[cuts[0][0]]):
         if tops[lp] != tops[fp]:
             raise TopSymbolMismatchError(
                 f"height {h}: top symbol {tops[lp]!r} at position {lp} but {tops[fp]!r} at position {fp}"
@@ -283,5 +279,5 @@ def extract_sublevel(profile, triple: LevelTriple, target: int) -> LevelTriple:
     """
     if not (1 <= target <= triple.n):
         raise ValueError("target must be between 1 and the triple's level")
-    want = profile[triple.j] - target
-    return LevelTriple(last_push(profile, triple, want), triple.j, first_pop(profile, triple, want), target)
+    lp, fp = flank_cuts(profile, triple, profile[triple.j] - target)[0]
+    return LevelTriple(lp, triple.j, fp, target)

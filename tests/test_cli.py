@@ -62,6 +62,18 @@ class TestUsage:
         assert code == 2
         assert "invalid machine" in err
 
+    def test_machine_path_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "params", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"pumpkit: {tmp_path}: Is a directory\n"
+
+    def test_machine_file_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(single_word_doc().encode("utf-16"))
+        code, out, err = run(capsys, "params", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"pumpkit: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+
 
 class TestParams:
     def test_dyck1_frozen(self, capsys):
@@ -100,6 +112,12 @@ class TestNormalize:
         doc = loads(text)
         assert is_star_form(doc.pda)
 
+    def test_output_directory_missing(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, "normalize", "DYCK1", str(dest))
+        assert (code, out) == (2, "")
+        assert err == f"pumpkit: cannot write {dest}: No such file or directory\n"
+
     def test_stdout_dash(self, capsys):
         code, out, _ = run(capsys, "normalize", "REG_AB", "-")
         assert code == 0
@@ -109,6 +127,19 @@ class TestNormalize:
 
 
 class TestCheck:
+    def test_missing_word_file(self, capsys, tmp_path):
+        missing = tmp_path / "words.txt"
+        code, out, err = run(capsys, "check", "DYCK1", "--word-file", str(missing))
+        assert (code, out) == (2, "")
+        assert err == f"pumpkit: no such file: {missing}\n"
+
+    def test_word_file_not_utf8(self, capsys, tmp_path):
+        wf = tmp_path / "words.txt"
+        wf.write_bytes(b"()\n\xff\n")
+        code, out, err = run(capsys, "check", "DYCK1", "--word-file", str(wf))
+        assert (code, out) == (2, "")
+        assert err == f"pumpkit: {wf}: not UTF-8 text (invalid start byte at byte 3)\n"
+
     def test_accepted(self, capsys):
         code, out, _ = run(capsys, "check", "DYCK1", "(())")
         assert code == 0
@@ -237,6 +268,14 @@ class TestPump:
         assert code == 0
         assert out == ""
         json.loads(dest.read_text(encoding="utf-8"))
+
+    def test_output_directory_missing(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "report.json"
+        code, out, err = run(
+            capsys, "pump", "DYCK1", "(((())))", "--mode", "best-effort", "-o", str(dest),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"pumpkit: cannot write {dest}: No such file or directory\n"
 
     def test_strict_case1_reports_bound_overrun(self, capsys):
         # the tail factorization pumps correctly but |vxy| misses the bound;

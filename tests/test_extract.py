@@ -18,9 +18,8 @@ from pumpkit import (
     TopSymbolMismatchError,
     extract,
     extract_sublevel,
-    first_pop,
+    flank_cuts,
     full_states,
-    last_push,
     max_level,
     minimal_accepting_path,
     normalize,
@@ -75,12 +74,14 @@ def reference_case1_pairs(path, window_end, depth):
 
 def reference_case2_pairs(path, triple):
     """Every equal-full-state height pair, g then h ascending; each full state
-    found by flank scans and two stack replays from position 0."""
+    found by a scan of both flanks for its height and two stack replays from
+    position 0."""
     profile = path.profile
     lo, hi = profile[triple.i], profile[triple.j]
     states = {}
     for h in range(lo, hi + 1):
-        lp, fp = last_push(profile, triple, h), first_pop(profile, triple, h)
+        lp = max(y for y in range(triple.i, triple.j + 1) if profile[y] == h)
+        fp = min(y for y in range(triple.j, triple.k + 1) if profile[y] == h)
         top = reference_stack(path, lp)[-1]
         assert reference_stack(path, fp)[-1] == top
         states[h] = (path.state_at(lp), top, path.state_at(fp))
@@ -208,7 +209,7 @@ class TestCase1Decompose:
 class TestCase2Decompose:
     def test_golden_first_pair(self, dyck1):
         path = minimal_accepting_path(dyck1, "(((())))")
-        available, pairs = _case2_pairs(path, LevelTriple(0, 4, 8, 4))
+        available, pairs = _case2_pairs(path, flank_cuts(path.profile, LevelTriple(0, 4, 8, 4)))
         assert available == 6
         assert next(pairs) == (2, 3)
 
@@ -231,15 +232,16 @@ class TestCase2Decompose:
         )
         path = minimal_accepting_path(pda, "aabb")
         assert path.profile == (1, 2, 3, 2, 1, 0)
-        triple = LevelTriple(0, 2, 4, 2)
-        assert len(set(full_states(path, triple))) == 3
-        available, pairs = _case2_pairs(path, triple)
+        cuts = flank_cuts(path.profile, LevelTriple(0, 2, 4, 2))
+        assert len(set(full_states(path, cuts))) == 3
+        available, pairs = _case2_pairs(path, cuts)
         assert available == 0
         assert next(pairs, None) is None
 
     def test_mismatched_tops_raise(self, mismatched_tops_path):
+        cuts = flank_cuts(mismatched_tops_path.profile, LevelTriple(0, 2, 4, 2))
         with pytest.raises(TopSymbolMismatchError):
-            _case2_pairs(mismatched_tops_path, LevelTriple(0, 2, 4, 2))
+            _case2_pairs(mismatched_tops_path, cuts)
 
 
 class TestFallbacks:
@@ -307,7 +309,7 @@ class TestPairOrder:
             for target in sorted({1, witness.n}):
                 triple = extract_sublevel(path.profile, witness, target)
                 expected = reference_case2_pairs(path, triple)
-                available, pairs = _case2_pairs(path, triple)
+                available, pairs = _case2_pairs(path, flank_cuts(path.profile, triple))
                 assert (available, list(pairs)) == (len(expected), expected)
 
 

@@ -13,10 +13,9 @@ from pumpkit import (
     brute_force_max_level,
     configurations_up_to,
     extract_sublevel,
-    first_pop,
+    flank_cuts,
     full_states,
     is_valid_level_triple,
-    last_push,
     max_level,
     minimal_accepting_path,
 )
@@ -105,6 +104,8 @@ class TestMaxLevel:
 
     def test_known_profiles(self):
         assert max_level((1, 2, 3, 2, 1, 0), 5) == (2, LevelTriple(0, 2, 4, 2))
+        # a window end below 0 must not count from the end of the profile
+        assert max_level((1, 2, 3, 2, 1, 0), -2) == (0, None) == brute_force_max_level((1, 2, 3, 2, 1, 0), -2)
         assert max_level((1, 0), 1) == (0, None)
         # witness k is the era's latest base touch (8), not the earliest (6);
         # both are valid 3-levels and the brute force is free to pick the other
@@ -180,24 +181,72 @@ class TestCutPositions:
     def test_last_push_first_pop(self):
         prof = (1, 2, 3, 4, 5, 4, 3, 2, 1, 0)
         t = LevelTriple(0, 4, 8, 4)
-        assert last_push(prof, t, 3) == 2
-        assert first_pop(prof, t, 3) == 6
-        assert last_push(prof, t, 5) == 4
-        assert first_pop(prof, t, 5) == 4
+        cuts = flank_cuts(prof, t)
+        assert cuts == [(0, 8), (1, 7), (2, 6), (3, 5), (4, 4)]
+        assert cuts[3 - 1] == (2, 6)
+        assert cuts[5 - 1] == (4, 4)
+        assert flank_cuts(prof, t, 3) == [(2, 6), (3, 5), (4, 4)]
+        assert flank_cuts(prof, t, 5) == [(4, 4)]
 
     def test_revisited_height_picks_last_and_first(self):
         prof = (1, 2, 1, 2, 3, 2, 1)
         t = LevelTriple(0, 4, 6, 2)
-        assert last_push(prof, t, 2) == 3
-        assert first_pop(prof, t, 2) == 5
+        assert flank_cuts(prof, t)[2 - 1] == (3, 5)
+        assert flank_cuts(prof, t, 2) == [(3, 5), (4, 4)]
 
     def test_out_of_range_height(self):
         prof = (1, 2, 3, 2, 1, 0)
         t = LevelTriple(0, 2, 4, 2)
         with pytest.raises(ValueError):
-            last_push(prof, t, 4)
+            flank_cuts(prof, t, 4)
         with pytest.raises(ValueError):
-            first_pop(prof, t, 0)
+            flank_cuts(prof, t, 0)
+
+    def test_height_missing_on_a_flank(self):
+        # the falling flank of (0, 2, 3) never returns to height 1; the
+        # rising flank of the non-unit profile never sits at height 2
+        with pytest.raises(ValueError, match="falling flank"):
+            flank_cuts((1, 2, 3, 2, 1, 0), LevelTriple(0, 2, 3, 2))
+        with pytest.raises(ValueError, match="rising flank"):
+            flank_cuts((1, 3, 2, 1), LevelTriple(0, 1, 3, 2))
+
+    def test_scan_stops_once_every_height_is_found(self):
+        reads = []
+
+        class Counted(tuple):
+            def __getitem__(self, index):
+                reads.append(index)
+                return tuple.__getitem__(self, index)
+
+        prof = Counted(tuple(range(1001)) + tuple(range(999, -1, -1)))
+        cuts = flank_cuts(prof, LevelTriple(0, 1000, 2000, 1000), 997)
+        assert cuts == [(997, 1003), (998, 1002), (999, 1001), (1000, 1000)]
+        assert len(reads) < 20
+
+
+def reference_flank_cuts(profile, triple, bottom):
+    """Per height, the last position at it on [i, j] and the first on [j, k]."""
+    cuts = []
+    for h in range(bottom, profile[triple.j] + 1):
+        lp = max(y for y in range(triple.i, triple.j + 1) if profile[y] == h)
+        fp = min(y for y in range(triple.j, triple.k + 1) if profile[y] == h)
+        cuts.append((lp, fp))
+    return cuts
+
+
+@given(unit_profiles())
+@settings(max_examples=200, deadline=None)
+def test_flank_cuts_match_a_scan_per_height(profile):
+    # the max-level witness of every window, at every bottom
+    for window_end in range(len(profile)):
+        _, witness = max_level(profile, window_end)
+        if witness is None:
+            continue
+        for bottom in range(profile[witness.i], profile[witness.j] + 1):
+            expected = reference_flank_cuts(profile, witness, bottom)
+            assert flank_cuts(profile, witness, bottom) == expected
+            if bottom == profile[witness.i]:
+                assert flank_cuts(profile, witness) == expected
 
 
 class TestConfigurations:
@@ -238,11 +287,13 @@ class TestFullState:
     def test_dyck1_golden_run(self, dyck1):
         path = minimal_accepting_path(dyck1, "(((())))")
         t = LevelTriple(0, 4, 8, 4)
-        assert full_states(path, t) == [FullState("q0", BOTTOM, "q0")] + [FullState("q0", "X", "q0")] * 4
+        cuts = flank_cuts(path.profile, t)
+        assert full_states(path, cuts) == [FullState("q0", BOTTOM, "q0")] + [FullState("q0", "X", "q0")] * 4
 
     def test_mismatched_tops_raise(self, mismatched_tops_path):
+        cuts = flank_cuts(mismatched_tops_path.profile, LevelTriple(0, 2, 4, 2))
         with pytest.raises(TopSymbolMismatchError):
-            full_states(mismatched_tops_path, LevelTriple(0, 2, 4, 2))
+            full_states(mismatched_tops_path, cuts)
 
 
 class TestSublevel:
