@@ -21,9 +21,8 @@ d = res.decomposition
 print(f"word {word!r} splits as ({d.case}):")
 for part in "uvxyz":
     print(f"  {part} = {getattr(d, part)!r}")
-w = d.witness
-print(f"witness: heights g={w.g}, h={w.h} share a full state;"
-      f" cuts at positions {w.lp_g}, {w.lp_h}, {w.fp_h}, {w.fp_g}")
+print(f"witness: heights g={d.witness.g}, h={d.witness.h} share a full state;"
+      f" run cuts at positions {d.cuts}")
 print()
 
 for n in range(4):

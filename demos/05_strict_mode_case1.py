@@ -24,12 +24,12 @@ print(f"case = {d.case}, repeated configuration at positions"
       f" {d.witness.i} and {d.witness.j} (depth {d.witness.depth})")
 print(f"  u={d.u!r} v={d.v!r} y={d.y!r} z={d.z!r} |x|={len(d.x)}")
 
-c = check_constraints(d, params, word)
+c = check_constraints(d, word)
 print(f"  |vy|={len(d.v) + len(d.y)} >= 1: {c.nontrivial_ok}")
 print(f"  |vxy|={c.vxy_length} vs bound {c.bound}: {'within' if c.length_bound_ok else 'exceeded'}"
       " -- the case-1 tail makes the bound unreachable here, and the report says so")
 
-report = verify(reg.pda, res.path, d, params, word, n_set=(0, 1, 2, 3, 4, 5))
+report = verify(reg.pda, res.path, d, n_set=(0, 1, 2, 3, 4, 5))
 for v in report.verdicts:
     print(f"  n={v.n}: replay={'ok' if v.replay_ok else 'FAIL'} search={v.search}")
 print(f"pumping verdict: {'PASS' if report.pumping_ok else 'FAIL'}"

@@ -147,29 +147,21 @@ def svg_chart(profile, markers=(), spans=(), title: str | None = None) -> str:
 def decomposition_annotations(decomposition, path):
     """(markers, spans) for a chart of this decomposition's run.
 
-    Marker row 0 carries the level-triple positions i/j/k; row 1 carries the
-    last-push/first-pop cut positions labeled by their height roles (g/h).
-    Spans tile the axis with the u/v/x/y/z regions (epsilon steps fall into
-    the region they sit in).
+    Marker row 0 carries the level-triple positions i/j/k in case 2 and the
+    repeated-configuration positions i/j in case 1; row 1 carries case 2's
+    four run cuts labeled by their height roles (g/h). Spans tile the axis
+    with the u/v/x/y/z regions (epsilon steps fall into the region they sit
+    in); in case 1, x runs to the end and y and z are not drawn.
     """
     end = len(path.steps) + 1  # one column per profile position
-    w = decomposition.witness
-    markers: list[Marker] = []
-    spans: list[Span] = []
+    cuts = decomposition.cuts
     if decomposition.case == "case2":
-        t = w.triple
-        markers += [Marker(t.i, "i"), Marker(t.j, "j"), Marker(t.k, "k")]
-        markers += [
-            Marker(w.lp_g, "g", row=1),
-            Marker(w.lp_h, "h", row=1),
-            Marker(w.fp_h, "h", row=1),
-            Marker(w.fp_g, "g", row=1),
-        ]
-        bounds = [0, w.lp_g, w.lp_h, w.fp_h, w.fp_g, end]
-        for label, a, b in zip("uvxyz", bounds, bounds[1:]):
-            spans.append(Span(a, b, label))
+        t = decomposition.witness.triple
+        markers = [Marker(t.i, "i"), Marker(t.j, "j"), Marker(t.k, "k")]
+        markers += [Marker(pos, role, row=1) for pos, role in zip(cuts, "ghhg")]
+        bounds = [0, *cuts, end]
     else:
-        markers += [Marker(w.i, "i"), Marker(w.j, "j")]
-        for label, a, b in zip("uvx", [0, w.i, w.j], [w.i, w.j, end]):
-            spans.append(Span(a, b, label))
+        markers = [Marker(cuts[0], "i"), Marker(cuts[1], "j")]
+        bounds = [0, cuts[0], cuts[1], end]
+    spans = [Span(a, b, label) for label, a, b in zip("uvxyz", bounds, bounds[1:])]
     return markers, spans

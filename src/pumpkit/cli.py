@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .charts import ascii_chart, decomposition_annotations, svg_chart
@@ -97,13 +98,38 @@ def _limits(pda, word, args) -> SearchLimits | None:
     )
 
 
+def _to_file(args) -> bool:
+    return bool(getattr(args, "output", None)) and args.output != "-"
+
+
+def _unwritable(path, exc: OSError) -> CliError:
+    return CliError(EXIT_USAGE, f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _check_writable(args) -> None:
+    """Fail before a long run when the output file cannot be opened for
+    writing. An existing file is opened for append, so it is not truncated;
+    a missing one is created and removed again, so a run that fails later
+    leaves nothing behind."""
+    if not _to_file(args):
+        return
+    existed = os.path.lexists(args.output)
+    try:
+        with open(args.output, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise _unwritable(args.output, exc) from None
+    if not existed:
+        os.remove(args.output)
+
+
 def _write_out(args, text: str) -> None:
-    if getattr(args, "output", None) and args.output != "-":
+    if _to_file(args):
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise CliError(EXIT_USAGE, f"cannot write {args.output}: {exc.strerror or exc}") from None
+            raise _unwritable(args.output, exc) from None
     else:
         sys.stdout.write(text)
 
@@ -179,20 +205,22 @@ def _witnesses_json(result) -> dict:
     if isinstance(w, Case1Witness):
         out["case1"] = {"i": w.i, "j": w.j, "depth": w.depth}
     else:
+        lp_g, lp_h, fp_h, fp_g = d.cuts
         out["case2"] = {
             "triple": {"i": w.triple.i, "j": w.triple.j, "k": w.triple.k, "n": w.triple.n},
             "g": w.g,
             "h": w.h,
-            "lpG": w.lp_g,
-            "lpH": w.lp_h,
-            "fpH": w.fp_h,
-            "fpG": w.fp_g,
+            "lpG": lp_g,
+            "lpH": lp_h,
+            "fpH": fp_h,
+            "fpG": fp_g,
         }
     return out
 
 
-def _report_json(result, report, params) -> dict:
+def _report_json(result, report) -> dict:
     d = result.decomposition
+    params = d.params
     diag = result.diagnostics
     return {
         "word": report.word,
@@ -251,8 +279,9 @@ def _preview(s: str, keep: int = 17) -> str:
     return f"{s[:keep]!r}...{s[-keep:]!r} (len {len(s)})"
 
 
-def _report_text(result, report, params) -> str:
+def _report_text(result, report) -> str:
     d = result.decomposition
+    params = d.params
     c = report.constraints
     lines = [
         f"word of length {len(report.word)}: {d.case}",
@@ -320,16 +349,16 @@ def cmd_pump(args) -> int:
     npda = normalize(doc.pda)
     n_set = _parse_n_set(args.n) if args.n else DEFAULT_N_SET
     limits = _limits(npda, args.word, args)
+    _check_writable(args)
     # Both report formats print p.
     result = _extract(npda, args, limits, PRINTABLE_P_BIT_LIMIT, witness_detail=True)
 
-    params = result.decomposition.params
-    report = verify(npda, result.path, result.decomposition, params, args.word, n_set)
+    report = verify(npda, result.path, result.decomposition, n_set)
     if args.report == "json":
-        payload = _report_json(result, report, params)
+        payload = _report_json(result, report)
         _write_out(args, json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
     else:
-        _write_out(args, _report_text(result, report, params))
+        _write_out(args, _report_text(result, report))
     if not report.consistent:
         return EXIT_REJECTED
     return EXIT_OK if report.pumping_ok else EXIT_REJECTED
@@ -340,6 +369,7 @@ def cmd_profile(args) -> int:
     _check_word(doc.pda, args.word)
     npda = normalize(doc.pda)
     limits = _limits(npda, args.word, args)
+    _check_writable(args)
 
     markers: tuple = ()
     spans: tuple = ()
@@ -366,6 +396,14 @@ def cmd_profile(args) -> int:
 
 
 # ---------------------------------------------------------------- parser
+
+
+def _check_budgets(args) -> None:
+    """Reject a negative search budget before any work is done."""
+    for flag in ("--max-steps", "--max-stack-height"):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and value < 0:
+            raise CliError(EXIT_USAGE, f"{flag} must be a nonnegative integer, got {value}")
 
 
 def _add_limit_flags(p: argparse.ArgumentParser) -> None:
@@ -433,6 +471,7 @@ def main(argv=None) -> int:
         print("check: give a word or --word-file, not both", file=sys.stderr)
         return EXIT_USAGE
     try:
+        _check_budgets(args)
         return args.func(args)
     except CliError as exc:
         print(f"pumpkit: {exc}", file=sys.stderr)

@@ -18,9 +18,11 @@ per position, O(n*l). Case 2 reads the flank cuts of the triple's heights
 once (levels.flank_cuts); each candidate (g, h) looks its four positions up
 in that list.
 
-One builder slices the word at the letters read by four step positions:
-case 2 passes (lp_g, lp_h, fp_h, fp_g), case 1 passes (i, j, end, end), so
-its x runs to the end of the word and y and z come out empty.
+One builder slices the word at the letters read by four step positions,
+the run cuts, and keeps them on the decomposition: case 2 cuts at
+(lp_g, lp_h, fp_h, fp_g), case 1 at (i, j, end, end), so its x runs to the
+end of the word and y and z come out empty. The pumped run repeats the
+steps between the first two cuts and between the last two.
 
 Every candidate with a nonempty pump is defensively replay-verified for a
 small set of pump counts before being returned; empty-pump and failing
@@ -74,10 +76,6 @@ class Case2Witness:
     triple: LevelTriple
     g: int
     h: int
-    lp_g: int
-    lp_h: int
-    fp_h: int
-    fp_g: int
 
 
 @dataclass(frozen=True)
@@ -87,6 +85,7 @@ class Decomposition:
     x: object
     y: object
     z: object
+    cuts: tuple[int, int, int, int]  # step positions where v, x, y and z start
     case: str  # "case1" | "case2"
     witness: object
     params: PumpingParams
@@ -131,7 +130,7 @@ class ExtractionResult:
     path: RunPath
 
 
-def _decomposition(path: RunPath, params: PumpingParams, cuts, case: str, witness) -> Decomposition:
+def _decomposition(path: RunPath, params: PumpingParams, cuts: tuple, case: str, witness) -> Decomposition:
     """Slice the word at the letters read by four step positions: u ends at
     the first, v at the second, x at the third and y at the fourth."""
     w = path.word
@@ -142,6 +141,7 @@ def _decomposition(path: RunPath, params: PumpingParams, cuts, case: str, witnes
         x=w[b:c],
         y=w[c:d],
         z=w[d:],
+        cuts=cuts,
         case=case,
         witness=witness,
         params=params,
@@ -272,8 +272,7 @@ def extract(
         base = path.profile[triple.i]
         for g, h in pairs:
             (lp_g, fp_g), (lp_h, fp_h) = cuts[g - base], cuts[h - base]
-            found = Case2Witness(triple, g, h, lp_g, lp_h, fp_h, fp_g)
-            d = attempt("case2", (g, h), (lp_g, lp_h, fp_h, fp_g), found)
+            d = attempt("case2", (g, h), (lp_g, lp_h, fp_h, fp_g), Case2Witness(triple, g, h))
             if d is not None:
                 return ExtractionResult(d, diag("case2"), path)
 

@@ -1,24 +1,28 @@
 """Decomposition verification along two independent routes.
 
-The replay route splices the original run's transitions according to the
-decomposition's witness positions and replays the spliced sequence against
-the pumped word. verify_by_search ignores the run entirely and asks the
-membership search. The two routes share no splicing or decomposition logic,
-so a bug in the construction cannot silently confirm itself.
+A decomposition carries four run cuts a <= b <= c <= e, the step positions
+of the found run where v, x, y and z start. The pumped run u·v^n·x·y^n·z is
+the found run with the steps a..b and the steps c..e each repeated n times.
+The replay route splices the run's transitions at those cuts and replays
+the spliced sequence against the pumped word. verify_by_search ignores the
+run entirely and asks the membership search. The two routes share no
+splicing or decomposition logic, so a bug in the construction cannot
+silently confirm itself.
 
 replay_pumps checks several pump counts against one walk of the found run.
-The pumped run u·v^n·x·y^n·z is the found run with the steps between two
-cuts a <= e repeated (a, e = i, j in case 1 and lp_g, fp_g in case 2), so
-the walk keeps the configuration (state, stack, input position) at a and at
+Everything that repeats lies between the first cut a and the last cut that
+still has a repeated stretch before it: e is the fourth cut, or the second
+when the third and fourth coincide and nothing repeats after the second.
+The walk keeps the configuration (state, stack, input position) at a and at
 e, and whether the steps after e end accepting with all input read. For
-each n the steps between the cuts are always walked. The part before a is
+each n the steps between a and e are always walked. The part before a is
 taken from the first checkpoint only when the pumped word starts with the
 letters the found run read up to a; the part after e is taken from the
 found run's verdict only when the walk reaches e's state with an equal
 stack and the input left equals the found run's. Replay is deterministic
 and a step reads nothing but the state, the stack top and the next letter,
 so an equal configuration before equal steps and equal input gives an
-equal outcome: the reuse is exact, and every other case is walked.
+equal outcome: the reuse is exact, and everything else is walked.
 """
 
 from __future__ import annotations
@@ -34,22 +38,12 @@ def pumped_word(decomposition, n: int):
 
 
 def spliced_steps(path: RunPath, decomposition, n: int) -> tuple:
-    """Transition sequence that should accept the n-pumped word.
-
-    Case 1 repeats the loop between the two repeated configurations; Case 2
-    repeats the push segment and the pop segment the same number of times.
-    """
+    """Transition sequence that should accept the n-pumped word: the found
+    run with the steps between the first two cuts and between the last two
+    each repeated n times."""
     steps = path.steps
-    w = decomposition.witness
-    if decomposition.case == "case1":
-        return steps[: w.i] + steps[w.i : w.j] * n + steps[w.j :]
-    return (
-        steps[: w.lp_g]
-        + steps[w.lp_g : w.lp_h] * n
-        + steps[w.lp_h : w.fp_h]
-        + steps[w.fp_h : w.fp_g] * n
-        + steps[w.fp_g :]
-    )
+    a, b, c, e = decomposition.cuts
+    return steps[:a] + steps[a:b] * n + steps[b:c] + steps[c:e] * n + steps[e:]
 
 
 def _accepting(pda, reached, word) -> bool:
@@ -67,9 +61,10 @@ def replay_pumps(pda, path: RunPath, decomposition, n_set) -> tuple[bool, ...]:
     one walk of the found run; see the module docstring.
     """
     d = decomposition
-    w = d.witness
     steps, word = path.steps, path.word
-    a, e = (w.i, w.j) if d.case == "case1" else (w.lp_g, w.fp_g)
+    a, b, c, e = d.cuts
+    if c == e:
+        e = b  # nothing repeats after the second cut
     if not 0 <= a <= e <= len(steps):
         a, e = 0, len(steps)  # cuts outside the run: walk each spliced run whole
     tail = len(steps) - e
@@ -133,7 +128,7 @@ class ConstraintReport:
     nontrivial_ok: bool
 
 
-def check_constraints(decomposition, params, word) -> ConstraintReport:
+def check_constraints(decomposition, word) -> ConstraintReport:
     """Structural pumping constraints: concatenation, |vxy| against p, |vy| >= 1.
 
     The achieved |vxy| is always reported; callers decide how hard to lean on
@@ -141,12 +136,13 @@ def check_constraints(decomposition, params, word) -> ConstraintReport:
     the pumping itself is sound).
     """
     d = decomposition
+    p = d.params.p
     vxy = len(d.v) + len(d.x) + len(d.y)
     return ConstraintReport(
         concatenation_ok=(d.u + d.v + d.x + d.y + d.z) == word,
-        length_bound_ok=vxy <= params.p,
+        length_bound_ok=vxy <= p,
         vxy_length=vxy,
-        bound=params.p,
+        bound=p,
         nontrivial_ok=len(d.v) + len(d.y) >= 1,
     )
 
@@ -199,8 +195,9 @@ class VerificationReport:
 DEFAULT_N_SET = (0, 1, 2, 3, 4)
 
 
-def verify(pda, path: RunPath, decomposition, params, word, n_set=DEFAULT_N_SET) -> VerificationReport:
-    """Run both verification routes for each n and collect the report."""
+def verify(pda, path: RunPath, decomposition, n_set=DEFAULT_N_SET) -> VerificationReport:
+    """Run both verification routes for each n and collect the report on
+    the found run's word."""
     n_set = tuple(n_set)
     replayed = replay_pumps(pda, path, decomposition, n_set)
     verdicts = tuple(
@@ -208,7 +205,7 @@ def verify(pda, path: RunPath, decomposition, params, word, n_set=DEFAULT_N_SET)
         for n, ok in zip(n_set, replayed)
     )
     return VerificationReport(
-        word=word,
-        constraints=check_constraints(decomposition, params, word),
+        word=path.word,
+        constraints=check_constraints(decomposition, path.word),
         verdicts=verdicts,
     )

@@ -29,7 +29,6 @@ from pumpkit import (
     is_valid_level_triple,
     max_level,
     normalize,
-    pumping_params,
     verify_by_replay,
     verify_by_search,
 )
@@ -189,7 +188,6 @@ def test_criterion_6_boundary_mutations_are_caught():
     detected = attempted = 0
     for name, entry in sorted(BUILTINS.items()):
         npda = normalize(entry.pda)
-        params = pumping_params(npda)
         lo, hi = ranges.get(name, (3, 10))
         cache: dict = {}
         done = 0
@@ -216,7 +214,7 @@ def test_criterion_6_boundary_mutations_are_caught():
             )
             done += 1
             attempted += 1
-            c = check_constraints(broken, params, word)
+            c = check_constraints(broken, word)
             caught = not (c.concatenation_ok and c.nontrivial_ok and c.length_bound_ok)
             if not caught:
                 caught = any(verify_by_search(npda, broken, n) != "accepted" for n in (0, 2))

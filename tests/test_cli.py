@@ -347,6 +347,69 @@ class TestProfile:
         )
 
 
+BUDGET_COMMANDS = (
+    ("check", "DYCK1", "(())"),
+    ("pump", "DYCK1", "(())", "--mode", "best-effort"),
+    ("profile", "DYCK1", "(())", "--annotate"),
+)
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("command", BUDGET_COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("flag", ["--max-steps", "--max-stack-height"])
+    def test_negative_budget_is_rejected(self, capsys, command, flag):
+        code, out, err = run(capsys, *command, flag, "-1")
+        assert (code, out) == (2, "")
+        assert err == f"pumpkit: {flag} must be a nonnegative integer, got -1\n"
+
+    @pytest.mark.parametrize("command", BUDGET_COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("flag", ["--max-steps", "--max-stack-height"])
+    def test_zero_budget_is_a_budget(self, capsys, command, flag):
+        # nothing fits in it, so the search stops at its limit
+        assert run(capsys, *command, flag, "0")[0] == 3
+
+
+class TestOutputCheckedFirst:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pump", "DYCK1", "(((())))", "--mode", "best-effort"),
+            ("profile", "DYCK1", "(((())))", "--annotate"),
+            ("profile", "DYCK1", "(((())))"),
+        ],
+        ids=["pump", "profile-annotate", "profile"],
+    )
+    def test_missing_directory_fails_before_the_search(self, capsys, tmp_path, monkeypatch, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("searched before checking the output path")
+
+        monkeypatch.setattr("pumpkit.cli.extract", never)
+        monkeypatch.setattr("pumpkit.cli.minimal_accepting_path", never)
+        dest = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, *argv, "-o", str(dest))
+        assert (code, out) == (2, "")
+        assert err == f"pumpkit: cannot write {dest}: No such file or directory\n"
+
+    def test_failed_run_leaves_a_new_target_uncreated(self, capsys, tmp_path):
+        dest = tmp_path / "report.json"
+        assert run(capsys, "pump", "DYCK1", "(()", "-o", str(dest))[0] == 1
+        assert run(capsys, "profile", "DYCK1", "(()", "-o", str(dest))[0] == 1
+        assert not dest.exists()
+
+    def test_failed_run_leaves_an_existing_target_untouched(self, capsys, tmp_path):
+        dest = tmp_path / "report.json"
+        dest.write_text("earlier report\n", encoding="utf-8")
+        assert run(capsys, "pump", "DYCK1", "(()", "-o", str(dest))[0] == 1
+        assert run(capsys, "pump", "DYCK1", "(())", "--max-steps", "1", "-o", str(dest))[0] == 3
+        assert run(capsys, "profile", "DYCK1", ")(", "--annotate", "-o", str(dest))[0] == 1
+        assert dest.read_text(encoding="utf-8") == "earlier report\n"
+
+    def test_directory_target(self, capsys, tmp_path):
+        code, out, err = run(capsys, "pump", "DYCK1", "(((())))", "--mode", "best-effort", "-o", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"pumpkit: cannot write {tmp_path}: Is a directory\n"
+
+
 def dyck1_with_unused_states(tmp_path, extra: int) -> str:
     """DYCK1 plus `extra` unreachable states: the same language, but p grows
     as (extra + 2) * 3**(2 * (extra + 2)**2)."""

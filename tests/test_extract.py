@@ -97,7 +97,7 @@ class TestExtract:
         w = d.witness
         assert isinstance(w, Case2Witness)
         assert (w.g, w.h) == (2, 3)
-        assert (w.lp_g, w.lp_h, w.fp_h, w.fp_g) == (1, 2, 6, 7)
+        assert d.cuts == (1, 2, 6, 7)
         assert res.diagnostics.level == 4
         assert res.diagnostics.level_witness == LevelTriple(0, 4, 8, 4)
         assert res.diagnostics.fallbacks == ()
@@ -109,6 +109,7 @@ class TestExtract:
         assert d.case == "case1"
         assert isinstance(d.witness, Case1Witness)
         assert (d.witness.i, d.witness.j) == (0, 2)
+        assert d.cuts == (0, 2, 34, 34)
         assert d.u == "" and d.v == "ab"
         assert d.x == "ab" * 16
         assert d.y == "" and d.z == ""
@@ -169,10 +170,10 @@ class TestExtract:
         assert res.diagnostics.window_end == 13122
         assert res.diagnostics.level == 6521
         assert res.diagnostics.level_witness == LevelTriple(80, 6601, 13122, 6521)
-        w = res.decomposition.witness
-        assert isinstance(w, Case2Witness)
-        assert w.triple == LevelTriple(6593, 6601, 6609, 8)
-        assert max(w.lp_g, w.lp_h, w.fp_h, w.fp_g) <= 13122
+        d = res.decomposition
+        assert isinstance(d.witness, Case2Witness)
+        assert d.witness.triple == LevelTriple(6593, 6601, 6609, 8)
+        assert max(d.cuts) <= 13122
 
     def test_long_word_memory_stays_flat(self, reg_ab):
         # 2.56M equal-configuration pairs are counted but never listed

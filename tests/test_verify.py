@@ -55,10 +55,10 @@ class TestPumpedWord:
 class TestSplicing:
     def test_case2_splice_lengths(self, dyck1):
         res = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
-        w = res.decomposition.witness
+        lp_g, lp_h, fp_h, fp_g = res.decomposition.cuts
         base = len(res.path.steps)
-        push_seg = w.lp_h - w.lp_g
-        pop_seg = w.fp_g - w.fp_h
+        push_seg = lp_h - lp_g
+        pop_seg = fp_g - fp_h
         for n in (0, 1, 2, 5):
             assert len(spliced_steps(res.path, res.decomposition, n)) == base + (n - 1) * (
                 push_seg + pop_seg
@@ -100,7 +100,7 @@ class TestSplicing:
 class TestConstraints:
     def test_case2_within_bound(self, dyck1):
         res = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
-        c = check_constraints(res.decomposition, pumping_params(dyck1), "(((())))")
+        c = check_constraints(res.decomposition, "(((())))")
         assert c.concatenation_ok
         assert c.nontrivial_ok
         assert c.vxy_length == 6
@@ -110,7 +110,7 @@ class TestConstraints:
     def test_case1_tail_exceeds_bound_but_is_reported(self, reg_ab):
         word = "ab" * 17
         res = extract(reg_ab, word, mode=ExtractionMode.STRICT)
-        c = check_constraints(res.decomposition, pumping_params(reg_ab), word)
+        c = check_constraints(res.decomposition, word)
         assert c.concatenation_ok and c.nontrivial_ok
         assert c.vxy_length == 34
         assert c.bound == 32
@@ -119,7 +119,7 @@ class TestConstraints:
     def test_concatenation_failure_detected(self, dyck1):
         res = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
         broken = dataclasses.replace(res.decomposition, x="((")
-        c = check_constraints(broken, pumping_params(dyck1), "(((())))")
+        c = check_constraints(broken, "(((())))")
         assert not c.concatenation_ok
 
 
@@ -127,8 +127,8 @@ class TestReports:
     def test_full_report(self, dyck1):
         word = "(((())))"
         res = extract(dyck1, word, mode=ExtractionMode.BEST_EFFORT)
-        params = pumping_params(dyck1)
-        report = verify(dyck1, res.path, res.decomposition, params, word)
+        report = verify(dyck1, res.path, res.decomposition)
+        assert report.word == word
         assert report.consistent
         assert report.overall
         assert report.pumping_ok
@@ -138,8 +138,7 @@ class TestReports:
     def test_case1_report_pumping_ok_despite_bound(self, reg_ab):
         word = "ab" * 17
         res = extract(reg_ab, word, mode=ExtractionMode.STRICT)
-        params = pumping_params(reg_ab)
-        report = verify(reg_ab, res.path, res.decomposition, params, word, (0, 1, 2, 3, 4, 5))
+        report = verify(reg_ab, res.path, res.decomposition, (0, 1, 2, 3, 4, 5))
         assert report.pumping_ok
         assert not report.overall  # the length bound is the only failure
         assert report.consistent
@@ -147,7 +146,7 @@ class TestReports:
     def test_custom_n_set(self, dyck1):
         word = "(((())))"
         res = extract(dyck1, word, mode=ExtractionMode.BEST_EFFORT)
-        report = verify(dyck1, res.path, res.decomposition, pumping_params(dyck1), word, (7,))
+        report = verify(dyck1, res.path, res.decomposition, (7,))
         assert len(report.verdicts) == 1
         assert report.verdicts[0].n == 7
         assert report.verdicts[0].ok
@@ -200,8 +199,7 @@ def check_replay_pumps(pda, path, d, calls, reached) -> None:
     middle, from the first checkpoint's position, or with the prefix from
     position 0; the suffix is walked when one more call follows the middle.
     """
-    w = d.witness
-    a = w.i if d.case == "case1" else w.lp_g
+    a = d.cuts[0]
     expected = tuple(full_replay(pda, path, d, n) for n in PUMPS)
     for n in PUMPS:
         calls.clear()
@@ -295,13 +293,45 @@ class TestReplayPumps:
 
     def test_cuts_in_the_wrong_order(self, dyck1, reg_ab):
         res = extract(reg_ab, "ab" * 17, mode=ExtractionMode.STRICT)
-        w = res.decomposition.witness
-        swapped = dataclasses.replace(res.decomposition, witness=Case1Witness(w.j, w.i, w.depth))
+        i, j, c, e = res.decomposition.cuts
+        swapped = dataclasses.replace(res.decomposition, cuts=(j, i, c, e))
         res2 = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
-        w2 = res2.decomposition.witness
-        past_end = dataclasses.replace(res2.decomposition, witness=dataclasses.replace(w2, fp_g=99))
+        past_end = dataclasses.replace(res2.decomposition, cuts=(*res2.decomposition.cuts[:3], 99))
         for pda, path, d in ((reg_ab, res.path, swapped), (dyck1, res2.path, past_end)):
             assert replay_pumps(pda, path, d, PUMPS) == tuple(full_replay(pda, path, d, n) for n in PUMPS)
+
+
+def per_case_splice(path, d, n) -> tuple:
+    """The spliced run by the two per-case formulas, with case 2's last
+    pushes and first pops of g and h scanned from the witness triple's
+    flanks instead of read from the cuts."""
+    steps, w = path.steps, d.witness
+    if d.case == "case1":
+        return steps[: w.i] + steps[w.i : w.j] * n + steps[w.j :]
+    profile, t = path.profile, w.triple
+    lp_g, lp_h = (max(y for y in range(t.i, t.j + 1) if profile[y] == h) for h in (w.g, w.h))
+    fp_h, fp_g = (min(y for y in range(t.j, t.k + 1) if profile[y] == h) for h in (w.h, w.g))
+    return (
+        steps[:lp_g]
+        + steps[lp_g:lp_h] * n
+        + steps[lp_h:fp_h]
+        + steps[fp_h:fp_g] * n
+        + steps[fp_g:]
+    )
+
+
+class TestCuts:
+    def test_cuts_read_the_boundaries(self):
+        for _, _, res in DECOMPOSITIONS:
+            d = res.decomposition
+            assert tuple(res.path.letters_read[c] for c in d.cuts) == d.boundaries
+
+    def test_splice_matches_the_per_case_formulas(self):
+        for _, _, res in DECOMPOSITIONS:
+            for n in PUMPS:
+                assert spliced_steps(res.path, res.decomposition, n) == per_case_splice(
+                    res.path, res.decomposition, n
+                )
 
 
 SYMBOLS = (BOTTOM, "A", "B")
@@ -357,15 +387,16 @@ def runs_with_cuts(draw):
         u=word[: at[0]], v=word[at[0] : at[1]], x=word[at[1] : at[2]], y=word[at[2] : at[3]], z=word[at[3] :]
     )
     if draw(st.booleans()):
-        witness, case = Case1Witness(cuts[0], cuts[3], 0), "case1"
+        case, witness = "case1", Case1Witness(cuts[0], cuts[3], 0)
+        cuts = (cuts[0], cuts[3], len(steps), len(steps))
         pieces.update(v=word[at[0] : at[3]], x=word[at[3] :], y="", z="")
     else:
-        witness = Case2Witness(LevelTriple(0, 1, 2, 1), 0, 1, *cuts)
-        case = "case2"
+        case, witness = "case2", Case2Witness(LevelTriple(0, 1, 2, 1), 0, 1)
+        cuts = tuple(cuts)
     corrupt = draw(st.sampled_from((None, "u", "v", "x", "y", "z")))
     if corrupt is not None:
         pieces[corrupt] = draw(st.text("ab", max_size=3))
-    return pda, path, Decomposition(case=case, witness=witness, params=None, **pieces)
+    return pda, path, Decomposition(cuts=cuts, case=case, witness=witness, params=None, **pieces)
 
 
 @given(runs_with_cuts())
