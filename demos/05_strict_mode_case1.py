@@ -21,7 +21,7 @@ print(f"machine {reg.name}: p'={params.p_prime}, p={params.p}, |word|={len(word)
 res = extract(reg.pda, word, mode=ExtractionMode.STRICT)
 d = res.decomposition
 print(f"case = {d.case}, repeated configuration at positions"
-      f" {d.witness.i} and {d.witness.j} (depth {d.witness.depth})")
+      f" {d.cuts[0]} and {d.cuts[1]} (depth {d.witness.depth})")
 print(f"  u={d.u!r} v={d.v!r} y={d.y!r} z={d.z!r} |x|={len(d.x)}")
 
 c = check_constraints(d, word)

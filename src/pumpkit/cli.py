@@ -203,7 +203,7 @@ def _witnesses_json(result) -> dict:
         out["levelTriple"] = None
     w = d.witness
     if isinstance(w, Case1Witness):
-        out["case1"] = {"i": w.i, "j": w.j, "depth": w.depth}
+        out["case1"] = {"i": d.cuts[0], "j": d.cuts[1], "depth": w.depth}
     else:
         lp_g, lp_h, fp_h, fp_g = d.cuts
         out["case2"] = {

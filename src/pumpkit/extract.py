@@ -66,8 +66,9 @@ class ExtractionMode(enum.Enum):
 
 @dataclass(frozen=True)
 class Case1Witness:
-    i: int
-    j: int
+    """The repeated configuration's depth; its two positions are the
+    decomposition's first two cuts."""
+
     depth: int
 
 
@@ -279,7 +280,7 @@ def extract(
     if level < params.p_prime or not strict:
         config_pairs, pairs = _case1_pairs(path, window_end, level)
         for i, j in pairs:
-            d = attempt("case1", (i, j), (i, j, steps_total, steps_total), Case1Witness(i, j, level))
+            d = attempt("case1", (i, j), (i, j, steps_total, steps_total), Case1Witness(level))
             if d is not None:
                 return ExtractionResult(d, diag("case1"), path)
 

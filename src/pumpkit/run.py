@@ -4,30 +4,37 @@ minimal_accepting_path is a breadth-first search over instantaneous
 descriptions with unit step cost, so the first accepting description dequeued
 sits at the end of a minimal accepting transition sequence. Exact
 (state, position, stack) repeats are deduplicated; ties break by declared
-transition order. Stacks are hash-consed so visited-set entries stay O(1)
-regardless of stack depth.
+transition order.
 
 accepts() answers membership only. It is a deliberately separate search loop
-(and also simulates general machines) so it can serve as an oracle that
-shares no decomposition or path-reconstruction code.
+(and also simulates general machines) so it can serve as an oracle: the two
+searches share no code.
 
-Both searches start by indexing the transitions by (source state, popped
-symbol) into a move table whose buckets keep declared order, so a dequeued
-description looks up its moves once instead of scanning every transition of
-its state, and both intern stack cells inline. Each search builds its own
-table and runs its own loop; they share only the _Node cell type.
+Each search encodes its descriptions as plain ints, built per call. States
+are numbered with the initial state as 0, and stack symbols 0..width-1. The
+move table is a flat list indexed by state * width + popped symbol whose
+buckets keep declared order, so a dequeued description looks up its moves
+once. A stack is an int cell described by three parallel lists, sym, below
+and size; cell 0 is the empty stack, and cells are interned by
+below * width + symbol, so equal stacks are equal cells and a visited key
+stays O(1) whatever the stack depth. That key is the one int
+(cell * (len(word) + 1) + position) * n_states + state.
+minimal_accepting_path keeps its parent chain as two int lists, the parent
+description and the transition index. The cyclic garbage collector does not
+track ints, so neither search allocates a tracked object that outlives a
+description, and the collector's work does not grow with the word.
 
 RunPath.stacks is the one forward walk over the stacks of a run; stack_at
 and the configuration and full-state readers in levels.py all use it.
 
 walk is the one copy of the replay step semantics: replay runs it over a
 whole transition sequence, and verify.replay_pumps over the pieces of a run
-between its checkpoints.
+between its checkpoints. _run_path builds the RunPath of a transition
+sequence for replay and for the minimal-run search.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -138,17 +145,6 @@ class RunPath:
         return tuple(stack)
 
 
-class _Node:
-    """Interned immutable stack cell; identity equality == stack equality."""
-
-    __slots__ = ("sym", "below", "size")
-
-    def __init__(self, sym, below, size):
-        self.sym = sym
-        self.below = below
-        self.size = size
-
-
 def minimal_accepting_path(pda: NormalizedPda, word, limits: SearchLimits | None = None):
     """Find a minimal accepting run, or prove there is none.
 
@@ -160,92 +156,115 @@ def minimal_accepting_path(pda: NormalizedPda, word, limits: SearchLimits | None
         limits = default_limits(pda, word)
     max_steps = limits.max_steps
     max_height = limits.max_stack_height
-    # (state, top) -> [(letter, target, extra, transition)], declared order
-    table: dict = {}
+    state_ids = {pda.initial_state: 0}
+    symbol_ids: dict = {}
+    for s in pda.initial_stack:
+        symbol_ids.setdefault(s, len(symbol_ids))
     for t in pda.transitions:
-        table.setdefault((t.source, t.pop), []).append((t.letter, t.target, t.extra, t))
-    moves_for = table.get
-    interned: dict = {}  # (symbol, cell below) -> cell
+        state_ids.setdefault(t.source, len(state_ids))
+        state_ids.setdefault(t.target, len(state_ids))
+        symbol_ids.setdefault(t.pop, len(symbol_ids))
+        if t.extra is not None:
+            symbol_ids.setdefault(t.extra, len(symbol_ids))
+    n_states = len(state_ids)
+    width = len(symbol_ids)
+    accepting = {state_ids[q] for q in pda.accept_states if q in state_ids}
+    # state * width + top -> [(letter, target, pushed symbol or -1, transition
+    # index)], declared order
+    table: list = [None] * (n_states * width)
+    for index, t in enumerate(pda.transitions):
+        slot = state_ids[t.source] * width + symbol_ids[t.pop]
+        if table[slot] is None:
+            table[slot] = []
+        extra = -1 if t.extra is None else symbol_ids[t.extra]
+        table[slot].append((t.letter, state_ids[t.target], extra, index))
+    # Stack cells: cell 0 is the empty stack; below * width + symbol -> cell.
+    sym = [-1]
+    below = [0]
+    size = [0]
+    interned: dict = {}
     lookup = interned.get
-    root = None
-    for sym in pda.initial_stack:
-        cell = _Node(sym, root, 1 if root is None else root.size + 1)
-        interned[(sym, root)] = cell
-        root = cell
+    cell = 0
+    for s in pda.initial_stack:
+        top = interned[cell * width + symbol_ids[s]] = len(sym)
+        sym.append(symbol_ids[s])
+        below.append(cell)
+        size.append(size[cell] + 1)
+        cell = top
     n = len(word)
-    accept_states = pda.accept_states
-    # entry: (state, pos, node, depth, parent_entry, transition)
-    start = (pda.initial_state, 0, root, 0, None, None)
-    visited = {(start[0], start[1], start[2])}
+    n1 = n + 1
+    # Description d is keys[d], (cell * n1 + pos) * n_states + state; it was
+    # reached from description parent[d] by transition via[d]. keys is also
+    # the queue: descriptions are numbered in the order they are found.
+    start = cell * n1 * n_states
+    keys = [start]
+    parent = [-1]
+    via = [-1]
+    visited = {start}
     mark = visited.add
-    queue = deque([start])
-    dequeue = queue.popleft
-    enqueue = queue.append
+    depth = 1  # steps to the successors of the description being expanded
+    level_end = 1  # keys[level_end:] are one step deeper than it
     cut_steps = cut_height = False
 
-    while queue:
-        entry = dequeue()
-        state, pos, node, depth, _, _ = entry
-        if state in accept_states and pos == n:
-            return _reconstruct(word, entry, pda)
-        if node is None:
+    for d, key in enumerate(keys):
+        if d == level_end:
+            depth += 1
+            level_end = len(keys)
+        state = key % n_states
+        rest = key // n_states
+        pos = rest % n1
+        cell = rest // n1
+        if pos == n and state in accepting:
+            return _reconstruct(pda, word, parent, via, d)
+        if not cell:
             continue  # empty stack: no transition can fire
-        bucket = moves_for((state, node.sym))
+        bucket = table[state * width + sym[cell]]
         if bucket is None:
             continue
         letter_here = word[pos] if pos < n else None
-        depth += 1
-        for letter, target, extra, t in bucket:
+        for letter, target, extra, index in bucket:
             npos = pos
             if letter is not None:
                 if letter != letter_here:
                     continue
                 npos = pos + 1
-            if extra is None:
-                child = node.below
+            if extra < 0:
+                child = below[cell]
             else:
-                child = lookup((extra, node))
+                at = cell * width + extra
+                child = lookup(at)
                 if child is None:
-                    child = interned[(extra, node)] = _Node(extra, node, node.size + 1)
-            key = (target, npos, child)
-            if key in visited:
+                    child = interned[at] = len(sym)
+                    sym.append(extra)
+                    below.append(cell)
+                    size.append(size[cell] + 1)
+            found = (child * n1 + npos) * n_states + target
+            if found in visited:
                 continue
             if depth > max_steps:
                 cut_steps = True
                 continue
-            if child is not None and child.size > max_height:
+            if child and size[child] > max_height:
                 cut_height = True
                 continue
-            mark(key)
-            enqueue((target, npos, child, depth, entry, t))
+            mark(found)
+            keys.append(found)
+            parent.append(d)
+            via.append(index)
 
     if cut_steps or cut_height:
         return LimitExceeded(by_steps=cut_steps, by_height=cut_height)
     return NotAccepted()
 
 
-def _reconstruct(word, entry, pda: NormalizedPda) -> RunPath:
+def _reconstruct(pda: NormalizedPda, word, parent, via, d) -> RunPath:
+    """The run that reached description d, read back along the parent chain."""
     steps = []
-    profile = []
-    letters = []
-    while entry is not None:
-        state, pos, node, depth, parent, t = entry
-        profile.append(0 if node is None else node.size)
-        letters.append(pos)
-        if t is not None:
-            steps.append(t)
-        entry = parent
+    while d:  # description 0 is the start
+        steps.append(pda.transitions[via[d]])
+        d = parent[d]
     steps.reverse()
-    profile.reverse()
-    letters.reverse()
-    return RunPath(
-        word=word,
-        steps=tuple(steps),
-        profile=tuple(profile),
-        letters_read=tuple(letters),
-        initial_state=pda.initial_state,
-        initial_stack=pda.initial_stack,
-    )
+    return _run_path(pda, word, steps)
 
 
 def accepts(pda: Pda, word, limits: SearchLimits | None = None):
@@ -258,70 +277,101 @@ def accepts(pda: Pda, word, limits: SearchLimits | None = None):
         limits = default_limits(pda, word)
     max_steps = limits.max_steps
     max_height = limits.max_stack_height
-    # (state, top) -> [(letter, target, keeps_top, suffix)], declared order.
-    # A push that starts with the popped symbol keeps the current cell and
-    # pushes only the rest: interning makes that the cell a pop followed by
-    # the full push would reach.
-    moves: dict = {}
+    state_ids = {pda.initial_state: 0}
+    symbol_ids: dict = {}
+    for s in pda.initial_stack:
+        symbol_ids.setdefault(s, len(symbol_ids))
+    for t in pda.transitions:
+        state_ids.setdefault(t.source, len(state_ids))
+        state_ids.setdefault(t.target, len(state_ids))
+        symbol_ids.setdefault(t.pop, len(symbol_ids))
+        for s in t.push:
+            symbol_ids.setdefault(s, len(symbol_ids))
+    n_states = len(state_ids)
+    width = len(symbol_ids)
+    accepting = {state_ids[q] for q in pda.accept_states if q in state_ids}
+    # state * width + top -> [(letter, target, keeps_top, suffix)], declared
+    # order. A push that starts with the popped symbol keeps the current cell
+    # and pushes only the rest: interning makes that the cell a pop followed
+    # by the full push would reach.
+    moves: list = [None] * (n_states * width)
     for t in pda.transitions:
         push = t.push
         keeps_top = bool(push) and push[0] == t.pop
-        moves.setdefault((t.source, t.pop), []).append(
-            (t.letter, t.target, keeps_top, push[1:] if keeps_top else push)
-        )
-    moves_for = moves.get
-    cells: dict = {}  # (symbol, cell below) -> cell
+        slot = state_ids[t.source] * width + symbol_ids[t.pop]
+        if moves[slot] is None:
+            moves[slot] = []
+        suffix = tuple(symbol_ids[s] for s in (push[1:] if keeps_top else push))
+        moves[slot].append((t.letter, state_ids[t.target], keeps_top, suffix))
+    # Stack cells: cell 0 is the empty stack; below * width + symbol -> cell.
+    sym = [-1]
+    below = [0]
+    size = [0]
+    cells: dict = {}
     get_cell = cells.get
-    node = None
-    for sym in pda.initial_stack:
-        above = _Node(sym, node, 1 if node is None else node.size + 1)
-        cells[(sym, node)] = above
-        node = above
+    cell = 0
+    for s in pda.initial_stack:
+        top = cells[cell * width + symbol_ids[s]] = len(sym)
+        sym.append(symbol_ids[s])
+        below.append(cell)
+        size.append(size[cell] + 1)
+        cell = top
     n = len(word)
-    accept_states = pda.accept_states
-    visited = {(pda.initial_state, 0, node)}
+    n1 = n + 1
+    # A description is (cell * n1 + pos) * n_states + state. queue holds the
+    # descriptions in the order they are found and is read front to back.
+    start = cell * n1 * n_states
+    queue = [start]
+    enqueue = queue.append
+    visited = {start}
     seen = visited.add
-    queue = deque([(pda.initial_state, 0, node, 0)])
-    popleft = queue.popleft
-    append = queue.append
+    depth = 1  # steps to the successors of the description being expanded
+    level_end = 1  # queue[level_end:] are one step deeper than it
     cut_steps = cut_height = False
 
-    while queue:
-        state, pos, node, depth = popleft()
-        if state in accept_states and pos == n:
+    for i, key in enumerate(queue):
+        if i == level_end:
+            depth += 1
+            level_end = len(queue)
+        state = key % n_states
+        rest = key // n_states
+        pos = rest % n1
+        cell = rest // n1
+        if pos == n and state in accepting:
             return Accepted()
-        if node is None:
+        if not cell:
             continue
-        bucket = moves_for((state, node.sym))
+        bucket = moves[state * width + sym[cell]]
         if bucket is None:
             continue
         here = word[pos] if pos < n else None
-        depth += 1
         for letter, target, keeps_top, suffix in bucket:
             npos = pos
             if letter is not None:
                 if letter != here:
                     continue
                 npos = pos + 1
-            child = node if keeps_top else node.below
-            for sym in suffix:
-                above = get_cell((sym, child))
+            child = cell if keeps_top else below[cell]
+            for s in suffix:
+                at = child * width + s
+                above = get_cell(at)
                 if above is None:
-                    above = cells[(sym, child)] = _Node(
-                        sym, child, 1 if child is None else child.size + 1
-                    )
+                    above = cells[at] = len(sym)
+                    sym.append(s)
+                    below.append(child)
+                    size.append(size[child] + 1)
                 child = above
-            key = (target, npos, child)
-            if key in visited:
+            found = (child * n1 + npos) * n_states + target
+            if found in visited:
                 continue
             if depth > max_steps:
                 cut_steps = True
                 continue
-            if child is not None and child.size > max_height:
+            if child and size[child] > max_height:
                 cut_height = True
                 continue
-            seen(key)
-            append((target, npos, child, depth))
+            seen(found)
+            enqueue(found)
 
     if cut_steps or cut_height:
         return LimitExceeded(by_steps=cut_steps, by_height=cut_height)
@@ -367,7 +417,12 @@ def replay(pda: Pda, steps, word):
         return ReplayError(len(steps), "not-accepting")
     if pos != len(word):
         return ReplayError(len(steps), "input-remaining")
-    # Every step fired, so each popped one symbol and pushed its push.
+    return _run_path(pda, word, steps)
+
+
+def _run_path(pda: Pda, word, steps) -> RunPath:
+    """The RunPath of steps, a sequence that fires from the initial
+    description: each step pops one symbol and pushes its push."""
     return RunPath(
         word=word,
         steps=tuple(steps),

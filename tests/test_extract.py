@@ -107,8 +107,7 @@ class TestExtract:
         res = extract(reg_ab, word, mode=ExtractionMode.STRICT)
         d = res.decomposition
         assert d.case == "case1"
-        assert isinstance(d.witness, Case1Witness)
-        assert (d.witness.i, d.witness.j) == (0, 2)
+        assert d.witness == Case1Witness(depth=1)
         assert d.cuts == (0, 2, 34, 34)
         assert d.u == "" and d.v == "ab"
         assert d.x == "ab" * 16
@@ -195,7 +194,7 @@ class TestExtract:
 class TestCase1Decompose:
     def test_first_pair_semantics(self, reg_ab):
         d = extract(reg_ab, "abab", mode=ExtractionMode.BEST_EFFORT).decomposition
-        assert (d.witness.i, d.witness.j) == (0, 2)
+        assert d.cuts[:2] == (0, 2)
         assert d.v == "ab"
         assert d.y == "" and d.z == ""
 
@@ -286,7 +285,7 @@ class TestFallbacks:
         ]
         d = res.decomposition
         assert d.case == "case1"
-        assert (d.witness.i, d.witness.j) == (1, 3)
+        assert d.cuts[:2] == (1, 3)
         assert d.v == "bb"
 
 

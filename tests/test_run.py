@@ -1,3 +1,5 @@
+import gc
+import platform
 from collections import deque
 
 import pytest
@@ -207,3 +209,36 @@ def test_found_paths_replay_to_themselves(m):
         assert again.profile == path.profile
         # unit steps by construction on normalized machines
         assert all(abs(a - b) == 1 for a, b in zip(path.profile, path.profile[1:]))
+
+
+def _tracked_net(search, entry, m):
+    """Tracked objects allocated and not freed across one search, counted
+    with the collector off so no collection resets the counter."""
+    word = entry.generate(m)
+    limits = default_limits(entry.pda, word)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        search(entry.pda, word, limits)
+        return gc.get_count()[0] - before
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython",
+    reason="gc.get_count()[0] is CPython's count of tracked allocations",
+)
+@pytest.mark.parametrize(
+    "name, search",
+    [("DYCK1", accepts), ("DYCK1", minimal_accepting_path), ("GEN_PAL", accepts)],
+    ids=["accepts-DYCK1", "minimal_accepting_path-DYCK1", "accepts-GEN_PAL"],
+)
+def test_searches_allocate_no_tracked_object_per_description(name, search):
+    # Descriptions, stack cells and the parent chain are plain ints, which the
+    # cyclic collector does not track, so the count stays flat in the word.
+    entry = BUILTINS[name]
+    assert _tracked_net(search, entry, 1000) <= _tracked_net(search, entry, 100) + 10

@@ -28,6 +28,7 @@ from pumpkit import (
     GeneralTransition,
     LimitExceeded,
     NormalizedPda,
+    NormalizedTransition,
     NotAccepted,
     PumpingLengthOverflowError,
     RunPath,
@@ -294,6 +295,102 @@ def test_accepts_matches_reference_on_generated_machines(pda, word, limits):
 def test_minimal_path_matches_reference_on_generated_machines(pda, word, limits):
     npda = normalize(pda)
     assert _minimal_path_summary(npda, word, limits) == reference_minimal_path(npda, word, limits)
+
+
+def _assert_both_match(pda, words, limits_grid=LIMIT_GRID):
+    """accepts and, on a normalized machine, minimal_accepting_path give the
+    reference verdict and run on every word under every limit."""
+    for word in words:
+        for limits in limits_grid:
+            assert accepts(pda, word, limits) == reference_accepts(pda, word, limits), (word, limits)
+            if isinstance(pda, NormalizedPda):
+                expected = reference_minimal_path(pda, word, limits)
+                assert _minimal_path_summary(pda, word, limits) == expected, (word, limits)
+
+
+@pytest.mark.parametrize("initial_stack", [(BOTTOM,), (BOTTOM, "A"), ()])
+def test_accepting_initial_state_without_transitions(initial_stack):
+    pda = NormalizedPda(
+        states=["q0"],
+        input_alphabet=["a"],
+        stack_alphabet=[BOTTOM, "A"],
+        initial_state="q0",
+        initial_stack=initial_stack,
+        accept_states=["q0"],
+        transitions=[],
+    )
+    _assert_both_match(pda, ["", "a"])
+    assert accepts(pda, "") == Accepted()
+    assert _minimal_path_summary(pda, "", None) == ((), (len(initial_stack),))
+
+
+@pytest.mark.parametrize("label, pda, entry", CORPUS, ids=[label for label, _, _ in CORPUS])
+def test_initial_stack_symbols_no_transition_pops(label, pda, entry):
+    # Z on top strands every run at once; Z under the bottom marker is
+    # reached only by machines that pop the marker.
+    words = _words(entry, top=6)
+    for stack in ((*pda.initial_stack, "Z"), ("Z", *pda.initial_stack), ("Z", "Y", "Z")):
+        _assert_both_match(replace(pda, initial_stack=stack), words)
+
+
+@pytest.mark.parametrize("label, pda, entry", CORPUS, ids=[label for label, _, _ in CORPUS])
+def test_letters_outside_the_input_alphabet(label, pda, entry):
+    words = ["#", "#" * 3]
+    for word in _words(entry, top=6):
+        if word:
+            middle = len(word) // 2
+            words += [word[:middle] + "#" + word[middle:], word + "#", "#" + word]
+    assert all(set(w) - pda.input_alphabet for w in words)
+    _assert_both_match(pda, words)
+
+
+def test_states_that_appear_only_as_targets():
+    # qf (accepting) and dead are only ever targets; dead is not even
+    # declared, and q1 is declared but unreachable.
+    pda = NormalizedPda(
+        states=["q0", "q1", "qf"],
+        input_alphabet=["a", "b"],
+        stack_alphabet=[BOTTOM, "A"],
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=["qf", "q1"],
+        transitions=[
+            NormalizedTransition("q0", "a", BOTTOM, "A", "q0"),
+            NormalizedTransition("q0", "a", "A", "A", "q0"),
+            NormalizedTransition("q0", "b", "A", None, "qf"),
+            NormalizedTransition("q0", "b", BOTTOM, None, "dead"),
+            NormalizedTransition("q0", None, "A", None, "dead"),
+        ],
+    )
+    words = ["", "a", "b", "ab", "aab", "aabb", "ba", "abb"]
+    _assert_both_match(pda, words)
+    assert [accepts(pda, w) == Accepted() for w in words] == [
+        False, False, False, True, True, False, False, False,
+    ]
+
+
+def test_emptied_stack_fires_nothing():
+    # Cell 0, the empty stack, has no top symbol: q1's pop of the bottom
+    # marker must not fire once q0 has popped it.
+    pda = NormalizedPda(
+        states=["q0", "q1", "qf"],
+        input_alphabet=["a"],
+        stack_alphabet=[BOTTOM],
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=["qf"],
+        transitions=[
+            NormalizedTransition("q0", None, BOTTOM, None, "q1"),
+            NormalizedTransition("q1", None, BOTTOM, None, "qf"),
+        ],
+    )
+    _assert_both_match(pda, ["", "a"])
+    assert accepts(pda, "") == NotAccepted()
+
+
+@pytest.mark.parametrize("label, pda, entry", CORPUS, ids=[label for label, _, _ in CORPUS])
+def test_zero_limits(label, pda, entry):
+    _assert_both_match(pda, _words(entry, top=6), [SearchLimits(0, 0)])
 
 
 def reference_default_limits(pda, word):

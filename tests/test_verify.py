@@ -66,12 +66,10 @@ class TestSplicing:
 
     def test_case1_splice_lengths(self, reg_ab):
         res = extract(reg_ab, "ab" * 17, mode=ExtractionMode.STRICT)
-        w = res.decomposition.witness
+        i, j = res.decomposition.cuts[:2]
         base = len(res.path.steps)
         for n in (0, 1, 2, 5):
-            assert len(spliced_steps(res.path, res.decomposition, n)) == base + (n - 1) * (
-                w.j - w.i
-            )
+            assert len(spliced_steps(res.path, res.decomposition, n)) == base + (n - 1) * (j - i)
 
     def test_replay_route(self, dyck1):
         res = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
@@ -307,7 +305,9 @@ def per_case_splice(path, d, n) -> tuple:
     flanks instead of read from the cuts."""
     steps, w = path.steps, d.witness
     if d.case == "case1":
-        return steps[: w.i] + steps[w.i : w.j] * n + steps[w.j :]
+        i, j, c, e = d.cuts
+        assert c == e == len(steps)
+        return steps[:i] + steps[i:j] * n + steps[j:]
     profile, t = path.profile, w.triple
     lp_g, lp_h = (max(y for y in range(t.i, t.j + 1) if profile[y] == h) for h in (w.g, w.h))
     fp_h, fp_g = (min(y for y in range(t.j, t.k + 1) if profile[y] == h) for h in (w.h, w.g))
@@ -387,7 +387,7 @@ def runs_with_cuts(draw):
         u=word[: at[0]], v=word[at[0] : at[1]], x=word[at[1] : at[2]], y=word[at[2] : at[3]], z=word[at[3] :]
     )
     if draw(st.booleans()):
-        case, witness = "case1", Case1Witness(cuts[0], cuts[3], 0)
+        case, witness = "case1", Case1Witness(0)
         cuts = (cuts[0], cuts[3], len(steps), len(steps))
         pieces.update(v=word[at[0] : at[3]], x=word[at[3] :], y="", z="")
     else:
