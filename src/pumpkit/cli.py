@@ -9,6 +9,7 @@ verification failed, 2 usage/parse/validation, 3 search limits exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -347,7 +348,7 @@ def cmd_pump(args) -> int:
     doc = _load(args.pda)
     _check_word(doc.pda, args.word)
     npda = normalize(doc.pda)
-    n_set = _parse_n_set(args.n) if args.n else DEFAULT_N_SET
+    n_set = _parse_n_set(args.n) if args.n is not None else DEFAULT_N_SET
     limits = _limits(npda, args.word, args)
     _check_writable(args)
     # Both report formats print p.
@@ -457,10 +458,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on first use and reused for the rest of
+    the process: building it costs about twenty times as much as a parse,
+    and parse_args reads each call into a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes.
         return EXIT_USAGE if exc.code not in (0,) else 0

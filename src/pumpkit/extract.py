@@ -44,10 +44,10 @@ from .errors import (
 )
 from .levels import (
     LevelTriple,
-    configurations_up_to,
+    configuration_keys,
     extract_sublevel,
     flank_cuts,
-    full_states,
+    full_state_keys,
     max_levels,
 )
 from .normalize import DEFAULT_P_BIT_LIMIT, PumpingParams, pumping_params
@@ -178,7 +178,7 @@ def _case1_pairs(path: RunPath, window_end: int, depth: int):
     Returns (count, lazy iterator in (i, j) order); one pass over positions
     0..window_end, the pairs themselves are never listed.
     """
-    return _equal_key_pairs(configurations_up_to(path, window_end, depth))
+    return _equal_key_pairs(configuration_keys(path, window_end, depth))
 
 
 def _case2_pairs(path: RunPath, cuts):
@@ -188,7 +188,7 @@ def _case2_pairs(path: RunPath, cuts):
     Returns (count, lazy iterator, g then h ascending); full states come
     from one linear pass over the run, the pairs are never listed.
     """
-    return _equal_key_pairs(full_states(path, cuts), base=path.profile[cuts[0][0]])
+    return _equal_key_pairs(full_state_keys(path, cuts), base=path.profile[cuts[0][0]])
 
 
 def extract(

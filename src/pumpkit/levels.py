@@ -8,18 +8,23 @@ confined to [s_i, s_j] on both flanks [i, j] and [j, k]. The level of a run
 max_level is the fast path: a single left-to-right sweep that tracks, for
 every height currently not undercut, the span of positions at that height and
 the peak seen inside the span; max_levels reads the windowed and the
-whole-run level off one such sweep. brute_force_max_level enumerates all
-(i, j, k) triples and tests the three conditions directly (vectorized with
-numpy, but still the O(n^3) check); it shares no code with the sweep and
-exists as an oracle for it. It is the only user of numpy, which it imports
-on call.
+whole-run level off one such sweep. The sweep keeps its best witness as
+plain ints and builds one LevelTriple per result it returns.
+brute_force_max_level enumerates all (i, j, k) triples and tests the three
+conditions directly (vectorized with numpy, but still the O(n^3) check); it
+shares no code with the sweep and exists as an oracle for it. It is the only
+user of numpy, which it imports on call.
 
-Configurations and full states read stacks from RunPath.stacks, the run's
-one forward walk. flank_cuts is the one flank reader: it scans both flanks
-of a triple outward from the peak once and returns the last push and first
-pop of every height from a chosen bottom up to s_j. extract_sublevel reads
-its two positions from it, full_states takes its list, and extract's case 2
-cuts the word at its entries.
+The witness scans read plain tuples: configuration_keys gives (state, top
+symbols) per position and full_state_keys (push state, top symbol, pop
+state) per height, with stacks from RunPath.stacks, the run's one forward
+walk, and states from the steps. extract groups these tuples;
+configurations_up_to and full_states wrap the same tuples in Configuration
+and FullState records. flank_cuts is the one flank reader: it scans both
+flanks of a triple outward from the peak once and returns the last push and
+first pop of every height from a chosen bottom up to s_j. extract_sublevel
+reads its two positions from it, full_state_keys takes its list, and
+extract's case 2 cuts the word at its entries.
 """
 
 from __future__ import annotations
@@ -80,9 +85,11 @@ def _check_unit_steps(profile) -> None:
             raise ValueError("profile must move in unit steps")
 
 
-def _sweep(s, start: int, stop: int, eras: list, best_n: int, best):
+def _sweep(s, start: int, stop: int, eras: list, best: tuple) -> tuple:
     """Advance the era sweep over positions start..stop-1 of s, updating
-    eras in place; returns the best closed triple so far."""
+    eras in place; returns the best closed triple so far as plain ints
+    (n, i, j, k), n = 0 when there is none."""
+    best_n, best_i, best_j, best_k = best
     for pos in range(start, stop):
         v = s[pos]
         if v > s[pos - 1]:
@@ -90,8 +97,7 @@ def _sweep(s, start: int, stop: int, eras: list, best_n: int, best):
             continue
         h, first, last, peak, peak_pos = eras.pop()
         if peak > h and last > first and peak - h > best_n:
-            best_n = peak - h
-            best = LevelTriple(first, peak_pos, last, best_n)
+            best_n, best_i, best_j, best_k = peak - h, first, peak_pos, last
         if eras and eras[-1][0] == v:
             # Propagate the closed excursion's peak into the enclosing era:
             # it lies between two of the parent's height-v touches.
@@ -104,21 +110,22 @@ def _sweep(s, start: int, stop: int, eras: list, best_n: int, best):
             # First touch of height v in this segment, reached from above:
             # the closed excursion predates it, so its peak must not count.
             eras.append([v, pos, pos, v, pos])
-    return best_n, best
+    return best_n, best_i, best_j, best_k
 
 
-def _close(eras: list, best_n: int, best) -> tuple[int, LevelTriple | None]:
-    """The sweep's result if the profile ended here, without changing eras.
+def _close(eras: list, best: tuple) -> tuple[int, LevelTriple | None]:
+    """The sweep's result if the profile ended here, without changing eras;
+    the one LevelTriple of the result is built here.
 
     Eras still open close with their recorded last touch, topmost first.
     Their peaks do not propagate upward: an enclosing era's last touch
     predates any child that survived to the end, so such peaks sit past its k.
     """
+    best_n, best_i, best_j, best_k = best
     for h, first, last, peak, peak_pos in reversed(eras):
         if peak > h and last > first and peak - h > best_n:
-            best_n = peak - h
-            best = LevelTriple(first, peak_pos, last, best_n)
-    return best_n, best
+            best_n, best_i, best_j, best_k = peak - h, first, peak_pos, last
+    return best_n, LevelTriple(best_i, best_j, best_k, best_n) if best_n else None
 
 
 def max_level(profile, window_end: int) -> tuple[int, LevelTriple | None]:
@@ -148,11 +155,11 @@ def max_levels(profile, window_end: int) -> tuple[tuple[int, LevelTriple | None]
     end = max(min(window_end, last), 0)
     # era record: [height, first, last, peak, peak_pos]
     eras = [[profile[0], 0, 0, profile[0], 0]]
-    best = _sweep(profile, 1, end + 1, eras, 0, None)
-    windowed = _close(eras, *best)
+    best = _sweep(profile, 1, end + 1, eras, (0, 0, 0, 0))
+    windowed = _close(eras, best)
     if end == last:
         return windowed, windowed
-    return windowed, _close(eras, *_sweep(profile, end + 1, last + 1, eras, *best))
+    return windowed, _close(eras, _sweep(profile, end + 1, last + 1, eras, best))
 
 
 def brute_force_max_level(profile, window_end: int) -> tuple[int, LevelTriple | None]:
@@ -233,41 +240,62 @@ def flank_cuts(profile, triple: LevelTriple, bottom: int | None = None) -> list[
     return list(zip(*found))
 
 
-def configurations_up_to(path: RunPath, last_pos: int, depth: int) -> list[Configuration]:
-    """Observable configurations at positions 0..last_pos, in one pass over
-    the steps: state plus the top `depth` symbols, blank-padded when the
-    stack is shallower."""
+def configuration_keys(path: RunPath, last_pos: int, depth: int) -> list[tuple[str, tuple[str, ...]]]:
+    """(state, top `depth` stack symbols top first) at positions 0..last_pos,
+    in one pass over the steps; shallower stacks are padded with blanks.
+
+    The case-1 scan groups these plain tuples; configurations_up_to wraps
+    them in Configuration records.
+    """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    states = [path.initial_state]
+    states += [t.target for t in path.steps[:last_pos]]
+    pad = (BLANK,) * depth
     out = []
-    for pos, stack in enumerate(path.stacks(last_pos)):
-        top_first = tuple(reversed(stack[-depth:] if depth else ()))
+    for state, stack in zip(states, path.stacks(last_pos)):
+        top_first = tuple(stack[: -depth - 1 : -1])
         if len(top_first) < depth:
-            top_first = top_first + (BLANK,) * (depth - len(top_first))
-        out.append(Configuration(path.state_at(pos), top_first))
+            top_first += pad[len(top_first) :]
+        out.append((state, top_first))
     return out
 
 
-def full_states(path: RunPath, cuts: list[tuple[int, int]]) -> list[FullState]:
-    """Full states of the heights whose flank_cuts are `cuts`, lowest first,
-    in time linear in the last cut.
+def configurations_up_to(path: RunPath, last_pos: int, depth: int) -> list[Configuration]:
+    """configuration_keys as Configuration records."""
+    return [Configuration(*key) for key in configuration_keys(path, last_pos, depth)]
 
-    One walk of the steps up to the farthest first pop records the stack top
-    at each position. The symbol at a height when it was last established on
+
+def full_state_keys(path: RunPath, cuts: list[tuple[int, int]]) -> list[tuple[str, str, str]]:
+    """(push state, top symbol, pop state) of the heights whose flank_cuts
+    are `cuts`, lowest first, in time linear in the last cut.
+
+    One walk of the steps up to the farthest cut records the stack top at
+    each position. The symbol at a height when it was last established on
     the rising flank provably still rests there at the first return on the
     falling flank; this is checked, and TopSymbolMismatchError raised, on
     corrupted paths, since a mismatch falsifies the construction the caller
-    is running.
+    is running. A cut outside the run raises IndexError.
     """
-    tops = [stack[-1] if stack else None for stack in path.stacks(max(fp for _, fp in cuts))]
+    positions = [pos for cut in cuts for pos in cut]
+    path.state_at(min(positions))  # IndexError for a cut before the run
+    last = max(positions)
+    tops = [stack[-1] if stack else None for stack in path.stacks(last)]
+    states = [path.initial_state]
+    states += [t.target for t in path.steps[:last]]
     out = []
     for h, (lp, fp) in enumerate(cuts, path.profile[cuts[0][0]]):
         if tops[lp] != tops[fp]:
             raise TopSymbolMismatchError(
                 f"height {h}: top symbol {tops[lp]!r} at position {lp} but {tops[fp]!r} at position {fp}"
             )
-        out.append(FullState(path.state_at(lp), tops[lp], path.state_at(fp)))
+        out.append((states[lp], tops[lp], states[fp]))
     return out
+
+
+def full_states(path: RunPath, cuts: list[tuple[int, int]]) -> list[FullState]:
+    """full_state_keys as FullState records."""
+    return [FullState(*key) for key in full_state_keys(path, cuts)]
 
 
 def extract_sublevel(profile, triple: LevelTriple, target: int) -> LevelTriple:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from pumpkit import BUILTINS, dumps, is_star_form, loads
+from pumpkit import cli
 from pumpkit.cli import main
 from pumpkit.pda import BOTTOM, NormalizedPda, NormalizedTransition
 
@@ -215,6 +217,13 @@ class TestPump:
         code, _, err = run(capsys, "pump", "DYCK1", "(())", "--mode", "best-effort", "--n=-1")
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["", ","])
+    def test_n_without_counts(self, capsys, n):
+        # an explicit empty --n is not the default pump counts
+        code, out, err = run(capsys, "pump", "DYCK1", "(())", "--mode", "best-effort", "--n", n)
+        assert (code, out) == (2, "")
+        assert err == "pumpkit: --n needs at least one nonnegative integer\n"
+
     def test_limits_exceeded(self, capsys):
         code, _, err = run(
             capsys, "pump", "DYCK1", "(())", "--mode", "best-effort", "--max-steps", "1"
@@ -345,6 +354,57 @@ class TestProfile:
             "pumpkit: no usable repeated configuration or full state in the run"
             " (config pairs: 0, full-state pairs: 0, candidates tried: 0)\n"
         )
+
+
+class TestParserReuse:
+    """main builds its parser once per process; each call parses afresh."""
+
+    def test_parsers_are_built_during_the_first_call_only(self, capsys, monkeypatch):
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._parser.cache_clear()
+        per_call = []
+        for argv in (("params", "DYCK1"), ("check", "DYCK1", "(())"), ("profile", "DYCK1", "(())")):
+            built.clear()
+            assert run(capsys, *argv)[0] == 0
+            per_call.append(len(built))
+        assert per_call[0] > 0
+        assert per_call[1:] == [0, 0]
+
+    def test_n_does_not_carry_over(self, capsys):
+        argv = ("pump", "DYCK1", "(((())))", "--mode", "best-effort", "--report", "json")
+        code, out, _ = run(capsys, *argv, "--n", "1")
+        assert [v["n"] for v in json.loads(out)["perN"]] == [1]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert [v["n"] for v in json.loads(out)["perN"]] == [0, 1, 2, 3, 4]
+
+    def test_budget_does_not_carry_over(self, capsys):
+        assert run(capsys, "check", "DYCK1", "(())", "--max-steps", "0") == (3, "limit-exceeded\t(())\n", "")
+        assert run(capsys, "check", "DYCK1", "(())") == (0, "accepted\t(())\n", "")
+
+    def test_annotate_does_not_carry_over(self, capsys):
+        plain = run(capsys, "profile", "DYCK1", "(((())))")
+        annotated = run(capsys, "profile", "DYCK1", "(((())))", "--annotate")
+        assert annotated[1].splitlines()[-3:] == ["   i   j   k", "    gh   hg", "   uvxxxxyzzz"]
+        again = run(capsys, "profile", "DYCK1", "(((())))")
+        assert again == plain
+        assert "uvxxxxyzzz" not in again[1]
+
+    def test_usage_error_between_good_calls(self, capsys):
+        argv = ("pump", "REG_AB", "abab", "--mode", "best-effort", "--report", "json", "--n", "0,3")
+        first = run(capsys, *argv)
+        code, out, err = run(capsys, "pump", "REG_AB", "--n", "5", "--bogus")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: pumpkit pump")
+        assert run(capsys, *argv) == first
+        assert first[0] == 0
 
 
 BUDGET_COMMANDS = (

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
@@ -16,6 +17,7 @@ from pumpkit import (
     NotAcceptedError,
     StrictPreconditionError,
     TopSymbolMismatchError,
+    configurations_up_to,
     extract,
     extract_sublevel,
     flank_cuts,
@@ -311,6 +313,45 @@ class TestPairOrder:
                 expected = reference_case2_pairs(path, triple)
                 available, pairs = _case2_pairs(path, flank_cuts(path.profile, triple))
                 assert (available, list(pairs)) == (len(expected), expected)
+
+
+def grouped_record_pairs(records, base=0, first=50):
+    """Pair count and the first pairs, a then b ascending, of equal records
+    (Configuration or FullState), grouped through the records' own == and hash."""
+    groups: dict = {}
+    for index, record in enumerate(records, base):
+        groups.setdefault(record, []).append(index)
+    count = sum(len(g) * (len(g) - 1) // 2 for g in groups.values())
+    pairs = []
+    for a, record in enumerate(records, base):
+        pairs += [(a, b) for b in groups[record] if b > a]
+        if len(pairs) >= first:
+            break
+    return count, pairs[:first]
+
+
+class TestPairsOverRecords:
+    """The scans group plain tuples; grouping the records gives the same pairs."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    @pytest.mark.parametrize("m", [100, 400])
+    def test_same_count_and_first_pairs(self, name, m):
+        entry = BUILTINS[name]
+        path = minimal_accepting_path(normalize(entry.pda), entry.generate(m))
+        last = len(path.steps)
+        level, witness = max_level(path.profile, last)
+        for depth in sorted({0, 1, level, level + 2}):
+            available, pairs = _case1_pairs(path, last, depth)
+            expected = grouped_record_pairs(configurations_up_to(path, last, depth))
+            assert (available, list(islice(pairs, 50))) == expected
+        if witness is None:
+            return
+        for target in sorted({1, witness.n}):
+            triple = extract_sublevel(path.profile, witness, target)
+            cuts = flank_cuts(path.profile, triple)
+            available, pairs = _case2_pairs(path, cuts)
+            expected = grouped_record_pairs(full_states(path, cuts), base=path.profile[triple.i])
+            assert (available, list(islice(pairs, 50))) == expected
 
 
 class TestOnNormalizedGeneralMachines:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from pumpkit import (
     BLANK,
     BOTTOM,
+    BUILTINS,
     Configuration,
     FullState,
     LevelTriple,
@@ -18,8 +19,9 @@ from pumpkit import (
     is_valid_level_triple,
     max_level,
     minimal_accepting_path,
+    normalize,
 )
-from pumpkit.levels import max_levels
+from pumpkit.levels import configuration_keys, full_state_keys, max_levels
 
 
 
@@ -97,6 +99,23 @@ class TestMaxLevel:
             assert max_levels(profile, window_end) == (windowed, whole), (trial, window_end)
             assert max_levels(profile, length - 1) == (whole, whole)
             assert max_level(profile, window_end) == windowed
+
+    def test_sweep_builds_at_most_two_triples(self, monkeypatch):
+        # on a mountain every down-step improves the best triple; the sweep
+        # keeps it as ints and builds a LevelTriple per result only
+        built = []
+
+        def counted(*fields):
+            built.append(fields)
+            return LevelTriple(*fields)
+
+        monkeypatch.setattr("pumpkit.levels.LevelTriple", counted)
+        prof = tuple(range(1001)) + tuple(range(999, -1, -1))
+        for window_end in (2000, 1500):
+            built.clear()
+            expected = (reference_max_level(prof, window_end), reference_max_level(prof, 2000))
+            assert max_levels(prof, window_end) == expected
+            assert len(built) <= 2
 
     def test_one_sweep_checks_steps_past_the_window(self):
         with pytest.raises(ValueError):
@@ -283,6 +302,44 @@ class TestConfigurations:
             assert configurations_up_to(path, len(path.steps), depth) == single
 
 
+@st.composite
+def corpus_runs(draw):
+    """A minimal accepting run of a corpus word on a normalized builtin."""
+    entry = BUILTINS[draw(st.sampled_from(sorted(BUILTINS)))]
+    return minimal_accepting_path(normalize(entry.pda), entry.generate(draw(st.integers(1, 12))))
+
+
+@given(corpus_runs(), st.integers(0, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_tuple_readers_equal_the_records(path, depth, data):
+    last = len(path.steps)
+    keys = configuration_keys(path, last, depth)
+    assert [(c.state, c.top_stack) for c in configurations_up_to(path, last, depth)] == keys
+    # each position read on its own, blank padding included
+    for pos, (state, top_first) in enumerate(keys):
+        stack = tuple(reversed(path.stack_at(pos)))[:depth]
+        assert (state, top_first) == (path.state_at(pos), stack + (BLANK,) * (depth - len(stack)))
+    for pos in (-1, last + 1):
+        for reader in (configuration_keys, configurations_up_to):
+            with pytest.raises(IndexError):
+                reader(path, pos, depth)
+
+    _, witness = max_level(path.profile, last)
+    if witness is None:
+        return
+    bottom = data.draw(st.integers(path.profile[witness.i], path.profile[witness.j]))
+    cuts = flank_cuts(path.profile, witness, bottom)
+    keys = full_state_keys(path, cuts)
+    assert [(f.push_state, f.top_symbol, f.pop_state) for f in full_states(path, cuts)] == keys
+    for (lp, fp), (push_state, top, pop_state) in zip(cuts, keys):
+        assert (push_state, top, pop_state) == (path.state_at(lp), path.stack_at(lp)[-1], path.state_at(fp))
+    (lp, fp), *rest = cuts
+    for bad in ([(lp, last + 1), *rest], [(-1, fp), *rest]):
+        for reader in (full_state_keys, full_states):
+            with pytest.raises(IndexError):
+                reader(path, bad)
+
+
 class TestFullState:
     def test_dyck1_golden_run(self, dyck1):
         path = minimal_accepting_path(dyck1, "(((())))")
@@ -292,8 +349,9 @@ class TestFullState:
 
     def test_mismatched_tops_raise(self, mismatched_tops_path):
         cuts = flank_cuts(mismatched_tops_path.profile, LevelTriple(0, 2, 4, 2))
-        with pytest.raises(TopSymbolMismatchError):
-            full_states(mismatched_tops_path, cuts)
+        for reader in (full_state_keys, full_states):
+            with pytest.raises(TopSymbolMismatchError, match="height 2: top symbol 'X' at position 1 but 'Y' at position 3"):
+                reader(mismatched_tops_path, cuts)
 
 
 class TestSublevel:
