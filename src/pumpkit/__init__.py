@@ -60,6 +60,7 @@ from .run import (
     RunPath,
     SearchLimits,
     accepts,
+    accepts_each,
     default_limits,
     minimal_accepting_path,
     replay,

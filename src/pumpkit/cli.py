@@ -303,11 +303,12 @@ def _report_text(result, report) -> str:
 
 
 def _parse_n_set(text: str) -> tuple[int, ...]:
+    parts = text.split(",")
     try:
-        values = tuple(int(part) for part in text.split(",") if part != "")
+        values = tuple(int(part) for part in parts if part != "")
     except ValueError:
         raise CliError(EXIT_USAGE, f"--n expects comma-separated integers, got {text!r}") from None
-    if not values or any(n < 0 for n in values):
+    if len(values) < len(parts) or any(n < 0 for n in values):
         raise CliError(EXIT_USAGE, "--n needs at least one nonnegative integer")
     return values
 

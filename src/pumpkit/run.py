@@ -6,9 +6,40 @@ sits at the end of a minimal accepting transition sequence. Exact
 (state, position, stack) repeats are deduplicated; ties break by declared
 transition order.
 
-accepts() answers membership only. It is a deliberately separate search loop
-(and also simulates general machines) so it can serve as an oracle: the two
-searches share no code.
+accepts_each() answers membership only, for several words at once, and
+accepts() is its one-word call. It is a deliberately separate search loop
+(and also simulates general machines) so it can serve as an oracle: it
+shares no code with minimal_accepting_path or the replay side.
+
+accepts_each searches the prefix tree (trie) of its words. A trie node is a
+text offset: the position in a word, whose next letter is word[pos], and
+the words are split into branches by their next letter only where they
+diverge. A chain is a stretch of the tree with no fork: the letters a group
+of words shares, from the fork it starts at to the next one, or a whole
+word's tail. Descriptions at a position depend only on the letters before
+it, so each chain is searched once for all of its words, by its own
+level-synchronous breadth-first search. The chain's last position is the
+fork: its descriptions are expanded by epsilon moves only (the chain's word
+"ends" there) and parked with their exact depths. Each branch is then
+seeded with the parked descriptions, each at its own level, so every
+description keeps its breadth-first depth. A chain's visited set and queue
+are freed when it is done, and the stack cells created under a branch are
+truncated from the cell arena before its next sibling starts, so the
+search holds the descriptions of one chain at a time. A tail that ends a word
+accepts it when an accepting state is dequeued at its end, as in a
+one-word search. A chain that ends at a fork accepts nothing, so it runs
+until its descriptions are spent or cut: where epsilon moves push without
+end, a shared stretch is searched up to the limits, past the depth at which
+a one-word search of an accepted word would have stopped.
+
+The words' limits differ, since default_limits grows with the word. The
+tree is searched under the largest limits of the batch; a description
+found past the smallest ones (the same compare that cuts a search) is a
+crossing, and the chain records the largest depth and stack size crossed.
+A word whose path crossed its own limits is searched again alone under
+them, unless its limits are the largest; otherwise its verdict and
+LimitExceeded flags are exactly those of a one-word search. For one word
+the smallest and largest limits are the same, so this is the plain cut.
 
 Each search encodes its descriptions as plain ints, built per call. States
 are numbered with the initial state as 0, and stack symbols 0..width-1. The
@@ -18,7 +49,9 @@ once. A stack is an int cell described by three parallel lists, sym, below
 and size; cell 0 is the empty stack, and cells are interned by
 below * width + symbol, so equal stacks are equal cells and a visited key
 stays O(1) whatever the stack depth. That key is the one int
-(cell * (len(word) + 1) + position) * n_states + state.
+(cell * (len(word) + 1) + position) * n_states + state, where accepts_each
+takes the length of its longest word, so a parked key stays valid in every
+branch.
 minimal_accepting_path keeps its parent chain as two int lists, the parent
 description and the transition index. The cyclic garbage collector does not
 track ints, so neither search allocates a tracked object that outlives a
@@ -271,12 +304,65 @@ def accepts(pda: Pda, word, limits: SearchLimits | None = None):
     """Membership verdict only: Accepted, NotAccepted, or LimitExceeded.
 
     Handles general machines too (pushes of any length), which makes it
-    usable as the before/after oracle for normalization equivalence.
+    usable as the before/after oracle for normalization equivalence. It is
+    the one-word call of accepts_each.
     """
+    return accepts_each(pda, (word,), None if limits is None else (limits,))[0]
+
+
+def _shared_prefix(a, b, lo: int) -> int:
+    """The length of the longest common prefix of a and b, given that their
+    first lo letters agree; slice compares halve the unknown stretch."""
+    hi = min(len(a), len(b))
+    if a[lo:hi] == b[lo:hi]:
+        return hi
+    while hi - lo > 1:  # a[:lo] == b[:lo] and a[:hi] != b[:hi]
+        mid = (lo + hi) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _merge_seeds(levels, keys, si: int, level: int, visited: set, queue: list) -> int:
+    """Queue the seeds of one level that the chain has not reached yet and
+    return the index of the first seed of a later level."""
+    while si < len(keys) and levels[si] == level:
+        if keys[si] not in visited:
+            visited.add(keys[si])
+            queue.append(keys[si])
+        si += 1
+    return si
+
+
+_ENDS = object()  # branch key of the words that end at a fork
+
+
+def accepts_each(pda: Pda, words, limits=None) -> tuple:
+    """Membership verdicts for several words, in their order, from one
+    search over the prefix tree of the words; see the module docstring.
+
+    limits is None (each word gets default_limits) or one SearchLimits per
+    word. Each verdict, LimitExceeded flags included, equals the one-word
+    search of that word under its own limits.
+    """
+    words = tuple(words)
     if limits is None:
-        limits = default_limits(pda, word)
-    max_steps = limits.max_steps
-    max_height = limits.max_stack_height
+        limits = tuple(default_limits(pda, w) for w in words)
+    else:
+        limits = tuple(limits)
+        if len(limits) != len(words):
+            raise ValueError(f"{len(limits)} limits for {len(words)} words")
+    if not words:
+        return ()
+    lo_steps = hi_steps = limits[0].max_steps
+    lo_height = hi_height = limits[0].max_stack_height
+    for own in limits[1:]:
+        lo_steps = min(lo_steps, own.max_steps)
+        hi_steps = max(hi_steps, own.max_steps)
+        lo_height = min(lo_height, own.max_stack_height)
+        hi_height = max(hi_height, own.max_stack_height)
     state_ids = {pda.initial_state: 0}
     symbol_ids: dict = {}
     for s in pda.initial_stack:
@@ -316,66 +402,132 @@ def accepts(pda: Pda, word, limits: SearchLimits | None = None):
         below.append(cell)
         size.append(size[cell] + 1)
         cell = top
-    n = len(word)
-    n1 = n + 1
-    # A description is (cell * n1 + pos) * n_states + state. queue holds the
-    # descriptions in the order they are found and is read front to back.
-    start = cell * n1 * n_states
-    queue = [start]
-    enqueue = queue.append
-    visited = {start}
-    seen = visited.add
-    depth = 1  # steps to the successors of the description being expanded
-    level_end = 1  # queue[level_end:] are one step deeper than it
-    cut_steps = cut_height = False
-
-    for i, key in enumerate(queue):
-        if i == level_end:
-            depth += 1
-            level_end = len(queue)
-        state = key % n_states
-        rest = key // n_states
-        pos = rest % n1
-        cell = rest // n1
-        if pos == n and state in accepting:
-            return Accepted()
-        if not cell:
-            continue
-        bucket = moves[state * width + sym[cell]]
-        if bucket is None:
-            continue
-        here = word[pos] if pos < n else None
-        for letter, target, keeps_top, suffix in bucket:
-            npos = pos
-            if letter is not None:
-                if letter != here:
+    # A description is (cell * n1 + pos) * n_states + state, pos an offset
+    # into the chain's word; n1 is shared so parked seeds keep their keys.
+    n1 = max(map(len, words)) + 1
+    # Verdict per word; None marks a word to search again on its own.
+    verdicts: list = [None] * len(words)
+    # Chains still to search: (word indices, letters the words are known to
+    # share, seed levels, seed descriptions, cut_steps, cut_height, crossed
+    # depth, crossed height, arena size). Seeds sit where the chain starts
+    # and are sorted by level.
+    pending = [(range(len(words)), 0, (0,), (cell * n1 * n_states,), False, False, 0, 0, len(sym))]
+    while pending:
+        (group, shared, seed_levels, seed_keys,
+         cut_steps, cut_height, cross_steps, cross_height, mark) = pending.pop()
+        if len(sym) > mark:  # drop the cells of the subtree searched before this chain
+            for c in range(mark, len(sym)):
+                del cells[below[c] * width + sym[c]]
+            del sym[mark:], below[mark:], size[mark:]
+        word = words[group[0]]
+        n = len(word)
+        leaf = len(group) == 1
+        if not leaf:
+            for i in group:
+                n = min(n, _shared_prefix(word, words[i], shared))
+            leaf = all(len(words[i]) == n for i in group)
+        parked_levels: list = []
+        parked_keys: list = []
+        accepted = False
+        visited: set = set()
+        seen = visited.add
+        queue: list = []
+        enqueue = queue.append
+        ns = len(seed_keys)
+        si = 0
+        while si < ns and not accepted:
+            # Everything queued is expanded: start again at the next seed level.
+            queue.clear()
+            depth = seed_levels[si]
+            si = _merge_seeds(seed_levels, seed_keys, si, depth, visited, queue)
+            depth += 1  # steps to the successors of the description being expanded
+            level_end = len(queue)  # queue[level_end:] are one step deeper than it
+            for i, key in enumerate(queue):
+                if i == level_end:
+                    if si < ns and seed_levels[si] == depth:
+                        si = _merge_seeds(seed_levels, seed_keys, si, depth, visited, queue)
+                    depth += 1
+                    level_end = len(queue)
+                state = key % n_states
+                rest = key // n_states
+                pos = rest % n1
+                cell = rest // n1
+                if pos == n:
+                    if not leaf:
+                        parked_levels.append(depth - 1)
+                        parked_keys.append(key)
+                    elif state in accepting:
+                        accepted = True
+                        break
+                if not cell:
                     continue
-                npos = pos + 1
-            child = cell if keeps_top else below[cell]
-            for s in suffix:
-                at = child * width + s
-                above = get_cell(at)
-                if above is None:
-                    above = cells[at] = len(sym)
-                    sym.append(s)
-                    below.append(child)
-                    size.append(size[child] + 1)
-                child = above
-            found = (child * n1 + npos) * n_states + target
-            if found in visited:
-                continue
-            if depth > max_steps:
-                cut_steps = True
-                continue
-            if child and size[child] > max_height:
-                cut_height = True
-                continue
-            seen(found)
-            enqueue(found)
+                bucket = moves[state * width + sym[cell]]
+                if bucket is None:
+                    continue
+                here = word[pos] if pos < n else None
+                for letter, target, keeps_top, suffix in bucket:
+                    npos = pos
+                    if letter is not None:
+                        if letter != here:
+                            continue
+                        npos = pos + 1
+                    child = cell if keeps_top else below[cell]
+                    if suffix:
+                        for s in suffix:
+                            at = child * width + s
+                            above = get_cell(at)
+                            if above is None:
+                                above = cells[at] = len(sym)
+                                sym.append(s)
+                                below.append(child)
+                                size.append(size[child] + 1)
+                            child = above
+                    found = (child * n1 + npos) * n_states + target
+                    if found in visited:
+                        continue
+                    if depth > lo_steps or (child and size[child] > lo_height):
+                        if depth > cross_steps:
+                            cross_steps = depth
+                        if size[child] > cross_height:
+                            cross_height = size[child]
+                        if depth > hi_steps:
+                            cut_steps = True
+                            continue
+                        if child and size[child] > hi_height:
+                            cut_height = True
+                            continue
+                    seen(found)
+                    enqueue(found)
+        del visited, queue
+        if leaf:
+            if accepted:
+                verdict = Accepted()
+            elif cut_steps or cut_height:
+                verdict = LimitExceeded(by_steps=cut_steps, by_height=cut_height)
+            else:
+                verdict = NotAccepted()
+            for i in group:
+                own = limits[i]
+                # Exact unless a description on the path passed the word's
+                # own limits and the search ran under larger ones.
+                exact = cross_steps <= own.max_steps and cross_height <= own.max_stack_height
+                if exact or (own.max_steps, own.max_stack_height) == (hi_steps, hi_height):
+                    verdicts[i] = verdict
+            continue
+        branches: dict = {}
+        for i in group:
+            branches.setdefault(words[i][n] if len(words[i]) > n else _ENDS, []).append(i)
+        for letter, branch in reversed(branches.items()):
+            pending.append((
+                branch, n if letter is _ENDS else n + 1, parked_levels, parked_keys,
+                cut_steps, cut_height, cross_steps, cross_height, len(sym),
+            ))
 
-    if cut_steps or cut_height:
-        return LimitExceeded(by_steps=cut_steps, by_height=cut_height)
-    return NotAccepted()
+    if None in verdicts:
+        for i, verdict in enumerate(verdicts):
+            if verdict is None:
+                verdicts[i] = accepts_each(pda, (words[i],), (limits[i],))[0]
+    return tuple(verdicts)
 
 
 def walk(steps, word, state, stack, pos):

@@ -4,8 +4,10 @@ A decomposition carries four run cuts a <= b <= c <= e, the step positions
 of the found run where v, x, y and z start. The pumped run u·v^n·x·y^n·z is
 the found run with the steps a..b and the steps c..e each repeated n times.
 The replay route splices the run's transitions at those cuts and replays
-the spliced sequence against the pumped word. verify_by_search ignores the
-run entirely and asks the membership search. The two routes share no
+the spliced sequence against the pumped word. The search route ignores the
+run entirely and asks the membership search: verify hands the pumped words
+of every n to one accepts_each call, which searches their shared prefixes
+once, and verify_by_search asks about one n. The two routes share no
 splicing or decomposition logic, so a bug in the construction cannot
 silently confirm itself.
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .run import Accepted, LimitExceeded, ReplayError, RunPath, SearchLimits, accepts, walk
+from .run import Accepted, LimitExceeded, ReplayError, RunPath, SearchLimits, accepts, accepts_each, walk
 
 
 def pumped_word(decomposition, n: int):
@@ -108,15 +110,17 @@ def verify_by_replay(pda, path: RunPath, decomposition, n: int) -> bool:
     return replay_pumps(pda, path, decomposition, (n,))[0]
 
 
-def verify_by_search(pda, decomposition, n: int, limits: SearchLimits | None = None) -> str:
-    """Membership verdict for the pumped word: accepted / rejected / limit."""
-    word = pumped_word(decomposition, n)
-    outcome = accepts(pda, word, limits)
+def _search_verdict(outcome) -> str:
     if isinstance(outcome, Accepted):
         return "accepted"
     if isinstance(outcome, LimitExceeded):
         return "limit"
     return "rejected"
+
+
+def verify_by_search(pda, decomposition, n: int, limits: SearchLimits | None = None) -> str:
+    """Membership verdict for the pumped word: accepted / rejected / limit."""
+    return _search_verdict(accepts(pda, pumped_word(decomposition, n), limits))
 
 
 @dataclass(frozen=True)
@@ -200,9 +204,10 @@ def verify(pda, path: RunPath, decomposition, n_set=DEFAULT_N_SET) -> Verificati
     the found run's word."""
     n_set = tuple(n_set)
     replayed = replay_pumps(pda, path, decomposition, n_set)
+    searched = accepts_each(pda, [pumped_word(decomposition, n) for n in n_set])
     verdicts = tuple(
-        PumpVerdict(n=n, replay_ok=ok, search=verify_by_search(pda, decomposition, n))
-        for n, ok in zip(n_set, replayed)
+        PumpVerdict(n=n, replay_ok=ok, search=_search_verdict(outcome))
+        for n, ok, outcome in zip(n_set, replayed, searched)
     )
     return VerificationReport(
         word=path.word,

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -223,6 +224,31 @@ class TestPump:
         code, out, err = run(capsys, "pump", "DYCK1", "(())", "--mode", "best-effort", "--n", n)
         assert (code, out) == (2, "")
         assert err == "pumpkit: --n needs at least one nonnegative integer\n"
+
+    @pytest.mark.parametrize("n", ["1,,2", "1,2,", ",1"])
+    def test_n_with_an_empty_count(self, capsys, n):
+        # an empty part is refused, not skipped
+        code, out, err = run(capsys, "pump", "DYCK1", "(())", "--mode", "best-effort", "--n", n)
+        assert (code, out) == (2, "")
+        assert err == "pumpkit: --n needs at least one nonnegative integer\n"
+
+    def test_repeated_counts_keep_their_lines_and_share_one_search(self, capsys, monkeypatch):
+        verify = importlib.import_module("pumpkit.verify")  # the package exports the function
+        batches = []
+        search = verify.accepts_each
+
+        def recorded(pda, words, limits=None):
+            batches.append(list(words))
+            return search(pda, words, limits)
+
+        monkeypatch.setattr(verify, "accepts_each", recorded)
+        code, out, _ = run(capsys, "pump", "DYCK1", "(())", "--mode", "best-effort", "--n", "2,2,2")
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("  n=")] == [
+            "  n=2: replay=ok search=accepted"
+        ] * 3
+        # one batch; its three equal words share one path of the prefix tree
+        assert batches == [["((()))"] * 3]
 
     def test_limits_exceeded(self, capsys):
         code, _, err = run(

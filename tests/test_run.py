@@ -1,5 +1,6 @@
 import gc
 import platform
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from pumpkit import (
     BOTTOM,
     BUILTINS,
+    DEFAULT_N_SET,
     Accepted,
+    ExtractionMode,
     LimitExceeded,
     NormalizedPda,
     NormalizedTransition,
@@ -18,8 +21,11 @@ from pumpkit import (
     RunPath,
     SearchLimits,
     accepts,
+    accepts_each,
     default_limits,
+    extract,
     minimal_accepting_path,
+    pumped_word,
     replay,
 )
 
@@ -171,6 +177,11 @@ class TestAccepts:
         out = accepts(dyck1, "(())", SearchLimits(2, 2))
         assert isinstance(out, LimitExceeded)
 
+    def test_batch_takes_one_limit_per_word(self, dyck1):
+        assert accepts_each(dyck1, []) == ()
+        with pytest.raises(ValueError):
+            accepts_each(dyck1, ["()", "(())"], [SearchLimits(5, 5)])
+
 
 class TestReplay:
     def test_replay_reproduces_search_path(self, dyck1):
@@ -242,3 +253,27 @@ def test_searches_allocate_no_tracked_object_per_description(name, search):
     # cyclic collector does not track, so the count stays flat in the word.
     entry = BUILTINS[name]
     assert _tracked_net(search, entry, 1000) <= _tracked_net(search, entry, 100) + 10
+
+
+def _traced_peak(search) -> int:
+    """Peak bytes allocated by one call, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        search()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_search_peak_stays_within_the_longest_word():
+    # The five pumped words of the strict 13202-letter DYCK1 pump share
+    # about half their letters. The batch searches one chain of their prefix
+    # tree at a time and frees it, so its peak is at most one word's search.
+    pda = BUILTINS["DYCK1"].pda
+    word = "(" * 6601 + ")" * 6601
+    d = extract(pda, word, mode=ExtractionMode.STRICT).decomposition
+    words = [pumped_word(d, n) for n in DEFAULT_N_SET]
+    assert len(word) == 13202 and len(set(words)) == 5
+    batch = _traced_peak(lambda: accepts_each(pda, words))
+    assert batch <= _traced_peak(lambda: accepts(pda, max(words, key=len)))

@@ -34,6 +34,7 @@ from pumpkit import (
     RunPath,
     SearchLimits,
     accepts,
+    accepts_each,
     default_limits,
     load_path,
     minimal_accepting_path,
@@ -219,11 +220,17 @@ def test_corpus_covers_general_and_normalized_forms():
 @pytest.mark.parametrize("label, pda, entry", CORPUS, ids=[label for label, _, _ in CORPUS])
 def test_accepts_matches_reference_on_corpus(label, pda, entry):
     verdicts = set()
-    for word in _words(entry):
-        for limits in LIMIT_GRID:
+    words = _words(entry)
+    for limits in LIMIT_GRID:
+        expected = [reference_accepts(pda, word, limits) for word in words]
+        for word, want in zip(words, expected):
             got = accepts(pda, word, limits)
-            assert got == reference_accepts(pda, word, limits), (label, word, limits)
+            assert got == want, (label, word, limits)
             verdicts.add(got)
+        # the whole word list in one batch, each word under the same limits
+        # (None: each under its own default limits)
+        batch_limits = None if limits is None else [limits] * len(words)
+        assert list(accepts_each(pda, words, batch_limits)) == expected, (label, limits)
     # every verdict kind actually occurs
     assert {Accepted(), NotAccepted()} <= verdicts
     assert any(isinstance(v, LimitExceeded) for v in verdicts)
@@ -420,3 +427,56 @@ def test_default_limits_grow_with_unused_states():
     bounds = [default_limits(pda, "(())").max_steps for pda in padded]
     # p: 13122, about 2**30, 154k digits, past the 1M-bit guard.
     assert bounds == [4 * 13122, STEP_CAP, STEP_CAP, STEP_CAP]
+
+
+@st.composite
+def word_batches(draw):
+    """Words that share prefixes, with a duplicate, a proper prefix, the
+    empty word and a letter outside the input alphabet, each under its own
+    limits."""
+    base = draw(st.text("ab", min_size=1, max_size=6))
+    cut = draw(st.integers(0, len(base) - 1))
+    words = [
+        base,
+        base,
+        base[:cut],
+        base[:cut] + draw(st.text("ab", max_size=4)),
+        base + draw(st.text("ab", min_size=1, max_size=3)),
+        "",
+        base[:cut] + "#" + base[cut:],
+    ]
+    words += draw(st.lists(st.text("ab#", max_size=6), max_size=3))
+    order = draw(st.permutations(range(len(words))))
+    words = [words[i] for i in order]
+    return words, draw(st.lists(small_limits, min_size=len(words), max_size=len(words)))
+
+
+@given(machines(), word_batches())
+@settings(max_examples=200, deadline=None)
+def test_accepts_each_matches_reference_on_generated_machines(pda, batch):
+    words, limits = batch
+    for machine in (pda, normalize(pda)):
+        expected = [reference_accepts(machine, w, own) for w, own in zip(words, limits)]
+        assert list(accepts_each(machine, words, limits)) == expected
+
+
+def test_accepts_each_reruns_a_word_whose_own_limits_a_shared_search_passes(monkeypatch):
+    # Under the larger limits "(())" is accepted; its own two steps cut it
+    # short, so the batch must search it again alone.
+    from pumpkit import run
+
+    dyck1 = BUILTINS["DYCK1"].pda
+    calls = []
+    batch_search = run.accepts_each
+
+    def counted(pda, words, limits=None):
+        calls.append(tuple(words))
+        return batch_search(pda, words, limits)
+
+    monkeypatch.setattr(run, "accepts_each", counted)
+    words = ["(())", "(((())))", "(())"]
+    limits = [SearchLimits(2, 100), SearchLimits(100, 100), SearchLimits(100, 100)]
+    got = counted(dyck1, words, limits)
+    assert got == tuple(reference_accepts(dyck1, w, own) for w, own in zip(words, limits))
+    assert got[0] == LimitExceeded(by_steps=True, by_height=False) and got[2] == Accepted()
+    assert calls == [tuple(words), ("(())",)]
