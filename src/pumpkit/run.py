@@ -18,19 +18,46 @@ diverge. A chain is a stretch of the tree with no fork: the letters a group
 of words shares, from the fork it starts at to the next one, or a whole
 word's tail. Descriptions at a position depend only on the letters before
 it, so each chain is searched once for all of its words, by its own
-level-synchronous breadth-first search. The chain's last position is the
-fork: its descriptions are expanded by epsilon moves only (the chain's word
-"ends" there) and parked with their exact depths. Each branch is then
-seeded with the parked descriptions, each at its own level, so every
-description keeps its breadth-first depth. A chain's visited set and queue
-are freed when it is done, and the stack cells created under a branch are
-truncated from the cell arena before its next sibling starts, so the
-search holds the descriptions of one chain at a time. A tail that ends a word
-accepts it when an accepting state is dequeued at its end, as in a
-one-word search. A chain that ends at a fork accepts nothing, so it runs
-until its descriptions are spent or cut: where epsilon moves push without
-end, a shared stretch is searched up to the limits, past the depth at which
-a one-word search of an accepted word would have stopped.
+level-synchronous breadth-first search (_search_chain). The chain's last
+position is the fork: its descriptions are expanded by epsilon moves only
+(the chain's word "ends" there) and parked with their exact depths. Each
+branch is then seeded with the parked descriptions, each at its own level,
+so every description keeps its breadth-first depth. A chain's visited set
+and queue are freed when it is done, and the stack cells created under a
+branch are truncated from the cell arena before its next sibling starts,
+so the search holds the descriptions of one chain at a time. A tail that
+ends a word accepts it when an accepting state is dequeued at its end, as
+in a one-word search. A chain that ends at a fork accepts nothing, so it
+runs until its descriptions are spent or cut: where epsilon moves push
+without end, a shared stretch is searched up to the limits, past the depth
+at which a one-word search of an accepted word would have stopped.
+
+Words that differ in the middle can still end alike, as the pumped words
+u·vⁿ·x·yⁿ·z all end in z. When a batch holds two different words, let S be
+their longest common suffix. A leaf of word w whose join point
+J = len(w) - |S| lies after the leaf's start ends there instead, and parks
+its descriptions as a chain that ends at a fork does; the suffix from J is a
+chain of its own, seeded with them. A leaf that starts at J is that suffix
+chain already, seeded by its fork. Descriptions past J depend only
+on the parked ones and on S, so equal seeds give an equal search. A suffix
+chain is keyed by its seeds: the (cell, state) of each, its position
+rebased to J, and its level less the lowest seed level. Before it is
+searched, a stored search under the same key is reused when it was not
+cut, its deepest level, shifted by this word's lowest seed level, stays
+within the word's own step limit, and the tallest stack in the cell arena
+when it ended stays within the word's own height limit: nothing in it then
+passes that word's limits, so the word's own search would find the same
+descriptions at the same depths. Otherwise the suffix is searched, and the
+crossing rule below keeps the verdict exact. Keys name interned cells, so
+truncating the arena drops every stored search whose seeds name a dropped
+cell: a later sibling may intern another stack under the same number. Seeds
+that name a cell made under their own leaf would be dropped before any
+other leaf starts, so such a suffix is searched as a plain tail, not
+stored, and joins stop for the batch (a GEN_PAL stack holds the word read
+so far, so its pumped words reach the suffix on stacks of their own). A
+stretch up to a join that the limits cut gives the join up, and joins stop
+too: its leaf is searched whole from its own seeds, so no suffix is seeded
+with a parked set that the limits cut. One word never joins.
 
 The words' limits differ, since default_limits grows with the word. The
 tree is searched under the largest limits of the batch; a description
@@ -50,8 +77,9 @@ and size; cell 0 is the empty stack, and cells are interned by
 below * width + symbol, so equal stacks are equal cells and a visited key
 stays O(1) whatever the stack depth. That key is the one int
 (cell * (len(word) + 1) + position) * n_states + state, where accepts_each
-takes the length of its longest word, so a parked key stays valid in every
-branch.
+takes the length of its longest word. Seeds and parked descriptions carry
+their key less position * n_states, so they stay valid in every branch and
+equal (cell, state) pairs at different joins have equal keys.
 minimal_accepting_path keeps its parent chain as two int lists, the parent
 description and the transition index. The cyclic garbage collector does not
 track ints, so neither search allocates a tracked object that outlives a
@@ -325,15 +353,155 @@ def _shared_prefix(a, b, lo: int) -> int:
     return lo
 
 
-def _merge_seeds(levels, keys, si: int, level: int, visited: set, queue: list) -> int:
-    """Queue the seeds of one level that the chain has not reached yet and
-    return the index of the first seed of a later level."""
+def _shared_suffix(a, b, hi: int) -> int:
+    """The length of the longest common suffix of a and b, at most hi (which
+    is at most the length of either); slice compares halve the unknown
+    stretch."""
+    la, lb = len(a), len(b)
+    if a[la - hi :] == b[lb - hi :]:
+        return hi
+    lo = 0
+    while hi - lo > 1:  # the last lo letters agree and the last hi do not
+        mid = (lo + hi) // 2
+        if a[la - mid : la - lo] == b[lb - mid : lb - lo]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _merge_seeds(levels, keys, base: int, si: int, level: int, visited: set, queue: list) -> int:
+    """Queue the seeds of one level that the chain has not reached yet (their
+    keys are relative to the chain's start, base its offset) and return the
+    index of the first seed of a later level."""
     while si < len(keys) and levels[si] == level:
-        if keys[si] not in visited:
-            visited.add(keys[si])
-            queue.append(keys[si])
+        key = keys[si] + base
+        if key not in visited:
+            visited.add(key)
+            queue.append(key)
         si += 1
     return si
+
+
+def _search_chain(
+    word, start: int, end: int, leaf: bool, seed_levels, seed_keys, machine, arena, bounds
+) -> tuple:
+    """Search one chain, the letters word[start:end], from its seeds.
+
+    The seeds sit at start, sorted by level, with keys relative to start. A
+    leaf accepts when an accepting state is dequeued at end. Any other chain
+    expands its descriptions at end by epsilon moves only and parks them,
+    with their levels and with keys relative to end. Returns (accepted,
+    deepest, parked levels, parked keys, crossings): no description the
+    chain queued or held against the limits lies deeper than level deepest,
+    and crossings is (cut_steps, cut_height, crossed depth, crossed height)
+    of this chain alone.
+    """
+    moves, width, n_states, n1, accepting = machine
+    sym, below, size, cells = arena
+    lo_steps, lo_height, hi_steps, hi_height = bounds
+    get_cell = cells.get
+    base = start * n_states
+    parked_base = end * n_states
+    parked_levels: list = []
+    parked_keys: list = []
+    accepted = cut_steps = cut_height = False
+    cross_steps = cross_height = 0
+    visited: set = set()
+    seen = visited.add
+    queue: list = []
+    enqueue = queue.append
+    ns = len(seed_keys)
+    si = 0
+    depth = 0
+    while si < ns and not accepted:
+        # Everything queued is expanded: start again at the next seed level.
+        queue.clear()
+        depth = seed_levels[si]
+        si = _merge_seeds(seed_levels, seed_keys, base, si, depth, visited, queue)
+        depth += 1  # steps to the successors of the description being expanded
+        level_end = len(queue)  # queue[level_end:] are one step deeper than it
+        for i, key in enumerate(queue):
+            if i == level_end:
+                if si < ns and seed_levels[si] == depth:
+                    si = _merge_seeds(seed_levels, seed_keys, base, si, depth, visited, queue)
+                depth += 1
+                level_end = len(queue)
+            state = key % n_states
+            rest = key // n_states
+            pos = rest % n1
+            cell = rest // n1
+            if pos == end:
+                if not leaf:
+                    parked_levels.append(depth - 1)
+                    parked_keys.append(key - parked_base)
+                elif state in accepting:
+                    accepted = True
+                    break
+            if not cell:
+                continue
+            bucket = moves[state * width + sym[cell]]
+            if bucket is None:
+                continue
+            here = word[pos] if pos < end else None
+            for letter, target, keeps_top, suffix in bucket:
+                npos = pos
+                if letter is not None:
+                    if letter != here:
+                        continue
+                    npos = pos + 1
+                child = cell if keeps_top else below[cell]
+                if suffix:
+                    for s in suffix:
+                        at = child * width + s
+                        above = get_cell(at)
+                        if above is None:
+                            above = cells[at] = len(sym)
+                            sym.append(s)
+                            below.append(child)
+                            size.append(size[child] + 1)
+                        child = above
+                found = (child * n1 + npos) * n_states + target
+                if found in visited:
+                    continue
+                if depth > lo_steps or (child and size[child] > lo_height):
+                    if depth > cross_steps:
+                        cross_steps = depth
+                    if size[child] > cross_height:
+                        cross_height = size[child]
+                    if depth > hi_steps:
+                        cut_steps = True
+                        continue
+                    if child and size[child] > hi_height:
+                        cut_height = True
+                        continue
+                seen(found)
+                enqueue(found)
+    crossings = (cut_steps, cut_height, cross_steps, cross_height)
+    return accepted, depth, parked_levels, parked_keys, crossings
+
+
+def _joined(a: tuple, b: tuple) -> tuple:
+    """The crossings of a path of chains: a's followed by b's."""
+    return a[0] or b[0], a[1] or b[1], max(a[2], b[2]), max(a[3], b[3])
+
+
+def _settle(verdicts: list, group, limits, hi: tuple, accepted: bool, crossings: tuple) -> None:
+    """Give the words of a leaf their verdict, except a word whose path
+    crossed its own limits while the search ran under larger ones: it stays
+    None, to be searched again alone."""
+    cut_steps, cut_height, cross_steps, cross_height = crossings
+    if accepted:
+        verdict = Accepted()
+    elif cut_steps or cut_height:
+        verdict = LimitExceeded(by_steps=cut_steps, by_height=cut_height)
+    else:
+        verdict = NotAccepted()
+    for i in group:
+        own = limits[i]
+        exact = cross_steps <= own.max_steps and cross_height <= own.max_stack_height
+        if exact or (own.max_steps, own.max_stack_height) == hi:
+            verdicts[i] = verdict
 
 
 _ENDS = object()  # branch key of the words that end at a fork
@@ -341,7 +509,8 @@ _ENDS = object()  # branch key of the words that end at a fork
 
 def accepts_each(pda: Pda, words, limits=None) -> tuple:
     """Membership verdicts for several words, in their order, from one
-    search over the prefix tree of the words; see the module docstring.
+    search over the prefix tree of the words with their common suffix
+    searched once; see the module docstring.
 
     limits is None (each word gets default_limits) or one SearchLimits per
     word. Each verdict, LimitExceeded flags included, equals the one-word
@@ -394,7 +563,6 @@ def accepts_each(pda: Pda, words, limits=None) -> tuple:
     below = [0]
     size = [0]
     cells: dict = {}
-    get_cell = cells.get
     cell = 0
     for s in pda.initial_stack:
         top = cells[cell * width + symbol_ids[s]] = len(sym)
@@ -403,125 +571,101 @@ def accepts_each(pda: Pda, words, limits=None) -> tuple:
         size.append(size[cell] + 1)
         cell = top
     # A description is (cell * n1 + pos) * n_states + state, pos an offset
-    # into the chain's word; n1 is shared so parked seeds keep their keys.
+    # into the chain's word; n1 is shared so that a seed or parked key, taken
+    # relative to its position, is (cell * n1) * n_states + state everywhere.
     n1 = max(map(len, words)) + 1
+    machine = (moves, width, n_states, n1, accepting)
+    arena = (sym, below, size, cells)
+    bounds = (lo_steps, lo_height, hi_steps, hi_height)
+    hi = (hi_steps, hi_height)
+    # The longest common suffix of the words, where leaves join; none unless
+    # two words differ.
+    tail = 0
+    if any(w != words[0] for w in words):
+        tail = min(map(len, words))
+        for w in words:
+            tail = _shared_suffix(words[0], w, tail)
+    # Searched suffixes: seed key -> (highest seed cell, accepted, cut,
+    # deepest level above the lowest seed, tallest stack in the arena).
+    joins: dict = {}
     # Verdict per word; None marks a word to search again on its own.
     verdicts: list = [None] * len(words)
-    # Chains still to search: (word indices, letters the words are known to
-    # share, seed levels, seed descriptions, cut_steps, cut_height, crossed
-    # depth, crossed height, arena size). Seeds sit where the chain starts
-    # and are sorted by level.
-    pending = [(range(len(words)), 0, (0,), (cell * n1 * n_states,), False, False, 0, 0, len(sym))]
+    # Chains still to search: (word indices, start, letters the words are
+    # known to share, seed levels, seed keys, crossings of the path above,
+    # arena size, whether it is a joined suffix). Seeds sit at start, sorted
+    # by level.
+    root = cell * n1 * n_states
+    pending = [(range(len(words)), 0, 0, (0,), (root,), (False, False, 0, 0), len(sym), False)]
     while pending:
-        (group, shared, seed_levels, seed_keys,
-         cut_steps, cut_height, cross_steps, cross_height, mark) = pending.pop()
+        group, start, shared, seed_levels, seed_keys, crossings, mark, suffix = pending.pop()
         if len(sym) > mark:  # drop the cells of the subtree searched before this chain
             for c in range(mark, len(sym)):
                 del cells[below[c] * width + sym[c]]
             del sym[mark:], below[mark:], size[mark:]
+            for stale in [key for key, stored in joins.items() if stored[0] >= mark]:
+                del joins[stale]
         word = words[group[0]]
-        n = len(word)
+        end = len(word)
         leaf = len(group) == 1
         if not leaf:
             for i in group:
-                n = min(n, _shared_prefix(word, words[i], shared))
-            leaf = all(len(words[i]) == n for i in group)
-        parked_levels: list = []
-        parked_keys: list = []
-        accepted = False
-        visited: set = set()
-        seen = visited.add
-        queue: list = []
-        enqueue = queue.append
-        ns = len(seed_keys)
-        si = 0
-        while si < ns and not accepted:
-            # Everything queued is expanded: start again at the next seed level.
-            queue.clear()
-            depth = seed_levels[si]
-            si = _merge_seeds(seed_levels, seed_keys, si, depth, visited, queue)
-            depth += 1  # steps to the successors of the description being expanded
-            level_end = len(queue)  # queue[level_end:] are one step deeper than it
-            for i, key in enumerate(queue):
-                if i == level_end:
-                    if si < ns and seed_levels[si] == depth:
-                        si = _merge_seeds(seed_levels, seed_keys, si, depth, visited, queue)
-                    depth += 1
-                    level_end = len(queue)
-                state = key % n_states
-                rest = key // n_states
-                pos = rest % n1
-                cell = rest // n1
-                if pos == n:
-                    if not leaf:
-                        parked_levels.append(depth - 1)
-                        parked_keys.append(key)
-                    elif state in accepting:
-                        accepted = True
-                        break
-                if not cell:
-                    continue
-                bucket = moves[state * width + sym[cell]]
-                if bucket is None:
-                    continue
-                here = word[pos] if pos < n else None
-                for letter, target, keeps_top, suffix in bucket:
-                    npos = pos
-                    if letter is not None:
-                        if letter != here:
-                            continue
-                        npos = pos + 1
-                    child = cell if keeps_top else below[cell]
-                    if suffix:
-                        for s in suffix:
-                            at = child * width + s
-                            above = get_cell(at)
-                            if above is None:
-                                above = cells[at] = len(sym)
-                                sym.append(s)
-                                below.append(child)
-                                size.append(size[child] + 1)
-                            child = above
-                    found = (child * n1 + npos) * n_states + target
-                    if found in visited:
-                        continue
-                    if depth > lo_steps or (child and size[child] > lo_height):
-                        if depth > cross_steps:
-                            cross_steps = depth
-                        if size[child] > cross_height:
-                            cross_height = size[child]
-                        if depth > hi_steps:
-                            cut_steps = True
-                            continue
-                        if child and size[child] > hi_height:
-                            cut_height = True
-                            continue
-                    seen(found)
-                    enqueue(found)
-        del visited, queue
-        if leaf:
-            if accepted:
-                verdict = Accepted()
-            elif cut_steps or cut_height:
-                verdict = LimitExceeded(by_steps=cut_steps, by_height=cut_height)
+                end = min(end, _shared_prefix(word, words[i], shared))
+            leaf = all(len(words[i]) == end for i in group)
+        if leaf and not suffix and tail and end - tail == start:
+            # The leaf starts at its join: the fork parked its seeds there
+            # already, so the leaf is the suffix chain.
+            suffix = True
+        elif leaf and not suffix and tail and end - tail > start:
+            # Search up to the join and park there, as at a fork; the suffix
+            # is a chain of its own. A cut stretch gives the join up, and
+            # seeds on this leaf's own cells keep the suffix unshared; either
+            # stops the joins (see the module docstring).
+            join = end - tail
+            _, _, levels, keys, found = _search_chain(
+                word, start, join, False, seed_levels, seed_keys, machine, arena, bounds
+            )
+            if found[0] or found[1]:
+                tail = 0
+                whole = (group, start, shared, seed_levels, seed_keys, crossings, mark, False)
+                pending.append(whole)
             else:
-                verdict = NotAccepted()
-            for i in group:
-                own = limits[i]
-                # Exact unless a description on the path passed the word's
-                # own limits and the search ran under larger ones.
-                exact = cross_steps <= own.max_steps and cross_height <= own.max_stack_height
-                if exact or (own.max_steps, own.max_stack_height) == (hi_steps, hi_height):
-                    verdicts[i] = verdict
+                if max(keys, default=0) // (n1 * n_states) >= mark:
+                    tail = 0
+                crossings = _joined(crossings, found)
+                pending.append((group, join, join, levels, keys, crossings, len(sym), tail > 0))
+            continue
+        if suffix:
+            lowest = seed_levels[0] if seed_levels else 0
+            key = tuple(sorted(zip([level - lowest for level in seed_levels], seed_keys)))
+            stored = joins.get(key)
+            if stored is not None:
+                _, accepted, cut, deepest, tallest = stored
+                # The stored search stays exact for these words when nothing
+                # in it passed their limits at their own levels.
+                fits = (
+                    deepest + lowest <= limits[i].max_steps
+                    and tallest <= limits[i].max_stack_height
+                    for i in group
+                )
+                if not cut and all(fits):
+                    _settle(verdicts, group, limits, hi, accepted, crossings)
+                    continue
+        accepted, deepest, levels, keys, found = _search_chain(
+            word, start, end, leaf, seed_levels, seed_keys, machine, arena, bounds
+        )
+        crossings = _joined(crossings, found)
+        if suffix:
+            top = max(seed_keys, default=0) // (n1 * n_states)
+            joins[key] = (top, accepted, found[0] or found[1], deepest - lowest, max(size))
+        if leaf:
+            _settle(verdicts, group, limits, hi, accepted, crossings)
             continue
         branches: dict = {}
         for i in group:
-            branches.setdefault(words[i][n] if len(words[i]) > n else _ENDS, []).append(i)
+            branches.setdefault(words[i][end] if len(words[i]) > end else _ENDS, []).append(i)
         for letter, branch in reversed(branches.items()):
-            pending.append((
-                branch, n if letter is _ENDS else n + 1, parked_levels, parked_keys,
-                cut_steps, cut_height, cross_steps, cross_height, len(sym),
-            ))
+            shared = end if letter is _ENDS else end + 1
+            pending.append((branch, end, shared, levels, keys, crossings, len(sym), False))
 
     if None in verdicts:
         for i, verdict in enumerate(verdicts):

@@ -7,9 +7,11 @@ The replay route splices the run's transitions at those cuts and replays
 the spliced sequence against the pumped word. The search route ignores the
 run entirely and asks the membership search: verify hands the pumped words
 of every n to one accepts_each call, which searches their shared prefixes
-once, and verify_by_search asks about one n. The two routes share no
-splicing or decomposition logic, so a bug in the construction cannot
-silently confirm itself.
+once and their common suffix once wherever the words reach it with equal
+descriptions (it finds that suffix from the words, not from z), and
+verify_by_search asks about one n. The two routes share no splicing or
+decomposition logic, so a bug in the construction cannot silently confirm
+itself.
 
 replay_pumps checks several pump counts against one walk of the found run.
 Everything that repeats lies between the first cut a and the last cut that

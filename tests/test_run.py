@@ -1,4 +1,5 @@
 import gc
+import os
 import platform
 import tracemalloc
 from collections import deque
@@ -277,3 +278,60 @@ def test_batch_search_peak_stays_within_the_longest_word():
     assert len(word) == 13202 and len(set(words)) == 5
     batch = _traced_peak(lambda: accepts_each(pda, words))
     assert batch <= _traced_peak(lambda: accepts(pda, max(words, key=len)))
+
+
+def test_batch_search_covers_little_more_than_the_longest_word(monkeypatch):
+    # The five pumped words fork one letter apart and end in the same 6600
+    # closing parentheses. The prefix tree alone searches 3.0 times the
+    # longest word's letters; with the common suffix searched once and
+    # reused by the other four words, the batch searches at most 1.1 times.
+    from pumpkit import run
+
+    letters = []
+    search = run._search_chain
+
+    def counted(word, start, end, *rest):
+        letters.append(end - start)
+        return search(word, start, end, *rest)
+
+    monkeypatch.setattr(run, "_search_chain", counted)
+    pda = BUILTINS["DYCK1"].pda
+    word = "(" * 6601 + ")" * 6601
+    d = extract(pda, word, mode=ExtractionMode.STRICT).decomposition
+    words = [pumped_word(d, n) for n in DEFAULT_N_SET]
+    longest = max(words, key=len)
+    letters.clear()
+    assert accepts_each(pda, words) == (Accepted(),) * 5
+    batch = sum(letters)
+    letters.clear()
+    assert accepts(pda, longest) == Accepted()
+    assert sum(letters) == len(longest)
+    assert batch <= 1.1 * len(longest)
+
+
+def test_joins_stop_once_a_suffix_cannot_be_shared(monkeypatch):
+    # A GEN_PAL stack holds the letters read so far, so the pumped words
+    # reach their common suffix on different stacks, made under their own
+    # leaves: a suffix stored for one of them dies with its leaf's cells.
+    # The first such join stops the joins, and the later leaves are each
+    # searched as one chain from their fork.
+    from pumpkit import normalize, run
+
+    starts = []
+    search = run._search_chain
+
+    def recorded(word, start, end, leaf, *rest):
+        if leaf:
+            starts.append((len(word), start))
+        return search(word, start, end, leaf, *rest)
+
+    monkeypatch.setattr(run, "_search_chain", recorded)
+    entry = BUILTINS["GEN_PAL"]
+    pda = normalize(entry.pda)
+    d = extract(pda, entry.generate(50), mode=ExtractionMode.BEST_EFFORT).decomposition
+    words = [pumped_word(d, n) for n in DEFAULT_N_SET]
+    tail = len(os.path.commonprefix([w[::-1] for w in words]))
+    assert tail > 0
+    assert accepts_each(pda, words) == (Accepted(),) * 5
+    from_joins = [length for length, start in starts if start == length - tail]
+    assert len(from_joins) == 2

@@ -429,33 +429,110 @@ def test_default_limits_grow_with_unused_states():
     assert bounds == [4 * 13122, STEP_CAP, STEP_CAP, STEP_CAP]
 
 
+UNDER = "under"  # a word's limits, set just under its accepting depth on each machine
+
+
+def accepting_depth(pda, word, height=6, top=40):
+    """The fewest steps in which reference_accepts accepts word under the
+    given height, or None when it does not within top steps."""
+    if reference_accepts(pda, word, SearchLimits(top, height)) != Accepted():
+        return None
+    lo, hi = -1, top  # rejected or cut at lo steps, accepted at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reference_accepts(pda, word, SearchLimits(mid, height)) == Accepted():
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def own_limits(pda, word, limits):
+    """limits, with UNDER replaced by one step less than the word's accepting
+    depth, so that a search under larger limits must search it again."""
+    if limits != UNDER:
+        return limits
+    depth = accepting_depth(pda, word)
+    return SearchLimits(40, 6) if depth is None else SearchLimits(max(depth - 1, 0), 6)
+
+
+@st.composite
+def pumped_words(draw):
+    """u·vⁿ·x·yⁿ·z for n = 0..4, in a drawn order: divergent middles before a
+    common suffix. A piece may hold # outside the input alphabet."""
+    u, v, x, y, z = (draw(st.text("ab#" if i == 2 else "ab", max_size=2)) for i in range(5))
+    return [u + v * n + x + y * n + z for n in draw(st.permutations(range(5)))]
+
+
 @st.composite
 def word_batches(draw):
     """Words that share prefixes, with a duplicate, a proper prefix, the
-    empty word and a letter outside the input alphabet, each under its own
-    limits."""
-    base = draw(st.text("ab", min_size=1, max_size=6))
-    cut = draw(st.integers(0, len(base) - 1))
-    words = [
-        base,
-        base,
-        base[:cut],
-        base[:cut] + draw(st.text("ab", max_size=4)),
-        base + draw(st.text("ab", min_size=1, max_size=3)),
-        "",
-        base[:cut] + "#" + base[cut:],
-    ]
-    words += draw(st.lists(st.text("ab#", max_size=6), max_size=3))
-    order = draw(st.permutations(range(len(words))))
-    words = [words[i] for i in order]
-    return words, draw(st.lists(small_limits, min_size=len(words), max_size=len(words)))
+    empty word and a letter outside the input alphabet, or the five pumped
+    words of a drawn decomposition; each word under its own limits, wide,
+    small or just under its accepting depth."""
+    if draw(st.booleans()):
+        words = draw(pumped_words())
+    else:
+        base = draw(st.text("ab", min_size=1, max_size=6))
+        cut = draw(st.integers(0, len(base) - 1))
+        words = [
+            base,
+            base,
+            base[:cut],
+            base[:cut] + draw(st.text("ab", max_size=4)),
+            base + draw(st.text("ab", min_size=1, max_size=3)),
+            "",
+            base[:cut] + "#" + base[cut:],
+        ]
+        words += draw(st.lists(st.text("ab#", max_size=6), max_size=3))
+        order = draw(st.permutations(range(len(words))))
+        words = [words[i] for i in order]
+    choices = st.one_of(small_limits, st.just(SearchLimits(40, 6)), st.just(UNDER))
+    return words, draw(st.lists(choices, min_size=len(words), max_size=len(words)))
 
 
-@given(machines(), word_batches())
-@settings(max_examples=200, deadline=None)
+@st.composite
+def letter_machines(draw):
+    """Machines whose letter moves push a symbol named after the letter, pop,
+    or keep the stack: words that diverge build different stacks, so leaves
+    park on cells made under their own branches."""
+    states = ["q0", "q1"]
+    symbols = [BOTTOM, "A", "B"]
+    transitions = []
+    for source in states:
+        for letter in "ab":
+            for top in symbols:
+                push = draw(st.sampled_from([None, (top, letter.upper()), (), (top,)]))
+                if push is not None:
+                    target = draw(st.sampled_from(states))
+                    transitions.append(GeneralTransition(source, letter, top, push, target))
+    for _ in range(draw(st.integers(0, 2))):
+        transitions.append(
+            GeneralTransition(
+                source=draw(st.sampled_from(states)),
+                letter=None,
+                pop=draw(st.sampled_from(symbols)),
+                push=tuple(draw(st.lists(st.sampled_from(symbols), max_size=2))),
+                target=draw(st.sampled_from(states)),
+            )
+        )
+    return GeneralPda(
+        states=states,
+        input_alphabet=["a", "b"],
+        stack_alphabet=symbols,
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=draw(st.sets(st.sampled_from(states))),
+        transitions=transitions,
+    )
+
+
+@given(st.one_of(machines(), letter_machines()), word_batches())
+@settings(max_examples=300, deadline=None)
 def test_accepts_each_matches_reference_on_generated_machines(pda, batch):
-    words, limits = batch
+    words, choices = batch
     for machine in (pda, normalize(pda)):
+        limits = [own_limits(machine, w, c) for w, c in zip(words, choices)]
         expected = [reference_accepts(machine, w, own) for w, own in zip(words, limits)]
         assert list(accepts_each(machine, words, limits)) == expected
 
@@ -480,3 +557,176 @@ def test_accepts_each_reruns_a_word_whose_own_limits_a_shared_search_passes(monk
     assert got == tuple(reference_accepts(dyck1, w, own) for w, own in zip(words, limits))
     assert got[0] == LimitExceeded(by_steps=True, by_height=False) and got[2] == Accepted()
     assert calls == [tuple(words), ("(())",)]
+
+
+def _letter_pushes():
+    """The first letter pushes A (on a) or B (on b), the second keeps the
+    stack, and c pops A into the accepting state. In "aac" and "abc" the
+    leaves fork at 1 and join at 2 on the cell A made under branch a; under
+    branch b, after the arena drops that cell, "bac" and "bbc" intern B
+    under the same number."""
+    states = ["q0", "q1", "q2", "qf"]
+    transitions = [
+        GeneralTransition("q0", "a", BOTTOM, (BOTTOM, "A"), "q1"),
+        GeneralTransition("q0", "b", BOTTOM, (BOTTOM, "B"), "q1"),
+        GeneralTransition("q2", "c", "A", (), "qf"),
+    ]
+    transitions += [
+        GeneralTransition("q1", letter, top, (top,), "q2") for letter in "ab" for top in "AB"
+    ]
+    return GeneralPda(
+        states=states,
+        input_alphabet=["a", "b", "c"],
+        stack_alphabet=[BOTTOM, "A", "B"],
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=["qf"],
+        transitions=transitions,
+    )
+
+
+@pytest.mark.parametrize(
+    "words",
+    [["aac", "abc", "bac", "bbc"], ["bac", "bbc", "aac", "abc"], ["abc", "bbc", "aac", "bac"]],
+)
+def test_a_stored_suffix_dies_with_the_cells_it_names(words):
+    # The suffix stored under one first-letter branch names a cell that the
+    # arena drops before the other branch starts.
+    pda = _letter_pushes()
+    expected = tuple(reference_accepts(pda, w) for w in words)
+    assert {Accepted(), NotAccepted()} == set(expected)
+    assert accepts_each(pda, words) == expected
+
+
+def _cycle_machine():
+    """a enters an epsilon cycle C0 -> C1 -> ... -> C4 -> C0 at C0 and b at
+    C2, so "ac" and "bc" park the same five (cell, state) pairs at the join,
+    at levels in another order. Only C0 reads c, and the accept lies three
+    epsilon steps further: "bc" needs 8 steps, "ac" 5."""
+    cycle = [f"C{k}" for k in range(5)]
+    keep = (BOTTOM,)
+    transitions = [
+        GeneralTransition("q0", "a", BOTTOM, keep, "C0"),
+        GeneralTransition("q0", "b", BOTTOM, keep, "C2"),
+    ]
+    transitions += [
+        GeneralTransition(cycle[k], None, BOTTOM, keep, cycle[(k + 1) % 5]) for k in range(5)
+    ]
+    transitions += [
+        GeneralTransition("C0", "c", BOTTOM, keep, "F1"),
+        GeneralTransition("F1", None, BOTTOM, keep, "F2"),
+        GeneralTransition("F2", None, BOTTOM, keep, "F3"),
+        GeneralTransition("F3", None, BOTTOM, keep, "F4"),
+    ]
+    return GeneralPda(
+        states=["q0", *cycle, "F1", "F2", "F3", "F4"],
+        input_alphabet=["a", "b", "c"],
+        stack_alphabet=[BOTTOM],
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=["F4"],
+        transitions=transitions,
+    )
+
+
+@pytest.mark.parametrize("first", ["ac", "bc"])
+def test_seeds_at_other_levels_are_another_suffix(first):
+    # With "ac" searched first, its suffix ends 5 levels above its lowest
+    # seed. "bc" parks the same pairs, but its accept lies 7 above its
+    # lowest seed, past its own 7 steps: it must not reuse "ac"'s verdict.
+    pda = _cycle_machine()
+    own = {"ac": SearchLimits(20, 5), "bc": SearchLimits(7, 5)}
+    words = [first, "bc" if first == "ac" else "ac"]
+    limits = [own[w] for w in words]
+    expected = tuple(reference_accepts(pda, w, o) for w, o in zip(words, limits))
+    assert accepts_each(pda, words, limits) == expected
+    assert dict(zip(words, expected)) == {
+        "ac": Accepted(),
+        "bc": LimitExceeded(by_steps=True, by_height=False),
+    }
+    assert reference_accepts(pda, "bc", SearchLimits(8, 5)) == Accepted()
+
+
+def _dyck_pumps(k, order):
+    """The DYCK1 pumps (^(k+n) )^(k+n) for n in order: they fork one letter
+    apart and join on the same cell, each join two levels above the last."""
+    return ["(" * (k + n) + ")" * (k + n) for n in order]
+
+
+_WIDE = SearchLimits(100, 100)
+
+
+@pytest.mark.parametrize(
+    "words, limits",
+    [
+        # The suffix stored for word 0 fits word 0's levels but not word 2's,
+        # which gets one step less than it needs.
+        (_dyck_pumps(3, range(5)), [_WIDE, _WIDE, SearchLimits(10, 100), _WIDE, _WIDE]),
+        # Searched from the deepest join first, the stored suffix is cut at
+        # 12 steps; at their lower levels words 0..3 must search it again.
+        (_dyck_pumps(3, range(4, -1, -1)), [SearchLimits(12, 100)] * 5),
+        # Both join on one cell; the suffix ((())) needs a stack of 4, and
+        # the second word allows 3.
+        (["()((()))", "(())((()))"], [_WIDE, SearchLimits(100, 3)]),
+    ],
+    ids=["level-offset", "cut", "height"],
+)
+def test_a_stored_suffix_is_reused_only_within_each_word_s_limits(words, limits):
+    dyck1 = BUILTINS["DYCK1"].pda
+    expected = tuple(reference_accepts(dyck1, w, own) for w, own in zip(words, limits))
+    assert Accepted() in expected and any(isinstance(v, LimitExceeded) for v in expected)
+    assert accepts_each(dyck1, words, limits) == expected
+
+
+def _push_loop():
+    """Reads of a and b that keep the stack, an epsilon push loop on the
+    bottom marker and on A, and an epsilon accept on the bottom marker: a
+    search that no accept stops fills every stack up to its limits."""
+    transitions = [
+        GeneralTransition("q0", letter, top, (top,), "q0")
+        for letter in "ab"
+        for top in (BOTTOM, "A")
+    ]
+    transitions += [
+        GeneralTransition("q0", None, BOTTOM, (BOTTOM, "A"), "q0"),
+        GeneralTransition("q0", None, "A", ("A", "A"), "q0"),
+        GeneralTransition("q0", None, BOTTOM, (BOTTOM,), "qf"),
+    ]
+    return GeneralPda(
+        states=["q0", "qf"],
+        input_alphabet=["a", "b"],
+        stack_alphabet=[BOTTOM, "A"],
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=["qf"],
+        transitions=transitions,
+    )
+
+
+def test_a_cut_stretch_gives_its_join_up(monkeypatch):
+    # On an epsilon push loop a stretch that ends at a join, where no word
+    # ends, runs into the limits. Its leaf is then searched whole from its
+    # fork, and so is every other: no suffix is seeded from a parked set
+    # that the limits cut.
+    from pumpkit import run
+
+    pda = _push_loop()
+    words = ["a" * (3 + n) + "b" * (1 + n) + "a" * 12 for n in range(5)]
+    forks = (3, 4, 5, 6, 6)  # where each word leaves the others
+    calls = []
+    search = run._search_chain
+
+    def recorded(word, start, end, leaf, *rest):
+        calls.append((len(word), start, end, leaf))
+        return search(word, start, end, leaf, *rest)
+
+    monkeypatch.setattr(run, "_search_chain", recorded)
+    wide = SearchLimits(60, 60)
+    for limits in (None, [wide] * 5, [SearchLimits(40, 30), *[wide] * 4]):
+        calls.clear()
+        own = limits or [None] * 5
+        expected = tuple(reference_accepts(pda, w, o) for w, o in zip(words, own))
+        assert accepts_each(pda, words, limits) == expected
+        # leaves of the batch, not of a word searched again alone
+        leaves = {(length, start) for length, start, end, leaf in calls if leaf and start}
+        assert leaves == {(len(w), fork) for w, fork in zip(words, forks)}
