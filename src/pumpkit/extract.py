@@ -27,13 +27,16 @@ steps between the first two cuts and between the last two.
 Every candidate with a nonempty pump is defensively replay-verified for a
 small set of pump counts before being returned; empty-pump and failing
 candidates are skipped and recorded, because a repeat observed through a
-depth-limited window is not always a sound pump site.
+depth-limited window is not always a sound pump site. That check walks the
+found run once per candidate (see the verify module docstring); the result
+keeps the walk's checkpoints for the candidate returned, so verify can
+replay its pump counts without walking the run again.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     ConstructionFalsifiedError,
@@ -53,7 +56,7 @@ from .levels import (
 from .normalize import DEFAULT_P_BIT_LIMIT, PumpingParams, pumping_params
 from .pda import NormalizedPda
 from .run import LimitExceeded, NotAccepted, RunPath, SearchLimits, minimal_accepting_path
-from .verify import replay_pumps
+from .verify import _walk_found_run, replay_pumps
 
 # Pump counts each candidate is replayed for before extract returns it.
 PUMPS_CHECKED = (0, 2)
@@ -129,6 +132,9 @@ class ExtractionResult:
     decomposition: Decomposition
     diagnostics: Diagnostics
     path: RunPath
+    # The candidate check's walk of path for the decomposition's cuts; pass
+    # it to verify with path and decomposition.
+    checkpoints: object = field(default=None, compare=False, repr=False)
 
 
 def _decomposition(path: RunPath, params: PumpingParams, cuts: tuple, case: str, witness) -> Decomposition:
@@ -228,18 +234,19 @@ def extract(
     config_pairs = 0
     fs_pairs = 0
 
-    def attempt(case: str, candidate: tuple, cuts: tuple, found) -> Decomposition | None:
+    def attempt(case: str, candidate: tuple, cuts: tuple, found) -> ExtractionResult | None:
         nonlocal tried
         tried += 1
         d = _decomposition(path, params, cuts, case, found)
         if len(d.v) + len(d.y) == 0:
             fallbacks.append(Fallback(case, candidate, "empty-pump"))
             return None
-        for n, ok in zip(PUMPS_CHECKED, replay_pumps(pda, path, d, PUMPS_CHECKED)):
+        checkpoints = _walk_found_run(pda, path, cuts)
+        for n, ok in zip(PUMPS_CHECKED, replay_pumps(pda, path, d, PUMPS_CHECKED, checkpoints)):
             if not ok:
                 fallbacks.append(Fallback(case, candidate, f"replay-failed-n{n}"))
                 return None
-        return d
+        return ExtractionResult(d, diag(case), path, checkpoints)
 
     def diag(case: str | None) -> Diagnostics:
         return Diagnostics(
@@ -273,16 +280,16 @@ def extract(
         base = path.profile[triple.i]
         for g, h in pairs:
             (lp_g, fp_g), (lp_h, fp_h) = cuts[g - base], cuts[h - base]
-            d = attempt("case2", (g, h), (lp_g, lp_h, fp_h, fp_g), Case2Witness(triple, g, h))
-            if d is not None:
-                return ExtractionResult(d, diag("case2"), path)
+            result = attempt("case2", (g, h), (lp_g, lp_h, fp_h, fp_g), Case2Witness(triple, g, h))
+            if result is not None:
+                return result
 
     if level < params.p_prime or not strict:
         config_pairs, pairs = _case1_pairs(path, window_end, level)
         for i, j in pairs:
-            d = attempt("case1", (i, j), (i, j, steps_total, steps_total), Case1Witness(level))
-            if d is not None:
-                return ExtractionResult(d, diag("case1"), path)
+            result = attempt("case1", (i, j), (i, j, steps_total, steps_total), Case1Witness(level))
+            if result is not None:
+                return result
 
     if strict:
         # The construction guarantees a usable repeat in strict mode; running

@@ -29,6 +29,7 @@ extract's case 2 cuts the word at its entries.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import TopSymbolMismatchError
@@ -80,9 +81,8 @@ def is_valid_level_triple(profile, t: LevelTriple) -> bool:
 
 
 def _check_unit_steps(profile) -> None:
-    for a, b in zip(profile, profile[1:]):
-        if abs(a - b) != 1:
-            raise ValueError("profile must move in unit steps")
+    if set(map(operator.sub, profile[1:], profile)) - {1, -1}:
+        raise ValueError("profile must move in unit steps")
 
 
 def _sweep(s, start: int, stop: int, eras: list, best: tuple) -> tuple:

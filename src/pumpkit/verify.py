@@ -18,8 +18,14 @@ Everything that repeats lies between the first cut a and the last cut that
 still has a repeated stretch before it: e is the fourth cut, or the second
 when the third and fourth coincide and nothing repeats after the second.
 The walk keeps the configuration (state, stack, input position) at a and at
-e, and whether the steps after e end accepting with all input read. For
-each n the steps between a and e are always walked. The part before a is
+e, and whether the steps after e end accepting with all input read. These
+checkpoints depend on the run and the cuts alone, not on n, so one walk
+serves every caller that checks the same cuts: extract walks the found run
+once per candidate and keeps the checkpoints of the one it returns on its
+result, and verify, handed them with that result's run and decomposition,
+uses them instead of walking the run again. Checkpoints of another run or
+of other cuts are ignored and the run is walked. For each n the steps
+between a and e are always walked. The part before a is
 taken from the first checkpoint only when the pumped word starts with the
 letters the found run read up to a; the part after e is taken from the
 found run's verdict only when the walk reaches e's state with an equal
@@ -58,22 +64,36 @@ def _accepting(pda, reached, word) -> bool:
     return state in pda.accept_states and pos == len(word)
 
 
-def replay_pumps(pda, path: RunPath, decomposition, n_set) -> tuple[bool, ...]:
-    """For each n in n_set, whether the spliced run accepts the n-pumped word.
+@dataclass(frozen=True)
+class _Checkpoints:
+    """What one walk of the found run `path` keeps for the decomposition
+    cuts `cuts`: the configuration (state, stack, input position) at a and
+    at e, each None when a step before it cannot fire, and whether the
+    steps after e end accepting with all input read."""
 
-    Equal to replaying spliced_steps against pumped_word for each n, from
-    one walk of the found run; see the module docstring.
-    """
-    d = decomposition
-    steps, word = path.steps, path.word
-    a, b, c, e = d.cuts
+    path: RunPath
+    cuts: tuple
+    start: tuple | None
+    end: tuple | None
+    suffix_ok: bool
+
+
+def _repeated_stretch(path: RunPath, cuts) -> tuple[int, int]:
+    """The step positions a and e that enclose everything pumping repeats;
+    the whole run when the cuts fall outside it."""
+    a, b, c, e = cuts
     if c == e:
         e = b  # nothing repeats after the second cut
-    if not 0 <= a <= e <= len(steps):
-        a, e = 0, len(steps)  # cuts outside the run: walk each spliced run whole
-    tail = len(steps) - e
+    if not 0 <= a <= e <= len(path.steps):
+        a, e = 0, len(path.steps)  # cuts outside the run: walk each spliced run whole
+    return a, e
 
-    start = end = None  # (state, stack, pos) at a and at e
+
+def _walk_found_run(pda, path: RunPath, cuts) -> _Checkpoints:
+    """Walk the found run once, keeping the checkpoints for `cuts`."""
+    steps, word = path.steps, path.word
+    a, e = _repeated_stretch(path, cuts)
+    start = end = None
     suffix_ok = False
     stack = list(pda.initial_stack)
     reached = walk(steps[:a], word, pda.initial_state, stack, 0)
@@ -83,6 +103,24 @@ def replay_pumps(pda, path: RunPath, decomposition, n_set) -> tuple[bool, ...]:
         if not isinstance(reached, ReplayError):
             end = (reached[0], stack.copy(), reached[1])
             suffix_ok = _accepting(pda, walk(steps[e:], word, reached[0], stack, reached[1]), word)
+    return _Checkpoints(path, cuts, start, end, suffix_ok)
+
+
+def replay_pumps(pda, path: RunPath, decomposition, n_set, checkpoints=None) -> tuple[bool, ...]:
+    """For each n in n_set, whether the spliced run accepts the n-pumped word.
+
+    Equal to replaying spliced_steps against pumped_word for each n, from
+    one walk of the found run; see the module docstring. `checkpoints`,
+    from an earlier walk of the same run for the same cuts, stand in for
+    that walk; any others are ignored.
+    """
+    d = decomposition
+    if checkpoints is None or checkpoints.path is not path or checkpoints.cuts != d.cuts:
+        checkpoints = _walk_found_run(pda, path, d.cuts)
+    word = path.word
+    a, e = _repeated_stretch(path, d.cuts)
+    tail = len(path.steps) - e
+    start, end, suffix_ok = checkpoints.start, checkpoints.end, checkpoints.suffix_ok
 
     def pumped_run_accepts(n: int) -> bool:
         wn = pumped_word(d, n)
@@ -201,11 +239,12 @@ class VerificationReport:
 DEFAULT_N_SET = (0, 1, 2, 3, 4)
 
 
-def verify(pda, path: RunPath, decomposition, n_set=DEFAULT_N_SET) -> VerificationReport:
+def verify(pda, path: RunPath, decomposition, n_set=DEFAULT_N_SET, checkpoints=None) -> VerificationReport:
     """Run both verification routes for each n and collect the report on
-    the found run's word."""
+    the found run's word. `checkpoints` are the ones extract keeps on its
+    result; the replay route uses them as replay_pumps does."""
     n_set = tuple(n_set)
-    replayed = replay_pumps(pda, path, decomposition, n_set)
+    replayed = replay_pumps(pda, path, decomposition, n_set, checkpoints)
     searched = accepts_each(pda, [pumped_word(decomposition, n) for n in n_set])
     verdicts = tuple(
         PumpVerdict(n=n, replay_ok=ok, search=_search_verdict(outcome))

@@ -326,6 +326,90 @@ class TestPump:
         assert payload["verdict"]["overall"] is False
 
 
+DATA = Path(cli.__file__).resolve().parent / "data"
+GENERATORS = {name: entry.generate for name, entry in BUILTINS.items()}
+GENERATORS["ANBN_GENERAL"] = BUILTINS["ANBN"].generate
+# Strict words need |w| > p; the other machines' p is beyond any word a
+# test can pump, and their strict pumps stop before writing a report.
+STRICT_SIZES = {"DYCK1": 6601, "REG_AB": 17}
+# Every letter that means something in JSON, a space and a non-ASCII letter.
+QUOTED_LETTERS = ('"', "\\", "[", "]", ":", ",", " ", "é", *"profile")
+
+
+def quoted_doc() -> str:
+    """(Σ*) over QUOTED_LETTERS: each letter pushes, an epsilon move pops."""
+    transitions = [
+        {"from": "q0", "input": letter, "pop": BOTTOM, "push": [BOTTOM, BOTTOM], "to": "q1"}
+        for letter in QUOTED_LETTERS
+    ]
+    transitions.append({"from": "q1", "input": None, "pop": BOTTOM, "push": [], "to": "q0"})
+    doc = {
+        "format": "pumpkit/1",
+        "name": "QUOTED",
+        "states": ["q0", "q1"],
+        "input_alphabet": sorted(QUOTED_LETTERS),
+        "stack_alphabet": [BOTTOM],
+        "initial_state": "q0",
+        "initial_stack": [BOTTOM],
+        "accept_states": ["q0"],
+        "transitions": transitions,
+    }
+    return json.dumps(doc, ensure_ascii=False)
+
+
+def _report_cases():
+    machines = [(name, name) for name in BUILTINS]
+    machines += [(f.stem, str(f)) for f in sorted(DATA.glob("*.json"))]
+    for name, machine in machines:
+        label = machine if name == machine else f"{name}.json"
+        yield pytest.param(machine, GENERATORS[name](8), "best-effort", id=f"{label}-best-effort")
+        if name in STRICT_SIZES:
+            word = GENERATORS[name](STRICT_SIZES[name])
+            yield pytest.param(machine, word, "strict", id=f"{label}-strict")
+
+
+class TestJsonReportBytes:
+    """The json report is exactly json.dumps of its payload, although the
+    diagnostics profile is rendered apart from the rest."""
+
+    def check(self, capsys, monkeypatch, machine, word, mode):
+        payloads = []
+        original = cli._report_json
+
+        def recording(result, report):
+            payloads.append(original(result, report))
+            return payloads[-1]
+
+        monkeypatch.setattr(cli, "_report_json", recording)
+        code, out, err = run(capsys, "pump", machine, word, "--mode", mode, "--report", "json")
+        assert (code, err) == (0, "")
+        (payload,) = payloads
+        assert out == json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        return payload
+
+    def test_covers_every_machine(self):
+        cases = [case.values for case in _report_cases()]
+        files = {f.name for f in DATA.glob("*.json")}
+        assert {Path(machine).name for machine, _, _ in cases} == set(BUILTINS) | files
+        assert sum(mode == "strict" for _, _, mode in cases) == 4
+
+    @pytest.mark.parametrize("machine, word, mode", _report_cases())
+    def test_corpus(self, capsys, monkeypatch, machine, word, mode):
+        payload = self.check(capsys, monkeypatch, machine, word, mode)
+        assert len(payload["diagnostics"]["profile"]) == payload["diagnostics"]["pathLength"] + 1
+
+    @pytest.mark.parametrize(
+        "word, mode",
+        [('"profile": [] é\\,', "best-effort"), ('"profile": [] é\\,' * 3, "strict")],
+        ids=["best-effort", "strict"],
+    )
+    def test_json_punctuation_in_the_word(self, capsys, monkeypatch, tmp_path, word, mode):
+        machine = tmp_path / "quoted.json"
+        machine.write_text(quoted_doc(), encoding="utf-8")
+        payload = self.check(capsys, monkeypatch, str(machine), word, mode)
+        assert payload["word"] == word and set(word) == set(QUOTED_LETTERS)
+
+
 class TestProfile:
     def test_plain_ascii(self, capsys):
         code, out, _ = run(capsys, "profile", "DYCK1", "(())")

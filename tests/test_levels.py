@@ -153,6 +153,11 @@ class TestMaxLevel:
         with pytest.raises(ValueError):
             max_level((1, 3, 1), 2)
 
+    @pytest.mark.parametrize("prof", [(1, 1, 2), (1, 3, 2, 1), (3, 1, 2), (1, 2, 1, 1)])
+    def test_rejects_each_kind_of_non_unit_step(self, prof):
+        with pytest.raises(ValueError, match="profile must move in unit steps"):
+            max_levels(prof, len(prof) - 1)
+
 
 class TestBruteForce:
     def test_agrees_on_known_profiles(self):

@@ -4,6 +4,7 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +38,7 @@ from pumpkit.cli import main
 # pumpkit.verify and pumpkit.run as modules: the package re-exports
 # functions under the same names.
 verify_module = importlib.import_module("pumpkit.verify")
+extract_module = importlib.import_module("pumpkit.extract")
 run_module = importlib.import_module("pumpkit.run")
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "pumpkit" / "data"
@@ -407,8 +409,8 @@ def test_replay_pumps_matches_full_replay_on_generated_runs(drawn):
 
 
 def test_strict_pump_walks_the_run_at_most_three_times(monkeypatch, capsys):
-    """extract's candidate check and verify's n = 0..4 walk the found run
-    once each, plus the pumped middles; one full replay per n would be 7."""
+    """extract's candidate check walks the found run once and verify reuses
+    that walk, plus the pumped middles; one full replay per n would be 7."""
     walked = []
     original = run_module.walk
 
@@ -423,3 +425,68 @@ def test_strict_pump_walks_the_run_at_most_three_times(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["caseTag"] == "case2"
     assert 0 < sum(walked) <= 3 * report["diagnostics"]["pathLength"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("DYCK1", "(" * 6601 + ")" * 6601, "--mode", "strict"),
+        ("DYCK1", BUILTINS["DYCK1"].generate(8), "--mode", "best-effort"),
+        ("ANBN", BUILTINS["ANBN"].generate(8), "--mode", "best-effort"),
+        (str(DATA / "GEN_PAL.json"), BUILTINS["GEN_PAL"].generate(8), "--mode", "best-effort"),
+    ],
+    ids=["DYCK1-strict", "DYCK1", "ANBN", "GEN_PAL.json"],
+)
+def test_a_pump_walks_the_found_run_once(monkeypatch, capsys, argv):
+    """extract's candidate check walks the found run and keeps what the walk
+    found at the cuts; verify reuses it instead of walking the run again.
+    Each of these words has a nonempty u and passes its first candidate, so
+    the one walk of the found run is the only walk from position 0: the
+    pumped words all start with u, and their walks start after it."""
+    calls = record_walks(monkeypatch)
+    assert main(["pump", *argv, "--report", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["u"] != ""
+    assert report["diagnostics"]["candidatesTried"] == 1
+    assert sum(pos == 0 for _, pos in calls) == 1
+
+
+class TestVerifyCheckpoints:
+    def replayed(self, pda, path, d, checkpoints) -> tuple:
+        return tuple(v.replay_ok for v in verify(pda, path, d, PUMPS, checkpoints).verdicts)
+
+    def test_extract_keeps_the_checkpoints_verify_can_use(self, monkeypatch):
+        calls = record_walks(monkeypatch)
+        for _, pda, res in DECOMPOSITIONS:
+            d = res.decomposition
+            expected = replay_pumps(pda, res.path, d, PUMPS)
+            calls.clear()
+            assert self.replayed(pda, res.path, d, res.checkpoints) == expected
+            if d.u:
+                assert all(pos != 0 for _, pos in calls)
+
+    def test_checkpoints_for_other_cuts_are_ignored(self):
+        differ = 0
+        for _, pda, res in DECOMPOSITIONS:
+            path, d = res.path, res.decomposition
+            for index in range(4):
+                for delta in (-1, 1):
+                    cuts = list(d.cuts)
+                    cuts[index] += delta
+                    if not 0 <= cuts[0] <= cuts[1] <= cuts[2] <= cuts[3] <= len(path.steps):
+                        continue
+                    other = extract_module._decomposition(path, d.params, tuple(cuts), d.case, d.witness)
+                    expected = replay_pumps(pda, path, other, PUMPS)
+                    assert self.replayed(pda, path, other, res.checkpoints) == expected
+                    differ += expected != replay_pumps(pda, path, d, PUMPS)
+        assert differ > 0
+
+    def test_checkpoints_of_another_run_are_ignored(self, dyck1, monkeypatch):
+        calls = record_walks(monkeypatch)
+        first = extract(dyck1, "(())()", mode=ExtractionMode.BEST_EFFORT)
+        second = extract(dyck1, "(())(())", mode=ExtractionMode.BEST_EFFORT)
+        d = second.decomposition
+        assert d.cuts == first.decomposition.cuts
+        calls.clear()
+        assert self.replayed(dyck1, second.path, d, first.checkpoints) == replay_pumps(dyck1, second.path, d, PUMPS)
+        assert calls[0] == (d.cuts[0], 0)  # the second run walked from its start
