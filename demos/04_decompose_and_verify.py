@@ -9,8 +9,7 @@ from pumpkit import (
     decomposition_annotations,
     extract,
     pumped_word,
-    verify_by_replay,
-    verify_by_search,
+    verify,
 )
 
 dyck = corpus_get("DYCK1")
@@ -25,11 +24,9 @@ print(f"witness: heights g={d.witness.g}, h={d.witness.h} share a full state;"
       f" run cuts at positions {d.cuts}")
 print()
 
-for n in range(4):
-    pumped = pumped_word(d, n)
-    replay = verify_by_replay(dyck.pda, res.path, d, n)
-    search = verify_by_search(dyck.pda, d, n)
-    print(f"  n={n}: {pumped!r:22s} replay={'ok' if replay else 'FAIL'} search={search}")
+for v in verify(dyck.pda, res.path, d, range(4)).verdicts:
+    pumped = pumped_word(d, v.n)
+    print(f"  n={v.n}: {pumped!r:22s} replay={'ok' if v.replay_ok else 'FAIL'} search={v.search}")
 print()
 
 markers, spans = decomposition_annotations(d, res.path)

@@ -2,8 +2,10 @@
 constructive pumping decomposition with two independent verification paths.
 """
 
+from types import ModuleType as _ModuleType
+
 from .charts import Marker, Span, ascii_chart, decomposition_annotations, svg_chart
-from .corpus import BUILTINS, CorpusEntry, general_variant
+from .corpus import BUILTINS, CorpusEntry
 from .corpus import get as corpus_get
 from .errors import (
     ConstructionFalsifiedError,
@@ -26,18 +28,7 @@ from .extract import (
     ExtractionResult,
     extract,
 )
-from .levels import (
-    Configuration,
-    FullState,
-    LevelTriple,
-    brute_force_max_level,
-    configurations_up_to,
-    extract_sublevel,
-    flank_cuts,
-    full_states,
-    is_valid_level_triple,
-    max_level,
-)
+from .levels import LevelTriple, extract_sublevel, flank_cuts
 from .normalize import PumpingParams, normalize, pumping_params
 from .pda import (
     BLANK,
@@ -65,7 +56,7 @@ from .run import (
     minimal_accepting_path,
     replay,
 )
-from .serialize import FORMAT_VERSION, PdaDocument, dumps, load_document, load_path, loads, save_path, to_document
+from .serialize import FORMAT_VERSION, PdaDocument, dumps, load_document, load_path, loads, to_document
 from .verify import (
     DEFAULT_N_SET,
     ConstraintReport,
@@ -76,10 +67,10 @@ from .verify import (
     replay_pumps,
     spliced_steps,
     verify,
-    verify_by_replay,
-    verify_by_search,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names: everything imported above except the submodules, which
+# importing them binds on the package as a side effect.
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType))

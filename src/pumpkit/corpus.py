@@ -6,6 +6,10 @@ star form comes back as a NormalizedPda (normalize maps it one-to-one);
 any other stays general. Each entry pairs the machine with a generator for
 in-language words and one for near-miss words (off by one boundary
 letter), so tests and demos can sweep sizes without hand-writing words.
+
+data/ also holds ANBN_GENERAL.json, a general-form machine for ANBN's
+language whose long push starts with a symbol other than the popped one.
+It is no builtin and is read by path, like any machine file.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .normalize import normalize
-from .pda import GeneralPda, Pda, is_star_form
+from .pda import Pda, is_star_form
 from .serialize import PdaDocument, load_path
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -109,14 +113,3 @@ def get(name: str) -> CorpusEntry:
         known = ", ".join(sorted(BUILTINS))
         raise KeyError(f"unknown corpus entry {name!r} (known: {known})") from None
 
-
-def general_variant(name: str) -> GeneralPda:
-    """A general-form machine for the same language as the named entry.
-
-    Only defined where the builtin is already normalized; used to test that
-    conversion preserves the language. ANBN's variant pushes a sequence whose
-    first symbol differs from the popped one, so normalize has work to do.
-    """
-    if name == "ANBN":
-        return _load("ANBN_GENERAL").pda
-    raise KeyError(f"no general variant for {name!r}")

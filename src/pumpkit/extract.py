@@ -10,7 +10,8 @@ accepting run, measure its level l within the mode's window, then
   the letters between them (case 1).
 
 Both repeat scans are linear in the scanned run: positions (case 1) or
-heights (case 2) are grouped by key in one pass, the number of candidate
+heights (case 2) are grouped in one pass by the plain tuples of
+levels.configuration_keys or levels.full_state_keys, the number of candidate
 pairs is computed from the group sizes, and the pairs themselves are drawn
 lazily in (i, j) or (g, h) order, so a scan that stops at its first usable
 pair never lists the rest. Case 1 still builds its depth-l configuration
@@ -93,14 +94,6 @@ class Decomposition:
     case: str  # "case1" | "case2"
     witness: object
     params: PumpingParams
-
-    @property
-    def boundaries(self) -> tuple[int, int, int, int]:
-        b1 = len(self.u)
-        b2 = b1 + len(self.v)
-        b3 = b2 + len(self.x)
-        b4 = b3 + len(self.y)
-        return (b1, b2, b3, b4)
 
 
 @dataclass(frozen=True)

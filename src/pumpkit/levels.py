@@ -5,26 +5,22 @@ triple of positions i < j < k with s_i = s_k, s_j = s_i + N, and the profile
 confined to [s_i, s_j] on both flanks [i, j] and [j, k]. The level of a run
 (within a window) is the largest such N.
 
-max_level is the fast path: a single left-to-right sweep that tracks, for
-every height currently not undercut, the span of positions at that height and
-the peak seen inside the span; max_levels reads the windowed and the
-whole-run level off one such sweep. The sweep keeps its best witness as
-plain ints and builds one LevelTriple per result it returns.
-brute_force_max_level enumerates all (i, j, k) triples and tests the three
-conditions directly (vectorized with numpy, but still the O(n^3) check); it
-shares no code with the sweep and exists as an oracle for it. It is the only
-user of numpy, which it imports on call.
+max_levels finds it in a single left-to-right sweep that tracks, for every
+height currently not undercut, the span of positions at that height and the
+peak seen inside the span; it reads the windowed and the whole-run level off
+one such sweep. The sweep keeps its best witness as plain ints and builds one
+LevelTriple per result it returns. The tests hold an independent cubic
+oracle for it.
 
 The witness scans read plain tuples: configuration_keys gives (state, top
 symbols) per position and full_state_keys (push state, top symbol, pop
 state) per height, with stacks from RunPath.stacks, the run's one forward
-walk, and states from the steps. extract groups these tuples;
-configurations_up_to and full_states wrap the same tuples in Configuration
-and FullState records. flank_cuts is the one flank reader: it scans both
-flanks of a triple outward from the peak once and returns the last push and
-first pop of every height from a chosen bottom up to s_j. extract_sublevel
-reads its two positions from it, full_state_keys takes its list, and
-extract's case 2 cuts the word at its entries.
+walk, and states from the steps; extract groups these tuples. flank_cuts is
+the one flank reader: it scans both flanks of a triple outward from the peak
+once and returns the last push and first pop of every height from a chosen
+bottom up to s_j. extract_sublevel reads its two positions from it,
+full_state_keys takes its list, and extract's case 2 cuts the word at its
+entries.
 """
 
 from __future__ import annotations
@@ -43,41 +39,6 @@ class LevelTriple:
     j: int
     k: int
     n: int
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Control state plus the top `depth` stack symbols, top first.
-
-    Shallower stacks are padded with the blank symbol, so blanks, if any,
-    occupy only the trailing (deepest) slots.
-    """
-
-    state: str
-    top_stack: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class FullState:
-    """State at the last push to a height, the symbol resting there, and the
-    state at the first pop back to that height."""
-
-    push_state: str
-    top_symbol: str
-    pop_state: str
-
-
-def is_valid_level_triple(profile, t: LevelTriple) -> bool:
-    """Literal check of the three level conditions plus index sanity."""
-    if not (0 <= t.i < t.j < t.k < len(profile)):
-        return False
-    if t.n < 1:
-        return False
-    lo = profile[t.i]
-    hi = lo + t.n
-    if profile[t.k] != lo or profile[t.j] != hi:
-        return False
-    return all(lo <= profile[m] <= hi for m in range(t.i, t.k + 1))
 
 
 def _check_unit_steps(profile) -> None:
@@ -128,25 +89,17 @@ def _close(eras: list, best: tuple) -> tuple[int, LevelTriple | None]:
     return best_n, LevelTriple(best_i, best_j, best_k, best_n) if best_n else None
 
 
-def max_level(profile, window_end: int) -> tuple[int, LevelTriple | None]:
-    """Largest N such that an N-level with k <= window_end exists, plus one witness.
-
-    Single sweep: an "era" opens for height h when the profile steps up onto
-    h and closes when it steps below h (heights never undercut stay open to
-    the end). Within an era, candidate triples are (first position at h,
-    position of the era's peak, last position at h). A window_end below 0
-    gives (0, None), as in max_levels.
-    """
-    s = profile[: max(window_end + 1, 0)]
-    return max_levels(s, len(s) - 1)[0]
-
-
 def max_levels(profile, window_end: int) -> tuple[tuple[int, LevelTriple | None], tuple[int, LevelTriple | None]]:
-    """max_level(profile, window_end) and max_level(profile, len(profile) - 1)
-    from one sweep; a window_end below 0 gives (0, None) for the window.
+    """The largest level N with k <= window_end, and the largest with k at
+    most the profile's end, each with one witness (None when N = 0), from
+    one sweep; a window_end below 0 gives (0, None) for the window.
 
-    The windowed result is the sweep's state at window_end with every open
-    era closed; the sweep then goes on to the end of the profile.
+    An "era" opens for height h when the profile steps up onto h and closes
+    when it steps below h (heights never undercut stay open to the end).
+    Within an era, candidate triples are (first position at h, position of
+    the era's peak, last position at h). The windowed result is the sweep's
+    state at window_end with every open era closed; the sweep then goes on
+    to the end of the profile.
     """
     _check_unit_steps(profile)
     if len(profile) < 3:
@@ -160,50 +113,6 @@ def max_levels(profile, window_end: int) -> tuple[tuple[int, LevelTriple | None]
     if end == last:
         return windowed, windowed
     return windowed, _close(eras, _sweep(profile, end + 1, last + 1, eras, best))
-
-
-def brute_force_max_level(profile, window_end: int) -> tuple[int, LevelTriple | None]:
-    """Oracle: enumerate every (i, j, k) triple and test the level conditions.
-
-    O(n^3) space and time over the windowed profile; meant for desk-scale
-    cross-checking of max_level, not production use. Returns the
-    lexicographically first maximal witness.
-    """
-    import numpy as np
-
-    end = min(window_end, len(profile) - 1)
-    if end < 2:
-        return 0, None
-    values = list(profile[: end + 1])
-    dtype = np.int16 if max(abs(v) for v in values) < 32000 else np.int64
-    s = np.asarray(values, dtype=dtype)
-    L = len(s)
-
-    # Range extrema matrices: fmax[a, b] = max(s[a..b]) for a <= b.
-    tile = np.broadcast_to(s, (L, L))
-    below_diag = np.tril(np.ones((L, L), dtype=bool), -1)
-    fmax = np.maximum.accumulate(np.where(below_diag, np.iinfo(dtype).min, tile), axis=1)
-    fmin = np.minimum.accumulate(np.where(below_diag, np.iinfo(dtype).max, tile), axis=1)
-
-    idx = np.arange(L)
-    before = idx[:, None] < idx[None, :]
-    # [i, j] flank: inside [s_i, s_j], with s_j above s_i and i < j.
-    flank_up = before & (s[None, :] > s[:, None]) & (fmin >= s[:, None]) & (fmax <= s[None, :])
-    # [j, k] flank upper bound: peak at most s_j, with j < k.
-    flank_down = before & (fmax <= s[:, None])
-    valid = (
-        flank_up[:, :, None]
-        & flank_down[None, :, :]
-        & (fmin[None, :, :] >= s[:, None, None])
-        & (s[:, None, None] == s[None, None, :])
-    )
-    if not valid.any():
-        return 0, None
-    n_grid = s[None, :, None].astype(dtype) - s[:, None, None]
-    scores = np.where(valid, n_grid, 0)
-    best = int(scores.max())
-    i, j, k = (int(x) for x in np.argwhere(scores == best)[0])
-    return best, LevelTriple(i, j, k, best)
 
 
 def flank_cuts(profile, triple: LevelTriple, bottom: int | None = None) -> list[tuple[int, int]]:
@@ -243,9 +152,7 @@ def flank_cuts(profile, triple: LevelTriple, bottom: int | None = None) -> list[
 def configuration_keys(path: RunPath, last_pos: int, depth: int) -> list[tuple[str, tuple[str, ...]]]:
     """(state, top `depth` stack symbols top first) at positions 0..last_pos,
     in one pass over the steps; shallower stacks are padded with blanks.
-
-    The case-1 scan groups these plain tuples; configurations_up_to wraps
-    them in Configuration records.
+    The case-1 scan groups these plain tuples.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -259,11 +166,6 @@ def configuration_keys(path: RunPath, last_pos: int, depth: int) -> list[tuple[s
             top_first += pad[len(top_first) :]
         out.append((state, top_first))
     return out
-
-
-def configurations_up_to(path: RunPath, last_pos: int, depth: int) -> list[Configuration]:
-    """configuration_keys as Configuration records."""
-    return [Configuration(*key) for key in configuration_keys(path, last_pos, depth)]
 
 
 def full_state_keys(path: RunPath, cuts: list[tuple[int, int]]) -> list[tuple[str, str, str]]:
@@ -291,11 +193,6 @@ def full_state_keys(path: RunPath, cuts: list[tuple[int, int]]) -> list[tuple[st
             )
         out.append((states[lp], tops[lp], states[fp]))
     return out
-
-
-def full_states(path: RunPath, cuts: list[tuple[int, int]]) -> list[FullState]:
-    """full_state_keys as FullState records."""
-    return [FullState(*key) for key in full_state_keys(path, cuts)]
 
 
 def extract_sublevel(profile, triple: LevelTriple, target: int) -> LevelTriple:

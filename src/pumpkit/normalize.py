@@ -27,14 +27,16 @@ def _fresh_prefix(states: frozenset[str]) -> str:
 
 
 def normalize(pda: GeneralPda) -> NormalizedPda:
-    """Convert to the pop-only / push-one transition shape, preserving the language.
+    """Convert to the pop-only / push-one transition shape.
 
     Transitions already in shape map one-to-one (no intermediate states).
     A push of k symbols becomes: one transition that consumes the original
     letter and pops without pushing, then k epsilon pushes, each defined for
     every possible current top symbol. The chain requires a nonempty stack
-    at every push, which the bottom-marker convention guarantees as long as
-    the original machine never pops its last symbol and then pushes.
+    at every push. When no transition is a "bottom-loss" one (validate warns
+    for each non-star transition that pops the bottom marker), the marker
+    stays deepest and no expanded transition pops the last symbol, so the
+    language is kept; otherwise it may change (ROADMAP item 6).
     """
     prefix = _fresh_prefix(pda.states)
     symbols = sorted(pda.stack_alphabet)

@@ -141,8 +141,9 @@ def validate(pda: Pda) -> ValidationReport:
 
     An empty error list means well-formed. Warnings flag shapes that are
     legal but hazardous, currently only transitions that pop the bottom
-    marker and push a replacement sequence not rooted in it (their expansion
-    can strand the machine on a momentarily empty stack).
+    marker and are not in star shape: normalize expands them into a pop
+    and a chain of pushes, which strands the machine on an empty stack
+    when the bottom marker was the only symbol.
     """
     issues: list[Issue] = []
 
@@ -186,12 +187,12 @@ def validate(pda: Pda) -> ValidationReport:
                 "star-violation",
                 f"{where}: normalized transitions must push nothing or [popped, extra], got {list(push)}",
             )
-        if t.pop == BOTTOM and push and push[0] != BOTTOM:
+        if t.pop == BOTTOM and not is_star_transition(t):
             issues.append(
                 Issue(
                     "warning",
                     "bottom-loss",
-                    f"{where}: pops the bottom marker and pushes a sequence not rooted in it",
+                    f"{where}: pops the bottom marker and pushes {list(push)}; normalize's expansion stalls when it is the only symbol",
                 )
             )
 

@@ -152,8 +152,3 @@ def dumps(doc: dict | PdaDocument | Pda) -> str:
     elif isinstance(doc, PdaDocument):
         doc = to_document(doc.pda, doc.name, doc.description)
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
-def save_path(path, doc: dict | PdaDocument | Pda) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))

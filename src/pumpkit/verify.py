@@ -8,10 +8,9 @@ the spliced sequence against the pumped word. The search route ignores the
 run entirely and asks the membership search: verify hands the pumped words
 of every n to one accepts_each call, which searches their shared prefixes
 once and their common suffix once wherever the words reach it with equal
-descriptions (it finds that suffix from the words, not from z), and
-verify_by_search asks about one n. The two routes share no splicing or
-decomposition logic, so a bug in the construction cannot silently confirm
-itself.
+descriptions (it finds that suffix from the words, not from z). The two
+routes share no splicing or decomposition logic, so a bug in the
+construction cannot silently confirm itself.
 
 replay_pumps checks several pump counts against one walk of the found run.
 Everything that repeats lies between the first cut a and the last cut that
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .run import Accepted, LimitExceeded, ReplayError, RunPath, SearchLimits, accepts, accepts_each, walk
+from .run import Accepted, LimitExceeded, ReplayError, RunPath, accepts_each, walk
 
 
 def pumped_word(decomposition, n: int):
@@ -145,22 +144,12 @@ def replay_pumps(pda, path: RunPath, decomposition, n_set, checkpoints=None) -> 
     return tuple(pumped_run_accepts(n) for n in n_set)
 
 
-def verify_by_replay(pda, path: RunPath, decomposition, n: int) -> bool:
-    """Replay the spliced run against the pumped word."""
-    return replay_pumps(pda, path, decomposition, (n,))[0]
-
-
 def _search_verdict(outcome) -> str:
     if isinstance(outcome, Accepted):
         return "accepted"
     if isinstance(outcome, LimitExceeded):
         return "limit"
     return "rejected"
-
-
-def verify_by_search(pda, decomposition, n: int, limits: SearchLimits | None = None) -> str:
-    """Membership verdict for the pumped word: accepted / rejected / limit."""
-    return _search_verdict(accepts(pda, pumped_word(decomposition, n), limits))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
+import importlib.resources
+
 import pytest
 
-from pumpkit import BOTTOM, BUILTINS, GeneralTransition, PdaDocument, RunPath, dumps
+from pumpkit import BOTTOM, BUILTINS, GeneralTransition, PdaDocument, RunPath, dumps, load_path
 
 
 @pytest.fixture
@@ -21,6 +23,13 @@ def anbn():
 @pytest.fixture
 def gen_pal():
     return BUILTINS["GEN_PAL"].pda
+
+
+@pytest.fixture
+def anbn_general():
+    """ANBN's language as a general-form machine, read from the shipped file
+    the way the CLI reads any machine file."""
+    return load_path(importlib.resources.files("pumpkit") / "data" / "ANBN_GENERAL.json").pda
 
 
 @pytest.fixture

@@ -1,0 +1,67 @@
+"""Independent oracles for the level sweep, kept out of the package.
+
+brute_force_max_level enumerates every (i, j, k) triple and tests the three
+level conditions directly (vectorized with numpy, but still the O(n^3)
+check); it shares no code with levels.max_levels. is_valid_level_triple
+checks one witness literally. numpy is a test dependency only, and this is
+its one user.
+"""
+
+from pumpkit import LevelTriple
+
+
+def is_valid_level_triple(profile, t: LevelTriple) -> bool:
+    """Literal check of the three level conditions plus index sanity."""
+    if not (0 <= t.i < t.j < t.k < len(profile)):
+        return False
+    if t.n < 1:
+        return False
+    lo = profile[t.i]
+    hi = lo + t.n
+    if profile[t.k] != lo or profile[t.j] != hi:
+        return False
+    return all(lo <= profile[m] <= hi for m in range(t.i, t.k + 1))
+
+
+def brute_force_max_level(profile, window_end: int) -> tuple[int, LevelTriple | None]:
+    """Oracle: enumerate every (i, j, k) triple and test the level conditions.
+
+    O(n^3) space and time over the windowed profile; meant for desk-scale
+    cross-checking of the level sweep, not production use. Returns the
+    lexicographically first maximal witness.
+    """
+    import numpy as np
+
+    end = min(window_end, len(profile) - 1)
+    if end < 2:
+        return 0, None
+    values = list(profile[: end + 1])
+    dtype = np.int16 if max(abs(v) for v in values) < 32000 else np.int64
+    s = np.asarray(values, dtype=dtype)
+    L = len(s)
+
+    # Range extrema matrices: fmax[a, b] = max(s[a..b]) for a <= b.
+    tile = np.broadcast_to(s, (L, L))
+    below_diag = np.tril(np.ones((L, L), dtype=bool), -1)
+    fmax = np.maximum.accumulate(np.where(below_diag, np.iinfo(dtype).min, tile), axis=1)
+    fmin = np.minimum.accumulate(np.where(below_diag, np.iinfo(dtype).max, tile), axis=1)
+
+    idx = np.arange(L)
+    before = idx[:, None] < idx[None, :]
+    # [i, j] flank: inside [s_i, s_j], with s_j above s_i and i < j.
+    flank_up = before & (s[None, :] > s[:, None]) & (fmin >= s[:, None]) & (fmax <= s[None, :])
+    # [j, k] flank upper bound: peak at most s_j, with j < k.
+    flank_down = before & (fmax <= s[:, None])
+    valid = (
+        flank_up[:, :, None]
+        & flank_down[None, :, :]
+        & (fmin[None, :, :] >= s[:, None, None])
+        & (s[:, None, None] == s[None, None, :])
+    )
+    if not valid.any():
+        return 0, None
+    n_grid = s[None, :, None].astype(dtype) - s[:, None, None]
+    scores = np.where(valid, n_grid, 0)
+    best = int(scores.max())
+    i, j, k = (int(x) for x in np.argwhere(scores == best)[0])
+    return best, LevelTriple(i, j, k, best)

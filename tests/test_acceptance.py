@@ -22,18 +22,17 @@ from pumpkit import (
     LimitExceeded,
     NoWitnessError,
     accepts,
-    brute_force_max_level,
     check_constraints,
     extract,
-    general_variant,
-    is_valid_level_triple,
-    max_level,
     normalize,
-    verify_by_replay,
-    verify_by_search,
+    pumped_word,
+    verify,
 )
 from pumpkit.cli import main
 from pumpkit.corpus import BUILTINS
+from pumpkit.levels import max_levels
+
+from oracles import brute_force_max_level, is_valid_level_triple
 
 DYCK_BIG = "(" * 6601 + ")" * 6601
 REG_AB_34 = "ab" * 17
@@ -92,10 +91,10 @@ def test_criterion_2_strict_case1(tmp_path):
     print(f"criterion 2: case1 strict |w|=34, y=z=eps, n=0..5 both routes, {elapsed:.2f}s")
 
 
-def test_criterion_3_normalization_preserves_membership():
+def test_criterion_3_normalization_preserves_membership(anbn_general):
     machines = [
         ("GEN_PAL", BUILTINS["GEN_PAL"].pda),
-        ("ANBN-general", general_variant("ANBN")),
+        ("ANBN-general", anbn_general),
     ]
     checked = 0
     for name, pda in machines:
@@ -132,17 +131,19 @@ def test_criterion_4_level_sweep_matches_brute_force():
         profile = tuple(profile)
         window_end = int(rng.integers(0, length))
 
-        fast_level, fast_witness = max_level(profile, window_end)
-        slow_level, _ = brute_force_max_level(profile, window_end)
-        assert fast_level == slow_level, (trial, profile, window_end)
-        assert (fast_witness is None) == (fast_level == 0)
-        if fast_witness is not None:
-            assert is_valid_level_triple(profile, fast_witness), (trial, fast_witness)
-            assert fast_witness.k <= min(window_end, length - 1)
-            assert fast_witness.n == fast_level
+        # the windowed level and the whole-run level (reports' wholePathLevel)
+        # come from one sweep; each is checked against its own oracle run
+        for end, (fast_level, fast_witness) in zip((window_end, length - 1), max_levels(profile, window_end)):
+            slow_level, _ = brute_force_max_level(profile, end)
+            assert fast_level == slow_level, (trial, profile, end)
+            assert (fast_witness is None) == (fast_level == 0)
+            if fast_witness is not None:
+                assert is_valid_level_triple(profile, fast_witness), (trial, fast_witness)
+                assert fast_witness.k <= end
+                assert fast_witness.n == fast_level
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    print(f"criterion 4: 1000 seeded profiles (len <= 200), zero mismatches, {elapsed:.2f}s")
+    print(f"criterion 4: 1000 seeded profiles (len <= 200), windowed and whole-run levels, zero mismatches, {elapsed:.2f}s")
 
 
 def test_criterion_5_best_effort_property_suite():
@@ -166,12 +167,12 @@ def test_criterion_5_best_effort_property_suite():
             d = res.decomposition
             assert d.u + d.v + d.x + d.y + d.z == word, (name, m)
             assert len(d.v) + len(d.y) >= 1, (name, m)
-            for n in pump_counts:
-                replay_ok = verify_by_replay(npda, res.path, d, n)
-                search = verify_by_search(npda, d, n)
-                assert search != "limit", (name, m, n)
-                assert replay_ok == (search == "accepted"), (name, m, n)
-                assert replay_ok, (name, m, n)
+            verdicts = verify(npda, res.path, d, pump_counts).verdicts
+            assert tuple(v.n for v in verdicts) == pump_counts, (name, m)
+            for v in verdicts:
+                assert v.search != "limit", (name, m, v.n)
+                assert v.replay_ok == (v.search == "accepted"), (name, m, v.n)
+                assert v.replay_ok, (name, m, v.n)
             decomposed += 1
     assert decomposed + len(no_witness) == 400
     kinds = sorted({name for name, _ in no_witness})
@@ -198,7 +199,7 @@ def test_criterion_6_boundary_mutations_are_caught():
             res = cache[m]
             word = res.path.word
             d = res.decomposition
-            cuts = list(d.boundaries)
+            cuts = list(itertools.accumulate(map(len, (d.u, d.v, d.x, d.y))))
             b = rng.randrange(4)
             new = cuts.copy()
             new[b] += rng.choice((-1, 1))
@@ -217,7 +218,7 @@ def test_criterion_6_boundary_mutations_are_caught():
             c = check_constraints(broken, word)
             caught = not (c.concatenation_ok and c.nontrivial_ok and c.length_bound_ok)
             if not caught:
-                caught = any(verify_by_search(npda, broken, n) != "accepted" for n in (0, 2))
+                caught = any(not isinstance(accepts(npda, pumped_word(broken, n)), Accepted) for n in (0, 2))
             assert caught, (name, m, cuts, new)
             detected += 1
     assert attempted == detected == 200

@@ -10,7 +10,6 @@ from pumpkit import (
     NotAccepted,
     accepts,
     corpus_get,
-    general_variant,
     is_star_form,
     validate,
 )
@@ -31,7 +30,7 @@ class TestEntries:
         with pytest.raises(KeyError):
             corpus_get("NOPE")
 
-    def test_star_form_entries(self):
+    def test_star_form_entries(self, anbn_general):
         assert is_star_form(BUILTINS["DYCK1"].pda)
         assert is_star_form(BUILTINS["REG_AB"].pda)
         assert is_star_form(BUILTINS["ANBN"].pda)
@@ -40,7 +39,7 @@ class TestEntries:
         for name in ("DYCK1", "REG_AB", "ANBN"):
             assert type(BUILTINS[name].pda) is NormalizedPda
         assert type(BUILTINS["GEN_PAL"].pda) is GeneralPda
-        assert type(general_variant("ANBN")) is GeneralPda
+        assert type(anbn_general) is GeneralPda
 
 
 class TestGenerators:
@@ -106,13 +105,9 @@ class TestLanguages:
         assert not is_member(anbn, "aab")
         assert not is_member(anbn, "ba")
 
-    def test_general_variant_same_language(self, anbn):
-        gp = general_variant("ANBN")
+    def test_general_variant_same_language(self, anbn, anbn_general):
+        gp = anbn_general
         for length in range(0, 9):
             for tup in itertools.product("ab", repeat=length):
                 w = "".join(tup)
                 assert is_member(gp, w) == is_member(anbn, w), w
-
-    def test_general_variant_unknown(self):
-        with pytest.raises(KeyError):
-            general_variant("DYCK1")

@@ -17,18 +17,16 @@ from pumpkit import (
     NotAcceptedError,
     StrictPreconditionError,
     TopSymbolMismatchError,
-    configurations_up_to,
     extract,
     extract_sublevel,
     flank_cuts,
-    full_states,
-    max_level,
     minimal_accepting_path,
     normalize,
     pumping_params,
-    verify_by_replay,
+    replay_pumps,
 )
 from pumpkit.extract import _case1_pairs, _case2_pairs
+from pumpkit.levels import configuration_keys, full_state_keys, max_levels
 
 
 def single_word_machine():
@@ -160,8 +158,8 @@ class TestExtract:
         assert res.decomposition.v == "ab"
 
     def test_decomposition_boundaries(self, dyck1):
-        res = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
-        assert res.decomposition.boundaries == (1, 2, 6, 7)
+        d = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT).decomposition
+        assert tuple(map(len, (d.u, d.v, d.x, d.y, d.z))) == (1, 1, 4, 1, 1)
 
     def test_window_limits_strict_scan(self, dyck1):
         # strict mode on a word longer than p keeps the whole scan inside
@@ -189,8 +187,7 @@ class TestExtract:
 
     def test_internal_replay_check_passes_for_all_candidates(self, anbn):
         res = extract(anbn, "a" * 6 + "b" * 6, mode=ExtractionMode.BEST_EFFORT)
-        for n in (0, 1, 3):
-            assert verify_by_replay(anbn, res.path, res.decomposition, n)
+        assert replay_pumps(anbn, res.path, res.decomposition, (0, 1, 3)) == (True, True, True)
 
 
 class TestCase1Decompose:
@@ -235,7 +232,7 @@ class TestCase2Decompose:
         path = minimal_accepting_path(pda, "aabb")
         assert path.profile == (1, 2, 3, 2, 1, 0)
         cuts = flank_cuts(path.profile, LevelTriple(0, 2, 4, 2))
-        assert len(set(full_states(path, cuts))) == 3
+        assert len(set(full_state_keys(path, cuts))) == 3
         available, pairs = _case2_pairs(path, cuts)
         assert available == 0
         assert next(pairs, None) is None
@@ -301,7 +298,7 @@ class TestPairOrder:
         for m in range(2, 41):
             path = minimal_accepting_path(pda, entry.generate(m))
             last = len(path.steps)
-            level, witness = max_level(path.profile, last)
+            level, witness = max_levels(path.profile, last)[0]
             for depth in sorted({0, 1, level}):
                 expected = reference_case1_pairs(path, last, depth)
                 available, pairs = _case1_pairs(path, last, depth)
@@ -317,7 +314,7 @@ class TestPairOrder:
 
 def grouped_record_pairs(records, base=0, first=50):
     """Pair count and the first pairs, a then b ascending, of equal records
-    (Configuration or FullState), grouped through the records' own == and hash."""
+    (configuration or full-state key tuples), grouped in a dict of lists."""
     groups: dict = {}
     for index, record in enumerate(records, base):
         groups.setdefault(record, []).append(index)
@@ -331,7 +328,8 @@ def grouped_record_pairs(records, base=0, first=50):
 
 
 class TestPairsOverRecords:
-    """The scans group plain tuples; grouping the records gives the same pairs."""
+    """The lazy scans give the count and first pairs of a plain grouping of
+    the same key tuples."""
 
     @pytest.mark.parametrize("name", sorted(BUILTINS))
     @pytest.mark.parametrize("m", [100, 400])
@@ -339,10 +337,10 @@ class TestPairsOverRecords:
         entry = BUILTINS[name]
         path = minimal_accepting_path(normalize(entry.pda), entry.generate(m))
         last = len(path.steps)
-        level, witness = max_level(path.profile, last)
+        level, witness = max_levels(path.profile, last)[0]
         for depth in sorted({0, 1, level, level + 2}):
             available, pairs = _case1_pairs(path, last, depth)
-            expected = grouped_record_pairs(configurations_up_to(path, last, depth))
+            expected = grouped_record_pairs(configuration_keys(path, last, depth))
             assert (available, list(islice(pairs, 50))) == expected
         if witness is None:
             return
@@ -350,7 +348,7 @@ class TestPairsOverRecords:
             triple = extract_sublevel(path.profile, witness, target)
             cuts = flank_cuts(path.profile, triple)
             available, pairs = _case2_pairs(path, cuts)
-            expected = grouped_record_pairs(full_states(path, cuts), base=path.profile[triple.i])
+            expected = grouped_record_pairs(full_state_keys(path, cuts), base=path.profile[triple.i])
             assert (available, list(islice(pairs, 50))) == expected
 
 
@@ -362,5 +360,4 @@ class TestOnNormalizedGeneralMachines:
         d = res.decomposition
         assert d.u + d.v + d.x + d.y + d.z == word
         assert len(d.v) + len(d.y) >= 1
-        for n in (0, 2):
-            assert verify_by_replay(npda, res.path, d, n)
+        assert replay_pumps(npda, res.path, d, (0, 2)) == (True, True)

@@ -7,22 +7,16 @@ from pumpkit import (
     BLANK,
     BOTTOM,
     BUILTINS,
-    Configuration,
-    FullState,
     LevelTriple,
     TopSymbolMismatchError,
-    brute_force_max_level,
-    configurations_up_to,
     extract_sublevel,
     flank_cuts,
-    full_states,
-    is_valid_level_triple,
-    max_level,
     minimal_accepting_path,
     normalize,
 )
 from pumpkit.levels import configuration_keys, full_state_keys, max_levels
 
+from oracles import brute_force_max_level, is_valid_level_triple
 
 
 class TestTripleValidity:
@@ -44,7 +38,7 @@ class TestTripleValidity:
 def reference_max_level(profile, window_end):
     """The level sweep as it was before the windowed and whole-run results
     came from one pass: a separate sweep per window, kept as the reference
-    for max_levels and for max_level itself."""
+    for max_levels."""
     end = min(window_end, len(profile) - 1)
     s = profile[: end + 1]
     for a, b in zip(s, s[1:]):
@@ -98,7 +92,6 @@ class TestMaxLevel:
             whole = reference_max_level(profile, length - 1)
             assert max_levels(profile, window_end) == (windowed, whole), (trial, window_end)
             assert max_levels(profile, length - 1) == (whole, whole)
-            assert max_level(profile, window_end) == windowed
 
     def test_sweep_builds_at_most_two_triples(self, monkeypatch):
         # on a mountain every down-step improves the best triple; the sweep
@@ -122,16 +115,16 @@ class TestMaxLevel:
             max_levels((1, 2, 1, 3, 1), 2)
 
     def test_known_profiles(self):
-        assert max_level((1, 2, 3, 2, 1, 0), 5) == (2, LevelTriple(0, 2, 4, 2))
+        assert max_levels((1, 2, 3, 2, 1, 0), 5)[0] == (2, LevelTriple(0, 2, 4, 2))
         # a window end below 0 must not count from the end of the profile
-        assert max_level((1, 2, 3, 2, 1, 0), -2) == (0, None) == brute_force_max_level((1, 2, 3, 2, 1, 0), -2)
-        assert max_level((1, 0), 1) == (0, None)
+        assert max_levels((1, 2, 3, 2, 1, 0), -2)[0] == (0, None) == brute_force_max_level((1, 2, 3, 2, 1, 0), -2)
+        assert max_levels((1, 0), 1)[0] == (0, None)
         # witness k is the era's latest base touch (8), not the earliest (6);
         # both are valid 3-levels and the brute force is free to pick the other
-        assert max_level((1, 2, 3, 4, 3, 2, 1, 2, 1, 0), 9) == (3, LevelTriple(0, 3, 8, 3))
+        assert max_levels((1, 2, 3, 4, 3, 2, 1, 2, 1, 0), 9)[0] == (3, LevelTriple(0, 3, 8, 3))
 
     def test_oscillating_profile(self):
-        level, witness = max_level((1, 2, 1, 2, 1), 4)
+        level, witness = max_levels((1, 2, 1, 2, 1), 4)[0]
         assert level == 1
         assert is_valid_level_triple((1, 2, 1, 2, 1), witness)
 
@@ -139,19 +132,19 @@ class TestMaxLevel:
         prof = (1, 2, 3, 2, 1, 0)
         # k = 4 is required for the 2-level; a window ending at 3 leaves
         # only the 1-level (1, 2, 3)
-        level, witness = max_level(prof, 3)
+        level, witness = max_levels(prof, 3)[0]
         assert level == 1
         assert witness.k <= 3
 
     def test_descending_start(self):
         prof = (4, 3, 2, 1, 0, 1, 0, 1, 0, 1, 2, 3, 4)
-        level, witness = max_level(prof, len(prof) - 1)
+        level, witness = max_levels(prof, len(prof) - 1)[0]
         assert level == 1
         assert is_valid_level_triple(prof, witness)
 
     def test_rejects_non_unit_steps(self):
         with pytest.raises(ValueError):
-            max_level((1, 3, 1), 2)
+            max_levels((1, 3, 1), 2)
 
     @pytest.mark.parametrize("prof", [(1, 1, 2), (1, 3, 2, 1), (3, 1, 2), (1, 2, 1, 1)])
     def test_rejects_each_kind_of_non_unit_step(self, prof):
@@ -167,7 +160,7 @@ class TestBruteForce:
             ((1, 2, 1, 2, 1), 4),
             ((1, 2, 3, 4, 3, 2, 1, 2, 1, 0), 9),
         ]:
-            assert brute_force_max_level(prof, end)[0] == max_level(prof, end)[0]
+            assert brute_force_max_level(prof, end)[0] == max_levels(prof, end)[0][0]
 
     def test_lex_first_witness(self):
         # two disjoint 1-levels; the brute force reports the earliest
@@ -189,16 +182,18 @@ def unit_profiles(draw):
 @given(unit_profiles(), st.integers(0, 70))
 @settings(max_examples=200, deadline=None)
 def test_sweep_matches_brute_force(profile, window_end):
-    fast_level, fast_witness = max_level(profile, window_end)
-    slow_level, slow_witness = brute_force_max_level(profile, window_end)
-    assert fast_level == slow_level
-    assert (fast_witness is None) == (fast_level == 0)
-    if fast_witness is not None:
-        assert is_valid_level_triple(profile, fast_witness)
-        assert fast_witness.k <= min(window_end, len(profile) - 1)
-        assert fast_witness.n == fast_level
-    if slow_witness is not None:
-        assert is_valid_level_triple(profile, slow_witness)
+    # both results of the one sweep: the window's and the whole run's
+    last = len(profile) - 1
+    for end, (fast_level, fast_witness) in zip((window_end, last), max_levels(profile, window_end)):
+        slow_level, slow_witness = brute_force_max_level(profile, end)
+        assert fast_level == slow_level
+        assert (fast_witness is None) == (fast_level == 0)
+        if fast_witness is not None:
+            assert is_valid_level_triple(profile, fast_witness)
+            assert fast_witness.k <= min(end, last)
+            assert fast_witness.n == fast_level
+        if slow_witness is not None:
+            assert is_valid_level_triple(profile, slow_witness)
 
 
 class TestCutPositions:
@@ -263,7 +258,7 @@ def reference_flank_cuts(profile, triple, bottom):
 def test_flank_cuts_match_a_scan_per_height(profile):
     # the max-level witness of every window, at every bottom
     for window_end in range(len(profile)):
-        _, witness = max_level(profile, window_end)
+        _, witness = max_levels(profile, window_end)[0]
         if witness is None:
             continue
         for bottom in range(profile[witness.i], profile[witness.j] + 1):
@@ -276,23 +271,23 @@ def test_flank_cuts_match_a_scan_per_height(profile):
 class TestConfigurations:
     def test_top_first_with_padding(self, dyck1):
         path = minimal_accepting_path(dyck1, "()")
-        assert configurations_up_to(path, 1, 2)[1] == Configuration("q0", ("X", BOTTOM))
-        assert configurations_up_to(path, 1, 3)[1] == Configuration("q0", ("X", BOTTOM, BLANK))
-        assert configurations_up_to(path, 3, 2)[3] == Configuration("qf", (BLANK, BLANK))
+        assert configuration_keys(path, 1, 2)[1] == ("q0", ("X", BOTTOM))
+        assert configuration_keys(path, 1, 3)[1] == ("q0", ("X", BOTTOM, BLANK))
+        assert configuration_keys(path, 3, 2)[3] == ("qf", (BLANK, BLANK))
 
     def test_depth_zero_is_state_only(self, dyck1):
         path = minimal_accepting_path(dyck1, "()")
-        assert configurations_up_to(path, 0, 0) == [Configuration("q0", ())]
+        assert configuration_keys(path, 0, 0) == [("q0", ())]
         with pytest.raises(ValueError):
-            configurations_up_to(path, 0, -1)
+            configuration_keys(path, 0, -1)
         with pytest.raises(ValueError):
-            configurations_up_to(path, len(path.steps), -1)
+            configuration_keys(path, len(path.steps), -1)
 
     def test_positions_outside_the_run_raise(self, dyck1):
         path = minimal_accepting_path(dyck1, "()")
         for pos in (-1, 4, 99):
             with pytest.raises(IndexError):
-                configurations_up_to(path, pos, 1)
+                configuration_keys(path, pos, 1)
             with pytest.raises(IndexError):
                 list(path.stacks(pos))
 
@@ -303,8 +298,8 @@ class TestConfigurations:
             single = []
             for pos in range(len(path.steps) + 1):
                 top_first = tuple(reversed(path.stack_at(pos)))[:depth]
-                single.append(Configuration(path.state_at(pos), top_first + (BLANK,) * (depth - len(top_first))))
-            assert configurations_up_to(path, len(path.steps), depth) == single
+                single.append((path.state_at(pos), top_first + (BLANK,) * (depth - len(top_first))))
+            assert configuration_keys(path, len(path.steps), depth) == single
 
 
 @st.composite
@@ -316,33 +311,29 @@ def corpus_runs(draw):
 
 @given(corpus_runs(), st.integers(0, 3), st.data())
 @settings(max_examples=150, deadline=None)
-def test_tuple_readers_equal_the_records(path, depth, data):
+def test_tuple_readers_match_each_position(path, depth, data):
     last = len(path.steps)
     keys = configuration_keys(path, last, depth)
-    assert [(c.state, c.top_stack) for c in configurations_up_to(path, last, depth)] == keys
     # each position read on its own, blank padding included
     for pos, (state, top_first) in enumerate(keys):
         stack = tuple(reversed(path.stack_at(pos)))[:depth]
         assert (state, top_first) == (path.state_at(pos), stack + (BLANK,) * (depth - len(stack)))
     for pos in (-1, last + 1):
-        for reader in (configuration_keys, configurations_up_to):
-            with pytest.raises(IndexError):
-                reader(path, pos, depth)
+        with pytest.raises(IndexError):
+            configuration_keys(path, pos, depth)
 
-    _, witness = max_level(path.profile, last)
+    _, witness = max_levels(path.profile, last)[0]
     if witness is None:
         return
     bottom = data.draw(st.integers(path.profile[witness.i], path.profile[witness.j]))
     cuts = flank_cuts(path.profile, witness, bottom)
     keys = full_state_keys(path, cuts)
-    assert [(f.push_state, f.top_symbol, f.pop_state) for f in full_states(path, cuts)] == keys
     for (lp, fp), (push_state, top, pop_state) in zip(cuts, keys):
         assert (push_state, top, pop_state) == (path.state_at(lp), path.stack_at(lp)[-1], path.state_at(fp))
     (lp, fp), *rest = cuts
     for bad in ([(lp, last + 1), *rest], [(-1, fp), *rest]):
-        for reader in (full_state_keys, full_states):
-            with pytest.raises(IndexError):
-                reader(path, bad)
+        with pytest.raises(IndexError):
+            full_state_keys(path, bad)
 
 
 class TestFullState:
@@ -350,13 +341,12 @@ class TestFullState:
         path = minimal_accepting_path(dyck1, "(((())))")
         t = LevelTriple(0, 4, 8, 4)
         cuts = flank_cuts(path.profile, t)
-        assert full_states(path, cuts) == [FullState("q0", BOTTOM, "q0")] + [FullState("q0", "X", "q0")] * 4
+        assert full_state_keys(path, cuts) == [("q0", BOTTOM, "q0")] + [("q0", "X", "q0")] * 4
 
     def test_mismatched_tops_raise(self, mismatched_tops_path):
         cuts = flank_cuts(mismatched_tops_path.profile, LevelTriple(0, 2, 4, 2))
-        for reader in (full_state_keys, full_states):
-            with pytest.raises(TopSymbolMismatchError, match="height 2: top symbol 'X' at position 1 but 'Y' at position 3"):
-                reader(mismatched_tops_path, cuts)
+        with pytest.raises(TopSymbolMismatchError, match="height 2: top symbol 'X' at position 1 but 'Y' at position 3"):
+            full_state_keys(mismatched_tops_path, cuts)
 
 
 class TestSublevel:
@@ -378,7 +368,7 @@ class TestSublevel:
     @given(unit_profiles())
     @settings(max_examples=120, deadline=None)
     def test_sublevels_always_valid(self, profile):
-        level, witness = max_level(profile, len(profile) - 1)
+        level, witness = max_levels(profile, len(profile) - 1)[0]
         if witness is None:
             return
         for target in range(1, level + 1):

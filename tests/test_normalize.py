@@ -13,7 +13,6 @@ from pumpkit import (
     PumpingLengthOverflowError,
     accepts,
     dumps,
-    general_variant,
     is_star_form,
     normalize,
     pumping_params,
@@ -36,8 +35,8 @@ class TestNormalize:
                 b.target,
             )
 
-    def test_expansion_structure(self):
-        gp = general_variant("ANBN")
+    def test_expansion_structure(self, anbn_general):
+        gp = anbn_general
         out = normalize(gp)
         assert is_star_form(out)
         assert validate(out).ok
@@ -72,8 +71,8 @@ class TestNormalize:
         assert all(s.startswith("@@") for s in fresh)
         assert is_star_form(out)
 
-    def test_equivalence_exhaustive_small_words(self):
-        gp = general_variant("ANBN")
+    def test_equivalence_exhaustive_small_words(self, anbn_general):
+        gp = anbn_general
         out = normalize(gp)
         for length in range(0, 7):
             for tup in itertools.product("ab", repeat=length):

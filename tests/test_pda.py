@@ -230,6 +230,24 @@ class TestValidate:
         )
         assert report.ok  # warning, not error
         assert any(i.code == "bottom-loss" for i in report.warnings)
+        # a push rooted in the bottom marker is flagged too: on a stack of
+        # just ⊥, normalize's expansion of "a" pops it and has no top left
+        # for its push chain, so normalizing loses "ab" and "aaaa"; "b" is
+        # in star shape and maps one-to-one
+        report = validate(
+            make_general(
+                states=["q0"],
+                input_alphabet=["a", "b"],
+                stack_alphabet=[BOTTOM],
+                accept_states=["q0"],
+                transitions=[
+                    GeneralTransition("q0", "a", BOTTOM, (BOTTOM,), "q0"),
+                    GeneralTransition("q0", "b", BOTTOM, (BOTTOM, BOTTOM), "q0"),
+                ],
+            )
+        )
+        assert report.ok
+        assert [(i.code, i.message.split(":")[0]) for i in report.warnings] == [("bottom-loss", "transition #0")]
 
     def test_bottom_pop_without_push_is_not_flagged(self):
         report = validate(
@@ -238,11 +256,13 @@ class TestValidate:
         assert report.ok
         assert not report.warnings
 
-    def test_corpus_machines_validate(self):
-        from pumpkit import BUILTINS, general_variant
+    def test_corpus_machines_validate(self, anbn_general):
+        from pumpkit import BUILTINS
 
         for entry in BUILTINS.values():
             report = validate(entry.pda)
             assert report.ok, (entry.name, report.errors)
             assert not report.warnings, (entry.name, report.warnings)
-        assert validate(general_variant("ANBN")).ok
+        report = validate(anbn_general)
+        assert report.ok, report.errors
+        assert not report.warnings, report.warnings

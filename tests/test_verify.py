@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -30,8 +31,6 @@ from pumpkit import (
     replay_pumps,
     spliced_steps,
     verify,
-    verify_by_replay,
-    verify_by_search,
 )
 from pumpkit.cli import main
 
@@ -43,6 +42,11 @@ run_module = importlib.import_module("pumpkit.run")
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "pumpkit" / "data"
 PUMPS = tuple(range(6))
+
+
+def boundaries(d) -> tuple:
+    """The letter offsets where v, x, y and z start: sums of part lengths."""
+    return tuple(accumulate(map(len, (d.u, d.v, d.x, d.y))))
 
 
 class TestPumpedWord:
@@ -75,26 +79,24 @@ class TestSplicing:
 
     def test_replay_route(self, dyck1):
         res = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
-        for n in range(5):
-            assert verify_by_replay(dyck1, res.path, res.decomposition, n)
+        assert replay_pumps(dyck1, res.path, res.decomposition, range(5)) == (True,) * 5
 
     def test_search_route(self, dyck1):
         res = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
-        for n in range(5):
-            assert verify_by_search(dyck1, res.decomposition, n) == "accepted"
+        report = verify(dyck1, res.path, res.decomposition, range(5))
+        assert [v.search for v in report.verdicts] == ["accepted"] * 5
 
     def test_search_rejects_corrupted_decomposition(self, dyck1):
         res = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
         broken = dataclasses.replace(res.decomposition, y="")
         # n = 0 never exercises y, so the corruption only shows for n >= 1
-        assert verify_by_search(dyck1, broken, 0) == "accepted"
-        assert verify_by_search(dyck1, broken, 1) == "rejected"
-        assert verify_by_search(dyck1, broken, 2) == "rejected"
+        report = verify(dyck1, res.path, broken, (0, 1, 2))
+        assert [v.search for v in report.verdicts] == ["accepted", "rejected", "rejected"]
 
     def test_replay_rejects_corrupted_decomposition(self, dyck1):
         res = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
         broken = dataclasses.replace(res.decomposition, v="(" * 2)
-        assert not verify_by_replay(dyck1, res.path, broken, 2)
+        assert replay_pumps(dyck1, res.path, broken, (2,)) == (False,)
 
 
 class TestConstraints:
@@ -162,12 +164,10 @@ def test_routes_always_agree_on_corpus_words(name, m):
         res = extract(pda, word, mode=ExtractionMode.BEST_EFFORT)
     except NoWitnessError:
         return  # witness-free runs are covered elsewhere
-    for n in (0, 1, 2, 3):
-        replay_ok = verify_by_replay(pda, res.path, res.decomposition, n)
-        search = verify_by_search(pda, res.decomposition, n)
-        assert search != "limit"
-        assert replay_ok == (search == "accepted")
-        assert replay_ok
+    for v in verify(pda, res.path, res.decomposition, (0, 1, 2, 3)).verdicts:
+        assert v.search != "limit"
+        assert v.replay_ok == (v.search == "accepted")
+        assert v.replay_ok
 
 
 def full_replay(pda, path, d, n) -> bool:
@@ -209,7 +209,6 @@ def check_replay_pumps(pda, path, d, calls, reached) -> None:
         reached["prefix"] += prefix
         reached["suffix"] += len(per_n) == 2 + prefix
     assert replay_pumps(pda, path, d, PUMPS) == expected
-    assert tuple(verify_by_replay(pda, path, d, n) for n in PUMPS) == expected
 
 
 def _machines():
@@ -263,7 +262,7 @@ class TestReplayPumps:
             word, d = res.path.word, res.decomposition
             for b in range(4):
                 for delta in (-1, 1):
-                    cuts = list(d.boundaries)
+                    cuts = list(boundaries(d))
                     cuts[b] += delta
                     if not 0 <= cuts[0] <= cuts[1] <= cuts[2] <= cuts[3] <= len(word):
                         continue
@@ -326,7 +325,7 @@ class TestCuts:
     def test_cuts_read_the_boundaries(self):
         for _, _, res in DECOMPOSITIONS:
             d = res.decomposition
-            assert tuple(res.path.letters_read[c] for c in d.cuts) == d.boundaries
+            assert tuple(res.path.letters_read[c] for c in d.cuts) == boundaries(d)
 
     def test_splice_matches_the_per_case_formulas(self):
         for _, _, res in DECOMPOSITIONS:
