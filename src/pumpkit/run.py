@@ -6,6 +6,29 @@ sits at the end of a minimal accepting transition sequence. Exact
 (state, position, stack) repeats are deduplicated; ties break by declared
 transition order.
 
+A deterministic machine needs no search: its run is unique and is followed
+in linear time. Call a state live when it has moves of its own. Before the
+search starts, minimal_accepting_path reads one property off its move table:
+no slot (state, top) holds two live moves on one letter, or a live epsilon
+move beside another live move (moves into states without moves are free).
+Then each description has at most one live successor, so the search's queue
+holds at depth d + 1 only the successors of the one live description at
+depth d, and its visited set can prune only a repeat. _follow_run walks that
+run on a list stack of symbol ids and checks each successor as the search
+would: the first, in declared order, that ends the word in an accepting
+state is the first accepting description the search dequeues, and the walk
+so far is its parent chain. A run that gets stuck gives NotAccepted. A
+repeated live description can be reached only by epsilon moves, and from it
+the run cycles through descriptions already checked, so after a repeat the
+walk neither accepts nor gets stuck. The walk hands the word to the search,
+which starts afresh, as soon as a successor would pass max_steps or
+max_stack_height, or the run takes more than |Q|·|Γ| epsilon moves in a row:
+every LimitExceeded flag and every epsilon-cycle verdict comes from the
+search. Of the corpus, the normalized DYCK1, REG_AB, ANBN and
+data/ANBN_GENERAL.json machines have the property; GEN_PAL, whose epsilon
+move guesses the midpoint beside letter moves, does not. accepts keeps its
+breadth-first search for every machine.
+
 accepts_each() answers membership only, for several words at once, and
 accepts() is its one-word call. It is a deliberately separate search loop
 (and also simulates general machines) so it can serve as an oracle: it
@@ -91,7 +114,7 @@ and the configuration and full-state readers in levels.py all use it.
 walk is the one copy of the replay step semantics: replay runs it over a
 whole transition sequence, and verify.replay_pumps over the pieces of a run
 between its checkpoints. _run_path builds the RunPath of a transition
-sequence for replay and for the minimal-run search.
+sequence for replay, the minimal-run search and the walk.
 """
 
 from __future__ import annotations
@@ -211,7 +234,9 @@ def minimal_accepting_path(pda: NormalizedPda, word, limits: SearchLimits | None
 
     Returns RunPath on success, NotAccepted when the reachable description
     space is exhausted without truncation, and LimitExceeded when a limit cut
-    off part of the space first (so absence was not proven).
+    off part of the space first (so absence was not proven). A machine with
+    at most one live move per slot and letter is walked, not searched, with
+    the same result; see the module docstring.
     """
     if limits is None:
         limits = default_limits(pda, word)
@@ -239,6 +264,12 @@ def minimal_accepting_path(pda: NormalizedPda, word, limits: SearchLimits | None
             table[slot] = []
         extra = -1 if t.extra is None else symbol_ids[t.extra]
         table[slot].append((t.letter, state_ids[t.target], extra, index))
+    live = {state_ids[t.source] for t in pda.transitions}
+    if _one_live_move(table, live):
+        stack = [symbol_ids[s] for s in pda.initial_stack]
+        ran = _follow_run(pda, word, table, width, accepting, live, stack, limits, n_states * width)
+        if ran is not None:
+            return ran
     # Stack cells: cell 0 is the empty stack; below * width + symbol -> cell.
     sym = [-1]
     below = [0]
@@ -315,6 +346,81 @@ def minimal_accepting_path(pda: NormalizedPda, word, limits: SearchLimits | None
 
     if cut_steps or cut_height:
         return LimitExceeded(by_steps=cut_steps, by_height=cut_height)
+    return NotAccepted()
+
+
+def _one_live_move(table, live) -> bool:
+    """True when every slot of the move table holds at most one move into a
+    live state per letter, and no live epsilon move beside another live
+    move: then each description has at most one live successor."""
+    for bucket in table:
+        if bucket is None:
+            continue
+        letters = [letter for letter, target, _, _ in bucket if target in live]
+        if len(set(letters)) < len(letters) or (None in letters and len(letters) > 1):
+            return False
+    return True
+
+
+def _follow_run(pda: NormalizedPda, word, table, width, accepting, live, stack, limits, max_epsilon):
+    """Follow the one run of a machine that passes _one_live_move, on the
+    list stack of symbol ids; see the module docstring.
+
+    Returns what the breadth-first search would: the RunPath of the first
+    successor, in declared order, that ends the word in an accepting state,
+    or NotAccepted when the run gets stuck. Returns None, leaving the word
+    to the search, when a successor would pass a limit or the run takes
+    more than max_epsilon epsilon moves in a row.
+    """
+    max_steps = limits.max_steps
+    max_height = limits.max_stack_height
+    n = len(word)
+    if len(stack) > max_height:
+        return None
+    if not n and 0 in accepting:
+        return _run_path(pda, word, ())
+    steps: list = []
+    take = steps.append
+    push = stack.append
+    pop = stack.pop
+    state = pos = depth = epsilon = 0
+    while stack:
+        bucket = table[state * width + stack[-1]]
+        if bucket is None:
+            break
+        depth += 1  # steps to the successors of the current description
+        here = word[pos] if pos < n else None
+        move = None
+        for entry in bucket:
+            letter, target, extra, index = entry
+            npos = pos
+            if letter is not None:
+                if letter != here:
+                    continue
+                npos = pos + 1
+            # The stack never exceeds max_height, so only a push can pass it.
+            if depth > max_steps or (extra >= 0 and len(stack) >= max_height):
+                return None
+            if npos == n and target in accepting:
+                take(index)
+                return _run_path(pda, word, [pda.transitions[i] for i in steps])
+            if target in live:
+                move = entry
+        if move is None:
+            break
+        letter, state, extra, index = move
+        if letter is None:
+            epsilon += 1
+            if epsilon > max_epsilon:
+                return None
+        else:
+            epsilon = 0
+            pos += 1
+        if extra < 0:
+            pop()
+        else:
+            push(extra)
+        take(index)
     return NotAccepted()
 
 

@@ -26,9 +26,9 @@ def is_valid_level_triple(profile, t: LevelTriple) -> bool:
 def brute_force_max_level(profile, window_end: int) -> tuple[int, LevelTriple | None]:
     """Oracle: enumerate every (i, j, k) triple and test the level conditions.
 
-    O(n^3) space and time over the windowed profile; meant for desk-scale
-    cross-checking of the level sweep, not production use. Returns the
-    lexicographically first maximal witness.
+    O(n^3) time and O(n^2) space over the windowed profile, one i at a
+    time; meant for desk-scale cross-checking of the level sweep, not
+    production use. Returns the lexicographically first maximal witness.
     """
     import numpy as np
 
@@ -52,16 +52,22 @@ def brute_force_max_level(profile, window_end: int) -> tuple[int, LevelTriple | 
     flank_up = before & (s[None, :] > s[:, None]) & (fmin >= s[:, None]) & (fmax <= s[None, :])
     # [j, k] flank upper bound: peak at most s_j, with j < k.
     flank_down = before & (fmax <= s[:, None])
-    valid = (
-        flank_up[:, :, None]
-        & flank_down[None, :, :]
-        & (fmin[None, :, :] >= s[:, None, None])
-        & (s[:, None, None] == s[None, None, :])
-    )
-    if not valid.any():
-        return 0, None
-    n_grid = s[None, :, None].astype(dtype) - s[:, None, None]
-    scores = np.where(valid, n_grid, 0)
-    best = int(scores.max())
-    i, j, k = (int(x) for x in np.argwhere(scores == best)[0])
-    return best, LevelTriple(i, j, k, best)
+    best, witness = 0, None
+    # One i-slab of (j, k) arrays at a time; a later slab replaces the kept
+    # witness only when strictly better, so the first maximal triple in
+    # (i, j, k) order is the one returned.
+    for i in range(L):
+        valid = (
+            flank_up[i][:, None]
+            & flank_down
+            & (fmin >= s[i])
+            & (s[None, :] == s[i])
+        )
+        if not valid.any():
+            continue
+        scores = np.where(valid, s[:, None] - s[i], 0)
+        top = int(scores.max())
+        if top > best:
+            j, k = (int(x) for x in np.argwhere(scores == top)[0])
+            best, witness = top, LevelTriple(i, j, k, top)
+    return best, witness

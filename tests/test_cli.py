@@ -12,7 +12,7 @@ import pytest
 from pumpkit import BUILTINS, dumps, is_star_form, loads
 from pumpkit import cli
 from pumpkit.cli import main
-from pumpkit.pda import BOTTOM, NormalizedPda, NormalizedTransition
+from pumpkit.pda import BOTTOM, GeneralPda, GeneralTransition, NormalizedPda, NormalizedTransition
 
 
 def run(capsys, *argv):
@@ -635,6 +635,94 @@ class TestUnprintablePumpingLength:
         assert (code, out) == (3, "")
         assert "exceeds 1000000 bits" in err
 
+
+
+def bottom_loss_file(tmp_path) -> str:
+    """q0 -a,⊥/(⊥)-> q0 and q0 -b,⊥/(⊥,⊥)-> q0, q0 accepting: the first
+    transition pops ⊥ outside star shape, so validate flags it bottom-loss,
+    and the normalized machine loses every word with an a after the first
+    letter."""
+    pda = GeneralPda(
+        states=["q0"],
+        input_alphabet=["a", "b"],
+        stack_alphabet=[BOTTOM],
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=["q0"],
+        transitions=[
+            GeneralTransition("q0", "a", BOTTOM, (BOTTOM,), "q0"),
+            GeneralTransition("q0", "b", BOTTOM, (BOTTOM, BOTTOM), "q0"),
+        ],
+    )
+    path = tmp_path / "bottom_loss.json"
+    path.write_text(dumps(pda), encoding="utf-8")
+    return str(path)
+
+
+class TestBottomLoss:
+    """pump and profile search the normalized machine, so they refuse one
+    flagged bottom-loss; check, params and normalize run as before and print
+    the warning to stderr."""
+
+    WARNING = (
+        "transition #0: pops the bottom marker and pushes ['⊥'];"
+        " normalize's expansion stalls when it is the only symbol"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pump", "aaaa", "--mode", "best-effort"),
+            ("pump", "ab" * 20, "--report", "json"),
+            ("profile", "ab"),
+            ("profile", "ab", "--annotate"),
+        ],
+        ids=" ".join,
+    )
+    def test_searches_of_the_normalized_machine_refuse_it(self, capsys, tmp_path, argv):
+        machine = bottom_loss_file(tmp_path)
+        dest = tmp_path / "out.txt"
+        code, out, err = run(capsys, argv[0], machine, *argv[1:], "-o", str(dest))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"pumpkit: {machine}: refused: {argv[0]} searches the normalized machine,"
+            f" which may accept fewer words (bottom-loss: {self.WARNING})\n"
+        )
+        assert not dest.exists()
+
+    def test_check_accepts_and_warns(self, capsys, tmp_path):
+        machine = bottom_loss_file(tmp_path)
+        code, out, err = run(capsys, "check", machine, "ab")
+        assert (code, out) == (0, "accepted\tab\n")
+        assert err == f"pumpkit: warning: {machine}: bottom-loss: {self.WARNING}\n"
+        code, out, err = run(capsys, "check", machine, "aaaa")
+        assert (code, out) == (0, "accepted\taaaa\n")
+        assert "bottom-loss" in err
+
+    def test_params_and_normalize_warn_and_keep_their_output(self, capsys, tmp_path):
+        machine = bottom_loss_file(tmp_path)
+        code, out, err = run(capsys, "params", machine)
+        assert (code, out) == (0, "p'=4 p=32\nstates=2 stack_symbols=1\nnormalization: expanded the machine\n")
+        assert err == f"pumpkit: warning: {machine}: bottom-loss: {self.WARNING}\n"
+        code, out, err = run(capsys, "normalize", machine, "-")
+        assert code == 0
+        assert is_star_form(loads(out).pda)
+        assert err == f"pumpkit: warning: {machine}: bottom-loss: {self.WARNING}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "(())"),
+            ("params",),
+            ("normalize", "-"),
+            ("pump", "(((())))", "--mode", "best-effort"),
+            ("profile", "(())"),
+        ],
+        ids=" ".join,
+    )
+    def test_unflagged_files_print_no_warning(self, capsys, dyck1_file, argv):
+        code, _, err = run(capsys, argv[0], dyck1_file, *argv[1:])
+        assert (code, err) == (0, "")
 
 def test_cli_import_leaves_numpy_unloaded():
     """The runtime is stdlib-only; numpy serves the brute-force test oracle.

@@ -5,13 +5,17 @@ minimal-run searches, kept here verbatim in behaviour: they scan every
 transition of the current state and intern stack cells through a small
 pool. The searches under test must give the same verdict, including the
 LimitExceeded flags, and the same minimal run on every corpus machine, in
-general and normalized form, and on hypothesis-generated machines.
+general and normalized form, and on hypothesis-generated machines. The
+one-run walk of minimal_accepting_path is held to the same reference on
+machines that are deterministic up to move-less targets, and its coverage
+of the corpus is pinned.
 
 reference_default_limits is the earlier default_limits, which sized p under
 the 1M-bit guard and fell back to the word-length bound past it: the
 current one must agree with it on the corpus and stay monotone in p.
 """
 
+import importlib
 from collections import deque
 from dataclasses import replace
 from pathlib import Path
@@ -730,3 +734,192 @@ def test_a_cut_stretch_gives_its_join_up(monkeypatch):
         # leaves of the batch, not of a word searched again alone
         leaves = {(length, start) for length, start, end, leaf in calls if leaf and start}
         assert leaves == {(len(w), fork) for w, fork in zip(words, forks)}
+
+
+# The one-run walk. minimal_accepting_path follows the single run of a
+# machine whose slots each hold at most one move into a state with moves per
+# letter (none beside such an epsilon move), and hands the word to the
+# breadth-first search when that run passes a limit or loops on epsilon
+# moves. Either way the answer must be the reference search's.
+
+run_module = importlib.import_module("pumpkit.run")
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """What each call of the walk returned: None where it handed the word
+    to the breadth-first search."""
+    outcomes = []
+    walk = run_module._follow_run
+
+    def recorded(*args):
+        outcomes.append(walk(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(run_module, "_follow_run", recorded)
+    return outcomes
+
+
+def _walk_normalized(label):
+    """The normalized machine of a builtin name or a data file name."""
+    entry = BUILTINS.get(label)
+    pda = entry.pda if entry else load_path(DATA / label).pda
+    return normalize(pda), BUILTINS["ANBN" if label == "ANBN_GENERAL.json" else label.split(".")[0]]
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["DYCK1", "REG_AB", "ANBN", "DYCK1.json", "REG_AB.json", "ANBN.json", "ANBN_GENERAL.json"],
+)
+def test_the_walk_answers_for_the_deterministic_corpus_machines(walked, label):
+    pda, entry = _walk_normalized(label)
+    calls = 0
+    for m in range(13):
+        for make, member in ((entry.generate, True), (entry.generate_near_miss, False)):
+            try:
+                word = make(m)
+            except ValueError:
+                continue  # no word of this kind at this m
+            out = minimal_accepting_path(pda, word)
+            calls += 1
+            assert len(walked) == calls and out is walked[-1], word  # the walk's answer
+            assert isinstance(out, RunPath if member else NotAccepted), word
+    assert calls >= 24
+
+
+@pytest.mark.parametrize("label", ["GEN_PAL", "GEN_PAL.json"])
+def test_gen_pal_keeps_the_breadth_first_search(walked, label):
+    # Its epsilon guess of the midpoint sits beside letter moves.
+    pda, entry = _walk_normalized(label)
+    for word in _words(entry, top=8):
+        minimal_accepting_path(pda, word)
+    assert walked == []
+
+
+def _machine(transitions, accept, initial_stack=(BOTTOM,)):
+    states = {t.source for t in transitions} | {t.target for t in transitions} | {"q0"}
+    symbols = {BOTTOM, *initial_stack} | {t.pop for t in transitions}
+    symbols |= {t.extra for t in transitions if t.extra is not None}
+    return NormalizedPda(
+        states=states,
+        input_alphabet=["a", "b"],
+        stack_alphabet=symbols,
+        initial_state="q0",
+        initial_stack=initial_stack,
+        accept_states=accept,
+        transitions=transitions,
+    )
+
+
+def _walk_case(walked, pda, word, limits, answered):
+    """minimal_accepting_path equals the reference search, and the walk
+    answered (True), handed the word over (False) or never ran (None)."""
+    walked.clear()
+    got = _minimal_path_summary(pda, word, limits)
+    assert got == reference_minimal_path(pda, word, limits)
+    assert (walked[0] is not None if walked else None) == answered
+    return got
+
+
+T = NormalizedTransition
+WIDE = SearchLimits(100, 100)
+
+
+def test_an_epsilon_cycle_is_handed_to_the_search(walked):
+    # q1 pushes B and q2 pops it again: q1 sees the same stack forever.
+    cycle = [T("q0", "a", BOTTOM, "A", "q1"), T("q1", None, "A", "B", "q2"), T("q2", None, "B", None, "q1")]
+    assert _walk_case(walked, _machine(cycle, ["q0"]), "a", WIDE, False) == NotAccepted()
+    # An accepting move-less exit inside the cycle is found on its first turn.
+    exit_ = cycle + [T("q2", None, "B", None, "qf")]
+    steps, profile = _walk_case(walked, _machine(exit_, ["qf"]), "a", WIDE, True)
+    assert steps == (exit_[0], exit_[1], exit_[3]) and profile == (1, 2, 3, 2)
+
+
+def test_a_pushing_epsilon_loop_is_handed_to_the_search(walked):
+    loop = [T("q0", "a", BOTTOM, "A", "q1"), T("q1", None, "A", "A", "q1")]
+    pda = _machine(loop, ["qf"])
+    assert _walk_case(walked, pda, "a", SearchLimits(100, 8), False) == LimitExceeded(False, True)
+    assert _walk_case(walked, pda, "a", SearchLimits(6, 100), False) == LimitExceeded(True, False)
+    # Past |Q|·|Γ| epsilon moves in a row the walk stops before any limit.
+    assert _walk_case(walked, pda, "a", SearchLimits(10_000, 10_000), False) == LimitExceeded(False, True)
+
+
+def test_declared_order_breaks_a_tie_at_one_depth(walked):
+    first = [T("q0", "a", BOTTOM, None, "f1"), T("q0", "a", BOTTOM, "A", "f2")]
+    for transitions in (first, first[::-1]):
+        steps, _ = _walk_case(walked, _machine(transitions, ["f1", "f2"]), "a", WIDE, True)
+        assert steps == (transitions[0],)
+    # A live accepting successor declared after a move-less one loses too.
+    live_second = [T("q0", "a", BOTTOM, None, "f1"), T("q0", "a", BOTTOM, "A", "q1"), T("q1", "b", "A", None, "q1")]
+    steps, _ = _walk_case(walked, _machine(live_second, ["f1", "q1"]), "a", WIDE, True)
+    assert steps == (live_second[0],)
+
+
+def test_an_accepting_move_into_a_move_less_state_beside_a_live_one(walked):
+    # Balanced a…b words; the epsilon move to qf needs no letter and sits
+    # beside the live letter moves of its slot.
+    moves = [
+        T("q0", "a", BOTTOM, "A", "q0"),
+        T("q0", "a", "A", "A", "q0"),
+        T("q0", "b", "A", None, "q0"),
+        T("q0", None, BOTTOM, None, "qf"),
+    ]
+    pda = _machine(moves, ["qf"])
+    for word in ("", "ab", "aabb", "abab", "aab", "ba", "abb"):
+        _walk_case(walked, pda, word, WIDE, True)
+    steps, _ = _walk_case(walked, pda, "aabb", WIDE, True)
+    assert steps[-1] == moves[3] and len(steps) == 5
+
+
+def test_step_and_height_limits_at_the_run_s_edge(walked):
+    pda = normalize(BUILTINS["DYCK1"].pda)
+    word = "(()(()))"
+    steps, profile = _walk_case(walked, pda, word, WIDE, True)
+    run_length, peak = len(steps), max(profile)
+    _walk_case(walked, pda, word, SearchLimits(run_length, peak), True)
+    assert _walk_case(walked, pda, word, SearchLimits(run_length - 1, peak), False) == LimitExceeded(True, False)
+    assert _walk_case(walked, pda, word, SearchLimits(run_length, peak - 1), False) == LimitExceeded(False, True)
+    # A tall initial stack is over the height limit before the first step.
+    tall = replace(pda, initial_stack=(BOTTOM, "(", "("))
+    _walk_case(walked, tall, "))", SearchLimits(run_length, 2), False)
+
+
+@st.composite
+def one_run_machines(draw):
+    """Normalized machines deterministic up to move-less targets: in every
+    slot of q0..q2, one epsilon move or at most one move per letter into
+    q0..q2, and a few moves into the move-less d0 and d1 anywhere. Some get
+    one more move into q0..q2, which may break that."""
+    live = ["q0", "q1", "q2"][: draw(st.integers(1, 3))]
+    symbols = [BOTTOM, "A", "B"]
+    extras = st.sampled_from([None, *symbols])
+    transitions = []
+    for q in live:
+        for top in symbols:
+            for letter in draw(st.sampled_from([(), (None,), ("a",), ("b",), ("a", "b")])):
+                transitions.append(T(q, letter, top, draw(extras), draw(st.sampled_from(live))))
+    for targets in [["d0", "d1"]] * draw(st.integers(0, 3)) + [live] * draw(st.integers(0, 1)):
+        move = T(
+            draw(st.sampled_from(live)),
+            draw(st.sampled_from([None, "a", "b"])),
+            draw(st.sampled_from(symbols)),
+            draw(extras),
+            draw(st.sampled_from(targets)),
+        )
+        transitions.insert(draw(st.integers(0, len(transitions))), move)
+    states = live + ["d0", "d1"]
+    return NormalizedPda(
+        states=states,
+        input_alphabet=["a", "b"],
+        stack_alphabet=symbols,
+        initial_state="q0",
+        initial_stack=[BOTTOM] + draw(st.sampled_from([[], ["A"], ["B", "A"]])),
+        accept_states=draw(st.sets(st.sampled_from(states))),
+        transitions=transitions,
+    )
+
+
+@given(one_run_machines(), st.text("ab", max_size=7), st.builds(SearchLimits, st.integers(0, 25), st.integers(0, 9)))
+@settings(max_examples=300, deadline=None)
+def test_minimal_path_matches_reference_on_one_run_machines(pda, word, limits):
+    assert _minimal_path_summary(pda, word, limits) == reference_minimal_path(pda, word, limits)
