@@ -24,10 +24,12 @@ walk neither accepts nor gets stuck. The walk hands the word to the search,
 which starts afresh, as soon as a successor would pass max_steps or
 max_stack_height, or the run takes more than |Q|·|Γ| epsilon moves in a row:
 every LimitExceeded flag and every epsilon-cycle verdict comes from the
-search. Of the corpus, the normalized DYCK1, REG_AB, ANBN and
-data/ANBN_GENERAL.json machines have the property; GEN_PAL, whose epsilon
-move guesses the midpoint beside letter moves, does not. accepts keeps its
-breadth-first search for every machine.
+search. The count restarts whenever the stack falls below its lowest
+height since the last letter move: such a description is shorter than every
+other since then, so it repeats none of them, and a true epsilon cycle makes
+no new low after its first lap. Of the corpus, the normalized DYCK1, REG_AB,
+ANBN and data/ANBN_GENERAL.json machines have the property; GEN_PAL, whose
+epsilon move guesses the midpoint beside letter moves, does not.
 
 accepts_each() answers membership only, for several words at once, and
 accepts() is its one-word call. It is a deliberately separate search loop
@@ -90,6 +92,30 @@ A word whose path crossed its own limits is searched again alone under
 them, unless its limits are the largest; otherwise its verdict and
 LimitExceeded flags are exactly those of a one-word search. For one word
 the smallest and largest limits are the same, so this is the plain cut.
+
+Where a level of a chain's search holds one description, the search walks
+it (_walk) on interned cells, with no key, visited insert or queue slot, for
+as long as the search would hold one description too. A walk starts only
+when no seed is left to join and (a) every step to the description read a
+letter: its position less the chain's start equals its level less the
+lowest seed level. Each step then needs (b) a slot (state, top) with no
+epsilon move and exactly one move on the next letter, (c) a successor
+within the batch's smaller limits and on a nonempty stack, and (d) a
+successor before the chain's end. Where a condition fails, the description
+reached is queued as its level's only entry. Under (a), every visited
+description lies at or before the walk's position, so each successor is
+new; under (b) to (d) it is the only one and neither cut nor crossed. The
+search would therefore queue it as the whole next level: the walk takes the
+same steps and interns the same cells in the same order, and every
+crossing, cut flag, parked description and deepest level still comes from
+the search. The walked descriptions stay out of the visited set: every
+later description descends from the one queued, at or past its position.
+A seed that joined later could reach them again from the chain's start, so
+the walk waits for the last seed. accepts_each decides once, from its move
+table, whether a walk can happen at all: not when a slot holds a live
+epsilon move beside another live move, as GEN_PAL's midpoint guess does,
+since such a machine's levels seldom hold one description; its search then
+pays one test per level and none per description.
 
 Each search encodes its descriptions as plain ints, built per call. States
 are numbered with the initial state as 0, and stack symbols 0..width-1. The
@@ -370,7 +396,7 @@ def _follow_run(pda: NormalizedPda, word, table, width, accepting, live, stack, 
     successor, in declared order, that ends the word in an accepting state,
     or NotAccepted when the run gets stuck. Returns None, leaving the word
     to the search, when a successor would pass a limit or the run takes
-    more than max_epsilon epsilon moves in a row.
+    more than max_epsilon epsilon moves in a row without a new low.
     """
     max_steps = limits.max_steps
     max_height = limits.max_stack_height
@@ -384,6 +410,7 @@ def _follow_run(pda: NormalizedPda, word, table, width, accepting, live, stack, 
     push = stack.append
     pop = stack.pop
     state = pos = depth = epsilon = 0
+    low = len(stack)  # the lowest stack since the last letter move
     while stack:
         bucket = table[state * width + stack[-1]]
         if bucket is None:
@@ -409,18 +436,24 @@ def _follow_run(pda: NormalizedPda, word, table, width, accepting, live, stack, 
         if move is None:
             break
         letter, state, extra, index = move
-        if letter is None:
-            epsilon += 1
-            if epsilon > max_epsilon:
-                return None
-        else:
-            epsilon = 0
-            pos += 1
         if extra < 0:
             pop()
         else:
             push(extra)
         take(index)
+        if letter is not None:
+            epsilon = 0
+            low = len(stack)
+            pos += 1
+        elif len(stack) < low:
+            # A new low is shorter than every description since the last
+            # letter move, so it repeats none of them.
+            epsilon = 0
+            low = len(stack)
+        else:
+            epsilon += 1
+            if epsilon > max_epsilon:
+                return None
     return NotAccepted()
 
 
@@ -503,7 +536,7 @@ def _search_chain(
     and crossings is (cut_steps, cut_height, crossed depth, crossed height)
     of this chain alone.
     """
-    moves, width, n_states, n1, accepting = machine
+    moves, width, n_states, n1, accepting, single = machine
     sym, below, size, cells = arena
     lo_steps, lo_height, hi_steps, hi_height = bounds
     get_cell = cells.get
@@ -528,15 +561,30 @@ def _search_chain(
         depth += 1  # steps to the successors of the description being expanded
         level_end = len(queue)  # queue[level_end:] are one step deeper than it
         for i, key in enumerate(queue):
+            state = key % n_states
+            rest = key // n_states
+            pos = rest % n1
+            cell = rest // n1
             if i == level_end:
                 if si < ns and seed_levels[si] == depth:
                     si = _merge_seeds(seed_levels, seed_keys, base, si, depth, visited, queue)
                 depth += 1
                 level_end = len(queue)
-            state = key % n_states
-            rest = key // n_states
-            pos = rest % n1
-            cell = rest // n1
+                if (
+                    single is not None
+                    and level_end == i + 1
+                    and si == ns
+                    and depth <= lo_steps
+                    and cell
+                    and single[state * width + sym[cell]]
+                    and pos - start == depth - 1 - seed_levels[0]
+                ):
+                    # One description at this level, no seed left, and every
+                    # step to it read a letter: walk it while the search would
+                    # hold one (see the module docstring).
+                    state, pos, cell, depth = _walk(word, end, state, pos, cell, depth, machine, arena, bounds)
+                    key = (cell * n1 + pos) * n_states + state
+                    seen(key)
             if pos == end:
                 if not leaf:
                     parked_levels.append(depth - 1)
@@ -585,6 +633,44 @@ def _search_chain(
                 enqueue(found)
     crossings = (cut_steps, cut_height, cross_steps, cross_height)
     return accepted, depth, parked_levels, parked_keys, crossings
+
+
+def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, arena, bounds) -> tuple:
+    """Walk the one description of a breadth-first level, with depth the
+    level of its successors, while the search would hold one; see the module
+    docstring. Every step reads a letter, so positions and levels advance
+    together. Returns the state, position, cell and depth reached.
+    """
+    _, width, _, _, _, single = machine
+    sym, below, size, cells = arena
+    lo_steps, lo_height = bounds[0], bounds[1]
+    first = pos
+    stop = min(end - 1, pos + 1 + lo_steps - depth)  # land before end, within lo_steps
+    while pos < stop:
+        step = single[state * width + sym[cell]]
+        if step is None:
+            break
+        move = step.get(word[pos])
+        if move is None:
+            break
+        _, target, keeps_top, suffix = move
+        child = cell if keeps_top else below[cell]
+        height = size[child] + len(suffix)
+        if not height or height > lo_height:
+            break
+        for s in suffix:
+            at = child * width + s
+            above = cells.get(at)
+            if above is None:
+                above = cells[at] = len(sym)
+                sym.append(s)
+                below.append(child)
+                size.append(size[child] + 1)
+            child = above
+        state = target
+        cell = child
+        pos += 1
+    return state, pos, cell, depth + pos - first
 
 
 def _joined(a: tuple, b: tuple) -> tuple:
@@ -664,6 +750,22 @@ def accepts_each(pda: Pda, words, limits=None) -> tuple:
             moves[slot] = []
         suffix = tuple(symbol_ids[s] for s in (push[1:] if keeps_top else push))
         moves[slot].append((t.letter, state_ids[t.target], keeps_top, suffix))
+    # For the walks (see the module docstring), single[slot] maps each letter
+    # with one move in a slot without epsilon moves to that move. It is None,
+    # and the search never walks, when a slot holds a live epsilon move
+    # beside another live move.
+    live = {state_ids[t.source] for t in pda.transitions}
+    single: list | None = [None] * len(moves)
+    for slot, bucket in enumerate(moves):
+        if bucket is None:
+            continue
+        live_letters = [letter for letter, target, _, _ in bucket if target in live]
+        if None in live_letters and len(live_letters) > 1:
+            single = None
+            break
+        letters = [move[0] for move in bucket]
+        if None not in letters:
+            single[slot] = {move[0]: move for move in bucket if letters.count(move[0]) == 1}
     # Stack cells: cell 0 is the empty stack; below * width + symbol -> cell.
     sym = [-1]
     below = [0]
@@ -680,7 +782,7 @@ def accepts_each(pda: Pda, words, limits=None) -> tuple:
     # into the chain's word; n1 is shared so that a seed or parked key, taken
     # relative to its position, is (cell * n1) * n_states + state everywhere.
     n1 = max(map(len, words)) + 1
-    machine = (moves, width, n_states, n1, accepting)
+    machine = (moves, width, n_states, n1, accepting, single)
     arena = (sym, below, size, cells)
     bounds = (lo_steps, lo_height, hi_steps, hi_height)
     hi = (hi_steps, hi_height)

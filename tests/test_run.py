@@ -281,16 +281,27 @@ def _traced_peak(search) -> int:
 
 
 def test_batch_search_peak_stays_within_the_longest_word():
-    # The five pumped words of the strict 13202-letter DYCK1 pump share
-    # about half their letters. The batch searches one chain of their prefix
-    # tree at a time and frees it, so its peak is at most one word's search.
-    pda = BUILTINS["DYCK1"].pda
-    word = "(" * 6601 + ")" * 6601
-    d = extract(pda, word, mode=ExtractionMode.STRICT).decomposition
+    # The five best-effort pumped words of a GEN_PAL palindrome share a
+    # prefix. The batch searches one chain of their prefix tree at a time and
+    # frees its visited set and queue, so its peak is at most one word's
+    # search. (GEN_PAL keeps the breadth-first search; on DYCK1 both peaks
+    # are the interned cells of one deep stack.)
+    entry = BUILTINS["GEN_PAL"]
+    pda = normalize(entry.pda)
+    d = extract(pda, entry.generate(400), mode=ExtractionMode.BEST_EFFORT).decomposition
     words = [pumped_word(d, n) for n in DEFAULT_N_SET]
-    assert len(word) == 13202 and len(set(words)) == 5
+    assert len(set(words)) == 5
     batch = _traced_peak(lambda: accepts_each(pda, words))
     assert batch <= _traced_peak(lambda: accepts(pda, max(words, key=len)))
+
+
+def test_a_walked_search_holds_no_description_per_letter():
+    # The search walks a Dyck word's one description per level without
+    # keys, a visited set or a queue: what is left is one interned cell per
+    # stack symbol.
+    word = "(" * 6601 + ")" * 6601
+    peak = _traced_peak(lambda: accepts(BUILTINS["DYCK1"].pda, word))
+    assert peak < 120 * len(word)
 
 
 def test_batch_search_covers_little_more_than_the_longest_word(monkeypatch):

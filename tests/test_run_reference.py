@@ -8,7 +8,9 @@ LimitExceeded flags, and the same minimal run on every corpus machine, in
 general and normalized form, and on hypothesis-generated machines. The
 one-run walk of minimal_accepting_path is held to the same reference on
 machines that are deterministic up to move-less targets, and its coverage
-of the corpus is pinned.
+of the corpus is pinned. So are the walks of the membership search: on
+generated machines that allow them, each chain search must return exactly
+what it returns with the walks turned off.
 
 reference_default_limits is the earlier default_limits, which sized p under
 the 1M-bit guard and fell back to the word-length bound past it: the
@@ -923,3 +925,362 @@ def one_run_machines(draw):
 @settings(max_examples=300, deadline=None)
 def test_minimal_path_matches_reference_on_one_run_machines(pda, word, limits):
     assert _minimal_path_summary(pda, word, limits) == reference_minimal_path(pda, word, limits)
+
+
+def _stretch_popper():
+    """Pushes A per a, pops one A on b, then pops every other A and the
+    bottom marker by epsilon moves into qf: a long epsilon stretch that is
+    no loop."""
+    return _machine(
+        [
+            T("q0", "a", BOTTOM, "A", "q0"),
+            T("q0", "a", "A", "A", "q0"),
+            T("q0", "b", "A", None, "q1"),
+            T("q1", None, "A", None, "q1"),
+            T("q1", None, BOTTOM, None, "qf"),
+        ],
+        ["qf"],
+    )
+
+
+def test_an_epsilon_stretch_that_keeps_falling_is_walked(walked):
+    # 49 epsilon pops in a row, far past |Q|·|Γ| = 6: each one reaches a
+    # lower stack than any description since the b, so none repeats.
+    steps, profile = _walk_case(walked, _stretch_popper(), "a" * 50 + "b", SearchLimits(500, 500), True)
+    assert len(steps) == 101 and profile[-1] == 0
+    assert _walk_case(walked, _stretch_popper(), "a" * 50 + "bb", SearchLimits(500, 500), True) == NotAccepted()
+
+
+# The search walk. Where a breadth-first level of _search_chain holds one
+# description, the search walks it letter by letter on interned cells while
+# the search would hold one; its verdicts must stay the reference's.
+
+
+@pytest.fixture
+def search_walks(monkeypatch):
+    """(position, position reached) of each walk of _search_chain."""
+    walks = []
+    walk = run_module._walk
+
+    def recorded(word, end, state, pos, *rest):
+        reached = walk(word, end, state, pos, *rest)
+        walks.append((pos, reached[1]))
+        return reached
+
+    monkeypatch.setattr(run_module, "_walk", recorded)
+    return walks
+
+
+def _check(capsys, tmp_path, machine, words):
+    """The lines `pumpkit check machine --word-file` prints for words."""
+    from pumpkit.cli import main
+
+    path = tmp_path / "words.txt"
+    path.write_text("".join(w + "\n" for w in words), encoding="utf-8")
+    capsys.readouterr()
+    main(["check", machine, "--word-file", str(path)])
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("label", ["DYCK1", "REG_AB", "ANBN", "ANBN_GENERAL.json"])
+@pytest.mark.parametrize("member", [True, False], ids=["in-language", "near-miss"])
+def test_check_walks_the_deterministic_corpus_machines(search_walks, capsys, tmp_path, label, member):
+    entry = BUILTINS["ANBN" if label == "ANBN_GENERAL.json" else label]
+    words = [(entry.generate if member else entry.generate_near_miss)(m) for m in range(3, 30)]
+    machine = str(DATA / label) if label.endswith(".json") else label
+    verdict = "accepted" if member else "not-accepted"
+    assert _check(capsys, tmp_path, machine, words) == [f"{verdict}\t{w}" for w in words]
+    assert sum(reached > pos for pos, reached in search_walks) >= len(words)
+
+
+@pytest.mark.parametrize("label", ["GEN_PAL", "GEN_PAL.json", "normalize(GEN_PAL)"])
+def test_gen_pal_searches_never_walk(search_walks, capsys, tmp_path, monkeypatch, label):
+    # Its epsilon guess of the midpoint sits beside letter moves, so the
+    # search does not even look for a level of one description.
+    tables = []
+    search = run_module._search_chain
+
+    def recorded(word, start, end, leaf, seed_levels, seed_keys, machine, *rest):
+        tables.append(machine[5])
+        return search(word, start, end, leaf, seed_levels, seed_keys, machine, *rest)
+
+    monkeypatch.setattr(run_module, "_search_chain", recorded)
+    entry = BUILTINS["GEN_PAL"]
+    words = _words(entry, top=12)
+    if label == "GEN_PAL.json":
+        assert _check(capsys, tmp_path, str(DATA / label), words)
+    else:
+        pda = normalize(entry.pda) if label.startswith("normalize") else entry.pda
+        assert list(accepts_each(pda, words)) == [reference_accepts(pda, w) for w in words]
+        for word in words:
+            accepts(pda, word)
+    assert search_walks == [] and tables and set(tables) == {None}
+
+
+@st.composite
+def walk_machines(draw):
+    """General machines whose searches can walk: in each slot of q0 and q1
+    at most one move per letter, pushing a symbol named after the letter,
+    popping or keeping the stack. Some also get a state e with only epsilon
+    moves that a letter move enters, an epsilon move into the move-less d
+    beside letter moves, or a second move on one letter."""
+    states = ["q0", "q1"]
+    symbols = [BOTTOM, "A", "B"]
+
+    def pushes(top, letter):
+        return st.sampled_from([(top, letter.upper()), (), (top,)])
+
+    transitions = []
+    for source in states:
+        for letter in "ab":
+            for top in symbols:
+                if draw(st.integers(0, 5)):
+                    push = draw(pushes(top, letter))
+                    transitions.append(GeneralTransition(source, letter, top, push, draw(st.sampled_from(states))))
+    for extra in draw(st.lists(st.sampled_from(["e", "d", "second"]), max_size=2)):
+        source = draw(st.sampled_from(states))
+        letter = draw(st.sampled_from("ab"))
+        top = draw(st.sampled_from(symbols))
+        if extra == "e":
+            transitions.append(GeneralTransition(source, letter, top, (top,), "e"))
+            transitions += [
+                GeneralTransition("e", None, below, draw(pushes(below, "b")), draw(st.sampled_from(states)))
+                for below in symbols
+            ]
+        elif extra == "d":
+            transitions.append(GeneralTransition(source, None, top, (), "d"))
+        else:
+            push = draw(pushes(top, letter))
+            transitions.append(GeneralTransition(source, letter, top, push, draw(st.sampled_from(states))))
+    all_states = states + ["e", "d"]
+    return GeneralPda(
+        states=all_states,
+        input_alphabet=["a", "b"],
+        stack_alphabet=symbols,
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=draw(st.sets(st.sampled_from(all_states))),
+        transitions=transitions,
+    )
+
+
+@st.composite
+def walk_batches(draw):
+    """Two to five words of up to 16 letters around a drawn base: its
+    prefixes and suffixes with a piece added, or the base with a piece put
+    in; each word under its own limits, wide, narrower or just under its
+    accepting depth."""
+    base = draw(st.text("ab", min_size=4, max_size=12))
+    words = [base]
+    for _ in range(draw(st.integers(1, 4))):
+        cut = draw(st.integers(0, len(base)))
+        piece = draw(st.text("ab", max_size=4))
+        words.append(draw(st.sampled_from([base[:cut] + piece, piece + base[cut:], base[:cut] + piece + base[cut:]])))
+    choices = st.sampled_from([SearchLimits(60, 12), SearchLimits(40, 8), SearchLimits(25, 5), UNDER])
+    return words, [draw(choices) for _ in words]
+
+
+@pytest.fixture
+def chain_searches(monkeypatch):
+    """searched(pda, words, limits, walks): the verdicts of accepts_each and
+    what each of its chain searches returned (acceptance, deepest level,
+    parked descriptions, crossings), with the walks on or turned off."""
+    chains = []
+    search = run_module._search_chain
+
+    def recorded(*args):
+        chains.append(search(*args))
+        return chains[-1]
+
+    def searched(pda, words, limits, walks=True):
+        chains.clear()
+        walk = run_module._walk
+        if not walks:
+            monkeypatch.setattr(run_module, "_walk", lambda word, end, *at: at[:4])
+        try:
+            return accepts_each(pda, words, limits), list(chains)
+        finally:
+            monkeypatch.setattr(run_module, "_walk", walk)
+
+    monkeypatch.setattr(run_module, "_search_chain", recorded)
+    return searched
+
+
+def test_search_walks_match_reference_on_walk_machines(search_walks, chain_searches):
+    # Beyond the verdicts, every chain search returns what it returns
+    # without walks.
+    walked_examples = []
+
+    @given(walk_machines(), walk_batches())
+    @settings(max_examples=300, deadline=None, database=None)
+    def matches(pda, batch):
+        words, choices = batch
+        search_walks.clear()
+        for machine in (pda, normalize(pda)):
+            limits = [own_limits(machine, w, c) for w, c in zip(words, choices)]
+            expected = [reference_accepts(machine, w, own) for w, own in zip(words, limits)]
+            verdicts, chains = chain_searches(machine, words, limits)
+            assert list(verdicts) == expected
+            assert chains == chain_searches(machine, words, limits, walks=False)[1]
+        walked_examples.append(any(reached > pos for pos, reached in search_walks))
+
+    matches()
+    # About a third of the examples walk; a fifth leaves room for the draw.
+    assert sum(walked_examples) >= 0.2 * len(walked_examples)
+
+
+def _keeping(*moves, accept=()):
+    """A general machine of moves (source, letter, target) that keep the
+    bottom marker."""
+    transitions = [GeneralTransition(a, letter, BOTTOM, (BOTTOM,), b) for a, letter, b in moves]
+    return GeneralPda(
+        states={"q0"} | {t.source for t in transitions} | {t.target for t in transitions},
+        input_alphabet=["a", "b"],
+        stack_alphabet=[BOTTOM],
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=accept,
+        transitions=transitions,
+    )
+
+
+def test_no_walk_behind_a_visited_description(search_walks, chain_searches):
+    # On a, f runs ahead through g and h and stops; e follows three epsilon
+    # moves later and reaches g again. When e3 is the only description of
+    # its level, g is visited already: the search drops it, and e3 must not
+    # be walked on through g and h.
+    pda = _keeping(
+        ("q0", "a", "f"), ("q0", "a", "e"), ("f", "b", "g"), ("g", "b", "h"),
+        ("e", None, "e1"), ("e1", None, "e2"), ("e2", None, "e3"), ("e3", "b", "g"),
+    )
+    for limits in ([WIDE], [SearchLimits(5, 5)]):
+        verdicts, chains = chain_searches(pda, ["abbb"], limits)
+        assert verdicts == (reference_accepts(pda, "abbb", limits[0]),)
+        assert chains == chain_searches(pda, ["abbb"], limits, walks=False)[1]
+    assert search_walks == []
+
+
+def test_the_description_a_walk_hands_back_is_visited(search_walks, chain_searches):
+    # After the walk reads b into h, h and h2 pass the stack back and forth
+    # by epsilon moves: the search must find h visited when h2 returns to it.
+    pda = _keeping(("q0", "a", "q0"), ("q0", "b", "h"), ("h", None, "h2"), ("h2", None, "h"))
+    for word in ("aaaaba", "aaaab"):
+        verdicts, chains = chain_searches(pda, [word], [WIDE])
+        assert verdicts == (reference_accepts(pda, word, WIDE),)
+        assert chains == chain_searches(pda, [word], [WIDE], walks=False)[1]
+    assert (1, 5) in search_walks
+
+
+def test_a_walk_stops_at_the_smaller_limits_and_the_word_is_searched_again(search_walks, monkeypatch):
+    # The batch searches under its larger limits. The walk stops where the
+    # smaller ones end, the search crosses them, and the word whose own
+    # limits they are is searched again alone.
+    dyck1 = BUILTINS["DYCK1"].pda
+    word = "(" * 8 + ")" * 8
+    calls = []
+    batch_search = run_module.accepts_each
+
+    def counted(pda, words, limits=None):
+        calls.append(tuple(words))
+        return batch_search(pda, words, limits)
+
+    monkeypatch.setattr(run_module, "accepts_each", counted)
+    for own, cut in ((SearchLimits(5, 100), LimitExceeded(True, False)), (SearchLimits(100, 4), LimitExceeded(False, True))):
+        calls.clear()
+        search_walks.clear()
+        limits = [own, WIDE]
+        assert counted(dyck1, [word, word], limits) == (cut, Accepted())
+        assert reference_accepts(dyck1, word, own) == cut
+        assert calls == [(word, word), (word,)]
+        # (q0, ⊥XX) at position 2 is the first level of one description.
+        first = search_walks[0]
+        assert first == (2, 5 if own.max_steps == 5 else 3)
+
+
+def test_seeds_at_two_levels_then_a_walked_suffix(search_walks):
+    # "()" and "(())" return to the bottom marker where the common suffix
+    # starts, so their leaves park (q0, ⊥) and, one level deeper, the empty
+    # stack of the epsilon accept. The suffix of "(())" walks from (q0, ⊥XX)
+    # once both seeds have joined, and "()" reuses that search.
+    dyck1 = BUILTINS["DYCK1"].pda
+    suffix = "(" * 7 + ")" * 7
+    words = [suffix, "()" + suffix, "(())" + suffix]
+    assert accepts_each(dyck1, words) == (Accepted(),) * 3
+    assert (6, 17) in search_walks
+    assert (4, 15) not in search_walks  # the walk "()" + suffix would take
+    misses = [w + ")" for w in words]
+    assert accepts_each(dyck1, misses) == tuple(reference_accepts(dyck1, w) for w in misses)
+
+
+def _late_seed():
+    """Two moves on x: p reads y at once, v only after five epsilon moves,
+    so the words that fork after "xy" get the seed p2 at level 2 and r at
+    level 7. The run of p2 through s reaches (s, 4) at level 4; r reaches it
+    through t at level 9, where the search finds it visited."""
+    keep = (BOTTOM,)
+    chain = ["v", "v1", "v2", "v3", "v4", "v5"]
+    transitions = [
+        GeneralTransition("q0", "x", BOTTOM, keep, "p"),
+        GeneralTransition("q0", "x", BOTTOM, keep, "v"),
+        GeneralTransition("p", "y", BOTTOM, keep, "p2"),
+        *(GeneralTransition(a, None, BOTTOM, keep, b) for a, b in zip(chain, chain[1:])),
+        GeneralTransition("v5", "y", BOTTOM, keep, "r"),
+        GeneralTransition("p2", "a", BOTTOM, keep, "s"),
+        GeneralTransition("s", "a", BOTTOM, keep, "s"),
+        GeneralTransition("r", "a", BOTTOM, keep, "t"),
+        GeneralTransition("t", "a", BOTTOM, keep, "s"),
+    ]
+    return GeneralPda(
+        states=["q0", "p", "p2", "s", "r", "t", *chain],
+        input_alphabet=["x", "y", "a", "b"],
+        stack_alphabet=[BOTTOM],
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=[],
+        transitions=transitions,
+    )
+
+
+@pytest.mark.parametrize("steps", [8, 9, 20])
+def test_no_walk_before_the_last_seed_joins(search_walks, steps):
+    # Had p2's run been walked before r joined, (s, 4) would be missing
+    # from the visited set, and at 8 steps r's path to it would read as cut.
+    pda = _late_seed()
+    words = ["xyaaaa", "xyb"]
+    limits = [SearchLimits(steps, 10)] * 2
+    expected = tuple(reference_accepts(pda, w, own) for w, own in zip(words, limits))
+    assert expected == (NotAccepted(), NotAccepted())
+    assert accepts_each(pda, words, limits) == expected
+
+
+def test_a_pop_onto_the_empty_stack_is_left_to_the_search(search_walks):
+    # c pops the bottom marker by a letter move into qf: the walk hands the
+    # description back before that step, and the search takes it.
+    pda = GeneralPda(
+        states=["q0", "qf"],
+        input_alphabet=["a", "b", "c"],
+        stack_alphabet=[BOTTOM, "A"],
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=["qf"],
+        transitions=[
+            GeneralTransition("q0", "a", BOTTOM, (BOTTOM, "A"), "q0"),
+            GeneralTransition("q0", "a", "A", ("A", "A"), "q0"),
+            GeneralTransition("q0", "b", "A", (), "q0"),
+            GeneralTransition("q0", "c", BOTTOM, (), "qf"),
+        ],
+    )
+    words = ["aaabbbc", "aaabbbcc", "aaabbb"]
+    assert [accepts(pda, w) for w in words] == [reference_accepts(pda, w) for w in words]
+    assert [accepts(pda, w) for w in words] == [Accepted(), NotAccepted(), NotAccepted()]
+    assert search_walks and all(reached <= 6 for _, reached in search_walks)
+    assert (1, 6) in search_walks
+
+
+def test_every_return_to_the_bottom_marker_hands_the_walk_back(search_walks):
+    # The bottom marker's slot holds the epsilon accept beside '(', so the
+    # search takes each step from (q0, ⊥) and walks from the level after.
+    dyck1 = BUILTINS["DYCK1"].pda
+    assert accepts(dyck1, "()" * 50) == Accepted() and search_walks == []
+    assert accepts(dyck1, "(())" * 50) == Accepted()
+    assert search_walks == [(4 * k + 2, 4 * k + 4) for k in range(49)] + [(198, 199)]
