@@ -62,14 +62,9 @@ def _unreadable(path, exc: Exception) -> CliError:
     return CliError(EXIT_USAGE, f"{path}: {exc.strerror or exc}")
 
 
-def _load(path, command: str | None = None) -> PdaDocument:
-    """The machine named by a builtin name or a file path, validated.
-
-    A file with errors exits 2, and its warnings go to stderr. command names
-    the caller when it searches the normalized machine (pump, profile): a
-    machine flagged bottom-loss is then refused with exit 2, since normalize
-    may drop words of such a machine and the search could contradict check.
-    """
+def _load(path) -> PdaDocument:
+    """The machine named by a builtin name or a file path, validated: a
+    file with errors exits 2."""
     if path in BUILTINS:
         entry = BUILTINS[path]
         return PdaDocument(pda=entry.pda, name=entry.name, description=entry.description)
@@ -83,16 +78,6 @@ def _load(path, command: str | None = None) -> PdaDocument:
     if not report.ok:
         details = "; ".join(f"{i.code}: {i.message}" for i in report.errors)
         raise CliError(EXIT_USAGE, f"{path}: invalid machine ({details})")
-    lost = [i for i in report.warnings if i.code == "bottom-loss"]
-    if command and lost:
-        details = "; ".join(i.message for i in lost)
-        raise CliError(
-            EXIT_USAGE,
-            f"{path}: refused: {command} searches the normalized machine,"
-            f" which may accept fewer words (bottom-loss: {details})",
-        )
-    for issue in report.warnings:
-        print(f"pumpkit: warning: {path}: {issue.code}: {issue.message}", file=sys.stderr)
     return doc
 
 
@@ -385,7 +370,7 @@ def _extract(npda, args, limits, p_bit_limit: int, witness_detail: bool):
 
 
 def cmd_pump(args) -> int:
-    doc = _load(args.pda, "pump")
+    doc = _load(args.pda)
     _check_word(doc.pda, args.word)
     npda = normalize(doc.pda)
     n_set = _parse_n_set(args.n) if args.n is not None else DEFAULT_N_SET
@@ -406,7 +391,7 @@ def cmd_pump(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    doc = _load(args.pda, "profile")
+    doc = _load(args.pda)
     _check_word(doc.pda, args.word)
     npda = normalize(doc.pda)
     limits = _limits(npda, args.word, args)

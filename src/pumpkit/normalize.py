@@ -12,18 +12,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PumpingLengthOverflowError
-from .pda import GeneralPda, NormalizedPda, NormalizedTransition, is_star_transition
+from .pda import BOTTOM, GeneralPda, GeneralTransition, NormalizedPda, NormalizedTransition, is_star_transition
 
 # Generous ceiling on the bit length of the pumping length. Machines beyond
 # this are not usable at desk scale anyway.
 DEFAULT_P_BIT_LIMIT = 1_000_000
 
 
-def _fresh_prefix(states: frozenset[str]) -> str:
+def _fresh_prefix(names: frozenset[str]) -> str:
     prefix = "@"
-    while any(s.startswith(prefix) for s in states):
+    while any(s.startswith(prefix) for s in names):
         prefix += "@"
     return prefix
+
+
+def _under_new_bottom(pda: GeneralPda) -> GeneralPda:
+    """The same machine with its bottom marker renamed to a fresh symbol,
+    and a new bottom marker under its initial stack."""
+    renamed = _fresh_prefix(pda.stack_alphabet) + BOTTOM
+
+    def rename(symbol: str) -> str:
+        return renamed if symbol == BOTTOM else symbol
+
+    return GeneralPda(
+        states=pda.states,
+        input_alphabet=pda.input_alphabet,
+        stack_alphabet=pda.stack_alphabet | {renamed},
+        initial_state=pda.initial_state,
+        initial_stack=(BOTTOM, *map(rename, pda.initial_stack)),
+        accept_states=pda.accept_states,
+        transitions=[
+            GeneralTransition(t.source, t.letter, rename(t.pop), tuple(map(rename, t.push)), t.target)
+            for t in pda.transitions
+        ],
+    )
 
 
 def normalize(pda: GeneralPda) -> NormalizedPda:
@@ -32,12 +54,15 @@ def normalize(pda: GeneralPda) -> NormalizedPda:
     Transitions already in shape map one-to-one (no intermediate states).
     A push of k symbols becomes: one transition that consumes the original
     letter and pops without pushing, then k epsilon pushes, each defined for
-    every possible current top symbol. The chain requires a nonempty stack
-    at every push. When no transition is a "bottom-loss" one (validate warns
-    for each non-star transition that pops the bottom marker), the marker
-    stays deepest and no expanded transition pops the last symbol, so the
-    language is kept; otherwise it may change (ROADMAP item 6).
+    every possible current top symbol. The chain needs a top to push onto,
+    so when some transition outside that shape pops the bottom marker, which
+    may be the only symbol, the machine's own marker is renamed to a fresh
+    symbol everywhere and a new marker goes under it.
+    Only the chain pushes pop the new marker, and they put it back, so the
+    language is kept; every other machine keeps its stack alphabet.
     """
+    if any(t.pop == BOTTOM and not is_star_transition(t) for t in pda.transitions):
+        pda = _under_new_bottom(pda)
     prefix = _fresh_prefix(pda.states)
     symbols = sorted(pda.stack_alphabet)
     out: list[NormalizedTransition] = []

@@ -114,7 +114,7 @@ def is_star_form(pda: Pda) -> bool:
 
 @dataclass(frozen=True)
 class Issue:
-    severity: str  # "error" | "warning"
+    severity: str  # "error"
     code: str
     message: str
 
@@ -128,10 +128,6 @@ class ValidationReport:
         return tuple(i for i in self.issues if i.severity == "error")
 
     @property
-    def warnings(self) -> tuple[Issue, ...]:
-        return tuple(i for i in self.issues if i.severity == "warning")
-
-    @property
     def ok(self) -> bool:
         return not self.errors
 
@@ -139,11 +135,7 @@ class ValidationReport:
 def validate(pda: Pda) -> ValidationReport:
     """Check the structural invariants of a machine.
 
-    An empty error list means well-formed. Warnings flag shapes that are
-    legal but hazardous, currently only transitions that pop the bottom
-    marker and are not in star shape: normalize expands them into a pop
-    and a chain of pushes, which strands the machine on an empty stack
-    when the bottom marker was the only symbol.
+    An empty error list means well-formed.
     """
     issues: list[Issue] = []
 
@@ -186,14 +178,6 @@ def validate(pda: Pda) -> ValidationReport:
             err(
                 "star-violation",
                 f"{where}: normalized transitions must push nothing or [popped, extra], got {list(push)}",
-            )
-        if t.pop == BOTTOM and not is_star_transition(t):
-            issues.append(
-                Issue(
-                    "warning",
-                    "bottom-loss",
-                    f"{where}: pops the bottom marker and pushes {list(push)}; normalize's expansion stalls when it is the only symbol",
-                )
             )
 
     return ValidationReport(tuple(issues))

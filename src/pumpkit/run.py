@@ -492,23 +492,6 @@ def _shared_prefix(a, b, lo: int) -> int:
     return lo
 
 
-def _shared_suffix(a, b, hi: int) -> int:
-    """The length of the longest common suffix of a and b, at most hi (which
-    is at most the length of either); slice compares halve the unknown
-    stretch."""
-    la, lb = len(a), len(b)
-    if a[la - hi :] == b[lb - hi :]:
-        return hi
-    lo = 0
-    while hi - lo > 1:  # the last lo letters agree and the last hi do not
-        mid = (lo + hi) // 2
-        if a[la - mid : la - lo] == b[lb - mid : lb - lo]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _merge_seeds(levels, keys, base: int, si: int, level: int, visited: set, queue: list) -> int:
     """Queue the seeds of one level that the chain has not reached yet (their
     keys are relative to the chain's start, base its offset) and return the
@@ -790,9 +773,8 @@ def accepts_each(pda: Pda, words, limits=None) -> tuple:
     # two words differ.
     tail = 0
     if any(w != words[0] for w in words):
-        tail = min(map(len, words))
-        for w in words:
-            tail = _shared_suffix(words[0], w, tail)
+        backwards = [w[::-1] for w in words]
+        tail = min(_shared_prefix(backwards[0], b, 0) for b in backwards)
     # Searched suffixes: seed key -> (highest seed cell, accepted, cut,
     # deepest level above the lowest seed, tallest stack in the arena).
     joins: dict = {}

@@ -639,9 +639,8 @@ class TestUnprintablePumpingLength:
 
 def bottom_loss_file(tmp_path) -> str:
     """q0 -a,⊥/(⊥)-> q0 and q0 -b,⊥/(⊥,⊥)-> q0, q0 accepting: the first
-    transition pops ⊥ outside star shape, so validate flags it bottom-loss,
-    and the normalized machine loses every word with an a after the first
-    letter."""
+    transition pops ⊥ outside star shape, so normalize renames the machine's
+    ⊥ and puts a new one under it; the machine accepts every word."""
     pda = GeneralPda(
         states=["q0"],
         input_alphabet=["a", "b"],
@@ -660,54 +659,71 @@ def bottom_loss_file(tmp_path) -> str:
 
 
 class TestBottomLoss:
-    """pump and profile search the normalized machine, so they refuse one
-    flagged bottom-loss; check, params and normalize run as before and print
-    the warning to stderr."""
-
-    WARNING = (
-        "transition #0: pops the bottom marker and pushes ['⊥'];"
-        " normalize's expansion stalls when it is the only symbol"
-    )
+    """A machine whose transitions pop ⊥ outside star shape: pump and
+    profile search its normalized machine and agree with check, which
+    searches it as loaded, and no command prints a warning."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ("pump", "aaaa", "--mode", "best-effort"),
-            ("pump", "ab" * 20, "--report", "json"),
+            ("pump", "ab" * 20, "--mode", "best-effort", "--report", "json"),
             ("profile", "ab"),
             ("profile", "ab", "--annotate"),
         ],
         ids=" ".join,
     )
-    def test_searches_of_the_normalized_machine_refuse_it(self, capsys, tmp_path, argv):
+    def test_searches_of_the_normalized_machine_agree_with_check(self, capsys, tmp_path, argv):
         machine = bottom_loss_file(tmp_path)
+        assert run(capsys, "check", machine, argv[1]) == (0, f"accepted\t{argv[1]}\n", "")
         dest = tmp_path / "out.txt"
         code, out, err = run(capsys, argv[0], machine, *argv[1:], "-o", str(dest))
-        assert (code, out) == (2, "")
-        assert err == (
-            f"pumpkit: {machine}: refused: {argv[0]} searches the normalized machine,"
-            f" which may accept fewer words (bottom-loss: {self.WARNING})\n"
+        assert (code, out, err) == (0, "", "")
+        text = dest.read_text(encoding="utf-8")
+        if argv[0] == "profile":
+            assert text.startswith("stack profile: 4 positions")
+        elif "json" in argv:
+            assert json.loads(text)["verdict"]["overall"] is True
+        else:
+            assert "verdict: PASS" in text
+
+    def test_pump_agrees_with_check_on_a_finite_language(self, capsys, tmp_path):
+        # q0 -a,⊥/(Y)-> q1 -b,Y/()-> qf accepts "ab" alone; before the new
+        # bottom its normalized machine accepted nothing
+        pda = GeneralPda(
+            states=["q0", "q1", "qf"],
+            input_alphabet=["a", "b"],
+            stack_alphabet=[BOTTOM, "Y"],
+            initial_state="q0",
+            initial_stack=[BOTTOM],
+            accept_states=["qf"],
+            transitions=[
+                GeneralTransition("q0", "a", BOTTOM, ("Y",), "q1"),
+                GeneralTransition("q1", "b", "Y", (), "qf"),
+            ],
         )
-        assert not dest.exists()
+        path = tmp_path / "ab.json"
+        path.write_text(dumps(pda), encoding="utf-8")
+        machine = str(path)
+        assert run(capsys, "check", machine, "ab") == (0, "accepted\tab\n", "")
+        # "ab" is accepted, and a finite language has no pump of it
+        assert run(capsys, "pump", machine, "ab", "--mode", "best-effort")[0] == 4
+        assert run(capsys, "check", machine, "abb")[:2] == (1, "not-accepted\tabb\n")
+        code, out, err = run(capsys, "pump", machine, "abb", "--mode", "best-effort")
+        assert (code, out) == (1, "")
+        assert "not accepted" in err
 
-    def test_check_accepts_and_warns(self, capsys, tmp_path):
-        machine = bottom_loss_file(tmp_path)
-        code, out, err = run(capsys, "check", machine, "ab")
-        assert (code, out) == (0, "accepted\tab\n")
-        assert err == f"pumpkit: warning: {machine}: bottom-loss: {self.WARNING}\n"
-        code, out, err = run(capsys, "check", machine, "aaaa")
-        assert (code, out) == (0, "accepted\taaaa\n")
-        assert "bottom-loss" in err
-
-    def test_params_and_normalize_warn_and_keep_their_output(self, capsys, tmp_path):
+    def test_params_and_normalize_count_the_new_bottom(self, capsys, tmp_path):
         machine = bottom_loss_file(tmp_path)
         code, out, err = run(capsys, "params", machine)
-        assert (code, out) == (0, "p'=4 p=32\nstates=2 stack_symbols=1\nnormalization: expanded the machine\n")
-        assert err == f"pumpkit: warning: {machine}: bottom-loss: {self.WARNING}\n"
+        assert (code, out, err) == (
+            0,
+            "p'=8 p=13122\nstates=2 stack_symbols=2\nnormalization: expanded the machine\n",
+            "",
+        )
         code, out, err = run(capsys, "normalize", machine, "-")
-        assert code == 0
+        assert (code, err) == (0, "")
         assert is_star_form(loads(out).pda)
-        assert err == f"pumpkit: warning: {machine}: bottom-loss: {self.WARNING}\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,7 +1,10 @@
+import hashlib
+import importlib.resources
 import itertools
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pumpkit import (
@@ -10,14 +13,29 @@ from pumpkit import (
     BUILTINS,
     GeneralPda,
     GeneralTransition,
+    LimitExceeded,
     PumpingLengthOverflowError,
+    SearchLimits,
     accepts,
     dumps,
     is_star_form,
+    load_path,
+    loads,
     normalize,
     pumping_params,
     validate,
 )
+from pumpkit.pda import is_star_transition
+
+
+# sha256 of dumps(normalize(...)) for each data file
+NORMALIZED_DIGESTS = {
+    "ANBN.json": "5d156a8d83ebcc563ff2e685e511e05bcd0f7c3f9afdd0aad7e562b4327254e3",
+    "ANBN_GENERAL.json": "497c9c42eff9ff7f0714ffe156eb0b0801e09763e572185b82015c364410c956",
+    "DYCK1.json": "a2f205d9c21f09ddaa12a865e8f00375f488bd3473b5963f5b5fe3a10f2a3cf5",
+    "GEN_PAL.json": "817b3424987fc78094b5914be873e4ce2becaf1d315854a1f1b3a58088d5c4e3",
+    "REG_AB.json": "43c01f20dfc8886a3bd3a9b27fdce681cbefc10c83364f7b0e1fa381828f0546",
+}
 
 
 class TestNormalize:
@@ -80,6 +98,57 @@ class TestNormalize:
                 assert isinstance(accepts(gp, w), Accepted) == isinstance(
                     accepts(out, w), Accepted
                 ), w
+
+
+    @pytest.mark.parametrize("name", sorted(NORMALIZED_DIGESTS))
+    def test_data_files_normalize_to_pinned_bytes(self, name):
+        # none pops the bottom marker outside star shape, so none gets a new
+        # bottom, and the reports and charts built on them keep their bytes
+        path = importlib.resources.files("pumpkit") / "data" / name
+        text = dumps(normalize(load_path(path).pda))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NORMALIZED_DIGESTS[name]
+
+    def test_new_bottom_goes_under_the_renamed_one(self):
+        # ROADMAP item 8's machine accepts "ab" alone; its "a" pops the
+        # only symbol and pushes Y, which needs a top to push onto
+        gp = _bottom_to_y()
+        out = normalize(gp)
+        assert out.initial_stack == (BOTTOM, "@" + BOTTOM)
+        assert out.stack_alphabet == {BOTTOM, "@" + BOTTOM, "Y"}
+        # only the chain's push pops the new bottom, and it puts it back
+        assert [(t.source, t.letter, t.push) for t in out.transitions if t.pop == BOTTOM] == [
+            ("@0.0", None, (BOTTOM, "Y"))
+        ]
+        assert validate(out).issues == ()
+
+
+def _bottom_to_y() -> GeneralPda:
+    """q0 -a,⊥/(Y)-> q1 -b,Y/()-> qf: it accepts "ab" alone."""
+    return GeneralPda(
+        states=["q0", "q1", "qf"],
+        input_alphabet=["a", "b"],
+        stack_alphabet=[BOTTOM, "Y"],
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=["qf"],
+        transitions=[
+            GeneralTransition("q0", "a", BOTTOM, ("Y",), "q1"),
+            GeneralTransition("q1", "b", "Y", (), "qf"),
+        ],
+    )
+
+
+def _bottom_loop() -> GeneralPda:
+    """q0 -a,⊥/(⊥)-> q0 with q0 accepting: it accepts every a^n."""
+    return GeneralPda(
+        states=["q0"],
+        input_alphabet=["a", "b"],
+        stack_alphabet=[BOTTOM],
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=["q0"],
+        transitions=[GeneralTransition("q0", "a", BOTTOM, (BOTTOM,), "q0")],
+    )
 
 
 class TestPumpingParams:
@@ -177,3 +246,53 @@ def test_normalize_always_yields_star_form(pda):
     out = normalize(pda)
     assert is_star_form(out)
     assert validate(out).ok or not validate(pda).ok
+
+
+@st.composite
+def bottom_popping_pdas(draw):
+    """small_general_pdas with up to two more initial symbols, and in half
+    of the examples one more transition that pops the bottom marker outside
+    star shape."""
+    pda = draw(small_general_pdas())
+    symbols = sorted(pda.stack_alphabet)
+    states = sorted(pda.states)
+    pda = replace(pda, initial_stack=[BOTTOM] + draw(st.lists(st.sampled_from(symbols), max_size=2)))
+    if not draw(st.booleans()):
+        return pda
+    push = draw(
+        st.lists(st.sampled_from(symbols), min_size=1, max_size=3).filter(
+            lambda push: not (len(push) == 2 and push[0] == BOTTOM)
+        )
+    )
+    t = GeneralTransition(
+        source=draw(st.sampled_from(states)),
+        letter=draw(st.one_of(st.none(), st.sampled_from(["a", "b"]))),
+        pop=BOTTOM,
+        push=push,
+        target=draw(st.sampled_from(states)),
+    )
+    assert not is_star_transition(t)
+    return replace(pda, transitions=[*pda.transitions, t])
+
+
+# Explicit limits: the normalized machine's defaults grow with its pumping
+# length, and on epsilon-push loops the search would fill every stack up to
+# them. A cut search says LimitExceeded and is skipped; the other verdicts
+# are exact under any limits.
+EQUIVALENCE_LIMITS = SearchLimits(max_steps=60, max_stack_height=12)
+
+
+@given(bottom_popping_pdas())
+@example(_bottom_loop())
+@example(_bottom_to_y())
+@settings(max_examples=100, deadline=None)
+def test_normalize_keeps_the_language(pda):
+    out = normalize(pda)
+    assert validate(loads(dumps(out)).pda).ok
+    for length in range(5):
+        for letters in itertools.product("ab", repeat=length):
+            word = "".join(letters)
+            before = accepts(pda, word, EQUIVALENCE_LIMITS)
+            after = accepts(out, word, EQUIVALENCE_LIMITS)
+            if not isinstance(before, LimitExceeded) and not isinstance(after, LimitExceeded):
+                assert before == after, word

@@ -241,10 +241,6 @@ def _tracked_net(search, entry, m):
             gc.enable()
 
 
-@pytest.mark.skipif(
-    platform.python_implementation() != "CPython",
-    reason="gc.get_count()[0] is CPython's count of tracked allocations",
-)
 def _searched_minimal_run(pda, word, limits):
     """minimal_accepting_path of the normalized machine: on GEN_PAL the
     breadth-first search, since its run is not unique."""
@@ -260,6 +256,10 @@ def _searched_minimal_run(pda, word, limits):
         ("GEN_PAL", _searched_minimal_run),
     ],
     ids=["accepts-DYCK1", "minimal_accepting_path-DYCK1", "accepts-GEN_PAL", "minimal_accepting_path-GEN_PAL"],
+)
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython",
+    reason="gc.get_count()[0] is CPython's count of tracked allocations",
 )
 def test_searches_allocate_no_tracked_object_per_description(name, search):
     # Descriptions, stack cells and the parent chain are plain ints, which the
