@@ -51,9 +51,10 @@ def _sweep(s, start: int, stop: int, eras: list, best: tuple) -> tuple:
     eras in place; returns the best closed triple so far as plain ints
     (n, i, j, k), n = 0 when there is none."""
     best_n, best_i, best_j, best_k = best
+    v = s[start - 1]
     for pos in range(start, stop):
-        v = s[pos]
-        if v > s[pos - 1]:
+        prev, v = v, s[pos]
+        if v > prev:
             eras.append([v, pos, pos, v, pos])
             continue
         h, first, last, peak, peak_pos = eras.pop()

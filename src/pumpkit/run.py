@@ -31,6 +31,21 @@ no new low after its first lap. Of the corpus, the normalized DYCK1, REG_AB,
 ANBN and data/ANBN_GENERAL.json machines have the property; GEN_PAL, whose
 epsilon move guesses the midpoint beside letter moves, does not.
 
+The walk reads most letters in a fast stretch. The one pass over the move
+table that decides the property (_one_live_moves) also maps each slot
+without epsilon moves to a dict from each letter to its one live move,
+flagged when any move on that letter in the slot pushes. Before the last
+letter, each step of the stretch is one lookup in that dict, a pop or a
+push and one append to the run. No successor there can end the word: only
+the letter's moves match, and each lands before the last position, so the
+stretch needs no acceptance check. Its length is bounded up front by the
+steps max_steps leaves, and it tests the height only where the flag is set,
+which is the per-step loop's test: a pushing successor at the height limit
+hands the word over. Everything else goes through the per-step loop: the
+last letter, a slot with an epsilon move, a letter with no live move and
+every hand-off at a limit. After a stretch the last move read a letter, so
+the epsilon count restarts.
+
 accepts_each() answers membership only, for several words at once, and
 accepts() is its one-word call. It is a deliberately separate search loop
 (and also simulates general machines) so it can serve as an oracle: it
@@ -102,7 +117,10 @@ lowest seed level. Each step then needs (b) a slot (state, top) with no
 epsilon move and exactly one move on the next letter, (c) a successor
 within the batch's smaller limits and on a nonempty stack, and (d) a
 successor before the chain's end. Where a condition fails, the description
-reached is queued as its level's only entry. Under (a), every visited
+reached is queued as its level's only entry. A move that pushes nothing
+reaches the current cell or the one below it, so such a step interns no
+cell; it still tests that cell's size, since a walk can start from a
+description that crossed the smaller height limit. Under (a), every visited
 description lies at or before the walk's position, so each successor is
 new; under (b) to (d) it is the only one and neither cut nor crossed. The
 search would therefore queue it as the whole next level: the walk takes the
@@ -291,9 +309,10 @@ def minimal_accepting_path(pda: NormalizedPda, word, limits: SearchLimits | None
         extra = -1 if t.extra is None else symbol_ids[t.extra]
         table[slot].append((t.letter, state_ids[t.target], extra, index))
     live = {state_ids[t.source] for t in pda.transitions}
-    if _one_live_move(table, live):
+    letter_moves = _one_live_moves(table, live)
+    if letter_moves is not None:
         stack = [symbol_ids[s] for s in pda.initial_stack]
-        ran = _follow_run(pda, word, table, width, accepting, live, stack, limits, n_states * width)
+        ran = _follow_run(pda, word, table, letter_moves, width, accepting, live, stack, limits, n_states * width)
         if ran is not None:
             return ran
     # Stack cells: cell 0 is the empty stack; below * width + symbol -> cell.
@@ -375,21 +394,37 @@ def minimal_accepting_path(pda: NormalizedPda, word, limits: SearchLimits | None
     return NotAccepted()
 
 
-def _one_live_move(table, live) -> bool:
-    """True when every slot of the move table holds at most one move into a
-    live state per letter, and no live epsilon move beside another live
-    move: then each description has at most one live successor."""
-    for bucket in table:
+def _one_live_moves(table, live) -> list | None:
+    """The moves of the one-run walk, or None when some slot of the move
+    table holds two moves into live states on one letter, or a live epsilon
+    move beside another live move (then a description can have two live
+    successors).
+
+    Otherwise the list maps each slot without epsilon moves to a dict
+    letter -> (target, pushed symbol or -1, transition index, pushes) of the
+    letter's one live move, where pushes says whether any move on that
+    letter in the slot pushes, moves into move-less states included; a slot
+    with an epsilon move, or no moves, maps to None.
+    """
+    letter_moves: list = [None] * len(table)
+    for slot, bucket in enumerate(table):
         if bucket is None:
             continue
         letters = [letter for letter, target, _, _ in bucket if target in live]
         if len(set(letters)) < len(letters) or (None in letters and len(letters) > 1):
-            return False
-    return True
+            return None
+        if all(letter is not None for letter, _, _, _ in bucket):
+            pushing = {letter for letter, _, extra, _ in bucket if extra >= 0}
+            letter_moves[slot] = {
+                letter: (target, extra, index, letter in pushing)
+                for letter, target, extra, index in bucket
+                if target in live
+            }
+    return letter_moves
 
 
-def _follow_run(pda: NormalizedPda, word, table, width, accepting, live, stack, limits, max_epsilon):
-    """Follow the one run of a machine that passes _one_live_move, on the
+def _follow_run(pda: NormalizedPda, word, table, letter_moves, width, accepting, live, stack, limits, max_epsilon):
+    """Follow the one run of a machine that _one_live_moves accepts, on the
     list stack of symbol ids; see the module docstring.
 
     Returns what the breadth-first search would: the RunPath of the first
@@ -412,6 +447,31 @@ def _follow_run(pda: NormalizedPda, word, table, width, accepting, live, stack, 
     state = pos = depth = epsilon = 0
     low = len(stack)  # the lowest stack since the last letter move
     while stack:
+        # The fast stretch: letter moves out of slots without epsilon moves
+        # that land before the last letter and within max_steps (see the
+        # module docstring).
+        stop = min(n - 1, pos + max_steps - depth)
+        first = pos
+        while pos < stop and stack:
+            moves = letter_moves[state * width + stack[-1]]
+            if moves is None:
+                break
+            move = moves.get(word[pos])
+            if move is None or (move[3] and len(stack) >= max_height):
+                break
+            state, extra, index, _ = move
+            if extra < 0:
+                pop()
+            else:
+                push(extra)
+            take(index)
+            pos += 1
+        if pos > first:
+            depth += pos - first
+            epsilon = 0
+            low = len(stack)
+            if not stack:
+                break
         bucket = table[state * width + stack[-1]]
         if bucket is None:
             break
@@ -638,18 +698,21 @@ def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, 
             break
         _, target, keeps_top, suffix = move
         child = cell if keeps_top else below[cell]
-        height = size[child] + len(suffix)
-        if not height or height > lo_height:
-            break
-        for s in suffix:
-            at = child * width + s
-            above = cells.get(at)
-            if above is None:
-                above = cells[at] = len(sym)
-                sym.append(s)
-                below.append(child)
-                size.append(size[child] + 1)
-            child = above
+        if not suffix:
+            if not child or size[child] > lo_height:
+                break
+        else:
+            if size[child] + len(suffix) > lo_height:
+                break
+            for s in suffix:
+                at = child * width + s
+                above = cells.get(at)
+                if above is None:
+                    above = cells[at] = len(sym)
+                    sym.append(s)
+                    below.append(child)
+                    size.append(size[child] + 1)
+                child = above
         state = target
         cell = child
         pos += 1

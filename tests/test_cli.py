@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib
 import json
 import os
@@ -408,6 +409,44 @@ class TestJsonReportBytes:
         machine.write_text(quoted_doc(), encoding="utf-8")
         payload = self.check(capsys, monkeypatch, str(machine), word, mode)
         assert payload["word"] == word and set(word) == set(QUOTED_LETTERS)
+
+
+# sha256 of the whole stdout of strict and best-effort pumps, text and json,
+# and of an annotated chart: a speed-up must leave every byte where it was.
+REPORT_DIGESTS = [
+    pytest.param(
+        ("pump", "DYCK1", "(" * 6601 + ")" * 6601, "--mode", "strict", "--report", "json"),
+        "8db1b3ec1eea26324e0e5f896fe096a7c631fde4114c0454a50bdd53f3ff310f",
+        id="strict-DYCK1-json",
+    ),
+    pytest.param(
+        ("pump", "REG_AB", "ab" * 3300, "--mode", "strict", "--report", "json"),
+        "ffc89e1b945cbedbf006866fb1d0b72b06db9e037abbdb6d7f31732bc9624577",
+        id="strict-REG_AB-json",
+    ),
+    pytest.param(
+        ("pump", str(DATA / "ANBN_GENERAL.json"), "a" * 400 + "b" * 400, "--mode", "best-effort"),
+        "3add3fa2959229abdc026430d367d2499c0f815dd01f1a14a8fbbe2d3e5fca8f",
+        id="best-effort-ANBN_GENERAL-text",
+    ),
+    pytest.param(
+        ("profile", "DYCK1", "(" * 800 + ")" * 800, "--annotate", "--render", "ascii"),
+        "f5bab4e1b1fa6244dcf38da0e139a625b89000e7f47c0b7536721e45e56cfc27",
+        id="profile-DYCK1-ascii",
+    ),
+    pytest.param(
+        ("pump", "GEN_PAL", "01" * 100 + "10" * 100, "--mode", "best-effort", "--report", "json"),
+        "4f11d26f7548d401391abe148b2280016c86e1f3e9f88201e39b25eb19377775",
+        id="best-effort-GEN_PAL-json",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", REPORT_DIGESTS)
+def test_report_bytes_are_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestProfile:

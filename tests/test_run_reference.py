@@ -927,6 +927,67 @@ def test_minimal_path_matches_reference_on_one_run_machines(pda, word, limits):
     assert _minimal_path_summary(pda, word, limits) == reference_minimal_path(pda, word, limits)
 
 
+@st.composite
+def long_runs(draw):
+    """A machine of one_run_machines, a word of 8 to 40 letters and limits
+    near the length and peak of the run that reads it.
+
+    The word is read off the machine: from the initial description each step
+    takes a drawn move into a state with moves, and each letter move adds its
+    letter; once no such move is left, drawn letters fill the word up. So
+    the walk's letter stretches run long, and limits drawn within a few steps
+    of the run's length and peak cut them by steps and by height.
+    """
+    pda = draw(one_run_machines())
+    size = draw(st.integers(8, 40))
+    live = {t.source for t in pda.transitions}
+    state, stack, letters = pda.initial_state, list(pda.initial_stack), []
+    steps, peak = 0, len(stack)
+    while stack and len(letters) < size and steps < 4 * size:
+        moves = [t for t in pda.transitions if (t.source, t.pop) == (state, stack[-1]) and t.target in live]
+        if not moves:
+            break
+        t = draw(st.sampled_from(moves))
+        stack.pop()
+        stack.extend(t.push)
+        state = t.target
+        steps += 1
+        peak = max(peak, len(stack))
+        if t.letter is not None:
+            letters.append(t.letter)
+    letters += draw(st.lists(st.sampled_from("ab"), min_size=size - len(letters), max_size=size - len(letters)))
+    limits = SearchLimits(draw(st.integers(max(0, steps - 3), steps + 3)), draw(st.integers(max(0, peak - 2), peak + 2)))
+    return pda, "".join(letters), limits
+
+
+@given(long_runs())
+@settings(max_examples=300, deadline=None)
+def test_minimal_path_matches_reference_on_long_runs(case):
+    pda, word, limits = case
+    assert _minimal_path_summary(pda, word, limits) == reference_minimal_path(pda, word, limits)
+
+
+@pytest.mark.parametrize("letter", ["a", None], ids=["on-a", "epsilon"])
+def test_a_dead_push_beside_a_live_pop_at_the_height_limit(walked, letter):
+    # In the slot (q0, A), the live move on a pops and a move on a (or an
+    # epsilon move) into the move-less d0 pushes. At the height limit that
+    # push is cut, so the walk hands the word to the search, which flags it.
+    moves = [
+        T("q0", "b", BOTTOM, "A", "q0"),
+        T("q0", "b", "A", "A", "q0"),
+        T("q0", "a", "A", None, "q0"),
+        T("q0", letter, "A", "B", "d0"),
+        T("q0", None, BOTTOM, None, "qf"),
+    ]
+    pda = _machine(moves, ["qf"])
+    steps, profile = _walk_case(walked, pda, "bbbbaaaa", WIDE, True)
+    assert len(steps) == 9 and max(profile) == 5
+    assert _walk_case(walked, pda, "bbbbaaaa", SearchLimits(100, 6), True) == (steps, profile)
+    assert _walk_case(walked, pda, "bbbbaaaa", SearchLimits(100, 5), False) == (steps, profile)
+    assert _walk_case(walked, pda, "bbbbaaa", SearchLimits(100, 6), True) == NotAccepted()
+    assert _walk_case(walked, pda, "bbbbaaa", SearchLimits(100, 5), False) == LimitExceeded(False, True)
+
+
 def _stretch_popper():
     """Pushes A per a, pops one A on b, then pops every other A and the
     bottom marker by epsilon moves into qf: a long epsilon stretch that is
