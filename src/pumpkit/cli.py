@@ -31,6 +31,7 @@ from .pda import validate
 from .run import (
     Accepted,
     LimitExceeded,
+    STEP_CAP,
     NotAccepted,
     SearchLimits,
     accepts,
@@ -337,6 +338,21 @@ def _parse_n_set(text: str) -> tuple[int, ...]:
     return values
 
 
+def _check_pumped_lengths(decomposition, n_set) -> None:
+    """Refuse a count whose pumped word would pass STEP_CAP letters: its
+    run would pass the search's step cap, so the search route could never
+    confirm it. Only lengths are computed; no pumped word is built."""
+    d = decomposition
+    for n in n_set:
+        length = len(d.u) + len(d.x) + len(d.z) + n * (len(d.v) + len(d.y))
+        if length > STEP_CAP:
+            raise CliError(
+                EXIT_USAGE,
+                f"--n {n}: the pumped word would have {length} letters,"
+                f" more than the search's step cap of {STEP_CAP}",
+            )
+
+
 def _extract(npda, args, limits, p_bit_limit: int, witness_detail: bool):
     """extract() with the exception -> exit mapping that pump and profile share.
 
@@ -378,6 +394,7 @@ def cmd_pump(args) -> int:
     _check_writable(args)
     # Both report formats print p.
     result = _extract(npda, args, limits, PRINTABLE_P_BIT_LIMIT, witness_detail=True)
+    _check_pumped_lengths(result.decomposition, n_set)
 
     report = verify(npda, result.path, result.decomposition, n_set, result.checkpoints)
     if args.report == "json":

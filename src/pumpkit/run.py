@@ -51,62 +51,57 @@ accepts() is its one-word call. It is a deliberately separate search loop
 (and also simulates general machines) so it can serve as an oracle: it
 shares no code with minimal_accepting_path or the replay side.
 
-accepts_each searches the prefix tree (trie) of its words. A trie node is a
-text offset: the position in a word, whose next letter is word[pos], and
-the words are split into branches by their next letter only where they
-diverge. A chain is a stretch of the tree with no fork: the letters a group
-of words shares, from the fork it starts at to the next one, or a whole
-word's tail. Descriptions at a position depend only on the letters before
-it, so each chain is searched once for all of its words, by its own
-level-synchronous breadth-first search (_search_chain). The chain's last
-position is the fork: its descriptions are expanded by epsilon moves only
-(the chain's word "ends" there) and parked with their exact depths. Each
-branch is then seeded with the parked descriptions, each at its own level,
-so every description keeps its breadth-first depth. A chain's visited set
-and queue are freed when it is done, and the stack cells created under a
-branch are truncated from the cell arena before its next sibling starts,
-so the search holds the descriptions of one chain at a time. A tail that
-ends a word accepts it when an accepting state is dequeued at its end, as
-in a one-word search. A chain that ends at a fork accepts nothing, so it
-runs until its descriptions are spent or cut: where epsilon moves push
-without end, a shared stretch is searched up to the limits, past the depth
-at which a one-word search of an accepted word would have stopped.
+accepts_each searches its words in chains. A chain is a stretch of one
+word, from its start position to its end, searched by its own
+level-synchronous breadth-first search (_search_chain) from seeds at its
+start. Descriptions at a position depend only on the letters before it, so
+when the batch holds two different words, the words' longest common prefix
+is one chain, searched once. Its last position is the fork: its
+descriptions are expanded by epsilon moves only (no word is taken to end
+there) and parked with their exact depths. Each distinct word is then
+searched from the fork as a chain of its own, seeded with the parked
+descriptions, each at its own level, so every description keeps its
+breadth-first depth. A chain's visited set and queue are freed when it is
+done, and the stack cells created under a word are truncated from the cell
+arena before the next word starts, so the search holds the descriptions of
+one chain at a time. A chain that ends a word accepts it when an accepting
+state is dequeued at its end, as in a one-word search. The prefix accepts
+nothing, so it runs until its descriptions are spent or cut: where epsilon
+moves push without end, it is searched up to the limits, past the depth at
+which a one-word search of an accepted word would have stopped.
 
 Words that differ in the middle can still end alike, as the pumped words
-u·vⁿ·x·yⁿ·z all end in z. When a batch holds two different words, let S be
-their longest common suffix. A leaf of word w whose join point
-J = len(w) - |S| lies after the leaf's start ends there instead, and parks
-its descriptions as a chain that ends at a fork does; the suffix from J is a
-chain of its own, seeded with them. A leaf that starts at J is that suffix
-chain already, seeded by its fork. Descriptions past J depend only
-on the parked ones and on S, so equal seeds give an equal search. A suffix
-chain is keyed by its seeds: the (cell, state) of each, its position
-rebased to J, and its level less the lowest seed level. Before it is
-searched, a stored search under the same key is reused when it was not
-cut, its deepest level, shifted by this word's lowest seed level, stays
-within the word's own step limit, and the tallest stack in the cell arena
-when it ended stays within the word's own height limit: nothing in it then
-passes that word's limits, so the word's own search would find the same
-descriptions at the same depths. Otherwise the suffix is searched, and the
-crossing rule below keeps the verdict exact. Keys name interned cells, so
-truncating the arena drops every stored search whose seeds name a dropped
-cell: a later sibling may intern another stack under the same number. Seeds
-that name a cell made under their own leaf would be dropped before any
-other leaf starts, so such a suffix is searched as a plain tail, not
-stored, and joins stop for the batch (a GEN_PAL stack holds the word read
-so far, so its pumped words reach the suffix on stacks of their own). A
-stretch up to a join that the limits cut gives the join up, and joins stop
-too: its leaf is searched whole from its own seeds, so no suffix is seeded
-with a parked set that the limits cut. One word never joins.
+u·vⁿ·x·yⁿ·z all end in z. Let S be the longest common suffix of the
+distinct words. A word whose join point J = len(w) - |S| lies after the
+fork is searched up to J, and parks its descriptions there as the prefix
+does; the suffix from J is a chain of its own, seeded with them. A word
+whose join point is the fork is that suffix chain already. Descriptions past
+J depend only on the parked ones and on S, so equal seeds give an equal
+search. A suffix chain is keyed by its seeds: the (cell, state) of each, its
+position rebased to J, and its level less the lowest seed level. Before it
+is searched, a stored search under the same key is reused when it was not
+cut and its deepest level, shifted by this word's lowest seed level, stays
+within the step limit: nothing in it then passes the limits, so this word's
+own search would find the same descriptions at the same depths. Otherwise
+the suffix is searched. Keys name interned cells, so only seeds on cells
+made before the fork, which no truncation drops, are stored. Seeds that
+name a cell made under their own word are searched as a plain chain, and
+joins stop for the batch (a GEN_PAL stack holds the word read so far, so
+its pumped words reach the suffix on stacks of their own). A stretch up to
+a join that the limits cut gives the join up, and joins stop too: its word
+is searched whole from the fork, so no suffix is seeded with a parked set
+that the limits cut.
 
-The words' limits differ, since default_limits grows with the word. The
-tree is searched under the largest limits of the batch; a description
-found past the smallest ones (the same compare that cuts a search) is a
-crossing, and the chain records the largest depth and stack size crossed.
-A word whose path crossed its own limits is searched again alone under
-them, unless its limits are the largest; otherwise its verdict and
-LimitExceeded flags are exactly those of a one-word search. For one word
-the smallest and largest limits are the same, so this is the plain cut.
+The words' limits differ, since default_limits grows with the word. Every
+chain is searched under the batch's smallest step limit and smallest height
+limit, and each word's verdict takes the cuts of every chain on its path.
+A description reachable under the smallest limits is reachable under
+larger ones, and a search that no limit cut is the same search under any
+larger limits. So a word's verdict is its one-word verdict when it is
+accepted, when no chain on its path was cut, or when its own limits are
+the smallest. Any other word is searched again alone, under its own
+limits. For one word the smallest limits are its own, so this is the plain
+cut.
 
 Where a level of a chain's search holds one description, the search walks
 it (_walk) on interned cells, with no key, visited insert or queue slot, for
@@ -115,18 +110,17 @@ when no seed is left to join and (a) every step to the description read a
 letter: its position less the chain's start equals its level less the
 lowest seed level. Each step then needs (b) a slot (state, top) with no
 epsilon move and exactly one move on the next letter, (c) a successor
-within the batch's smaller limits and on a nonempty stack, and (d) a
-successor before the chain's end. Where a condition fails, the description
-reached is queued as its level's only entry. A move that pushes nothing
-reaches the current cell or the one below it, so such a step interns no
-cell; it still tests that cell's size, since a walk can start from a
-description that crossed the smaller height limit. Under (a), every visited
-description lies at or before the walk's position, so each successor is
-new; under (b) to (d) it is the only one and neither cut nor crossed. The
+within the limits and on a nonempty stack, and (d) a successor before the
+chain's end. Where a condition fails, the description reached is queued as
+its level's only entry. A move that pushes nothing reaches the current cell
+or the one below it, so such a step interns no cell and needs no height
+test: the walk starts from a description the search queued, within the
+height limit, and such a step does not grow the stack. Under (a), every
+visited description lies at or before the walk's position, so each
+successor is new; under (b) to (d) it is the only one and not cut. The
 search would therefore queue it as the whole next level: the walk takes the
-same steps and interns the same cells in the same order, and every
-crossing, cut flag, parked description and deepest level still comes from
-the search. The walked descriptions stay out of the visited set: every
+same steps and interns the same cells in the same order, and every cut
+flag, parked description and deepest level still comes from the search. The walked descriptions stay out of the visited set: every
 later description descends from the one queued, at or past its position.
 A seed that joined later could reach them again from the chain's start, so
 the walk waits for the last seed. accepts_each decides once, from its move
@@ -145,7 +139,7 @@ below * width + symbol, so equal stacks are equal cells and a visited key
 stays O(1) whatever the stack depth. That key is the one int
 (cell * (len(word) + 1) + position) * n_states + state, where accepts_each
 takes the length of its longest word. Seeds and parked descriptions carry
-their key less position * n_states, so they stay valid in every branch and
+their key less position * n_states, so they stay valid in every chain and
 equal (cell, state) pairs at different joins have equal keys.
 minimal_accepting_path keeps its parent chain as two int lists, the parent
 description and the transition index. The cyclic garbage collector does not
@@ -568,27 +562,28 @@ def _merge_seeds(levels, keys, base: int, si: int, level: int, visited: set, que
 def _search_chain(
     word, start: int, end: int, leaf: bool, seed_levels, seed_keys, machine, arena, bounds
 ) -> tuple:
-    """Search one chain, the letters word[start:end], from its seeds.
+    """Search one chain, the letters word[start:end], from its seeds, under
+    the limits bounds = (max_steps, max_stack_height).
 
     The seeds sit at start, sorted by level, with keys relative to start. A
     leaf accepts when an accepting state is dequeued at end. Any other chain
     expands its descriptions at end by epsilon moves only and parks them,
     with their levels and with keys relative to end. Returns (accepted,
-    deepest, parked levels, parked keys, crossings): no description the
-    chain queued or held against the limits lies deeper than level deepest,
-    and crossings is (cut_steps, cut_height, crossed depth, crossed height)
-    of this chain alone.
+    deepest, parked levels, parked keys, cut): no description the chain
+    queued or held against the limits lies deeper than level deepest, and
+    cut has bit 1 set when the step limit cut a successor and bit 2 when
+    the height limit did.
     """
     moves, width, n_states, n1, accepting, single = machine
     sym, below, size, cells = arena
-    lo_steps, lo_height, hi_steps, hi_height = bounds
+    max_steps, max_height = bounds
     get_cell = cells.get
     base = start * n_states
     parked_base = end * n_states
     parked_levels: list = []
     parked_keys: list = []
-    accepted = cut_steps = cut_height = False
-    cross_steps = cross_height = 0
+    accepted = False
+    cut = 0
     visited: set = set()
     seen = visited.add
     queue: list = []
@@ -617,7 +612,7 @@ def _search_chain(
                     single is not None
                     and level_end == i + 1
                     and si == ns
-                    and depth <= lo_steps
+                    and depth <= max_steps
                     and cell
                     and single[state * width + sym[cell]]
                     and pos - start == depth - 1 - seed_levels[0]
@@ -661,21 +656,12 @@ def _search_chain(
                 found = (child * n1 + npos) * n_states + target
                 if found in visited:
                     continue
-                if depth > lo_steps or (child and size[child] > lo_height):
-                    if depth > cross_steps:
-                        cross_steps = depth
-                    if size[child] > cross_height:
-                        cross_height = size[child]
-                    if depth > hi_steps:
-                        cut_steps = True
-                        continue
-                    if child and size[child] > hi_height:
-                        cut_height = True
-                        continue
+                if depth > max_steps or (child and size[child] > max_height):
+                    cut |= 1 if depth > max_steps else 2
+                    continue
                 seen(found)
                 enqueue(found)
-    crossings = (cut_steps, cut_height, cross_steps, cross_height)
-    return accepted, depth, parked_levels, parked_keys, crossings
+    return accepted, depth, parked_levels, parked_keys, cut
 
 
 def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, arena, bounds) -> tuple:
@@ -686,9 +672,9 @@ def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, 
     """
     _, width, _, _, _, single = machine
     sym, below, size, cells = arena
-    lo_steps, lo_height = bounds[0], bounds[1]
+    max_steps, max_height = bounds
     first = pos
-    stop = min(end - 1, pos + 1 + lo_steps - depth)  # land before end, within lo_steps
+    stop = min(end - 1, pos + 1 + max_steps - depth)  # land before end, within max_steps
     while pos < stop:
         step = single[state * width + sym[cell]]
         if step is None:
@@ -699,10 +685,10 @@ def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, 
         _, target, keeps_top, suffix = move
         child = cell if keeps_top else below[cell]
         if not suffix:
-            if not child or size[child] > lo_height:
+            if not child:
                 break
         else:
-            if size[child] + len(suffix) > lo_height:
+            if size[child] + len(suffix) > max_height:
                 break
             for s in suffix:
                 at = child * width + s
@@ -719,36 +705,10 @@ def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, 
     return state, pos, cell, depth + pos - first
 
 
-def _joined(a: tuple, b: tuple) -> tuple:
-    """The crossings of a path of chains: a's followed by b's."""
-    return a[0] or b[0], a[1] or b[1], max(a[2], b[2]), max(a[3], b[3])
-
-
-def _settle(verdicts: list, group, limits, hi: tuple, accepted: bool, crossings: tuple) -> None:
-    """Give the words of a leaf their verdict, except a word whose path
-    crossed its own limits while the search ran under larger ones: it stays
-    None, to be searched again alone."""
-    cut_steps, cut_height, cross_steps, cross_height = crossings
-    if accepted:
-        verdict = Accepted()
-    elif cut_steps or cut_height:
-        verdict = LimitExceeded(by_steps=cut_steps, by_height=cut_height)
-    else:
-        verdict = NotAccepted()
-    for i in group:
-        own = limits[i]
-        exact = cross_steps <= own.max_steps and cross_height <= own.max_stack_height
-        if exact or (own.max_steps, own.max_stack_height) == hi:
-            verdicts[i] = verdict
-
-
-_ENDS = object()  # branch key of the words that end at a fork
-
-
 def accepts_each(pda: Pda, words, limits=None) -> tuple:
     """Membership verdicts for several words, in their order, from one
-    search over the prefix tree of the words with their common suffix
-    searched once; see the module docstring.
+    search of the words' common prefix, one of each word's remainder and
+    one of their common suffix; see the module docstring.
 
     limits is None (each word gets default_limits) or one SearchLimits per
     word. Each verdict, LimitExceeded flags included, equals the one-word
@@ -763,13 +723,7 @@ def accepts_each(pda: Pda, words, limits=None) -> tuple:
             raise ValueError(f"{len(limits)} limits for {len(words)} words")
     if not words:
         return ()
-    lo_steps = hi_steps = limits[0].max_steps
-    lo_height = hi_height = limits[0].max_stack_height
-    for own in limits[1:]:
-        lo_steps = min(lo_steps, own.max_steps)
-        hi_steps = max(hi_steps, own.max_steps)
-        lo_height = min(lo_height, own.max_stack_height)
-        hi_height = max(hi_height, own.max_stack_height)
+    bounds = (min(own.max_steps for own in limits), min(own.max_stack_height for own in limits))
     state_ids = {pda.initial_state: 0}
     symbol_ids: dict = {}
     for s in pda.initial_stack:
@@ -830,100 +784,75 @@ def accepts_each(pda: Pda, words, limits=None) -> tuple:
     n1 = max(map(len, words)) + 1
     machine = (moves, width, n_states, n1, accepting, single)
     arena = (sym, below, size, cells)
-    bounds = (lo_steps, lo_height, hi_steps, hi_height)
-    hi = (hi_steps, hi_height)
-    # The longest common suffix of the words, where leaves join; none unless
-    # two words differ.
-    tail = 0
-    if any(w != words[0] for w in words):
-        backwards = [w[::-1] for w in words]
-        tail = min(_shared_prefix(backwards[0], b, 0) for b in backwards)
-    # Searched suffixes: seed key -> (highest seed cell, accepted, cut,
-    # deepest level above the lowest seed, tallest stack in the arena).
+    distinct = list(dict.fromkeys(words))
+    # The common prefix is searched once and parks its descriptions at the
+    # fork; with one distinct word the fork is the start. tail is the length
+    # of the common suffix, where the words join; none for one word.
+    fork = tail = prefix_cut = 0
+    levels, keys = (0,), (cell * n1 * n_states,)
+    if len(distinct) > 1:
+        fork = min(_shared_prefix(distinct[0], w, 0) for w in distinct[1:])
+        backwards = [w[::-1] for w in distinct]
+        tail = min(_shared_prefix(backwards[0], b, 0) for b in backwards[1:])
+        _, _, levels, keys, prefix_cut = _search_chain(
+            distinct[0], 0, fork, False, levels, keys, machine, arena, bounds
+        )
+    mark = len(sym)  # cells from here on belong to one word
+    # Searched suffixes: seed key -> (accepted, cut, deepest level above the
+    # lowest seed).
     joins: dict = {}
-    # Verdict per word; None marks a word to search again on its own.
-    verdicts: list = [None] * len(words)
-    # Chains still to search: (word indices, start, letters the words are
-    # known to share, seed levels, seed keys, crossings of the path above,
-    # arena size, whether it is a joined suffix). Seeds sit at start, sorted
-    # by level.
-    root = cell * n1 * n_states
-    pending = [(range(len(words)), 0, 0, (0,), (root,), (False, False, 0, 0), len(sym), False)]
-    while pending:
-        group, start, shared, seed_levels, seed_keys, crossings, mark, suffix = pending.pop()
-        if len(sym) > mark:  # drop the cells of the subtree searched before this chain
+    outcomes: dict = {}  # word -> (accepted, cut anywhere on its path)
+    for word in distinct:
+        if len(sym) > mark:  # drop the cells of the word searched before
             for c in range(mark, len(sym)):
                 del cells[below[c] * width + sym[c]]
             del sym[mark:], below[mark:], size[mark:]
-            for stale in [key for key, stored in joins.items() if stored[0] >= mark]:
-                del joins[stale]
-        word = words[group[0]]
-        end = len(word)
-        leaf = len(group) == 1
-        if not leaf:
-            for i in group:
-                end = min(end, _shared_prefix(word, words[i], shared))
-            leaf = all(len(words[i]) == end for i in group)
-        if leaf and not suffix and tail and end - tail == start:
-            # The leaf starts at its join: the fork parked its seeds there
-            # already, so the leaf is the suffix chain.
-            suffix = True
-        elif leaf and not suffix and tail and end - tail > start:
-            # Search up to the join and park there, as at a fork; the suffix
-            # is a chain of its own. A cut stretch gives the join up, and
-            # seeds on this leaf's own cells keep the suffix unshared; either
-            # stops the joins (see the module docstring).
-            join = end - tail
-            _, _, levels, keys, found = _search_chain(
-                word, start, join, False, seed_levels, seed_keys, machine, arena, bounds
+        start, seed_levels, seed_keys, cut = fork, levels, keys, prefix_cut
+        join = len(word) - tail
+        if tail and join > fork:
+            # Search up to the join and park there, as the prefix does. A cut
+            # stretch gives the join up, and seeds on this word's own cells
+            # keep the suffix unshared; either stops the joins (see the
+            # module docstring).
+            _, _, parked_levels, parked_keys, found = _search_chain(
+                word, fork, join, False, levels, keys, machine, arena, bounds
             )
-            if found[0] or found[1]:
+            if found:
                 tail = 0
-                whole = (group, start, shared, seed_levels, seed_keys, crossings, mark, False)
-                pending.append(whole)
             else:
-                if max(keys, default=0) // (n1 * n_states) >= mark:
+                if max(parked_keys, default=0) // (n1 * n_states) >= mark:
                     tail = 0
-                crossings = _joined(crossings, found)
-                pending.append((group, join, join, levels, keys, crossings, len(sym), tail > 0))
-            continue
+                start, seed_levels, seed_keys = join, parked_levels, parked_keys
+        suffix = tail > 0 and start == join
         if suffix:
             lowest = seed_levels[0] if seed_levels else 0
             key = tuple(sorted(zip([level - lowest for level in seed_levels], seed_keys)))
             stored = joins.get(key)
-            if stored is not None:
-                _, accepted, cut, deepest, tallest = stored
-                # The stored search stays exact for these words when nothing
-                # in it passed their limits at their own levels.
-                fits = (
-                    deepest + lowest <= limits[i].max_steps
-                    and tallest <= limits[i].max_stack_height
-                    for i in group
-                )
-                if not cut and all(fits):
-                    _settle(verdicts, group, limits, hi, accepted, crossings)
-                    continue
-        accepted, deepest, levels, keys, found = _search_chain(
-            word, start, end, leaf, seed_levels, seed_keys, machine, arena, bounds
+            # A stored search that was not cut stays exact for this word when
+            # its deepest level, shifted to this word's seeds, is within the
+            # step limit.
+            if stored is not None and not stored[1] and stored[2] + lowest <= bounds[0]:
+                outcomes[word] = (stored[0], cut)
+                continue
+        accepted, deepest, _, _, found = _search_chain(
+            word, start, len(word), True, seed_levels, seed_keys, machine, arena, bounds
         )
-        crossings = _joined(crossings, found)
         if suffix:
-            top = max(seed_keys, default=0) // (n1 * n_states)
-            joins[key] = (top, accepted, found[0] or found[1], deepest - lowest, max(size))
-        if leaf:
-            _settle(verdicts, group, limits, hi, accepted, crossings)
-            continue
-        branches: dict = {}
-        for i in group:
-            branches.setdefault(words[i][end] if len(words[i]) > end else _ENDS, []).append(i)
-        for letter, branch in reversed(branches.items()):
-            shared = end if letter is _ENDS else end + 1
-            pending.append((branch, end, shared, levels, keys, crossings, len(sym), False))
+            joins[key] = (accepted, found, deepest - lowest)
+        outcomes[word] = (accepted, cut | found)
 
-    if None in verdicts:
-        for i, verdict in enumerate(verdicts):
-            if verdict is None:
-                verdicts[i] = accepts_each(pda, (words[i],), (limits[i],))[0]
+    verdicts = []
+    for word, own in zip(words, limits):
+        accepted, cut = outcomes[word]
+        if accepted:
+            verdicts.append(Accepted())
+        elif not cut:
+            verdicts.append(NotAccepted())
+        elif (own.max_steps, own.max_stack_height) == bounds:
+            verdicts.append(LimitExceeded(by_steps=bool(cut & 1), by_height=bool(cut & 2)))
+        else:
+            # Cut short under smaller limits than its own: search it alone.
+            verdicts.append(accepts_each(pda, (word,), (own,))[0])
     return tuple(verdicts)
 
 

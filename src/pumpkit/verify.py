@@ -6,9 +6,10 @@ the found run with the steps a..b and the steps c..e each repeated n times.
 The replay route splices the run's transitions at those cuts and replays
 the spliced sequence against the pumped word. The search route ignores the
 run entirely and asks the membership search: verify hands the pumped words
-of every n to one accepts_each call, which searches their shared prefixes
-once and their common suffix once wherever the words reach it with equal
-descriptions (it finds that suffix from the words, not from z). The two
+of every n to one accepts_each call, which searches their common prefix
+once, then each word's remainder, and their common suffix once wherever
+the words reach it with equal descriptions (it finds the prefix and the
+suffix from the words, not from u and z). The two
 routes share no splicing or decomposition logic, so a bug in the
 construction cannot silently confirm itself.
 

@@ -233,6 +233,22 @@ class TestPump:
         assert (code, out) == (2, "")
         assert err == "pumpkit: --n needs at least one nonnegative integer\n"
 
+    def test_a_count_past_the_step_cap_is_refused_before_any_pump(self, capsys, monkeypatch):
+        # 10**12 pumps of "(" and ")" give a word of 2·10**12 + 2 letters,
+        # whose run no search within the step cap can accept: the count is
+        # refused from the decomposition's lengths, before verify builds a
+        # pumped word.
+        def built(*args):
+            raise AssertionError("verify was called")
+
+        monkeypatch.setattr(cli, "verify", built)
+        code, out, err = run(capsys, "pump", "DYCK1", "(())", "--mode", "best-effort", "--n", "1000000000000")
+        assert (code, out) == (2, "")
+        assert err == (
+            "pumpkit: --n 1000000000000: the pumped word would have 2000000000002 letters,"
+            " more than the search's step cap of 1000000\n"
+        )
+
     def test_repeated_counts_keep_their_lines_and_share_one_search(self, capsys, monkeypatch):
         verify = importlib.import_module("pumpkit.verify")  # the package exports the function
         batches = []
@@ -248,7 +264,7 @@ class TestPump:
         assert [line for line in out.splitlines() if line.startswith("  n=")] == [
             "  n=2: replay=ok search=accepted"
         ] * 3
-        # one batch; its three equal words share one path of the prefix tree
+        # one batch; its three equal words are one distinct word, searched once
         assert batches == [["((()))"] * 3]
 
     def test_limits_exceeded(self, capsys):

@@ -282,10 +282,11 @@ def _traced_peak(search) -> int:
 
 def test_batch_search_peak_stays_within_the_longest_word():
     # The five best-effort pumped words of a GEN_PAL palindrome share a
-    # prefix. The batch searches one chain of their prefix tree at a time and
-    # frees its visited set and queue, so its peak is at most one word's
-    # search. (GEN_PAL keeps the breadth-first search; on DYCK1 both peaks
-    # are the interned cells of one deep stack.)
+    # prefix. The batch searches one chain at a time, the common prefix and
+    # then each word's remainder, and frees its visited set and queue after
+    # each, so its peak is at most one word's search. (GEN_PAL keeps the
+    # breadth-first search; on DYCK1 both peaks are the interned cells of
+    # one deep stack.)
     entry = BUILTINS["GEN_PAL"]
     pda = normalize(entry.pda)
     d = extract(pda, entry.generate(400), mode=ExtractionMode.BEST_EFFORT).decomposition
@@ -305,10 +306,11 @@ def test_a_walked_search_holds_no_description_per_letter():
 
 
 def test_batch_search_covers_little_more_than_the_longest_word(monkeypatch):
-    # The five pumped words fork one letter apart and end in the same 6600
-    # closing parentheses. The prefix tree alone searches 3.0 times the
-    # longest word's letters; with the common suffix searched once and
-    # reused by the other four words, the batch searches at most 1.1 times.
+    # The five pumped words share their first 6600 letters and end in the
+    # same 6600 closing parentheses. The common prefix and the five
+    # remainders alone search 3.0 times the longest word's letters; with the
+    # common suffix searched once and reused by the other four words, the
+    # batch searches at most 1.1 times.
     from pumpkit import run
 
     letters = []

@@ -455,7 +455,7 @@ def accepting_depth(pda, word, height=6, top=40):
 
 def own_limits(pda, word, limits):
     """limits, with UNDER replaced by one step less than the word's accepting
-    depth, so that a search under larger limits must search it again."""
+    depth, so that its own search is cut short where a wider one accepts it."""
     if limits != UNDER:
         return limits
     depth = accepting_depth(pda, word)
@@ -544,8 +544,10 @@ def test_accepts_each_matches_reference_on_generated_machines(pda, batch):
 
 
 def test_accepts_each_reruns_a_word_whose_own_limits_a_shared_search_passes(monkeypatch):
-    # Under the larger limits "(())" is accepted; its own two steps cut it
-    # short, so the batch must search it again alone.
+    # The batch searches under its smallest limits, the first word's two
+    # steps, which cut every word short. The first "(())" has those limits,
+    # so its cut verdict stands; "(((())))" and the second "(())" have larger
+    # ones and are searched again alone, where both are accepted.
     from pumpkit import run
 
     dyck1 = BUILTINS["DYCK1"].pda
@@ -562,7 +564,31 @@ def test_accepts_each_reruns_a_word_whose_own_limits_a_shared_search_passes(monk
     got = counted(dyck1, words, limits)
     assert got == tuple(reference_accepts(dyck1, w, own) for w, own in zip(words, limits))
     assert got[0] == LimitExceeded(by_steps=True, by_height=False) and got[2] == Accepted()
-    assert calls == [tuple(words), ("(())",)]
+    assert calls == [tuple(words), ("(((())))",), ("(())",)]
+
+
+def test_an_accepted_word_is_not_searched_again(monkeypatch):
+    # GEN_PAL's stack holds the letters read up to its midpoint guess. The
+    # batch searches both palindromes under the smaller height 14, where
+    # both are accepted: an accepted word is settled whatever its own
+    # limits, so neither is searched again.
+    from pumpkit import run
+
+    entry = BUILTINS["GEN_PAL"]
+    calls = []
+    batch_search = run.accepts_each
+
+    def counted(pda, words, limits=None):
+        calls.append(tuple(words))
+        return batch_search(pda, words, limits)
+
+    monkeypatch.setattr(run, "accepts_each", counted)
+    words = [entry.generate(6), entry.generate(5)]
+    limits = [SearchLimits(1000, 14), SearchLimits(1000, 1000)]
+    assert len(words[0]) == 12
+    expected = tuple(reference_accepts(entry.pda, w, own) for w, own in zip(words, limits))
+    assert counted(entry.pda, words, limits) == expected == (Accepted(), Accepted())
+    assert calls == [tuple(words)]
 
 
 def _letter_pushes():
@@ -711,14 +737,13 @@ def _push_loop():
 
 def test_a_cut_stretch_gives_its_join_up(monkeypatch):
     # On an epsilon push loop a stretch that ends at a join, where no word
-    # ends, runs into the limits. Its leaf is then searched whole from its
+    # ends, runs into the limits. Its word is then searched whole from the
     # fork, and so is every other: no suffix is seeded from a parked set
     # that the limits cut.
     from pumpkit import run
 
     pda = _push_loop()
     words = ["a" * (3 + n) + "b" * (1 + n) + "a" * 12 for n in range(5)]
-    forks = (3, 4, 5, 6, 6)  # where each word leaves the others
     calls = []
     search = run._search_chain
 
@@ -733,9 +758,10 @@ def test_a_cut_stretch_gives_its_join_up(monkeypatch):
         own = limits or [None] * 5
         expected = tuple(reference_accepts(pda, w, o) for w, o in zip(words, own))
         assert accepts_each(pda, words, limits) == expected
-        # leaves of the batch, not of a word searched again alone
+        # leaves of the batch, not of a word searched again alone: each
+        # starts at the end of the common prefix a^3
         leaves = {(length, start) for length, start, end, leaf in calls if leaf and start}
-        assert leaves == {(len(w), fork) for w, fork in zip(words, forks)}
+        assert leaves == {(len(w), 3) for w in words}
 
 
 # The one-run walk. minimal_accepting_path follows the single run of a
@@ -1145,7 +1171,7 @@ def walk_batches(draw):
 def chain_searches(monkeypatch):
     """searched(pda, words, limits, walks): the verdicts of accepts_each and
     what each of its chain searches returned (acceptance, deepest level,
-    parked descriptions, crossings), with the walks on or turned off."""
+    parked descriptions, cut flags), with the walks on or turned off."""
     chains = []
     search = run_module._search_chain
 
@@ -1233,9 +1259,9 @@ def test_the_description_a_walk_hands_back_is_visited(search_walks, chain_search
 
 
 def test_a_walk_stops_at_the_smaller_limits_and_the_word_is_searched_again(search_walks, monkeypatch):
-    # The batch searches under its larger limits. The walk stops where the
-    # smaller ones end, the search crosses them, and the word whose own
-    # limits they are is searched again alone.
+    # The batch searches under its smaller limits. The walk stops where they
+    # end, the search is cut there, and the word whose own limits are larger
+    # is searched again alone.
     dyck1 = BUILTINS["DYCK1"].pda
     word = "(" * 8 + ")" * 8
     calls = []
@@ -1260,12 +1286,12 @@ def test_a_walk_stops_at_the_smaller_limits_and_the_word_is_searched_again(searc
 
 def test_seeds_at_two_levels_then_a_walked_suffix(search_walks):
     # "()" and "(())" return to the bottom marker where the common suffix
-    # starts, so their leaves park (q0, ⊥) and, one level deeper, the empty
-    # stack of the epsilon accept. The suffix of "(())" walks from (q0, ⊥XX)
-    # once both seeds have joined, and "()" reuses that search.
+    # starts, so their stretches park (q0, ⊥) and, one level deeper, the
+    # empty stack of the epsilon accept. "(())" comes first: its suffix walks
+    # from (q0, ⊥XX) once both seeds have joined, and "()" reuses that search.
     dyck1 = BUILTINS["DYCK1"].pda
     suffix = "(" * 7 + ")" * 7
-    words = [suffix, "()" + suffix, "(())" + suffix]
+    words = [suffix, "(())" + suffix, "()" + suffix]
     assert accepts_each(dyck1, words) == (Accepted(),) * 3
     assert (6, 17) in search_walks
     assert (4, 15) not in search_walks  # the walk "()" + suffix would take
