@@ -338,17 +338,21 @@ def _parse_n_set(text: str) -> tuple[int, ...]:
     return values
 
 
-def _check_pumped_lengths(decomposition, n_set) -> None:
-    """Refuse a count whose pumped word would pass STEP_CAP letters: its
-    run would pass the search's step cap, so the search route could never
-    confirm it. Only lengths are computed; no pumped word is built."""
+def _check_pumped_lengths(pda, decomposition, n_set) -> None:
+    """Refuse a count whose pumped word's runs on `pda`, the searched
+    machine, would pass STEP_CAP steps, so the search route could never
+    confirm it. A run takes one step per letter, and when no letter move
+    enters an accept state, a run of a nonempty word also ends with an
+    epsilon move. Only lengths are computed; no pumped word is built."""
     d = decomposition
+    letter_accepts = any(t.letter is not None and t.target in pda.accept_states for t in pda.transitions)
     for n in n_set:
         length = len(d.u) + len(d.x) + len(d.z) + n * (len(d.v) + len(d.y))
-        if length > STEP_CAP:
+        steps = length if letter_accepts or length == 0 else length + 1
+        if steps > STEP_CAP:
             raise CliError(
                 EXIT_USAGE,
-                f"--n {n}: the pumped word would have {length} letters,"
+                f"--n {n}: the pumped word would have {length} letters and a run of at least {steps} steps,"
                 f" more than the search's step cap of {STEP_CAP}",
             )
 
@@ -394,9 +398,9 @@ def cmd_pump(args) -> int:
     _check_writable(args)
     # Both report formats print p.
     result = _extract(npda, args, limits, PRINTABLE_P_BIT_LIMIT, witness_detail=True)
-    _check_pumped_lengths(result.decomposition, n_set)
+    _check_pumped_lengths(doc.pda, result.decomposition, n_set)
 
-    report = verify(npda, result.path, result.decomposition, n_set, result.checkpoints)
+    report = verify(npda, result.path, result.decomposition, n_set, result.checkpoints, source=doc.pda)
     if args.report == "json":
         # The profile list is rendered apart from json.dumps; see _dumps_report.
         _write_out(args, _dumps_report(_report_json(result, report)))

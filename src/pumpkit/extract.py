@@ -29,9 +29,12 @@ Every candidate with a nonempty pump is defensively replay-verified for a
 small set of pump counts before being returned; empty-pump and failing
 candidates are skipped and recorded, because a repeat observed through a
 depth-limited window is not always a sound pump site. That check walks the
-found run once per candidate (see the verify module docstring); the result
-keeps the walk's checkpoints for the candidate returned, so verify can
-replay its pump counts without walking the run again.
+found run once per candidate and keeps its configurations at the four
+cuts; each pump count then walks only its v^n and y^n, and takes the part
+before a, the x-stretch and the tail from that walk wherever they read the
+same (see the verify module docstring). The result keeps the checkpoints
+for the candidate returned, so verify can replay its pump counts without
+walking the run again.
 """
 
 from __future__ import annotations

@@ -13,33 +13,50 @@ suffix from the words, not from u and z). The two
 routes share no splicing or decomposition logic, so a bug in the
 construction cannot silently confirm itself.
 
-replay_pumps checks several pump counts against one walk of the found run.
-Everything that repeats lies between the first cut a and the last cut that
-still has a repeated stretch before it: e is the fourth cut, or the second
-when the third and fourth coincide and nothing repeats after the second.
-The walk keeps the configuration (state, stack, input position) at a and at
-e, and whether the steps after e end accepting with all input read. These
-checkpoints depend on the run and the cuts alone, not on n, so one walk
-serves every caller that checks the same cuts: extract walks the found run
-once per candidate and keeps the checkpoints of the one it returns on its
-result, and verify, handed them with that result's run and decomposition,
-uses them instead of walking the run again. Checkpoints of another run or
-of other cuts are ignored and the run is walked. For each n the steps
-between a and e are always walked. The part before a is
-taken from the first checkpoint only when the pumped word starts with the
-letters the found run read up to a; the part after e is taken from the
-found run's verdict only when the walk reaches e's state with an equal
-stack and the input left equals the found run's. Replay is deterministic
-and a step reads nothing but the state, the stack top and the next letter,
-so an equal configuration before equal steps and equal input gives an
-equal outcome: the reuse is exact, and everything else is walked.
+The search route searches `source`, the machine the found run's machine
+was normalized from, under the limits default_limits gives the normalized
+machine. Each step of the source is one or more normalized steps, and no
+normalized stack is lower than the source stack it stands for. So under
+equal limits a cut of the source search implies a cut of the normalized
+one, and an accepting normalized run within the limits projects onto an
+accepting source run within them: every verdict the normalized search
+decides is the source's too, and only a normalized `limit` may turn into
+an answer. The source's search is the cheaper one wherever normalization
+adds chain states, as on GEN_PAL, and the search route then shares neither
+machine nor code with the replay route.
+
+replay_pumps checks several pump counts against one walk of the found run,
+which keeps the configuration (state, stack, input position) at each of
+the four cuts, and whether the steps after e end accepting with all input
+read. These checkpoints depend on the run and the cuts alone, not on n, so
+one walk serves every caller that checks the same cuts: extract walks the
+found run once per candidate and keeps the checkpoints of the one it
+returns on its result, and verify, handed them with that result's run and
+decomposition, uses them instead of walking the run again. Checkpoints of
+another run or of other cuts are ignored and the run is walked; cuts out
+of order or outside the run keep no checkpoints, and each spliced run is
+walked whole.
+
+Each n walks v^n and y^n. The part before a is taken from the first
+checkpoint when the pumped word starts with the letters the found run read
+up to a. Two stretches s..t are taken from the found run by one rule: the
+x-stretch b..c, and the tail from e to the end with its verdict. A step
+reads the stack top and writes above the symbol it pops, so a stretch
+reads and writes only the top r = profile[s] - min(profile[s..t]) + 1
+symbols of the stack it starts on. Replay is deterministic and a step
+reads nothing but the state, the stack top and the next letter, so a
+pumped run that reaches s in the found run's state, with the found run's
+top r symbols and the letters the stretch reads ahead (for the tail: the
+same input left), ends the stretch as the found run does, with the stack
+below the top r untouched. The reuse is exact, and everything else is
+walked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .run import Accepted, LimitExceeded, ReplayError, RunPath, accepts_each, walk
+from .run import Accepted, LimitExceeded, ReplayError, RunPath, accepts_each, default_limits, walk
 
 
 def pumped_word(decomposition, n: int):
@@ -67,43 +84,69 @@ def _accepting(pda, reached, word) -> bool:
 @dataclass(frozen=True)
 class _Checkpoints:
     """What one walk of the found run `path` keeps for the decomposition
-    cuts `cuts`: the configuration (state, stack, input position) at a and
-    at e, each None when a step before it cannot fire, and whether the
-    steps after e end accepting with all input read."""
+    cuts `cuts`: the configuration (state, stack, input position) at each
+    of the four cuts, None from the first step that cannot fire on, and
+    whether the steps after the last cut end accepting with all input
+    read."""
 
     path: RunPath
     cuts: tuple
-    start: tuple | None
-    end: tuple | None
-    suffix_ok: bool
-
-
-def _repeated_stretch(path: RunPath, cuts) -> tuple[int, int]:
-    """The step positions a and e that enclose everything pumping repeats;
-    the whole run when the cuts fall outside it."""
-    a, b, c, e = cuts
-    if c == e:
-        e = b  # nothing repeats after the second cut
-    if not 0 <= a <= e <= len(path.steps):
-        a, e = 0, len(path.steps)  # cuts outside the run: walk each spliced run whole
-    return a, e
+    configs: tuple
+    tail_ok: bool
 
 
 def _walk_found_run(pda, path: RunPath, cuts) -> _Checkpoints:
-    """Walk the found run once, keeping the checkpoints for `cuts`."""
+    """Walk the found run once, keeping the checkpoints for `cuts`; none
+    when the cuts are out of order or outside the run."""
     steps, word = path.steps, path.word
-    a, e = _repeated_stretch(path, cuts)
-    start = end = None
-    suffix_ok = False
-    stack = list(pda.initial_stack)
-    reached = walk(steps[:a], word, pda.initial_state, stack, 0)
-    if not isinstance(reached, ReplayError):
-        start = (reached[0], stack.copy(), reached[1])
-        reached = walk(steps[a:e], word, reached[0], stack, reached[1])
-        if not isinstance(reached, ReplayError):
-            end = (reached[0], stack.copy(), reached[1])
-            suffix_ok = _accepting(pda, walk(steps[e:], word, reached[0], stack, reached[1]), word)
-    return _Checkpoints(path, cuts, start, end, suffix_ok)
+    configs: list = []
+    tail_ok = False
+    if 0 <= cuts[0] and list(cuts) == sorted(cuts) and cuts[-1] <= len(steps):
+        state, stack, pos, start = pda.initial_state, list(pda.initial_stack), 0, 0
+        for cut in cuts:
+            reached = walk(steps[start:cut], word, state, stack, pos)
+            if isinstance(reached, ReplayError):
+                break
+            state, pos = reached
+            configs.append((state, stack.copy(), pos))
+            start = cut
+        else:
+            tail_ok = _accepting(pda, walk(steps[start:], word, state, stack, pos), word)
+    configs += [None] * (len(cuts) - len(configs))
+    return _Checkpoints(path, cuts, tuple(configs), tail_ok)
+
+
+@dataclass(frozen=True)
+class _Stretch:
+    """A stretch s..t of the found run as the reuse rule reads it (see the
+    module docstring): the state it starts in, r, the top r symbols of the
+    stack it starts on (all of it when that holds fewer), the letters it
+    reads, and the symbols it leaves in place of that top."""
+
+    state: str
+    r: int
+    top: list
+    letters: object
+    top_after: list
+
+
+def _stretch(path: RunPath, begin, end, s: int, t: int) -> _Stretch:
+    """The stretch s..t of the found run from its configurations at s and
+    t; a stretch to the end of the run is given end=None and keeps no
+    top_after."""
+    r = path.profile[s] - min(path.profile[s : t + 1]) + 1
+    below = max(len(begin[1]) - r, 0)
+    if end is None:
+        return _Stretch(begin[0], r, begin[1][below:], path.word[begin[2] :], [])
+    return _Stretch(begin[0], r, begin[1][below:], path.word[begin[2] : end[2]], end[1][below:])
+
+
+def _enters(stretch: _Stretch, state, stack, ahead) -> bool:
+    """Whether a walk in `state` on `stack`, with the letters `ahead` of
+    it, starts the stretch as the found run did. stack[-r:] is the whole
+    stack when it holds fewer than r symbols, so a short top matches only
+    a stack that equals it."""
+    return state == stretch.state and stack[-stretch.r :] == stretch.top and ahead == stretch.letters
 
 
 def replay_pumps(pda, path: RunPath, decomposition, n_set, checkpoints=None) -> tuple[bool, ...]:
@@ -117,30 +160,42 @@ def replay_pumps(pda, path: RunPath, decomposition, n_set, checkpoints=None) -> 
     d = decomposition
     if checkpoints is None or checkpoints.path is not path or checkpoints.cuts != d.cuts:
         checkpoints = _walk_found_run(pda, path, d.cuts)
-    word = path.word
-    a, e = _repeated_stretch(path, d.cuts)
-    tail = len(path.steps) - e
-    start, end, suffix_ok = checkpoints.start, checkpoints.end, checkpoints.suffix_ok
+    steps, word = path.steps, path.word
+    a, b, c, e = d.cuts
+    at_a, at_b, at_c, at_e = checkpoints.configs
+    x_stretch = _stretch(path, at_b, at_c, b, c) if at_c is not None else None
+    tail = _stretch(path, at_e, None, e, len(steps)) if at_e is not None else None
 
     def pumped_run_accepts(n: int) -> bool:
         wn = pumped_word(d, n)
-        spliced = spliced_steps(path, d, n)
-        if start is not None and wn[: start[2]] == word[: start[2]]:
-            state, stack, pos = start[0], start[1].copy(), start[2]
+        if at_a is not None and wn[: at_a[2]] == word[: at_a[2]]:
+            state, stack, pos = at_a[0], at_a[1].copy(), at_a[2]
         else:
             stack = list(pda.initial_stack)
-            reached = walk(spliced[:a], wn, pda.initial_state, stack, 0)
+            reached = walk(steps[:a], wn, pda.initial_state, stack, 0)
             if isinstance(reached, ReplayError):
                 return False
             state, pos = reached
-        middle_end = len(spliced) - tail
-        reached = walk(spliced[a:middle_end], wn, state, stack, pos)
+        reached = walk(steps[a:b] * n, wn, state, stack, pos)
         if isinstance(reached, ReplayError):
             return False
         state, pos = reached
-        if end is not None and state == end[0] and stack == end[1] and wn[pos:] == word[end[2] :]:
-            return suffix_ok
-        return _accepting(pda, walk(spliced[middle_end:], wn, state, stack, pos), wn)
+        if x_stretch is not None and _enters(x_stretch, state, stack, wn[pos : pos + len(x_stretch.letters)]):
+            del stack[len(stack) - len(x_stretch.top) :]
+            stack.extend(x_stretch.top_after)
+            state, pos = at_c[0], pos + len(x_stretch.letters)
+        else:
+            reached = walk(steps[b:c], wn, state, stack, pos)
+            if isinstance(reached, ReplayError):
+                return False
+            state, pos = reached
+        reached = walk(steps[c:e] * n, wn, state, stack, pos)
+        if isinstance(reached, ReplayError):
+            return False
+        state, pos = reached
+        if tail is not None and _enters(tail, state, stack, wn[pos:]):
+            return checkpoints.tail_ok
+        return _accepting(pda, walk(steps[e:], wn, state, stack, pos), wn)
 
     return tuple(pumped_run_accepts(n) for n in n_set)
 
@@ -229,13 +284,25 @@ class VerificationReport:
 DEFAULT_N_SET = (0, 1, 2, 3, 4)
 
 
-def verify(pda, path: RunPath, decomposition, n_set=DEFAULT_N_SET, checkpoints=None) -> VerificationReport:
+def verify(
+    pda, path: RunPath, decomposition, n_set=DEFAULT_N_SET, checkpoints=None, source=None
+) -> VerificationReport:
     """Run both verification routes for each n and collect the report on
-    the found run's word. `checkpoints` are the ones extract keeps on its
-    result; the replay route uses them as replay_pumps does."""
+    the found run's word.
+
+    The replay route walks `path`, a run of `pda`, once and takes the
+    x-stretch and the tail from that walk wherever a pumped run enters them
+    with the found run's state, top symbols and letters; `checkpoints` are
+    the ones extract keeps on its result, used as replay_pumps does. The
+    search route searches `source`, the machine `pda` was normalized from
+    (default: `pda` itself), under default_limits of `pda` for each pumped
+    word: every word that the search of `pda` would decide gets the same
+    verdict (see the module docstring).
+    """
     n_set = tuple(n_set)
     replayed = replay_pumps(pda, path, decomposition, n_set, checkpoints)
-    searched = accepts_each(pda, [pumped_word(decomposition, n) for n in n_set])
+    words = [pumped_word(decomposition, n) for n in n_set]
+    searched = accepts_each(pda if source is None else source, words, [default_limits(pda, w) for w in words])
     verdicts = tuple(
         PumpVerdict(n=n, replay_ok=ok, search=_search_verdict(outcome))
         for n, ok, outcome in zip(n_set, replayed, searched)

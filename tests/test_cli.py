@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pumpkit import BUILTINS, dumps, is_star_form, loads
+from pumpkit import BUILTINS, ExtractionMode, dumps, extract, is_star_form, loads
 from pumpkit import cli
 from pumpkit.cli import main
 from pumpkit.pda import BOTTOM, GeneralPda, GeneralTransition, NormalizedPda, NormalizedTransition
@@ -245,9 +245,30 @@ class TestPump:
         code, out, err = run(capsys, "pump", "DYCK1", "(())", "--mode", "best-effort", "--n", "1000000000000")
         assert (code, out) == (2, "")
         assert err == (
-            "pumpkit: --n 1000000000000: the pumped word would have 2000000000002 letters,"
-            " more than the search's step cap of 1000000\n"
+            "pumpkit: --n 1000000000000: the pumped word would have 2000000000002 letters"
+            " and a run of at least 2000000000003 steps, more than the search's step cap of 1000000\n"
         )
+
+    def test_the_step_cap_counts_the_epsilon_accept_after_the_last_letter(self):
+        # No letter move of DYCK1 enters its accept state, so a run of a
+        # nonempty word takes one step per letter and one more. At n = 499999
+        # "(())" pumps to 1000000 letters, a run of at least 1000001 steps.
+        d = extract(BUILTINS["DYCK1"].pda, "(())", mode=ExtractionMode.BEST_EFFORT).decomposition
+        assert (len(d.u) + len(d.x) + len(d.z), len(d.v) + len(d.y)) == (2, 2)
+        cli._check_pumped_lengths(BUILTINS["DYCK1"].pda, d, (0, 499998))
+        with pytest.raises(cli.CliError) as refused:
+            cli._check_pumped_lengths(BUILTINS["DYCK1"].pda, d, (0, 499999))
+        assert refused.value.code == 2
+        assert str(refused.value) == (
+            "--n 499999: the pumped word would have 1000000 letters"
+            " and a run of at least 1000001 steps, more than the search's step cap of 1000000"
+        )
+        # REG_AB accepts on a letter move: its bound is the letter count.
+        ab = extract(BUILTINS["REG_AB"].pda, "abab", mode=ExtractionMode.BEST_EFFORT).decomposition
+        rest, pumped = len(ab.u) + len(ab.x) + len(ab.z), len(ab.v) + len(ab.y)
+        n = (1_000_000 - rest) // pumped
+        assert rest + n * pumped == 1_000_000
+        cli._check_pumped_lengths(BUILTINS["REG_AB"].pda, ab, (n,))
 
     def test_repeated_counts_keep_their_lines_and_share_one_search(self, capsys, monkeypatch):
         verify = importlib.import_module("pumpkit.verify")  # the package exports the function

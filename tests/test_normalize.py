@@ -17,6 +17,7 @@ from pumpkit import (
     PumpingLengthOverflowError,
     SearchLimits,
     accepts,
+    accepts_each,
     dumps,
     is_star_form,
     load_path,
@@ -26,6 +27,7 @@ from pumpkit import (
     validate,
 )
 from pumpkit.pda import is_star_transition
+from test_run_reference import machines, small_limits
 
 
 # sha256 of dumps(normalize(...)) for each data file
@@ -296,3 +298,22 @@ def test_normalize_keeps_the_language(pda):
             after = accepts(out, word, EQUIVALENCE_LIMITS)
             if not isinstance(before, LimitExceeded) and not isinstance(after, LimitExceeded):
                 assert before == after, word
+
+
+@given(
+    st.one_of(machines(), bottom_popping_pdas()),
+    st.lists(st.tuples(st.text("ab", max_size=5), small_limits), min_size=1, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_the_source_decides_what_its_normalization_decides(pda, batch):
+    """Each general step is one or more normalized steps, and no normalized
+    stack is lower than the one it stands for, so under equal limits every
+    verdict the normalized search decides is the source's verdict too:
+    verify's search route may search the machine as written."""
+    words = [word for word, _ in batch]
+    limits = [own for _, own in batch]
+    normalized = accepts_each(normalize(pda), words, limits)
+    source = accepts_each(pda, words, limits)
+    for word, own, before, after in zip(words, limits, normalized, source):
+        if not isinstance(before, LimitExceeded):
+            assert after == before, (word, own)

@@ -290,6 +290,39 @@ class TestReplayPumps:
                     check_replay_pumps(pda, res.path, broken, calls, reached)
         assert reached["prefix"] > 0 and reached["suffix"] > 0
 
+    def test_each_stretch_is_taken_and_walked(self, monkeypatch):
+        """Over the extracted decompositions and their run cuts moved by one
+        (stretches that start lower, or dip below their start), the
+        x-stretch and the tail are each taken from the found run for some
+        counts and walked for others, and every answer is the full replay's."""
+        kinds, seen = {}, Counter()
+        stretch, enters = verify_module._stretch, verify_module._enters
+
+        def kept(path, begin, end, s, t):
+            found = stretch(path, begin, end, s, t)
+            kinds[id(found)] = "tail" if end is None else "x"
+            return found
+
+        def recording(found, state, stack, ahead):
+            taken = enters(found, state, stack, ahead)
+            seen[kinds[id(found)], taken] += 1
+            return taken
+
+        monkeypatch.setattr(verify_module, "_stretch", kept)
+        monkeypatch.setattr(verify_module, "_enters", recording)
+        for _, pda, res in DECOMPOSITIONS:
+            path, d = res.path, res.decomposition
+            for index in range(4):
+                for delta in (-1, 0, 1):
+                    cuts = list(d.cuts)
+                    cuts[index] += delta
+                    if not 0 <= cuts[0] <= cuts[1] <= cuts[2] <= cuts[3] <= len(path.steps):
+                        continue
+                    moved = extract_module._decomposition(path, d.params, tuple(cuts), d.case, d.witness)
+                    expected = tuple(full_replay(pda, path, moved, n) for n in PUMPS)
+                    assert replay_pumps(pda, path, moved, PUMPS) == expected
+        assert set(seen) == {("x", True), ("x", False), ("tail", True), ("tail", False)}
+
     def test_cuts_in_the_wrong_order(self, dyck1, reg_ab):
         res = extract(reg_ab, "ab" * 17, mode=ExtractionMode.STRICT)
         i, j, c, e = res.decomposition.cuts
@@ -426,6 +459,41 @@ def test_strict_pump_walks_the_run_at_most_three_times(monkeypatch, capsys):
     assert 0 < sum(walked) <= 3 * report["diagnostics"]["pathLength"]
 
 
+def test_best_effort_pump_walks_its_x_stretch_once(monkeypatch, capsys):
+    """A best-effort GEN_PAL pump walks the found run once, in extract's
+    candidate check. Every count, there and in verify, walks only its v^n
+    and y^n: the part before a, the x-stretch and the tail are taken from
+    that walk. Walking a..e for every count would walk the long x-stretch 8
+    times: once in the found run, then for counts 0 and 2 and for 0..4."""
+    walked = []
+    original = run_module.walk
+
+    def counting(steps, word, state, stack, pos):
+        walked.append(len(steps))
+        return original(steps, word, state, stack, pos)
+
+    seen = []
+    cli_module = importlib.import_module("pumpkit.cli")
+    verify_in_cli = cli_module.verify
+
+    def kept(pda, path, d, *args, **kwargs):
+        seen.append((path, d))
+        return verify_in_cli(pda, path, d, *args, **kwargs)
+
+    for module in (run_module, verify_module):
+        monkeypatch.setattr(module, "walk", counting)
+    monkeypatch.setattr(cli_module, "verify", kept)
+    word = BUILTINS["GEN_PAL"].generate(60)
+    assert main(["pump", str(DATA / "GEN_PAL.json"), word, "--mode", "best-effort", "--report", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["diagnostics"]["candidatesTried"] == 1
+    [(path, d)] = seen
+    a, b, c, e = d.cuts
+    assert c - b > len(path.steps) // 2
+    counts = sum(extract_module.PUMPS_CHECKED) + sum(v["n"] for v in report["perN"])
+    assert sum(walked) == len(path.steps) + counts * ((b - a) + (e - c))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -448,6 +516,16 @@ def test_a_pump_walks_the_found_run_once(monkeypatch, capsys, argv):
     assert report["u"] != ""
     assert report["diagnostics"]["candidatesTried"] == 1
     assert sum(pos == 0 for _, pos in calls) == 1
+
+
+def test_searching_the_source_gives_the_same_reports():
+    general = 0
+    for label, pda, res in DECOMPOSITIONS:
+        source = BUILTINS[label].pda if label in BUILTINS else load_path(str(DATA / label)).pda
+        general += not isinstance(source, NormalizedPda)
+        report = verify(pda, res.path, res.decomposition, PUMPS, res.checkpoints)
+        assert verify(pda, res.path, res.decomposition, PUMPS, res.checkpoints, source=source) == report, label
+    assert general > 0
 
 
 class TestVerifyCheckpoints:
