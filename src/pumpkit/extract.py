@@ -29,10 +29,12 @@ Every candidate with a nonempty pump is defensively replay-verified for a
 small set of pump counts before being returned; empty-pump and failing
 candidates are skipped and recorded, because a repeat observed through a
 depth-limited window is not always a sound pump site. That check walks the
-found run once per candidate and keeps its configurations at the four
-cuts; each pump count then walks only its v^n and y^n, and takes the part
-before a, the x-stretch and the tail from that walk wherever they read the
-same (see the verify module docstring). The result keeps the checkpoints
+found run once per candidate, piece by piece, and keeps its configurations
+at the start, the four cuts and the end. Each pump count then takes every
+copy of u, v, x, y and the tail from that walk wherever the pumped run
+enters it as the found run did, walks the others, and judges acceptance
+at the end (see the verify module docstring); on the corpus decompositions
+nothing is walked after the found run. The result keeps the checkpoints
 for the candidate returned, so verify can replay its pump counts without
 walking the run again.
 """

@@ -26,30 +26,39 @@ adds chain states, as on GEN_PAL, and the search route then shares neither
 machine nor code with the replay route.
 
 replay_pumps checks several pump counts against one walk of the found run,
-which keeps the configuration (state, stack, input position) at each of
-the four cuts, and whether the steps after e end accepting with all input
-read. These checkpoints depend on the run and the cuts alone, not on n, so
-one walk serves every caller that checks the same cuts: extract walks the
-found run once per candidate and keeps the checkpoints of the one it
-returns on its result, and verify, handed them with that result's run and
-decomposition, uses them instead of walking the run again. Checkpoints of
-another run or of other cuts are ignored and the run is walked; cuts out
+which keeps six configurations (state, stack, input position): at the
+run's start, at each of the four cuts and at its end. These checkpoints
+depend on the run and the cuts alone, not on n or on the machine's accept
+states, so one walk serves every caller that checks the same cuts: extract
+walks the found run once per candidate and keeps the checkpoints of the one
+it returns on its result, and verify, handed them with that result's run
+and decomposition, uses them instead of walking the run again. Checkpoints
+of another run or of other cuts are ignored and the run is walked; cuts out
 of order or outside the run keep no checkpoints, and each spliced run is
 walked whole.
 
-Each n walks v^n and y^n. The part before a is taken from the first
-checkpoint when the pumped word starts with the letters the found run read
-up to a. Two stretches s..t are taken from the found run by one rule: the
-x-stretch b..c, and the tail from e to the end with its verdict. A step
-reads the stack top and writes above the symbol it pops, so a stretch
-reads and writes only the top r = profile[s] - min(profile[s..t]) + 1
-symbols of the stack it starts on. Replay is deterministic and a step
-reads nothing but the state, the stack top and the next letter, so a
-pumped run that reaches s in the found run's state, with the found run's
-top r symbols and the letters the stretch reads ahead (for the tail: the
-same input left), ends the stretch as the found run does, with the stack
-below the top r untouched. The reuse is exact, and everything else is
-walked.
+Each pumped run goes through five pieces of the found run in turn: u
+(steps 0..a), v (a..b) n times, x (b..c), y (c..e) n times and the tail
+(e to the end), and takes every copy by one rule. A step reads the stack
+top and writes above the symbol it pops, so a stretch s..t reads and
+writes only the top r = profile[s] - min(profile[s..t]) + 1 symbols of the
+stack it starts on. Replay is deterministic and a step reads nothing but
+the state, the stack top and the next letter, so a pumped run that enters
+a copy in the found run's state at s, with the found run's top r symbols
+there and the letters the piece reads ahead, ends it as the found run
+ended the piece, with the stack below the top r untouched: the copy is
+taken from the checkpoints at s and t. Any other copy is walked, as is a
+piece the found run's walk did not get through. The reuse is exact.
+Acceptance is judged once, at the end of each pumped run: its state must
+be an accept state of the machine passed in, with all of the pumped word
+read, the test a full replay makes. A piece's letters are compared, not
+the input left, and the checkpoints keep no verdict, so a taken tail says
+nothing of acceptance, and checkpoints walked under one machine give the
+right answer under another. On every corpus decomposition each copy of
+each piece is taken for n = 0..8, so checking them walks the found run and
+nothing else. Taking a copy of v or y where the pumped run enters it as
+the found run did is the induction step of the paper's argument, but it is
+checked only at the counts sampled, and is no proof for all n.
 """
 
 from __future__ import annotations
@@ -73,47 +82,36 @@ def spliced_steps(path: RunPath, decomposition, n: int) -> tuple:
     return steps[:a] + steps[a:b] * n + steps[b:c] + steps[c:e] * n + steps[e:]
 
 
-def _accepting(pda, reached, word) -> bool:
-    """Whether a walk's outcome is an accept state with all of word read."""
-    if isinstance(reached, ReplayError):
-        return False
-    state, pos = reached
-    return state in pda.accept_states and pos == len(word)
-
-
 @dataclass(frozen=True)
 class _Checkpoints:
     """What one walk of the found run `path` keeps for the decomposition
-    cuts `cuts`: the configuration (state, stack, input position) at each
-    of the four cuts, None from the first step that cannot fire on, and
-    whether the steps after the last cut end accepting with all input
-    read."""
+    cuts `cuts`: six configurations (state, stack, input position), at the
+    run's start, at each of the four cuts and at its end, the first five
+    starting the pieces u, v, x, y and the tail. The configurations after
+    a piece with a step that cannot fire are None, and all six are None
+    when the cuts are out of order or outside the run."""
 
     path: RunPath
     cuts: tuple
     configs: tuple
-    tail_ok: bool
 
 
 def _walk_found_run(pda, path: RunPath, cuts) -> _Checkpoints:
-    """Walk the found run once, keeping the checkpoints for `cuts`; none
-    when the cuts are out of order or outside the run."""
+    """Walk the found run once, piece by piece, keeping the checkpoints for
+    `cuts`."""
     steps, word = path.steps, path.word
-    configs: list = []
-    tail_ok = False
+    bounds, configs = (0, *cuts, len(steps)), []
     if 0 <= cuts[0] and list(cuts) == sorted(cuts) and cuts[-1] <= len(steps):
-        state, stack, pos, start = pda.initial_state, list(pda.initial_stack), 0, 0
-        for cut in cuts:
-            reached = walk(steps[start:cut], word, state, stack, pos)
+        state, stack, pos = pda.initial_state, list(pda.initial_stack), 0
+        configs.append((state, stack.copy(), pos))
+        for s, t in zip(bounds, bounds[1:]):
+            reached = walk(steps[s:t], word, state, stack, pos)
             if isinstance(reached, ReplayError):
                 break
             state, pos = reached
             configs.append((state, stack.copy(), pos))
-            start = cut
-        else:
-            tail_ok = _accepting(pda, walk(steps[start:], word, state, stack, pos), word)
-    configs += [None] * (len(cuts) - len(configs))
-    return _Checkpoints(path, cuts, tuple(configs), tail_ok)
+    configs += [None] * (len(bounds) - len(configs))
+    return _Checkpoints(path, cuts, tuple(configs))
 
 
 @dataclass(frozen=True)
@@ -131,13 +129,9 @@ class _Stretch:
 
 
 def _stretch(path: RunPath, begin, end, s: int, t: int) -> _Stretch:
-    """The stretch s..t of the found run from its configurations at s and
-    t; a stretch to the end of the run is given end=None and keeps no
-    top_after."""
+    """The stretch s..t of the found run from its configurations at s and t."""
     r = path.profile[s] - min(path.profile[s : t + 1]) + 1
     below = max(len(begin[1]) - r, 0)
-    if end is None:
-        return _Stretch(begin[0], r, begin[1][below:], path.word[begin[2] :], [])
     return _Stretch(begin[0], r, begin[1][below:], path.word[begin[2] : end[2]], end[1][below:])
 
 
@@ -153,49 +147,38 @@ def replay_pumps(pda, path: RunPath, decomposition, n_set, checkpoints=None) -> 
     """For each n in n_set, whether the spliced run accepts the n-pumped word.
 
     Equal to replaying spliced_steps against pumped_word for each n, from
-    one walk of the found run; see the module docstring. `checkpoints`,
-    from an earlier walk of the same run for the same cuts, stand in for
-    that walk; any others are ignored.
+    one walk of the found run: each pumped run goes through the pieces u,
+    v n times, x, y n times and the tail, taking each copy from that walk
+    when it enters the copy as the found run entered the piece and walking
+    it otherwise, and is judged accepting once, at its end, by `pda`; see
+    the module docstring. `checkpoints`, from an earlier walk of the same
+    run for the same cuts, stand in for that walk; any others are ignored.
     """
     d = decomposition
     if checkpoints is None or checkpoints.path is not path or checkpoints.cuts != d.cuts:
         checkpoints = _walk_found_run(pda, path, d.cuts)
-    steps, word = path.steps, path.word
-    a, b, c, e = d.cuts
-    at_a, at_b, at_c, at_e = checkpoints.configs
-    x_stretch = _stretch(path, at_b, at_c, b, c) if at_c is not None else None
-    tail = _stretch(path, at_e, None, e, len(steps)) if at_e is not None else None
+    steps, configs = path.steps, checkpoints.configs
+    bounds = (0, *d.cuts, len(steps))
+    pieces = [
+        (s, t, end, None if end is None else _stretch(path, begin, end, s, t))
+        for s, t, begin, end in zip(bounds, bounds[1:], configs, configs[1:])
+    ]
 
     def pumped_run_accepts(n: int) -> bool:
         wn = pumped_word(d, n)
-        if at_a is not None and wn[: at_a[2]] == word[: at_a[2]]:
-            state, stack, pos = at_a[0], at_a[1].copy(), at_a[2]
-        else:
-            stack = list(pda.initial_stack)
-            reached = walk(steps[:a], wn, pda.initial_state, stack, 0)
-            if isinstance(reached, ReplayError):
-                return False
-            state, pos = reached
-        reached = walk(steps[a:b] * n, wn, state, stack, pos)
-        if isinstance(reached, ReplayError):
-            return False
-        state, pos = reached
-        if x_stretch is not None and _enters(x_stretch, state, stack, wn[pos : pos + len(x_stretch.letters)]):
-            del stack[len(stack) - len(x_stretch.top) :]
-            stack.extend(x_stretch.top_after)
-            state, pos = at_c[0], pos + len(x_stretch.letters)
-        else:
-            reached = walk(steps[b:c], wn, state, stack, pos)
-            if isinstance(reached, ReplayError):
-                return False
-            state, pos = reached
-        reached = walk(steps[c:e] * n, wn, state, stack, pos)
-        if isinstance(reached, ReplayError):
-            return False
-        state, pos = reached
-        if tail is not None and _enters(tail, state, stack, wn[pos:]):
-            return checkpoints.tail_ok
-        return _accepting(pda, walk(steps[e:], wn, state, stack, pos), wn)
+        state, stack, pos = pda.initial_state, list(pda.initial_stack), 0
+        for (s, t, end, found), copies in zip(pieces, (1, n, 1, n, 1)):
+            for _ in range(copies):
+                if found is not None and _enters(found, state, stack, wn[pos : pos + len(found.letters)]):
+                    del stack[len(stack) - len(found.top) :]
+                    stack.extend(found.top_after)
+                    state, pos = end[0], pos + len(found.letters)
+                    continue
+                reached = walk(steps[s:t], wn, state, stack, pos)
+                if isinstance(reached, ReplayError):
+                    return False
+                state, pos = reached
+        return state in pda.accept_states and pos == len(wn)
 
     return tuple(pumped_run_accepts(n) for n in n_set)
 
@@ -290,10 +273,12 @@ def verify(
     """Run both verification routes for each n and collect the report on
     the found run's word.
 
-    The replay route walks `path`, a run of `pda`, once and takes the
-    x-stretch and the tail from that walk wherever a pumped run enters them
-    with the found run's state, top symbols and letters; `checkpoints` are
-    the ones extract keeps on its result, used as replay_pumps does. The
+    The replay route walks `path`, a run of `pda`, once. Each pumped run
+    takes every copy of u, v, x, y and the tail from that walk wherever it
+    enters the copy with the found run's state, top symbols and letters,
+    walks the others, and is judged by `pda`'s accept states at its end;
+    `checkpoints` are the ones extract keeps on its result, used as
+    replay_pumps does. The
     search route searches `source`, the machine `pda` was normalized from
     (default: `pda` itself), under default_limits of `pda` for each pumped
     word: every word that the search of `pda` would decide gets the same

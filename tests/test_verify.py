@@ -189,26 +189,104 @@ def record_walks(monkeypatch) -> list:
     return calls
 
 
-def check_replay_pumps(pda, path, d, calls, reached) -> None:
-    """replay_pumps equals the full replay for each n in 0..5, one n at a
-    time and all at once; counts in `reached` which part each n walked
-    explicitly instead of reusing a checkpoint.
+PIECES = ("u", "v", "x", "y", "tail")
 
-    `path` is an accepting run, so the walk of the found run is three calls
-    (before a, a to e, after e). After it, each n starts either with the
-    middle, from the first checkpoint's position, or with the prefix from
-    position 0; the suffix is walked when one more call follows the middle.
+
+def record_pieces(monkeypatch) -> list:
+    """Make pumpkit.verify record, in order, each check of its reuse rule
+    ("taken" or "checked", by the rule's answer) and each walk ("walked")."""
+    events = []
+    walk, enters = verify_module.walk, verify_module._enters
+
+    def walking(*args):
+        events.append("walked")
+        return walk(*args)
+
+    def entering(*args):
+        taken = enters(*args)
+        events.append("taken" if taken else "checked")
+        return taken
+
+    monkeypatch.setattr(verify_module, "walk", walking)
+    monkeypatch.setattr(verify_module, "_enters", entering)
+    return events
+
+
+def pieces_of_count(events, n, stretched) -> set:
+    """The (piece, "taken" or "walked") pairs of one count's pumped run, read
+    from the events record_pieces kept while replay_pumps replayed that count
+    alone from given checkpoints.
+
+    The pumped run goes through u, v n times, x, y n times and the tail. A
+    copy of one of the first `stretched` pieces, the ones the found run's
+    walk got through, is checked against the rule and walked where the rule
+    fails; a copy of a later piece is walked. A walk that fails ends the run.
     """
-    a = d.cuts[0]
+    seen, events = set(), iter(events)
+    for index, (piece, copies) in enumerate(zip(PIECES, (1, n, 1, n, 1))):
+        for _ in range(copies):
+            event = next(events, None)
+            if event is None:
+                return seen
+            if index < stretched:
+                assert event in ("taken", "checked")
+                if event == "checked":
+                    event = next(events)
+            assert event in ("taken", "walked")
+            seen.add((piece, event))
+    assert next(events, None) is None
+    return seen
+
+
+def check_replay_pumps(pda, path, d, events) -> list:
+    """replay_pumps equals the full replay for each n in PUMPS, one n at a
+    time and all at once. Returns, per count, the pieces that count took
+    from the found run's walk and the pieces it walked (pieces_of_count)."""
+    checkpoints = verify_module._walk_found_run(pda, path, d.cuts)
+    stretched = max(sum(c is not None for c in checkpoints.configs) - 1, 0)
     expected = tuple(full_replay(pda, path, d, n) for n in PUMPS)
+    per_count = []
     for n in PUMPS:
-        calls.clear()
-        assert replay_pumps(pda, path, d, (n,)) == (expected[n],)
-        per_n = calls[3:]
-        prefix = per_n[0][1] != path.letters_read[a]
-        reached["prefix"] += prefix
-        reached["suffix"] += len(per_n) == 2 + prefix
+        events.clear()
+        assert replay_pumps(pda, path, d, (n,), checkpoints) == (expected[n],)
+        per_count.append(pieces_of_count(events, n, stretched))
     assert replay_pumps(pda, path, d, PUMPS) == expected
+    return per_count
+
+
+EVERY_PIECE_TAKEN_AND_WALKED = {(piece, how) for piece in PIECES for how in ("taken", "walked")}
+
+
+def boundaries_moved_by_one(res):
+    """The found decomposition with one of its letter boundaries moved by
+    one letter and its run cuts kept, so its pieces read other letters than
+    the steps between the cuts."""
+    word, d = res.path.word, res.decomposition
+    for b in range(4):
+        for delta in (-1, 1):
+            cuts = list(boundaries(d))
+            cuts[b] += delta
+            if 0 <= cuts[0] <= cuts[1] <= cuts[2] <= cuts[3] <= len(word):
+                yield dataclasses.replace(
+                    d,
+                    u=word[: cuts[0]],
+                    v=word[cuts[0] : cuts[1]],
+                    x=word[cuts[1] : cuts[2]],
+                    y=word[cuts[2] : cuts[3]],
+                    z=word[cuts[3] :],
+                )
+
+
+def run_cuts_moved_by_one(res, deltas=(-1, 1)):
+    """The found run cut again with one of the four cuts moved by each of
+    `deltas` steps: stretches that start lower, or dip below their start."""
+    path, d = res.path, res.decomposition
+    for index in range(4):
+        for delta in deltas:
+            cuts = list(d.cuts)
+            cuts[index] += delta
+            if 0 <= cuts[0] <= cuts[1] <= cuts[2] <= cuts[3] <= len(path.steps):
+                yield extract_module._decomposition(path, d.params, tuple(cuts), d.case, d.witness)
 
 
 def _machines():
@@ -250,36 +328,23 @@ class TestReplayPumps:
         assert {res.decomposition.case for _, _, res in DECOMPOSITIONS} == {"case1", "case2"}
 
     def test_extracted_decompositions(self, monkeypatch):
-        calls = record_walks(monkeypatch)
-        reached = Counter()
+        events = record_pieces(monkeypatch)
+        reached = set()
         for _, pda, res in DECOMPOSITIONS:
-            check_replay_pumps(pda, res.path, res.decomposition, calls, reached)
+            reached.update(*check_replay_pumps(pda, res.path, res.decomposition, events))
+        assert reached == {(piece, "taken") for piece in PIECES}
 
     def test_cuts_moved_by_one(self, monkeypatch):
-        calls = record_walks(monkeypatch)
-        reached = Counter()
+        events = record_pieces(monkeypatch)
+        reached = set()
         for _, pda, res in DECOMPOSITIONS:
-            word, d = res.path.word, res.decomposition
-            for b in range(4):
-                for delta in (-1, 1):
-                    cuts = list(boundaries(d))
-                    cuts[b] += delta
-                    if not 0 <= cuts[0] <= cuts[1] <= cuts[2] <= cuts[3] <= len(word):
-                        continue
-                    broken = dataclasses.replace(
-                        d,
-                        u=word[: cuts[0]],
-                        v=word[cuts[0] : cuts[1]],
-                        x=word[cuts[1] : cuts[2]],
-                        y=word[cuts[2] : cuts[3]],
-                        z=word[cuts[3] :],
-                    )
-                    check_replay_pumps(pda, res.path, broken, calls, reached)
-        assert reached["prefix"] > 0 and reached["suffix"] > 0
+            for moved in boundaries_moved_by_one(res):
+                reached.update(*check_replay_pumps(pda, res.path, moved, events))
+        assert reached == EVERY_PIECE_TAKEN_AND_WALKED
 
     def test_corrupted_pieces(self, monkeypatch):
-        calls = record_walks(monkeypatch)
-        reached = Counter()
+        events = record_pieces(monkeypatch)
+        reached = set()
         for _, pda, res in DECOMPOSITIONS:
             d = res.decomposition
             letter = res.path.word[0]
@@ -287,41 +352,28 @@ class TestReplayPumps:
                 value = getattr(d, piece)
                 for corrupted in {value[:-1], value[1:], value + letter, letter + value}:
                     broken = dataclasses.replace(d, **{piece: corrupted})
-                    check_replay_pumps(pda, res.path, broken, calls, reached)
-        assert reached["prefix"] > 0 and reached["suffix"] > 0
+                    reached.update(*check_replay_pumps(pda, res.path, broken, events))
+        assert reached == EVERY_PIECE_TAKEN_AND_WALKED
 
     def test_each_stretch_is_taken_and_walked(self, monkeypatch):
-        """Over the extracted decompositions and their run cuts moved by one
-        (stretches that start lower, or dip below their start), the
-        x-stretch and the tail are each taken from the found run for some
-        counts and walked for others, and every answer is the full replay's."""
-        kinds, seen = {}, Counter()
-        stretch, enters = verify_module._stretch, verify_module._enters
-
-        def kept(path, begin, end, s, t):
-            found = stretch(path, begin, end, s, t)
-            kinds[id(found)] = "tail" if end is None else "x"
-            return found
-
-        def recording(found, state, stack, ahead):
-            taken = enters(found, state, stack, ahead)
-            seen[kinds[id(found)], taken] += 1
-            return taken
-
-        monkeypatch.setattr(verify_module, "_stretch", kept)
-        monkeypatch.setattr(verify_module, "_enters", recording)
+        """Over the extracted decompositions with a run cut or a letter
+        boundary moved by one, each of the five pieces is taken from the
+        found run for some count of one decomposition and walked for another
+        count of it, and every answer is the full replay's. Moving a run cut
+        alone never walks u: the word is cut again at the same run, so the
+        pumped word always starts with the letters the found run read up to
+        a."""
+        events = record_pieces(monkeypatch)
+        both = set()
         for _, pda, res in DECOMPOSITIONS:
-            path, d = res.path, res.decomposition
-            for index in range(4):
-                for delta in (-1, 0, 1):
-                    cuts = list(d.cuts)
-                    cuts[index] += delta
-                    if not 0 <= cuts[0] <= cuts[1] <= cuts[2] <= cuts[3] <= len(path.steps):
-                        continue
-                    moved = extract_module._decomposition(path, d.params, tuple(cuts), d.case, d.witness)
-                    expected = tuple(full_replay(pda, path, moved, n) for n in PUMPS)
-                    assert replay_pumps(pda, path, moved, PUMPS) == expected
-        assert set(seen) == {("x", True), ("x", False), ("tail", True), ("tail", False)}
+            for moved in (*run_cuts_moved_by_one(res, (-1, 0, 1)), *boundaries_moved_by_one(res)):
+                per_count = check_replay_pumps(pda, res.path, moved, events)
+                for piece in PIECES:
+                    taken = [i for i, seen in enumerate(per_count) if (piece, "taken") in seen]
+                    walked = [i for i, seen in enumerate(per_count) if (piece, "walked") in seen]
+                    if any(i != j for i in taken for j in walked):
+                        both.add(piece)
+        assert both == set(PIECES)
 
     def test_cuts_in_the_wrong_order(self, dyck1, reg_ab):
         res = extract(reg_ab, "ab" * 17, mode=ExtractionMode.STRICT)
@@ -440,9 +492,23 @@ def test_replay_pumps_matches_full_replay_on_generated_runs(drawn):
     assert replay_pumps(pda, path, d, PUMPS) == tuple(full_replay(pda, path, d, n) for n in PUMPS)
 
 
+def test_extracted_decompositions_pump_to_eight_on_the_found_runs_walk(monkeypatch):
+    """Every extracted decomposition replays n = 0..8 with no walk after the
+    one walk of its found run, one call per piece: each copy of each piece
+    is taken from that walk."""
+    calls = record_walks(monkeypatch)
+    for _, pda, res in DECOMPOSITIONS:
+        a, b, c, e = res.decomposition.cuts
+        calls.clear()
+        assert replay_pumps(pda, res.path, res.decomposition, range(9)) == (True,) * 9
+        assert [steps for steps, _ in calls] == [a, b - a, c - b, e - c, len(res.path.steps) - e]
+
+
 def test_strict_pump_walks_the_run_at_most_three_times(monkeypatch, capsys):
-    """extract's candidate check walks the found run once and verify reuses
-    that walk, plus the pumped middles; one full replay per n would be 7."""
+    """extract's candidate check walks the found run once, and every piece
+    of every pumped run, there and in verify, is taken from that walk: the
+    pump walks exactly the found run's steps. One full replay per n would
+    walk it 7 times."""
     walked = []
     original = run_module.walk
 
@@ -456,15 +522,15 @@ def test_strict_pump_walks_the_run_at_most_three_times(monkeypatch, capsys):
     assert main(["pump", "DYCK1", word, "--mode", "strict", "--report", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["caseTag"] == "case2"
-    assert 0 < sum(walked) <= 3 * report["diagnostics"]["pathLength"]
+    assert sum(walked) == report["diagnostics"]["pathLength"]
 
 
 def test_best_effort_pump_walks_its_x_stretch_once(monkeypatch, capsys):
     """A best-effort GEN_PAL pump walks the found run once, in extract's
-    candidate check. Every count, there and in verify, walks only its v^n
-    and y^n: the part before a, the x-stretch and the tail are taken from
-    that walk. Walking a..e for every count would walk the long x-stretch 8
-    times: once in the found run, then for counts 0 and 2 and for 0..4."""
+    candidate check, and takes every piece of every pumped run, there and in
+    verify, from that walk. Walking a..e for every count would walk the long
+    x-stretch 8 times: once in the found run, then for counts 0 and 2 and
+    for 0..4."""
     walked = []
     original = run_module.walk
 
@@ -490,8 +556,7 @@ def test_best_effort_pump_walks_its_x_stretch_once(monkeypatch, capsys):
     [(path, d)] = seen
     a, b, c, e = d.cuts
     assert c - b > len(path.steps) // 2
-    counts = sum(extract_module.PUMPS_CHECKED) + sum(v["n"] for v in report["perN"])
-    assert sum(walked) == len(path.steps) + counts * ((b - a) + (e - c))
+    assert sum(walked) == len(path.steps)
 
 
 @pytest.mark.parametrize(
@@ -546,17 +611,22 @@ class TestVerifyCheckpoints:
         differ = 0
         for _, pda, res in DECOMPOSITIONS:
             path, d = res.path, res.decomposition
-            for index in range(4):
-                for delta in (-1, 1):
-                    cuts = list(d.cuts)
-                    cuts[index] += delta
-                    if not 0 <= cuts[0] <= cuts[1] <= cuts[2] <= cuts[3] <= len(path.steps):
-                        continue
-                    other = extract_module._decomposition(path, d.params, tuple(cuts), d.case, d.witness)
-                    expected = replay_pumps(pda, path, other, PUMPS)
-                    assert self.replayed(pda, path, other, res.checkpoints) == expected
-                    differ += expected != replay_pumps(pda, path, d, PUMPS)
+            for other in run_cuts_moved_by_one(res):
+                expected = replay_pumps(pda, path, other, PUMPS)
+                assert self.replayed(pda, path, other, res.checkpoints) == expected
+                differ += expected != replay_pumps(pda, path, d, PUMPS)
         assert differ > 0
+
+    def test_checkpoints_under_another_machine_judge_acceptance_by_it(self, dyck1):
+        """Checkpoints keep configurations, not verdicts: the machine passed
+        in judges every pumped run, here one that accepts nothing."""
+        res = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
+        d = res.decomposition
+        other = dataclasses.replace(dyck1, accept_states=frozenset())
+        expected = tuple(full_replay(other, res.path, d, n) for n in PUMPS)
+        assert expected == (False,) * len(PUMPS)
+        assert replay_pumps(other, res.path, d, PUMPS, res.checkpoints) == expected
+        assert self.replayed(other, res.path, d, res.checkpoints) == expected
 
     def test_checkpoints_of_another_run_are_ignored(self, dyck1, monkeypatch):
         calls = record_walks(monkeypatch)
