@@ -8,20 +8,20 @@ refer to true path positions, whatever the downsampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import record
 
 ASCII_MAX_COLUMNS = 400
 ASCII_MAX_ROWS = 20
 
 
-@dataclass(frozen=True)
+@record
 class Marker:
     pos: int
     char: str
     row: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class Span:
     start: int  # path position, inclusive
     end: int  # path position, exclusive

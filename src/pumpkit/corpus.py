@@ -15,17 +15,17 @@ It is no builtin and is read by path, like any machine file.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Callable
 
 from .normalize import normalize
 from .pda import Pda, is_star_form
+from .record import record
 from .serialize import PdaDocument, load_path
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
-@dataclass(frozen=True)
+@record
 class CorpusEntry:
     name: str
     description: str

@@ -30,19 +30,19 @@ small set of pump counts before being returned; empty-pump and failing
 candidates are skipped and recorded, because a repeat observed through a
 depth-limited window is not always a sound pump site. That check walks the
 found run once per candidate, piece by piece, and keeps its configurations
-at the start, the four cuts and the end. Each pump count then takes every
-copy of u, v, x, y and the tail from that walk wherever the pumped run
-enters it as the found run did, walks the others, and judges acceptance
-at the end (see the verify module docstring); on the corpus decompositions
-nothing is walked after the found run. The result keeps the checkpoints
-for the candidate returned, so verify can replay its pump counts without
-walking the run again.
+at the start, the four cuts and the end, and the pieces between them as
+stretches of the run. Each pump count then takes every copy of u, v, x, y
+and the tail from that walk wherever the pumped run enters it as the found
+run did, walks the others, and judges acceptance at the end (see the
+verify module docstring); on the corpus decompositions nothing is walked
+after the found run. The result keeps the checkpoints for the candidate
+returned, so verify can replay its pump counts without walking the run or
+reading its stretches again.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from .errors import (
     ConstructionFalsifiedError,
@@ -61,6 +61,7 @@ from .levels import (
 )
 from .normalize import DEFAULT_P_BIT_LIMIT, PumpingParams, pumping_params
 from .pda import NormalizedPda
+from .record import field, record
 from .run import LimitExceeded, NotAccepted, RunPath, SearchLimits, minimal_accepting_path
 from .verify import _walk_found_run, replay_pumps
 
@@ -73,7 +74,7 @@ class ExtractionMode(enum.Enum):
     BEST_EFFORT = "best-effort"
 
 
-@dataclass(frozen=True)
+@record
 class Case1Witness:
     """The repeated configuration's depth; its two positions are the
     decomposition's first two cuts."""
@@ -81,14 +82,14 @@ class Case1Witness:
     depth: int
 
 
-@dataclass(frozen=True)
+@record
 class Case2Witness:
     triple: LevelTriple
     g: int
     h: int
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     u: object
     v: object
@@ -101,14 +102,14 @@ class Decomposition:
     params: PumpingParams
 
 
-@dataclass(frozen=True)
+@record
 class Fallback:
     case: str
     candidate: tuple
     reason: str
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostics:
     mode: str
     path_length: int
@@ -125,7 +126,7 @@ class Diagnostics:
     fallbacks: tuple[Fallback, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class ExtractionResult:
     decomposition: Decomposition
     diagnostics: Diagnostics

@@ -26,14 +26,14 @@ entries.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .errors import TopSymbolMismatchError
 from .pda import BLANK
+from .record import record
 from .run import RunPath
 
 
-@dataclass(frozen=True)
+@record
 class LevelTriple:
     i: int
     j: int

@@ -9,10 +9,9 @@ byte-identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PumpingLengthOverflowError
 from .pda import BOTTOM, GeneralPda, GeneralTransition, NormalizedPda, NormalizedTransition, is_star_transition
+from .record import record
 
 # Generous ceiling on the bit length of the pumping length. Machines beyond
 # this are not usable at desk scale anyway.
@@ -94,7 +93,7 @@ def normalize(pda: GeneralPda) -> NormalizedPda:
     )
 
 
-@dataclass(frozen=True)
+@record
 class PumpingParams:
     """Derived pumping sizes for a normalized machine.
 

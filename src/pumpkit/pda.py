@@ -18,13 +18,13 @@ Conventions used throughout the toolkit:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import field, record
 
 BOTTOM = "⊥"  # bottom-of-stack marker
 BLANK = "␣"   # padding symbol, never a member of the stack alphabet
 
 
-@dataclass(frozen=True)
+@record
 class GeneralTransition:
     """Pop one symbol, push any sequence. letter=None means an epsilon move."""
 
@@ -38,7 +38,7 @@ class GeneralTransition:
         object.__setattr__(self, "push", tuple(self.push))
 
 
-@dataclass(frozen=True)
+@record
 class NormalizedTransition:
     """Pop one symbol and either push nothing or restore it plus one extra.
 
@@ -62,10 +62,10 @@ class NormalizedTransition:
 Transition = GeneralTransition | NormalizedTransition
 
 
-@dataclass(frozen=True)
+@record
 class _MachineRecord:
     """The fields shared by both machine kinds, coerced to immutable
-    containers. == tells the kinds apart: dataclass equality needs one class."""
+    containers. == tells the kinds apart: record equality needs one class."""
 
     states: frozenset[str]
     input_alphabet: frozenset[str]
@@ -112,14 +112,14 @@ def is_star_form(pda: Pda) -> bool:
     return all(is_star_transition(t) for t in pda.transitions)
 
 
-@dataclass(frozen=True)
+@record
 class Issue:
     severity: str  # "error"
     code: str
     message: str
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     issues: tuple[Issue, ...] = ()
 

@@ -157,17 +157,17 @@ sequence for replay, the minimal-run search and the walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import PumpingLengthOverflowError
 from .normalize import pumping_params
 from .pda import NormalizedPda, Pda
+from .record import record
 
 STEP_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
+@record
 class SearchLimits:
     max_steps: int
     max_stack_height: int
@@ -192,23 +192,23 @@ def default_limits(pda: Pda, word) -> SearchLimits:
     return SearchLimits(max_steps=bound, max_stack_height=bound)
 
 
-@dataclass(frozen=True)
+@record
 class Accepted:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class NotAccepted:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class LimitExceeded:
     by_steps: bool
     by_height: bool
 
 
-@dataclass(frozen=True)
+@record
 class ReplayError:
     """Why a step sequence fails to be an accepting run of the word.
 
@@ -221,7 +221,7 @@ class ReplayError:
     reason: str
 
 
-@dataclass(frozen=True)
+@record
 class RunPath:
     """An accepting run: the word, the transitions taken, and two aligned
     position-indexed sequences.

@@ -25,15 +25,15 @@ dumps() is canonical: equal machines serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import FormatError
 from .pda import GeneralPda, GeneralTransition, Pda, _MachineRecord
+from .record import record
 
 FORMAT_VERSION = "pumpkit/1"
 
 
-@dataclass(frozen=True)
+@record
 class PdaDocument:
     pda: GeneralPda
     name: str | None = None

@@ -27,15 +27,16 @@ machine nor code with the replay route.
 
 replay_pumps checks several pump counts against one walk of the found run,
 which keeps six configurations (state, stack, input position): at the
-run's start, at each of the four cuts and at its end. These checkpoints
-depend on the run and the cuts alone, not on n or on the machine's accept
-states, so one walk serves every caller that checks the same cuts: extract
-walks the found run once per candidate and keeps the checkpoints of the one
-it returns on its result, and verify, handed them with that result's run
-and decomposition, uses them instead of walking the run again. Checkpoints
-of another run or of other cuts are ignored and the run is walked; cuts out
-of order or outside the run keep no checkpoints, and each spliced run is
-walked whole.
+run's start, at each of the four cuts and at its end, and the five pieces
+between them as the reuse rule below reads them. These checkpoints depend
+on the run and the cuts alone, not on n or on the machine's accept states,
+so one walk serves every caller that checks the same cuts: extract walks
+the found run once per candidate and keeps the checkpoints of the one it
+returns on its result, and verify, handed them with that result's run and
+decomposition, uses them instead of walking the run and reading its
+pieces again. Checkpoints of another run or of other cuts are ignored and
+the run is walked; cuts out of order or outside the run keep no
+checkpoints, and each spliced run is walked whole.
 
 Each pumped run goes through five pieces of the found run in turn: u
 (steps 0..a), v (a..b) n times, x (b..c), y (c..e) n times and the tail
@@ -63,8 +64,7 @@ checked only at the counts sampled, and is no proof for all n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .record import record
 from .run import Accepted, LimitExceeded, ReplayError, RunPath, accepts_each, default_limits, walk
 
 
@@ -82,18 +82,20 @@ def spliced_steps(path: RunPath, decomposition, n: int) -> tuple:
     return steps[:a] + steps[a:b] * n + steps[b:c] + steps[c:e] * n + steps[e:]
 
 
-@dataclass(frozen=True)
+@record
 class _Checkpoints:
     """What one walk of the found run `path` keeps for the decomposition
     cuts `cuts`: six configurations (state, stack, input position), at the
     run's start, at each of the four cuts and at its end, the first five
-    starting the pieces u, v, x, y and the tail. The configurations after
-    a piece with a step that cannot fire are None, and all six are None
-    when the cuts are out of order or outside the run."""
+    starting the pieces u, v, x, y and the tail, and the five pieces as
+    stretches of the run. The configurations after a piece with a step that
+    cannot fire are None, as are the stretches of the pieces they end, and
+    all are None when the cuts are out of order or outside the run."""
 
     path: RunPath
     cuts: tuple
     configs: tuple
+    stretches: tuple
 
 
 def _walk_found_run(pda, path: RunPath, cuts) -> _Checkpoints:
@@ -111,10 +113,14 @@ def _walk_found_run(pda, path: RunPath, cuts) -> _Checkpoints:
             state, pos = reached
             configs.append((state, stack.copy(), pos))
     configs += [None] * (len(bounds) - len(configs))
-    return _Checkpoints(path, cuts, tuple(configs))
+    stretches = tuple(
+        None if end is None else _stretch(path, begin, end, s, t)
+        for s, t, begin, end in zip(bounds, bounds[1:], configs, configs[1:])
+    )
+    return _Checkpoints(path, cuts, tuple(configs), stretches)
 
 
-@dataclass(frozen=True)
+@record
 class _Stretch:
     """A stretch s..t of the found run as the reuse rule reads it (see the
     module docstring): the state it starts in, r, the top r symbols of the
@@ -129,10 +135,16 @@ class _Stretch:
 
 
 def _stretch(path: RunPath, begin, end, s: int, t: int) -> _Stretch:
-    """The stretch s..t of the found run from its configurations at s and t."""
+    """The stretch s..t of the found run from its configurations at s and t.
+    Where its top is the whole stack it starts on, it shares the stacks of
+    the configurations, which nothing changes, so that the checkpoints hold
+    no second copy of a deep stack."""
     r = path.profile[s] - min(path.profile[s : t + 1]) + 1
     below = max(len(begin[1]) - r, 0)
-    return _Stretch(begin[0], r, begin[1][below:], path.word[begin[2] : end[2]], end[1][below:])
+    letters = path.word[begin[2] : end[2]]
+    if below:
+        return _Stretch(begin[0], r, begin[1][below:], letters, end[1][below:])
+    return _Stretch(begin[0], r, begin[1], letters, end[1])
 
 
 def _enters(stretch: _Stretch, state, stack, ahead) -> bool:
@@ -157,12 +169,9 @@ def replay_pumps(pda, path: RunPath, decomposition, n_set, checkpoints=None) -> 
     d = decomposition
     if checkpoints is None or checkpoints.path is not path or checkpoints.cuts != d.cuts:
         checkpoints = _walk_found_run(pda, path, d.cuts)
-    steps, configs = path.steps, checkpoints.configs
+    steps = path.steps
     bounds = (0, *d.cuts, len(steps))
-    pieces = [
-        (s, t, end, None if end is None else _stretch(path, begin, end, s, t))
-        for s, t, begin, end in zip(bounds, bounds[1:], configs, configs[1:])
-    ]
+    pieces = tuple(zip(bounds, bounds[1:], checkpoints.configs[1:], checkpoints.stretches))
 
     def pumped_run_accepts(n: int) -> bool:
         wn = pumped_word(d, n)
@@ -191,7 +200,7 @@ def _search_verdict(outcome) -> str:
     return "rejected"
 
 
-@dataclass(frozen=True)
+@record
 class ConstraintReport:
     concatenation_ok: bool
     length_bound_ok: bool
@@ -219,7 +228,7 @@ def check_constraints(decomposition, word) -> ConstraintReport:
     )
 
 
-@dataclass(frozen=True)
+@record
 class PumpVerdict:
     n: int
     replay_ok: bool
@@ -235,7 +244,7 @@ class PumpVerdict:
         return self.replay_ok and self.search == "accepted"
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     word: object
     constraints: ConstraintReport

@@ -5,7 +5,6 @@ Each test is self-contained and prints a one-line summary; run with
 criterion.
 """
 
-import dataclasses
 import itertools
 import json
 import os
@@ -31,6 +30,7 @@ from pumpkit import (
 from pumpkit.cli import main
 from pumpkit.corpus import BUILTINS
 from pumpkit.levels import max_levels
+from pumpkit.record import replace
 
 from oracles import brute_force_max_level, is_valid_level_triple
 
@@ -205,7 +205,7 @@ def test_criterion_6_boundary_mutations_are_caught():
             new[b] += rng.choice((-1, 1))
             if not (0 <= new[0] <= new[1] <= new[2] <= new[3] <= len(word)):
                 continue  # not a decomposition at all; mutate again
-            broken = dataclasses.replace(
+            broken = replace(
                 d,
                 u=word[: new[0]],
                 v=word[new[0] : new[1]],

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +13,7 @@ from pumpkit import BUILTINS, ExtractionMode, dumps, extract, is_star_form, load
 from pumpkit import cli
 from pumpkit.cli import main
 from pumpkit.pda import BOTTOM, GeneralPda, GeneralTransition, NormalizedPda, NormalizedTransition
+from pumpkit.record import replace
 
 
 def run(capsys, *argv):

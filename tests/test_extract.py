@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -27,6 +26,7 @@ from pumpkit import (
 )
 from pumpkit.extract import _case1_pairs, _case2_pairs
 from pumpkit.levels import configuration_keys, full_state_keys, max_levels
+from pumpkit.record import replace
 
 
 def single_word_machine():

@@ -1,7 +1,6 @@
 import hashlib
 import importlib.resources
 import itertools
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +26,7 @@ from pumpkit import (
     validate,
 )
 from pumpkit.pda import is_star_transition
+from pumpkit.record import replace
 from test_run_reference import machines, small_limits
 
 

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 from pumpkit import (
     BLANK,
     BOTTOM,
@@ -14,6 +12,7 @@ from pumpkit import (
     replay,
     validate,
 )
+from pumpkit.record import replace
 
 
 def make_general(**overrides):

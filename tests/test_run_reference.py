@@ -19,7 +19,6 @@ current one must agree with it on the corpus and stay monotone in p.
 
 import importlib
 from collections import deque
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -47,6 +46,7 @@ from pumpkit import (
     normalize,
     pumping_params,
 )
+from pumpkit.record import replace
 from pumpkit.run import STEP_CAP
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "pumpkit" / "data"

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 from collections import Counter
@@ -33,6 +32,7 @@ from pumpkit import (
     verify,
 )
 from pumpkit.cli import main
+from pumpkit.record import replace
 
 # pumpkit.verify and pumpkit.run as modules: the package re-exports
 # functions under the same names.
@@ -88,14 +88,14 @@ class TestSplicing:
 
     def test_search_rejects_corrupted_decomposition(self, dyck1):
         res = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
-        broken = dataclasses.replace(res.decomposition, y="")
+        broken = replace(res.decomposition, y="")
         # n = 0 never exercises y, so the corruption only shows for n >= 1
         report = verify(dyck1, res.path, broken, (0, 1, 2))
         assert [v.search for v in report.verdicts] == ["accepted", "rejected", "rejected"]
 
     def test_replay_rejects_corrupted_decomposition(self, dyck1):
         res = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
-        broken = dataclasses.replace(res.decomposition, v="(" * 2)
+        broken = replace(res.decomposition, v="(" * 2)
         assert replay_pumps(dyck1, res.path, broken, (2,)) == (False,)
 
 
@@ -120,7 +120,7 @@ class TestConstraints:
 
     def test_concatenation_failure_detected(self, dyck1):
         res = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
-        broken = dataclasses.replace(res.decomposition, x="((")
+        broken = replace(res.decomposition, x="((")
         c = check_constraints(broken, "(((())))")
         assert not c.concatenation_ok
 
@@ -267,7 +267,7 @@ def boundaries_moved_by_one(res):
             cuts = list(boundaries(d))
             cuts[b] += delta
             if 0 <= cuts[0] <= cuts[1] <= cuts[2] <= cuts[3] <= len(word):
-                yield dataclasses.replace(
+                yield replace(
                     d,
                     u=word[: cuts[0]],
                     v=word[cuts[0] : cuts[1]],
@@ -351,7 +351,7 @@ class TestReplayPumps:
             for piece in ("u", "v", "y", "z"):
                 value = getattr(d, piece)
                 for corrupted in {value[:-1], value[1:], value + letter, letter + value}:
-                    broken = dataclasses.replace(d, **{piece: corrupted})
+                    broken = replace(d, **{piece: corrupted})
                     reached.update(*check_replay_pumps(pda, res.path, broken, events))
         assert reached == EVERY_PIECE_TAKEN_AND_WALKED
 
@@ -378,9 +378,9 @@ class TestReplayPumps:
     def test_cuts_in_the_wrong_order(self, dyck1, reg_ab):
         res = extract(reg_ab, "ab" * 17, mode=ExtractionMode.STRICT)
         i, j, c, e = res.decomposition.cuts
-        swapped = dataclasses.replace(res.decomposition, cuts=(j, i, c, e))
+        swapped = replace(res.decomposition, cuts=(j, i, c, e))
         res2 = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
-        past_end = dataclasses.replace(res2.decomposition, cuts=(*res2.decomposition.cuts[:3], 99))
+        past_end = replace(res2.decomposition, cuts=(*res2.decomposition.cuts[:3], 99))
         for pda, path, d in ((reg_ab, res.path, swapped), (dyck1, res2.path, past_end)):
             assert replay_pumps(pda, path, d, PUMPS) == tuple(full_replay(pda, path, d, n) for n in PUMPS)
 
@@ -463,7 +463,7 @@ def runs_with_cuts(draw):
     path = replay(pda, steps, "".join(letters))
     assert isinstance(path, RunPath)
     if draw(st.booleans()):
-        pda = dataclasses.replace(pda, accept_states=draw(st.sets(st.sampled_from(states))))
+        pda = replace(pda, accept_states=draw(st.sets(st.sampled_from(states))))
     cuts = sorted(draw(st.lists(st.integers(0, len(steps)), min_size=4, max_size=4)))
     at = [path.letters_read[c] for c in cuts]
     if draw(st.booleans()):
@@ -523,6 +523,25 @@ def test_strict_pump_walks_the_run_at_most_three_times(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["caseTag"] == "case2"
     assert sum(walked) == report["diagnostics"]["pathLength"]
+
+
+def test_strict_pump_builds_each_stretch_once(monkeypatch, capsys):
+    """The stretches of the five pieces, each with a minimum over its part
+    of the profile, are built once per candidate with the checkpoints of
+    its walk; verify reads them from the checkpoints extract keeps."""
+    built = []
+    original = verify_module._stretch
+
+    def counting(path, begin, end, s, t):
+        built.append((s, t))
+        return original(path, begin, end, s, t)
+
+    monkeypatch.setattr(verify_module, "_stretch", counting)
+    word = "(" * 6601 + ")" * 6601
+    assert main(["pump", "DYCK1", word, "--mode", "strict", "--report", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["diagnostics"]["candidatesTried"] == 1
+    assert len(built) == 5
 
 
 def test_best_effort_pump_walks_its_x_stretch_once(monkeypatch, capsys):
@@ -622,7 +641,7 @@ class TestVerifyCheckpoints:
         in judges every pumped run, here one that accepts nothing."""
         res = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
         d = res.decomposition
-        other = dataclasses.replace(dyck1, accept_states=frozenset())
+        other = replace(dyck1, accept_states=frozenset())
         expected = tuple(full_replay(other, res.path, d, n) for n in PUMPS)
         assert expected == (False,) * len(PUMPS)
         assert replay_pumps(other, res.path, d, PUMPS, res.checkpoints) == expected
