@@ -138,7 +138,8 @@ def svg_chart(profile, markers=(), spans=(), title: str | None = None) -> str:
     parts.append(f'<text x="{_ML - 6}" y="{y(vmax) + 4:.2f}" text-anchor="end">{vmax}</text>')
     parts.append(f'<text x="{SVG_WIDTH - _MR}" y="{baseline + 14:.2f}" text-anchor="end">{n - 1}</text>')
 
-    points = " ".join(f"{x(i):.2f},{y(h):.2f}" for i, h in enumerate(profile))
+    ys = [f"{y(h):.2f}" for h in range(vmax + 1)]  # each height's y formatted once
+    points = " ".join(f"{x(i):.2f},{ys[h]}" for i, h in enumerate(profile))
     parts.append(f'<polyline points="{points}" fill="none" stroke="#3355aa" stroke-width="1.5"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -36,6 +36,7 @@ from .run import (
     SearchLimits,
     accepts,
     default_limits,
+    membership_tables,
     minimal_accepting_path,
 )
 from .serialize import PdaDocument, dumps, load_path
@@ -82,12 +83,8 @@ def _load(path) -> PdaDocument:
     return doc
 
 
-def _outside_alphabet(pda, word: str) -> list[str]:
-    return sorted(set(word) - set(pda.input_alphabet))
-
-
 def _check_word(pda, word: str) -> None:
-    bad = _outside_alphabet(pda, word)
+    bad = sorted(set(word) - set(pda.input_alphabet))
     if bad:
         raise CliError(EXIT_USAGE, f"word contains symbols outside the input alphabet: {bad}")
 
@@ -178,12 +175,17 @@ def cmd_check(args) -> int:
     else:
         words = [args.word]
 
+    # Built once per command: the machine's move tables, and its one-letter
+    # symbols, which strip a word to nothing exactly when every letter of the
+    # word is in the input alphabet.
+    tables = membership_tables(doc.pda)
+    letters = "".join(a for a in doc.pda.input_alphabet if len(a) == 1)
     worst = EXIT_OK
     for word in words:
-        if _outside_alphabet(doc.pda, word):
+        if word.strip(letters):
             verdict, code = "invalid-symbols", EXIT_USAGE
         else:
-            outcome = accepts(doc.pda, word, _limits(doc.pda, word, args))
+            outcome = accepts(doc.pda, word, _limits(doc.pda, word, args), tables=tables)
             if isinstance(outcome, Accepted):
                 verdict, code = "accepted", EXIT_OK
             elif isinstance(outcome, NotAccepted):
@@ -294,7 +296,8 @@ def _dumps_report(payload: dict) -> str:
     text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
     diagnostics["profile"] = profile
     if profile:
-        items = ",\n      ".join(map(str, profile))
+        heights = [str(h) for h in range(max(profile) + 1)]  # each height formatted once
+        items = ",\n      ".join(map(heights.__getitem__, profile))
         text = text.replace('"profile": []', f'"profile": [\n      {items}\n    ]', 1)
     return text + "\n"
 

@@ -49,7 +49,11 @@ the epsilon count restarts.
 accepts_each() answers membership only, for several words at once, and
 accepts() is its one-word call. It is a deliberately separate search loop
 (and also simulates general machines) so it can serve as an oracle: it
-shares no code with minimal_accepting_path or the replay side.
+shares no code with minimal_accepting_path or the replay side. Its tables
+(ids, move table, walk table, accepting set) come from membership_tables,
+which reads only the machine: accepts_each builds them once per call,
+unless the caller passes them in, as `pumpkit check` does, building them
+once per command and passing them to every word's accepts call.
 
 accepts_each searches its words in chains. A chain is a stretch of one
 word, from its start position to its end, searched by its own
@@ -123,14 +127,14 @@ same steps and interns the same cells in the same order, and every cut
 flag, parked description and deepest level still comes from the search. The walked descriptions stay out of the visited set: every
 later description descends from the one queued, at or past its position.
 A seed that joined later could reach them again from the chain's start, so
-the walk waits for the last seed. accepts_each decides once, from its move
-table, whether a walk can happen at all: not when a slot holds a live
+the walk waits for the last seed. membership_tables decides once, from the
+move table, whether a walk can happen at all: not when a slot holds a live
 epsilon move beside another live move, as GEN_PAL's midpoint guess does,
 since such a machine's levels seldom hold one description; its search then
 pays one test per level and none per description.
 
-Each search encodes its descriptions as plain ints, built per call. States
-are numbered with the initial state as 0, and stack symbols 0..width-1. The
+Each search encodes its descriptions as plain ints. States are numbered
+with the initial state as 0, and stack symbols 0..width-1. The
 move table is a flat list indexed by state * width + popped symbol whose
 buckets keep declared order, so a dequeued description looks up its moves
 once. A stack is an int cell described by three parallel lists, sym, below
@@ -521,14 +525,14 @@ def _reconstruct(pda: NormalizedPda, word, parent, via, d) -> RunPath:
     return _run_path(pda, word, steps)
 
 
-def accepts(pda: Pda, word, limits: SearchLimits | None = None):
+def accepts(pda: Pda, word, limits: SearchLimits | None = None, *, tables=None):
     """Membership verdict only: Accepted, NotAccepted, or LimitExceeded.
 
     Handles general machines too (pushes of any length), which makes it
     usable as the before/after oracle for normalization equivalence. It is
     the one-word call of accepts_each.
     """
-    return accepts_each(pda, (word,), None if limits is None else (limits,))[0]
+    return accepts_each(pda, (word,), None if limits is None else (limits,), tables=tables)[0]
 
 
 def _shared_prefix(a, b, lo: int) -> int:
@@ -705,25 +709,14 @@ def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, 
     return state, pos, cell, depth + pos - first
 
 
-def accepts_each(pda: Pda, words, limits=None) -> tuple:
-    """Membership verdicts for several words, in their order, from one
-    search of the words' common prefix, one of each word's remainder and
-    one of their common suffix; see the module docstring.
-
-    limits is None (each word gets default_limits) or one SearchLimits per
-    word. Each verdict, LimitExceeded flags included, equals the one-word
-    search of that word under its own limits.
+def membership_tables(pda: Pda) -> tuple:
+    """The tables accepts_each searches pda with, read from the machine
+    alone, no word: (moves, width, n_states, accepting, single, initial),
+    with initial the symbol ids of the initial stack, bottom first; see the
+    module docstring. accepts and accepts_each build them per call unless
+    they are passed in, so a caller that searches one machine word by word
+    can build them once.
     """
-    words = tuple(words)
-    if limits is None:
-        limits = tuple(default_limits(pda, w) for w in words)
-    else:
-        limits = tuple(limits)
-        if len(limits) != len(words):
-            raise ValueError(f"{len(limits)} limits for {len(words)} words")
-    if not words:
-        return ()
-    bounds = (min(own.max_steps for own in limits), min(own.max_stack_height for own in limits))
     state_ids = {pda.initial_state: 0}
     symbol_ids: dict = {}
     for s in pda.initial_stack:
@@ -766,15 +759,42 @@ def accepts_each(pda: Pda, words, limits=None) -> tuple:
         letters = [move[0] for move in bucket]
         if None not in letters:
             single[slot] = {move[0]: move for move in bucket if letters.count(move[0]) == 1}
+    initial = tuple(symbol_ids[s] for s in pda.initial_stack)
+    return moves, width, n_states, accepting, single, initial
+
+
+def accepts_each(pda: Pda, words, limits=None, *, tables=None) -> tuple:
+    """Membership verdicts for several words, in their order, from one
+    search of the words' common prefix, one of each word's remainder and
+    one of their common suffix; see the module docstring.
+
+    limits is None (each word gets default_limits) or one SearchLimits per
+    word. Each verdict, LimitExceeded flags included, equals the one-word
+    search of that word under its own limits. tables is membership_tables(pda),
+    built here when it is not passed.
+    """
+    words = tuple(words)
+    if limits is None:
+        limits = tuple(default_limits(pda, w) for w in words)
+    else:
+        limits = tuple(limits)
+        if len(limits) != len(words):
+            raise ValueError(f"{len(limits)} limits for {len(words)} words")
+    if not words:
+        return ()
+    if tables is None:
+        tables = membership_tables(pda)
+    moves, width, n_states, accepting, single, initial = tables
+    bounds = (min(own.max_steps for own in limits), min(own.max_stack_height for own in limits))
     # Stack cells: cell 0 is the empty stack; below * width + symbol -> cell.
     sym = [-1]
     below = [0]
     size = [0]
     cells: dict = {}
     cell = 0
-    for s in pda.initial_stack:
-        top = cells[cell * width + symbol_ids[s]] = len(sym)
-        sym.append(symbol_ids[s])
+    for s in initial:
+        top = cells[cell * width + s] = len(sym)
+        sym.append(s)
         below.append(cell)
         size.append(size[cell] + 1)
         cell = top

@@ -449,7 +449,8 @@ class TestJsonReportBytes:
 
 
 # sha256 of the whole stdout of strict and best-effort pumps, text and json,
-# and of an annotated chart: a speed-up must leave every byte where it was.
+# and of annotated ASCII and SVG charts: a speed-up must leave every byte
+# where it was.
 REPORT_DIGESTS = [
     pytest.param(
         ("pump", "DYCK1", "(" * 6601 + ")" * 6601, "--mode", "strict", "--report", "json"),
@@ -476,6 +477,11 @@ REPORT_DIGESTS = [
         "4f11d26f7548d401391abe148b2280016c86e1f3e9f88201e39b25eb19377775",
         id="best-effort-GEN_PAL-json",
     ),
+    pytest.param(
+        ("profile", "ANBN", "a" * 400 + "b" * 400, "--annotate", "--render", "svg"),
+        "9385b25f49d50ff6695e67f5c0611940993dcec6768604e55fcf270c7d1ddbd1",
+        id="profile-ANBN-svg",
+    ),
 ]
 
 
@@ -484,6 +490,86 @@ def test_report_bytes_are_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _mixed_words(language: str) -> list[str]:
+    """Generator words and near misses of a corpus language, a repeat, an
+    empty line and a letter outside the alphabet at the end and inside."""
+    entry = BUILTINS[language]
+    words = []
+    for m in (1, 2, 5, 12, 40):
+        words += [entry.generate(m), entry.generate_near_miss(m)]
+    inside = entry.generate(3)
+    return [*words[:4], "", *words[4:], words[2], inside + "#", inside[:2] + "#" + inside[2:]]
+
+
+# (machine, language, extra flags, exit code, sha256 of the whole stdout).
+# GEN_PAL is also checked as loaded from its file; the step budget of five
+# cuts the longer DYCK1 words short.
+WORD_FILE_CHECKS = [
+    pytest.param(
+        "DYCK1", "DYCK1", (), 2, "25f4fe989847ea46d520758fa5adc36b9608caceb08654a0e9cd7b31c80af506", id="DYCK1"
+    ),
+    pytest.param(
+        "REG_AB", "REG_AB", (), 2, "38670528f5d37bb4bc189edbaa8fe7516cc2e9ba95004b4ba3f2f765401ed654", id="REG_AB"
+    ),
+    pytest.param(
+        "ANBN", "ANBN", (), 2, "3f917824abd266e50b822d0663e01284514867ec359bf2b59a8e373c83e0aaad", id="ANBN"
+    ),
+    pytest.param(
+        "GEN_PAL", "GEN_PAL", (), 2, "fa55dba4f13d198ea79e3d978b5661938c01443e4f3eb0c3856e27656f8f653f", id="GEN_PAL"
+    ),
+    pytest.param(
+        str(DATA / "GEN_PAL.json"),
+        "GEN_PAL",
+        (),
+        2,
+        "fa55dba4f13d198ea79e3d978b5661938c01443e4f3eb0c3856e27656f8f653f",
+        id="GEN_PAL.json",
+    ),
+    pytest.param(
+        "DYCK1",
+        "DYCK1",
+        ("--max-steps", "5"),
+        2,
+        "d15d67e54572ffe1e29fb1fc46aa07dec4f1dd085e401d921c32276e65df5145",
+        id="DYCK1-max-steps-5",
+    ),
+]
+
+
+class TestCheckWordFile:
+    @pytest.mark.parametrize("machine, language, flags, code, digest", WORD_FILE_CHECKS)
+    def test_matches_one_check_per_word(self, capsys, tmp_path, machine, language, flags, code, digest):
+        words = _mixed_words(language)
+        wf = tmp_path / "words.txt"
+        wf.write_text("".join(w + "\n" for w in words), encoding="utf-8")
+        got_code, out, err = run(capsys, "check", machine, "--word-file", str(wf), *flags)
+        singles = [run(capsys, "check", machine, w, *flags) for w in words]
+        rank = [0, 1, 3, 2]  # exit codes from best to worst verdict
+        assert err == "" and all(e == "" for _, _, e in singles)
+        assert out == "".join(o for _, o, _ in singles)
+        assert got_code == max((c for c, _, _ in singles), key=rank.index) == code
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_builds_the_membership_tables_once(self, capsys, tmp_path, monkeypatch):
+        # Every build is counted, also one the search would make for itself.
+        run_module = importlib.import_module("pumpkit.run")
+        original = run_module.membership_tables
+        built = []
+
+        def counting(pda):
+            built.append(pda)
+            return original(pda)
+
+        monkeypatch.setattr(run_module, "membership_tables", counting)
+        monkeypatch.setattr(cli, "membership_tables", counting)
+        entry = BUILTINS["DYCK1"]
+        words = [w for m in range(1, 26) for w in (entry.generate(m), entry.generate_near_miss(m))]
+        wf = tmp_path / "words.txt"
+        wf.write_text("".join(w + "\n" for w in words), encoding="utf-8")
+        code, out, _ = run(capsys, "check", "DYCK1", "--word-file", str(wf))
+        assert (code, len(out.splitlines()), len(built)) == (1, 50, 1)
 
 
 class TestProfile:
