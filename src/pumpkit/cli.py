@@ -488,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pda", help="machine file or builtin name")
     p.add_argument("word", help="accepted word to decompose")
     p.add_argument("--mode", choices=["strict", "best-effort"], default="strict")
-    p.add_argument("--n", default=None, help="comma-separated pump counts (default 0,1,2,3,4)")
+    counts = ",".join(map(str, DEFAULT_N_SET))
+    p.add_argument("--n", default=None, help=f"comma-separated pump counts (default {counts})")
     p.add_argument("--report", choices=["json", "text"], default="text")
     p.add_argument("-o", "--output", default=None, help="write the report here instead of stdout")
     _add_limit_flags(p)

@@ -96,16 +96,10 @@ a join that the limits cut gives the join up, and joins stop too: its word
 is searched whole from the fork, so no suffix is seeded with a parked set
 that the limits cut.
 
-The words' limits differ, since default_limits grows with the word. Every
-chain is searched under the batch's smallest step limit and smallest height
-limit, and each word's verdict takes the cuts of every chain on its path.
-A description reachable under the smallest limits is reachable under
-larger ones, and a search that no limit cut is the same search under any
-larger limits. So a word's verdict is its one-word verdict when it is
-accepted, when no chain on its path was cut, or when its own limits are
-the smallest. Any other word is searched again alone, under its own
-limits. For one word the smallest limits are its own, so this is the plain
-cut.
+All chains are searched under the one set of limits the batch is given, so
+each word's verdict takes the cuts of every chain on its path. A word that
+is not accepted reads LimitExceeded exactly when its one-word search under
+those limits would, and NotAccepted otherwise.
 
 Where a level of a chain's search holds one description, the search walks
 it (_walk) on interned cells, with no key, visited insert or queue slot, for
@@ -532,7 +526,7 @@ def accepts(pda: Pda, word, limits: SearchLimits | None = None, *, tables=None):
     usable as the before/after oracle for normalization equivalence. It is
     the one-word call of accepts_each.
     """
-    return accepts_each(pda, (word,), None if limits is None else (limits,), tables=tables)[0]
+    return accepts_each(pda, (word,), limits, tables=tables)[0]
 
 
 def _shared_prefix(a, b, lo: int) -> int:
@@ -768,24 +762,20 @@ def accepts_each(pda: Pda, words, limits=None, *, tables=None) -> tuple:
     search of the words' common prefix, one of each word's remainder and
     one of their common suffix; see the module docstring.
 
-    limits is None (each word gets default_limits) or one SearchLimits per
-    word. Each verdict, LimitExceeded flags included, equals the one-word
-    search of that word under its own limits. tables is membership_tables(pda),
-    built here when it is not passed.
+    limits is one SearchLimits for the whole batch, or None for
+    default_limits of the longest word. Each verdict, LimitExceeded flags
+    included, equals accepts(pda, word, limits). tables is
+    membership_tables(pda), built here when it is not passed.
     """
     words = tuple(words)
-    if limits is None:
-        limits = tuple(default_limits(pda, w) for w in words)
-    else:
-        limits = tuple(limits)
-        if len(limits) != len(words):
-            raise ValueError(f"{len(limits)} limits for {len(words)} words")
     if not words:
         return ()
+    if limits is None:
+        limits = default_limits(pda, max(words, key=len))
     if tables is None:
         tables = membership_tables(pda)
     moves, width, n_states, accepting, single, initial = tables
-    bounds = (min(own.max_steps for own in limits), min(own.max_stack_height for own in limits))
+    bounds = (limits.max_steps, limits.max_stack_height)
     # Stack cells: cell 0 is the empty stack; below * width + symbol -> cell.
     sym = [-1]
     below = [0]
@@ -862,17 +852,14 @@ def accepts_each(pda: Pda, words, limits=None, *, tables=None) -> tuple:
         outcomes[word] = (accepted, cut | found)
 
     verdicts = []
-    for word, own in zip(words, limits):
+    for word in words:
         accepted, cut = outcomes[word]
         if accepted:
             verdicts.append(Accepted())
-        elif not cut:
-            verdicts.append(NotAccepted())
-        elif (own.max_steps, own.max_stack_height) == bounds:
+        elif cut:
             verdicts.append(LimitExceeded(by_steps=bool(cut & 1), by_height=bool(cut & 2)))
         else:
-            # Cut short under smaller limits than its own: search it alone.
-            verdicts.append(accepts_each(pda, (word,), (own,))[0])
+            verdicts.append(NotAccepted())
     return tuple(verdicts)
 
 

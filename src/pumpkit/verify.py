@@ -14,16 +14,19 @@ routes share no splicing or decomposition logic, so a bug in the
 construction cannot silently confirm itself.
 
 The search route searches `source`, the machine the found run's machine
-was normalized from, under the limits default_limits gives the normalized
-machine. Each step of the source is one or more normalized steps, and no
-normalized stack is lower than the source stack it stands for. So under
-equal limits a cut of the source search implies a cut of the normalized
-one, and an accepting normalized run within the limits projects onto an
-accepting source run within them: every verdict the normalized search
-decides is the source's too, and only a normalized `limit` may turn into
-an answer. The source's search is the cheaper one wherever normalization
-adds chain states, as on GEN_PAL, and the search route then shares neither
-machine nor code with the replay route.
+was normalized from, under one set of limits for all pumped words: those
+default_limits gives the normalized machine for the longest one, which are
+at least each word's own. Larger limits never change a decided verdict;
+they can only turn a `limit` into an answer. Each step of the source is
+one or more normalized steps, and no normalized stack is lower than the
+source stack it stands for. So under equal limits a cut of the source
+search implies a cut of the normalized one, and an accepting normalized
+run within the limits projects onto an accepting source run within them:
+every verdict the normalized search decides is the source's too, and only
+a normalized `limit` may turn into an answer. The source's search is the
+cheaper one wherever normalization adds chain states, as on GEN_PAL, and
+the search route then shares neither machine nor code with the replay
+route.
 
 replay_pumps checks several pump counts against one walk of the found run,
 which keeps six configurations (state, stack, input position): at the
@@ -289,14 +292,16 @@ def verify(
     `checkpoints` are the ones extract keeps on its result, used as
     replay_pumps does. The
     search route searches `source`, the machine `pda` was normalized from
-    (default: `pda` itself), under default_limits of `pda` for each pumped
-    word: every word that the search of `pda` would decide gets the same
-    verdict (see the module docstring).
+    (default: `pda` itself), in one batch under default_limits of `pda` for
+    the longest pumped word: every word that the search of `pda` under its
+    own default limits would decide gets the same verdict (see the module
+    docstring).
     """
     n_set = tuple(n_set)
     replayed = replay_pumps(pda, path, decomposition, n_set, checkpoints)
     words = [pumped_word(decomposition, n) for n in n_set]
-    searched = accepts_each(pda if source is None else source, words, [default_limits(pda, w) for w in words])
+    limits = default_limits(pda, max(words, key=len, default=""))
+    searched = accepts_each(pda if source is None else source, words, limits)
     verdicts = tuple(
         PumpVerdict(n=n, replay_ok=ok, search=_search_verdict(outcome))
         for n, ok, outcome in zip(n_set, replayed, searched)

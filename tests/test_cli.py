@@ -42,6 +42,15 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+    def test_pump_help_reads_its_default_counts_from_verify(self, monkeypatch):
+        def counts_help():
+            sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+            return next(a.help for a in sub.choices["pump"]._actions if "--n" in a.option_strings)
+
+        assert counts_help() == "comma-separated pump counts (default 0,1,2,3,4)"
+        monkeypatch.setattr(cli, "DEFAULT_N_SET", (0, 7))
+        assert counts_help() == "comma-separated pump counts (default 0,7)"
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

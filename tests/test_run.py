@@ -179,10 +179,14 @@ class TestAccepts:
         out = accepts(dyck1, "(())", SearchLimits(2, 2))
         assert isinstance(out, LimitExceeded)
 
-    def test_batch_takes_one_limit_per_word(self, dyck1):
+    def test_batch_takes_one_set_of_limits(self, dyck1):
         assert accepts_each(dyck1, []) == ()
-        with pytest.raises(ValueError):
-            accepts_each(dyck1, ["()", "(())"], [SearchLimits(5, 5)])
+        # The batch's limits cut the longer word only, as its own search is cut.
+        assert accepts_each(dyck1, ["()", "((()))"], SearchLimits(5, 5)) == (
+            Accepted(),
+            LimitExceeded(by_steps=True, by_height=False),
+        )
+        assert accepts(dyck1, "((()))", SearchLimits(5, 5)) == LimitExceeded(by_steps=True, by_height=False)
 
 
 class TestReplay:

@@ -233,10 +233,11 @@ def test_accepts_matches_reference_on_corpus(label, pda, entry):
             got = accepts(pda, word, limits)
             assert got == want, (label, word, limits)
             verdicts.add(got)
-        # the whole word list in one batch, each word under the same limits
-        # (None: each under its own default limits)
-        batch_limits = None if limits is None else [limits] * len(words)
-        assert list(accepts_each(pda, words, batch_limits)) == expected, (label, limits)
+        # the whole word list in one batch under the same limits (None: the
+        # longest word's default limits)
+        if limits is None:
+            expected = [reference_accepts(pda, word, default_limits(pda, max(words, key=len))) for word in words]
+        assert list(accepts_each(pda, words, limits)) == expected, (label, limits)
     # every verdict kind actually occurs
     assert {Accepted(), NotAccepted()} <= verdicts
     assert any(isinstance(v, LimitExceeded) for v in verdicts)
@@ -435,7 +436,7 @@ def test_default_limits_grow_with_unused_states():
     assert bounds == [4 * 13122, STEP_CAP, STEP_CAP, STEP_CAP]
 
 
-UNDER = "under"  # a word's limits, set just under its accepting depth on each machine
+UNDER = "under"  # a batch's limits, set just under one word's accepting depth on each machine
 
 
 def accepting_depth(pda, word, height=6, top=40):
@@ -453,12 +454,13 @@ def accepting_depth(pda, word, height=6, top=40):
     return hi
 
 
-def own_limits(pda, word, limits):
-    """limits, with UNDER replaced by one step less than the word's accepting
-    depth, so that its own search is cut short where a wider one accepts it."""
-    if limits != UNDER:
-        return limits
-    depth = accepting_depth(pda, word)
+def batch_limits(pda, words, choice):
+    """choice, or for (UNDER, i) one step less than the accepting depth of
+    words[i], so that the batch's search of it is cut short where a wider
+    one accepts it."""
+    if isinstance(choice, SearchLimits):
+        return choice
+    depth = accepting_depth(pda, words[choice[1]])
     return SearchLimits(40, 6) if depth is None else SearchLimits(max(depth - 1, 0), 6)
 
 
@@ -474,8 +476,8 @@ def pumped_words(draw):
 def word_batches(draw):
     """Words that share prefixes, with a duplicate, a proper prefix, the
     empty word and a letter outside the input alphabet, or the five pumped
-    words of a drawn decomposition; each word under its own limits, wide,
-    small or just under its accepting depth."""
+    words of a drawn decomposition; all under one set of limits, small, wide
+    or just under one word's accepting depth."""
     if draw(st.booleans()):
         words = draw(pumped_words())
     else:
@@ -493,8 +495,8 @@ def word_batches(draw):
         words += draw(st.lists(st.text("ab#", max_size=6), max_size=3))
         order = draw(st.permutations(range(len(words))))
         words = [words[i] for i in order]
-    choices = st.one_of(small_limits, st.just(SearchLimits(40, 6)), st.just(UNDER))
-    return words, draw(st.lists(choices, min_size=len(words), max_size=len(words)))
+    under = st.tuples(st.just(UNDER), st.integers(0, len(words) - 1))
+    return words, draw(st.one_of(small_limits, st.just(SearchLimits(40, 6)), under))
 
 
 @st.composite
@@ -536,59 +538,11 @@ def letter_machines(draw):
 @given(st.one_of(machines(), letter_machines()), word_batches())
 @settings(max_examples=300, deadline=None)
 def test_accepts_each_matches_reference_on_generated_machines(pda, batch):
-    words, choices = batch
+    words, choice = batch
     for machine in (pda, normalize(pda)):
-        limits = [own_limits(machine, w, c) for w, c in zip(words, choices)]
-        expected = [reference_accepts(machine, w, own) for w, own in zip(words, limits)]
+        limits = batch_limits(machine, words, choice)
+        expected = [reference_accepts(machine, w, limits) for w in words]
         assert list(accepts_each(machine, words, limits)) == expected
-
-
-def test_accepts_each_reruns_a_word_whose_own_limits_a_shared_search_passes(monkeypatch):
-    # The batch searches under its smallest limits, the first word's two
-    # steps, which cut every word short. The first "(())" has those limits,
-    # so its cut verdict stands; "(((())))" and the second "(())" have larger
-    # ones and are searched again alone, where both are accepted.
-    from pumpkit import run
-
-    dyck1 = BUILTINS["DYCK1"].pda
-    calls = []
-    batch_search = run.accepts_each
-
-    def counted(pda, words, limits=None):
-        calls.append(tuple(words))
-        return batch_search(pda, words, limits)
-
-    monkeypatch.setattr(run, "accepts_each", counted)
-    words = ["(())", "(((())))", "(())"]
-    limits = [SearchLimits(2, 100), SearchLimits(100, 100), SearchLimits(100, 100)]
-    got = counted(dyck1, words, limits)
-    assert got == tuple(reference_accepts(dyck1, w, own) for w, own in zip(words, limits))
-    assert got[0] == LimitExceeded(by_steps=True, by_height=False) and got[2] == Accepted()
-    assert calls == [tuple(words), ("(((())))",), ("(())",)]
-
-
-def test_an_accepted_word_is_not_searched_again(monkeypatch):
-    # GEN_PAL's stack holds the letters read up to its midpoint guess. The
-    # batch searches both palindromes under the smaller height 14, where
-    # both are accepted: an accepted word is settled whatever its own
-    # limits, so neither is searched again.
-    from pumpkit import run
-
-    entry = BUILTINS["GEN_PAL"]
-    calls = []
-    batch_search = run.accepts_each
-
-    def counted(pda, words, limits=None):
-        calls.append(tuple(words))
-        return batch_search(pda, words, limits)
-
-    monkeypatch.setattr(run, "accepts_each", counted)
-    words = [entry.generate(6), entry.generate(5)]
-    limits = [SearchLimits(1000, 14), SearchLimits(1000, 1000)]
-    assert len(words[0]) == 12
-    expected = tuple(reference_accepts(entry.pda, w, own) for w, own in zip(words, limits))
-    assert counted(entry.pda, words, limits) == expected == (Accepted(), Accepted())
-    assert calls == [tuple(words)]
 
 
 def _letter_pushes():
@@ -625,7 +579,7 @@ def test_a_stored_suffix_dies_with_the_cells_it_names(words):
     # The suffix stored under one first-letter branch names a cell that the
     # arena drops before the other branch starts.
     pda = _letter_pushes()
-    expected = tuple(reference_accepts(pda, w) for w in words)
+    expected = tuple(reference_accepts(pda, w, default_limits(pda, max(words, key=len))) for w in words)
     assert {Accepted(), NotAccepted()} == set(expected)
     assert accepts_each(pda, words) == expected
 
@@ -665,12 +619,11 @@ def _cycle_machine():
 def test_seeds_at_other_levels_are_another_suffix(first):
     # With "ac" searched first, its suffix ends 5 levels above its lowest
     # seed. "bc" parks the same pairs, but its accept lies 7 above its
-    # lowest seed, past its own 7 steps: it must not reuse "ac"'s verdict.
+    # lowest seed, past the batch's 7 steps: it must not reuse "ac"'s verdict.
     pda = _cycle_machine()
-    own = {"ac": SearchLimits(20, 5), "bc": SearchLimits(7, 5)}
+    limits = SearchLimits(7, 5)
     words = [first, "bc" if first == "ac" else "ac"]
-    limits = [own[w] for w in words]
-    expected = tuple(reference_accepts(pda, w, o) for w, o in zip(words, limits))
+    expected = tuple(reference_accepts(pda, w, limits) for w in words)
     assert accepts_each(pda, words, limits) == expected
     assert dict(zip(words, expected)) == {
         "ac": Accepted(),
@@ -685,27 +638,24 @@ def _dyck_pumps(k, order):
     return ["(" * (k + n) + ")" * (k + n) for n in order]
 
 
-_WIDE = SearchLimits(100, 100)
-
-
 @pytest.mark.parametrize(
     "words, limits",
     [
-        # The suffix stored for word 0 fits word 0's levels but not word 2's,
-        # which gets one step less than it needs.
-        (_dyck_pumps(3, range(5)), [_WIDE, _WIDE, SearchLimits(10, 100), _WIDE, _WIDE]),
+        # Within 11 steps, the suffix stored for word 0 fits word 1's levels
+        # but not those of words 2 to 4, whose joins lie deeper.
+        (_dyck_pumps(3, range(5)), SearchLimits(11, 100)),
         # Searched from the deepest join first, the stored suffix is cut at
         # 12 steps; at their lower levels words 0..3 must search it again.
-        (_dyck_pumps(3, range(4, -1, -1)), [SearchLimits(12, 100)] * 5),
-        # Both join on one cell; the suffix ((())) needs a stack of 4, and
-        # the second word allows 3.
-        (["()((()))", "(())((()))"], [_WIDE, SearchLimits(100, 3)]),
+        (_dyck_pumps(3, range(4, -1, -1)), SearchLimits(12, 100)),
+        # Both join on one cell, and the suffix ((())) fits a stack of 4; the
+        # stretch (((()))) before the second word's join does not.
+        (["()((()))", "(((())))((()))"], SearchLimits(100, 4)),
     ],
     ids=["level-offset", "cut", "height"],
 )
 def test_a_stored_suffix_is_reused_only_within_each_word_s_limits(words, limits):
     dyck1 = BUILTINS["DYCK1"].pda
-    expected = tuple(reference_accepts(dyck1, w, own) for w, own in zip(words, limits))
+    expected = tuple(reference_accepts(dyck1, w, limits) for w in words)
     assert Accepted() in expected and any(isinstance(v, LimitExceeded) for v in expected)
     assert accepts_each(dyck1, words, limits) == expected
 
@@ -752,16 +702,32 @@ def test_a_cut_stretch_gives_its_join_up(monkeypatch):
         return search(word, start, end, leaf, *rest)
 
     monkeypatch.setattr(run, "_search_chain", recorded)
-    wide = SearchLimits(60, 60)
-    for limits in (None, [wide] * 5, [SearchLimits(40, 30), *[wide] * 4]):
+    for limits in (None, SearchLimits(60, 60), SearchLimits(40, 30)):
         calls.clear()
-        own = limits or [None] * 5
-        expected = tuple(reference_accepts(pda, w, o) for w, o in zip(words, own))
-        assert accepts_each(pda, words, limits) == expected
-        # leaves of the batch, not of a word searched again alone: each
-        # starts at the end of the common prefix a^3
-        leaves = {(length, start) for length, start, end, leaf in calls if leaf and start}
-        assert leaves == {(len(w), 3) for w in words}
+        batch = limits or default_limits(pda, max(words, key=len))
+        assert accepts_each(pda, words, limits) == tuple(reference_accepts(pda, w, batch) for w in words)
+        # one leaf per word, each from the end of the common prefix a^3
+        leaves = [(length, start) for length, start, end, leaf in calls if leaf]
+        assert leaves == [(len(w), 3) for w in words]
+
+
+def test_a_push_loop_batch_searches_no_chain_from_the_start_after_its_prefix(monkeypatch):
+    # The common prefix a^30 is the one chain from position 0; every word is
+    # settled from there under the batch's one set of limits.
+    from pumpkit import run
+
+    pda = _push_loop()
+    words = ["a" * (30 + n) + "b" * (1 + n) + "a" * 100 for n in range(5)]
+    starts = []
+    search = run._search_chain
+
+    def recorded(word, start, *rest):
+        starts.append(start)
+        return search(word, start, *rest)
+
+    monkeypatch.setattr(run, "_search_chain", recorded)
+    assert accepts_each(pda, words) == (Accepted(),) * 5
+    assert starts[0] == 0 and 0 not in starts[1:]
 
 
 # The one-run walk. minimal_accepting_path follows the single run of a
@@ -1098,7 +1064,8 @@ def test_gen_pal_searches_never_walk(search_walks, capsys, tmp_path, monkeypatch
         assert _check(capsys, tmp_path, str(DATA / label), words)
     else:
         pda = normalize(entry.pda) if label.startswith("normalize") else entry.pda
-        assert list(accepts_each(pda, words)) == [reference_accepts(pda, w) for w in words]
+        limits = default_limits(pda, max(words, key=len))
+        assert list(accepts_each(pda, words)) == [reference_accepts(pda, w, limits) for w in words]
         for word in words:
             accepts(pda, word)
     assert search_walks == [] and tables and set(tables) == {None}
@@ -1155,16 +1122,17 @@ def walk_machines(draw):
 def walk_batches(draw):
     """Two to five words of up to 16 letters around a drawn base: its
     prefixes and suffixes with a piece added, or the base with a piece put
-    in; each word under its own limits, wide, narrower or just under its
-    accepting depth."""
+    in; all under one set of limits, wide, narrower or just under one
+    word's accepting depth."""
     base = draw(st.text("ab", min_size=4, max_size=12))
     words = [base]
     for _ in range(draw(st.integers(1, 4))):
         cut = draw(st.integers(0, len(base)))
         piece = draw(st.text("ab", max_size=4))
         words.append(draw(st.sampled_from([base[:cut] + piece, piece + base[cut:], base[:cut] + piece + base[cut:]])))
-    choices = st.sampled_from([SearchLimits(60, 12), SearchLimits(40, 8), SearchLimits(25, 5), UNDER])
-    return words, [draw(choices) for _ in words]
+    under = st.tuples(st.just(UNDER), st.integers(0, len(words) - 1))
+    choices = st.one_of(st.sampled_from([SearchLimits(60, 12), SearchLimits(40, 8), SearchLimits(25, 5)]), under)
+    return words, draw(choices)
 
 
 @pytest.fixture
@@ -1201,11 +1169,11 @@ def test_search_walks_match_reference_on_walk_machines(search_walks, chain_searc
     @given(walk_machines(), walk_batches())
     @settings(max_examples=300, deadline=None, database=None)
     def matches(pda, batch):
-        words, choices = batch
+        words, choice = batch
         search_walks.clear()
         for machine in (pda, normalize(pda)):
-            limits = [own_limits(machine, w, c) for w, c in zip(words, choices)]
-            expected = [reference_accepts(machine, w, own) for w, own in zip(words, limits)]
+            limits = batch_limits(machine, words, choice)
+            expected = [reference_accepts(machine, w, limits) for w in words]
             verdicts, chains = chain_searches(machine, words, limits)
             assert list(verdicts) == expected
             assert chains == chain_searches(machine, words, limits, walks=False)[1]
@@ -1231,6 +1199,16 @@ def _keeping(*moves, accept=()):
     )
 
 
+def test_a_batch_without_limits_takes_its_longest_word_s_defaults():
+    # Twelve epsilon moves lead to the accept: past the ten steps of the
+    # empty word's own defaults, within the thirty of "aa".
+    chain = ["q0", *(f"e{k}" for k in range(11)), "f"]
+    pda = _keeping(("q0", "a", "q0"), *((a, None, b) for a, b in zip(chain, chain[1:])), accept=["f"])
+    assert accepts(pda, "") == reference_accepts(pda, "") == LimitExceeded(by_steps=True, by_height=False)
+    assert accepts_each(pda, ["", "aa"]) == (Accepted(), Accepted())
+    assert accepts_each(pda, ["", "aa"], default_limits(pda, "")) == (LimitExceeded(by_steps=True, by_height=False),) * 2
+
+
 def test_no_walk_behind_a_visited_description(search_walks, chain_searches):
     # On a, f runs ahead through g and h and stops; e follows three epsilon
     # moves later and reaches g again. When e3 is the only description of
@@ -1240,9 +1218,9 @@ def test_no_walk_behind_a_visited_description(search_walks, chain_searches):
         ("q0", "a", "f"), ("q0", "a", "e"), ("f", "b", "g"), ("g", "b", "h"),
         ("e", None, "e1"), ("e1", None, "e2"), ("e2", None, "e3"), ("e3", "b", "g"),
     )
-    for limits in ([WIDE], [SearchLimits(5, 5)]):
+    for limits in (WIDE, SearchLimits(5, 5)):
         verdicts, chains = chain_searches(pda, ["abbb"], limits)
-        assert verdicts == (reference_accepts(pda, "abbb", limits[0]),)
+        assert verdicts == (reference_accepts(pda, "abbb", limits),)
         assert chains == chain_searches(pda, ["abbb"], limits, walks=False)[1]
     assert search_walks == []
 
@@ -1252,36 +1230,21 @@ def test_the_description_a_walk_hands_back_is_visited(search_walks, chain_search
     # by epsilon moves: the search must find h visited when h2 returns to it.
     pda = _keeping(("q0", "a", "q0"), ("q0", "b", "h"), ("h", None, "h2"), ("h2", None, "h"))
     for word in ("aaaaba", "aaaab"):
-        verdicts, chains = chain_searches(pda, [word], [WIDE])
+        verdicts, chains = chain_searches(pda, [word], WIDE)
         assert verdicts == (reference_accepts(pda, word, WIDE),)
-        assert chains == chain_searches(pda, [word], [WIDE], walks=False)[1]
+        assert chains == chain_searches(pda, [word], WIDE, walks=False)[1]
     assert (1, 5) in search_walks
 
 
-def test_a_walk_stops_at_the_smaller_limits_and_the_word_is_searched_again(search_walks, monkeypatch):
-    # The batch searches under its smaller limits. The walk stops where they
-    # end, the search is cut there, and the word whose own limits are larger
-    # is searched again alone.
+def test_a_walk_stops_at_the_limits_and_the_word_reads_limit_exceeded(search_walks):
+    # The walk stops where the limits end, and the search is cut there.
     dyck1 = BUILTINS["DYCK1"].pda
     word = "(" * 8 + ")" * 8
-    calls = []
-    batch_search = run_module.accepts_each
-
-    def counted(pda, words, limits=None):
-        calls.append(tuple(words))
-        return batch_search(pda, words, limits)
-
-    monkeypatch.setattr(run_module, "accepts_each", counted)
-    for own, cut in ((SearchLimits(5, 100), LimitExceeded(True, False)), (SearchLimits(100, 4), LimitExceeded(False, True))):
-        calls.clear()
+    for limits, cut in ((SearchLimits(5, 100), LimitExceeded(True, False)), (SearchLimits(100, 4), LimitExceeded(False, True))):
         search_walks.clear()
-        limits = [own, WIDE]
-        assert counted(dyck1, [word, word], limits) == (cut, Accepted())
-        assert reference_accepts(dyck1, word, own) == cut
-        assert calls == [(word, word), (word,)]
+        assert accepts(dyck1, word, limits) == reference_accepts(dyck1, word, limits) == cut
         # (q0, ⊥XX) at position 2 is the first level of one description.
-        first = search_walks[0]
-        assert first == (2, 5 if own.max_steps == 5 else 3)
+        assert search_walks[0] == (2, 5 if limits.max_steps == 5 else 3)
 
 
 def test_seeds_at_two_levels_then_a_walked_suffix(search_walks):
@@ -1296,7 +1259,8 @@ def test_seeds_at_two_levels_then_a_walked_suffix(search_walks):
     assert (6, 17) in search_walks
     assert (4, 15) not in search_walks  # the walk "()" + suffix would take
     misses = [w + ")" for w in words]
-    assert accepts_each(dyck1, misses) == tuple(reference_accepts(dyck1, w) for w in misses)
+    limits = default_limits(dyck1, max(misses, key=len))
+    assert accepts_each(dyck1, misses) == tuple(reference_accepts(dyck1, w, limits) for w in misses)
 
 
 def _late_seed():
@@ -1334,8 +1298,8 @@ def test_no_walk_before_the_last_seed_joins(search_walks, steps):
     # from the visited set, and at 8 steps r's path to it would read as cut.
     pda = _late_seed()
     words = ["xyaaaa", "xyb"]
-    limits = [SearchLimits(steps, 10)] * 2
-    expected = tuple(reference_accepts(pda, w, own) for w, own in zip(words, limits))
+    limits = SearchLimits(steps, 10)
+    expected = tuple(reference_accepts(pda, w, limits) for w in words)
     assert expected == (NotAccepted(), NotAccepted())
     assert accepts_each(pda, words, limits) == expected
 

@@ -21,6 +21,7 @@ from pumpkit import (
     NoWitnessError,
     RunPath,
     check_constraints,
+    default_limits,
     extract,
     load_path,
     normalize,
@@ -610,6 +611,29 @@ def test_searching_the_source_gives_the_same_reports():
         report = verify(pda, res.path, res.decomposition, PUMPS, res.checkpoints)
         assert verify(pda, res.path, res.decomposition, PUMPS, res.checkpoints, source=source) == report, label
     assert general > 0
+
+
+def test_verify_searches_its_pumped_words_under_one_set_of_limits(monkeypatch):
+    # One accepts_each call per pump, under the default limits of the
+    # normalized machine for the longest pumped word, which are at least
+    # each word's own.
+    calls = []
+    search = verify_module.accepts_each
+
+    def recorded(pda, words, limits=None):
+        calls.append((pda, list(words), limits))
+        return search(pda, words, limits)
+
+    monkeypatch.setattr(verify_module, "accepts_each", recorded)
+    differ = 0
+    for label, pda, res in DECOMPOSITIONS:
+        source = BUILTINS[label].pda if label in BUILTINS else load_path(str(DATA / label)).pda
+        calls.clear()
+        verify(pda, res.path, res.decomposition, PUMPS, res.checkpoints, source=source)
+        words = [pumped_word(res.decomposition, n) for n in PUMPS]
+        assert calls == [(source, words, default_limits(pda, max(words, key=len)))], label
+        differ += len({default_limits(pda, w) for w in words}) > 1
+    assert differ > 0
 
 
 class TestVerifyCheckpoints:
