@@ -20,19 +20,21 @@ once (levels.flank_cuts); each candidate (g, h) looks its four positions up
 in that list.
 
 One builder slices the word at the letters read by four step positions,
-the run cuts, and keeps them on the decomposition: case 2 cuts at
-(lp_g, lp_h, fp_h, fp_g), case 1 at (i, j, end, end), so its x runs to the
-end of the word and y and z come out empty. The pumped run repeats the
+the run cuts, counting the run's letter steps up to the last cut, and
+keeps the cuts on the decomposition: case 2 cuts at (lp_g, lp_h, fp_h,
+fp_g), case 1 at (i, j, end, end), so its x runs to the end of the word
+and y and z come out empty. The pumped run repeats the
 steps between the first two cuts and between the last two.
 
 Every candidate with a nonempty pump is defensively replay-verified for a
 small set of pump counts before being returned; empty-pump and failing
 candidates are skipped and recorded, because a repeat observed through a
 depth-limited window is not always a sound pump site. That check walks the
-found run once per candidate, piece by piece, and keeps its configurations
-at the start, the four cuts and the end, and the pieces between them as
-stretches of the run. Each pump count then takes every copy of u, v, x, y
-and the tail from that walk wherever the pumped run enters it as the found
+found run once per candidate, piece by piece, and keeps the five pieces
+between its start, the four cuts and its end as stretches of the run: the
+states each starts and ends in, its letters, and only the top symbols of
+the stack it reads and writes. Each pump count then takes every copy of
+u, v, x, y and the tail from that walk wherever the pumped run enters it as the found
 run did, walks the others, and judges acceptance at the end (see the
 verify module docstring); on the corpus decompositions nothing is walked
 after the found run. The result keeps the checkpoints for the candidate
@@ -43,6 +45,7 @@ reading its stretches again.
 from __future__ import annotations
 
 import enum
+from itertools import accumulate
 
 from .errors import (
     ConstructionFalsifiedError,
@@ -137,10 +140,12 @@ class ExtractionResult:
 
 
 def _decomposition(path: RunPath, params: PumpingParams, cuts: tuple, case: str, witness) -> Decomposition:
-    """Slice the word at the letters read by four step positions: u ends at
-    the first, v at the second, x at the third and y at the fourth."""
-    w = path.word
-    a, b, c, d = (path.letters_read[p] for p in cuts)
+    """Slice the word at the letters read by four ordered step positions: u
+    ends at the first, v at the second, x at the third and y at the fourth.
+    The letters of each piece are counted up to the last cut."""
+    w, steps = path.word, path.steps
+    counts = (sum(step.letter is not None for step in steps[s:e]) for s, e in zip((0, *cuts), cuts))
+    a, b, c, d = accumulate(counts)
     return Decomposition(
         u=w[:a],
         v=w[a:b],

@@ -114,7 +114,6 @@ def is_star_form(pda: Pda) -> bool:
 
 @record
 class Issue:
-    severity: str  # "error"
     code: str
     message: str
 
@@ -124,23 +123,19 @@ class ValidationReport:
     issues: tuple[Issue, ...] = ()
 
     @property
-    def errors(self) -> tuple[Issue, ...]:
-        return tuple(i for i in self.issues if i.severity == "error")
-
-    @property
     def ok(self) -> bool:
-        return not self.errors
+        return not self.issues
 
 
 def validate(pda: Pda) -> ValidationReport:
     """Check the structural invariants of a machine.
 
-    An empty error list means well-formed.
+    Every issue is an error; an empty issue list means well-formed.
     """
     issues: list[Issue] = []
 
     def err(code: str, message: str):
-        issues.append(Issue("error", code, message))
+        issues.append(Issue(code, message))
 
     if BLANK in pda.stack_alphabet:
         err("blank-in-alphabet", f"the padding symbol {BLANK!r} must stay outside the stack alphabet")

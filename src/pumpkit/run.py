@@ -221,19 +221,17 @@ class ReplayError:
 
 @record
 class RunPath:
-    """An accepting run: the word, the transitions taken, and two aligned
-    position-indexed sequences.
+    """An accepting run: the word, the transitions taken, and its profile.
 
     profile[i] is the stack size after i steps (so it has len(steps)+1
-    entries); letters_read[i] is how many input letters have been consumed
-    after i steps. initial_state/initial_stack pin down the run start so the
-    stack contents at any position can be reconstructed from the path alone.
+    entries); the letters read by then are those of the steps before i.
+    initial_state/initial_stack pin down the run start so the stack contents
+    at any position can be reconstructed from the path alone.
     """
 
     word: object
     steps: tuple
     profile: tuple[int, ...]
-    letters_read: tuple[int, ...]
     initial_state: str
     initial_stack: tuple[str, ...]
 
@@ -912,7 +910,6 @@ def _run_path(pda: Pda, word, steps) -> RunPath:
         word=word,
         steps=tuple(steps),
         profile=tuple(accumulate((len(t.push) - 1 for t in steps), initial=len(pda.initial_stack))),
-        letters_read=tuple(accumulate((t.letter is not None for t in steps), initial=0)),
         initial_state=pda.initial_state,
         initial_stack=pda.initial_stack,
     )

@@ -29,17 +29,18 @@ the search route then shares neither machine nor code with the replay
 route.
 
 replay_pumps checks several pump counts against one walk of the found run,
-which keeps six configurations (state, stack, input position): at the
-run's start, at each of the four cuts and at its end, and the five pieces
-between them as the reuse rule below reads them. These checkpoints depend
-on the run and the cuts alone, not on n or on the machine's accept states,
-so one walk serves every caller that checks the same cuts: extract walks
-the found run once per candidate and keeps the checkpoints of the one it
-returns on its result, and verify, handed them with that result's run and
-decomposition, uses them instead of walking the run and reading its
-pieces again. Checkpoints of another run or of other cuts are ignored and
-the run is walked; cuts out of order or outside the run keep no
-checkpoints, and each spliced run is walked whole.
+which keeps the five pieces between its start, the four cuts and its end
+as the reuse rule below reads them: for each, the states it starts and
+ends in, its letters, the top r symbols of the stack before it and the
+symbols that replace them after it, and no more of the stack. These
+checkpoints depend on the run and the cuts alone, not on n or on the
+machine's accept states, so one walk serves every caller that checks the
+same cuts: extract walks the found run once per candidate and keeps the
+checkpoints of the one it returns on its result, and verify, handed them
+with that result's run and decomposition, uses them instead of walking the
+run and reading its pieces again. Checkpoints of another run or of other
+cuts are ignored and the run is walked; cuts out of order or outside the
+run keep no checkpoints, and each spliced run is walked whole.
 
 Each pumped run goes through five pieces of the found run in turn: u
 (steps 0..a), v (a..b) n times, x (b..c), y (c..e) n times and the tail
@@ -51,7 +52,7 @@ the state, the stack top and the next letter, so a pumped run that enters
 a copy in the found run's state at s, with the found run's top r symbols
 there and the letters the piece reads ahead, ends it as the found run
 ended the piece, with the stack below the top r untouched: the copy is
-taken from the checkpoints at s and t. Any other copy is walked, as is a
+taken from the piece's stretch. Any other copy is walked, as is a
 piece the found run's walk did not get through. The reuse is exact.
 Acceptance is judged once, at the end of each pumped run: its state must
 be an accept state of the machine passed in, with all of the pumped word
@@ -88,39 +89,14 @@ def spliced_steps(path: RunPath, decomposition, n: int) -> tuple:
 @record
 class _Checkpoints:
     """What one walk of the found run `path` keeps for the decomposition
-    cuts `cuts`: six configurations (state, stack, input position), at the
-    run's start, at each of the four cuts and at its end, the first five
-    starting the pieces u, v, x, y and the tail, and the five pieces as
-    stretches of the run. The configurations after a piece with a step that
-    cannot fire are None, as are the stretches of the pieces they end, and
-    all are None when the cuts are out of order or outside the run."""
+    cuts `cuts`: the five pieces u, v, x, y and the tail as stretches of the
+    run. The stretch of a piece with a step that cannot fire is None, as are
+    those of the pieces after it, and all are None when the cuts are out of
+    order or outside the run."""
 
     path: RunPath
     cuts: tuple
-    configs: tuple
     stretches: tuple
-
-
-def _walk_found_run(pda, path: RunPath, cuts) -> _Checkpoints:
-    """Walk the found run once, piece by piece, keeping the checkpoints for
-    `cuts`."""
-    steps, word = path.steps, path.word
-    bounds, configs = (0, *cuts, len(steps)), []
-    if 0 <= cuts[0] and list(cuts) == sorted(cuts) and cuts[-1] <= len(steps):
-        state, stack, pos = pda.initial_state, list(pda.initial_stack), 0
-        configs.append((state, stack.copy(), pos))
-        for s, t in zip(bounds, bounds[1:]):
-            reached = walk(steps[s:t], word, state, stack, pos)
-            if isinstance(reached, ReplayError):
-                break
-            state, pos = reached
-            configs.append((state, stack.copy(), pos))
-    configs += [None] * (len(bounds) - len(configs))
-    stretches = tuple(
-        None if end is None else _stretch(path, begin, end, s, t)
-        for s, t, begin, end in zip(bounds, bounds[1:], configs, configs[1:])
-    )
-    return _Checkpoints(path, cuts, tuple(configs), stretches)
 
 
 @record
@@ -128,26 +104,37 @@ class _Stretch:
     """A stretch s..t of the found run as the reuse rule reads it (see the
     module docstring): the state it starts in, r, the top r symbols of the
     stack it starts on (all of it when that holds fewer), the letters it
-    reads, and the symbols it leaves in place of that top."""
+    reads, the symbols it leaves in place of that top, and the state it
+    ends in."""
 
     state: str
     r: int
     top: list
     letters: object
     top_after: list
+    state_after: str
 
 
-def _stretch(path: RunPath, begin, end, s: int, t: int) -> _Stretch:
-    """The stretch s..t of the found run from its configurations at s and t.
-    Where its top is the whole stack it starts on, it shares the stacks of
-    the configurations, which nothing changes, so that the checkpoints hold
-    no second copy of a deep stack."""
-    r = path.profile[s] - min(path.profile[s : t + 1]) + 1
-    below = max(len(begin[1]) - r, 0)
-    letters = path.word[begin[2] : end[2]]
-    if below:
-        return _Stretch(begin[0], r, begin[1][below:], letters, end[1][below:])
-    return _Stretch(begin[0], r, begin[1], letters, end[1])
+def _walk_found_run(pda, path: RunPath, cuts) -> _Checkpoints:
+    """Walk the found run once, piece by piece, keeping the stretch of each
+    piece between `cuts`. Only the top r symbols of the stack before a piece
+    and the symbols that replace them after it are copied."""
+    steps, word, profile = path.steps, path.word, path.profile
+    bounds, stretches = (0, *cuts, len(steps)), []
+    if 0 <= cuts[0] and list(cuts) == sorted(cuts) and cuts[-1] <= len(steps):
+        state, stack, pos = pda.initial_state, list(pda.initial_stack), 0
+        for s, t in zip(bounds, bounds[1:]):
+            r = profile[s] - min(profile[s : t + 1]) + 1
+            below = max(len(stack) - r, 0)
+            top = stack[below:]
+            reached = walk(steps[s:t], word, state, stack, pos)
+            if isinstance(reached, ReplayError):
+                break
+            state_after, pos_after = reached
+            stretches.append(_Stretch(state, r, top, word[pos:pos_after], stack[below:], state_after))
+            state, pos = reached
+    stretches += [None] * (len(bounds) - 1 - len(stretches))
+    return _Checkpoints(path, cuts, tuple(stretches))
 
 
 def _enters(stretch: _Stretch, state, stack, ahead) -> bool:
@@ -174,17 +161,17 @@ def replay_pumps(pda, path: RunPath, decomposition, n_set, checkpoints=None) -> 
         checkpoints = _walk_found_run(pda, path, d.cuts)
     steps = path.steps
     bounds = (0, *d.cuts, len(steps))
-    pieces = tuple(zip(bounds, bounds[1:], checkpoints.configs[1:], checkpoints.stretches))
+    pieces = tuple(zip(bounds, bounds[1:], checkpoints.stretches))
 
     def pumped_run_accepts(n: int) -> bool:
         wn = pumped_word(d, n)
         state, stack, pos = pda.initial_state, list(pda.initial_stack), 0
-        for (s, t, end, found), copies in zip(pieces, (1, n, 1, n, 1)):
+        for (s, t, found), copies in zip(pieces, (1, n, 1, n, 1)):
             for _ in range(copies):
                 if found is not None and _enters(found, state, stack, wn[pos : pos + len(found.letters)]):
                     del stack[len(stack) - len(found.top) :]
                     stack.extend(found.top_after)
-                    state, pos = end[0], pos + len(found.letters)
+                    state, pos = found.state_after, pos + len(found.letters)
                     continue
                 reached = walk(steps[s:t], wn, state, stack, pos)
                 if isinstance(reached, ReplayError):
@@ -258,15 +245,6 @@ class VerificationReport:
         return all(v.consistent for v in self.verdicts)
 
     @property
-    def overall(self) -> bool:
-        return (
-            self.constraints.concatenation_ok
-            and self.constraints.length_bound_ok
-            and self.constraints.nontrivial_ok
-            and all(v.ok for v in self.verdicts)
-        )
-
-    @property
     def pumping_ok(self) -> bool:
         """Everything except the length bound: the gate for exit codes."""
         return (
@@ -274,6 +252,10 @@ class VerificationReport:
             and self.constraints.nontrivial_ok
             and all(v.ok for v in self.verdicts)
         )
+
+    @property
+    def overall(self) -> bool:
+        return self.pumping_ok and self.constraints.length_bound_ok
 
 
 DEFAULT_N_SET = (0, 1, 2, 3, 4)
@@ -295,12 +277,15 @@ def verify(
     (default: `pda` itself), in one batch under default_limits of `pda` for
     the longest pumped word: every word that the search of `pda` under its
     own default limits would decide gets the same verdict (see the module
-    docstring).
+    docstring). An empty n_set raises ValueError: with no pumped word
+    there is no verdict to report.
     """
     n_set = tuple(n_set)
+    if not n_set:
+        raise ValueError("n_set must hold at least one pump count")
     replayed = replay_pumps(pda, path, decomposition, n_set, checkpoints)
     words = [pumped_word(decomposition, n) for n in n_set]
-    limits = default_limits(pda, max(words, key=len, default=""))
+    limits = default_limits(pda, max(words, key=len))
     searched = accepts_each(pda if source is None else source, words, limits)
     verdicts = tuple(
         PumpVerdict(n=n, replay_ok=ok, search=_search_verdict(outcome))

@@ -54,7 +54,6 @@ def mismatched_tops_path():
         word="aaaa",
         steps=steps,
         profile=(1, 2, 3, 2, 1),
-        letters_read=(0, 1, 2, 3, 4),
         initial_state="q",
         initial_stack=(BOTTOM,),
     )

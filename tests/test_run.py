@@ -64,7 +64,6 @@ class TestMinimalPath:
         path = minimal_accepting_path(dyck1, "()")
         assert isinstance(path, RunPath)
         assert path.profile == (1, 2, 1, 0)
-        assert path.letters_read == (0, 1, 2, 2)
         assert [t.letter for t in path.steps] == ["(", ")", None]
         assert path.state_at(0) == "q0"
         assert path.state_at(3) == "qf"
@@ -195,7 +194,7 @@ class TestReplay:
         again = replay(dyck1, path.steps, "(())")
         assert isinstance(again, RunPath)
         assert again.profile == path.profile
-        assert again.letters_read == path.letters_read
+        assert again == path
 
     def test_replay_error_reasons(self, dyck1):
         t0, t1, t2, t3 = dyck1.transitions

@@ -1,5 +1,6 @@
 import importlib
 import json
+import tracemalloc
 from collections import Counter
 from itertools import accumulate
 from pathlib import Path
@@ -154,6 +155,13 @@ class TestReports:
         assert report.verdicts[0].n == 7
         assert report.verdicts[0].ok
 
+    def test_no_pump_count_is_refused(self, dyck1):
+        """With no count, no pumped word is replayed or searched, so there
+        is no verdict to call the decomposition sound on."""
+        res = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
+        with pytest.raises(ValueError, match="n_set"):
+            verify(normalize(dyck1), res.path, res.decomposition, ())
+
 
 @given(st.sampled_from(["DYCK1", "REG_AB", "ANBN"]), st.integers(2, 20))
 @settings(max_examples=40, deadline=None)
@@ -244,7 +252,7 @@ def check_replay_pumps(pda, path, d, events) -> list:
     time and all at once. Returns, per count, the pieces that count took
     from the found run's walk and the pieces it walked (pieces_of_count)."""
     checkpoints = verify_module._walk_found_run(pda, path, d.cuts)
-    stretched = max(sum(c is not None for c in checkpoints.configs) - 1, 0)
+    stretched = sum(s is not None for s in checkpoints.stretches)
     expected = tuple(full_replay(pda, path, d, n) for n in PUMPS)
     per_count = []
     for n in PUMPS:
@@ -409,9 +417,13 @@ def per_case_splice(path, d, n) -> tuple:
 
 class TestCuts:
     def test_cuts_read_the_boundaries(self):
-        for _, _, res in DECOMPOSITIONS:
-            d = res.decomposition
-            assert tuple(res.path.letters_read[c] for c in d.cuts) == boundaries(d)
+        for _, pda, res in DECOMPOSITIONS:
+            path, d = res.path, res.decomposition
+            read = []
+            for c in d.cuts:
+                _, pos = run_module.walk(path.steps[:c], path.word, pda.initial_state, list(pda.initial_stack), 0)
+                read.append(pos)
+            assert tuple(read) == boundaries(d)
 
     def test_splice_matches_the_per_case_formulas(self):
         for _, _, res in DECOMPOSITIONS:
@@ -466,7 +478,8 @@ def runs_with_cuts(draw):
     if draw(st.booleans()):
         pda = replace(pda, accept_states=draw(st.sets(st.sampled_from(states))))
     cuts = sorted(draw(st.lists(st.integers(0, len(steps)), min_size=4, max_size=4)))
-    at = [path.letters_read[c] for c in cuts]
+    read = tuple(accumulate((t.letter is not None for t in steps), initial=0))
+    at = [read[c] for c in cuts]
     if draw(st.booleans()):
         cuts = draw(st.lists(st.integers(-2, len(steps) + 2), min_size=4, max_size=4))
     word = path.word
@@ -528,21 +541,39 @@ def test_strict_pump_walks_the_run_at_most_three_times(monkeypatch, capsys):
 
 def test_strict_pump_builds_each_stretch_once(monkeypatch, capsys):
     """The stretches of the five pieces, each with a minimum over its part
-    of the profile, are built once per candidate with the checkpoints of
-    its walk; verify reads them from the checkpoints extract keeps."""
+    of the profile, are built once per candidate as its walk goes through
+    them; verify reads them from the checkpoints extract keeps."""
     built = []
-    original = verify_module._stretch
+    original = verify_module._Stretch
 
-    def counting(path, begin, end, s, t):
-        built.append((s, t))
-        return original(path, begin, end, s, t)
+    def counting(*args):
+        built.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(verify_module, "_stretch", counting)
+    monkeypatch.setattr(verify_module, "_Stretch", counting)
     word = "(" * 6601 + ")" * 6601
     assert main(["pump", "DYCK1", word, "--mode", "strict", "--report", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["diagnostics"]["candidatesTried"] == 1
     assert len(built) == 5
+
+
+def test_strict_dyck_checkpoints_copy_only_the_stack_tops_their_stretches_read():
+    """The checkpoints of the strict 13202-letter Dyck pump hold the top r
+    symbols before and after each of the five pieces, which is two deep
+    stacks (after u and before the tail), not a whole stack at each of the
+    six cuts (about 220 KB)."""
+    pda = normalize(BUILTINS["DYCK1"].pda)
+    res = extract(pda, "(" * 6601 + ")" * 6601, mode=ExtractionMode.STRICT)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        checkpoints = verify_module._walk_found_run(pda, res.path, res.decomposition.cuts)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert None not in checkpoints.stretches
+    assert retained < 150 * 1024
 
 
 def test_best_effort_pump_walks_its_x_stretch_once(monkeypatch, capsys):
