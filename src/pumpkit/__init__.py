@@ -28,7 +28,7 @@ from .extract import (
     ExtractionResult,
     extract,
 )
-from .levels import LevelTriple, extract_sublevel, flank_cuts
+from .levels import LevelTriple, flank_cuts
 from .normalize import PumpingParams, normalize, pumping_params
 from .pda import (
     BLANK,

@@ -3,9 +3,10 @@
 The dispatch mirrors the construction the toolkit mechanizes: find a minimal
 accepting run, measure its level l within the mode's window, then
 
-- l >= p': shrink the level witness to a p'-level and cut the word at the
-  last-push/first-pop positions of two heights with equal full states
-  (case 2);
+- l >= p': read the last push and first pop of the level witness's top
+  p' + 1 heights once (levels.flank_cuts); the lowest pair shrinks the
+  witness to a p'-level, and the word is cut at the pairs of two of those
+  heights with equal full states (case 2);
 - l < p': find two path positions with equal depth-l configurations and pump
   the letters between them (case 1).
 
@@ -15,9 +16,9 @@ levels.configuration_keys or levels.full_state_keys, the number of candidate
 pairs is computed from the group sizes, and the pairs themselves are drawn
 lazily in (i, j) or (g, h) order, so a scan that stops at its first usable
 pair never lists the rest. Case 1 still builds its depth-l configuration
-per position, O(n*l). Case 2 reads the flank cuts of the triple's heights
-once (levels.flank_cuts); each candidate (g, h) looks its four positions up
-in that list.
+per position, O(n*l). Case 2 makes one flank_cuts call per triple, and
+that list gives the shrunk triple, the heights' full states and the cuts:
+each candidate (g, h) looks its four positions up in it.
 
 One builder slices the word at the letters read by four step positions,
 the run cuts, counting the run's letter steps up to the last cut, and
@@ -57,7 +58,6 @@ from .errors import (
 from .levels import (
     LevelTriple,
     configuration_keys,
-    extract_sublevel,
     flank_cuts,
     full_state_keys,
     max_levels,
@@ -182,25 +182,6 @@ def _equal_key_pairs(keys, base: int = 0):
     return available, pairs()
 
 
-def _case1_pairs(path: RunPath, window_end: int, depth: int):
-    """Position pairs (i, j) with equal depth-limited configurations.
-
-    Returns (count, lazy iterator in (i, j) order); one pass over positions
-    0..window_end, the pairs themselves are never listed.
-    """
-    return _equal_key_pairs(configuration_keys(path, window_end, depth))
-
-
-def _case2_pairs(path: RunPath, cuts):
-    """Height pairs (g, h) with equal full states, over the heights whose
-    flank_cuts are `cuts`.
-
-    Returns (count, lazy iterator, g then h ascending); full states come
-    from one linear pass over the run, the pairs are never listed.
-    """
-    return _equal_key_pairs(full_state_keys(path, cuts), base=path.profile[cuts[0][0]])
-
-
 def extract(
     pda: NormalizedPda,
     word,
@@ -270,18 +251,20 @@ def extract(
         )
 
     # Case 2 first when the level is rich enough (or on any best-effort
-    # triple at all); case 1 otherwise, over the mode's window.
+    # triple at all); case 1 otherwise, over the mode's window. One flank
+    # read gives the p'-level's bounds, the heights' full states and the cuts.
     triple = None
     if witness is not None:
         if level >= params.p_prime:
-            triple = extract_sublevel(path.profile, witness, params.p_prime)
+            cuts = flank_cuts(path.profile, witness, path.profile[witness.j] - params.p_prime)
+            triple = LevelTriple(cuts[0][0], witness.j, cuts[0][1], params.p_prime)
         elif not strict:
             triple = witness
+            cuts = flank_cuts(path.profile, witness)
 
     if triple is not None:
-        cuts = flank_cuts(path.profile, triple)
-        fs_pairs, pairs = _case2_pairs(path, cuts)
         base = path.profile[triple.i]
+        fs_pairs, pairs = _equal_key_pairs(full_state_keys(path, cuts), base)
         for g, h in pairs:
             (lp_g, fp_g), (lp_h, fp_h) = cuts[g - base], cuts[h - base]
             result = attempt("case2", (g, h), (lp_g, lp_h, fp_h, fp_g), Case2Witness(triple, g, h))
@@ -289,7 +272,7 @@ def extract(
                 return result
 
     if level < params.p_prime or not strict:
-        config_pairs, pairs = _case1_pairs(path, window_end, level)
+        config_pairs, pairs = _equal_key_pairs(configuration_keys(path, window_end, level))
         for i, j in pairs:
             result = attempt("case1", (i, j), (i, j, steps_total, steps_total), Case1Witness(level))
             if result is not None:

@@ -18,9 +18,9 @@ state) per height, with stacks from RunPath.stacks, the run's one forward
 walk, and states from the steps; extract groups these tuples. flank_cuts is
 the one flank reader: it scans both flanks of a triple outward from the peak
 once and returns the last push and first pop of every height from a chosen
-bottom up to s_j. extract_sublevel reads its two positions from it,
-full_state_keys takes its list, and extract's case 2 cuts the word at its
-entries.
+bottom up to s_j. extract reads it once per case-2 triple: its lowest pair
+bounds the p'-level the triple shrinks to, full_state_keys takes its list,
+and the word is cut at its entries.
 """
 
 from __future__ import annotations
@@ -195,15 +195,3 @@ def full_state_keys(path: RunPath, cuts: list[tuple[int, int]]) -> list[tuple[st
         out.append((states[lp], tops[lp], states[fp]))
     return out
 
-
-def extract_sublevel(profile, triple: LevelTriple, target: int) -> LevelTriple:
-    """Shrink a level triple to a `target`-level around the same peak.
-
-    i' is the last position at height s_j - target before the peak, k' the
-    first one after; both exist inside the original flanks because the
-    profile moves in unit steps.
-    """
-    if not (1 <= target <= triple.n):
-        raise ValueError("target must be between 1 and the triple's level")
-    lp, fp = flank_cuts(profile, triple, profile[triple.j] - target)[0]
-    return LevelTriple(lp, triple.j, fp, target)

@@ -270,8 +270,11 @@ def minimal_accepting_path(pda: NormalizedPda, word, limits: SearchLimits | None
     space is exhausted without truncation, and LimitExceeded when a limit cut
     off part of the space first (so absence was not proven). A machine with
     at most one live move per slot and letter is walked, not searched, with
-    the same result; see the module docstring.
+    the same result; see the module docstring. A machine that is not a
+    NormalizedPda raises TypeError: normalize it first.
     """
+    if not isinstance(pda, NormalizedPda):
+        raise TypeError(f"minimal_accepting_path needs a NormalizedPda, got {type(pda).__name__}; normalize it first")
     if limits is None:
         limits = default_limits(pda, word)
     max_steps = limits.max_steps

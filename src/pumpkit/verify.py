@@ -73,6 +73,9 @@ from .run import Accepted, LimitExceeded, ReplayError, RunPath, accepts_each, de
 
 
 def pumped_word(decomposition, n: int):
+    """u v^n x y^n z; a negative n raises ValueError, as there is no such word."""
+    if n < 0:
+        raise ValueError(f"pump count must be >= 0, got {n}")
     d = decomposition
     return d.u + d.v * n + d.x + d.y * n + d.z
 

@@ -15,8 +15,8 @@ PUBLIC_NAMES = [
     "TopSymbolMismatchError", "ValidationReport", "VerificationReport", "accepts",
     "accepts_each", "ascii_chart", "check_constraints", "corpus_get",
     "decomposition_annotations", "default_limits", "dumps", "extract",
-    "extract_sublevel", "flank_cuts", "is_star_form", "load_document", "load_path",
-    "loads", "minimal_accepting_path", "normalize", "pumped_word", "pumping_params",
+    "flank_cuts", "is_star_form", "load_document", "load_path", "loads",
+    "minimal_accepting_path", "normalize", "pumped_word", "pumping_params",
     "replay", "replay_pumps", "spliced_steps", "svg_chart", "to_document", "validate",
     "verify",
 ]

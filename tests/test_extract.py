@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 from itertools import islice
 
@@ -17,16 +18,19 @@ from pumpkit import (
     StrictPreconditionError,
     TopSymbolMismatchError,
     extract,
-    extract_sublevel,
     flank_cuts,
     minimal_accepting_path,
     normalize,
     pumping_params,
     replay_pumps,
 )
-from pumpkit.extract import _case1_pairs, _case2_pairs
+from pumpkit.extract import _equal_key_pairs
 from pumpkit.levels import configuration_keys, full_state_keys, max_levels
 from pumpkit.record import replace
+
+# pumpkit.extract as a module: the package re-exports the function under the
+# same name.
+extract_module = importlib.import_module("pumpkit.extract")
 
 
 def single_word_machine():
@@ -174,6 +178,21 @@ class TestExtract:
         assert d.witness.triple == LevelTriple(6593, 6601, 6609, 8)
         assert max(d.cuts) <= 13122
 
+    def test_strict_case2_reads_its_flanks_once(self, dyck1, monkeypatch):
+        # one flank_cuts call gives the shrunk triple, the full states and
+        # the cuts
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return flank_cuts(*args)
+
+        monkeypatch.setattr("pumpkit.levels.flank_cuts", counted)
+        monkeypatch.setattr(extract_module, "flank_cuts", counted)
+        res = extract(dyck1, "(" * 6601 + ")" * 6601, mode=ExtractionMode.STRICT)
+        assert res.decomposition.case == "case2"
+        assert len(calls) == 1
+
     def test_long_word_memory_stays_flat(self, reg_ab):
         # 2.56M equal-configuration pairs are counted but never listed
         tracemalloc.start()
@@ -200,7 +219,7 @@ class TestCase1Decompose:
     def test_no_repeat(self):
         pda = single_word_machine()
         path = minimal_accepting_path(pda, "a")
-        available, pairs = _case1_pairs(path, len(path.steps), 0)
+        available, pairs = _equal_key_pairs(configuration_keys(path, len(path.steps), 0))
         assert available == 0
         assert next(pairs, None) is None
 
@@ -208,7 +227,8 @@ class TestCase1Decompose:
 class TestCase2Decompose:
     def test_golden_first_pair(self, dyck1):
         path = minimal_accepting_path(dyck1, "(((())))")
-        available, pairs = _case2_pairs(path, flank_cuts(path.profile, LevelTriple(0, 4, 8, 4)))
+        cuts = flank_cuts(path.profile, LevelTriple(0, 4, 8, 4))
+        available, pairs = _equal_key_pairs(full_state_keys(path, cuts), path.profile[0])
         assert available == 6
         assert next(pairs) == (2, 3)
 
@@ -233,14 +253,14 @@ class TestCase2Decompose:
         assert path.profile == (1, 2, 3, 2, 1, 0)
         cuts = flank_cuts(path.profile, LevelTriple(0, 2, 4, 2))
         assert len(set(full_state_keys(path, cuts))) == 3
-        available, pairs = _case2_pairs(path, cuts)
+        available, pairs = _equal_key_pairs(full_state_keys(path, cuts), path.profile[0])
         assert available == 0
         assert next(pairs, None) is None
 
     def test_mismatched_tops_raise(self, mismatched_tops_path):
         cuts = flank_cuts(mismatched_tops_path.profile, LevelTriple(0, 2, 4, 2))
         with pytest.raises(TopSymbolMismatchError):
-            _case2_pairs(mismatched_tops_path, cuts)
+            _equal_key_pairs(full_state_keys(mismatched_tops_path, cuts))
 
 
 class TestFallbacks:
@@ -301,14 +321,14 @@ class TestPairOrder:
             level, witness = max_levels(path.profile, last)[0]
             for depth in sorted({0, 1, level}):
                 expected = reference_case1_pairs(path, last, depth)
-                available, pairs = _case1_pairs(path, last, depth)
+                available, pairs = _equal_key_pairs(configuration_keys(path, last, depth))
                 assert (available, list(pairs)) == (len(expected), expected)
             if witness is None:
                 continue
             for target in sorted({1, witness.n}):
-                triple = extract_sublevel(path.profile, witness, target)
-                expected = reference_case2_pairs(path, triple)
-                available, pairs = _case2_pairs(path, flank_cuts(path.profile, triple))
+                cuts = flank_cuts(path.profile, witness, path.profile[witness.j] - target)
+                expected = reference_case2_pairs(path, LevelTriple(cuts[0][0], witness.j, cuts[0][1], target))
+                available, pairs = _equal_key_pairs(full_state_keys(path, cuts), path.profile[cuts[0][0]])
                 assert (available, list(pairs)) == (len(expected), expected)
 
 
@@ -339,16 +359,16 @@ class TestPairsOverRecords:
         last = len(path.steps)
         level, witness = max_levels(path.profile, last)[0]
         for depth in sorted({0, 1, level, level + 2}):
-            available, pairs = _case1_pairs(path, last, depth)
+            available, pairs = _equal_key_pairs(configuration_keys(path, last, depth))
             expected = grouped_record_pairs(configuration_keys(path, last, depth))
             assert (available, list(islice(pairs, 50))) == expected
         if witness is None:
             return
         for target in sorted({1, witness.n}):
-            triple = extract_sublevel(path.profile, witness, target)
-            cuts = flank_cuts(path.profile, triple)
-            available, pairs = _case2_pairs(path, cuts)
-            expected = grouped_record_pairs(full_state_keys(path, cuts), base=path.profile[triple.i])
+            cuts = flank_cuts(path.profile, witness, path.profile[witness.j] - target)
+            base = path.profile[cuts[0][0]]
+            available, pairs = _equal_key_pairs(full_state_keys(path, cuts), base)
+            expected = grouped_record_pairs(full_state_keys(path, cuts), base=base)
             assert (available, list(islice(pairs, 50))) == expected
 
 
@@ -361,3 +381,7 @@ class TestOnNormalizedGeneralMachines:
         assert d.u + d.v + d.x + d.y + d.z == word
         assert len(d.v) + len(d.y) >= 1
         assert replay_pumps(npda, res.path, d, (0, 2)) == (True, True)
+
+    def test_unnormalized_machine_is_refused(self, gen_pal):
+        with pytest.raises(TypeError, match="normalize it first"):
+            extract(gen_pal, "0110", mode=ExtractionMode.BEST_EFFORT)

@@ -9,7 +9,6 @@ from pumpkit import (
     BUILTINS,
     LevelTriple,
     TopSymbolMismatchError,
-    extract_sublevel,
     flank_cuts,
     minimal_accepting_path,
     normalize,
@@ -350,20 +349,23 @@ class TestFullState:
 
 
 class TestSublevel:
+    """The lowest flank cuts from s_j - target up bound the target-level
+    around the same peak."""
+
     def test_shrinks_to_target(self):
         prof = (1, 2, 3, 4, 5, 4, 3, 2, 1, 0)
         t = LevelTriple(0, 4, 8, 4)
-        assert extract_sublevel(prof, t, 2) == LevelTriple(2, 4, 6, 2)
+        assert flank_cuts(prof, t, prof[t.j] - 2)[0] == (2, 6)
 
     def test_picks_tight_positions_on_oscillation(self):
         prof = (1, 2, 1, 2, 3, 2, 3, 2, 1)
         t = LevelTriple(0, 4, 8, 2)
-        assert extract_sublevel(prof, t, 1) == LevelTriple(3, 4, 5, 1)
+        assert flank_cuts(prof, t, prof[t.j] - 1)[0] == (3, 5)
 
     def test_identity_at_full_level(self):
         prof = (1, 2, 3, 2, 1, 0)
         t = LevelTriple(0, 2, 4, 2)
-        assert extract_sublevel(prof, t, 2) == t
+        assert flank_cuts(prof, t, prof[t.j] - 2)[0] == (t.i, t.k)
 
     @given(unit_profiles())
     @settings(max_examples=120, deadline=None)
@@ -372,7 +374,5 @@ class TestSublevel:
         if witness is None:
             return
         for target in range(1, level + 1):
-            sub = extract_sublevel(profile, witness, target)
-            assert sub.n == target
-            assert is_valid_level_triple(profile, sub)
-            assert sub.j == witness.j
+            lp, fp = flank_cuts(profile, witness, profile[witness.j] - target)[0]
+            assert is_valid_level_triple(profile, LevelTriple(lp, witness.j, fp, target))

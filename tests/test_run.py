@@ -126,6 +126,10 @@ class TestMinimalPath:
         assert a.steps == b.steps
         assert a.profile == b.profile
 
+    def test_unnormalized_machine_is_refused(self, gen_pal):
+        with pytest.raises(TypeError, match="normalize it first"):
+            minimal_accepting_path(gen_pal, "0110")
+
     def test_step_limit(self, dyck1):
         out = minimal_accepting_path(dyck1, "(())", SearchLimits(2, 100))
         assert isinstance(out, LimitExceeded)

@@ -59,6 +59,19 @@ class TestPumpedWord:
         assert pumped_word(d, 0) == "((()))"
         assert pumped_word(d, 3) == "(" + "(" * 3 + "(())" + ")" * 3 + ")"
 
+    def test_negative_pump_count_is_refused(self, dyck1):
+        """u v^n x y^n z has no meaning for n < 0: pumped_word, and both
+        callers that build their words through it, refuse it rather than
+        judging n = 0's word."""
+        res = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
+        d = res.decomposition
+        with pytest.raises(ValueError, match="pump count"):
+            pumped_word(d, -1)
+        with pytest.raises(ValueError, match="pump count"):
+            replay_pumps(dyck1, res.path, d, (-3,))
+        with pytest.raises(ValueError, match="pump count"):
+            verify(dyck1, res.path, d, (-1, 2), res.checkpoints)
+
 
 class TestSplicing:
     def test_case2_splice_lengths(self, dyck1):
