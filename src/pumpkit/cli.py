@@ -175,11 +175,11 @@ def cmd_check(args) -> int:
     else:
         words = [args.word]
 
-    # Built once per command: the machine's move tables, and its one-letter
+    # Built once per command: the machine's move tables, and its input
     # symbols, which strip a word to nothing exactly when every letter of the
     # word is in the input alphabet.
     tables = membership_tables(doc.pda)
-    letters = "".join(a for a in doc.pda.input_alphabet if len(a) == 1)
+    letters = "".join(doc.pda.input_alphabet)
     worst = EXIT_OK
     for word in words:
         if word.strip(letters):

@@ -20,33 +20,33 @@ per position, O(n*l). Case 2 makes one flank_cuts call per triple, and
 that list gives the shrunk triple, the heights' full states and the cuts:
 each candidate (g, h) looks its four positions up in it.
 
-One builder slices the word at the letters read by four step positions,
-the run cuts, counting the run's letter steps up to the last cut, and
-keeps the cuts on the decomposition: case 2 cuts at (lp_g, lp_h, fp_h,
-fp_g), case 1 at (i, j, end, end), so its x runs to the end of the word
-and y and z come out empty. The pumped run repeats the
-steps between the first two cuts and between the last two.
+Each candidate cuts the run at four step positions, kept on the
+decomposition: case 2 at (lp_g, lp_h, fp_h, fp_g), case 1 at (i, j, end,
+end), so its x runs to the end of the word and y and z come out empty.
+The pumped run repeats the steps between the first two cuts and between
+the last two. The candidate's one walk of the found run, piece by piece,
+gives the pieces, the empty-pump test and the checkpoints: it keeps the
+five pieces between its start, the four cuts and its end as stretches of
+the run (the states each starts and ends in, its letters, and only the
+top symbols of the stack it reads and writes), and u, v, x, y and z are
+the letters of those five stretches.
 
 Every candidate with a nonempty pump is defensively replay-verified for a
 small set of pump counts before being returned; empty-pump and failing
 candidates are skipped and recorded, because a repeat observed through a
-depth-limited window is not always a sound pump site. That check walks the
-found run once per candidate, piece by piece, and keeps the five pieces
-between its start, the four cuts and its end as stretches of the run: the
-states each starts and ends in, its letters, and only the top symbols of
-the stack it reads and writes. Each pump count then takes every copy of
-u, v, x, y and the tail from that walk wherever the pumped run enters it as the found
-run did, walks the others, and judges acceptance at the end (see the
-verify module docstring); on the corpus decompositions nothing is walked
-after the found run. The result keeps the checkpoints for the candidate
-returned, so verify can replay its pump counts without walking the run or
-reading its stretches again.
+depth-limited window is not always a sound pump site. Each pump count
+takes every copy of u, v, x, y and the tail from the candidate's walk
+wherever the pumped run enters it as the found run did, walks the
+others, and judges acceptance at the end (see the verify module
+docstring); on the corpus decompositions nothing is walked after the
+found run. The result keeps the checkpoints for the candidate returned,
+so verify can replay its pump counts without walking the run or reading
+its stretches again.
 """
 
 from __future__ import annotations
 
 import enum
-from itertools import accumulate
 
 from .errors import (
     ConstructionFalsifiedError,
@@ -139,26 +139,6 @@ class ExtractionResult:
     checkpoints: object = field(default=None, compare=False, repr=False)
 
 
-def _decomposition(path: RunPath, params: PumpingParams, cuts: tuple, case: str, witness) -> Decomposition:
-    """Slice the word at the letters read by four ordered step positions: u
-    ends at the first, v at the second, x at the third and y at the fourth.
-    The letters of each piece are counted up to the last cut."""
-    w, steps = path.word, path.steps
-    counts = (sum(step.letter is not None for step in steps[s:e]) for s, e in zip((0, *cuts), cuts))
-    a, b, c, d = accumulate(counts)
-    return Decomposition(
-        u=w[:a],
-        v=w[a:b],
-        x=w[b:c],
-        y=w[c:d],
-        z=w[d:],
-        cuts=cuts,
-        case=case,
-        witness=witness,
-        params=params,
-    )
-
-
 def _equal_key_pairs(keys, base: int = 0):
     """Index pairs (a, b), a < b, whose keys are equal, offset by `base`.
 
@@ -222,11 +202,12 @@ def extract(
     def attempt(case: str, candidate: tuple, cuts: tuple, found) -> ExtractionResult | None:
         nonlocal tried
         tried += 1
-        d = _decomposition(path, params, cuts, case, found)
-        if len(d.v) + len(d.y) == 0:
+        checkpoints = _walk_found_run(pda, path, cuts)
+        # u, v, x, y and z are the letters of the walk's five stretches.
+        d = Decomposition(*(s.letters for s in checkpoints.stretches), cuts=cuts, case=case, witness=found, params=params)
+        if not d.v and not d.y:
             fallbacks.append(Fallback(case, candidate, "empty-pump"))
             return None
-        checkpoints = _walk_found_run(pda, path, cuts)
         for n, ok in zip(PUMPS_CHECKED, replay_pumps(pda, path, d, PUMPS_CHECKED, checkpoints)):
             if not ok:
                 fallbacks.append(Fallback(case, candidate, f"replay-failed-n{n}"))

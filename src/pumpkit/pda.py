@@ -141,6 +141,9 @@ def validate(pda: Pda) -> ValidationReport:
         err("blank-in-alphabet", f"the padding symbol {BLANK!r} must stay outside the stack alphabet")
     if BLANK in pda.input_alphabet:
         err("blank-in-alphabet", f"the padding symbol {BLANK!r} must stay outside the input alphabet")
+    for a in sorted(pda.input_alphabet):
+        if len(a) != 1:
+            err("bad-input-symbol", f"input symbol {a!r} must be one character: words are read one at a time")
     if pda.initial_state not in pda.states:
         err("undeclared-state", f"initial state {pda.initial_state!r} is not declared")
     for q in sorted(pda.accept_states):

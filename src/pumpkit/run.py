@@ -33,18 +33,19 @@ epsilon move guesses the midpoint beside letter moves, does not.
 
 The walk reads most letters in a fast stretch. The one pass over the move
 table that decides the property (_one_live_moves) also maps each slot
-without epsilon moves to a dict from each letter to its one live move,
-flagged when any move on that letter in the slot pushes. Before the last
-letter, each step of the stretch is one lookup in that dict, a pop or a
-push and one append to the run. No successor there can end the word: only
-the letter's moves match, and each lands before the last position, so the
-stretch needs no acceptance check. Its length is bounded up front by the
-steps max_steps leaves, and it tests the height only where the flag is set,
-which is the per-step loop's test: a pushing successor at the height limit
-hands the word over. Everything else goes through the per-step loop: the
-last letter, a slot with an epsilon move, a letter with no live move and
-every hand-off at a limit. After a stretch the last move read a letter, so
-the epsilon count restarts.
+without epsilon moves to a dict from each letter to its one live move.
+Before the last letter, each step of the stretch is one lookup in that
+dict, a pop or a push and one append to the run. No successor there can
+end the word: only the letter's moves match, and each lands before the
+last position, so the stretch needs no acceptance check. Nor can one pass
+a limit: each step moves the stack by one symbol, so the stretch's length
+is bounded up front by both the steps max_steps leaves and the symbols
+max_stack_height leaves, and no successor inside it, dead or live, passes
+either. Where a bound binds, the per-step loop decides the next step.
+Everything else goes through it too: the last letter, a slot with an
+epsilon move, a letter with no live move and every hand-off at a limit.
+After a stretch the last move read a letter, so the epsilon count
+restarts.
 
 accepts_each() answers membership only, for several words at once, and
 accepts() is its one-word call. It is a deliberately separate search loop
@@ -394,10 +395,9 @@ def _one_live_moves(table, live) -> list | None:
     successors).
 
     Otherwise the list maps each slot without epsilon moves to a dict
-    letter -> (target, pushed symbol or -1, transition index, pushes) of the
-    letter's one live move, where pushes says whether any move on that
-    letter in the slot pushes, moves into move-less states included; a slot
-    with an epsilon move, or no moves, maps to None.
+    letter -> (target, pushed symbol or -1, transition index) of the
+    letter's one live move; a slot with an epsilon move, or no moves, maps
+    to None.
     """
     letter_moves: list = [None] * len(table)
     for slot, bucket in enumerate(table):
@@ -407,9 +407,8 @@ def _one_live_moves(table, live) -> list | None:
         if len(set(letters)) < len(letters) or (None in letters and len(letters) > 1):
             return None
         if all(letter is not None for letter, _, _, _ in bucket):
-            pushing = {letter for letter, _, extra, _ in bucket if extra >= 0}
             letter_moves[slot] = {
-                letter: (target, extra, index, letter in pushing)
+                letter: (target, extra, index)
                 for letter, target, extra, index in bucket
                 if target in live
             }
@@ -441,18 +440,18 @@ def _follow_run(pda: NormalizedPda, word, table, letter_moves, width, accepting,
     low = len(stack)  # the lowest stack since the last letter move
     while stack:
         # The fast stretch: letter moves out of slots without epsilon moves
-        # that land before the last letter and within max_steps (see the
+        # that land before the last letter and within both limits (see the
         # module docstring).
-        stop = min(n - 1, pos + max_steps - depth)
+        stop = min(n - 1, pos + max_steps - depth, pos + max_height - len(stack))
         first = pos
         while pos < stop and stack:
             moves = letter_moves[state * width + stack[-1]]
             if moves is None:
                 break
             move = moves.get(word[pos])
-            if move is None or (move[3] and len(stack) >= max_height):
+            if move is None:
                 break
-            state, extra, index, _ = move
+            state, extra, index = move
             if extra < 0:
                 pop()
             else:

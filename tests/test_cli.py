@@ -75,6 +75,25 @@ class TestUsage:
         assert code == 2
         assert "invalid machine" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("params",), ("check", "ab"), ("pump", "abab", "--mode", "best-effort")]
+    )
+    def test_input_symbol_of_two_characters_is_refused_at_load(self, capsys, tmp_path, argv):
+        pda = GeneralPda(
+            states=["q"],
+            input_alphabet=["ab", "c"],
+            stack_alphabet=[BOTTOM],
+            initial_state="q",
+            initial_stack=[BOTTOM],
+            accept_states=["q"],
+            transitions=[GeneralTransition("q", a, BOTTOM, (BOTTOM,), "q") for a in ("ab", "c")],
+        )
+        f = tmp_path / "wide.json"
+        f.write_text(dumps(pda), encoding="utf-8")
+        code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert (code, out) == (2, "")
+        assert "bad-input-symbol" in err and "'ab'" in err
+
     def test_machine_path_is_a_directory(self, capsys, tmp_path):
         code, out, err = run(capsys, "params", str(tmp_path))
         assert (code, out) == (2, "")

@@ -170,6 +170,12 @@ class TestValidate:
         assert not report.ok
         assert any(i.code == "blank-in-alphabet" for i in report.issues)
 
+    def test_input_symbols_are_one_character(self):
+        for symbol in ("ab", ""):
+            report = validate(make_general(input_alphabet=["a", symbol]))
+            assert [i.code for i in report.issues] == ["bad-input-symbol"]
+            assert repr(symbol) in report.issues[0].message
+
     def test_undeclared_states(self):
         report = validate(make_general(initial_state="nope"))
         assert any(i.code == "undeclared-state" for i in report.issues)

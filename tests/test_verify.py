@@ -39,7 +39,6 @@ from pumpkit.record import replace
 # pumpkit.verify and pumpkit.run as modules: the package re-exports
 # functions under the same names.
 verify_module = importlib.import_module("pumpkit.verify")
-extract_module = importlib.import_module("pumpkit.extract")
 run_module = importlib.import_module("pumpkit.run")
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "pumpkit" / "data"
@@ -299,16 +298,19 @@ def boundaries_moved_by_one(res):
                 )
 
 
-def run_cuts_moved_by_one(res, deltas=(-1, 1)):
+def run_cuts_moved_by_one(pda, res, deltas=(-1, 1)):
     """The found run cut again with one of the four cuts moved by each of
-    `deltas` steps: stretches that start lower, or dip below their start."""
+    `deltas` steps: stretches that start lower, or dip below their start.
+    Each piece holds the letters its stretch of the run reads."""
     path, d = res.path, res.decomposition
     for index in range(4):
         for delta in deltas:
             cuts = list(d.cuts)
             cuts[index] += delta
             if 0 <= cuts[0] <= cuts[1] <= cuts[2] <= cuts[3] <= len(path.steps):
-                yield extract_module._decomposition(path, d.params, tuple(cuts), d.case, d.witness)
+                stretches = verify_module._walk_found_run(pda, path, tuple(cuts)).stretches
+                u, v, x, y, z = (stretch.letters for stretch in stretches)
+                yield replace(d, u=u, v=v, x=x, y=y, z=z, cuts=tuple(cuts))
 
 
 def _machines():
@@ -388,7 +390,7 @@ class TestReplayPumps:
         events = record_pieces(monkeypatch)
         both = set()
         for _, pda, res in DECOMPOSITIONS:
-            for moved in (*run_cuts_moved_by_one(res, (-1, 0, 1)), *boundaries_moved_by_one(res)):
+            for moved in (*run_cuts_moved_by_one(pda, res, (-1, 0, 1)), *boundaries_moved_by_one(res)):
                 per_count = check_replay_pumps(pda, res.path, moved, events)
                 for piece in PIECES:
                     taken = [i for i, seen in enumerate(per_count) if (piece, "taken") in seen]
@@ -437,6 +439,12 @@ class TestCuts:
                 _, pos = run_module.walk(path.steps[:c], path.word, pda.initial_state, list(pda.initial_stack), 0)
                 read.append(pos)
             assert tuple(read) == boundaries(d)
+
+    def test_pieces_are_the_letters_of_the_kept_stretches(self):
+        for _, _, res in DECOMPOSITIONS:
+            d = res.decomposition
+            assert res.checkpoints.cuts == d.cuts
+            assert (d.u, d.v, d.x, d.y, d.z) == tuple(s.letters for s in res.checkpoints.stretches)
 
     def test_splice_matches_the_per_case_formulas(self):
         for _, _, res in DECOMPOSITIONS:
@@ -698,7 +706,7 @@ class TestVerifyCheckpoints:
         differ = 0
         for _, pda, res in DECOMPOSITIONS:
             path, d = res.path, res.decomposition
-            for other in run_cuts_moved_by_one(res):
+            for other in run_cuts_moved_by_one(pda, res):
                 expected = replay_pumps(pda, path, other, PUMPS)
                 assert self.replayed(pda, path, other, res.checkpoints) == expected
                 differ += expected != replay_pumps(pda, path, d, PUMPS)
