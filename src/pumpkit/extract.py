@@ -165,7 +165,7 @@ def _equal_key_pairs(keys, base: int = 0):
 def extract(
     pda: NormalizedPda,
     word,
-    mode: ExtractionMode = ExtractionMode.STRICT,
+    mode: ExtractionMode | str = ExtractionMode.STRICT,
     limits: SearchLimits | None = None,
     p_bit_limit: int = DEFAULT_P_BIT_LIMIT,
 ) -> ExtractionResult:
@@ -176,8 +176,11 @@ def extract(
     run and falls back from case 2 to case 1 before giving up. Candidates
     that fail the internal replay check for PUMPS_CHECKED are skipped and
     the skip recorded in the diagnostics. p_bit_limit bounds p as in
-    pumping_params, which raises PumpingLengthOverflowError past it.
+    pumping_params, which raises PumpingLengthOverflowError past it. mode is
+    an ExtractionMode or its value ("strict" or "best-effort"); anything else
+    raises ValueError before the search.
     """
+    mode = ExtractionMode(mode)
     params = pumping_params(pda, bit_limit=p_bit_limit)
     outcome = minimal_accepting_path(pda, word, limits)
     if isinstance(outcome, NotAccepted):

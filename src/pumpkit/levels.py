@@ -5,12 +5,21 @@ triple of positions i < j < k with s_i = s_k, s_j = s_i + N, and the profile
 confined to [s_i, s_j] on both flanks [i, j] and [j, k]. The level of a run
 (within a window) is the largest such N.
 
-max_levels finds it in a single left-to-right sweep that tracks, for every
-height currently not undercut, the span of positions at that height and the
-peak seen inside the span; it reads the windowed and the whole-run level off
-one such sweep. The sweep keeps its best witness as plain ints and builds one
-LevelTriple per result it returns. The tests hold an independent cubic
-oracle for it.
+max_levels finds it in one left-to-right sweep. An era of height h opens
+when the profile steps up onto h and closes when it steps below h; its
+candidate triple is (its first position, the highest peak inside it, its last
+position). The open eras always cover the consecutive heights from the lowest
+height so far up to the current one, so their state lives in three int lists
+indexed by height and nothing is allocated per era. A descent closes one era
+per step, and each passes its peak to the era below: the peak carried down
+only grows while the height falls, so the candidates of one descent strictly
+increase and only the last, the era just above the valley, can be the best.
+The sweep therefore does nothing on a down-step; at the valley it folds the
+peaks of the eras the descent closed, weighs that one candidate and writes the
+peak into the valley's era. The windowed and the whole-run level come off one
+such sweep, which keeps its best witness as plain ints and builds one
+LevelTriple per result it returns. The tests hold an independent cubic oracle
+for it and the era-record sweep it replaced.
 
 The witness scans read plain tuples: configuration_keys gives (state, top
 symbols) per position and full_state_keys (push state, top symbol, pop
@@ -46,47 +55,100 @@ def _check_unit_steps(profile) -> None:
         raise ValueError("profile must move in unit steps")
 
 
-def _sweep(s, start: int, stop: int, eras: list, best: tuple) -> tuple:
-    """Advance the era sweep over positions start..stop-1 of s, updating
-    eras in place; returns the best closed triple so far as plain ints
-    (n, i, j, k), n = 0 when there is none."""
-    best_n, best_i, best_j, best_k = best
+def _descent(s, peak: list, at: list, base: int, crest: int, valley: int) -> tuple[int, int, int, int]:
+    """The last era that the descent from position crest to position valley
+    closes, as (h, top, top_pos, k): its height, the highest peak folded into
+    it with that peak's position, and its last position.
+
+    The descent closes the eras from s[crest] down to the valley's height + 1,
+    or down to base if it steps below base. The era at s[crest] opened at
+    crest and nothing rose inside it, so its own height is its peak; each
+    lower era adds the peak it kept from its earlier children. On ties the
+    lowest era's peak wins, as when each closing era handed its peak down only
+    if it was strictly higher.
+    """
+    crest_h = s[crest]
+    h = max(base, s[valley] + 1)
+    k = crest + crest_h - h
+    if h < crest_h:
+        kept = peak[h:crest_h]
+        top = max(kept)
+        if top >= crest_h:
+            return h, top, at[h + kept.index(top)], k
+    return h, crest_h, crest, k
+
+
+def _sweep(s, start: int, stop: int, eras: tuple, state: tuple) -> tuple:
+    """Advance the sweep over positions start..stop-1 of s, updating eras in
+    place; returns the new state (base, crest, best_n, best_i, best_j,
+    best_k), best_n = 0 while no triple has closed.
+
+    eras holds first[h], peak[h] and at[h] for each open era h: its first
+    position, the highest peak handed to it (-1 for none) and that peak's
+    position. base is the lowest open era and crest the last up-step (or
+    position 0); the profile only falls after crest. A down-step does nothing.
+    An up-step after a descent first settles it at its valley, the position
+    before: the descent's last era is weighed as the best triple, and its peak
+    goes into the valley's era, or the valley opens a fresh era if it lies
+    below base. Then the up-step opens its own era.
+    """
+    first, peak, at = eras
+    base, crest, best_n, best_i, best_j, best_k = state
     v = s[start - 1]
     for pos in range(start, stop):
         prev, v = v, s[pos]
-        if v > prev:
-            eras.append([v, pos, pos, v, pos])
+        if v < prev:
             continue
-        h, first, last, peak, peak_pos = eras.pop()
-        if peak > h and last > first and peak - h > best_n:
-            best_n, best_i, best_j, best_k = peak - h, first, peak_pos, last
-        if eras and eras[-1][0] == v:
-            # Propagate the closed excursion's peak into the enclosing era:
-            # it lies between two of the parent's height-v touches.
-            parent = eras[-1]
-            parent[2] = pos
-            if peak > parent[3]:
-                parent[3] = peak
-                parent[4] = peak_pos
-        else:
-            # First touch of height v in this segment, reached from above:
-            # the closed excursion predates it, so its peak must not count.
-            eras.append([v, pos, pos, v, pos])
-    return best_n, best_i, best_j, best_k
+        valley = pos - 1
+        if valley > crest:
+            if valley > crest + 1:
+                h, top, top_pos, k = _descent(s, peak, at, base, crest, valley)
+                if top - h > best_n:
+                    best_n, best_i, best_j, best_k = top - h, first[h], top_pos, k
+            else:
+                # one step down closes only the crest's era, whose peak is its own height
+                top, top_pos = v, crest
+            if prev < base:
+                first[prev] = valley
+                peak[prev] = -1
+                base = prev
+            elif top > peak[prev]:
+                peak[prev] = top
+                at[prev] = top_pos
+        first[v] = pos
+        peak[v] = -1
+        crest = pos
+    return base, crest, best_n, best_i, best_j, best_k
 
 
-def _close(eras: list, best: tuple) -> tuple[int, LevelTriple | None]:
-    """The sweep's result if the profile ended here, without changing eras;
-    the one LevelTriple of the result is built here.
+def _close(s, end: int, eras: tuple, state: tuple) -> tuple[int, LevelTriple | None]:
+    """The sweep's result if the profile ended at position end, without
+    changing eras or state; the one LevelTriple of the result is built here.
 
-    Eras still open close with their recorded last touch, topmost first.
-    Their peaks do not propagate upward: an enclosing era's last touch
-    predates any child that survived to the end, so such peaks sit past its k.
+    A descent still open ends in a valley at end. Then the eras still open
+    close topmost first, era h with its last position first[h + 1] - 1, the
+    step before the profile last rose onto h + 1. Their peaks are not handed
+    down: an enclosing era's last position predates any child that survived to
+    the end, so such peaks sit past its k.
     """
-    best_n, best_i, best_j, best_k = best
-    for h, first, last, peak, peak_pos in reversed(eras):
-        if peak > h and last > first and peak - h > best_n:
-            best_n, best_i, best_j, best_k = peak - h, first, peak_pos, last
+    first, peak, at = eras
+    base, crest, best_n, best_i, best_j, best_k = state
+    v = s[end]
+    top, top_pos = peak[v], at[v]
+    if end > crest:
+        h, t, t_pos, k = _descent(s, peak, at, base, crest, end)
+        if t - h > best_n:
+            best_n, best_i, best_j, best_k = t - h, first[h], t_pos, k
+        if v < base:
+            # the valley opens a fresh era, the only one open
+            base, top = v, -1
+        elif t > top:
+            top, top_pos = t, t_pos
+    if top - v > best_n:
+        best_n, best_i, best_j, best_k = top - v, first[v], top_pos, end
+    for h in range(v - 1, base - 1, -1):
+        if peak[h] - h > best_n:
+            best_n, best_i, best_j, best_k = peak[h] - h, first[h], at[h], first[h + 1] - 1
     return best_n, LevelTriple(best_i, best_j, best_k, best_n) if best_n else None
 
 
@@ -95,25 +157,36 @@ def max_levels(profile, window_end: int) -> tuple[tuple[int, LevelTriple | None]
     most the profile's end, each with one witness (None when N = 0), from
     one sweep; a window_end below 0 gives (0, None) for the window.
 
-    An "era" opens for height h when the profile steps up onto h and closes
+    An era opens for height h when the profile steps up onto h and closes
     when it steps below h (heights never undercut stay open to the end).
-    Within an era, candidate triples are (first position at h, position of
-    the era's peak, last position at h). The windowed result is the sweep's
-    state at window_end with every open era closed; the sweep then goes on
-    to the end of the profile.
+    Within an era, the candidate triple is (first position at h, position of
+    the highest peak inside the era, last position at h). Each descent is
+    settled once, at its valley: within it the peak handed down never falls
+    while h does, so peak - h strictly increases and no earlier era of the
+    descent can beat its last. The windowed result is the sweep's state at
+    window_end with the open descent and every open era closed; the sweep
+    then goes on to the end of the profile, where the pending descent
+    continues as if the window had not stopped it.
     """
     _check_unit_steps(profile)
     if len(profile) < 3:
         return (0, None), (0, None)
+    lowest = min(profile)
+    if lowest < 0:
+        # heights index the era lists; the shift moves no position or level
+        profile = [h - lowest for h in profile]
     last = len(profile) - 1
     end = max(min(window_end, last), 0)
-    # era record: [height, first, last, peak, peak_pos]
-    eras = [[profile[0], 0, 0, profile[0], 0]]
-    best = _sweep(profile, 1, end + 1, eras, (0, 0, 0, 0))
-    windowed = _close(eras, best)
+    s0 = profile[0]
+    # A unit-step walk climbs (last + s_last - s0) / 2 times, so no height
+    # exceeds s0 plus that. The lists' initial values already open s0's era at 0.
+    size = (last + profile[last] + s0) // 2 + 1
+    eras = [0] * size, [-1] * size, [0] * size
+    state = _sweep(profile, 1, end + 1, eras, (s0, 0, 0, 0, 0, 0))
+    windowed = _close(profile, end, eras, state)
     if end == last:
         return windowed, windowed
-    return windowed, _close(eras, _sweep(profile, end + 1, last + 1, eras, best))
+    return windowed, _close(profile, last, eras, _sweep(profile, end + 1, last + 1, eras, state))
 
 
 def flank_cuts(profile, triple: LevelTriple, bottom: int | None = None) -> list[tuple[int, int]]:

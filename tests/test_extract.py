@@ -124,6 +124,20 @@ class TestExtract:
         assert exc.value.word_length == 4
         assert exc.value.p == 13122
 
+    def test_mode_given_as_its_value_string(self, dyck1):
+        # "strict" keeps the strict precondition; "best-effort" runs as the enum does
+        with pytest.raises(StrictPreconditionError) as exc:
+            extract(dyck1, "(())", mode="strict")
+        assert exc.value.word_length == 4
+        res = extract(dyck1, "(((())))", mode="best-effort")
+        assert res.diagnostics.mode == "best-effort"
+        assert res.decomposition == extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT).decomposition
+
+    @pytest.mark.parametrize("mode", ["fast", "STRICT", None])
+    def test_unknown_mode_is_refused(self, dyck1, mode):
+        with pytest.raises(ValueError, match="is not a valid ExtractionMode"):
+            extract(dyck1, "(((())))", mode=mode)
+
     def test_strict_precondition_with_unprintable_p(self, dyck1):
         # 400 unused states: p passes the 1M-bit guard but has 154k digits,
         # past what Python converts to text.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,96 @@ class TestMaxLevel:
             max_levels(prof, len(prof) - 1)
 
 
+def run_profile(rng, length):
+    """A unit-step profile of `length` positions made of monotone runs of
+    1 to 299 steps, alternating up and down."""
+    prof = [int(rng.integers(0, 50))]
+    up = bool(rng.integers(0, 2))
+    while len(prof) < length:
+        for _ in range(int(rng.integers(1, 300))):
+            prof.append(prof[-1] + (1 if up else -1))
+        up = not up
+    return tuple(prof[:length])
+
+
+def assert_matches_reference(prof, window_ends):
+    whole = reference_max_level(prof, len(prof) - 1)
+    for window_end in window_ends:
+        assert max_levels(prof, window_end) == (reference_max_level(prof, window_end), whole), window_end
+
+
+def stairs(rise, fall, flights, start=0):
+    """Flights of `rise` up-steps each followed by `fall` down-steps."""
+    prof = [start]
+    for _ in range(flights):
+        prof += range(prof[-1] + 1, prof[-1] + rise + 1)
+        prof += range(prof[-1] - 1, prof[-1] - fall - 1, -1)
+    return tuple(prof)
+
+
+class TestValleySweep:
+    """The sweep settles each descent once, at its valley: long descents,
+    windows that stop one midway and descents below the starting height,
+    each compared with the era-record sweep, triples included."""
+
+    def test_long_monotone_runs(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(60):
+            prof = run_profile(rng, int(rng.integers(3, 2001)))
+            assert_matches_reference(prof, (int(rng.integers(0, len(prof))), len(prof) - 1))
+
+    @pytest.mark.parametrize(
+        "prof",
+        [
+            tuple(range(1000)) + tuple(range(998, -1, -1)),  # mountain
+            tuple(range(1000, -1, -1)) + tuple(range(1, 999)),  # one deep valley
+            stairs(3, 1, 500),  # staircase up
+            stairs(1, 3, 500, start=1500),  # staircase down
+            stairs(1, 1, 1000, start=1),  # 1,2,1,2 bounce
+            sum((stairs(t, t, 1)[1:] for t in range(1, 45)), (0,)),  # teeth growing
+            sum((stairs(t, t, 1)[1:] for t in range(44, 0, -1)), (0,)),  # teeth shrinking
+        ],
+        ids=["mountain", "valley", "stairs-up", "stairs-down", "bounce", "teeth-growing", "teeth-shrinking"],
+    )
+    def test_shapes(self, prof):
+        assert_matches_reference(prof, range(0, len(prof), 37))
+
+    def test_window_ends_mid_descent(self):
+        prof = tuple(range(9)) + tuple(range(7, -1, -1)) + (1, 2, 1, 0)
+        # the descent 8..16 is still open at 12: era 4 closes there with k = 12
+        assert max_levels(prof, 12) == ((4, LevelTriple(4, 8, 12, 4)), (8, LevelTriple(0, 8, 20, 8)))
+        assert_matches_reference(prof, range(len(prof)))
+
+    def test_descent_below_the_starting_height(self):
+        prof = (3, 4, 5, 4, 3, 2, 1, 0, 1, 2, 3, 2, 1)
+        # the start's era closes at 5 as the descent's last triple and fresh
+        # eras open below it; the later rise only ties that 2-level (era 1)
+        assert max_levels(prof, len(prof) - 1)[1] == (2, LevelTriple(0, 2, 4, 2))
+        assert max_levels(prof, 6) == ((2, LevelTriple(0, 2, 4, 2)), (2, LevelTriple(0, 2, 4, 2)))
+        assert_matches_reference(prof, range(len(prof)))
+        assert_matches_reference((2, 1, 0, 1, 2, 3, 2, 1, 0, -1, 0, 1), range(12))
+
+    def test_equal_kept_peaks_go_to_the_lowest_era(self):
+        # eras 3 and 2 both keep a peak of 5 (from 10 and 4) when the descent
+        # from 13 closes them; the lower era's earlier peak is the witness's j
+        prof = (1, 2, 3, 4, 5, 4, 3, 2, 3, 4, 5, 4, 3, 4, 3, 2, 1, 0)
+        assert max_levels(prof, len(prof) - 1)[1] == (4, LevelTriple(0, 4, 16, 4))
+        assert_matches_reference(prof, range(len(prof)))
+
+    def test_peak_memory_on_a_long_mountain(self):
+        # 20 002 positions: three lists of ints indexed by height, no record per era
+        prof = tuple(range(1, 10002)) + tuple(range(10000, -1, -1))
+        expected = reference_max_level(prof, len(prof) - 1)
+        tracemalloc.start()
+        try:
+            result = max_levels(prof, len(prof) - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (expected, expected)
+        assert peak < 2**20
+
+
 class TestBruteForce:
     def test_agrees_on_known_profiles(self):
         for prof, end in [
@@ -193,6 +285,18 @@ def test_sweep_matches_brute_force(profile, window_end):
             assert fast_witness.n == fast_level
         if slow_witness is not None:
             assert is_valid_level_triple(profile, slow_witness)
+
+
+@given(unit_profiles(), st.integers(-2, 70), st.integers(-100, 100))
+@settings(max_examples=200, deadline=None)
+def test_shifting_every_height_keeps_max_levels(profile, window_end, c):
+    # positions and N are shift-invariant, negative heights included
+    shifted = tuple(h + c for h in profile)
+    result = max_levels(shifted, window_end)
+    assert result == max_levels(profile, window_end)
+    # the reference reads a window end below 0 from the profile's end
+    windowed = reference_max_level(shifted, max(window_end, 0))
+    assert result == (windowed, reference_max_level(shifted, len(profile) - 1))
 
 
 class TestCutPositions:
