@@ -18,13 +18,18 @@ The sweep therefore does nothing on a down-step; at the valley it folds the
 peaks of the eras the descent closed, weighs that one candidate and writes the
 peak into the valley's era. The windowed and the whole-run level come off one
 such sweep, which keeps its best witness as plain ints and builds one
-LevelTriple per result it returns. The tests hold an independent cubic oracle
-for it and the era-record sweep it replaced.
+LevelTriple per result it returns. The sweep also checks that the profile
+moves in unit steps, with no pass of its own: each up-step as it takes it,
+and each descent once, at its valley, by its length against its drop. The
+tests hold an independent cubic oracle for it, the era-record sweep it
+replaced and the separate step pass it absorbed.
 
-The witness scans read plain tuples: configuration_keys gives (state, top
-symbols) per position and full_state_keys (push state, top symbol, pop
-state) per height, with stacks from RunPath.stacks, the run's one forward
-walk, and states from the steps; extract groups these tuples. flank_cuts is
+The witness scans read plain tuples. configuration_keys gives (state, top
+symbols) per position, with stacks from RunPath.stacks, the run's one
+forward walk. full_state_keys gives (push state, top symbol, pop state) per
+height, read off the steps at its cuts: the top symbol at a position is the
+one the step leaving it pops, so only a cut at the run's end walks the
+stacks. extract groups these tuples. flank_cuts is
 the one flank reader: it scans both flanks of a triple outward from the peak
 once and returns the last push and first pop of every height from a chosen
 bottom up to s_j. extract reads it once per case-2 triple: its lowest pair
@@ -33,8 +38,6 @@ and the word is cut at its entries.
 """
 
 from __future__ import annotations
-
-import operator
 
 from .errors import TopSymbolMismatchError
 from .pda import BLANK
@@ -50,9 +53,7 @@ class LevelTriple:
     n: int
 
 
-def _check_unit_steps(profile) -> None:
-    if set(map(operator.sub, profile[1:], profile)) - {1, -1}:
-        raise ValueError("profile must move in unit steps")
+_NOT_UNIT = "profile must move in unit steps"
 
 
 def _descent(s, peak: list, at: list, base: int, crest: int, valley: int) -> tuple[int, int, int, int]:
@@ -91,6 +92,11 @@ def _sweep(s, start: int, stop: int, eras: tuple, state: tuple) -> tuple:
     before: the descent's last era is weighed as the best triple, and its peak
     goes into the valley's era, or the valley opens a fresh era if it lies
     below base. Then the up-step opens its own era.
+
+    The sweep checks the unit steps as it goes: an up-step must rise by one
+    before it indexes the era lists, and a descent, checked once at its
+    valley, must be as long as its drop. ValueError names a profile that
+    moves otherwise.
     """
     first, peak, at = eras
     base, crest, best_n, best_i, best_j, best_k = state
@@ -99,8 +105,14 @@ def _sweep(s, start: int, stop: int, eras: tuple, state: tuple) -> tuple:
         prev, v = v, s[pos]
         if v < prev:
             continue
+        if v - prev != 1:
+            raise ValueError(_NOT_UNIT)
         valley = pos - 1
         if valley > crest:
+            # every step of the descent falls, so each falls by one exactly
+            # when its drop equals its length
+            if s[crest] - prev != valley - crest:
+                raise ValueError(_NOT_UNIT)
             if valley > crest + 1:
                 h, top, top_pos, k = _descent(s, peak, at, base, crest, valley)
                 if top - h > best_n:
@@ -125,7 +137,8 @@ def _close(s, end: int, eras: tuple, state: tuple) -> tuple[int, LevelTriple | N
     """The sweep's result if the profile ended at position end, without
     changing eras or state; the one LevelTriple of the result is built here.
 
-    A descent still open ends in a valley at end. Then the eras still open
+    A descent still open ends in a valley at end, where it is checked as at
+    any other valley. Then the eras still open
     close topmost first, era h with its last position first[h + 1] - 1, the
     step before the profile last rose onto h + 1. Their peaks are not handed
     down: an enclosing era's last position predates any child that survived to
@@ -136,6 +149,8 @@ def _close(s, end: int, eras: tuple, state: tuple) -> tuple[int, LevelTriple | N
     v = s[end]
     top, top_pos = peak[v], at[v]
     if end > crest:
+        if s[crest] - v != end - crest:
+            raise ValueError(_NOT_UNIT)
         h, t, t_pos, k = _descent(s, peak, at, base, crest, end)
         if t - h > best_n:
             best_n, best_i, best_j, best_k = t - h, first[h], t_pos, k
@@ -166,10 +181,12 @@ def max_levels(profile, window_end: int) -> tuple[tuple[int, LevelTriple | None]
     descent can beat its last. The windowed result is the sweep's state at
     window_end with the open descent and every open era closed; the sweep
     then goes on to the end of the profile, where the pending descent
-    continues as if the window had not stopped it.
+    continues as if the window had not stopped it. A profile that does not
+    move in unit steps raises ValueError, whatever the window.
     """
-    _check_unit_steps(profile)
     if len(profile) < 3:
+        if len(profile) == 2 and abs(profile[1] - profile[0]) != 1:
+            raise ValueError(_NOT_UNIT)
         return (0, None), (0, None)
     lowest = min(profile)
     if lowest < 0:
@@ -182,11 +199,17 @@ def max_levels(profile, window_end: int) -> tuple[tuple[int, LevelTriple | None]
     # exceeds s0 plus that. The lists' initial values already open s0's era at 0.
     size = (last + profile[last] + s0) // 2 + 1
     eras = [0] * size, [-1] * size, [0] * size
-    state = _sweep(profile, 1, end + 1, eras, (s0, 0, 0, 0, 0, 0))
-    windowed = _close(profile, end, eras, state)
-    if end == last:
-        return windowed, windowed
-    return windowed, _close(profile, last, eras, _sweep(profile, end + 1, last + 1, eras, state))
+    try:
+        state = _sweep(profile, 1, end + 1, eras, (s0, 0, 0, 0, 0, 0))
+        windowed = _close(profile, end, eras, state)
+        whole = windowed
+        if end < last:
+            whole = _close(profile, last, eras, _sweep(profile, end + 1, last + 1, eras, state))
+    except IndexError:
+        # The sweep has checked every step up to a height past that bound,
+        # so a step further on leaves unit steps.
+        raise ValueError(_NOT_UNIT) from None
+    return windowed, whole
 
 
 def flank_cuts(profile, triple: LevelTriple, bottom: int | None = None) -> list[tuple[int, int]]:
@@ -244,27 +267,41 @@ def configuration_keys(path: RunPath, last_pos: int, depth: int) -> list[tuple[s
 
 def full_state_keys(path: RunPath, cuts: list[tuple[int, int]]) -> list[tuple[str, str, str]]:
     """(push state, top symbol, pop state) of the heights whose flank_cuts
-    are `cuts`, lowest first, in time linear in the last cut.
+    are `cuts`, lowest first, read off the steps at the cut positions.
 
-    One walk of the steps up to the farthest cut records the stack top at
-    each position. The symbol at a height when it was last established on
-    the rising flank provably still rests there at the first return on the
-    falling flank; this is checked, and TopSymbolMismatchError raised, on
-    corrupted paths, since a mismatch falsifies the construction the caller
-    is running. A cut outside the run raises IndexError.
+    The top symbol at a position before the run's end is the one the step
+    leaving it pops, and the state there is the one the step before it
+    enters, so each cut costs O(1); only a cut at the run's end walks the
+    stacks (stack_at). The symbol at a height when it was last established
+    on the rising flank provably still rests there at the first return on
+    the falling flank; this is checked, and TopSymbolMismatchError raised,
+    on corrupted paths, since a mismatch falsifies the construction the
+    caller is running. A cut outside the run raises IndexError; an empty
+    list, or a cut whose two positions are not both at its height (the
+    first cut's push height, plus one per cut), raises ValueError.
     """
-    positions = [pos for cut in cuts for pos in cut]
-    path.state_at(min(positions))  # IndexError for a cut before the run
-    last = max(positions)
-    tops = [stack[-1] if stack else None for stack in path.stacks(last)]
-    states = [path.initial_state]
-    states += [t.target for t in path.steps[:last]]
-    out = []
-    for h, (lp, fp) in enumerate(cuts, path.profile[cuts[0][0]]):
-        if tops[lp] != tops[fp]:
-            raise TopSymbolMismatchError(
-                f"height {h}: top symbol {tops[lp]!r} at position {lp} but {tops[fp]!r} at position {fp}"
-            )
-        out.append((states[lp], tops[lp], states[fp]))
-    return out
+    if not cuts:
+        raise ValueError("full_state_keys needs at least one cut")
+    steps, profile = path.steps, path.profile
+    end = len(steps)
 
+    def top_at(pos: int):
+        if pos < end:
+            return steps[pos].pop
+        stack = path.stack_at(pos)
+        return stack[-1] if stack else None
+
+    out = []
+    for h, (lp, fp) in enumerate(cuts, profile[cuts[0][0]]):
+        push_state, pop_state = path.state_at(lp), path.state_at(fp)
+        if profile[lp] != h or profile[fp] != h:
+            raise ValueError(
+                f"cut ({lp}, {fp}) is not at height {h}: the profile reads {profile[lp]} and {profile[fp]} there"
+            )
+        top, top_after = top_at(lp), top_at(fp)
+        if top != top_after:
+            raise TopSymbolMismatchError(
+                f"height {h}: top symbol {top!r} at position {lp} but {top_after!r} at position {fp}"
+            )
+        out.append((push_state, top, pop_state))
+    return out

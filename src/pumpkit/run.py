@@ -146,17 +146,25 @@ track ints, so neither search allocates a tracked object that outlives a
 description, and the collector's work does not grow with the word.
 
 RunPath.stacks is the one forward walk over the stacks of a run; stack_at
-and the configuration and full-state readers in levels.py all use it.
+and levels.configuration_keys use it. levels.full_state_keys reads top
+symbols off the steps instead, and walks the stacks only for a cut at the
+run's end.
 
 walk is the one copy of the replay step semantics: replay runs it over a
 whole transition sequence, and verify.replay_pumps over the pieces of a run
-between its checkpoints. _run_path builds the RunPath of a transition
-sequence for replay, the minimal-run search and the walk.
+between its checkpoints. replay takes only the machine's own transitions:
+transition_indices finds each step among them with one dict lookup, and a
+step that is not one of them is inapplicable.
+_run_path builds the RunPath of a sequence of transition indices, which
+the minimal-run search, the one-run walk (_follow_run) and replay's lookup
+all hold: the steps and the per-step height changes are gathered by index
+from the machine's transitions and one list of their height changes.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import itemgetter
 
 from .errors import PumpingLengthOverflowError
 from .normalize import pumping_params
@@ -482,7 +490,7 @@ def _follow_run(pda: NormalizedPda, word, table, letter_moves, width, accepting,
                 return None
             if npos == n and target in accepting:
                 take(index)
-                return _run_path(pda, word, [pda.transitions[i] for i in steps])
+                return _run_path(pda, word, steps)
             if target in live:
                 move = entry
         if move is None:
@@ -511,12 +519,12 @@ def _follow_run(pda: NormalizedPda, word, table, letter_moves, width, accepting,
 
 def _reconstruct(pda: NormalizedPda, word, parent, via, d) -> RunPath:
     """The run that reached description d, read back along the parent chain."""
-    steps = []
+    indices = []
     while d:  # description 0 is the start
-        steps.append(pda.transitions[via[d]])
+        indices.append(via[d])
         d = parent[d]
-    steps.reverse()
-    return _run_path(pda, word, steps)
+    indices.reverse()
+    return _run_path(pda, word, indices)
 
 
 def accepts(pda: Pda, word, limits: SearchLimits | None = None, *, tables=None):
@@ -887,31 +895,67 @@ def walk(steps, word, state, stack, pos):
     return state, pos
 
 
+def transition_indices(pda: Pda, steps):
+    """The index in pda.transitions of each step, or ReplayError(i,
+    "inapplicable") for the first step i that is not a transition of pda.
+
+    A dict lookup compares by identity before equality, so a step taken
+    from pda.transitions and an equal copy of one are both found.
+    """
+    index_of = {t: index for index, t in enumerate(pda.transitions)}
+    indices = []
+    for i, t in enumerate(steps):
+        index = index_of.get(t)
+        if index is None:
+            return ReplayError(i, "inapplicable")
+        indices.append(index)
+    return indices
+
+
 def replay(pda: Pda, steps, word):
     """Apply a transition sequence from the initial description.
 
     Returns the resulting RunPath when it is an accepting run of the word,
     otherwise a ReplayError naming the first offending step index and the
     reason (inapplicable / input-mismatch / not-accepting / input-remaining).
+    A step that is not a transition of pda is inapplicable.
     """
-    reached = walk(steps, word, pda.initial_state, list(pda.initial_stack), 0)
+    indices = transition_indices(pda, steps)
+    foreign = indices if isinstance(indices, ReplayError) else None
+    # a step before the first foreign one may still fail first
+    fired = steps if foreign is None else steps[: foreign.index]
+    reached = walk(fired, word, pda.initial_state, list(pda.initial_stack), 0)
     if isinstance(reached, ReplayError):
         return reached
+    if foreign is not None:
+        return foreign
     state, pos = reached
     if state not in pda.accept_states:
         return ReplayError(len(steps), "not-accepting")
     if pos != len(word):
         return ReplayError(len(steps), "input-remaining")
-    return _run_path(pda, word, steps)
+    return _run_path(pda, word, indices)
 
 
-def _run_path(pda: Pda, word, steps) -> RunPath:
-    """The RunPath of steps, a sequence that fires from the initial
-    description: each step pops one symbol and pushes its push."""
+def _run_path(pda: Pda, word, indices) -> RunPath:
+    """The RunPath of the transitions of pda at indices, a sequence that
+    fires from the initial description: each step pops one symbol and
+    pushes its push, so the profile adds up one height change per
+    transition, looked up by index."""
+    transitions = pda.transitions
+    moves = [len(t.push) - 1 for t in transitions]
+    if len(indices) > 1:
+        # one gather in C per tuple, faster than a map over __getitem__ on
+        # long runs; itemgetter returns a tuple only for two or more indices
+        pick = itemgetter(*indices)
+        steps, changes = pick(transitions), pick(moves)
+    else:
+        steps = tuple(transitions[i] for i in indices)
+        changes = [moves[i] for i in indices]
     return RunPath(
         word=word,
-        steps=tuple(steps),
-        profile=tuple(accumulate((len(t.push) - 1 for t in steps), initial=len(pda.initial_stack))),
+        steps=steps,
+        profile=tuple(accumulate(changes, initial=len(pda.initial_stack))),
         initial_state=pda.initial_state,
         initial_stack=pda.initial_stack,
     )

@@ -38,9 +38,15 @@ machine's accept states, so one walk serves every caller that checks the
 same cuts: extract walks the found run once per candidate and keeps the
 checkpoints of the one it returns on its result, and verify, handed them
 with that result's run and decomposition, uses them instead of walking the
-run and reading its pieces again. Checkpoints of another run or of other
-cuts are ignored and the run is walked; cuts out of order or outside the
-run keep no checkpoints, and each spliced run is walked whole.
+run and reading its pieces again. Checkpoints of another run, of other
+cuts or of a machine with other transitions are ignored and the run is
+walked; cuts out of order or outside the run keep no checkpoints, and each
+spliced run is walked whole. A run that replay_pumps walks itself may be
+any caller's, so it first checks that each piece's steps are among the
+machine's transitions, as replay does: a pumped run that takes a copy of a
+piece holding any other step fails, as its replay would. extract's run
+holds its machine's transitions by construction, and with its checkpoints,
+under that machine's transitions, the check is skipped.
 
 Each pumped run goes through five pieces of the found run in turn: u
 (steps 0..a), v (a..b) n times, x (b..c), y (c..e) n times and the tail
@@ -59,7 +65,7 @@ be an accept state of the machine passed in, with all of the pumped word
 read, the test a full replay makes. A piece's letters are compared, not
 the input left, and the checkpoints keep no verdict, so a taken tail says
 nothing of acceptance, and checkpoints walked under one machine give the
-right answer under another. On every corpus decomposition each copy of
+right answer under another with the same transitions. On every corpus decomposition each copy of
 each piece is taken for n = 0..8, so checking them walks the found run and
 nothing else. Taking a copy of v or y where the pumped run enters it as
 the found run did is the induction step of the paper's argument, but it is
@@ -91,13 +97,15 @@ def spliced_steps(path: RunPath, decomposition, n: int) -> tuple:
 
 @record
 class _Checkpoints:
-    """What one walk of the found run `path` keeps for the decomposition
-    cuts `cuts`: the five pieces u, v, x, y and the tail as stretches of the
-    run. The stretch of a piece with a step that cannot fire is None, as are
-    those of the pieces after it, and all are None when the cuts are out of
-    order or outside the run."""
+    """What one walk of the found run `path`, under a machine with the
+    transitions `transitions`, keeps for the decomposition cuts `cuts`: the
+    five pieces u, v, x, y and the tail as stretches of the run. The stretch
+    of a piece with a step that cannot fire is None, as are those of the
+    pieces after it, and all are None when the cuts are out of order or
+    outside the run."""
 
     path: RunPath
+    transitions: tuple
     cuts: tuple
     stretches: tuple
 
@@ -137,7 +145,7 @@ def _walk_found_run(pda, path: RunPath, cuts) -> _Checkpoints:
             stretches.append(_Stretch(state, r, top, word[pos:pos_after], stack[below:], state_after))
             state, pos = reached
     stretches += [None] * (len(bounds) - 1 - len(stretches))
-    return _Checkpoints(path, cuts, tuple(stretches))
+    return _Checkpoints(path, pda.transitions, cuts, tuple(stretches))
 
 
 def _enters(stretch: _Stretch, state, stack, ahead) -> bool:
@@ -157,19 +165,34 @@ def replay_pumps(pda, path: RunPath, decomposition, n_set, checkpoints=None) -> 
     when it enters the copy as the found run entered the piece and walking
     it otherwise, and is judged accepting once, at its end, by `pda`; see
     the module docstring. `checkpoints`, from an earlier walk of the same
-    run for the same cuts, stand in for that walk; any others are ignored.
+    run for the same cuts under a machine with the same transitions, stand
+    in for that walk; any others are ignored, and then a step of the run
+    that is not a transition of `pda` never fires, as in replay.
     """
     d = decomposition
-    if checkpoints is None or checkpoints.path is not path or checkpoints.cuts != d.cuts:
-        checkpoints = _walk_found_run(pda, path, d.cuts)
     steps = path.steps
     bounds = (0, *d.cuts, len(steps))
-    pieces = tuple(zip(bounds, bounds[1:], checkpoints.stretches))
+    spans = tuple(zip(bounds, bounds[1:]))
+    fires = (True,) * len(spans)
+    if (
+        checkpoints is None
+        or checkpoints.path is not path
+        or checkpoints.transitions is not pda.transitions
+        or checkpoints.cuts != d.cuts
+    ):
+        checkpoints = _walk_found_run(pda, path, d.cuts)
+        # A caller's run may hold a step that is not a transition of pda,
+        # which replay refuses: no copy of a piece that holds one fires.
+        known = set(pda.transitions)
+        fires = tuple(known.issuperset(steps[s:t]) for s, t in spans)
+    pieces = tuple(zip(spans, checkpoints.stretches, fires))
 
     def pumped_run_accepts(n: int) -> bool:
         wn = pumped_word(d, n)
         state, stack, pos = pda.initial_state, list(pda.initial_stack), 0
-        for (s, t, found), copies in zip(pieces, (1, n, 1, n, 1)):
+        for ((s, t), found, piece_fires), copies in zip(pieces, (1, n, 1, n, 1)):
+            if copies and not piece_fires:
+                return False
             for _ in range(copies):
                 if found is not None and _enters(found, state, stack, wn[pos : pos + len(found.letters)]):
                     del stack[len(stack) - len(found.top) :]

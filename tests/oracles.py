@@ -3,11 +3,20 @@
 brute_force_max_level enumerates every (i, j, k) triple and tests the three
 level conditions directly (vectorized with numpy, but still the O(n^3)
 check); it shares no code with levels.max_levels. is_valid_level_triple
-checks one witness literally. numpy is a test dependency only, and this is
-its one user.
+checks one witness literally. check_unit_steps is the separate pass over
+the whole profile that max_levels made before its sweep checked the steps
+itself. numpy is a test dependency only, and this is its one user.
 """
 
+import operator
+
 from pumpkit import LevelTriple
+
+
+def check_unit_steps(profile) -> None:
+    """ValueError unless every step of the profile is +1 or -1."""
+    if set(map(operator.sub, profile[1:], profile)) - {1, -1}:
+        raise ValueError("profile must move in unit steps")
 
 
 def is_valid_level_triple(profile, t: LevelTriple) -> bool:

@@ -15,6 +15,7 @@ from pumpkit import (
     NormalizedPda,
     NormalizedTransition,
     NotAcceptedError,
+    RunPath,
     StrictPreconditionError,
     TopSymbolMismatchError,
     extract,
@@ -206,6 +207,24 @@ class TestExtract:
         res = extract(dyck1, "(" * 6601 + ")" * 6601, mode=ExtractionMode.STRICT)
         assert res.decomposition.case == "case2"
         assert len(calls) == 1
+
+    def test_strict_case2_walks_no_stack(self, dyck1, monkeypatch):
+        # the full states come off the steps at the nine cuts, and the
+        # candidate's one walk keeps top symbols only: no stack is walked
+        walks = []
+        stacks = RunPath.stacks
+
+        def counted(path, last_pos):
+            walks.append(last_pos)
+            return stacks(path, last_pos)
+
+        monkeypatch.setattr(RunPath, "stacks", counted)
+        res = extract(normalize(dyck1), "(" * 6601 + ")" * 6601, mode=ExtractionMode.STRICT)
+        assert walks == []
+        d, diagnostics = res.decomposition, res.diagnostics
+        assert d.witness == Case2Witness(LevelTriple(6593, 6601, 6609, 8), 6594, 6595)
+        assert d.cuts == (6593, 6594, 6608, 6609)
+        assert (diagnostics.full_state_pairs_available, diagnostics.candidates_tried) == (36, 1)
 
     def test_long_word_memory_stays_flat(self, reg_ab):
         # 2.56M equal-configuration pairs are counted but never listed

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -10,14 +11,19 @@ from pumpkit import (
     BOTTOM,
     BUILTINS,
     LevelTriple,
+    NormalizedPda,
+    NormalizedTransition,
+    RunPath,
     TopSymbolMismatchError,
     flank_cuts,
     minimal_accepting_path,
     normalize,
+    replay,
 )
 from pumpkit.levels import configuration_keys, full_state_keys, max_levels
+from pumpkit.record import replace
 
-from oracles import brute_force_max_level, is_valid_level_triple
+from oracles import brute_force_max_level, check_unit_steps, is_valid_level_triple
 
 
 class TestTripleValidity:
@@ -151,6 +157,81 @@ class TestMaxLevel:
     def test_rejects_each_kind_of_non_unit_step(self, prof):
         with pytest.raises(ValueError, match="profile must move in unit steps"):
             max_levels(prof, len(prof) - 1)
+
+
+def assert_refused_as_the_step_pass_refuses(profile, window_end):
+    """max_levels raises exactly when the separate pass over every step
+    (oracles.check_unit_steps) does, with its message, whatever the window;
+    otherwise it returns the era-record sweep's triples."""
+    try:
+        check_unit_steps(profile)
+    except ValueError as refused:
+        with pytest.raises(ValueError, match=f"^{refused}$"):
+            max_levels(profile, window_end)
+        return
+    whole = reference_max_level(profile, len(profile) - 1)
+    # the reference reads a window end below 0 from the profile's end
+    assert max_levels(profile, window_end) == (reference_max_level(profile, max(window_end, 0)), whole)
+
+
+@st.composite
+def rough_profiles(draw):
+    """A profile of 1 to 41 positions from a start that may be negative,
+    moving in unit steps except for up to two steps redrawn as flat, +-2
+    or +-3."""
+    steps = draw(st.lists(st.sampled_from([-1, 1]), max_size=40))
+    for _ in range(draw(st.integers(0, 2))):
+        if steps:
+            steps[draw(st.integers(0, len(steps) - 1))] = draw(st.sampled_from([0, 2, -2, 3, -3]))
+    return tuple(accumulate(steps, initial=draw(st.integers(-4, 4))))
+
+
+class TestStepChecks:
+    """The sweep checks each up-step as it takes it and each descent once,
+    at its valley, instead of a separate pass over the profile."""
+
+    @pytest.mark.parametrize(
+        "prof",
+        [
+            (0, 1, 1, 2, 1),  # flat on the way up
+            (3, 2, 2, 1, 2),  # flat inside a descent
+            (0, 2, 1, 2, 1),  # +2
+            (3, 1, 2, 1, 0),  # -2 at the start
+            (0, 1, 2, 3, 1),  # a trailing descent with a -2 step
+            (0, 1, 2, 1, 2, 3, 2, 0),  # a trailing descent ending in a -2 step
+            (0, 1, 2, 3, 2, 0, 1, 2),  # a -2 step inside a settled descent
+            (0, 1, 2, 3, 1, 0, 1, 0),  # -2 early in a descent
+            (0, 1, 2, 3, 4, 5, 0),  # climbs past the height a unit-step walk to 0 could reach
+            (0, 1, 2, 3, 2, 1, 0, -1),  # unit steps below 0
+            (-1, -2, -4, -3, -2),  # negative heights, -2
+            (-3, -2, -1, -2, -4),  # negative heights, trailing -2
+            (),
+            (5,),
+            (1, 1),
+            (1, 3),
+            (-1, -3),
+            (1, 2),
+            (2, 1),
+        ],
+    )
+    def test_every_window_refuses_as_the_step_pass(self, prof):
+        # windows ending before, inside and after each bad step's descent
+        for window_end in range(-2, len(prof) + 2):
+            assert_refused_as_the_step_pass_refuses(prof, window_end)
+
+    def test_window_ending_mid_descent_before_its_bad_step(self):
+        # the descent from 4 is open at the window's end, 5, and steps by -2
+        # after it: the window alone is sound, the profile is not
+        prof = (0, 1, 2, 3, 4, 3, 2, 0, 1)
+        assert max_levels(prof[:7], 5) == ((1, LevelTriple(3, 4, 5, 1)), (2, LevelTriple(2, 4, 6, 2)))
+        with pytest.raises(ValueError, match="unit steps"):
+            max_levels(prof, 5)
+
+
+@given(rough_profiles(), st.integers(-2, 45))
+@settings(max_examples=400, deadline=None)
+def test_sweep_refuses_exactly_what_the_step_pass_refuses(profile, window_end):
+    assert_refused_as_the_step_pass_refuses(profile, window_end)
 
 
 def run_profile(rng, length):
@@ -450,6 +531,122 @@ class TestFullState:
         cuts = flank_cuts(mismatched_tops_path.profile, LevelTriple(0, 2, 4, 2))
         with pytest.raises(TopSymbolMismatchError, match="height 2: top symbol 'X' at position 1 but 'Y' at position 3"):
             full_state_keys(mismatched_tops_path, cuts)
+
+    def test_bad_cut_lists_are_refused_naming_the_cut(self, dyck1):
+        path = minimal_accepting_path(dyck1, "(())")
+        assert path.profile == (1, 2, 3, 2, 1, 0)
+        with pytest.raises(ValueError, match="at least one cut"):
+            full_state_keys(path, [])
+        # position 5 lies at height 0, not at the cut's height 2
+        with pytest.raises(ValueError, match=r"cut \(1, 5\) is not at height 2"):
+            full_state_keys(path, [(1, 5)])
+        # a list that skips height 2: its second cut must lie at height 2
+        with pytest.raises(ValueError, match=r"cut \(2, 2\) is not at height 2: the profile reads 3 and 3"):
+            full_state_keys(path, [(0, 4), (2, 2)])
+
+    def test_work_follows_the_cuts_not_the_run(self, dyck1, monkeypatch):
+        """Only a cut at the run's end walks the stacks; every other cut
+        reads a bounded number of steps and heights."""
+        walks = []
+        stacks = RunPath.stacks
+
+        def counted(path, last_pos):
+            walks.append(last_pos)
+            return stacks(path, last_pos)
+
+        monkeypatch.setattr(RunPath, "stacks", counted)
+        path = minimal_accepting_path(dyck1, "(" * 3000 + ")" * 3000)
+        steps, profile = CountedReads(path.steps), CountedReads(path.profile)
+        counted_path = replace(path, steps=steps, profile=profile)
+        for bottom in (1, 2000, 2993, 3001):
+            cuts = flank_cuts(path.profile, LevelTriple(0, 3000, 6000, 3000), bottom)
+            steps.reads = profile.reads = 0
+            assert full_state_keys(counted_path, cuts) == full_state_keys(path, cuts)
+            assert steps.reads <= 4 * len(cuts), bottom
+            assert profile.reads <= 2 * len(cuts) + 1, bottom
+        assert walks == []
+        # the run ends on the empty stack, height 0, after popping the bottom
+        last = len(path.steps)
+        assert full_state_keys(counted_path, [(last, last)]) == [("qf", None, "qf")]
+        assert walks == [last, last]
+
+
+class CountedReads(tuple):
+    """A tuple that counts the items read from it by index, slices item by
+    item."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += len(range(*key.indices(len(self)))) if isinstance(key, slice) else 1
+        return super().__getitem__(key)
+
+
+@st.composite
+def drawn_runs(draw):
+    """A run of a drawn normalized machine over {a, b}, drawn step by step;
+    it ends wherever the drawing stops, in the machine's one accept state."""
+    symbols = (BOTTOM, "A", "B")
+    states = ("q0", "q1")
+    transitions = draw(
+        st.lists(
+            st.builds(
+                NormalizedTransition,
+                source=st.sampled_from(states),
+                letter=st.sampled_from("ab"),
+                pop=st.sampled_from(symbols),
+                extra=st.one_of(st.none(), st.sampled_from(symbols[1:])),
+                target=st.sampled_from(states),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    state, stack, steps = "q0", [BOTTOM], []
+    for _ in range(draw(st.integers(0, 30))):
+        moves = [t for t in transitions if t.source == state and stack and stack[-1] == t.pop]
+        if not moves:
+            break
+        t = draw(st.sampled_from(moves))
+        stack.pop()
+        stack.extend(t.push)
+        state = t.target
+        steps.append(t)
+    pda = NormalizedPda(states, ["a", "b"], symbols, "q0", [BOTTOM], [state], transitions)
+    path = replay(pda, steps, "".join(t.letter for t in steps))
+    assert isinstance(path, RunPath)
+    return path
+
+
+@given(drawn_runs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_full_state_keys_match_the_stack_walk_on_drawn_runs(path, data):
+    """Cuts at any positions of consecutive heights, the first sometimes
+    ending at the run's end, read as (state_at(lp), stack_at(lp)[-1],
+    state_at(fp)) after the top symbols at lp and fp are compared."""
+    profile, last = path.profile, len(path.steps)
+    at_end = data.draw(st.booleans())
+    lo = profile[last] if at_end else profile[data.draw(st.integers(0, last))]
+    cuts = []
+    for h in range(lo, lo + data.draw(st.integers(1, 4))):
+        positions = [pos for pos, s in enumerate(profile) if s == h]
+        if not positions:
+            break
+        lp = data.draw(st.sampled_from(positions))
+        cuts.append((lp, last if at_end and h == lo else data.draw(st.sampled_from(positions))))
+
+    def top(pos):
+        stack = path.stack_at(pos)
+        return stack[-1] if stack else None
+
+    expected = []
+    for h, (lp, fp) in enumerate(cuts, lo):
+        if top(lp) != top(fp):
+            with pytest.raises(TopSymbolMismatchError, match=f"^height {h}: "):
+                full_state_keys(path, cuts)
+            return
+        expected.append((path.state_at(lp), top(lp), path.state_at(fp)))
+    assert full_state_keys(path, cuts) == expected
 
 
 class TestSublevel:

@@ -62,20 +62,28 @@ class TestStep:
         assert run.stack_at(1) == (BOTTOM, "A")
         assert replay(pda, pda.transitions, "aa") == ReplayError(1, "input-remaining")
 
+    # Each refused step below is a transition of the machine, so only the
+    # state, the stack or the letter can refuse it.
     def test_step_rejects_wrong_source(self):
-        pda = make_general()
         bad = GeneralTransition("qf", "a", BOTTOM, (), "q0")
+        pda = make_general(transitions=[*make_general().transitions, bad])
         assert replay(pda, [bad], "a") == ReplayError(0, "inapplicable")
 
     def test_step_rejects_wrong_top(self):
-        pda = make_general()
         bad = GeneralTransition("q0", "a", "A", (), "qf")
+        pda = make_general(transitions=[*make_general().transitions, bad])
         assert replay(pda, [bad], "a") == ReplayError(0, "inapplicable")
 
     def test_step_rejects_empty_stack(self):
-        pda = make_general()
         pop_bottom = GeneralTransition("q0", None, BOTTOM, (), "q0")
+        pda = make_general(transitions=[*make_general().transitions, pop_bottom])
         assert replay(pda, [pop_bottom, pda.transitions[0]], "a") == ReplayError(1, "inapplicable")
+
+    def test_step_outside_the_machine_is_refused(self):
+        pda = make_general()
+        stranger = GeneralTransition("q0", "a", BOTTOM, (BOTTOM,), "qf")
+        assert replay(pda, [stranger], "a") == ReplayError(0, "inapplicable")
+        assert isinstance(replay(pda, [GeneralTransition("q0", "a", BOTTOM, [BOTTOM, "A"], "qf")], "a"), RunPath)
 
     def test_step_checks_word_letter(self):
         pda = make_general()

@@ -215,6 +215,26 @@ class TestReplay:
         out = replay(dyck1, [t3], "(")
         assert out == ReplayError(1, "input-remaining")
 
+    def test_a_step_outside_the_machine_is_inapplicable(self, dyck1):
+        # it would fire from the initial description and accept "a", a word
+        # outside the language, if replay took any step it was handed
+        stranger = NormalizedTransition("q0", "a", BOTTOM, None, "qf")
+        assert replay(normalize(dyck1), [stranger], "a") == ReplayError(0, "inapplicable")
+        t0, t1, t2, _ = dyck1.transitions
+        assert replay(dyck1, [t0, t2, stranger], "()a") == ReplayError(2, "inapplicable")
+        # the first offending step is named, whichever check finds it
+        assert replay(dyck1, [t0, t1, stranger], "()a") == ReplayError(1, "input-mismatch")
+        assert replay(dyck1, [t0, stranger, t1], "(a(") == ReplayError(1, "inapplicable")
+
+    def test_steps_equal_to_the_machines_are_found_by_value(self, dyck1):
+        path = minimal_accepting_path(dyck1, "(())")
+        copies = [NormalizedTransition(t.source, t.letter, t.pop, t.extra, t.target) for t in path.steps]
+        assert not any(c is t for c, t in zip(copies, path.steps))
+        again = replay(dyck1, copies, "(())")
+        assert again == path
+        # the run holds the machine's own transitions
+        assert all(any(t is u for u in dyck1.transitions) for t in again.steps)
+
 
 @given(st.integers(1, 12))
 @settings(max_examples=25, deadline=None)

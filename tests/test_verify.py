@@ -527,6 +527,40 @@ def test_replay_pumps_matches_full_replay_on_generated_runs(drawn):
     assert replay_pumps(pda, path, d, PUMPS) == tuple(full_replay(pda, path, d, n) for n in PUMPS)
 
 
+@given(runs_with_cuts(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_run_step_outside_the_machine_never_fires(drawn, data):
+    """Under a machine that lacks one of the run's transitions, a pumped
+    run fails as its full replay does: exactly when it takes a copy of a
+    piece that holds the missing step."""
+    pda, path, d = drawn
+    if not path.steps:
+        return
+    missing = data.draw(st.sampled_from(path.steps))
+    other = replace(pda, transitions=[t for t in pda.transitions if t != missing])
+    expected = tuple(full_replay(other, path, d, n) for n in PUMPS)
+    assert replay_pumps(other, path, d, PUMPS) == expected
+    for n in PUMPS:
+        if missing in spliced_steps(path, d, n):
+            assert not expected[n]
+        else:
+            assert expected[n] == full_replay(pda, path, d, n)
+
+
+def test_a_forged_run_accepts_no_pumped_word(dyck1):
+    """A run whose one step is not DYCK1's fires and reads "a"; handed to
+    replay_pumps and verify without extract's checkpoints, it is refused
+    for every count, as replay refuses it."""
+    stranger = NormalizedTransition("q0", "a", BOTTOM, None, "qf")
+    path = RunPath(word="a", steps=(stranger,), profile=(1, 0), initial_state="q0", initial_stack=(BOTTOM,))
+    pieces = dict(u="", v="a", x="", y="", z="", cuts=(0, 1, 1, 1))
+    d = Decomposition(**pieces, case="case1", witness=Case1Witness(0), params=pumping_params(dyck1))
+    assert replay_pumps(dyck1, path, d, PUMPS) == (False,) * len(PUMPS)
+    report = verify(dyck1, path, d, PUMPS)
+    assert [v.replay_ok for v in report.verdicts] == [False] * len(PUMPS)
+    assert [v.search for v in report.verdicts] == ["accepted"] + ["rejected"] * (len(PUMPS) - 1)
+
+
 def test_extracted_decompositions_pump_to_eight_on_the_found_runs_walk(monkeypatch):
     """Every extracted decomposition replays n = 0..8 with no walk after the
     one walk of its found run, one call per piece: each copy of each piece
@@ -631,7 +665,7 @@ def test_best_effort_pump_walks_its_x_stretch_once(monkeypatch, capsys):
     assert sum(walked) == len(path.steps)
 
 
-@pytest.mark.parametrize(
+PUMP_ARGVS = pytest.mark.parametrize(
     "argv",
     [
         ("DYCK1", "(" * 6601 + ")" * 6601, "--mode", "strict"),
@@ -641,6 +675,28 @@ def test_best_effort_pump_walks_its_x_stretch_once(monkeypatch, capsys):
     ],
     ids=["DYCK1-strict", "DYCK1", "ANBN", "GEN_PAL.json"],
 )
+
+
+@PUMP_ARGVS
+def test_a_pump_checks_no_step_of_its_own_run(monkeypatch, capsys, argv):
+    """extract's run holds the machine's transitions by construction, and
+    verify replays it from extract's checkpoints: replay_pumps neither walks
+    the found run again nor checks that its steps belong to the machine,
+    which it does only together with that walk."""
+    walked = []
+    original = verify_module._walk_found_run
+
+    def counting(pda, path, cuts):
+        walked.append(cuts)
+        return original(pda, path, cuts)
+
+    monkeypatch.setattr(verify_module, "_walk_found_run", counting)
+    assert main(["pump", *argv, "--report", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"]["pumpingOk"] is True
+    assert walked == []
+
+
+@PUMP_ARGVS
 def test_a_pump_walks_the_found_run_once(monkeypatch, capsys, argv):
     """extract's candidate check walks the found run and keeps what the walk
     found at the cuts; verify reuses it instead of walking the run again.
@@ -718,6 +774,19 @@ class TestVerifyCheckpoints:
         res = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
         d = res.decomposition
         other = replace(dyck1, accept_states=frozenset())
+        expected = tuple(full_replay(other, res.path, d, n) for n in PUMPS)
+        assert expected == (False,) * len(PUMPS)
+        assert replay_pumps(other, res.path, d, PUMPS, res.checkpoints) == expected
+        assert self.replayed(other, res.path, d, res.checkpoints) == expected
+
+    def test_checkpoints_under_other_transitions_are_ignored(self, dyck1):
+        """Under a machine that lacks v's transition, which x takes too,
+        every pumped run fails, as its full replay does, though extract's
+        checkpoints were walked under DYCK1, where each would pass."""
+        res = extract(dyck1, "(((())))", mode=ExtractionMode.BEST_EFFORT)
+        d = res.decomposition
+        missing = res.path.steps[d.cuts[0]]
+        other = replace(dyck1, transitions=[t for t in dyck1.transitions if t != missing])
         expected = tuple(full_replay(other, res.path, d, n) for n in PUMPS)
         assert expected == (False,) * len(PUMPS)
         assert replay_pumps(other, res.path, d, PUMPS, res.checkpoints) == expected
