@@ -56,6 +56,11 @@ class LevelTriple:
 _NOT_UNIT = "profile must move in unit steps"
 
 
+class _BelowZero(Exception):
+    """A height below 0 reached the sweep, which indexes its era lists by
+    height: max_levels sweeps the profile again, shifted up."""
+
+
 def _descent(s, peak: list, at: list, base: int, crest: int, valley: int) -> tuple[int, int, int, int]:
     """The last era that the descent from position crest to position valley
     closes, as (h, top, top_pos, k): its height, the highest peak folded into
@@ -121,6 +126,8 @@ def _sweep(s, start: int, stop: int, eras: tuple, state: tuple) -> tuple:
                 # one step down closes only the crest's era, whose peak is its own height
                 top, top_pos = v, crest
             if prev < base:
+                if prev < 0:
+                    raise _BelowZero
                 first[prev] = valley
                 peak[prev] = -1
                 base = prev
@@ -147,6 +154,8 @@ def _close(s, end: int, eras: tuple, state: tuple) -> tuple[int, LevelTriple | N
     first, peak, at = eras
     base, crest, best_n, best_i, best_j, best_k = state
     v = s[end]
+    if v < 0:
+        raise _BelowZero
     top, top_pos = peak[v], at[v]
     if end > crest:
         if s[crest] - v != end - crest:
@@ -188,13 +197,25 @@ def max_levels(profile, window_end: int) -> tuple[tuple[int, LevelTriple | None]
         if len(profile) == 2 and abs(profile[1] - profile[0]) != 1:
             raise ValueError(_NOT_UNIT)
         return (0, None), (0, None)
-    lowest = min(profile)
-    if lowest < 0:
-        # heights index the era lists; the shift moves no position or level
-        profile = [h - lowest for h in profile]
+    try:
+        return _levels(profile, window_end)
+    except _BelowZero:
+        # A profile with a height below 0 is swept shifted up; the shift
+        # moves no position or level.
+        lowest = min(profile)
+        return _levels([h - lowest for h in profile], window_end)
+
+
+def _levels(profile, window_end: int) -> tuple:
+    """max_levels of a profile of at least 3 positions. A new lowest height
+    can appear only at the start, at a valley below every open era or at
+    the profile's or the window's end; each of those places raises
+    _BelowZero when the height is below 0, before it indexes an era list."""
     last = len(profile) - 1
     end = max(min(window_end, last), 0)
     s0 = profile[0]
+    if s0 < 0:
+        raise _BelowZero
     # A unit-step walk climbs (last + s_last - s0) / 2 times, so no height
     # exceeds s0 plus that. The lists' initial values already open s0's era at 0.
     size = (last + profile[last] + s0) // 2 + 1

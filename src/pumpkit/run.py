@@ -47,6 +47,31 @@ epsilon move, a letter with no live move and every hand-off at a limit.
 After a stretch the last move read a letter, so the epsilon count
 restarts.
 
+Runs of one letter. A letter move is stationary when it lands back in the
+slot it fired from: its target is its source, and it pushes a copy of the
+symbol it pops (a normalized move with extra == pop) or pops it onto an
+equal one. k firings of it over k equal letters have a closed form: k
+copies of the symbol pushed, or k equal symbols popped. The three per-step
+loops, the fast stretch, walk and the search walk (_walk), take such a run
+in one bulk step and keep their per-step code everywhere else. The runs
+are those of at least BULK_RUN equal letters of a str word, found with one
+str.find per run and letter, which skips the stretches between runs in C.
+No loop scans a word once per walk: the fast stretch scans its word once,
+walk reads that scan again when it walks the same word (see walk below),
+and a chain of the membership search scans its stretch once for all of
+its walks. A word that is not a str has no runs and keeps the per-step
+path. A loop caps its per-step stretch at the next run and tests the move
+at the first position it reaches in the run; when that move is not
+stationary (as the first push onto the bottom marker is not), it takes one
+step and tests once more, and otherwise leaves the run to the per-step
+loop. No loop tests a step that lies outside a run, so a word without runs
+pays nothing per step. The fast stretch looks only for runs of the
+letters its machine reads with a stationary move, and a bulk step stays
+inside the stretch's bounds, so no limit and no acceptance test moves: a
+push run takes the run up to the stretch's end, and a pop run only as
+many pops as there are equal symbols on top. The run it builds is the
+per-step run, index for index.
+
 accepts_each() answers membership only, for several words at once, and
 accepts() is its one-word call. It is a deliberately separate search loop
 (and also simulates general machines) so it can serve as an oracle: it
@@ -119,14 +144,22 @@ visited description lies at or before the walk's position, so each
 successor is new; under (b) to (d) it is the only one and not cut. The
 search would therefore queue it as the whole next level: the walk takes the
 same steps and interns the same cells in the same order, and every cut
-flag, parked description and deepest level still comes from the search. The walked descriptions stay out of the visited set: every
+flag, parked description and deepest level still comes from the search.
+The walked descriptions stay out of the visited set: every
 later description descends from the one queued, at or past its position.
 A seed that joined later could reach them again from the chain's start, so
 the walk waits for the last seed. membership_tables decides once, from the
 move table, whether a walk can happen at all: not when a slot holds a live
 epsilon move beside another live move, as GEN_PAL's midpoint guess does,
 since such a machine's levels seldom hold one description; its search then
-pays one test per level and none per description.
+pays one test per level and none per description. A walk takes a run
+of a stationary move in one bulk step (see runs of one letter above),
+reading only runs of the letters membership_tables found such a move for,
+and interns the same cells, in the same order, as a per-step walk: a push
+run climbs the cells it finds already interned and interns all the rest
+at once as one chain of consecutive cells, recorded in the arena. A pop
+run goes down in bulk only through such a chain, whose cells are provably
+the ones a per-step descent visits, and step by step everywhere else.
 
 Each search encodes its descriptions as plain ints. States are numbered
 with the initial state as 0, and stack symbols 0..width-1. The
@@ -152,7 +185,14 @@ run's end.
 
 walk is the one copy of the replay step semantics: replay runs it over a
 whole transition sequence, and verify.replay_pumps over the pieces of a run
-between its checkpoints. replay takes only the machine's own transitions:
+between its checkpoints. It checks a run of identical steps as a whole:
+the steps by one count of the run's first step, the letters by the run
+they lie in, and a pop run's symbols by one stack-slice comparison. On any
+mismatch the run is walked step by step, so the first offending step and
+its reason are those of the per-step walk. It reads the runs the fast
+stretch scanned when it walks the same word, as extract's candidate check
+walks the found run, and otherwise scans its own stretch of the word for
+runs of every letter in it. replay takes only the machine's own transitions:
 transition_indices finds each step among them with one dict lookup, and a
 step that is not one of them is inapplicable.
 _run_path builds the RunPath of a sequence of transition indices, which
@@ -163,7 +203,9 @@ from the machine's transitions and one list of their height changes.
 
 from __future__ import annotations
 
-from itertools import accumulate
+import re
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
 
 from .errors import PumpingLengthOverflowError
@@ -172,6 +214,10 @@ from .pda import NormalizedPda, Pda
 from .record import record
 
 STEP_CAP = 1_000_000
+
+# The shortest run of one letter that the per-step loops test for a
+# stationary move and take in one bulk step; see the module docstring.
+BULK_RUN = 16
 
 
 @record
@@ -440,6 +486,19 @@ def _follow_run(pda: NormalizedPda, word, table, letter_moves, width, accepting,
         return None
     if not n and 0 in accepting:
         return _run_path(pda, word, ())
+    # The letters some slot reads with a stationary move, and their runs.
+    letters = {
+        letter
+        for slot, moves in enumerate(letter_moves)
+        if moves
+        for letter, (target, extra, _) in moves.items()
+        if target == slot // width and extra in (slot % width, -1)
+    }
+    starts, ends = _letter_runs(word, letters, 0, n)
+    # Run r is the next one; point is where to test in it, and tested tells
+    # whether a test in it has failed.
+    r = tested = 0
+    point = starts[0] if starts else n
     steps: list = []
     take = steps.append
     push = stack.append
@@ -449,23 +508,45 @@ def _follow_run(pda: NormalizedPda, word, table, letter_moves, width, accepting,
     while stack:
         # The fast stretch: letter moves out of slots without epsilon moves
         # that land before the last letter and within both limits (see the
-        # module docstring).
+        # module docstring). It stops at each test point of a run.
         stop = min(n - 1, pos + max_steps - depth, pos + max_height - len(stack))
         first = pos
-        while pos < stop and stack:
-            moves = letter_moves[state * width + stack[-1]]
-            if moves is None:
-                break
-            move = moves.get(word[pos])
-            if move is None:
-                break
-            state, extra, index = move
-            if extra < 0:
-                pop()
+        while r < len(ends) and ends[r] <= pos:  # the per-step loop below left run r
+            r += 1
+            tested = 0
+            point = starts[r] if r < len(starts) else n
+        while True:
+            cap = stop
+            if r < len(starts):
+                point = max(point, pos)
+                cap = min(point, stop)
+            while pos < cap and stack:
+                moves = letter_moves[state * width + stack[-1]]
+                if moves is None:
+                    break
+                move = moves.get(word[pos])
+                if move is None:
+                    break
+                state, extra, index = move
+                if extra < 0:
+                    pop()
+                else:
+                    push(extra)
+                take(index)
+                pos += 1
             else:
-                push(extra)
-            take(index)
-            pos += 1
+                if pos < stop and stack:
+                    took = _follow_bulk(word, pos, min(ends[r], stop) - pos, state, stack, letter_moves, width, steps)
+                    pos += took
+                    if took or tested:
+                        r += 1
+                        tested = 0
+                        point = starts[r] if r < len(starts) else n
+                    else:
+                        tested = 1
+                        point = pos + 1
+                    continue
+            break
         if pos > first:
             depth += pos - first
             epsilon = 0
@@ -515,6 +596,86 @@ def _follow_run(pda: NormalizedPda, word, table, letter_moves, width, accepting,
             if epsilon > max_epsilon:
                 return None
     return NotAccepted()
+
+
+def _follow_bulk(word, pos: int, k: int, state: int, stack: list, letter_moves, width: int, taken: list) -> int:
+    """Fire the one-run walk's move at pos up to k times in one step when it
+    is stationary: a push of the top symbol's copy, or a pop, which fires
+    only as often as that symbol lies on top. Appends the move's transition
+    index to taken per firing; returns the letters read, 0 when the move is
+    not stationary."""
+    if k <= 0:
+        return 0
+    top = stack[-1]
+    moves = letter_moves[state * width + top]
+    move = None if moves is None else moves.get(word[pos])
+    if move is None or move[0] != state:
+        return 0
+    _, extra, index = move
+    if extra == top:
+        stack.extend(repeat(top, k))
+    elif extra < 0:
+        k = _top_count(stack, top, k)
+        del stack[len(stack) - k :]
+    else:
+        return 0
+    taken.extend(repeat(index, k))
+    return k
+
+
+def _top_count(stack: list, symbol, k: int) -> int:
+    """How many of the top k entries of stack equal symbol, counted down
+    from the top to the first that does not; slice compares halve the
+    unknown stretch."""
+    if stack[-k:] == [symbol] * k:
+        return k
+    lo, hi = 0, k  # the top lo entries are symbol, the top hi are not all
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if stack[-mid:] == [symbol] * mid:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# The run side's last scan: the word, the letters and window scanned, and
+# the starts and ends of the runs found. It only saves scanning again: a
+# scan depends on nothing but its word, letters and window, and a walk that
+# misses a run only takes it step by step.
+_run_scan: list = [None, frozenset(), 0, 0, (), ()]
+
+
+def _letter_runs(word, letters, lo: int, hi: int) -> tuple:
+    """(starts, ends) of the maximal runs of at least BULK_RUN copies of one
+    letter of letters in word[lo:hi] (of any letter there when letters is
+    None), in order: one str.find per run and letter skips the stretches
+    between runs in C. Only a str word has runs. The last scan is kept,
+    and a call inside its window on the same word that asks for no letter
+    outside it reads the kept scan instead of scanning again."""
+    if not isinstance(word, str) or hi - lo < BULK_RUN:
+        return (), ()
+    kept, scanned, kept_lo, kept_hi, starts, ends = _run_scan
+    if kept_lo <= lo and hi <= kept_hi and (letters is None or letters <= scanned) and kept == word:
+        return starts, ends
+    if letters is None:
+        letters = frozenset(word[lo:hi])
+    spans = []
+    for letter in letters:
+        if len(letter) != 1:
+            continue  # a word reads one character at a time
+        more = re.compile(re.escape(letter) + "*").match
+        probe = letter * BULK_RUN
+        at = word.find(probe, lo, hi)
+        while at >= 0:
+            end = more(word, at + BULK_RUN, hi).end()
+            spans.append((at, end))
+            at = word.find(probe, end, hi)
+    spans.sort()
+    starts = [start for start, _ in spans]
+    ends = [end for _, end in spans]
+    _run_scan[:] = word, frozenset(letters), lo, hi, starts, ends
+    return starts, ends
 
 
 def _reconstruct(pda: NormalizedPda, word, parent, via, d) -> RunPath:
@@ -580,10 +741,11 @@ def _search_chain(
     cut has bit 1 set when the step limit cut a successor and bit 2 when
     the height limit did.
     """
-    moves, width, n_states, n1, accepting, single = machine
-    sym, below, size, cells = arena
+    moves, width, n_states, n1, accepting, single, run_letters = machine
+    sym, below, size, cells, _, _ = arena
     max_steps, max_height = bounds
     get_cell = cells.get
+    runs = _search_runs(word, run_letters, start, end) if run_letters else ((), ())
     base = start * n_states
     parked_base = end * n_states
     parked_levels: list = []
@@ -626,7 +788,7 @@ def _search_chain(
                     # One description at this level, no seed left, and every
                     # step to it read a letter: walk it while the search would
                     # hold one (see the module docstring).
-                    state, pos, cell, depth = _walk(word, end, state, pos, cell, depth, machine, arena, bounds)
+                    state, pos, cell, depth = _walk(word, end, state, pos, cell, depth, machine, arena, bounds, runs)
                     key = (cell * n1 + pos) * n_states + state
                     seen(key)
             if pos == end:
@@ -670,52 +832,170 @@ def _search_chain(
     return accepted, depth, parked_levels, parked_keys, cut
 
 
-def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, arena, bounds) -> tuple:
+def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, arena, bounds, runs) -> tuple:
     """Walk the one description of a breadth-first level, with depth the
     level of its successors, while the search would hold one; see the module
     docstring. Every step reads a letter, so positions and levels advance
-    together. Returns the state, position, cell and depth reached.
+    together. runs holds the starts and ends of the word's runs of one
+    letter that a stationary move reads: the walk tests the move at the
+    first position it reaches in each (and once more a letter later if that
+    fails), and a stationary move takes the run in one bulk step that
+    interns the cells a per-step walk would. Returns the state, position,
+    cell and depth reached.
     """
-    _, width, _, _, _, single = machine
-    sym, below, size, cells = arena
+    _, width, _, _, _, single, _ = machine
+    sym, below, size, cells, _, _ = arena
     max_steps, max_height = bounds
+    starts, ends = runs
+    # Run r is the next one; point is where to test in it, and tested tells
+    # whether a test in it has failed.
+    r = bisect_right(ends, pos) if ends else 0
+    point = max(starts[r], pos) if r < len(starts) else end
+    tested = 0
     first = pos
     stop = min(end - 1, pos + 1 + max_steps - depth)  # land before end, within max_steps
-    while pos < stop:
-        step = single[state * width + sym[cell]]
-        if step is None:
-            break
-        move = step.get(word[pos])
-        if move is None:
-            break
-        _, target, keeps_top, suffix = move
-        child = cell if keeps_top else below[cell]
-        if not suffix:
-            if not child:
+    while True:
+        cap = point if point < stop else stop
+        while pos < cap:
+            step = single[state * width + sym[cell]]
+            if step is None:
                 break
+            move = step.get(word[pos])
+            if move is None:
+                break
+            _, target, keeps_top, suffix = move
+            child = cell if keeps_top else below[cell]
+            if not suffix:
+                if not child:
+                    break
+            else:
+                if size[child] + len(suffix) > max_height:
+                    break
+                for s in suffix:
+                    at = child * width + s
+                    above = cells.get(at)
+                    if above is None:
+                        above = cells[at] = len(sym)
+                        sym.append(s)
+                        below.append(child)
+                        size.append(size[child] + 1)
+                    child = above
+            state = target
+            cell = child
+            pos += 1
         else:
-            if size[child] + len(suffix) > max_height:
-                break
-            for s in suffix:
-                at = child * width + s
-                above = cells.get(at)
-                if above is None:
-                    above = cells[at] = len(sym)
-                    sym.append(s)
-                    below.append(child)
-                    size.append(size[child] + 1)
-                child = above
-        state = target
-        cell = child
-        pos += 1
+            if pos < stop:
+                cell, took = _search_bulk(word, pos, min(ends[r], stop) - pos, state, cell, machine, arena, max_height)
+                pos += took
+                if took or tested:
+                    r += 1
+                    tested = 0
+                    point = starts[r] if r < len(starts) else end
+                else:
+                    tested = 1
+                    point = pos + 1
+                continue
+        break
     return state, pos, cell, depth + pos - first
+
+
+def _search_bulk(word, pos: int, k: int, state: int, cell: int, machine, arena, max_height: int) -> tuple:
+    """Fire the walk's move at pos up to k times in one step when it is
+    stationary; returns the cell reached and the letters read, 0 when the
+    move is not stationary or no step can be taken in bulk.
+
+    A push of the top symbol's copy fires as often as the height limit
+    allows (_push_chain interns its cells). A pop goes down in bulk only
+    through a chain that _push_chain interned, whose cells are provably
+    the ones a per-step descent visits: each holds the popped symbol and
+    lies on the one before it. A chain starts on a cell the walk stood on,
+    never on the empty stack, so the descent never empties it.
+    """
+    width, single = machine[1], machine[5]
+    sym, below, size, _, chain_lo, chain_hi = arena
+    top = sym[cell]
+    step = single[state * width + top]
+    move = None if step is None or k <= 0 else step.get(word[pos])
+    if move is None or move[1] != state:
+        return cell, 0
+    _, _, keeps_top, suffix = move
+    if keeps_top and suffix == (top,):
+        k = min(k, max_height - size[cell])
+        if k <= 0:
+            return cell, 0
+        return _push_chain(cell, top, k, width, arena), k
+    if keeps_top or suffix:
+        return cell, 0
+    c = bisect_right(chain_lo, cell) - 1
+    if c < 0 or cell > chain_hi[c]:
+        return cell, 0
+    lo = chain_lo[c]
+    k = min(k, cell - lo + 1)
+    return (cell - k if cell - k >= lo else below[lo]), k
+
+
+def _push_chain(cell: int, symbol: int, k: int, width: int, arena) -> int:
+    """The cell of k copies of symbol pushed on cell, interned as k pushes
+    one at a time would intern them, in the same order: existing cells are
+    found by key, or climbed in bulk along a chain, and the first missing
+    one starts a new chain of all the rest, numbered consecutively and
+    recorded in chain_lo and chain_hi."""
+    sym, below, size, cells, chain_lo, chain_hi = arena
+    while k:
+        at = cell * width + symbol
+        above = cells.get(at)
+        if above is None:
+            # No cell above a new one exists yet: the rest are all new.
+            n0 = len(sym)
+            ids = list(range(n0, n0 + k))  # one int per cell, shared by cells and below
+            cells.update(zip(chain((at,), range(n0 * width + symbol, (n0 + k - 1) * width + symbol, width)), ids))
+            sym.extend(repeat(symbol, k))
+            below.append(cell)
+            below.extend(islice(ids, k - 1))
+            size.extend(range(size[cell] + 1, size[cell] + k + 1))
+            chain_lo.append(n0)
+            chain_hi.append(ids[-1])
+            return ids[-1]
+        c = bisect_right(chain_lo, above) - 1
+        if c >= 0 and above <= chain_hi[c]:
+            # the chain's cells above `above` are the next ones a push finds
+            climb = min(k, chain_hi[c] - above + 1)
+            cell = above + climb - 1
+            k -= climb
+        else:
+            cell = above
+            k -= 1
+    return cell
+
+
+def _search_runs(word, letters, start: int, end: int) -> tuple:
+    """(starts, ends) of the maximal runs of at least BULK_RUN copies of a
+    letter of letters in word[start:end], in order, for the walks of the
+    chain that searches that stretch: one scan per chain, however many
+    walks it makes. Only a str word has runs."""
+    if not isinstance(word, str) or end - start < BULK_RUN:
+        return (), ()
+    spans = []
+    for letter in letters:
+        if len(letter) != 1:
+            continue  # a word reads one character at a time
+        more = re.compile(re.escape(letter) + "*").match
+        probe = letter * BULK_RUN
+        at = word.find(probe, start, end)
+        while at >= 0:
+            stop = more(word, at + BULK_RUN, end).end()
+            spans.append((at, stop))
+            at = word.find(probe, stop, end)
+    spans.sort()
+    return [at for at, _ in spans], [stop for _, stop in spans]
 
 
 def membership_tables(pda: Pda) -> tuple:
     """The tables accepts_each searches pda with, read from the machine
-    alone, no word: (moves, width, n_states, accepting, single, initial),
-    with initial the symbol ids of the initial stack, bottom first; see the
-    module docstring. accepts and accepts_each build them per call unless
+    alone, no word: (moves, width, n_states, accepting, single, initial,
+    run_letters), with initial the symbol ids of the initial stack, bottom
+    first, and run_letters the letters the walks read with a stationary
+    move; see the module docstring. accepts and accepts_each build them per call unless
     they are passed in, so a caller that searches one machine word by word
     can build them once.
     """
@@ -761,8 +1041,18 @@ def membership_tables(pda: Pda) -> tuple:
         letters = [move[0] for move in bucket]
         if None not in letters:
             single[slot] = {move[0]: move for move in bucket if letters.count(move[0]) == 1}
+    # The letters a walk can read with a stationary move: from a slot, back
+    # into its state with the same top symbol, by pushing a copy of it or
+    # popping it.
+    run_letters = frozenset(
+        letter
+        for slot, step in enumerate(single or ())
+        if step
+        for letter, (_, target, keeps_top, suffix) in step.items()
+        if target == slot // width and suffix == ((slot % width,) if keeps_top else ())
+    )
     initial = tuple(symbol_ids[s] for s in pda.initial_stack)
-    return moves, width, n_states, accepting, single, initial
+    return moves, width, n_states, accepting, single, initial, run_letters
 
 
 def accepts_each(pda: Pda, words, limits=None, *, tables=None) -> tuple:
@@ -782,13 +1072,17 @@ def accepts_each(pda: Pda, words, limits=None, *, tables=None) -> tuple:
         limits = default_limits(pda, max(words, key=len))
     if tables is None:
         tables = membership_tables(pda)
-    moves, width, n_states, accepting, single, initial = tables
+    moves, width, n_states, accepting, single, initial, run_letters = tables
     bounds = (limits.max_steps, limits.max_stack_height)
     # Stack cells: cell 0 is the empty stack; below * width + symbol -> cell.
+    # Chain c holds the cells chain_lo[c]..chain_hi[c], which a walk's bulk
+    # push interned consecutively (see _push_chain).
     sym = [-1]
     below = [0]
     size = [0]
     cells: dict = {}
+    chain_lo: list = []
+    chain_hi: list = []
     cell = 0
     for s in initial:
         top = cells[cell * width + s] = len(sym)
@@ -800,9 +1094,15 @@ def accepts_each(pda: Pda, words, limits=None, *, tables=None) -> tuple:
     # into the chain's word; n1 is shared so that a seed or parked key, taken
     # relative to its position, is (cell * n1) * n_states + state everywhere.
     n1 = max(map(len, words)) + 1
-    machine = (moves, width, n_states, n1, accepting, single)
-    arena = (sym, below, size, cells)
-    distinct = list(dict.fromkeys(words))
+    machine = (moves, width, n_states, n1, accepting, single, run_letters)
+    arena = (sym, below, size, cells, chain_lo, chain_hi)
+    try:
+        distinct = list(dict.fromkeys(words))
+    except TypeError:
+        # An unhashable word, as a list is: key and search each word that
+        # is not a str as the tuple of its letters.
+        words = tuple(w if isinstance(w, str) else tuple(w) for w in words)
+        distinct = list(dict.fromkeys(words))
     # The common prefix is searched once and parks its descriptions at the
     # fork; with one distinct word the fork is the start. tail is the length
     # of the common suffix, where the words join; none for one word.
@@ -825,6 +1125,8 @@ def accepts_each(pda: Pda, words, limits=None, *, tables=None) -> tuple:
             for c in range(mark, len(sym)):
                 del cells[below[c] * width + sym[c]]
             del sym[mark:], below[mark:], size[mark:]
+            dropped = bisect_left(chain_lo, mark)
+            del chain_lo[dropped:], chain_hi[dropped:]
         start, seed_levels, seed_keys, cut = fork, levels, keys, prefix_cut
         join = len(word) - tail
         if tail and join > fork:
@@ -878,21 +1180,79 @@ def walk(steps, word, state, stack, pos):
     a ReplayError naming the first step (indexed within steps) that cannot
     fire: inapplicable or input-mismatch. Acceptance is for the caller to
     judge.
+
+    Where the walk reaches a run of at least BULK_RUN equal letters of a str
+    word, it tests the step there once (and once more a letter later if
+    that fails): when the steps ahead, up to the run's end, are copies of
+    one stationary step that all fire, they are applied in one bulk step.
+    Any mismatch leaves the run to the per-step loop, so the first
+    offending step and its reason are the ones a step-by-step walk names.
     """
     n = len(word)
     pop = stack.pop
     extend = stack.extend
-    for i, t in enumerate(steps):
-        if t.source != state or not stack or stack[-1] != t.pop:
-            return ReplayError(i, "inapplicable")
-        if t.letter is not None:
-            if pos >= n or word[pos] != t.letter:
-                return ReplayError(i, "input-mismatch")
-            pos += 1
-        pop()
-        extend(t.push)
-        state = t.target
-    return state, pos
+    m = len(steps)
+    starts, ends = _letter_runs(word, None, pos, min(n, pos + m))
+    # Run r is the next one; point is where to test in it, and tested tells
+    # whether a test in it has failed.
+    r = bisect_right(ends, pos)
+    point = max(starts[r], pos) if r < len(starts) else n
+    tested = 0
+    i = 0
+    while True:
+        cap = m  # no step before cap can read past the point
+        if r < len(starts):
+            cap = min(m, i + point - pos)
+        for i, t in enumerate(steps[i:cap] if i or cap < m else steps, i):
+            if t.source != state or not stack or stack[-1] != t.pop:
+                return ReplayError(i, "inapplicable")
+            if t.letter is not None:
+                if pos >= n or word[pos] != t.letter:
+                    return ReplayError(i, "input-mismatch")
+                pos += 1
+            pop()
+            extend(t.push)
+            state = t.target
+        i = cap
+        if i == m:
+            return state, pos
+        if pos < point:
+            continue  # epsilon steps read no letter: the point lies ahead
+        took = _walk_bulk(steps, i, word, pos, min(ends[r] - pos, m - i), state, stack)
+        i += took
+        pos += took
+        if took or tested:
+            r += 1
+            tested = 0
+            point = starts[r] if r < len(starts) else n
+        else:
+            tested = 1
+            point = pos + 1
+
+
+def _walk_bulk(steps, i: int, word, pos: int, k: int, state, stack: list) -> int:
+    """Apply steps[i:i + k] in one step when they are k copies of one
+    stationary step that all fire from state and stack, reading the k
+    letters from pos, which equal word[pos]: a step whose target is its
+    source and that pushes its popped symbol twice, or pops it with as many
+    copies on top. Returns the steps applied, 0 when any of this fails."""
+    if k <= 0:
+        return 0
+    t = steps[i]
+    symbol, push = t.pop, t.push
+    if t.letter != word[pos] or t.source != state or t.target != state or not stack or stack[-1] != symbol:
+        return 0
+    if push != (symbol, symbol) and push:
+        return 0
+    if steps[i : i + k].count(t) != k:
+        return 0
+    if push:
+        stack.extend(repeat(symbol, k))
+    elif stack[-k:] == [symbol] * k:
+        del stack[len(stack) - k :]
+    else:
+        return 0
+    return k
 
 
 def transition_indices(pda: Pda, steps):

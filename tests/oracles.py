@@ -6,11 +6,20 @@ check); it shares no code with levels.max_levels. is_valid_level_triple
 checks one witness literally. check_unit_steps is the separate pass over
 the whole profile that max_levels made before its sweep checked the steps
 itself. numpy is a test dependency only, and this is its one user.
+
+reference_walk, reference_follow_run and reference_search_walk are the
+three per-step loops of pumpkit.run (walk, _follow_run and _walk) as they
+were before they took runs of a stationary move in one bulk step, kept
+step for step. reference_follow_run builds its RunPath with
+pumpkit.run._run_path, looked up at each call, and reference_search_walk
+takes the search's machine and arena tuples as they are now, reading
+only the fields it had then.
 """
 
 import operator
 
-from pumpkit import LevelTriple
+from pumpkit import LevelTriple, NotAccepted, ReplayError
+from pumpkit import run as run_module
 
 
 def check_unit_steps(profile) -> None:
@@ -80,3 +89,139 @@ def brute_force_max_level(profile, window_end: int) -> tuple[int, LevelTriple | 
             j, k = (int(x) for x in np.argwhere(scores == top)[0])
             best, witness = top, LevelTriple(i, j, k, top)
     return best, witness
+
+
+def reference_walk(steps, word, state, stack, pos):
+    """run.walk, one step at a time."""
+    n = len(word)
+    pop = stack.pop
+    extend = stack.extend
+    for i, t in enumerate(steps):
+        if t.source != state or not stack or stack[-1] != t.pop:
+            return ReplayError(i, "inapplicable")
+        if t.letter is not None:
+            if pos >= n or word[pos] != t.letter:
+                return ReplayError(i, "input-mismatch")
+            pos += 1
+        pop()
+        extend(t.push)
+        state = t.target
+    return state, pos
+
+
+def reference_follow_run(pda, word, table, letter_moves, width, accepting, live, stack, limits, max_epsilon):
+    """run._follow_run, its fast stretch one letter at a time."""
+    max_steps = limits.max_steps
+    max_height = limits.max_stack_height
+    n = len(word)
+    if len(stack) > max_height:
+        return None
+    if not n and 0 in accepting:
+        return run_module._run_path(pda, word, ())
+    steps: list = []
+    take = steps.append
+    push = stack.append
+    pop = stack.pop
+    state = pos = depth = epsilon = 0
+    low = len(stack)
+    while stack:
+        stop = min(n - 1, pos + max_steps - depth, pos + max_height - len(stack))
+        first = pos
+        while pos < stop and stack:
+            moves = letter_moves[state * width + stack[-1]]
+            if moves is None:
+                break
+            move = moves.get(word[pos])
+            if move is None:
+                break
+            state, extra, index = move
+            if extra < 0:
+                pop()
+            else:
+                push(extra)
+            take(index)
+            pos += 1
+        if pos > first:
+            depth += pos - first
+            epsilon = 0
+            low = len(stack)
+            if not stack:
+                break
+        bucket = table[state * width + stack[-1]]
+        if bucket is None:
+            break
+        depth += 1
+        here = word[pos] if pos < n else None
+        move = None
+        for entry in bucket:
+            letter, target, extra, index = entry
+            npos = pos
+            if letter is not None:
+                if letter != here:
+                    continue
+                npos = pos + 1
+            if depth > max_steps or (extra >= 0 and len(stack) >= max_height):
+                return None
+            if npos == n and target in accepting:
+                take(index)
+                return run_module._run_path(pda, word, steps)
+            if target in live:
+                move = entry
+        if move is None:
+            break
+        letter, state, extra, index = move
+        if extra < 0:
+            pop()
+        else:
+            push(extra)
+        take(index)
+        if letter is not None:
+            epsilon = 0
+            low = len(stack)
+            pos += 1
+        elif len(stack) < low:
+            epsilon = 0
+            low = len(stack)
+        else:
+            epsilon += 1
+            if epsilon > max_epsilon:
+                return None
+    return NotAccepted()
+
+
+def reference_search_walk(word, end, state, pos, cell, depth, machine, arena, bounds, *_):
+    """run._walk, one letter at a time; any arguments past bounds are
+    ignored."""
+    width, single = machine[1], machine[5]
+    sym, below, size, cells = arena[:4]
+    max_steps, max_height = bounds
+    first = pos
+    stop = min(end - 1, pos + 1 + max_steps - depth)
+    while pos < stop:
+        step = single[state * width + sym[cell]]
+        if step is None:
+            break
+        move = step.get(word[pos])
+        if move is None:
+            break
+        _, target, keeps_top, suffix = move
+        child = cell if keeps_top else below[cell]
+        if not suffix:
+            if not child:
+                break
+        else:
+            if size[child] + len(suffix) > max_height:
+                break
+            for s in suffix:
+                at = child * width + s
+                above = cells.get(at)
+                if above is None:
+                    above = cells[at] = len(sym)
+                    sym.append(s)
+                    below.append(child)
+                    size.append(size[child] + 1)
+                child = above
+        state = target
+        cell = child
+        pos += 1
+    return state, pos, cell, depth + pos - first

@@ -1,0 +1,445 @@
+"""Runs of a stationary move, taken in one bulk step, against the per-step
+loops they replace.
+
+A letter move is stationary when it lands back in the slot it fired from:
+same state, same top symbol. run.walk, run._follow_run and run._walk take a
+run of at least BULK_RUN equal letters read by such a move in one bulk
+step. On drawn machines and words with runs of BULK_RUN - 1, BULK_RUN and
+BULK_RUN + 1 letters, some cut by the end of the word, the end of a chain
+or a limit, each loop must give what its per-step reference in oracles.py
+gives: the same run, the same description and interned cells, the same
+state and position or ReplayError, and the same verdicts. Words that are
+not a str keep the per-step path, and every entry point must answer for
+them as for the str word.
+"""
+
+from unittest.mock import patch
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_follow_run, reference_search_walk, reference_walk
+from test_run_reference import one_run_machines, walk_machines
+
+from pumpkit import (
+    BOTTOM,
+    BUILTINS,
+    ExtractionMode,
+    NormalizedPda,
+    NormalizedTransition,
+    ReplayError,
+    RunPath,
+    SearchLimits,
+    accepts,
+    accepts_each,
+    extract,
+    minimal_accepting_path,
+    normalize,
+    replay,
+    verify,
+)
+from pumpkit import run as run_module
+from pumpkit.run import BULK_RUN, membership_tables
+
+T = NormalizedTransition
+RUN_LENGTHS = st.sampled_from([BULK_RUN - 1, BULK_RUN, BULK_RUN + 1, 2 * BULK_RUN + 1])
+BULK_HELPERS = ("_follow_bulk", "_walk_bulk", "_search_bulk")
+
+
+def _stationary(t) -> bool:
+    return t.letter is not None and t.target == t.source and t.push in ((t.pop, t.pop), ())
+
+
+def _drawn_run(draw, pda, state, stack, moves=6):
+    """Steps drawn off pda from state and stack (a list, updated): each
+    takes a drawn move of the current slot, and a stationary letter move
+    is repeated a drawn number of times while it fires. Returns the steps,
+    their letters, the state reached and the peak height."""
+    steps, letters, peak = [], [], len(stack)
+    for _ in range(draw(st.integers(moves // 2, moves))):
+        fits = [t for t in pda.transitions if stack and (t.source, t.pop) == (state, stack[-1])]
+        if not fits:
+            break
+        runs = [t for t in fits if _stationary(t)]
+        t = draw(st.sampled_from(runs if runs and draw(st.sampled_from([True, True, True, False])) else fits))
+        for _ in range(draw(RUN_LENGTHS) if _stationary(t) else 1):
+            if not stack or (t.source, t.pop) != (state, stack[-1]):
+                break
+            stack.pop()
+            stack.extend(t.push)
+            state = t.target
+            steps.append(t)
+            peak = max(peak, len(stack))
+            if t.letter is not None:
+                letters.append(t.letter)
+    return steps, letters, state, peak
+
+
+@st.composite
+def stationary_machines(draw):
+    """Normalized machines with one or two states with moves, most of
+    whose letter moves are stationary: in each slot, each letter has no
+    move, a push of the top symbol's copy, a pop or a drawn move, back into
+    its state; some slots have an epsilon move instead, and some moves go
+    into the move-less d. Most are deterministic, so the one-run walk
+    follows them."""
+    live = ["q0", "q1"][: draw(st.integers(1, 2))]
+    symbols = [BOTTOM, "A", "B"]
+    extras = st.sampled_from([None, *symbols])
+    transitions = []
+    for q in live:
+        for top in symbols:
+            if draw(st.sampled_from([False, False, False, False, True])):
+                transitions.append(T(q, None, top, draw(extras), draw(st.sampled_from([*live, "d"]))))
+                continue
+            for letter in "ab":
+                kind = draw(st.sampled_from(["push", "pop", "pop", "drawn", "none"]))
+                if kind == "push":
+                    transitions.append(T(q, letter, top, top, q))
+                elif kind == "pop":
+                    transitions.append(T(q, letter, top, None, q))
+                elif kind == "drawn":
+                    transitions.append(T(q, letter, top, draw(extras), draw(st.sampled_from([*live, "d"]))))
+    states = [*live, "d"]
+    return NormalizedPda(
+        states=states,
+        input_alphabet=["a", "b"],
+        stack_alphabet=symbols,
+        initial_state="q0",
+        initial_stack=[BOTTOM, *draw(st.lists(st.sampled_from(symbols), max_size=3))],
+        accept_states=draw(st.sets(st.sampled_from(states))),
+        transitions=transitions,
+    )
+
+
+@pytest.fixture
+def bulk_steps(monkeypatch):
+    """The letters each call of a bulk helper took, by helper."""
+    taken = {name: [] for name in BULK_HELPERS}
+    for name, record in taken.items():
+        original = getattr(run_module, name)
+
+        def counted(*args, original=original, record=record):
+            out = original(*args)
+            record.append(out if isinstance(out, int) else out[1])
+            return out
+
+        monkeypatch.setattr(run_module, name, counted)
+    return taken
+
+
+# The one-run walk of minimal_accepting_path.
+
+
+@st.composite
+def one_run_words(draw):
+    """A machine of one_run_machines, a word read off it with runs of its
+    stationary moves and a few drawn letters after them, and limits either
+    wide or within a few steps of the run's length and peak."""
+    pda = draw(st.one_of(stationary_machines(), stationary_machines(), one_run_machines()))
+    stack = list(pda.initial_stack)
+    steps, letters, _, peak = _drawn_run(draw, pda, pda.initial_state, stack)
+    word = "".join(letters) + draw(st.text("ab", max_size=3))
+    near = st.builds(
+        SearchLimits,
+        st.integers(max(0, len(steps) - 3), len(steps) + 3),
+        st.integers(max(0, peak - 2), peak + 2),
+    )
+    return pda, word, draw(st.one_of(st.just(SearchLimits(500, 500)), near))
+
+
+def _follow(follow_run, pda, word, limits):
+    """What each call of follow_run returned inside minimal_accepting_path:
+    the transition indices of the run it built, NotAccepted, or None where
+    it handed the word to the search."""
+    outcomes = []
+
+    def recorded(*args):
+        outcomes.append(follow_run(*args))
+        return outcomes[-1]
+
+    with (
+        patch.object(run_module, "_follow_run", recorded),
+        patch.object(run_module, "_run_path", lambda pda, word, indices: list(indices)),
+    ):
+        minimal_accepting_path(pda, word, limits)
+    return outcomes
+
+
+def test_follow_run_builds_the_per_step_run(bulk_steps):
+    follow_run = run_module._follow_run
+    bulk = []
+
+    @given(one_run_words())
+    @settings(max_examples=250, deadline=None, database=None)
+    def matches(case):
+        pda, word, limits = case
+        bulk_steps["_follow_bulk"].clear()
+        assert _follow(follow_run, pda, word, limits) == _follow(reference_follow_run, pda, word, limits)
+        bulk.append(any(bulk_steps["_follow_bulk"]))
+
+    matches()
+    assert sum(bulk) >= 0.1 * len(bulk)
+
+
+# walk, the replay step semantics.
+
+
+@st.composite
+def walks(draw):
+    """A walk: a machine, steps drawn off it with runs of stationary moves,
+    the word they read and where they start. Some have one fault put in: a
+    letter changed, a stack symbol changed below the top, the stack cut
+    short, the word cut short, or a drawn step added at the end."""
+    pda = draw(st.one_of(stationary_machines(), stationary_machines(), one_run_machines(), walk_machines()))
+    symbols = sorted(pda.stack_alphabet)
+    start = [BOTTOM, *draw(st.lists(st.sampled_from(symbols), max_size=2))]
+    start += [draw(st.sampled_from(symbols))] * draw(RUN_LENGTHS)
+    stack = list(start)
+    steps, letters, _, _ = _drawn_run(draw, pda, pda.initial_state, stack)
+    prefix = draw(st.text("ab", max_size=3))
+    word = prefix + "".join(letters) + draw(st.text("ab", max_size=2))
+    fault = draw(st.sampled_from(["none", "letter", "symbol", "stack", "word", "step"]))
+    if fault == "letter" and letters:
+        at = len(prefix) + draw(st.integers(0, len(letters) - 1))
+        word = word[:at] + ("b" if word[at] == "a" else "a") + word[at + 1 :]
+    elif fault == "symbol" and len(start) > 1:
+        at = draw(st.integers(0, len(start) - 2))
+        start[at] = draw(st.sampled_from(symbols))
+    elif fault == "stack":
+        start = start[draw(st.integers(0, len(start))) :]
+    elif fault == "word":
+        word = word[: draw(st.integers(0, len(word)))]
+    elif fault == "step":
+        steps.append(draw(st.sampled_from(pda.transitions)))
+    steps = draw(st.sampled_from([tuple(steps), steps]))
+    return steps, word, pda.initial_state, start, len(prefix)
+
+
+def test_walk_reaches_what_the_per_step_walk_reaches(bulk_steps):
+    bulk = []
+
+    @given(walks())
+    @settings(max_examples=400, deadline=None, database=None)
+    def matches(case):
+        steps, word, state, start, pos = case
+        bulk_steps["_walk_bulk"].clear()
+        for letters in (word, tuple(word)):
+            got, expected = list(start), list(start)
+            reached = run_module.walk(steps, letters, state, got, pos)
+            assert reached == reference_walk(steps, letters, state, expected, pos)
+            assert got == expected
+        bulk.append(any(bulk_steps["_walk_bulk"]))
+
+    matches()
+    assert sum(bulk) >= 0.1 * len(bulk)
+
+
+def test_walk_names_the_first_failing_step_inside_a_run():
+    pda = BUILTINS["DYCK1"].pda
+    word = "(" * 40 + ")" * 40
+    path = minimal_accepting_path(pda, word)
+    push, pop = path.steps[1], path.steps[41]
+
+    def walked(steps, word, stack):
+        got, expected = list(stack), list(stack)
+        out = run_module.walk(steps, word, "q0", got, 0)
+        assert out == reference_walk(steps, word, "q0", expected, 0) and got == expected
+        return out
+
+    pushes, pops = (push,) * 40, (pop,) * 40
+    assert walked(pushes, "(" * 25 + ")" + "(" * 14, [BOTTOM, "X"]) == ReplayError(25, "input-mismatch")
+    assert walked(pushes, "(" * 30, [BOTTOM, "X"]) == ReplayError(30, "input-mismatch")
+    assert walked(pops, ")" * 40, [BOTTOM] + ["X"] * 30) == ReplayError(30, "inapplicable")
+    assert walked(pops, ")" * 40, ["X"] * 30) == ReplayError(30, "inapplicable")
+    assert walked(pops, ")" * 40, ["X"] * 12 + [BOTTOM] + ["X"] * 30) == ReplayError(30, "inapplicable")
+    assert walked(pops[:20] + (push,) + pops[:19], ")" * 40, ["X"] * 50) == ReplayError(20, "input-mismatch")
+    assert walked(pops, ")" * 40, [BOTTOM] + ["X"] * 40) == ("q0", 40)
+
+
+# The membership search's walk.
+
+
+@st.composite
+def search_walks(draw):
+    """A machine whose search can walk, a word read off it with runs of
+    stationary moves (some followed by more, to push over cells a bulk push
+    made), a first end inside the word and limits."""
+    pda = draw(st.one_of(stationary_machines(), stationary_machines(), walk_machines()))
+    stack = list(pda.initial_stack)
+    _, letters, _, peak = _drawn_run(draw, pda, pda.initial_state, stack, moves=8)
+    word = "".join(letters) + draw(st.text("ab", max_size=2))
+    first_end = draw(st.integers(1, len(word) + 1))
+    n = len(word)
+    bounds = draw(st.sampled_from([(500, 500), (n, peak), (n // 2, peak - 1), (n + 1, peak // 2)]))
+    return pda, word, first_end, bounds
+
+
+def _arena(initial, width):
+    """A search's cell arena with the initial stack interned, and its top."""
+    sym, below, size, cells = [-1], [0], [0], {}
+    cell = 0
+    for s in initial:
+        top = cells[cell * width + s] = len(sym)
+        sym.append(s)
+        below.append(cell)
+        size.append(size[cell] + 1)
+        cell = top
+    return (sym, below, size, cells, [], []), cell
+
+
+def _cells(arena):
+    sym, below, size, cells = arena[:4]
+    return sym, below, size, list(cells.items())
+
+
+def test_search_walk_interns_what_the_per_step_walk_interns(bulk_steps):
+    bulk = []
+
+    @given(search_walks())
+    @settings(max_examples=300, deadline=None, database=None)
+    def matches(case):
+        pda, word, first_end, bounds = case
+        moves, width, n_states, accepting, single, initial, run_letters = membership_tables(pda)
+        if single is None or not initial:
+            return
+        machine = (moves, width, n_states, len(word) + 1, accepting, single, run_letters)
+        (arena, top), (expected_arena, _) = _arena(initial, width), _arena(initial, width)
+        runs = run_module._search_runs(word, run_letters, 0, len(word))
+        bulk_steps["_search_bulk"].clear()
+        at = (0, 0, top, 1)
+        # A second walk from where the first stopped pushes and pops over the
+        # cells the first interned.
+        for end in (first_end, len(word)):
+            got = run_module._walk(word, end, *at, machine, arena, bounds, runs)
+            assert got == reference_search_walk(word, end, *at, machine, expected_arena, bounds)
+            assert _cells(arena) == _cells(expected_arena)
+            at = got
+        bulk.append(any(bulk_steps["_search_bulk"]))
+
+    matches()
+    assert sum(bulk) >= 0.05 * len(bulk)
+
+
+@st.composite
+def run_batches(draw):
+    """One to four words around a word read off a machine whose search can
+    walk: the base with a run grown or shrunk, or cut, under wide or tight
+    limits."""
+    pda = draw(st.one_of(stationary_machines(), stationary_machines(), walk_machines()))
+    stack = list(pda.initial_stack)
+    _, letters, _, peak = _drawn_run(draw, pda, pda.initial_state, stack, moves=8)
+    base = "".join(letters)
+    words = [base]
+    for _ in range(draw(st.integers(0, 3))):
+        cut = draw(st.integers(0, len(base)))
+        piece = draw(st.sampled_from("ab")) * draw(RUN_LENGTHS)
+        words.append(draw(st.sampled_from([base[:cut] + piece + base[cut:], base[:cut], base + piece])))
+    longest = max(map(len, words))
+    limits = draw(st.sampled_from([SearchLimits(2 * longest + 8, peak + 2), SearchLimits(longest // 2, peak)]))
+    return pda, words, limits
+
+
+def test_batch_verdicts_equal_the_per_step_walks(bulk_steps):
+    bulk = []
+
+    @given(run_batches())
+    @settings(max_examples=200, deadline=None, database=None)
+    def matches(case):
+        pda, words, limits = case
+        bulk_steps["_search_bulk"].clear()
+        for machine in (pda, normalize(pda)):
+            got = accepts_each(machine, words, limits)
+            with patch.object(run_module, "_walk", reference_search_walk):
+                assert got == accepts_each(machine, words, limits)
+        bulk.append(any(bulk_steps["_search_bulk"]))
+
+    matches()
+    assert sum(bulk) >= 0.05 * len(bulk)
+
+
+def test_a_walk_climbs_the_cells_a_bulk_push_made(bulk_steps):
+    # The later runs of opening brackets push over the cells the first one
+    # interned, and the search finds them as a per-step walk would.
+    pda = BUILTINS["DYCK1"].pda
+    k = 3 * BULK_RUN
+    word = ("(" * k + ")" * k) * 2 + "(" * (k + 5) + ")" * (k + 5)
+    arenas = []
+    search = run_module._search_chain
+
+    def kept(*args):
+        out = search(*args)
+        arenas.append(_cells(args[-2]))
+        return out
+
+    with patch.object(run_module, "_search_chain", kept):
+        verdict = accepts(pda, word)
+        with patch.object(run_module, "_walk", reference_search_walk):
+            assert accepts(pda, word) == verdict
+    assert arenas[0] == arenas[1]
+    assert len(arenas[0][0]) == k + 7  # the empty stack, the bottom and k + 5 brackets
+    assert len(_positive(bulk_steps["_search_bulk"])) == 6  # three push runs, three pop runs
+
+
+# Words that are not a str.
+
+
+@pytest.mark.parametrize("label", ["DYCK1", "ANBN", "REG_AB"])
+@pytest.mark.parametrize("kind", [tuple, list])
+def test_every_entry_point_answers_a_sequence_word_as_its_str(label, kind):
+    entry = BUILTINS[label]
+    pda = entry.pda
+    for word in (entry.generate(BULK_RUN + 1), entry.generate_near_miss(BULK_RUN), entry.generate(2)):
+        letters = kind(word)
+        assert accepts(pda, letters) == accepts(pda, word)
+        assert accepts_each(pda, [letters, word, letters]) == accepts_each(pda, [word] * 3)
+        path = minimal_accepting_path(pda, word)
+        other = minimal_accepting_path(pda, letters)
+        if isinstance(path, RunPath):
+            assert (other.steps, other.profile) == (path.steps, path.profile)
+            again = replay(pda, path.steps, letters)
+            assert (again.steps, again.profile) == (path.steps, path.profile)
+        else:
+            assert other == path
+
+
+# Which pumps take bulk steps.
+
+
+def _positive(taken):
+    return [k for k in taken if k]
+
+
+def test_the_strict_dyck_pump_takes_its_long_runs_in_bulk(bulk_steps):
+    word = "(" * 6601 + ")" * 6601
+    pda = BUILTINS["DYCK1"].pda
+    result = extract(pda, word, mode=ExtractionMode.STRICT)
+    # The minimal run: the push run after the first letter and the pop run
+    # up to the last.
+    assert _positive(bulk_steps["_follow_bulk"]) == [6600, 6600]
+    # The candidate's walk of the found run: u after its first step, and
+    # the tail.
+    a, _, _, e = result.decomposition.cuts
+    assert _positive(bulk_steps["_walk_bulk"]) == [a - 1, len(word) - e]
+    report = verify(pda, result.path, result.decomposition, checkpoints=result.checkpoints)
+    assert report.overall
+    # The search of the pumped words: a push run in their common prefix and
+    # a pop run in their common suffix.
+    prefix_push, suffix_pop = _positive(bulk_steps["_search_bulk"])
+    assert min(prefix_push, suffix_pop) > 6500
+
+
+@pytest.mark.parametrize(
+    "label, word, mode",
+    [
+        ("REG_AB", "ab" * 3300, ExtractionMode.STRICT),
+        ("GEN_PAL", BUILTINS["GEN_PAL"].generate(200), ExtractionMode.BEST_EFFORT),
+    ],
+    ids=["REG_AB", "GEN_PAL"],
+)
+def test_pumps_without_runs_take_no_bulk_step(bulk_steps, label, word, mode):
+    source = BUILTINS[label].pda
+    pda = normalize(source)
+    result = extract(pda, word, mode=mode)
+    assert verify(pda, result.path, result.decomposition, checkpoints=result.checkpoints, source=source).pumping_ok
+    assert all(not taken for taken in bulk_steps.values())
