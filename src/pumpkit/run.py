@@ -56,21 +56,20 @@ loops, the fast stretch, walk and the search walk (_walk), take such a run
 in one bulk step and keep their per-step code everywhere else. The runs
 are those of at least BULK_RUN equal letters of a str word, found with one
 str.find per run and letter, which skips the stretches between runs in C.
-No loop scans a word once per walk: the fast stretch scans its word once,
-walk reads that scan again when it walks the same word (see walk below),
-and a chain of the membership search scans its stretch once for all of
-its walks. A word that is not a str has no runs and keeps the per-step
-path. A loop caps its per-step stretch at the next run and tests the move
-at the first position it reaches in the run; when that move is not
-stationary (as the first push onto the bottom marker is not), it takes one
-step and tests once more, and otherwise leaves the run to the per-step
-loop. No loop tests a step that lies outside a run, so a word without runs
+No loop scans more than the stretch it walks: the fast stretch scans its
+word once, walk only the stretch its steps can read (see walk below), and
+a chain of the membership search its stretch once for all of its walks.
+A word that is not a str has no runs and keeps the per-step path. A loop
+caps its per-step stretch at the next run and tests the move at the first
+position it reaches in the run; when that move is not stationary (as the
+first push onto the bottom marker is not), it takes one step and tests
+once more, and otherwise leaves the run to the per-step loop. No loop tests a step that lies outside a run, so a word without runs
 pays nothing per step. The fast stretch looks only for runs of the
 letters its machine reads with a stationary move, and a bulk step stays
 inside the stretch's bounds, so no limit and no acceptance test moves: a
-push run takes the run up to the stretch's end, and a pop run only as
-many pops as there are equal symbols on top. The run it builds is the
-per-step run, index for index.
+push run takes the run up to the stretch's end, and a pop run only when
+as many equal symbols lie on top. The run it builds is the per-step run,
+index for index.
 
 accepts_each() answers membership only, for several words at once, and
 accepts() is its one-word call. It is a deliberately separate search loop
@@ -189,12 +188,11 @@ between its checkpoints. It checks a run of identical steps as a whole:
 the steps by one count of the run's first step, the letters by the run
 they lie in, and a pop run's symbols by one stack-slice comparison. On any
 mismatch the run is walked step by step, so the first offending step and
-its reason are those of the per-step walk. It reads the runs the fast
-stretch scanned when it walks the same word, as extract's candidate check
-walks the found run, and otherwise scans its own stretch of the word for
-runs of every letter in it. replay takes only the machine's own transitions:
-transition_indices finds each step among them with one dict lookup, and a
-step that is not one of them is inapplicable.
+its reason are those of the per-step walk. It scans only the stretch of
+the word its steps can read, for runs of every letter in it, so the walks
+of a run's pieces scan the word once between them. replay takes only the
+machine's own transitions: transition_indices finds each step among them
+with one dict lookup, and a step that is not one of them is inapplicable.
 _run_path builds the RunPath of a sequence of transition indices, which
 the minimal-run search, the one-run walk (_follow_run) and replay's lookup
 all hold: the steps and the per-step height changes are gathered by index
@@ -599,11 +597,11 @@ def _follow_run(pda: NormalizedPda, word, table, letter_moves, width, accepting,
 
 
 def _follow_bulk(word, pos: int, k: int, state: int, stack: list, letter_moves, width: int, taken: list) -> int:
-    """Fire the one-run walk's move at pos up to k times in one step when it
-    is stationary: a push of the top symbol's copy, or a pop, which fires
-    only as often as that symbol lies on top. Appends the move's transition
-    index to taken per firing; returns the letters read, 0 when the move is
-    not stationary."""
+    """Fire the one-run walk's move at pos k times in one step when it is
+    stationary: a push of the top symbol's copy, or a pop with k copies of
+    that symbol on top. Appends the move's transition index to taken per
+    firing; returns the letters read, 0 when the move does not fire k
+    times this way."""
     if k <= 0:
         return 0
     top = stack[-1]
@@ -614,8 +612,7 @@ def _follow_bulk(word, pos: int, k: int, state: int, stack: list, letter_moves, 
     _, extra, index = move
     if extra == top:
         stack.extend(repeat(top, k))
-    elif extra < 0:
-        k = _top_count(stack, top, k)
+    elif extra < 0 and stack[-k:] == [top] * k:
         del stack[len(stack) - k :]
     else:
         return 0
@@ -623,43 +620,16 @@ def _follow_bulk(word, pos: int, k: int, state: int, stack: list, letter_moves, 
     return k
 
 
-def _top_count(stack: list, symbol, k: int) -> int:
-    """How many of the top k entries of stack equal symbol, counted down
-    from the top to the first that does not; slice compares halve the
-    unknown stretch."""
-    if stack[-k:] == [symbol] * k:
-        return k
-    lo, hi = 0, k  # the top lo entries are symbol, the top hi are not all
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if stack[-mid:] == [symbol] * mid:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-# The run side's last scan: the word, the letters and window scanned, and
-# the starts and ends of the runs found. It only saves scanning again: a
-# scan depends on nothing but its word, letters and window, and a walk that
-# misses a run only takes it step by step.
-_run_scan: list = [None, frozenset(), 0, 0, (), ()]
-
-
 def _letter_runs(word, letters, lo: int, hi: int) -> tuple:
     """(starts, ends) of the maximal runs of at least BULK_RUN copies of one
     letter of letters in word[lo:hi] (of any letter there when letters is
     None), in order: one str.find per run and letter skips the stretches
-    between runs in C. Only a str word has runs. The last scan is kept,
-    and a call inside its window on the same word that asks for no letter
-    outside it reads the kept scan instead of scanning again."""
+    between runs in C. Only a str word has runs."""
     if not isinstance(word, str) or hi - lo < BULK_RUN:
         return (), ()
-    kept, scanned, kept_lo, kept_hi, starts, ends = _run_scan
-    if kept_lo <= lo and hi <= kept_hi and (letters is None or letters <= scanned) and kept == word:
-        return starts, ends
     if letters is None:
-        letters = frozenset(word[lo:hi])
+        # A run of BULK_RUN letters covers one of every BULK_RUN positions.
+        letters = set(word[lo:hi:BULK_RUN])
     spans = []
     for letter in letters:
         if len(letter) != 1:
@@ -672,10 +642,7 @@ def _letter_runs(word, letters, lo: int, hi: int) -> tuple:
             spans.append((at, end))
             at = word.find(probe, end, hi)
     spans.sort()
-    starts = [start for start, _ in spans]
-    ends = [end for _, end in spans]
-    _run_scan[:] = word, frozenset(letters), lo, hi, starts, ends
-    return starts, ends
+    return [start for start, _ in spans], [end for _, end in spans]
 
 
 def _reconstruct(pda: NormalizedPda, word, parent, via, d) -> RunPath:
