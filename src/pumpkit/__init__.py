@@ -50,12 +50,11 @@ from .run import (
     ReplayError,
     RunPath,
     SearchLimits,
-    accepts,
-    accepts_each,
     default_limits,
     minimal_accepting_path,
     replay,
 )
+from .search import accepts, accepts_each
 from .serialize import FORMAT_VERSION, PdaDocument, dumps, load_document, load_path, loads, to_document
 from .verify import (
     DEFAULT_N_SET,
@@ -65,7 +64,6 @@ from .verify import (
     check_constraints,
     pumped_word,
     replay_pumps,
-    spliced_steps,
     verify,
 )
 

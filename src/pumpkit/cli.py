@@ -34,11 +34,10 @@ from .run import (
     STEP_CAP,
     NotAccepted,
     SearchLimits,
-    accepts,
     default_limits,
-    membership_tables,
     minimal_accepting_path,
 )
+from .search import accepts, membership_tables
 from .serialize import PdaDocument, dumps, load_path
 from .verify import DEFAULT_N_SET, verify
 

@@ -1,0 +1,610 @@
+"""The membership search: accepts and accepts_each over pushdown machines.
+
+accepts_each() answers membership only, for several words at once, and
+accepts() is its one-word call. It is a deliberately separate search loop
+(and also simulates general machines) so it can serve as an oracle: it
+shares no code with minimal_accepting_path or the replay side, which live
+in pumpkit.run. From there it takes only the verdict records, SearchLimits,
+default_limits and BULK_RUN, and pumpkit.run imports nothing from here. Its
+tables
+(ids, move table, walk table, accepting set) come from membership_tables,
+which reads only the machine: accepts_each builds them once per call,
+unless the caller passes them in, as `pumpkit check` does, building them
+once per command and passing them to every word's accepts call.
+
+accepts_each searches its words in chains. A chain is a stretch of one
+word, from its start position to its end, searched by its own
+level-synchronous breadth-first search (_search_chain) from seeds at its
+start. Descriptions at a position depend only on the letters before it, so
+when the batch holds two different words, the words' longest common prefix
+is one chain, searched once. Its last position is the fork: its
+descriptions are expanded by epsilon moves only (no word is taken to end
+there) and parked with their exact depths. Each distinct word is then
+searched from the fork as a chain of its own, seeded with the parked
+descriptions, each at its own level, so every description keeps its
+breadth-first depth. A chain's visited set and queue are freed when it is
+done, and the stack cells created under a word are truncated from the cell
+arena before the next word starts, so the search holds the descriptions of
+one chain at a time. A chain that ends a word accepts it when an accepting
+state is dequeued at its end, as in a one-word search. The prefix accepts
+nothing, so it runs until its descriptions are spent or cut: where epsilon
+moves push without end, it is searched up to the limits, past the depth at
+which a one-word search of an accepted word would have stopped.
+
+Words that differ in the middle can still end alike, as the pumped words
+u·vⁿ·x·yⁿ·z all end in z. Let S be the longest common suffix of the
+distinct words. A word whose join point J = len(w) - |S| lies after the
+fork is searched up to J, and parks its descriptions there as the prefix
+does; the suffix from J is a chain of its own, seeded with them. A word
+whose join point is the fork is that suffix chain already. Descriptions past
+J depend only on the parked ones and on S, so equal seeds give an equal
+search. A suffix chain is keyed by its seeds: the (cell, state) of each, its
+position rebased to J, and its level less the lowest seed level. Before it
+is searched, a stored search under the same key is reused when it was not
+cut and its deepest level, shifted by this word's lowest seed level, stays
+within the step limit: nothing in it then passes the limits, so this word's
+own search would find the same descriptions at the same depths. Otherwise
+the suffix is searched. Keys name interned cells, so only seeds on cells
+made before the fork, which no truncation drops, are stored. Seeds that
+name a cell made under their own word are searched as a plain chain, and
+joins stop for the batch (a GEN_PAL stack holds the word read so far, so
+its pumped words reach the suffix on stacks of their own). A stretch up to
+a join that the limits cut gives the join up, and joins stop too: its word
+is searched whole from the fork, so no suffix is seeded with a parked set
+that the limits cut.
+
+All chains are searched under the one set of limits the batch is given, so
+each word's verdict takes the cuts of every chain on its path. A word that
+is not accepted reads LimitExceeded exactly when its one-word search under
+those limits would, and NotAccepted otherwise.
+
+Where a level of a chain's search holds one description, the search walks
+it (_walk) on interned cells, with no key, visited insert or queue slot, for
+as long as the search would hold one description too. A walk starts only
+when no seed is left to join and (a) every step to the description read a
+letter: its position less the chain's start equals its level less the
+lowest seed level. Each step then needs (b) a slot (state, top) with no
+epsilon move and exactly one move on the next letter, (c) a successor
+within the limits and on a nonempty stack, and (d) a successor before the
+chain's end. Where a condition fails, the description reached is queued as
+its level's only entry. A move that pushes nothing reaches the current cell
+or the one below it, so such a step interns no cell and needs no height
+test: the walk starts from a description the search queued, within the
+height limit, and such a step does not grow the stack. Under (a), every
+visited description lies at or before the walk's position, so each
+successor is new; under (b) to (d) it is the only one and not cut. The
+search would therefore queue it as the whole next level: the walk takes the
+same steps and interns the same cells in the same order, and every cut
+flag, parked description and deepest level still comes from the search.
+The walked descriptions stay out of the visited set: every
+later description descends from the one queued, at or past its position.
+A seed that joined later could reach them again from the chain's start, so
+the walk waits for the last seed. membership_tables decides once, from the
+move table, whether a walk can happen at all: not when a slot holds a live
+epsilon move beside another live move, as GEN_PAL's midpoint guess does,
+since such a machine's levels seldom hold one description; its search then
+pays one test per level and none per description.
+
+A walk takes each run of a stationary move in one bulk step. A letter move
+is stationary when it lands back in the slot it fired from: its target is
+its source, and it pushes a copy of the symbol it pops or pops it onto an
+equal one. The runs are those of at least BULK_RUN equal letters of a str
+word, and only of the letters membership_tables found such a move for;
+_search_runs finds them once per chain, for all of its walks, with one
+str.find per run and letter. A word that is not a str has no runs. A walk
+caps its per-step stretch at the next run and tests the move at the first
+position it reaches in the run. When a test on the run's first letter
+fails, it takes one step and tests once more; any other failed test leaves
+the run to the per-step loop. A bulk step interns the same cells, in the
+same order, as a per-step walk: a push run climbs the cells it finds
+already interned and interns all the rest at once as one chain of
+consecutive cells, recorded in the arena. A pop run goes down in bulk only
+through such a chain, whose cells are provably the ones a per-step descent
+visits, and step by step everywhere else.
+
+The search encodes its descriptions as plain ints. States are numbered
+with the initial state as 0, and stack symbols 0..width-1. The move table
+is a flat list indexed by state * width + popped symbol whose buckets keep
+declared order, so a dequeued description looks up its moves once. A stack
+is an int cell described by three parallel lists, sym, below and size;
+cell 0 is the empty stack, and cells are interned by below * width +
+symbol, so equal stacks are equal cells and a visited key stays O(1)
+whatever the stack depth. That key is the one int
+(cell * (n + 1) + position) * n_states + state, with n the length of the
+batch's longest word. Seeds and parked descriptions carry their key less
+position * n_states, so they stay valid in every chain and equal
+(cell, state) pairs at different joins have equal keys. The cyclic garbage
+collector does not track ints, so the search allocates no tracked object
+that outlives a description, and the collector's work does not grow with
+the word.
+"""
+
+from __future__ import annotations
+
+import re
+from bisect import bisect_left, bisect_right
+from itertools import chain, islice, repeat
+
+from .pda import Pda
+from .run import BULK_RUN, Accepted, LimitExceeded, NotAccepted, SearchLimits, default_limits
+
+
+def accepts(pda: Pda, word, limits: SearchLimits | None = None, *, tables=None):
+    """Membership verdict only: Accepted, NotAccepted, or LimitExceeded.
+
+    Handles general machines too (pushes of any length), which makes it
+    usable as the before/after oracle for normalization equivalence. It is
+    the one-word call of accepts_each.
+    """
+    return accepts_each(pda, (word,), limits, tables=tables)[0]
+
+
+def _shared_prefix(a, b, lo: int) -> int:
+    """The length of the longest common prefix of a and b, given that their
+    first lo letters agree; slice compares halve the unknown stretch."""
+    hi = min(len(a), len(b))
+    if a[lo:hi] == b[lo:hi]:
+        return hi
+    while hi - lo > 1:  # a[:lo] == b[:lo] and a[:hi] != b[:hi]
+        mid = (lo + hi) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _merge_seeds(levels, keys, base: int, si: int, level: int, visited: set, queue: list) -> int:
+    """Queue the seeds of one level that the chain has not reached yet (their
+    keys are relative to the chain's start, base its offset) and return the
+    index of the first seed of a later level."""
+    while si < len(keys) and levels[si] == level:
+        key = keys[si] + base
+        if key not in visited:
+            visited.add(key)
+            queue.append(key)
+        si += 1
+    return si
+
+
+def _search_chain(
+    word, start: int, end: int, leaf: bool, seed_levels, seed_keys, machine, arena, bounds
+) -> tuple:
+    """Search one chain, the letters word[start:end], from its seeds, under
+    the limits bounds = (max_steps, max_stack_height).
+
+    The seeds sit at start, sorted by level, with keys relative to start. A
+    leaf accepts when an accepting state is dequeued at end. Any other chain
+    expands its descriptions at end by epsilon moves only and parks them,
+    with their levels and with keys relative to end. Returns (accepted,
+    deepest, parked levels, parked keys, cut): no description the chain
+    queued or held against the limits lies deeper than level deepest, and
+    cut has bit 1 set when the step limit cut a successor and bit 2 when
+    the height limit did.
+    """
+    moves, width, n_states, n1, accepting, single, run_letters = machine
+    sym, below, size, cells, _, _ = arena
+    max_steps, max_height = bounds
+    get_cell = cells.get
+    runs = _search_runs(word, run_letters, start, end) if run_letters else ((), ())
+    base = start * n_states
+    parked_base = end * n_states
+    parked_levels: list = []
+    parked_keys: list = []
+    accepted = False
+    cut = 0
+    visited: set = set()
+    seen = visited.add
+    queue: list = []
+    enqueue = queue.append
+    ns = len(seed_keys)
+    si = 0
+    depth = 0
+    while si < ns and not accepted:
+        # Everything queued is expanded: start again at the next seed level.
+        queue.clear()
+        depth = seed_levels[si]
+        si = _merge_seeds(seed_levels, seed_keys, base, si, depth, visited, queue)
+        depth += 1  # steps to the successors of the description being expanded
+        level_end = len(queue)  # queue[level_end:] are one step deeper than it
+        for i, key in enumerate(queue):
+            state = key % n_states
+            rest = key // n_states
+            pos = rest % n1
+            cell = rest // n1
+            if i == level_end:
+                if si < ns and seed_levels[si] == depth:
+                    si = _merge_seeds(seed_levels, seed_keys, base, si, depth, visited, queue)
+                depth += 1
+                level_end = len(queue)
+                if (
+                    single is not None
+                    and level_end == i + 1
+                    and si == ns
+                    and depth <= max_steps
+                    and cell
+                    and single[state * width + sym[cell]]
+                    and pos - start == depth - 1 - seed_levels[0]
+                ):
+                    # One description at this level, no seed left, and every
+                    # step to it read a letter: walk it while the search would
+                    # hold one (see the module docstring).
+                    state, pos, cell, depth = _walk(word, end, state, pos, cell, depth, machine, arena, bounds, runs)
+                    key = (cell * n1 + pos) * n_states + state
+                    seen(key)
+            if pos == end:
+                if not leaf:
+                    parked_levels.append(depth - 1)
+                    parked_keys.append(key - parked_base)
+                elif state in accepting:
+                    accepted = True
+                    break
+            if not cell:
+                continue
+            bucket = moves[state * width + sym[cell]]
+            if bucket is None:
+                continue
+            here = word[pos] if pos < end else None
+            for letter, target, keeps_top, suffix in bucket:
+                npos = pos
+                if letter is not None:
+                    if letter != here:
+                        continue
+                    npos = pos + 1
+                child = cell if keeps_top else below[cell]
+                if suffix:
+                    for s in suffix:
+                        at = child * width + s
+                        above = get_cell(at)
+                        if above is None:
+                            above = cells[at] = len(sym)
+                            sym.append(s)
+                            below.append(child)
+                            size.append(size[child] + 1)
+                        child = above
+                found = (child * n1 + npos) * n_states + target
+                if found in visited:
+                    continue
+                if depth > max_steps or (child and size[child] > max_height):
+                    cut |= 1 if depth > max_steps else 2
+                    continue
+                seen(found)
+                enqueue(found)
+    return accepted, depth, parked_levels, parked_keys, cut
+
+
+def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, arena, bounds, runs) -> tuple:
+    """Walk the one description of a breadth-first level, with depth the
+    level of its successors, while the search would hold one; see the module
+    docstring. Every step reads a letter, so positions and levels advance
+    together. runs holds the starts and ends of the word's runs of one
+    letter that a stationary move reads: the walk tests the move at the
+    first position it reaches in each, and once more a letter later when
+    the test on the run's first letter fails, and a stationary move takes
+    the run in one bulk step that interns the cells a per-step walk would. Returns the state, position,
+    cell and depth reached.
+    """
+    _, width, _, _, _, single, _ = machine
+    sym, below, size, cells, _, _ = arena
+    max_steps, max_height = bounds
+    starts, ends = runs
+    # Run r is the next one, and point is where to test in it.
+    r = bisect_right(ends, pos)
+    point = max(starts[r], pos) if r < len(starts) else end
+    first = pos
+    stop = min(end - 1, pos + 1 + max_steps - depth)  # land before end, within max_steps
+    while True:
+        cap = point if point < stop else stop
+        while pos < cap:
+            step = single[state * width + sym[cell]]
+            if step is None:
+                break
+            move = step.get(word[pos])
+            if move is None:
+                break
+            _, target, keeps_top, suffix = move
+            child = cell if keeps_top else below[cell]
+            if not suffix:
+                if not child:
+                    break
+            else:
+                if size[child] + len(suffix) > max_height:
+                    break
+                for s in suffix:
+                    at = child * width + s
+                    above = cells.get(at)
+                    if above is None:
+                        above = cells[at] = len(sym)
+                        sym.append(s)
+                        below.append(child)
+                        size.append(size[child] + 1)
+                    child = above
+            state = target
+            cell = child
+            pos += 1
+        else:
+            if pos < stop:
+                cell, took = _search_bulk(word, pos, min(ends[r], stop) - pos, state, cell, machine, arena, max_height)
+                pos += took
+                if took or pos > starts[r]:
+                    r += 1
+                    point = starts[r] if r < len(starts) else end
+                else:
+                    point = pos + 1
+                continue
+        break
+    return state, pos, cell, depth + pos - first
+
+
+def _search_bulk(word, pos: int, k: int, state: int, cell: int, machine, arena, max_height: int) -> tuple:
+    """Fire the walk's move at pos up to k times in one step when it is
+    stationary; returns the cell reached and the letters read, 0 when the
+    move is not stationary or no step can be taken in bulk.
+
+    A push of the top symbol's copy fires as often as the height limit
+    allows (_push_chain interns its cells). A pop goes down in bulk only
+    through a chain that _push_chain interned, whose cells are provably
+    the ones a per-step descent visits: each holds the popped symbol and
+    lies on the one before it. A chain starts on a cell the walk stood on,
+    never on the empty stack, so the descent never empties it.
+    """
+    width, single = machine[1], machine[5]
+    sym, below, size, _, chain_lo, chain_hi = arena
+    top = sym[cell]
+    step = single[state * width + top]
+    move = None if step is None or k <= 0 else step.get(word[pos])
+    if move is None or move[1] != state:
+        return cell, 0
+    _, _, keeps_top, suffix = move
+    if keeps_top and suffix == (top,):
+        k = min(k, max_height - size[cell])
+        if k <= 0:
+            return cell, 0
+        return _push_chain(cell, top, k, width, arena), k
+    if keeps_top or suffix:
+        return cell, 0
+    c = bisect_right(chain_lo, cell) - 1
+    if c < 0 or cell > chain_hi[c]:
+        return cell, 0
+    lo = chain_lo[c]
+    k = min(k, cell - lo + 1)
+    return (cell - k if cell - k >= lo else below[lo]), k
+
+
+def _push_chain(cell: int, symbol: int, k: int, width: int, arena) -> int:
+    """The cell of k copies of symbol pushed on cell, interned as k pushes
+    one at a time would intern them, in the same order: existing cells are
+    found by key, or climbed in bulk along a chain, and the first missing
+    one starts a new chain of all the rest, numbered consecutively and
+    recorded in chain_lo and chain_hi."""
+    sym, below, size, cells, chain_lo, chain_hi = arena
+    while k:
+        at = cell * width + symbol
+        above = cells.get(at)
+        if above is None:
+            # No cell above a new one exists yet: the rest are all new.
+            n0 = len(sym)
+            ids = list(range(n0, n0 + k))  # one int per cell, shared by cells and below
+            cells.update(zip(chain((at,), range(n0 * width + symbol, (n0 + k - 1) * width + symbol, width)), ids))
+            sym.extend(repeat(symbol, k))
+            below.append(cell)
+            below.extend(islice(ids, k - 1))
+            size.extend(range(size[cell] + 1, size[cell] + k + 1))
+            chain_lo.append(n0)
+            chain_hi.append(ids[-1])
+            return ids[-1]
+        c = bisect_right(chain_lo, above) - 1
+        if c >= 0 and above <= chain_hi[c]:
+            # the chain's cells above `above` are the next ones a push finds
+            climb = min(k, chain_hi[c] - above + 1)
+            cell = above + climb - 1
+            k -= climb
+        else:
+            cell = above
+            k -= 1
+    return cell
+
+
+def _search_runs(word, letters, start: int, end: int) -> tuple:
+    """(starts, ends) of the maximal runs of at least BULK_RUN copies of a
+    letter of letters in word[start:end], in order, for the walks of the
+    chain that searches that stretch: one scan per chain, however many
+    walks it makes. Only a str word has runs."""
+    if not isinstance(word, str) or end - start < BULK_RUN:
+        return (), ()
+    spans = []
+    for letter in letters:
+        if len(letter) != 1:
+            continue  # a word reads one character at a time
+        more = re.compile(re.escape(letter) + "*").match
+        probe = letter * BULK_RUN
+        at = word.find(probe, start, end)
+        while at >= 0:
+            stop = more(word, at + BULK_RUN, end).end()
+            spans.append((at, stop))
+            at = word.find(probe, stop, end)
+    spans.sort()
+    return [at for at, _ in spans], [stop for _, stop in spans]
+
+
+def membership_tables(pda: Pda) -> tuple:
+    """The tables accepts_each searches pda with, read from the machine
+    alone, no word: (moves, width, n_states, accepting, single, initial,
+    run_letters), with initial the symbol ids of the initial stack, bottom
+    first, and run_letters the letters the walks read with a stationary
+    move; see the module docstring. accepts and accepts_each build them per
+    call unless they are passed in, so a caller that searches one machine word by word
+    can build them once.
+    """
+    state_ids = {pda.initial_state: 0}
+    symbol_ids: dict = {}
+    for s in pda.initial_stack:
+        symbol_ids.setdefault(s, len(symbol_ids))
+    for t in pda.transitions:
+        state_ids.setdefault(t.source, len(state_ids))
+        state_ids.setdefault(t.target, len(state_ids))
+        symbol_ids.setdefault(t.pop, len(symbol_ids))
+        for s in t.push:
+            symbol_ids.setdefault(s, len(symbol_ids))
+    n_states = len(state_ids)
+    width = len(symbol_ids)
+    accepting = {state_ids[q] for q in pda.accept_states if q in state_ids}
+    # state * width + top -> [(letter, target, keeps_top, suffix)], declared
+    # order. A push that starts with the popped symbol keeps the current cell
+    # and pushes only the rest: interning makes that the cell a pop followed
+    # by the full push would reach.
+    moves: list = [None] * (n_states * width)
+    for t in pda.transitions:
+        push = t.push
+        keeps_top = bool(push) and push[0] == t.pop
+        slot = state_ids[t.source] * width + symbol_ids[t.pop]
+        if moves[slot] is None:
+            moves[slot] = []
+        suffix = tuple(symbol_ids[s] for s in (push[1:] if keeps_top else push))
+        moves[slot].append((t.letter, state_ids[t.target], keeps_top, suffix))
+    # For the walks (see the module docstring), single[slot] maps each letter
+    # with one move in a slot without epsilon moves to that move. It is None,
+    # and the search never walks, when a slot holds a live epsilon move
+    # beside another live move.
+    live = {state_ids[t.source] for t in pda.transitions}
+    single: list | None = [None] * len(moves)
+    for slot, bucket in enumerate(moves):
+        if bucket is None:
+            continue
+        live_letters = [letter for letter, target, _, _ in bucket if target in live]
+        if None in live_letters and len(live_letters) > 1:
+            single = None
+            break
+        letters = [move[0] for move in bucket]
+        if None not in letters:
+            single[slot] = {move[0]: move for move in bucket if letters.count(move[0]) == 1}
+    # The letters a walk can read with a stationary move: from a slot, back
+    # into its state with the same top symbol, by pushing a copy of it or
+    # popping it.
+    run_letters = frozenset(
+        letter
+        for slot, step in enumerate(single or ())
+        if step
+        for letter, (_, target, keeps_top, suffix) in step.items()
+        if target == slot // width and suffix == ((slot % width,) if keeps_top else ())
+    )
+    initial = tuple(symbol_ids[s] for s in pda.initial_stack)
+    return moves, width, n_states, accepting, single, initial, run_letters
+
+
+def accepts_each(pda: Pda, words, limits=None, *, tables=None) -> tuple:
+    """Membership verdicts for several words, in their order, from one
+    search of the words' common prefix, one of each word's remainder and
+    one of their common suffix; see the module docstring.
+
+    limits is one SearchLimits for the whole batch, or None for
+    default_limits of the longest word. Each verdict, LimitExceeded flags
+    included, equals accepts(pda, word, limits). tables is
+    membership_tables(pda), built here when it is not passed.
+    """
+    words = tuple(words)
+    if not words:
+        return ()
+    if limits is None:
+        limits = default_limits(pda, max(words, key=len))
+    if tables is None:
+        tables = membership_tables(pda)
+    moves, width, n_states, accepting, single, initial, run_letters = tables
+    bounds = (limits.max_steps, limits.max_stack_height)
+    # Stack cells: cell 0 is the empty stack; below * width + symbol -> cell.
+    # Chain c holds the cells chain_lo[c]..chain_hi[c], which a walk's bulk
+    # push interned consecutively (see _push_chain).
+    sym = [-1]
+    below = [0]
+    size = [0]
+    cells: dict = {}
+    chain_lo: list = []
+    chain_hi: list = []
+    cell = 0
+    for s in initial:
+        top = cells[cell * width + s] = len(sym)
+        sym.append(s)
+        below.append(cell)
+        size.append(size[cell] + 1)
+        cell = top
+    # A description is (cell * n1 + pos) * n_states + state, pos an offset
+    # into the chain's word; n1 is shared so that a seed or parked key, taken
+    # relative to its position, is (cell * n1) * n_states + state everywhere.
+    n1 = max(map(len, words)) + 1
+    machine = (moves, width, n_states, n1, accepting, single, run_letters)
+    arena = (sym, below, size, cells, chain_lo, chain_hi)
+    try:
+        distinct = list(dict.fromkeys(words))
+    except TypeError:
+        # An unhashable word, as a list is: key and search each word that
+        # is not a str as the tuple of its letters.
+        words = tuple(w if isinstance(w, str) else tuple(w) for w in words)
+        distinct = list(dict.fromkeys(words))
+    # The common prefix is searched once and parks its descriptions at the
+    # fork; with one distinct word the fork is the start. tail is the length
+    # of the common suffix, where the words join; none for one word.
+    fork = tail = prefix_cut = 0
+    levels, keys = (0,), (cell * n1 * n_states,)
+    if len(distinct) > 1:
+        fork = min(_shared_prefix(distinct[0], w, 0) for w in distinct[1:])
+        backwards = [w[::-1] for w in distinct]
+        tail = min(_shared_prefix(backwards[0], b, 0) for b in backwards[1:])
+        _, _, levels, keys, prefix_cut = _search_chain(
+            distinct[0], 0, fork, False, levels, keys, machine, arena, bounds
+        )
+    mark = len(sym)  # cells from here on belong to one word
+    # Searched suffixes: seed key -> (accepted, cut, deepest level above the
+    # lowest seed).
+    joins: dict = {}
+    outcomes: dict = {}  # word -> (accepted, cut anywhere on its path)
+    for word in distinct:
+        if len(sym) > mark:  # drop the cells of the word searched before
+            for c in range(mark, len(sym)):
+                del cells[below[c] * width + sym[c]]
+            del sym[mark:], below[mark:], size[mark:]
+            dropped = bisect_left(chain_lo, mark)
+            del chain_lo[dropped:], chain_hi[dropped:]
+        start, seed_levels, seed_keys, cut = fork, levels, keys, prefix_cut
+        join = len(word) - tail
+        if tail and join > fork:
+            # Search up to the join and park there, as the prefix does. A cut
+            # stretch gives the join up, and seeds on this word's own cells
+            # keep the suffix unshared; either stops the joins (see the
+            # module docstring).
+            _, _, parked_levels, parked_keys, found = _search_chain(
+                word, fork, join, False, levels, keys, machine, arena, bounds
+            )
+            if found:
+                tail = 0
+            else:
+                if max(parked_keys, default=0) // (n1 * n_states) >= mark:
+                    tail = 0
+                start, seed_levels, seed_keys = join, parked_levels, parked_keys
+        suffix = tail > 0 and start == join
+        if suffix:
+            lowest = seed_levels[0] if seed_levels else 0
+            key = tuple(sorted(zip([level - lowest for level in seed_levels], seed_keys)))
+            stored = joins.get(key)
+            # A stored search that was not cut stays exact for this word when
+            # its deepest level, shifted to this word's seeds, is within the
+            # step limit.
+            if stored is not None and not stored[1] and stored[2] + lowest <= bounds[0]:
+                outcomes[word] = (stored[0], cut)
+                continue
+        accepted, deepest, _, _, found = _search_chain(
+            word, start, len(word), True, seed_levels, seed_keys, machine, arena, bounds
+        )
+        if suffix:
+            joins[key] = (accepted, found, deepest - lowest)
+        outcomes[word] = (accepted, cut | found)
+
+    verdicts = []
+    for word in words:
+        accepted, cut = outcomes[word]
+        if accepted:
+            verdicts.append(Accepted())
+        elif cut:
+            verdicts.append(LimitExceeded(by_steps=bool(cut & 1), by_height=bool(cut & 2)))
+        else:
+            verdicts.append(NotAccepted())
+    return tuple(verdicts)

@@ -75,7 +75,8 @@ checked only at the counts sampled, and is no proof for all n.
 from __future__ import annotations
 
 from .record import record
-from .run import Accepted, LimitExceeded, ReplayError, RunPath, accepts_each, default_limits, walk
+from .run import Accepted, LimitExceeded, ReplayError, RunPath, default_limits, walk
+from .search import accepts_each
 
 
 def pumped_word(decomposition, n: int):
@@ -84,15 +85,6 @@ def pumped_word(decomposition, n: int):
         raise ValueError(f"pump count must be >= 0, got {n}")
     d = decomposition
     return d.u + d.v * n + d.x + d.y * n + d.z
-
-
-def spliced_steps(path: RunPath, decomposition, n: int) -> tuple:
-    """Transition sequence that should accept the n-pumped word: the found
-    run with the steps between the first two cuts and between the last two
-    each repeated n times."""
-    steps = path.steps
-    a, b, c, e = decomposition.cuts
-    return steps[:a] + steps[a:b] * n + steps[b:c] + steps[c:e] * n + steps[e:]
 
 
 @record
@@ -159,9 +151,9 @@ def _enters(stretch: _Stretch, state, stack, ahead) -> bool:
 def replay_pumps(pda, path: RunPath, decomposition, n_set, checkpoints=None) -> tuple[bool, ...]:
     """For each n in n_set, whether the spliced run accepts the n-pumped word.
 
-    Equal to replaying spliced_steps against pumped_word for each n, from
-    one walk of the found run: each pumped run goes through the pieces u,
-    v n times, x, y n times and the tail, taking each copy from that walk
+    Equal to replaying the spliced run against pumped_word for each n,
+    from one walk of the found run: each pumped run goes through the pieces
+    u, v n times, x, y n times and the tail, taking each copy from that walk
     when it enters the copy as the found run entered the piece and walking
     it otherwise, and is judged accepting once, at its end, by `pda`; see
     the module docstring. `checkpoints`, from an earlier walk of the same

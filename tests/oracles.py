@@ -1,4 +1,5 @@
-"""Independent oracles for the level sweep, kept out of the package.
+"""Independent oracles for the level sweep, the run loops and the
+pumped-run replay, kept out of the package.
 
 brute_force_max_level enumerates every (i, j, k) triple and tests the three
 level conditions directly (vectorized with numpy, but still the O(n^3)
@@ -8,12 +9,16 @@ the whole profile that max_levels made before its sweep checked the steps
 itself. numpy is a test dependency only, and this is its one user.
 
 reference_walk, reference_follow_run and reference_search_walk are the
-three per-step loops of pumpkit.run (walk, _follow_run and _walk) as they
-were before they took runs of a stationary move in one bulk step, kept
-step for step. reference_follow_run builds its RunPath with
+three per-step loops pumpkit.run.walk, pumpkit.run._follow_run and
+pumpkit.search._walk as they were before they took runs of a stationary
+move in one bulk step, kept step for step. reference_follow_run builds its RunPath with
 pumpkit.run._run_path, looked up at each call, and reference_search_walk
 takes the search's machine and arena tuples as they are now, reading
 only the fields it had then.
+
+spliced_steps is the literal splice of a found run at a decomposition's
+cuts, the reference for pumpkit.verify.replay_pumps, which takes each
+pumped run from one walk of the found run instead of splicing it.
 """
 
 import operator
@@ -190,7 +195,7 @@ def reference_follow_run(pda, word, table, letter_moves, width, accepting, live,
 
 
 def reference_search_walk(word, end, state, pos, cell, depth, machine, arena, bounds, *_):
-    """run._walk, one letter at a time; any arguments past bounds are
+    """search._walk, one letter at a time; any arguments past bounds are
     ignored."""
     width, single = machine[1], machine[5]
     sym, below, size, cells = arena[:4]
@@ -225,3 +230,12 @@ def reference_search_walk(word, end, state, pos, cell, depth, machine, arena, bo
         cell = child
         pos += 1
     return state, pos, cell, depth + pos - first
+
+
+def spliced_steps(path, decomposition, n: int) -> tuple:
+    """Transition sequence that should accept the n-pumped word: the found
+    run with the steps between the first two cuts and between the last two
+    each repeated n times."""
+    steps = path.steps
+    a, b, c, e = decomposition.cuts
+    return steps[:a] + steps[a:b] * n + steps[b:c] + steps[c:e] * n + steps[e:]

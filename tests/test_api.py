@@ -17,7 +17,7 @@ PUBLIC_NAMES = [
     "decomposition_annotations", "default_limits", "dumps", "extract",
     "flank_cuts", "is_star_form", "load_document", "load_path", "loads",
     "minimal_accepting_path", "normalize", "pumped_word", "pumping_params",
-    "replay", "replay_pumps", "spliced_steps", "svg_chart", "to_document", "validate",
+    "replay", "replay_pumps", "svg_chart", "to_document", "validate",
     "verify",
 ]
 

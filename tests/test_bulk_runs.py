@@ -2,9 +2,9 @@
 loops they replace.
 
 A letter move is stationary when it lands back in the slot it fired from:
-same state, same top symbol. run.walk, run._follow_run and run._walk take a
-run of at least BULK_RUN equal letters read by such a move in one bulk
-step. On drawn machines and words with runs of BULK_RUN - 1, BULK_RUN and
+same state, same top symbol. run.walk, run._follow_run and search._walk
+take a run of at least BULK_RUN equal letters read by such a move in one
+bulk step. On drawn machines and words with runs of BULK_RUN - 1, BULK_RUN and
 BULK_RUN + 1 letters, some cut by the end of the word, the end of a chain
 or a limit, each loop must give what its per-step reference in oracles.py
 gives: the same run, the same description and interned cells, the same
@@ -19,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_follow_run, reference_search_walk, reference_walk
-from test_run_reference import one_run_machines, walk_machines
+from test_run_reference import DATA, one_run_machines, walk_machines
 
 from pumpkit import (
     BOTTOM,
+    Accepted,
     BUILTINS,
     ExtractionMode,
     NormalizedPda,
@@ -33,17 +34,20 @@ from pumpkit import (
     accepts,
     accepts_each,
     extract,
+    load_path,
     minimal_accepting_path,
     normalize,
     replay,
     verify,
 )
 from pumpkit import run as run_module
-from pumpkit.run import BULK_RUN, membership_tables
+from pumpkit import search as search_module
+from pumpkit.run import BULK_RUN
+from pumpkit.search import membership_tables
 
 T = NormalizedTransition
 RUN_LENGTHS = st.sampled_from([BULK_RUN - 1, BULK_RUN, BULK_RUN + 1, 2 * BULK_RUN + 1])
-BULK_HELPERS = ("_follow_bulk", "_walk_bulk", "_search_bulk")
+BULK_HELPERS = {"_follow_bulk": run_module, "_walk_bulk": run_module, "_search_bulk": search_module}
 
 
 def _stationary(t) -> bool:
@@ -117,14 +121,15 @@ def bulk_steps(monkeypatch):
     """The letters each call of a bulk helper took, by helper."""
     taken = {name: [] for name in BULK_HELPERS}
     for name, record in taken.items():
-        original = getattr(run_module, name)
+        module = BULK_HELPERS[name]
+        original = getattr(module, name)
 
         def counted(*args, original=original, record=record):
             out = original(*args)
             record.append(out if isinstance(out, int) else out[1])
             return out
 
-        monkeypatch.setattr(run_module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return taken
 
 
@@ -305,13 +310,13 @@ def test_search_walk_interns_what_the_per_step_walk_interns(bulk_steps):
             return
         machine = (moves, width, n_states, len(word) + 1, accepting, single, run_letters)
         (arena, top), (expected_arena, _) = _arena(initial, width), _arena(initial, width)
-        runs = run_module._search_runs(word, run_letters, 0, len(word))
+        runs = search_module._search_runs(word, run_letters, 0, len(word))
         bulk_steps["_search_bulk"].clear()
         at = (0, 0, top, 1)
         # A second walk from where the first stopped pushes and pops over the
         # cells the first interned.
         for end in (first_end, len(word)):
-            got = run_module._walk(word, end, *at, machine, arena, bounds, runs)
+            got = search_module._walk(word, end, *at, machine, arena, bounds, runs)
             assert got == reference_search_walk(word, end, *at, machine, expected_arena, bounds)
             assert _cells(arena) == _cells(expected_arena)
             at = got
@@ -350,7 +355,7 @@ def test_batch_verdicts_equal_the_per_step_walks(bulk_steps):
         bulk_steps["_search_bulk"].clear()
         for machine in (pda, normalize(pda)):
             got = accepts_each(machine, words, limits)
-            with patch.object(run_module, "_walk", reference_search_walk):
+            with patch.object(search_module, "_walk", reference_search_walk):
                 assert got == accepts_each(machine, words, limits)
         bulk.append(any(bulk_steps["_search_bulk"]))
 
@@ -365,16 +370,16 @@ def test_a_walk_climbs_the_cells_a_bulk_push_made(bulk_steps):
     k = 3 * BULK_RUN
     word = ("(" * k + ")" * k) * 2 + "(" * (k + 5) + ")" * (k + 5)
     arenas = []
-    search = run_module._search_chain
+    search = search_module._search_chain
 
     def kept(*args):
         out = search(*args)
         arenas.append(_cells(args[-2]))
         return out
 
-    with patch.object(run_module, "_search_chain", kept):
+    with patch.object(search_module, "_search_chain", kept):
         verdict = accepts(pda, word)
-        with patch.object(run_module, "_walk", reference_search_walk):
+        with patch.object(search_module, "_walk", reference_search_walk):
             assert accepts(pda, word) == verdict
     assert arenas[0] == arenas[1]
     assert len(arenas[0][0]) == k + 7  # the empty stack, the bottom and k + 5 brackets
@@ -427,6 +432,40 @@ def test_the_strict_dyck_pump_takes_its_long_runs_in_bulk(bulk_steps):
     # a pop run in their common suffix.
     prefix_push, suffix_pop = _positive(bulk_steps["_search_bulk"])
     assert min(prefix_push, suffix_pop) > 6500
+
+
+@pytest.mark.parametrize(
+    "machine, follow, walk, search",
+    [
+        (BUILTINS["ANBN"].pda, [1599, 1598], [1581, 17, 16, 1582], [1597] * 3),
+        (load_path(DATA / "ANBN_GENERAL.json").pda, [1598], [143, 142, 1456], [1597] * 3),
+    ],
+    ids=["ANBN", "ANBN_GENERAL"],
+)
+def test_runs_that_start_with_a_move_out_of_their_slot_keep_their_bulk_steps(bulk_steps, machine, follow, walk, search):
+    # In a^1600 b^1600 the a run starts with a push onto the bottom marker
+    # and the b run with the move into the popping state; neither is
+    # stationary. A loop whose test on such a run's first letter fails
+    # tests the next letter too and takes the rest of the run in one bulk
+    # step. For ANBN these are the minimal run's push run after the first a
+    # and pop run after the first b, the candidate walk's u after its first
+    # step, x's a and b runs and the tail, and the search's runs.
+    word = BUILTINS["ANBN"].generate(1600)
+    pda = normalize(machine)
+    result = extract(pda, word, mode=ExtractionMode.BEST_EFFORT)
+    assert verify(pda, result.path, result.decomposition, checkpoints=result.checkpoints, source=machine).pumping_ok
+    assert _positive(bulk_steps["_follow_bulk"]) == follow
+    assert _positive(bulk_steps["_walk_bulk"]) == walk
+    assert _positive(bulk_steps["_search_bulk"]) == search
+
+
+def test_a_search_walk_tests_a_run_once_more_after_its_first_letter(bulk_steps):
+    # Searched alone, a^40 b^40 is walked from its second letter on: the
+    # walk takes the rest of the a run, tests the b run at its first
+    # letter, where ANBN moves into the popping state, and takes the rest
+    # of it, up to the chain's last letter, after one more step.
+    assert accepts(BUILTINS["ANBN"].pda, "a" * 40 + "b" * 40) == Accepted()
+    assert bulk_steps["_search_bulk"] == [39, 0, 38]
 
 
 @pytest.mark.parametrize(

@@ -582,15 +582,15 @@ class TestCheckWordFile:
 
     def test_builds_the_membership_tables_once(self, capsys, tmp_path, monkeypatch):
         # Every build is counted, also one the search would make for itself.
-        run_module = importlib.import_module("pumpkit.run")
-        original = run_module.membership_tables
+        search_module = importlib.import_module("pumpkit.search")
+        original = search_module.membership_tables
         built = []
 
         def counting(pda):
             built.append(pda)
             return original(pda)
 
-        monkeypatch.setattr(run_module, "membership_tables", counting)
+        monkeypatch.setattr(search_module, "membership_tables", counting)
         monkeypatch.setattr(cli, "membership_tables", counting)
         entry = BUILTINS["DYCK1"]
         words = [w for m in range(1, 26) for w in (entry.generate(m), entry.generate_near_miss(m))]

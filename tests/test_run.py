@@ -338,16 +338,16 @@ def test_batch_search_covers_little_more_than_the_longest_word(monkeypatch):
     # remainders alone search 3.0 times the longest word's letters; with the
     # common suffix searched once and reused by the other four words, the
     # batch searches at most 1.1 times.
-    from pumpkit import run
+    from pumpkit import search as search_module
 
     letters = []
-    search = run._search_chain
+    search = search_module._search_chain
 
     def counted(word, start, end, *rest):
         letters.append(end - start)
         return search(word, start, end, *rest)
 
-    monkeypatch.setattr(run, "_search_chain", counted)
+    monkeypatch.setattr(search_module, "_search_chain", counted)
     pda = BUILTINS["DYCK1"].pda
     word = "(" * 6601 + ")" * 6601
     d = extract(pda, word, mode=ExtractionMode.STRICT).decomposition
@@ -368,17 +368,18 @@ def test_joins_stop_once_a_suffix_cannot_be_shared(monkeypatch):
     # leaves: a suffix stored for one of them dies with its leaf's cells.
     # The first such join stops the joins, and the later leaves are each
     # searched as one chain from their fork.
-    from pumpkit import normalize, run
+    from pumpkit import normalize
+    from pumpkit import search as search_module
 
     starts = []
-    search = run._search_chain
+    search = search_module._search_chain
 
     def recorded(word, start, end, leaf, *rest):
         if leaf:
             starts.append((len(word), start))
         return search(word, start, end, leaf, *rest)
 
-    monkeypatch.setattr(run, "_search_chain", recorded)
+    monkeypatch.setattr(search_module, "_search_chain", recorded)
     entry = BUILTINS["GEN_PAL"]
     pda = normalize(entry.pda)
     d = extract(pda, entry.generate(50), mode=ExtractionMode.BEST_EFFORT).decomposition

@@ -49,6 +49,9 @@ from pumpkit import (
 from pumpkit.record import replace
 from pumpkit.run import STEP_CAP
 
+# pumpkit.search as a module: the package re-exports functions under the
+# same names.
+search_module = importlib.import_module("pumpkit.search")
 DATA = Path(__file__).resolve().parents[1] / "src" / "pumpkit" / "data"
 LIMIT_GRID = (None, SearchLimits(2, 100), SearchLimits(5, 5), SearchLimits(40, 3))
 
@@ -690,18 +693,16 @@ def test_a_cut_stretch_gives_its_join_up(monkeypatch):
     # ends, runs into the limits. Its word is then searched whole from the
     # fork, and so is every other: no suffix is seeded from a parked set
     # that the limits cut.
-    from pumpkit import run
-
     pda = _push_loop()
     words = ["a" * (3 + n) + "b" * (1 + n) + "a" * 12 for n in range(5)]
     calls = []
-    search = run._search_chain
+    search = search_module._search_chain
 
     def recorded(word, start, end, leaf, *rest):
         calls.append((len(word), start, end, leaf))
         return search(word, start, end, leaf, *rest)
 
-    monkeypatch.setattr(run, "_search_chain", recorded)
+    monkeypatch.setattr(search_module, "_search_chain", recorded)
     for limits in (None, SearchLimits(60, 60), SearchLimits(40, 30)):
         calls.clear()
         batch = limits or default_limits(pda, max(words, key=len))
@@ -714,18 +715,16 @@ def test_a_cut_stretch_gives_its_join_up(monkeypatch):
 def test_a_push_loop_batch_searches_no_chain_from_the_start_after_its_prefix(monkeypatch):
     # The common prefix a^30 is the one chain from position 0; every word is
     # settled from there under the batch's one set of limits.
-    from pumpkit import run
-
     pda = _push_loop()
     words = ["a" * (30 + n) + "b" * (1 + n) + "a" * 100 for n in range(5)]
     starts = []
-    search = run._search_chain
+    search = search_module._search_chain
 
     def recorded(word, start, *rest):
         starts.append(start)
         return search(word, start, *rest)
 
-    monkeypatch.setattr(run, "_search_chain", recorded)
+    monkeypatch.setattr(search_module, "_search_chain", recorded)
     assert accepts_each(pda, words) == (Accepted(),) * 5
     assert starts[0] == 0 and 0 not in starts[1:]
 
@@ -1013,14 +1012,14 @@ def test_an_epsilon_stretch_that_keeps_falling_is_walked(walked):
 def search_walks(monkeypatch):
     """(position, position reached) of each walk of _search_chain."""
     walks = []
-    walk = run_module._walk
+    walk = search_module._walk
 
     def recorded(word, end, state, pos, *rest):
         reached = walk(word, end, state, pos, *rest)
         walks.append((pos, reached[1]))
         return reached
 
-    monkeypatch.setattr(run_module, "_walk", recorded)
+    monkeypatch.setattr(search_module, "_walk", recorded)
     return walks
 
 
@@ -1051,13 +1050,13 @@ def test_gen_pal_searches_never_walk(search_walks, capsys, tmp_path, monkeypatch
     # Its epsilon guess of the midpoint sits beside letter moves, so the
     # search does not even look for a level of one description.
     tables = []
-    search = run_module._search_chain
+    search = search_module._search_chain
 
     def recorded(word, start, end, leaf, seed_levels, seed_keys, machine, *rest):
         tables.append(machine[5])
         return search(word, start, end, leaf, seed_levels, seed_keys, machine, *rest)
 
-    monkeypatch.setattr(run_module, "_search_chain", recorded)
+    monkeypatch.setattr(search_module, "_search_chain", recorded)
     entry = BUILTINS["GEN_PAL"]
     words = _words(entry, top=12)
     if label == "GEN_PAL.json":
@@ -1141,7 +1140,7 @@ def chain_searches(monkeypatch):
     what each of its chain searches returned (acceptance, deepest level,
     parked descriptions, cut flags), with the walks on or turned off."""
     chains = []
-    search = run_module._search_chain
+    search = search_module._search_chain
 
     def recorded(*args):
         chains.append(search(*args))
@@ -1149,15 +1148,15 @@ def chain_searches(monkeypatch):
 
     def searched(pda, words, limits, walks=True):
         chains.clear()
-        walk = run_module._walk
+        walk = search_module._walk
         if not walks:
-            monkeypatch.setattr(run_module, "_walk", lambda word, end, *at: at[:4])
+            monkeypatch.setattr(search_module, "_walk", lambda word, end, *at: at[:4])
         try:
             return accepts_each(pda, words, limits), list(chains)
         finally:
-            monkeypatch.setattr(run_module, "_walk", walk)
+            monkeypatch.setattr(search_module, "_walk", walk)
 
-    monkeypatch.setattr(run_module, "_search_chain", recorded)
+    monkeypatch.setattr(search_module, "_search_chain", recorded)
     return searched
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import spliced_steps
 
 from pumpkit import (
     BOTTOM,
@@ -30,7 +31,6 @@ from pumpkit import (
     pumping_params,
     replay,
     replay_pumps,
-    spliced_steps,
     verify,
 )
 from pumpkit.cli import main
