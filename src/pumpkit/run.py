@@ -65,12 +65,13 @@ covers one of them), and finds each run with one str.find per run and
 letter, which skips the stretches between runs in C. No loop scans more
 than the stretch it walks: the fast stretch scans its word once, and walk
 only the stretch its steps can read (see walk below). A word that is not a
-str has no runs and keeps the per-step path. A loop caps its per-step
-stretch at the next run and tests the move at the first position it
-reaches in the run. When a test on the run's first letter fails (as the
-first push onto the bottom marker and ANBN's first b do), the loop takes
-one step and tests once more; any other failed test leaves the run to the
-per-step loop. No loop tests a step that lies outside a run, so a word
+str has no runs and keeps the per-step path. Each run's span starts at its
+second letter, since the move that reads a run's first letter often comes
+from another slot (as the first push onto the bottom marker and ANBN's
+first b do). A loop caps its per-step stretch at the next span, tests the
+move once, at the first position it reaches in the span, and then goes on
+to the next run, whatever the test took; the per-step loop walks what is
+left of the run. No loop tests a step that lies outside a run, so a word
 without runs pays nothing per step. A bulk step of the fast stretch stays
 inside the stretch's bounds, so no limit and no acceptance test moves: a
 push run takes the run up to the stretch's end, and a pop run only when
@@ -98,9 +99,10 @@ run's end.
 
 walk is the one copy of the replay step semantics: replay runs it over a
 whole transition sequence, and verify.replay_pumps over the pieces of a run
-between its checkpoints. It checks a run of identical steps as a whole:
-the steps by one count of the run's first step, the letters by the run
-they lie in, and a pop run's symbols by one stack-slice comparison. On any
+between its checkpoints. It checks a run of identical steps as a whole,
+from the first position it reaches in the run's span: the steps by one
+count of the run's first step, the letters by the run they lie in, and a
+pop run's symbols by one stack-slice comparison. On any
 mismatch the run is walked step by step, so the first offending step and
 its reason are those of the per-step walk. It scans only the stretch of
 the word its steps can read, for runs of every letter in it, so the walks
@@ -116,7 +118,6 @@ from the machine's transitions and one list of their height changes.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from itertools import accumulate, repeat
 from operator import itemgetter
 
@@ -400,9 +401,7 @@ def _follow_run(pda: NormalizedPda, word, table, letter_moves, width, accepting,
     if not n and 0 in accepting:
         return _run_path(pda, word, ())
     starts, ends = _letter_runs(word, 0, n)
-    # Run r is the next one, and point is where to test in it.
-    r = 0
-    point = starts[0] if starts else n
+    r = 0  # the next run to test
     steps: list = []
     take = steps.append
     push = stack.append
@@ -412,17 +411,13 @@ def _follow_run(pda: NormalizedPda, word, table, letter_moves, width, accepting,
     while stack:
         # The fast stretch: letter moves out of slots without epsilon moves
         # that land before the last letter and within both limits (see the
-        # module docstring). It stops at each test point of a run.
+        # module docstring). It stops at the start of each run's span.
         stop = min(n - 1, pos + max_steps - depth, pos + max_height - len(stack))
         first = pos
         while r < len(ends) and ends[r] <= pos:  # the per-step loop below left run r
             r += 1
-            point = starts[r] if r < len(starts) else n
         while True:
-            cap = stop
-            if r < len(starts):
-                point = max(point, pos)
-                cap = min(point, stop)
+            cap = min(starts[r], stop) if r < len(starts) else stop
             while pos < cap and stack:
                 moves = letter_moves[state * width + stack[-1]]
                 if moves is None:
@@ -439,13 +434,8 @@ def _follow_run(pda: NormalizedPda, word, table, letter_moves, width, accepting,
                 pos += 1
             else:
                 if pos < stop and stack:
-                    took = _follow_bulk(word, pos, min(ends[r], stop) - pos, state, stack, letter_moves, width, steps)
-                    pos += took
-                    if took or pos > starts[r]:
-                        r += 1
-                        point = starts[r] if r < len(starts) else n
-                    else:
-                        point = pos + 1
+                    pos += _follow_bulk(word, pos, min(ends[r], stop) - pos, state, stack, letter_moves, width, steps)
+                    r += 1
                     continue
             break
         if pos > first:
@@ -525,21 +515,20 @@ def _follow_bulk(word, pos: int, k: int, state: int, stack: list, letter_moves, 
 
 def _letter_runs(word, lo: int, hi: int) -> tuple:
     """(starts, ends) of the maximal runs of at least BULK_RUN copies of one
-    letter in word[lo:hi], in order: one str.find per run and letter skips
-    the stretches between runs in C. Only a str word has runs."""
+    letter in word[lo:hi], in order, each starting at the run's second
+    letter: one str.find per run and letter skips the stretches between runs
+    in C. Only a str word has runs."""
     if not isinstance(word, str) or hi - lo < BULK_RUN:
         return (), ()
     spans = []
     # A run of BULK_RUN letters covers one of every BULK_RUN positions.
     for letter in set(word[lo:hi:BULK_RUN]):
-        if len(letter) != 1:
-            continue  # a word reads one character at a time
         more = re.compile(re.escape(letter) + "*").match
         probe = letter * BULK_RUN
         at = word.find(probe, lo, hi)
         while at >= 0:
             end = more(word, at + BULK_RUN, hi).end()
-            spans.append((at, end))
+            spans.append((at + 1, end))
             at = word.find(probe, end, hi)
     spans.sort()
     return [start for start, _ in spans], [end for _, end in spans]
@@ -564,26 +553,23 @@ def walk(steps, word, state, stack, pos):
     judge.
 
     Where the walk reaches a run of at least BULK_RUN equal letters of a str
-    word, it tests the step there once, and once more a letter later when
-    the test on the run's first letter fails: when the steps ahead, up to
-    the run's end, are copies of one stationary step that all fire, they are
-    applied in one bulk step. Any mismatch leaves the run to the per-step
-    loop, so the first offending step and its reason are the ones a
-    step-by-step walk names.
+    word, from the run's second letter on, it tests the step there once:
+    when the steps ahead, up to the run's end, are copies of one stationary
+    step that all fire, they are applied in one bulk step. Any mismatch
+    leaves the run to the per-step loop, so the first offending step and
+    its reason are the ones a step-by-step walk names.
     """
     n = len(word)
     pop = stack.pop
     extend = stack.extend
     m = len(steps)
     starts, ends = _letter_runs(word, pos, min(n, pos + m))
-    # Run r is the next one, and point is where to test in it.
-    r = bisect_right(ends, pos)
-    point = max(starts[r], pos) if r < len(starts) else n
+    r = 0  # the next run to test; it starts at or after pos
     i = 0
     while True:
-        cap = m  # no step before cap can read past the point
+        cap = m  # no step before cap can read past the run's start
         if r < len(starts):
-            cap = min(m, i + point - pos)
+            cap = min(m, i + starts[r] - pos)
         for i, t in enumerate(steps[i:cap] if i or cap < m else steps, i):
             if t.source != state or not stack or stack[-1] != t.pop:
                 return ReplayError(i, "inapplicable")
@@ -597,16 +583,12 @@ def walk(steps, word, state, stack, pos):
         i = cap
         if i == m:
             return state, pos
-        if pos < point:
-            continue  # epsilon steps read no letter: the point lies ahead
+        if pos < starts[r]:
+            continue  # epsilon steps read no letter: the run lies ahead
         took = _walk_bulk(steps, i, word, pos, min(ends[r] - pos, m - i), state, stack)
         i += took
         pos += took
-        if took or pos > starts[r]:
-            r += 1
-            point = starts[r] if r < len(starts) else n
-        else:
-            point = pos + 1
+        r += 1
 
 
 def _walk_bulk(steps, i: int, word, pos: int, k: int, state, stack: list) -> int:

@@ -5,10 +5,10 @@ accepts() is its one-word call. It is a deliberately separate search loop
 (and also simulates general machines) so it can serve as an oracle: it
 shares no code with minimal_accepting_path or the replay side, which live
 in pumpkit.run. From there it takes only the verdict records, SearchLimits,
-default_limits and BULK_RUN, and pumpkit.run imports nothing from here. Its
-tables
-(ids, move table, walk table, accepting set) come from membership_tables,
-which reads only the machine: accepts_each builds them once per call,
+default_limits and BULK_RUN, and pumpkit.run imports nothing from here.
+Its tables (ids, move table, walk table, accepting set) come from
+membership_tables, which reads only the machine: accepts_each builds them
+once per call,
 unless the caller passes them in, as `pumpkit check` does, building them
 once per command and passing them to every word's accepts call.
 
@@ -91,16 +91,18 @@ its source, and it pushes a copy of the symbol it pops or pops it onto an
 equal one. The runs are those of at least BULK_RUN equal letters of a str
 word, and only of the letters membership_tables found such a move for;
 _search_runs finds them once per chain, for all of its walks, with one
-str.find per run and letter. A word that is not a str has no runs. A walk
-caps its per-step stretch at the next run and tests the move at the first
-position it reaches in the run. When a test on the run's first letter
-fails, it takes one step and tests once more; any other failed test leaves
-the run to the per-step loop. A bulk step interns the same cells, in the
-same order, as a per-step walk: a push run climbs the cells it finds
-already interned and interns all the rest at once as one chain of
-consecutive cells, recorded in the arena. A pop run goes down in bulk only
-through such a chain, whose cells are provably the ones a per-step descent
-visits, and step by step everywhere else.
+str.find per run and letter, each span starting at the run's second
+letter. A word that is not a str has no runs. A walk caps its per-step
+stretch at the next span, tests the move once, at the first position it
+reaches in the span, and then goes on to the next run, whatever the test
+took. A bulk step interns the same cells, in the same order, as a
+per-step walk: a push run climbs the cells it finds already interned and
+interns all the rest at once as one chain of consecutive cells, recorded
+in the arena. A pop run pops every copy of the top symbol that lies on
+top, up to the run's end and never down to the empty stack: it steps
+down one cell at a time where no chain holds the cell, and down a whole
+chain in one jump, since a chain's cells are provably the ones a
+per-step descent visits.
 
 The search encodes its descriptions as plain ints. States are numbered
 with the initial state as 0, and stack symbols 0..width-1. The move table
@@ -277,24 +279,22 @@ def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, 
     """Walk the one description of a breadth-first level, with depth the
     level of its successors, while the search would hold one; see the module
     docstring. Every step reads a letter, so positions and levels advance
-    together. runs holds the starts and ends of the word's runs of one
-    letter that a stationary move reads: the walk tests the move at the
-    first position it reaches in each, and once more a letter later when
-    the test on the run's first letter fails, and a stationary move takes
-    the run in one bulk step that interns the cells a per-step walk would. Returns the state, position,
-    cell and depth reached.
+    together. runs holds the spans of the word's runs of one letter that a
+    stationary move reads, each from the run's second letter: the walk tests
+    the move once, at the first position it reaches in each span, and a
+    stationary move takes the rest of the run in one bulk step that interns
+    the cells a per-step walk would. Returns the state, position, cell and
+    depth reached.
     """
     _, width, _, _, _, single, _ = machine
     sym, below, size, cells, _, _ = arena
     max_steps, max_height = bounds
     starts, ends = runs
-    # Run r is the next one, and point is where to test in it.
-    r = bisect_right(ends, pos)
-    point = max(starts[r], pos) if r < len(starts) else end
+    r = bisect_right(ends, pos)  # the next run to test
     first = pos
     stop = min(end - 1, pos + 1 + max_steps - depth)  # land before end, within max_steps
     while True:
-        cap = point if point < stop else stop
+        cap = min(starts[r], stop) if r < len(starts) else stop
         while pos < cap:
             step = single[state * width + sym[cell]]
             if step is None:
@@ -326,11 +326,7 @@ def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, 
             if pos < stop:
                 cell, took = _search_bulk(word, pos, min(ends[r], stop) - pos, state, cell, machine, arena, max_height)
                 pos += took
-                if took or pos > starts[r]:
-                    r += 1
-                    point = starts[r] if r < len(starts) else end
-                else:
-                    point = pos + 1
+                r += 1
                 continue
         break
     return state, pos, cell, depth + pos - first
@@ -339,14 +335,16 @@ def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, 
 def _search_bulk(word, pos: int, k: int, state: int, cell: int, machine, arena, max_height: int) -> tuple:
     """Fire the walk's move at pos up to k times in one step when it is
     stationary; returns the cell reached and the letters read, 0 when the
-    move is not stationary or no step can be taken in bulk.
+    move is not stationary or cannot fire.
 
     A push of the top symbol's copy fires as often as the height limit
-    allows (_push_chain interns its cells). A pop goes down in bulk only
-    through a chain that _push_chain interned, whose cells are provably
-    the ones a per-step descent visits: each holds the popped symbol and
-    lies on the one before it. A chain starts on a cell the walk stood on,
-    never on the empty stack, so the descent never empties it.
+    allows (_push_chain interns its cells). A pop fires once per copy of
+    the popped symbol on top, while a cell lies below: one cell at a time
+    where no chain that _push_chain interned holds the cell, and down such
+    a chain in one jump, since its cells are provably the ones a per-step
+    descent visits: each holds the popped symbol and lies on the one before
+    it. A chain starts on a cell the walk stood on, never on the empty
+    stack, so the jump never empties it.
     """
     width, single = machine[1], machine[5]
     sym, below, size, _, chain_lo, chain_hi = arena
@@ -363,12 +361,18 @@ def _search_bulk(word, pos: int, k: int, state: int, cell: int, machine, arena, 
         return _push_chain(cell, top, k, width, arena), k
     if keeps_top or suffix:
         return cell, 0
-    c = bisect_right(chain_lo, cell) - 1
-    if c < 0 or cell > chain_hi[c]:
-        return cell, 0
-    lo = chain_lo[c]
-    k = min(k, cell - lo + 1)
-    return (cell - k if cell - k >= lo else below[lo]), k
+    taken = 0
+    while taken < k and sym[cell] == top and below[cell]:
+        c = bisect_right(chain_lo, cell) - 1
+        if c >= 0 and cell <= chain_hi[c]:
+            lo = chain_lo[c]
+            jump = min(k - taken, cell - lo + 1)
+            cell = cell - jump if cell - jump >= lo else below[lo]
+            taken += jump
+        else:
+            cell = below[cell]
+            taken += 1
+    return cell, taken
 
 
 def _push_chain(cell: int, symbol: int, k: int, width: int, arena) -> int:
@@ -421,7 +425,7 @@ def _search_runs(word, letters, start: int, end: int) -> tuple:
         at = word.find(probe, start, end)
         while at >= 0:
             stop = more(word, at + BULK_RUN, end).end()
-            spans.append((at, stop))
+            spans.append((at + 1, stop))
             at = word.find(probe, stop, end)
     spans.sort()
     return [at for at, _ in spans], [stop for _, stop in spans]
@@ -433,8 +437,8 @@ def membership_tables(pda: Pda) -> tuple:
     run_letters), with initial the symbol ids of the initial stack, bottom
     first, and run_letters the letters the walks read with a stationary
     move; see the module docstring. accepts and accepts_each build them per
-    call unless they are passed in, so a caller that searches one machine word by word
-    can build them once.
+    call unless they are passed in, so a caller that searches one machine
+    word by word can build them once.
     """
     state_ids = {pda.initial_state: 0}
     symbol_ids: dict = {}

@@ -4,9 +4,11 @@ loops they replace.
 A letter move is stationary when it lands back in the slot it fired from:
 same state, same top symbol. run.walk, run._follow_run and search._walk
 take a run of at least BULK_RUN equal letters read by such a move in one
-bulk step. On drawn machines and words with runs of BULK_RUN - 1, BULK_RUN and
+bulk step, testing the move once, from the run's second letter on. On
+drawn machines and words with runs of BULK_RUN - 1, BULK_RUN and
 BULK_RUN + 1 letters, some cut by the end of the word, the end of a chain
-or a limit, each loop must give what its per-step reference in oracles.py
+or a limit, and on Dyck words whose pop run starts on cells pushed one at
+a time, each loop must give what its per-step reference in oracles.py
 gives: the same run, the same description and interned cells, the same
 state and position or ReplayError, and the same verdicts. Words that are
 not a str keep the per-step path, and every entry point must answer for
@@ -28,6 +30,7 @@ from pumpkit import (
     ExtractionMode,
     NormalizedPda,
     NormalizedTransition,
+    NotAccepted,
     ReplayError,
     RunPath,
     SearchLimits,
@@ -298,28 +301,34 @@ def _cells(arena):
     return sym, below, size, list(cells.items())
 
 
+def _walks_match(pda, word, first_end, bounds):
+    """Walk word from the initial description up to first_end, then on to
+    its end, with search._walk and with its per-step reference, and check
+    that both reach the same descriptions and intern the same cells. A
+    second walk from where the first stopped pushes and pops over the cells
+    the first interned."""
+    moves, width, n_states, accepting, single, initial, run_letters = membership_tables(pda)
+    if single is None or not initial:
+        return
+    machine = (moves, width, n_states, len(word) + 1, accepting, single, run_letters)
+    (arena, top), (expected_arena, _) = _arena(initial, width), _arena(initial, width)
+    runs = search_module._search_runs(word, run_letters, 0, len(word))
+    at = (0, 0, top, 1)
+    for end in (first_end, len(word)):
+        got = search_module._walk(word, end, *at, machine, arena, bounds, runs)
+        assert got == reference_search_walk(word, end, *at, machine, expected_arena, bounds)
+        assert _cells(arena) == _cells(expected_arena)
+        at = got
+
+
 def test_search_walk_interns_what_the_per_step_walk_interns(bulk_steps):
     bulk = []
 
     @given(search_walks())
     @settings(max_examples=300, deadline=None, database=None)
     def matches(case):
-        pda, word, first_end, bounds = case
-        moves, width, n_states, accepting, single, initial, run_letters = membership_tables(pda)
-        if single is None or not initial:
-            return
-        machine = (moves, width, n_states, len(word) + 1, accepting, single, run_letters)
-        (arena, top), (expected_arena, _) = _arena(initial, width), _arena(initial, width)
-        runs = search_module._search_runs(word, run_letters, 0, len(word))
         bulk_steps["_search_bulk"].clear()
-        at = (0, 0, top, 1)
-        # A second walk from where the first stopped pushes and pops over the
-        # cells the first interned.
-        for end in (first_end, len(word)):
-            got = search_module._walk(word, end, *at, machine, arena, bounds, runs)
-            assert got == reference_search_walk(word, end, *at, machine, expected_arena, bounds)
-            assert _cells(arena) == _cells(expected_arena)
-            at = got
+        _walks_match(*case)
         bulk.append(any(bulk_steps["_search_bulk"]))
 
     matches()
@@ -386,6 +395,74 @@ def test_a_walk_climbs_the_cells_a_bulk_push_made(bulk_steps):
     assert len(_positive(bulk_steps["_search_bulk"])) == 6  # three push runs, three pop runs
 
 
+@st.composite
+def pops_after_single_pushes(draw):
+    """A DYCK1 word (ᵐ)(ʲ)ᵐ⁺ʲ⁻¹ with m near BULK_RUN, whose pop run starts on
+    cells pushed one at a time above a push run, as (ᵐ)((()ᵐ⁺² does, its pop
+    run sometimes a letter short or long, and a step of its run to walk
+    from."""
+    m = draw(st.integers(BULK_RUN - 2, BULK_RUN + 2))
+    j = draw(st.integers(1, 4))
+    word = "(" * m + ")" + "(" * j + ")" * (m + j - 1 + draw(st.sampled_from([0, 0, -1, 1])))
+    return word, draw(st.integers(0, len(word)))
+
+
+def test_pops_after_single_pushes_equal_the_per_step_loops(bulk_steps):
+    pda = BUILTINS["DYCK1"].pda
+    follow_run = run_module._follow_run
+    limits = SearchLimits(500, 500)
+
+    @given(pops_after_single_pushes())
+    @settings(max_examples=80, deadline=None, database=None)
+    def matches(case):
+        word, at = case
+        assert _follow(follow_run, pda, word, limits) == _follow(reference_follow_run, pda, word, limits)
+        verdicts = _searched_with_arenas(pda, [word, word[:-1], word + ")"])
+        path = minimal_accepting_path(pda, word, limits)
+        assert isinstance(path, RunPath) == (verdicts[0] == Accepted())
+        if isinstance(path, RunPath):
+            at = min(at, len(path.steps))
+            pos = sum(t.letter is not None for t in path.steps[:at])
+            got, expected = list(path.stack_at(at)), list(path.stack_at(at))
+            reached = run_module.walk(path.steps[at:], word, path.state_at(at), got, pos)
+            assert reached == reference_walk(path.steps[at:], word, path.state_at(at), expected, pos)
+            assert got == expected
+
+    matches()
+    assert any(bulk_steps["_search_bulk"]) and any(bulk_steps["_walk_bulk"])
+
+
+def test_a_bulk_pop_stops_at_another_symbol_and_above_the_empty_stack(bulk_steps):
+    # q0 pops A and the bottom marker by b and stays; B has no b move. The
+    # pop run of the first word starts on A cells pushed one at a time
+    # above B cells and a chain of A, so the bulk pop stops at the first B.
+    # The second word's pop run has more letters than the stack has cells,
+    # and the walk stops on the last one.
+    pda = NormalizedPda(
+        states=["q0"],
+        input_alphabet=["a", "b", "c", "d"],
+        stack_alphabet=[BOTTOM, "A", "B"],
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=["q0"],
+        transitions=[
+            T("q0", "a", BOTTOM, "A", "q0"),
+            T("q0", "a", "A", "A", "q0"),
+            T("q0", "c", "A", "B", "q0"),
+            T("q0", "c", "B", "B", "q0"),
+            T("q0", "a", "B", "A", "q0"),
+            T("q0", "b", "A", None, "q0"),
+            T("q0", "d", BOTTOM, BOTTOM, "q0"),
+            T("q0", "b", BOTTOM, None, "q0"),
+        ],
+    )
+    for word, popped in (("a" * 20 + "c" * 3 + "a" * 4 + "b" * 20, 3), ("d" * 20 + "b" * 25, 19)):
+        _walks_match(pda, word, len(word), (500, 500))
+        bulk_steps["_search_bulk"].clear()
+        assert _searched_with_arenas(pda, [word]) == (NotAccepted(),)
+        assert _positive(bulk_steps["_search_bulk"]) == [19, popped]
+
+
 # Words that are not a str.
 
 
@@ -419,13 +496,13 @@ def test_the_strict_dyck_pump_takes_its_long_runs_in_bulk(bulk_steps):
     word = "(" * 6601 + ")" * 6601
     pda = BUILTINS["DYCK1"].pda
     result = extract(pda, word, mode=ExtractionMode.STRICT)
-    # The minimal run: the push run after the first letter and the pop run
-    # up to the last.
-    assert _positive(bulk_steps["_follow_bulk"]) == [6600, 6600]
-    # The candidate's walk of the found run: u after its first step, and
-    # the tail.
+    # The minimal run: each run after its first letter, the pop run up to
+    # the last.
+    assert _positive(bulk_steps["_follow_bulk"]) == [6600, 6599]
+    # The candidate's walk of the found run: u and the tail, each after its
+    # first step.
     a, _, _, e = result.decomposition.cuts
-    assert _positive(bulk_steps["_walk_bulk"]) == [a - 1, len(word) - e]
+    assert _positive(bulk_steps["_walk_bulk"]) == [a - 1, len(word) - e - 1]
     report = verify(pda, result.path, result.decomposition, checkpoints=result.checkpoints)
     assert report.overall
     # The search of the pumped words: a push run in their common prefix and
@@ -437,19 +514,20 @@ def test_the_strict_dyck_pump_takes_its_long_runs_in_bulk(bulk_steps):
 @pytest.mark.parametrize(
     "machine, follow, walk, search",
     [
-        (BUILTINS["ANBN"].pda, [1599, 1598], [1581, 17, 16, 1582], [1597] * 3),
-        (load_path(DATA / "ANBN_GENERAL.json").pda, [1598], [143, 142, 1456], [1597] * 3),
+        (BUILTINS["ANBN"].pda, [1599, 1598], [1581, 16, 16, 1581], [1597] * 3),
+        (load_path(DATA / "ANBN_GENERAL.json").pda, [1598], [142, 142, 1455], [1597] * 3),
     ],
     ids=["ANBN", "ANBN_GENERAL"],
 )
 def test_runs_that_start_with_a_move_out_of_their_slot_keep_their_bulk_steps(bulk_steps, machine, follow, walk, search):
     # In a^1600 b^1600 the a run starts with a push onto the bottom marker
     # and the b run with the move into the popping state; neither is
-    # stationary. A loop whose test on such a run's first letter fails
-    # tests the next letter too and takes the rest of the run in one bulk
-    # step. For ANBN these are the minimal run's push run after the first a
-    # and pop run after the first b, the candidate walk's u after its first
-    # step, x's a and b runs and the tail, and the search's runs.
+    # stationary. Each loop tests a run at its second letter, so it takes
+    # such a first letter one step at a time and the rest of the run in one
+    # bulk step. For ANBN these are the minimal run's push run after the
+    # first a and pop run after the first b, the candidate walk's u, x's a
+    # and b runs and the tail, each after its first step, and the search's
+    # runs.
     word = BUILTINS["ANBN"].generate(1600)
     pda = normalize(machine)
     result = extract(pda, word, mode=ExtractionMode.BEST_EFFORT)
@@ -459,13 +537,56 @@ def test_runs_that_start_with_a_move_out_of_their_slot_keep_their_bulk_steps(bul
     assert _positive(bulk_steps["_search_bulk"]) == search
 
 
-def test_a_search_walk_tests_a_run_once_more_after_its_first_letter(bulk_steps):
+def test_a_search_walk_tests_each_run_once_at_its_second_letter(bulk_steps):
     # Searched alone, a^40 b^40 is walked from its second letter on: the
-    # walk takes the rest of the a run, tests the b run at its first
-    # letter, where ANBN moves into the popping state, and takes the rest
-    # of it, up to the chain's last letter, after one more step.
+    # walk takes the rest of the a run, steps over the first b, where ANBN
+    # moves into the popping state, and takes the rest of the b run, up to
+    # the chain's last letter. No test falls on a run's first letter.
     assert accepts(BUILTINS["ANBN"].pda, "a" * 40 + "b" * 40) == Accepted()
-    assert bulk_steps["_search_bulk"] == [39, 0, 38]
+    assert bulk_steps["_search_bulk"] == [39, 38]
+
+
+def _searched_with_arenas(pda, words):
+    """accepts_each of words, and the cell arena of each chain it searched,
+    once with the bulk walk and once with the per-step reference walk."""
+    arenas = []
+    search = search_module._search_chain
+
+    def kept(*args):
+        out = search(*args)
+        arenas.append(_cells(args[-2]))
+        return out
+
+    with patch.object(search_module, "_search_chain", kept):
+        verdicts = accepts_each(pda, words)
+        bulk_arenas = arenas[:]
+        arenas.clear()
+        with patch.object(search_module, "_walk", reference_search_walk):
+            assert accepts_each(pda, words) == verdicts
+    assert bulk_arenas == arenas
+    return verdicts
+
+
+def test_a_pop_run_goes_down_single_pushes_and_then_a_chain_in_bulk(bulk_steps):
+    # After one close and three opens, the pop run starts on two cells that
+    # the walk pushed one at a time above the chain of the first push run:
+    # the bulk pop steps down them and then jumps down the chain, up to the
+    # chain's last letter.
+    word = "(" * 6600 + ")(((" + ")" * 6602
+    assert _searched_with_arenas(BUILTINS["DYCK1"].pda, [word]) == (Accepted(),)
+    assert bulk_steps["_search_bulk"] == [6598, 6600]
+
+
+def test_batch_remainders_pop_down_single_pushes_into_a_chain(bulk_steps):
+    # The words share the push run and one close, and differ right after
+    # it; the last one ends apart, so no suffix is shared. Each remainder
+    # pushes cells one at a time before its pop run goes down them and the
+    # chain the shared push run interned.
+    prefix = "(" * 40 + ")"
+    words = [prefix + "(((" + ")" * 42, prefix + ")(((" + ")" * 41, prefix + "((((" + ")" * 43 + "("]
+    verdicts = _searched_with_arenas(BUILTINS["DYCK1"].pda, words)
+    assert verdicts == (Accepted(), Accepted(), NotAccepted())
+    assert _positive(bulk_steps["_search_bulk"]) == [38, 40, 39, 42]
 
 
 @pytest.mark.parametrize(
