@@ -36,6 +36,7 @@ from .run import (
     SearchLimits,
     default_limits,
     minimal_accepting_path,
+    profile_extreme,
 )
 from .search import accepts, membership_tables
 from .serialize import PdaDocument, dumps, load_path
@@ -278,7 +279,7 @@ def _report_json(result, report) -> dict:
     }
 
 
-def _dumps_report(payload: dict) -> str:
+def _dumps_report(payload: dict, runs=()) -> str:
     """json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
     plus a newline, byte for byte.
 
@@ -288,6 +289,11 @@ def _dumps_report(payload: dict) -> str:
     items, joined at their fixed indent, are spliced in for the
     `"profile": []` this leaves. Only the key can spell that text: every `"`
     inside a JSON string value is escaped.
+
+    runs, the found run's RunPath.runs, are the spans where the profile
+    climbs or descends by unit steps: each is one join over a slice of the
+    height strings, reversed for a descent, and its extremes lie at its
+    ends. The positions between spans are formatted one by one.
     """
     diagnostics = payload["diagnostics"]
     profile = diagnostics["profile"]
@@ -295,9 +301,21 @@ def _dumps_report(payload: dict) -> str:
     text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
     diagnostics["profile"] = profile
     if profile:
-        heights = [str(h) for h in range(max(profile) + 1)]  # each height formatted once
-        items = ",\n      ".join(map(heights.__getitem__, profile))
-        text = text.replace('"profile": []', f'"profile": [\n      {items}\n    ]', 1)
+        last = len(profile) - 1
+        # each height formatted once
+        heights = [str(h) for h in range(profile_extreme(max, profile, runs, 0, last) + 1)]
+        join = ",\n      ".join
+        parts = []
+        pos = 0
+        for first, count, _ in runs:
+            if pos <= first:
+                parts.append(join(map(heights.__getitem__, profile[pos : first + 1])))
+            a, b = profile[first + 1], profile[first + count]
+            parts.append(join(heights[a : b + 1] if a <= b else heights[b : a + 1][::-1]))
+            pos = first + count + 1
+        if pos <= last:
+            parts.append(join(map(heights.__getitem__, profile[pos:] if pos else profile)))
+        text = text.replace('"profile": []', f'"profile": [\n      {join(parts)}\n    ]', 1)
     return text + "\n"
 
 
@@ -405,7 +423,7 @@ def cmd_pump(args) -> int:
     report = verify(npda, result.path, result.decomposition, n_set, result.checkpoints, source=doc.pda)
     if args.report == "json":
         # The profile list is rendered apart from json.dumps; see _dumps_report.
-        _write_out(args, _dumps_report(_report_json(result, report)))
+        _write_out(args, _dumps_report(_report_json(result, report), result.path.runs))
     else:
         _write_out(args, _report_text(result, report))
     return EXIT_OK if report.pumping_ok else EXIT_REJECTED

@@ -195,7 +195,7 @@ def extract(
 
     steps_total = len(path.steps)
     window_end = min(params.p, steps_total) if strict else steps_total
-    (level, witness), (whole_level, _) = max_levels(path.profile, window_end)
+    (level, witness), (whole_level, _) = max_levels(path.profile, window_end, path.runs)
 
     fallbacks: list[Fallback] = []
     tried = 0

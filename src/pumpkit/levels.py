@@ -24,6 +24,17 @@ and each descent once, at its valley, by its length against its drop. The
 tests hold an independent cubic oracle for it, the era-record sweep it
 replaced and the separate step pass it absorbed.
 
+A found run's profile is mostly a few long climbs and descents of one
+stationary transition each, which the one-run walk took in bulk steps and
+RunPath keeps as its runs. The sweep takes such a span whole, as the run
+loops do: _sweep_runs stops the per-position sweep at the span, opens the
+eras of a climb of k unit steps with two slice assignments after its first
+up-step, which goes through the per-position sweep because it may settle
+a descent, and jumps over a descent to its end, since down-steps do
+nothing and the valley settles the descent as it does any other. The
+spans are unit steps by construction and are not checked again; a bare
+profile has none, and its sweep is the per-position one throughout.
+
 The witness scans read plain tuples. configuration_keys gives (state, top
 symbols) per position, with stacks from RunPath.stacks, the run's one
 forward walk. full_state_keys gives (push state, top symbol, pop state) per
@@ -140,6 +151,40 @@ def _sweep(s, start: int, stop: int, eras: tuple, state: tuple) -> tuple:
     return base, crest, best_n, best_i, best_j, best_k
 
 
+def _sweep_runs(s, start: int, stop: int, eras: tuple, state: tuple, runs) -> tuple:
+    """_sweep over positions start..stop-1 of s, taking the spans of runs
+    (see RunPath.runs) whole; they are unit steps by construction and are
+    not checked again.
+
+    _sweep stops at each span. A climb's first up-step goes through it,
+    since it may settle a descent; the climb's other up-steps only open
+    their eras, which one slice assignment to first and one to peak do, and
+    the last of them is the crest. A descent's down-steps do nothing, so
+    the sweep goes on after its end, and its valley is settled there as any
+    other.
+    """
+    first, peak, _ = eras
+    pos = start
+    for f, count, _ in runs:
+        lo, hi = max(f + 1, pos), min(f + count, stop - 1)  # the span's positions
+        if lo > hi:
+            if lo >= stop:
+                break
+            continue
+        if s[lo] > s[lo - 1]:
+            state = _sweep(s, pos, lo + 1, eras, state)
+            if hi > lo:
+                h = s[lo]
+                first[h + 1 : h + 1 + hi - lo] = range(lo + 1, hi + 1)
+                peak[h + 1 : h + 1 + hi - lo] = [-1] * (hi - lo)
+                base, _, *best = state
+                state = (base, hi, *best)
+        else:
+            state = _sweep(s, pos, lo, eras, state)
+        pos = hi + 1
+    return _sweep(s, pos, stop, eras, state)
+
+
 def _close(s, end: int, eras: tuple, state: tuple) -> tuple[int, LevelTriple | None]:
     """The sweep's result if the profile ended at position end, without
     changing eras or state; the one LevelTriple of the result is built here.
@@ -176,7 +221,9 @@ def _close(s, end: int, eras: tuple, state: tuple) -> tuple[int, LevelTriple | N
     return best_n, LevelTriple(best_i, best_j, best_k, best_n) if best_n else None
 
 
-def max_levels(profile, window_end: int) -> tuple[tuple[int, LevelTriple | None], tuple[int, LevelTriple | None]]:
+def max_levels(
+    profile, window_end: int, runs=()
+) -> tuple[tuple[int, LevelTriple | None], tuple[int, LevelTriple | None]]:
     """The largest level N with k <= window_end, and the largest with k at
     most the profile's end, each with one witness (None when N = 0), from
     one sweep; a window_end below 0 gives (0, None) for the window.
@@ -192,21 +239,26 @@ def max_levels(profile, window_end: int) -> tuple[tuple[int, LevelTriple | None]
     then goes on to the end of the profile, where the pending descent
     continues as if the window had not stopped it. A profile that does not
     move in unit steps raises ValueError, whatever the window.
+
+    runs, the found run's RunPath.runs, lets the sweep take each of the
+    run's climbs and descents of one stationary transition whole; its steps
+    are unit steps by construction and are not checked again. A bare
+    profile has none, and then every step is checked.
     """
     if len(profile) < 3:
         if len(profile) == 2 and abs(profile[1] - profile[0]) != 1:
             raise ValueError(_NOT_UNIT)
         return (0, None), (0, None)
     try:
-        return _levels(profile, window_end)
+        return _levels(profile, window_end, runs)
     except _BelowZero:
         # A profile with a height below 0 is swept shifted up; the shift
         # moves no position or level.
         lowest = min(profile)
-        return _levels([h - lowest for h in profile], window_end)
+        return _levels([h - lowest for h in profile], window_end, runs)
 
 
-def _levels(profile, window_end: int) -> tuple:
+def _levels(profile, window_end: int, runs) -> tuple:
     """max_levels of a profile of at least 3 positions. A new lowest height
     can appear only at the start, at a valley below every open era or at
     the profile's or the window's end; each of those places raises
@@ -221,11 +273,11 @@ def _levels(profile, window_end: int) -> tuple:
     size = (last + profile[last] + s0) // 2 + 1
     eras = [0] * size, [-1] * size, [0] * size
     try:
-        state = _sweep(profile, 1, end + 1, eras, (s0, 0, 0, 0, 0, 0))
+        state = _sweep_runs(profile, 1, end + 1, eras, (s0, 0, 0, 0, 0, 0), runs)
         windowed = _close(profile, end, eras, state)
         whole = windowed
         if end < last:
-            whole = _close(profile, last, eras, _sweep(profile, end + 1, last + 1, eras, state))
+            whole = _close(profile, last, eras, _sweep_runs(profile, end + 1, last + 1, eras, state, runs))
     except IndexError:
         # The sweep has checked every step up to a height past that bound,
         # so a step further on leaves unit steps.

@@ -111,8 +111,18 @@ machine's own transitions: transition_indices finds each step among them
 with one dict lookup, and a step that is not one of them is inapplicable.
 _run_path builds the RunPath of a sequence of transition indices, which
 the minimal-run search, the one-run walk (_follow_run) and replay's lookup
-all hold: the steps and the per-step height changes are gathered by index
-from the machine's transitions and one list of their height changes.
+all hold. The one-run walk also hands it the runs it took in bulk steps,
+as (first step, count, transition index), and RunPath keeps them as its
+runs. _run_path takes each run whole, its steps as one tuple repeat and
+its heights as one range, and gathers the steps and height changes by
+index only between runs; a run from the search or from replay has no runs
+and is gathered index by index. The passes that read a found run
+position by position take its runs the same way: the level sweep
+(levels.max_levels), the JSON report's profile (cli._dumps_report) and
+the candidate walk's range minima (verify._walk_found_run, through
+profile_extreme). Inside a run the profile moves one way by unit steps,
+so a climb is a slice of consecutive heights, a descent the same slice
+reversed, and a run's extremes lie at its ends.
 """
 
 from __future__ import annotations
@@ -124,7 +134,7 @@ from operator import itemgetter
 from .errors import PumpingLengthOverflowError
 from .normalize import pumping_params
 from .pda import NormalizedPda, Pda
-from .record import record
+from .record import field, record
 
 STEP_CAP = 1_000_000
 
@@ -196,6 +206,13 @@ class RunPath:
     entries); the letters read by then are those of the steps before i.
     initial_state/initial_stack pin down the run start so the stack contents
     at any position can be reconstructed from the path alone.
+
+    runs holds (first step, count, transition index) for each run of one
+    stationary transition that the one-run walk took in one bulk step, in
+    order: steps first..first+count-1 are that transition, and the profile
+    moves by one unit step, all one way, at each position first+1 ..
+    first+count. It is () on a run the walk did not build. It takes no part
+    in ==, the hash or the repr.
     """
 
     word: object
@@ -203,6 +220,7 @@ class RunPath:
     profile: tuple[int, ...]
     initial_state: str
     initial_stack: tuple[str, ...]
+    runs: tuple = field(default=(), repr=False, compare=False)
 
     def _check_position(self, pos: int) -> None:
         if not 0 <= pos <= len(self.steps):
@@ -403,6 +421,7 @@ def _follow_run(pda: NormalizedPda, word, table, letter_moves, width, accepting,
     starts, ends = _letter_runs(word, 0, n)
     r = 0  # the next run to test
     steps: list = []
+    runs: list = []  # (first step, count, transition index) of each bulk step
     take = steps.append
     push = stack.append
     pop = stack.pop
@@ -434,7 +453,10 @@ def _follow_run(pda: NormalizedPda, word, table, letter_moves, width, accepting,
                 pos += 1
             else:
                 if pos < stop and stack:
-                    pos += _follow_bulk(word, pos, min(ends[r], stop) - pos, state, stack, letter_moves, width, steps)
+                    took = _follow_bulk(word, pos, min(ends[r], stop) - pos, state, stack, letter_moves, width, steps)
+                    if took:
+                        runs.append((len(steps) - took, took, steps[-1]))
+                        pos += took
                     r += 1
                     continue
             break
@@ -462,7 +484,7 @@ def _follow_run(pda: NormalizedPda, word, table, letter_moves, width, accepting,
                 return None
             if npos == n and target in accepting:
                 take(index)
-                return _run_path(pda, word, steps)
+                return _run_path(pda, word, steps, runs)
             if target in live:
                 move = entry
         if move is None:
@@ -658,25 +680,78 @@ def replay(pda: Pda, steps, word):
     return _run_path(pda, word, indices)
 
 
-def _run_path(pda: Pda, word, indices) -> RunPath:
+def _run_path(pda: Pda, word, indices, runs=()) -> RunPath:
     """The RunPath of the transitions of pda at indices, a sequence that
     fires from the initial description: each step pops one symbol and
     pushes its push, so the profile adds up one height change per
-    transition, looked up by index."""
+    transition. runs (see RunPath.runs) marks stretches of indices that
+    repeat one stationary transition; each is taken whole, its steps as one
+    tuple repeat and its heights as one range, and only the indices between
+    them are looked up one by one."""
     transitions = pda.transitions
     moves = [len(t.push) - 1 for t in transitions]
-    if len(indices) > 1:
-        # one gather in C per tuple, faster than a map over __getitem__ on
-        # long runs; itemgetter returns a tuple only for two or more indices
-        pick = itemgetter(*indices)
-        steps, changes = pick(transitions), pick(moves)
-    else:
-        steps = tuple(transitions[i] for i in indices)
-        changes = [moves[i] for i in indices]
+    # Each gap between runs gives its steps and the heights from its first
+    # position to its last, each run its steps and the heights strictly
+    # inside it; the gap after a run starts at the run's last position.
+    step_parts, height_parts = [], []
+    h = len(pda.initial_stack)
+    done = 0  # the steps built so far
+    for first, count, index in (*runs, (len(indices), 0, None)):
+        gap = indices[done:first] if runs else indices  # without runs, one gap: no copy
+        if len(gap) > 1:
+            # one gather in C per tuple, faster than a map over __getitem__
+            # on long runs; itemgetter returns a tuple only for two or more
+            # indices
+            pick = itemgetter(*gap)
+            step_parts.append(pick(transitions))
+            changes = pick(moves)
+        else:
+            step_parts.append(tuple(transitions[i] for i in gap))
+            changes = [moves[i] for i in gap]
+        height_parts.append(tuple(accumulate(changes, initial=h)))
+        h = height_parts[-1][-1]
+        if count:
+            step_parts.append((transitions[index],) * count)
+            move = moves[index]  # 1 or -1: a stationary move pushes or pops one symbol
+            height_parts.append(range(h + move, h + move * count, move))
+            h += move * count
+        done = first + count
     return RunPath(
         word=word,
-        steps=steps,
-        profile=tuple(accumulate(changes, initial=len(pda.initial_stack))),
+        steps=_joined(step_parts),
+        profile=_joined(height_parts),
         initial_state=pda.initial_state,
         initial_stack=pda.initial_stack,
+        runs=tuple(runs),
     )
+
+
+def _joined(parts: list) -> tuple:
+    """The items of parts, in order, as one tuple; a lone tuple as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    items: list = []
+    for part in parts:
+        items += part
+    return tuple(items)
+
+
+def profile_extreme(pick, profile, runs, lo: int, hi: int) -> int:
+    """pick(profile[lo:hi + 1]) for pick min or max, a profile whose runs
+    (see RunPath.runs) are read at their two ends only: the profile moves
+    one way inside each, so its extremes there lie at the ends."""
+    found = []
+    pos = lo
+    for first, count, _ in runs:
+        start, end = max(first + 1, pos), min(first + count, hi)
+        if start > end:
+            if start > hi:
+                break
+            continue
+        if pos < start:
+            found.append(pick(profile[pos:start]))
+        found += (profile[start], profile[end])
+        pos = end + 1
+    if pos <= hi:
+        found.append(pick(profile[pos : hi + 1] if pos or hi < len(profile) - 1 else profile))
+    return pick(found)

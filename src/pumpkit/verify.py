@@ -75,7 +75,7 @@ checked only at the counts sampled, and is no proof for all n.
 from __future__ import annotations
 
 from .record import record
-from .run import Accepted, LimitExceeded, ReplayError, RunPath, default_limits, walk
+from .run import Accepted, LimitExceeded, ReplayError, RunPath, default_limits, profile_extreme, walk
 from .search import accepts_each
 
 
@@ -127,7 +127,7 @@ def _walk_found_run(pda, path: RunPath, cuts) -> _Checkpoints:
     if 0 <= cuts[0] and list(cuts) == sorted(cuts) and cuts[-1] <= len(steps):
         state, stack, pos = pda.initial_state, list(pda.initial_stack), 0
         for s, t in zip(bounds, bounds[1:]):
-            r = profile[s] - min(profile[s : t + 1]) + 1
+            r = profile[s] - profile_extreme(min, profile, path.runs, s, t) + 1
             below = max(len(stack) - r, 0)
             top = stack[below:]
             reached = walk(steps[s:t], word, state, stack, pos)

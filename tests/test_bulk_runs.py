@@ -12,7 +12,8 @@ a time, each loop must give what its per-step reference in oracles.py
 gives: the same run, the same description and interned cells, the same
 state and position or ReplayError, and the same verdicts. Words that are
 not a str keep the per-step path, and every entry point must answer for
-them as for the str word.
+them as for the str word. The found run keeps the runs its walk took in
+bulk as RunPath.runs, and is otherwise the run the per-step walk builds.
 """
 
 from unittest.mock import patch
@@ -156,6 +157,15 @@ def one_run_words(draw):
     return pda, word, draw(st.one_of(st.just(SearchLimits(500, 500)), near))
 
 
+def _indices(pda, word, indices, runs=()):
+    """The transition indices handed to _run_path, after checking that each
+    of its runs names a stretch of them that repeats the run's index."""
+    for first, count, index in runs:
+        assert count > 0 and list(indices[first : first + count]) == [index] * count
+    assert [first for first, _, _ in runs] == sorted({first for first, _, _ in runs})
+    return list(indices)
+
+
 def _follow(follow_run, pda, word, limits):
     """What each call of follow_run returned inside minimal_accepting_path:
     the transition indices of the run it built, NotAccepted, or None where
@@ -168,7 +178,7 @@ def _follow(follow_run, pda, word, limits):
 
     with (
         patch.object(run_module, "_follow_run", recorded),
-        patch.object(run_module, "_run_path", lambda pda, word, indices: list(indices)),
+        patch.object(run_module, "_run_path", _indices),
     ):
         minimal_accepting_path(pda, word, limits)
     return outcomes
@@ -461,6 +471,58 @@ def test_a_bulk_pop_stops_at_another_symbol_and_above_the_empty_stack(bulk_steps
         bulk_steps["_search_bulk"].clear()
         assert _searched_with_arenas(pda, [word]) == (NotAccepted(),)
         assert _positive(bulk_steps["_search_bulk"]) == [19, popped]
+
+
+# The runs the found run keeps.
+
+
+def _per_step_path(pda, word):
+    """minimal_accepting_path with the one-run walk replaced by its per-step
+    reference, which hands _run_path the indices alone."""
+    with patch.object(run_module, "_follow_run", reference_follow_run):
+        return minimal_accepting_path(pda, word)
+
+
+RUN_FIELDS = ("word", "steps", "profile", "initial_state", "initial_stack")
+
+
+@pytest.mark.parametrize(
+    "machine, word, runs",
+    [
+        (
+            BUILTINS["DYCK1"].pda,
+            "(" * 6601 + ")" * 6601,
+            [(1, 6600, T("q0", "(", "X", "X", "q0")), (6602, 6599, T("q0", ")", "X", None, "q0"))],
+        ),
+        (
+            BUILTINS["ANBN"].pda,
+            "a" * 1600 + "b" * 1600,
+            [(1, 1599, T("q0", "a", "A", "A", "q0")), (1601, 1598, T("q1", "b", "A", None, "q1"))],
+        ),
+        (
+            load_path(DATA / "ANBN_GENERAL.json").pda,
+            "a" * 1600 + "b" * 1600,
+            [(1603, 1598, T("p1", "b", "A", None, "p1"))],
+        ),
+        (BUILTINS["REG_AB"].pda, "ab" * 3300, []),
+        (BUILTINS["GEN_PAL"].pda, BUILTINS["GEN_PAL"].generate(200), []),
+    ],
+    ids=["DYCK1", "ANBN", "ANBN_GENERAL", "REG_AB", "GEN_PAL"],
+)
+def test_the_found_run_keeps_its_bulk_runs_and_equals_the_per_step_build(machine, word, runs):
+    # The words of the strict DYCK1 pump, the best-effort ANBN and
+    # ANBN_GENERAL pumps at m = 1600 and two pumps without runs: REG_AB's
+    # run has none, and GEN_PAL's comes from the breadth-first search.
+    pda = normalize(machine)
+    path = minimal_accepting_path(pda, word)
+    reference = _per_step_path(pda, word)
+    assert reference.runs == ()
+    for name in RUN_FIELDS:
+        assert getattr(path, name) == getattr(reference, name), name
+    assert path == reference and hash(path) == hash(reference) and repr(path) == repr(reference)
+    assert [(first, count, pda.transitions[index]) for first, count, index in path.runs] == runs
+    for first, count, index in path.runs:
+        assert path.steps[first : first + count] == (pda.transitions[index],) * count
 
 
 # Words that are not a str.

@@ -476,6 +476,29 @@ class TestJsonReportBytes:
         assert payload["word"] == word and set(word) == set(QUOTED_LETTERS)
 
 
+@pytest.mark.parametrize(
+    "profile, runs, window_end",
+    [
+        (list(range(1, 42)), ((1, 39, 1),), 40),
+        # the found run of (^40 )^40, a climb and a descent, each one run
+        # from its second step
+        ([*range(1, 42), *range(40, -1, -1)], ((1, 39, 1), (41, 38, 2)), 60),
+        ([*range(21), *range(19, -1, -1), *range(1, 21)], ((0, 20, 0), (20, 20, 1), (40, 20, 2)), 60),
+        ([1, 2] * 20 + [1], (), 40),
+    ],
+    ids=["climb", "climb-descent-window-inside", "back-to-back", "bounce"],
+)
+def test_dumps_report_takes_spans_whole_and_writes_json_dumps_bytes(profile, runs, window_end):
+    # A climb only; a found run's climb and descent with the window ending
+    # inside the descent; a climb, a descent to 0 and a climb, back to back;
+    # and REG_AB's 1,2,1,2 bounce with no spans.
+    payload = {"word": '"profile": [] é', "diagnostics": {"profile": profile, "windowEnd": window_end}}
+    expected = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert cli._dumps_report(payload, runs) == expected
+    assert cli._dumps_report(payload) == expected
+    assert payload["diagnostics"]["profile"] is profile
+
+
 # sha256 of the whole stdout of strict and best-effort pumps, text and json,
 # and of annotated ASCII and SVG charts: a speed-up must leave every byte
 # where it was.

@@ -22,6 +22,7 @@ from pumpkit import (
 )
 from pumpkit.levels import configuration_keys, full_state_keys, max_levels
 from pumpkit.record import replace
+from pumpkit.run import BULK_RUN, profile_extreme
 
 from oracles import brute_force_max_level, check_unit_steps, is_valid_level_triple
 
@@ -378,6 +379,98 @@ def test_shifting_every_height_keeps_max_levels(profile, window_end, c):
     # the reference reads a window end below 0 from the profile's end
     windowed = reference_max_level(shifted, max(window_end, 0))
     assert result == (windowed, reference_max_level(shifted, len(profile) - 1))
+
+
+# Spans of a found run, taken whole by the sweep.
+
+SPAN_LENGTHS = st.sampled_from([1, 2, BULK_RUN - 1, BULK_RUN, BULK_RUN + 1, 2 * BULK_RUN + 3])
+
+
+@st.composite
+def spanned_profiles(draw):
+    """A unit-step profile of long climbs and descents, with runs marked as
+    RunPath.runs marks them, (first step, count, transition index): each
+    drawn climb or descent is one whole run, one from its second step, or
+    none. Consecutive whole runs lie back to back."""
+    prof = [draw(st.integers(0, 3))]
+    runs = []
+    for index in range(draw(st.integers(1, 6))):
+        up = prof[-1] == 0 or draw(st.booleans())
+        length = draw(SPAN_LENGTHS) if up else min(draw(SPAN_LENGTHS), prof[-1])
+        first = len(prof) - 1
+        h = prof[-1]
+        prof += range(h + 1, h + length + 1) if up else range(h - 1, h - length - 1, -1)
+        kind = draw(st.sampled_from(["whole", "whole", "second", "none"]))
+        if kind == "whole":
+            runs.append((first, length, index))
+        elif kind == "second" and length > 1:
+            runs.append((first + 1, length - 1, index))
+    return tuple(prof), tuple(runs)
+
+
+def span_window_ends(prof, runs):
+    """Window ends inside each run, on its first and last step, and on
+    each valley, plus the ends of the profile."""
+    ends = {0, 1, len(prof) - 1}
+    for first, count, _ in runs:
+        ends.update((first, first + 1, first + (count + 1) // 2, first + count))
+    ends.update(p for p in range(1, len(prof) - 1) if prof[p - 1] > prof[p] < prof[p + 1])
+    return sorted(e for e in ends if e < len(prof))
+
+
+@given(spanned_profiles(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_spans_taken_whole_match_the_sweep_and_the_brute_force(spanned, data):
+    prof, runs = spanned
+    ends = span_window_ends(prof, runs)
+    for window_end in ends:
+        assert max_levels(prof, window_end, runs) == max_levels(prof, window_end), window_end
+    # one drawn end against the cubic oracle, for the window and the whole profile
+    window_end = data.draw(st.sampled_from(ends))
+    last = len(prof) - 1
+    for end, (level, witness) in zip((window_end, last), max_levels(prof, window_end, runs)):
+        assert level == brute_force_max_level(prof, end)[0]
+        assert witness is None if level == 0 else is_valid_level_triple(prof, witness) and witness.k <= end
+
+
+@given(spanned_profiles(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_profile_extremes_read_off_the_spans_ends(spanned, data):
+    # the range minima of the candidate walk and the JSON report's maximum
+    prof, runs = spanned
+    ends = span_window_ends(prof, runs)
+    lo = data.draw(st.sampled_from(ends))
+    hi = data.draw(st.sampled_from([e for e in ends if e >= lo]))
+    for pick in (min, max):
+        assert profile_extreme(pick, prof, runs, lo, hi) == pick(prof[lo : hi + 1])
+        assert profile_extreme(pick, prof, runs, 0, len(prof) - 1) == pick(prof)
+
+
+@pytest.mark.parametrize("start", [0, 5])
+def test_spans_of_exactly_bulk_run_steps(start):
+    # a climb and a descent of exactly BULK_RUN steps, each one run, back to
+    # back, then one step up and a descent of BULK_RUN steps from its second
+    # step: every window end against the sweep without spans and the oracle
+    k = BULK_RUN
+    prof = (start, *range(start + 1, start + k + 1), *range(start + k - 1, start - 1, -1))
+    prof += (start + 1, start, *range(start + 1, start + k + 2), *range(start + k, start - 1, -1))
+    climb2 = 2 * k + 2
+    runs = ((0, k, 0), (k, k, 1), (climb2, k + 1, 2), (climb2 + k + 2, k, 3))
+    for window_end in range(len(prof)):
+        spanned = max_levels(prof, window_end, runs)
+        assert spanned == max_levels(prof, window_end), window_end
+        assert spanned[0][0] == brute_force_max_level(prof, window_end)[0], window_end
+    assert max_levels(prof, len(prof) - 1, runs)[1][0] == k + 1
+
+
+def test_the_found_run_of_a_strict_dyck_word_gives_its_levels_from_its_runs(dyck1):
+    # (^6601 )^6601: a climb and a descent of one transition each; the strict
+    # window ends 80 steps before the descent's end
+    path = minimal_accepting_path(dyck1, "(" * 6601 + ")" * 6601)
+    assert [(first, count) for first, count, _ in path.runs] == [(1, 6600), (6602, 6599)]
+    levels = max_levels(path.profile, 13122, path.runs)
+    assert levels == max_levels(path.profile, 13122)
+    assert levels == ((6521, LevelTriple(80, 6601, 13122, 6521)), (6601, LevelTriple(0, 6601, 13202, 6601)))
 
 
 class TestCutPositions:

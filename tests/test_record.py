@@ -29,7 +29,7 @@ RECORDS = sorted(
 )
 
 # Fields set in __init__ and left out of ==.
-NOT_COMPARED = {("ExtractionResult", "checkpoints")}
+NOT_COMPARED = {("ExtractionResult", "checkpoints"), ("RunPath", "runs")}
 
 EXTRACTION_RESULT_REPR = (
     "ExtractionResult(decomposition=Decomposition(u='(', v='(', x='', y=')', z=')', cuts=(1, 2, 2, 3),"
