@@ -37,6 +37,7 @@ from .run import (
     default_limits,
     minimal_accepting_path,
     profile_extreme,
+    profile_spans,
 )
 from .search import accepts, membership_tables
 from .serialize import PdaDocument, dumps, load_path
@@ -290,10 +291,10 @@ def _dumps_report(payload: dict, runs=()) -> str:
     `"profile": []` this leaves. Only the key can spell that text: every `"`
     inside a JSON string value is escaped.
 
-    runs, the found run's RunPath.runs, are the spans where the profile
-    climbs or descends by unit steps: each is one join over a slice of the
-    height strings, reversed for a descent, and its extremes lie at its
-    ends. The positions between spans are formatted one by one.
+    runs, the found run's RunPath.runs, are read through run.profile_spans
+    (see the run module docstring): a run is one join over a slice of the
+    height strings, and the positions between runs are formatted one by
+    one.
     """
     diagnostics = payload["diagnostics"]
     profile = diagnostics["profile"]
@@ -306,15 +307,12 @@ def _dumps_report(payload: dict, runs=()) -> str:
         heights = [str(h) for h in range(profile_extreme(max, profile, runs, 0, last) + 1)]
         join = ",\n      ".join
         parts = []
-        pos = 0
-        for first, count, _ in runs:
-            if pos <= first:
-                parts.append(join(map(heights.__getitem__, profile[pos : first + 1])))
-            a, b = profile[first + 1], profile[first + count]
-            parts.append(join(heights[a : b + 1] if a <= b else heights[b : a + 1][::-1]))
-            pos = first + count + 1
-        if pos <= last:
-            parts.append(join(map(heights.__getitem__, profile[pos:] if pos else profile)))
+        for a, b, index in profile_spans(runs, 0, last):
+            if index is None:
+                parts.append(join(map(heights.__getitem__, profile[a : b + 1] if a or b < last else profile)))
+            else:
+                x, y = profile[a], profile[b]
+                parts.append(join(heights[x : y + 1] if x <= y else heights[y : x + 1][::-1]))
         text = text.replace('"profile": []', f'"profile": [\n      {join(parts)}\n    ]', 1)
     return text + "\n"
 

@@ -24,16 +24,11 @@ and each descent once, at its valley, by its length against its drop. The
 tests hold an independent cubic oracle for it, the era-record sweep it
 replaced and the separate step pass it absorbed.
 
-A found run's profile is mostly a few long climbs and descents of one
-stationary transition each, which the one-run walk took in bulk steps and
-RunPath keeps as its runs. The sweep takes such a span whole, as the run
-loops do: _sweep_runs stops the per-position sweep at the span, opens the
-eras of a climb of k unit steps with two slice assignments after its first
-up-step, which goes through the per-position sweep because it may settle
-a descent, and jumps over a descent to its end, since down-steps do
-nothing and the valley settles the descent as it does any other. The
-spans are unit steps by construction and are not checked again; a bare
-profile has none, and its sweep is the per-position one throughout.
+A found run's climbs and descents of one stationary transition, its
+RunPath.runs, are taken whole: _sweep_runs reads them through
+run.profile_spans (see the run module docstring). They are unit steps by
+construction and are not checked again; a bare profile has none, and its
+sweep is the per-position one throughout.
 
 The witness scans read plain tuples. configuration_keys gives (state, top
 symbols) per position, with stacks from RunPath.stacks, the run's one
@@ -53,7 +48,7 @@ from __future__ import annotations
 from .errors import TopSymbolMismatchError
 from .pda import BLANK
 from .record import record
-from .run import RunPath
+from .run import RunPath, profile_spans
 
 
 @record
@@ -153,36 +148,27 @@ def _sweep(s, start: int, stop: int, eras: tuple, state: tuple) -> tuple:
 
 def _sweep_runs(s, start: int, stop: int, eras: tuple, state: tuple, runs) -> tuple:
     """_sweep over positions start..stop-1 of s, taking the spans of runs
-    (see RunPath.runs) whole; they are unit steps by construction and are
-    not checked again.
+    (see run.profile_spans) whole; they are unit steps by construction and
+    are not checked again.
 
-    _sweep stops at each span. A climb's first up-step goes through it,
-    since it may settle a descent; the climb's other up-steps only open
-    their eras, which one slice assignment to first and one to peak do, and
-    the last of them is the crest. A descent's down-steps do nothing, so
-    the sweep goes on after its end, and its valley is settled there as any
-    other.
+    A climb's first up-step goes through _sweep, since it may settle a
+    descent; the climb's other up-steps only open their eras, which one
+    slice assignment to first and one to peak do, and the last of them is
+    the crest. A descent's down-steps do nothing, and its valley is settled
+    after it as any other.
     """
     first, peak, _ = eras
-    pos = start
-    for f, count, _ in runs:
-        lo, hi = max(f + 1, pos), min(f + count, stop - 1)  # the span's positions
-        if lo > hi:
-            if lo >= stop:
-                break
-            continue
-        if s[lo] > s[lo - 1]:
-            state = _sweep(s, pos, lo + 1, eras, state)
-            if hi > lo:
-                h = s[lo]
-                first[h + 1 : h + 1 + hi - lo] = range(lo + 1, hi + 1)
-                peak[h + 1 : h + 1 + hi - lo] = [-1] * (hi - lo)
-                base, _, *best = state
-                state = (base, hi, *best)
-        else:
-            state = _sweep(s, pos, lo, eras, state)
-        pos = hi + 1
-    return _sweep(s, pos, stop, eras, state)
+    for a, b, index in profile_spans(runs, start, stop - 1):
+        if index is None:
+            state = _sweep(s, a, b + 1, eras, state)
+        elif s[a] > s[a - 1]:
+            state = _sweep(s, a, a + 1, eras, state)
+            h = s[a]
+            first[h + 1 : h + 1 + b - a] = range(a + 1, b + 1)
+            peak[h + 1 : h + 1 + b - a] = [-1] * (b - a)
+            base, _, *best = state
+            state = (base, b, *best)
+    return state
 
 
 def _close(s, end: int, eras: tuple, state: tuple) -> tuple[int, LevelTriple | None]:

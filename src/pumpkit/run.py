@@ -111,18 +111,28 @@ machine's own transitions: transition_indices finds each step among them
 with one dict lookup, and a step that is not one of them is inapplicable.
 _run_path builds the RunPath of a sequence of transition indices, which
 the minimal-run search, the one-run walk (_follow_run) and replay's lookup
-all hold. The one-run walk also hands it the runs it took in bulk steps,
-as (first step, count, transition index), and RunPath keeps them as its
-runs. _run_path takes each run whole, its steps as one tuple repeat and
-its heights as one range, and gathers the steps and height changes by
-index only between runs; a run from the search or from replay has no runs
-and is gathered index by index. The passes that read a found run
-position by position take its runs the same way: the level sweep
-(levels.max_levels), the JSON report's profile (cli._dumps_report) and
-the candidate walk's range minima (verify._walk_found_run, through
-profile_extreme). Inside a run the profile moves one way by unit steps,
-so a climb is a slice of consecutive heights, a descent the same slice
-reversed, and a run's extremes lie at its ends.
+all hold.
+
+The one-run walk also hands _run_path the runs it took in bulk steps, as
+(first step, count, transition index), and RunPath keeps them as its
+runs. Only this module unpacks those entries: profile_spans covers a
+stretch lo..hi of profile positions, in order, with spans (a, b, index),
+index the run's transition inside a run and None between runs. Positions
+a..b are entered by steps a-1..b-1, so one reader serves the steps and
+the heights. Inside a run the profile moves one way by unit steps, so a
+climb is a slice of consecutive heights, a descent the same slice
+reversed, and a run's extremes lie at its ends; a stretch between runs is
+read position by position. Four passes read a found run's runs through
+profile_spans and take each whole: _run_path makes a run's steps with
+one tuple repeat and its heights with one range, and gathers the steps and
+height changes by index only between runs; the level sweep
+(levels.max_levels) opens a climb's eras with two slice assignments and
+does nothing on a descent; the JSON report's profile (cli._dumps_report)
+joins a climb's height strings as one slice; and the candidate walk's
+range minima (verify._walk_found_run, through profile_extreme) read a run
+at its two ends. A run from the search or from replay has no runs: it is
+one span between runs, which _run_path builds as one tuple, without a
+copy.
 """
 
 from __future__ import annotations
@@ -212,7 +222,8 @@ class RunPath:
     order: steps first..first+count-1 are that transition, and the profile
     moves by one unit step, all one way, at each position first+1 ..
     first+count. It is () on a run the walk did not build. It takes no part
-    in ==, the hash or the repr.
+    in ==, the hash or the repr. profile_spans reads it; see the module
+    docstring.
     """
 
     word: object
@@ -680,6 +691,27 @@ def replay(pda: Pda, steps, word):
     return _run_path(pda, word, indices)
 
 
+def profile_spans(runs, lo: int, hi: int):
+    """Cover positions lo..hi of a run's profile, in order, with spans
+    (a, b, index): index is the transition index of the run (see
+    RunPath.runs) that enters each of positions a..b, and None on a
+    stretch between runs. Positions a..b are entered by steps a-1..b-1;
+    see the module docstring."""
+    pos = lo
+    for first, count, index in runs:
+        a, b = max(first + 1, pos), min(first + count, hi)
+        if a > b:  # the run ends before pos, or it and all after it start past hi
+            if a > hi:
+                break
+            continue
+        if pos < a:
+            yield pos, a - 1, None
+        yield a, b, index
+        pos = b + 1
+    if pos <= hi:
+        yield pos, hi, None
+
+
 def _run_path(pda: Pda, word, indices, runs=()) -> RunPath:
     """The RunPath of the transitions of pda at indices, a sequence that
     fires from the initial description: each step pops one symbol and
@@ -690,36 +722,36 @@ def _run_path(pda: Pda, word, indices, runs=()) -> RunPath:
     them are looked up one by one."""
     transitions = pda.transitions
     moves = [len(t.push) - 1 for t in transitions]
-    # Each gap between runs gives its steps and the heights from its first
-    # position to its last, each run its steps and the heights strictly
-    # inside it; the gap after a run starts at the run's last position.
     step_parts, height_parts = [], []
     h = len(pda.initial_stack)
-    done = 0  # the steps built so far
-    for first, count, index in (*runs, (len(indices), 0, None)):
-        gap = indices[done:first] if runs else indices  # without runs, one gap: no copy
-        if len(gap) > 1:
-            # one gather in C per tuple, faster than a map over __getitem__
-            # on long runs; itemgetter returns a tuple only for two or more
-            # indices
-            pick = itemgetter(*gap)
-            step_parts.append(pick(transitions))
-            changes = pick(moves)
+    # Each span gives its steps and the heights of its positions; the first
+    # span also gives position 0's, so a run without runs is one tuple.
+    for a, b, index in profile_spans(runs, 1, len(indices)):
+        if index is None:
+            gap = indices[a - 1 : b] if runs else indices  # without runs, one gap: no copy
+            if len(gap) > 1:
+                # one gather in C per tuple, faster than a map over
+                # __getitem__ on long runs; itemgetter returns a tuple only
+                # for two or more indices
+                pick = itemgetter(*gap)
+                step_parts.append(pick(transitions))
+                changes = pick(moves)
+            else:
+                step_parts.append(tuple(transitions[i] for i in gap))
+                changes = [moves[i] for i in gap]
+            heights = accumulate(changes, initial=h)
+            if a > 1:
+                next(heights)
+            height_parts.append(tuple(heights))
         else:
-            step_parts.append(tuple(transitions[i] for i in gap))
-            changes = [moves[i] for i in gap]
-        height_parts.append(tuple(accumulate(changes, initial=h)))
-        h = height_parts[-1][-1]
-        if count:
-            step_parts.append((transitions[index],) * count)
+            step_parts.append((transitions[index],) * (b - a + 1))
             move = moves[index]  # 1 or -1: a stationary move pushes or pops one symbol
-            height_parts.append(range(h + move, h + move * count, move))
-            h += move * count
-        done = first + count
+            height_parts.append(range(h if a == 1 else h + move, h + move * (b - a + 2), move))
+        h = height_parts[-1][-1]
     return RunPath(
         word=word,
         steps=_joined(step_parts),
-        profile=_joined(height_parts),
+        profile=_joined(height_parts) if height_parts else (h,),
         initial_state=pda.initial_state,
         initial_stack=pda.initial_stack,
         runs=tuple(runs),
@@ -727,9 +759,10 @@ def _run_path(pda: Pda, word, indices, runs=()) -> RunPath:
 
 
 def _joined(parts: list) -> tuple:
-    """The items of parts, in order, as one tuple; a lone tuple as it is."""
+    """The items of parts, in order, as one tuple; a lone tuple as it is,
+    without a copy."""
     if len(parts) == 1:
-        return parts[0]
+        return tuple(parts[0])
     items: list = []
     for part in parts:
         items += part
@@ -740,18 +773,8 @@ def profile_extreme(pick, profile, runs, lo: int, hi: int) -> int:
     """pick(profile[lo:hi + 1]) for pick min or max, a profile whose runs
     (see RunPath.runs) are read at their two ends only: the profile moves
     one way inside each, so its extremes there lie at the ends."""
-    found = []
-    pos = lo
-    for first, count, _ in runs:
-        start, end = max(first + 1, pos), min(first + count, hi)
-        if start > end:
-            if start > hi:
-                break
-            continue
-        if pos < start:
-            found.append(pick(profile[pos:start]))
-        found += (profile[start], profile[end])
-        pos = end + 1
-    if pos <= hi:
-        found.append(pick(profile[pos : hi + 1] if pos or hi < len(profile) - 1 else profile))
-    return pick(found)
+    last = len(profile) - 1
+    return pick(
+        pick(profile[a : b + 1] if a or b < last else profile) if index is None else pick(profile[a], profile[b])
+        for a, b, index in profile_spans(runs, lo, hi)
+    )

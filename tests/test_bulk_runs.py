@@ -16,6 +16,7 @@ them as for the str word. The found run keeps the runs its walk took in
 bulk as RunPath.runs, and is otherwise the run the per-step walk builds.
 """
 
+from itertools import accumulate
 from unittest.mock import patch
 
 import pytest
@@ -523,6 +524,28 @@ def test_the_found_run_keeps_its_bulk_runs_and_equals_the_per_step_build(machine
     assert [(first, count, pda.transitions[index]) for first, count, index in path.runs] == runs
     for first, count, index in path.runs:
         assert path.steps[first : first + count] == (pda.transitions[index],) * count
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1, 2, 15, 16, 17, 35]), st.booleans()), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_the_run_build_takes_marked_runs_whole(blocks):
+    # Blocks of one DYCK1 transition each, a push or pop block marked as a
+    # run or not: runs from the first step on, of one step, back to back
+    # and at the end. The build must give the steps and the profile that
+    # one height change per step adds up to, as tuples, with or without
+    # the runs.
+    pda = BUILTINS["DYCK1"].pda
+    indices, runs = [], []
+    for index, count, marked in blocks:
+        if marked and index in (1, 2):  # the stationary push and pop
+            runs.append((len(indices), count, index))
+        indices += [index] * count
+    steps = tuple(pda.transitions[i] for i in indices)
+    profile = tuple(accumulate((len(t.push) - 1 for t in steps), initial=1))
+    for marks in (runs, ()):
+        path = run_module._run_path(pda, "", indices, marks)
+        assert (path.steps, path.profile, path.runs) == (steps, profile, tuple(marks))
+        assert type(path.steps) is tuple and type(path.profile) is tuple
 
 
 # Words that are not a str.

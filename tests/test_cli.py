@@ -533,6 +533,28 @@ REPORT_DIGESTS = [
         "9385b25f49d50ff6695e67f5c0611940993dcec6768604e55fcf270c7d1ddbd1",
         id="profile-ANBN-svg",
     ),
+    # The JSON profile's span shapes: no runs, a window ending 122 steps
+    # into the bulk descent, a climb and a descent, and gaps only.
+    pytest.param(
+        ("pump", "REG_AB", "ab" * 3300, "--mode", "best-effort", "--report", "json"),
+        "c7d50ad754a11940af58ae8ca4428f6700369dd7f1a50dab48bbf2d8a0f11711",
+        id="best-effort-REG_AB-json",
+    ),
+    pytest.param(
+        ("pump", "DYCK1", "(" * 13000 + ")" * 13000, "--mode", "strict", "--report", "json"),
+        "c1460947fea3711f7df5787060b4f5f138d817871c369d505ecc6833fd76af95",
+        id="strict-DYCK1-13000-json",
+    ),
+    pytest.param(
+        ("pump", "ANBN", "a" * 1600 + "b" * 1600, "--mode", "best-effort", "--report", "json"),
+        "44b7ff2814c373e01c609a4e6fc46f9e32a458ef6890de3a6e30fc0505ad20ae",
+        id="best-effort-ANBN-1600-json",
+    ),
+    pytest.param(
+        ("pump", "DYCK1", "(())" * 400, "--mode", "best-effort", "--report", "json"),
+        "76f298254713322e6cc3055c10570db04ee58e521d655f3e9884ce8d40818869",
+        id="best-effort-DYCK1-nested-json",
+    ),
 ]
 
 

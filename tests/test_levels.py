@@ -22,7 +22,7 @@ from pumpkit import (
 )
 from pumpkit.levels import configuration_keys, full_state_keys, max_levels
 from pumpkit.record import replace
-from pumpkit.run import BULK_RUN, profile_extreme
+from pumpkit.run import BULK_RUN, profile_extreme, profile_spans
 
 from oracles import brute_force_max_level, check_unit_steps, is_valid_level_triple
 
@@ -416,6 +416,37 @@ def span_window_ends(prof, runs):
         ends.update((first, first + 1, first + (count + 1) // 2, first + count))
     ends.update(p for p in range(1, len(prof) - 1) if prof[p - 1] > prof[p] < prof[p + 1])
     return sorted(e for e in ends if e < len(prof))
+
+
+@given(spanned_profiles(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_profile_spans_cover_the_window_once_and_keep_each_run_whole(spanned, data):
+    # windows that start or end inside a run, on its first or last
+    # position, next to it or anywhere, and empty ones
+    prof, runs = spanned
+    last = len(prof) - 1
+    marks = {0, last}
+    for first, count, _ in runs:
+        marks.update((first, first + 1, first + 2, first + (count + 1) // 2, first + count, first + count + 1))
+
+    def bound(low):
+        return st.sampled_from(sorted(m for m in marks if low <= m <= last)) | st.integers(low, last)
+
+    lo = data.draw(bound(0))
+    hi = data.draw(bound(lo - 1))
+    spans = list(profile_spans(runs, lo, hi))
+    assert [p for a, b, _ in spans for p in range(a, b + 1)] == list(range(lo, hi + 1))
+    assert all(a <= b for a, b, _ in spans)
+    # gaps are maximal: two never lie back to back
+    assert all(x[2] is not None or y[2] is not None for x, y in zip(spans, spans[1:]))
+    in_run = {p for first, count, _ in runs for p in range(first + 1, first + count + 1)}
+    for a, b, index in spans:
+        if index is None:
+            assert in_run.isdisjoint(range(a, b + 1))
+            continue
+        assert any(first < a <= b <= first + count for first, count, i in runs if i == index)
+        # positions a..b are entered by steps a-1..b-1, all one way by one
+        assert {prof[p] - prof[p - 1] for p in range(a, b + 1)} in ({1}, {-1})
 
 
 @given(spanned_profiles(), st.data())

@@ -332,12 +332,9 @@ def test_a_walked_search_holds_no_description_per_letter():
     assert peak < 120 * len(word)
 
 
-def test_batch_search_covers_little_more_than_the_longest_word(monkeypatch):
-    # The five pumped words share their first 6600 letters and end in the
-    # same 6600 closing parentheses. The common prefix and the five
-    # remainders alone search 3.0 times the longest word's letters; with the
-    # common suffix searched once and reused by the other four words, the
-    # batch searches at most 1.1 times.
+@pytest.fixture
+def searched_letters(monkeypatch):
+    """The letters each _search_chain call covers, in call order."""
     from pumpkit import search as search_module
 
     letters = []
@@ -348,6 +345,16 @@ def test_batch_search_covers_little_more_than_the_longest_word(monkeypatch):
         return search(word, start, end, *rest)
 
     monkeypatch.setattr(search_module, "_search_chain", counted)
+    return letters
+
+
+def test_batch_search_covers_little_more_than_the_longest_word(searched_letters):
+    # The five pumped words share their first 6600 letters and end in the
+    # same 6600 closing parentheses. The common prefix and the five
+    # remainders alone search 3.0 times the longest word's letters; with the
+    # common suffix searched once and reused by the other four words, the
+    # batch searches at most 1.1 times.
+    letters = searched_letters
     pda = BUILTINS["DYCK1"].pda
     word = "(" * 6601 + ")" * 6601
     d = extract(pda, word, mode=ExtractionMode.STRICT).decomposition
@@ -360,6 +367,20 @@ def test_batch_search_covers_little_more_than_the_longest_word(monkeypatch):
     assert accepts(pda, longest) == Accepted()
     assert sum(letters) == len(longest)
     assert batch <= 1.1 * len(longest)
+
+
+def test_batch_search_joins_a_shared_tail_without_letter_runs(searched_letters):
+    # Best-effort DYCK1 on (())^400 pumps at the word's front, so the five
+    # pumped words share a tail of about 1600 letters without a run of
+    # BULK_RUN equal letters, which the search walks step by step. With
+    # that tail searched once and reused by the other four words, the batch
+    # covers 1618 letters against the longest word's 1606; each word
+    # searched from the fork to its end would cover 8006.
+    pda = BUILTINS["DYCK1"].pda
+    d = extract(pda, "(())" * 400, mode=ExtractionMode.BEST_EFFORT).decomposition
+    words = [pumped_word(d, n) for n in DEFAULT_N_SET]
+    assert accepts_each(pda, words) == (Accepted(),) * 5
+    assert sum(searched_letters) <= 1.1 * max(map(len, words))
 
 
 def test_joins_stop_once_a_suffix_cannot_be_shared(monkeypatch):
