@@ -67,7 +67,7 @@ class _BelowZero(Exception):
     height: max_levels sweeps the profile again, shifted up."""
 
 
-def _descent(s, peak: list, at: list, base: int, crest: int, valley: int) -> tuple[int, int, int, int]:
+def _descent(s, peak: list, at: list, base: int, crest: int, valley: int, fresh: int) -> tuple[int, int, int, int]:
     """The last era that the descent from position crest to position valley
     closes, as (h, top, top_pos, k): its height, the highest peak folded into
     it with that peak's position, and its last position.
@@ -75,15 +75,16 @@ def _descent(s, peak: list, at: list, base: int, crest: int, valley: int) -> tup
     The descent closes the eras from s[crest] down to the valley's height + 1,
     or down to base if it steps below base. The era at s[crest] opened at
     crest and nothing rose inside it, so its own height is its peak; each
-    lower era adds the peak it kept from its earlier children. On ties the
-    lowest era's peak wins, as when each closing era handed its peak down only
-    if it was strictly higher.
+    lower era adds the peak it kept from its earlier children. The eras from
+    fresh up to s[crest] kept none, so only those below fresh are read. On
+    ties the lowest era's peak wins, as when each closing era handed its peak
+    down only if it was strictly higher.
     """
     crest_h = s[crest]
     h = max(base, s[valley] + 1)
     k = crest + crest_h - h
-    if h < crest_h:
-        kept = peak[h:crest_h]
+    kept = peak[h : min(crest_h, fresh)]
+    if kept:
         top = max(kept)
         if top >= crest_h:
             return h, top, at[h + kept.index(top)], k
@@ -92,13 +93,15 @@ def _descent(s, peak: list, at: list, base: int, crest: int, valley: int) -> tup
 
 def _sweep(s, start: int, stop: int, eras: tuple, state: tuple) -> tuple:
     """Advance the sweep over positions start..stop-1 of s, updating eras in
-    place; returns the new state (base, crest, best_n, best_i, best_j,
-    best_k), best_n = 0 while no triple has closed.
+    place; returns the new state (base, crest, fresh, best_n, best_i,
+    best_j, best_k), best_n = 0 while no triple has closed.
 
     eras holds first[h], peak[h] and at[h] for each open era h: its first
     position, the highest peak handed to it (-1 for none) and that peak's
     position. base is the lowest open era and crest the last up-step (or
-    position 0); the profile only falls after crest. A down-step does nothing.
+    position 0); the profile only falls after crest. The eras from fresh up
+    to s[crest] have kept no peak: they opened on the climb to crest. A
+    down-step does nothing.
     An up-step after a descent first settles it at its valley, the position
     before: the descent's last era is weighed as the best triple, and its peak
     goes into the valley's era, or the valley opens a fresh era if it lies
@@ -110,7 +113,7 @@ def _sweep(s, start: int, stop: int, eras: tuple, state: tuple) -> tuple:
     moves otherwise.
     """
     first, peak, at = eras
-    base, crest, best_n, best_i, best_j, best_k = state
+    base, crest, fresh, best_n, best_i, best_j, best_k = state
     v = s[start - 1]
     for pos in range(start, stop):
         prev, v = v, s[pos]
@@ -125,7 +128,7 @@ def _sweep(s, start: int, stop: int, eras: tuple, state: tuple) -> tuple:
             if s[crest] - prev != valley - crest:
                 raise ValueError(_NOT_UNIT)
             if valley > crest + 1:
-                h, top, top_pos, k = _descent(s, peak, at, base, crest, valley)
+                h, top, top_pos, k = _descent(s, peak, at, base, crest, valley, fresh)
                 if top - h > best_n:
                     best_n, best_i, best_j, best_k = top - h, first[h], top_pos, k
             else:
@@ -140,10 +143,11 @@ def _sweep(s, start: int, stop: int, eras: tuple, state: tuple) -> tuple:
             elif top > peak[prev]:
                 peak[prev] = top
                 at[prev] = top_pos
+            fresh = v
         first[v] = pos
         peak[v] = -1
         crest = pos
-    return base, crest, best_n, best_i, best_j, best_k
+    return base, crest, fresh, best_n, best_i, best_j, best_k
 
 
 def _sweep_runs(s, start: int, stop: int, eras: tuple, state: tuple, runs) -> tuple:
@@ -154,8 +158,9 @@ def _sweep_runs(s, start: int, stop: int, eras: tuple, state: tuple, runs) -> tu
     A climb's first up-step goes through _sweep, since it may settle a
     descent; the climb's other up-steps only open their eras, which one
     slice assignment to first and one to peak do, and the last of them is
-    the crest. A descent's down-steps do nothing, and its valley is settled
-    after it as any other.
+    the crest; the climb's eras keep fresh where its first up-step left it,
+    so a descent off the climb reads none of them. A descent's down-steps do
+    nothing, and its valley is settled after it as any other.
     """
     first, peak, _ = eras
     for a, b, index in profile_spans(runs, start, stop - 1):
@@ -166,8 +171,8 @@ def _sweep_runs(s, start: int, stop: int, eras: tuple, state: tuple, runs) -> tu
             h = s[a]
             first[h + 1 : h + 1 + b - a] = range(a + 1, b + 1)
             peak[h + 1 : h + 1 + b - a] = [-1] * (b - a)
-            base, _, *best = state
-            state = (base, b, *best)
+            base, _, *rest = state
+            state = (base, b, *rest)
     return state
 
 
@@ -183,7 +188,7 @@ def _close(s, end: int, eras: tuple, state: tuple) -> tuple[int, LevelTriple | N
     the end, so such peaks sit past its k.
     """
     first, peak, at = eras
-    base, crest, best_n, best_i, best_j, best_k = state
+    base, crest, fresh, best_n, best_i, best_j, best_k = state
     v = s[end]
     if v < 0:
         raise _BelowZero
@@ -191,7 +196,7 @@ def _close(s, end: int, eras: tuple, state: tuple) -> tuple[int, LevelTriple | N
     if end > crest:
         if s[crest] - v != end - crest:
             raise ValueError(_NOT_UNIT)
-        h, t, t_pos, k = _descent(s, peak, at, base, crest, end)
+        h, t, t_pos, k = _descent(s, peak, at, base, crest, end, fresh)
         if t - h > best_n:
             best_n, best_i, best_j, best_k = t - h, first[h], t_pos, k
         if v < base:
@@ -259,7 +264,7 @@ def _levels(profile, window_end: int, runs) -> tuple:
     size = (last + profile[last] + s0) // 2 + 1
     eras = [0] * size, [-1] * size, [0] * size
     try:
-        state = _sweep_runs(profile, 1, end + 1, eras, (s0, 0, 0, 0, 0, 0), runs)
+        state = _sweep_runs(profile, 1, end + 1, eras, (s0, 0, s0, 0, 0, 0, 0), runs)
         windowed = _close(profile, end, eras, state)
         whole = windowed
         if end < last:

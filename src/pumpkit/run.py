@@ -78,6 +78,27 @@ push run takes the run up to the stretch's end, and a pop run only when
 as many equal symbols lie on top. The run it builds is the per-step run,
 index for index.
 
+Runs of a bounce. A bounce is two letter moves on two different letters:
+from (q, X) the first reads c1, pushes Y on X and lands in q'; from
+(q', Y) the second reads c2, pops Y and returns to q. Together they map a
+description to itself with no stack check, so k bounces over (c1c2)^k
+append the pair's two transitions k times and leave state and stack as
+they are. The loops take a run of at least BULK_RUN bounces in one bulk
+step, found as runs of one letter are: _letter_runs also finds the runs of
+BULK_RUN copies of a pair, with one str.find per run and pair, each span
+starting at the run's second copy and ending after its last whole copy.
+The one-run walk reads its candidate pairs off its move table
+(_bounce_pairs); walk has no table and reads them off its word: each
+letter at one of every BULK_RUN positions and the letter after it, in both
+orders, since the steps decide which letter pushes. The two orders give
+two spans a letter apart; walk tests the first, and where the steps do not
+bounce there, the second one letter on. A loop tells the two kinds of span
+apart by the letter after the one it stands on. A bounce's push needs one
+symbol more than its stack, which the fast stretch's bounds leave room
+for. RunPath.runs keeps only runs of one stationary transition: a bounce
+moves the profile up and down, so the level sweep, the JSON profile and
+the range minima still read a run of bounces per position.
+
 minimal_accepting_path encodes its descriptions as plain ints. States are
 numbered with the initial state as 0, and stack symbols 0..width-1. The
 move table is a flat list indexed by state * width + popped symbol whose
@@ -98,41 +119,42 @@ symbols off the steps instead, and walks the stacks only for a cut at the
 run's end.
 
 walk is the one copy of the replay step semantics: replay runs it over a
-whole transition sequence, and verify.replay_pumps over the pieces of a run
-between its checkpoints. It checks a run of identical steps as a whole,
-from the first position it reaches in the run's span: the steps by one
-count of the run's first step, the letters by the run they lie in, and a
-pop run's symbols by one stack-slice comparison. On any
-mismatch the run is walked step by step, so the first offending step and
-its reason are those of the per-step walk. It scans only the stretch of
-the word its steps can read, for runs of every letter in it, so the walks
-of a run's pieces scan the word once between them. replay takes only the
+whole transition sequence, and verify.replay_pumps over the pieces of a
+run between its checkpoints. It checks a run of identical steps, or of
+copies of a bounce, as a whole, from the first position it reaches in the
+run's span: the steps by one count of the run's first step or one slice
+compare against copies of its first two, the letters by the run they lie
+in, and a pop run's symbols by one stack-slice comparison. On any mismatch
+the run is walked step by step, so the first offending step and its reason
+are those of the per-step walk. It scans only the stretch of the word its
+steps can read, for runs of every letter and pair in it, so the walks of a
+run's pieces scan the word once between them. replay takes only the
 machine's own transitions: transition_indices finds each step among them
 with one dict lookup, and a step that is not one of them is inapplicable.
 _run_path builds the RunPath of a sequence of transition indices, which
 the minimal-run search, the one-run walk (_follow_run) and replay's lookup
 all hold.
 
-The one-run walk also hands _run_path the runs it took in bulk steps, as
-(first step, count, transition index), and RunPath keeps them as its
-runs. Only this module unpacks those entries: profile_spans covers a
-stretch lo..hi of profile positions, in order, with spans (a, b, index),
-index the run's transition inside a run and None between runs. Positions
-a..b are entered by steps a-1..b-1, so one reader serves the steps and
-the heights. Inside a run the profile moves one way by unit steps, so a
-climb is a slice of consecutive heights, a descent the same slice
-reversed, and a run's extremes lie at its ends; a stretch between runs is
-read position by position. Four passes read a found run's runs through
-profile_spans and take each whole: _run_path makes a run's steps with
-one tuple repeat and its heights with one range, and gathers the steps and
-height changes by index only between runs; the level sweep
-(levels.max_levels) opens a climb's eras with two slice assignments and
-does nothing on a descent; the JSON report's profile (cli._dumps_report)
-joins a climb's height strings as one slice; and the candidate walk's
-range minima (verify._walk_found_run, through profile_extreme) read a run
-at its two ends. A run from the search or from replay has no runs: it is
-one span between runs, which _run_path builds as one tuple, without a
-copy.
+The one-run walk also hands _run_path the runs of one stationary
+transition it took in bulk steps, as (first step, count, transition
+index), and RunPath keeps them as its runs. Only this module unpacks those
+entries: profile_spans covers a stretch lo..hi of profile positions, in
+order, with spans (a, b, index), index the run's transition inside a run
+and None between runs. Positions a..b are entered by steps a-1..b-1, so
+one reader serves the steps and the heights. Inside a run the profile
+moves one way by unit steps, so a climb is a slice of consecutive heights,
+a descent the same slice reversed, and a run's extremes lie at its ends; a
+stretch between runs is read position by position. Four passes read a
+found run's runs through profile_spans and take each whole: _run_path
+makes a run's steps with one tuple repeat and its heights with one range,
+and gathers the steps and height changes by index only between runs; the
+level sweep (levels.max_levels) opens a climb's eras with two slice
+assignments and does nothing on a descent; the JSON report's profile
+(cli._dumps_report) joins a climb's height strings as one slice; and the
+candidate walk's range minima (verify._walk_found_run, through
+profile_extreme) read a run at its two ends. A run from the search or from
+replay has no runs: it is one span between runs, which _run_path builds as
+one tuple, without a copy.
 """
 
 from __future__ import annotations
@@ -148,9 +170,10 @@ from .record import field, record
 
 STEP_CAP = 1_000_000
 
-# The shortest run of one letter that the per-step loops, here and in the
-# membership search, test for a stationary move and take in one bulk step;
-# see the module docstring.
+# The shortest run of one letter, or of copies of a bounce's two letters,
+# that the per-step loops, here and in the membership search, test for a
+# stationary move or a bounce and take in one bulk step; see the module
+# docstring.
 BULK_RUN = 16
 
 
@@ -429,7 +452,7 @@ def _follow_run(pda: NormalizedPda, word, table, letter_moves, width, accepting,
         return None
     if not n and 0 in accepting:
         return _run_path(pda, word, ())
-    starts, ends = _letter_runs(word, 0, n)
+    starts, ends = _letter_runs(word, 0, n, _bounce_pairs(letter_moves, width))
     r = 0  # the next run to test
     steps: list = []
     runs: list = []  # (first step, count, transition index) of each bulk step
@@ -464,10 +487,7 @@ def _follow_run(pda: NormalizedPda, word, table, letter_moves, width, accepting,
                 pos += 1
             else:
                 if pos < stop and stack:
-                    took = _follow_bulk(word, pos, min(ends[r], stop) - pos, state, stack, letter_moves, width, steps)
-                    if took:
-                        runs.append((len(steps) - took, took, steps[-1]))
-                        pos += took
+                    pos += _follow_bulk(word, pos, min(ends[r], stop) - pos, state, stack, letter_moves, width, steps, runs)
                     r += 1
                     continue
             break
@@ -522,20 +542,30 @@ def _follow_run(pda: NormalizedPda, word, table, letter_moves, width, accepting,
     return NotAccepted()
 
 
-def _follow_bulk(word, pos: int, k: int, state: int, stack: list, letter_moves, width: int, taken: list) -> int:
-    """Fire the one-run walk's move at pos k times in one step when it is
-    stationary: a push of the top symbol's copy, or a pop with k copies of
-    that symbol on top. Appends the move's transition index to taken per
-    firing; returns the letters read, 0 when the move does not fire k
-    times this way."""
+def _follow_bulk(word, pos: int, k: int, state: int, stack: list, letter_moves, width: int, taken: list, runs: list) -> int:
+    """Fire the one-run walk's moves over the k letters from pos in one step:
+    k // 2 bounces when the next letter differs (the stack stays as it is),
+    and otherwise k firings of a stationary move, a push of the top symbol's
+    copy or a pop with k copies of that symbol on top, which runs records.
+    Appends each firing's transition index to taken; returns the letters
+    read, 0 when the moves do not fire this way."""
     if k <= 0:
         return 0
     top = stack[-1]
     moves = letter_moves[state * width + top]
     move = None if moves is None else moves.get(word[pos])
-    if move is None or move[0] != state:
+    if move is None:
         return 0
-    _, extra, index = move
+    target, extra, index = move
+    if k > 1 and word[pos + 1] != word[pos]:
+        moves = letter_moves[target * width + extra] if extra >= 0 else None
+        back = None if moves is None else moves.get(word[pos + 1])
+        if back is None or back[:2] != (state, -1):
+            return 0
+        taken.extend((index, back[2]) * (k // 2))
+        return k - k % 2
+    if target != state:
+        return 0
     if extra == top:
         stack.extend(repeat(top, k))
     elif extra < 0 and stack[-k:] == [top] * k:
@@ -543,25 +573,49 @@ def _follow_bulk(word, pos: int, k: int, state: int, stack: list, letter_moves, 
     else:
         return 0
     taken.extend(repeat(index, k))
+    runs.append((len(taken) - k, k, index))
     return k
 
 
-def _letter_runs(word, lo: int, hi: int) -> tuple:
-    """(starts, ends) of the maximal runs of at least BULK_RUN copies of one
-    letter in word[lo:hi], in order, each starting at the run's second
-    letter: one str.find per run and letter skips the stretches between runs
-    in C. Only a str word has runs."""
+def _bounce_pairs(letter_moves, width: int) -> set:
+    """The letters c1 + c2 of each bounce of the one-run walk's moves: from a
+    slot, c1's move pushes a symbol, and c2's move from the slot it lands in
+    pops it back into the first slot's state. c1 and c2 differ, so a bounce
+    never reads a run of one letter."""
+    return {
+        c1 + c2
+        for slot, moves in enumerate(letter_moves)
+        if moves
+        for c1, (target, extra, _) in moves.items()
+        if extra >= 0
+        for c2, (back, popped, _) in (letter_moves[target * width + extra] or {}).items()
+        if back == slot // width and popped < 0 and c1 != c2
+    }
+
+
+def _letter_runs(word, lo: int, hi: int, pairs=None) -> tuple:
+    """(starts, ends) of the maximal runs in word[lo:hi] of at least BULK_RUN
+    copies of one letter or of one bounce's pair of letters, in order, each
+    starting at the run's second copy: one str.find per run and letter or
+    pair skips the stretches between runs in C. The letters are read off the
+    word, and so are the pairs, in both orders, when pairs is None. Only a
+    str word has runs."""
     if not isinstance(word, str) or hi - lo < BULK_RUN:
         return (), ()
+    # A run of BULK_RUN letters covers one of every BULK_RUN positions, and
+    # one of BULK_RUN pairs two of them in a row.
+    letters = set(word[lo:hi:BULK_RUN])
+    if pairs is None:
+        after = set(word[lo + 1 : hi : BULK_RUN])
+        pairs = {a + b for x in letters for y in after if x != y for a, b in ((x, y), (y, x))}
     spans = []
-    # A run of BULK_RUN letters covers one of every BULK_RUN positions.
-    for letter in set(word[lo:hi:BULK_RUN]):
-        more = re.compile(re.escape(letter) + "*").match
-        probe = letter * BULK_RUN
+    for unit in letters | pairs:
+        more = re.compile(f"(?:{re.escape(unit)})*").match
+        probe = unit * BULK_RUN
         at = word.find(probe, lo, hi)
         while at >= 0:
-            end = more(word, at + BULK_RUN, hi).end()
-            spans.append((at + 1, end))
+            end = more(word, at + len(probe), hi).end()
+            spans.append((at + len(unit), end))
             at = word.find(probe, end, hi)
     spans.sort()
     return [start for start, _ in spans], [end for _, end in spans]
@@ -585,24 +639,26 @@ def walk(steps, word, state, stack, pos):
     fire: inapplicable or input-mismatch. Acceptance is for the caller to
     judge.
 
-    Where the walk reaches a run of at least BULK_RUN equal letters of a str
-    word, from the run's second letter on, it tests the step there once:
-    when the steps ahead, up to the run's end, are copies of one stationary
-    step that all fire, they are applied in one bulk step. Any mismatch
-    leaves the run to the per-step loop, so the first offending step and
-    its reason are the ones a step-by-step walk names.
+    Where the walk reaches a run of at least BULK_RUN equal letters, or of
+    BULK_RUN copies of two different letters, of a str word, from the run's
+    second copy on, it tests the steps there once: when the steps ahead, up
+    to the run's end, are copies of one stationary step that all fire, or
+    copies of a bounce (see the module docstring) whose two steps fire,
+    they are applied in one bulk step; a run of bounces leaves the stack as
+    it is. Any mismatch leaves the run to the per-step loop, so the first
+    offending step and its reason are the ones a step-by-step walk names.
     """
     n = len(word)
     pop = stack.pop
     extend = stack.extend
     m = len(steps)
     starts, ends = _letter_runs(word, pos, min(n, pos + m))
-    r = 0  # the next run to test; it starts at or after pos
+    r = 0  # the next run to test
     i = 0
     while True:
         cap = m  # no step before cap can read past the run's start
         if r < len(starts):
-            cap = min(m, i + starts[r] - pos)
+            cap = min(m, i + max(starts[r] - pos, 0))
         for i, t in enumerate(steps[i:cap] if i or cap < m else steps, i):
             if t.source != state or not stack or stack[-1] != t.pop:
                 return ReplayError(i, "inapplicable")
@@ -625,18 +681,28 @@ def walk(steps, word, state, stack, pos):
 
 
 def _walk_bulk(steps, i: int, word, pos: int, k: int, state, stack: list) -> int:
-    """Apply steps[i:i + k] in one step when they are k copies of one
-    stationary step that all fire from state and stack, reading the k
-    letters from pos, which equal word[pos]: a step whose target is its
-    source and that pushes its popped symbol twice, or pops it with as many
-    copies on top. Returns the steps applied, 0 when any of this fails."""
+    """Apply steps from steps[i] in one step over the k letters from pos,
+    which repeat one letter or, when the next letter differs, one pair of
+    letters: k // 2 copies of a bounce, two steps that fire from state and
+    stack, the first pushing a symbol on the one it pops and the second
+    popping it back into state, which leave the stack as it is; or k copies
+    of one stationary step that all fire, a step whose target is its source
+    and that pushes its popped symbol twice, or pops it with as many copies
+    on top. Returns the steps applied, 0 when any of this fails."""
     if k <= 0:
         return 0
     t = steps[i]
     symbol, push = t.pop, t.push
-    if t.letter != word[pos] or t.source != state or t.target != state or not stack or stack[-1] != symbol:
+    if t.letter != word[pos] or t.source != state or not stack or stack[-1] != symbol:
         return 0
-    if push != (symbol, symbol) and push:
+    if k > 1 and word[pos + 1] != word[pos]:
+        k //= 2
+        u = steps[i + 1]
+        if u.letter != word[pos + 1] or u.source != t.target or u.target != state or u.push or push != (symbol, u.pop):
+            return 0
+        part = steps[i : i + 2 * k]
+        return 2 * k if part == part[:2] * k else 0
+    if t.target != state or push != (symbol, symbol) and push:
         return 0
     if steps[i : i + k].count(t) != k:
         return 0

@@ -33,25 +33,26 @@ which a one-word search of an accepted word would have stopped.
 
 Words that differ in the middle can still end alike, as the pumped words
 u·vⁿ·x·yⁿ·z all end in z. Let S be the longest common suffix of the
-distinct words. A word whose join point J = len(w) - |S| lies after the
-fork is searched up to J, and parks its descriptions there as the prefix
-does; the suffix from J is a chain of its own, seeded with them. A word
-whose join point is the fork is that suffix chain already. Descriptions past
-J depend only on the parked ones and on S, so equal seeds give an equal
-search. A suffix chain is keyed by its seeds: the (cell, state) of each, its
-position rebased to J, and its level less the lowest seed level. Before it
-is searched, a stored search under the same key is reused when it was not
-cut and its deepest level, shifted by this word's lowest seed level, stays
-within the step limit: nothing in it then passes the limits, so this word's
-own search would find the same descriptions at the same depths. Otherwise
-the suffix is searched. Keys name interned cells, so only seeds on cells
-made before the fork, which no truncation drops, are stored. Seeds that
-name a cell made under their own word are searched as a plain chain, and
-joins stop for the batch (a GEN_PAL stack holds the word read so far, so
-its pumped words reach the suffix on stacks of their own). A stretch up to
-a join that the limits cut gives the join up, and joins stop too: its word
-is searched whole from the fork, so no suffix is seeded with a parked set
-that the limits cut.
+distinct words, cut short to start no earlier than the fork in the shortest
+word, so that every join point J = len(w) - |S| lies at or after the fork.
+A word whose join point lies after the fork is searched up to J, and parks
+its descriptions there as the prefix does; the suffix from J is a chain of
+its own, seeded with them. A word whose join point is the fork is that
+suffix chain already. Descriptions past J depend only on the parked ones
+and on S, so equal seeds give an equal search. A suffix chain is keyed by
+its seeds: the (cell, state) of each, its position rebased to J, and its
+level less the lowest seed level. Before it is searched, a stored search
+under the same key is reused when it was not cut and its deepest level,
+shifted by this word's lowest seed level, stays within the step limit:
+nothing in it then passes the limits, so this word's own search would find
+the same descriptions at the same depths. Otherwise the suffix is searched.
+Keys name interned cells, so only seeds on cells made before the fork,
+which no truncation drops, are stored. Seeds that name a cell made under
+their own word are searched as a plain chain, and joins stop for the batch
+(a GEN_PAL stack holds the word read so far, so its pumped words reach the
+suffix on stacks of their own). A stretch up to a join that the limits cut
+gives the join up, and joins stop too: its word is searched whole from the
+fork, so no suffix is seeded with a parked set that the limits cut.
 
 All chains are searched under the one set of limits the batch is given, so
 each word's verdict takes the cuts of every chain on its path. A word that
@@ -85,24 +86,30 @@ epsilon move beside another live move, as GEN_PAL's midpoint guess does,
 since such a machine's levels seldom hold one description; its search then
 pays one test per level and none per description.
 
-A walk takes each run of a stationary move in one bulk step. A letter move
-is stationary when it lands back in the slot it fired from: its target is
-its source, and it pushes a copy of the symbol it pops or pops it onto an
-equal one. The runs are those of at least BULK_RUN equal letters of a str
-word, and only of the letters membership_tables found such a move for;
-_search_runs finds them once per chain, for all of its walks, with one
-str.find per run and letter, each span starting at the run's second
-letter. A word that is not a str has no runs. A walk caps its per-step
-stretch at the next span, tests the move once, at the first position it
-reaches in the span, and then goes on to the next run, whatever the test
-took. A bulk step interns the same cells, in the same order, as a
-per-step walk: a push run climbs the cells it finds already interned and
-interns all the rest at once as one chain of consecutive cells, recorded
-in the arena. A pop run pops every copy of the top symbol that lies on
-top, up to the run's end and never down to the empty stack: it steps
-down one cell at a time where no chain holds the cell, and down a whole
-chain in one jump, since a chain's cells are provably the ones a
-per-step descent visits.
+A walk takes each run of a stationary move, or of a bounce, in one bulk
+step. A letter move is stationary when it lands back in the slot it fired
+from: its target is its source, and it pushes a copy of the symbol it pops
+or pops it onto an equal one. A bounce is two letter moves on two different
+letters: from (q, X) the first pushes Y on X and lands in q', and from
+(q', Y) the second pops Y back into q, so k bounces leave the state and the
+cell as they are. The runs are those of at least BULK_RUN equal letters, or
+BULK_RUN copies of a bounce's two letters, of a str word, and only of the
+letters and pairs membership_tables found such moves for; _search_runs
+finds them once per chain, for all of its walks, with one str.find per run
+and letter or pair, each span starting at the run's second copy. A word
+that is not a str has no runs. A walk caps its per-step stretch at the next
+span, tests the moves once, at the first position it reaches in the span,
+and then goes on to the next run, whatever the test took; it tells a pair's
+span from a letter's by the letter after the one it stands on. A run of
+bounces needs room for one more symbol, and interns the one cell its push
+reaches where the first push of a per-step walk would. Every other bulk
+step interns the same cells, in the same order, as a per-step walk: a push
+run climbs the cells it finds already interned and interns all the rest at
+once as one chain of consecutive cells, recorded in the arena. A pop run
+pops every copy of the top symbol that lies on top, up to the run's end and
+never down to the empty stack: it steps down one cell at a time where no
+chain holds the cell, and down a whole chain in one jump, since a chain's
+cells are provably the ones a per-step descent visits.
 
 The search encodes its descriptions as plain ints. States are numbered
 with the initial state as 0, and stack symbols 0..width-1. The move table
@@ -184,11 +191,11 @@ def _search_chain(
     cut has bit 1 set when the step limit cut a successor and bit 2 when
     the height limit did.
     """
-    moves, width, n_states, n1, accepting, single, run_letters = machine
+    moves, width, n_states, n1, accepting, single, run_units = machine
     sym, below, size, cells, _, _ = arena
     max_steps, max_height = bounds
     get_cell = cells.get
-    runs = _search_runs(word, run_letters, start, end) if run_letters else ((), ())
+    runs = _search_runs(word, run_units, start, end) if run_units else ((), ())
     base = start * n_states
     parked_base = end * n_states
     parked_levels: list = []
@@ -280,11 +287,12 @@ def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, 
     level of its successors, while the search would hold one; see the module
     docstring. Every step reads a letter, so positions and levels advance
     together. runs holds the spans of the word's runs of one letter that a
-    stationary move reads, each from the run's second letter: the walk tests
-    the move once, at the first position it reaches in each span, and a
-    stationary move takes the rest of the run in one bulk step that interns
-    the cells a per-step walk would. Returns the state, position, cell and
-    depth reached.
+    stationary move reads, and of copies of two letters that a bounce
+    reads, each from the run's second copy: the walk tests the moves once,
+    at the first position it reaches in each span, and a stationary move or
+    a bounce takes the rest of the run in one bulk step that interns the
+    cells a per-step walk would; a run of bounces leaves the state and the
+    cell as they are. Returns the state, position, cell and depth reached.
     """
     _, width, _, _, _, single, _ = machine
     sym, below, size, cells, _, _ = arena
@@ -333,9 +341,14 @@ def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, 
 
 
 def _search_bulk(word, pos: int, k: int, state: int, cell: int, machine, arena, max_height: int) -> tuple:
-    """Fire the walk's move at pos up to k times in one step when it is
-    stationary; returns the cell reached and the letters read, 0 when the
-    move is not stationary or cannot fire.
+    """Fire the walk's moves over up to k letters from pos in one step:
+    k // 2 bounces when the next letter differs, and otherwise up to k
+    firings of a stationary move. Returns the cell reached and the letters
+    read, 0 when the moves do not fire this way.
+
+    A bounce, a push and a pop back into state, keeps the cell; it needs
+    room for one more symbol, and the pushed cell is interned as the first
+    per-step push would intern it.
 
     A push of the top symbol's copy fires as often as the height limit
     allows (_push_chain interns its cells). A pop fires once per copy of
@@ -351,9 +364,18 @@ def _search_bulk(word, pos: int, k: int, state: int, cell: int, machine, arena, 
     top = sym[cell]
     step = single[state * width + top]
     move = None if step is None or k <= 0 else step.get(word[pos])
-    if move is None or move[1] != state:
+    if move is None:
         return cell, 0
-    _, _, keeps_top, suffix = move
+    _, target, keeps_top, suffix = move
+    if k > 1 and word[pos + 1] != word[pos]:
+        step = single[target * width + suffix[0]] if keeps_top and len(suffix) == 1 else None
+        back = None if step is None else step.get(word[pos + 1])
+        if back is None or back[1:] != (state, False, ()) or size[cell] >= max_height:
+            return cell, 0
+        _push_chain(cell, suffix[0], 1, width, arena)
+        return cell, k - k % 2
+    if target != state:
+        return cell, 0
     if keeps_top and suffix == (top,):
         k = min(k, max_height - size[cell])
         if k <= 0:
@@ -409,23 +431,22 @@ def _push_chain(cell: int, symbol: int, k: int, width: int, arena) -> int:
     return cell
 
 
-def _search_runs(word, letters, start: int, end: int) -> tuple:
+def _search_runs(word, units, start: int, end: int) -> tuple:
     """(starts, ends) of the maximal runs of at least BULK_RUN copies of a
-    letter of letters in word[start:end], in order, for the walks of the
-    chain that searches that stretch: one scan per chain, however many
-    walks it makes. Only a str word has runs."""
+    unit of units, a letter or a bounce's pair of letters, in
+    word[start:end], in order, each starting at the run's second copy, for
+    the walks of the chain that searches that stretch: one scan per chain,
+    however many walks it makes. Only a str word has runs."""
     if not isinstance(word, str) or end - start < BULK_RUN:
         return (), ()
     spans = []
-    for letter in letters:
-        if len(letter) != 1:
-            continue  # a word reads one character at a time
-        more = re.compile(re.escape(letter) + "*").match
-        probe = letter * BULK_RUN
+    for unit in units:
+        more = re.compile(f"(?:{re.escape(unit)})*").match
+        probe = unit * BULK_RUN
         at = word.find(probe, start, end)
         while at >= 0:
-            stop = more(word, at + BULK_RUN, end).end()
-            spans.append((at + 1, stop))
+            stop = more(word, at + len(probe), end).end()
+            spans.append((at + len(unit), stop))
             at = word.find(probe, stop, end)
     spans.sort()
     return [at for at, _ in spans], [stop for _, stop in spans]
@@ -434,9 +455,10 @@ def _search_runs(word, letters, start: int, end: int) -> tuple:
 def membership_tables(pda: Pda) -> tuple:
     """The tables accepts_each searches pda with, read from the machine
     alone, no word: (moves, width, n_states, accepting, single, initial,
-    run_letters), with initial the symbol ids of the initial stack, bottom
-    first, and run_letters the letters the walks read with a stationary
-    move; see the module docstring. accepts and accepts_each build them per
+    run_units), with initial the symbol ids of the initial stack, bottom
+    first, and run_units the letters the walks read with a stationary move
+    and the pairs of letters they read with a bounce; see the module
+    docstring. accepts and accepts_each build them per
     call unless they are passed in, so a caller that searches one machine
     word by word can build them once.
     """
@@ -484,16 +506,26 @@ def membership_tables(pda: Pda) -> tuple:
             single[slot] = {move[0]: move for move in bucket if letters.count(move[0]) == 1}
     # The letters a walk can read with a stationary move: from a slot, back
     # into its state with the same top symbol, by pushing a copy of it or
-    # popping it.
-    run_letters = frozenset(
-        letter
-        for slot, step in enumerate(single or ())
-        if step
-        for letter, (_, target, keeps_top, suffix) in step.items()
-        if target == slot // width and suffix == ((slot % width,) if keeps_top else ())
-    )
+    # popping it. And the pairs of two different letters it can read with a
+    # bounce: a push of one symbol, then a pop of it back into the slot's
+    # state. A word reads one character at a time, so only one-character
+    # letters count.
+    run_units = set()
+    for slot, step in enumerate(single or ()):
+        for letter, (_, target, keeps_top, suffix) in (step or {}).items():
+            if len(letter) != 1:
+                continue
+            if target == slot // width and suffix == ((slot % width,) if keeps_top else ()):
+                run_units.add(letter)
+            if keeps_top and len(suffix) == 1:
+                back = single[target * width + suffix[0]] or {}
+                run_units.update(
+                    letter + other
+                    for other, move in back.items()
+                    if move[1:] == (slot // width, False, ()) and len(other) == 1 and other != letter
+                )
     initial = tuple(symbol_ids[s] for s in pda.initial_stack)
-    return moves, width, n_states, accepting, single, initial, run_letters
+    return moves, width, n_states, accepting, single, initial, frozenset(run_units)
 
 
 def accepts_each(pda: Pda, words, limits=None, *, tables=None) -> tuple:
@@ -513,7 +545,7 @@ def accepts_each(pda: Pda, words, limits=None, *, tables=None) -> tuple:
         limits = default_limits(pda, max(words, key=len))
     if tables is None:
         tables = membership_tables(pda)
-    moves, width, n_states, accepting, single, initial, run_letters = tables
+    moves, width, n_states, accepting, single, initial, run_units = tables
     bounds = (limits.max_steps, limits.max_stack_height)
     # Stack cells: cell 0 is the empty stack; below * width + symbol -> cell.
     # Chain c holds the cells chain_lo[c]..chain_hi[c], which a walk's bulk
@@ -535,7 +567,7 @@ def accepts_each(pda: Pda, words, limits=None, *, tables=None) -> tuple:
     # into the chain's word; n1 is shared so that a seed or parked key, taken
     # relative to its position, is (cell * n1) * n_states + state everywhere.
     n1 = max(map(len, words)) + 1
-    machine = (moves, width, n_states, n1, accepting, single, run_letters)
+    machine = (moves, width, n_states, n1, accepting, single, run_units)
     arena = (sym, below, size, cells, chain_lo, chain_hi)
     try:
         distinct = list(dict.fromkeys(words))
@@ -552,7 +584,9 @@ def accepts_each(pda: Pda, words, limits=None, *, tables=None) -> tuple:
     if len(distinct) > 1:
         fork = min(_shared_prefix(distinct[0], w, 0) for w in distinct[1:])
         backwards = [w[::-1] for w in distinct]
-        tail = min(_shared_prefix(backwards[0], b, 0) for b in backwards[1:])
+        # Every join lies at or after the fork, so no word's join falls
+        # inside the prefix and the suffix is searched once.
+        tail = min(min(_shared_prefix(backwards[0], b, 0) for b in backwards[1:]), min(map(len, distinct)) - fork)
         _, _, levels, keys, prefix_cut = _search_chain(
             distinct[0], 0, fork, False, levels, keys, machine, arena, bounds
         )

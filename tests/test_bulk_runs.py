@@ -1,18 +1,21 @@
-"""Runs of a stationary move, taken in one bulk step, against the per-step
-loops they replace.
+"""Runs of a stationary move or of a bounce, taken in one bulk step,
+against the per-step loops they replace.
 
 A letter move is stationary when it lands back in the slot it fired from:
-same state, same top symbol. run.walk, run._follow_run and search._walk
-take a run of at least BULK_RUN equal letters read by such a move in one
-bulk step, testing the move once, from the run's second letter on. On
-drawn machines and words with runs of BULK_RUN - 1, BULK_RUN and
-BULK_RUN + 1 letters, some cut by the end of the word, the end of a chain
-or a limit, and on Dyck words whose pop run starts on cells pushed one at
-a time, each loop must give what its per-step reference in oracles.py
-gives: the same run, the same description and interned cells, the same
-state and position or ReplayError, and the same verdicts. Words that are
-not a str keep the per-step path, and every entry point must answer for
-them as for the str word. The found run keeps the runs its walk took in
+same state, same top symbol. A bounce is two letter moves that do the same
+together: a push, then a pop of what it pushed back into the first move's
+state. run.walk, run._follow_run and search._walk take a run of at least
+BULK_RUN equal letters read by a stationary move, or of BULK_RUN copies of
+a bounce's two letters, in one bulk step, testing the moves once, from the
+run's second copy on. On drawn machines and words with runs of
+BULK_RUN - 1, BULK_RUN and BULK_RUN + 1 copies, some cut by the end of the
+word, the end of a chain or a limit, on Dyck words whose pop run starts on
+cells pushed one at a time, and on hand-made bounce runs, each loop must
+give what its per-step reference in oracles.py gives: the same run, the
+same description and interned cells, the same state and position or
+ReplayError, and the same verdicts. Words that are not a str keep the
+per-step path, and every entry point must answer for them as for the str
+word. The found run keeps the runs of one stationary move its walk took in
 bulk as RunPath.runs, and is otherwise the run the per-step walk builds.
 """
 
@@ -30,6 +33,9 @@ from pumpkit import (
     Accepted,
     BUILTINS,
     ExtractionMode,
+    GeneralPda,
+    GeneralTransition,
+    LimitExceeded,
     NormalizedPda,
     NormalizedTransition,
     NotAccepted,
@@ -59,28 +65,39 @@ def _stationary(t) -> bool:
     return t.letter is not None and t.target == t.source and t.push in ((t.pop, t.pop), ())
 
 
+def _bounce(pda, t):
+    """The move of pda that pops what the letter move t pushes, on another
+    letter, back into t's source, so that t and it are a bounce; or None."""
+    if t.letter is None or len(t.push) != 2 or t.push[0] != t.pop:
+        return None
+    back = (t.target, t.push[1], (), t.source)
+    return next((u for u in pda.transitions if (u.source, u.pop, u.push, u.target) == back and u.letter not in (None, t.letter)), None)
+
+
 def _drawn_run(draw, pda, state, stack, moves=6):
     """Steps drawn off pda from state and stack (a list, updated): each
-    takes a drawn move of the current slot, and a stationary letter move
-    is repeated a drawn number of times while it fires. Returns the steps,
-    their letters, the state reached and the peak height."""
+    takes a drawn move of the current slot, and a stationary letter move,
+    or a bounce, is repeated a drawn number of times while it fires.
+    Returns the steps, their letters, the state reached and the peak
+    height."""
     steps, letters, peak = [], [], len(stack)
     for _ in range(draw(st.integers(moves // 2, moves))):
         fits = [t for t in pda.transitions if stack and (t.source, t.pop) == (state, stack[-1])]
         if not fits:
             break
-        runs = [t for t in fits if _stationary(t)]
+        runs = [t for t in fits if _stationary(t) or _bounce(pda, t)]
         t = draw(st.sampled_from(runs if runs and draw(st.sampled_from([True, True, True, False])) else fits))
-        for _ in range(draw(RUN_LENGTHS) if _stationary(t) else 1):
-            if not stack or (t.source, t.pop) != (state, stack[-1]):
+        u = _bounce(pda, t) if not _stationary(t) or draw(st.booleans()) else None
+        for move in ((t, u) if u else (t,)) * (draw(RUN_LENGTHS) if _stationary(t) or u else 1):
+            if not stack or (move.source, move.pop) != (state, stack[-1]):
                 break
             stack.pop()
-            stack.extend(t.push)
-            state = t.target
-            steps.append(t)
+            stack.extend(move.push)
+            state = move.target
+            steps.append(move)
             peak = max(peak, len(stack))
-            if t.letter is not None:
-                letters.append(t.letter)
+            if move.letter is not None:
+                letters.append(move.letter)
     return steps, letters, state, peak
 
 
@@ -89,9 +106,10 @@ def stationary_machines(draw):
     """Normalized machines with one or two states with moves, most of
     whose letter moves are stationary: in each slot, each letter has no
     move, a push of the top symbol's copy, a pop or a drawn move, back into
-    its state; some slots have an epsilon move instead, and some moves go
-    into the move-less d. Most are deterministic, so the one-run walk
-    follows them."""
+    its state, or a push of A into a drawn state that pops it back on the
+    other letter, a bounce; some slots have an epsilon move instead, and
+    some moves go into the move-less d. Most are deterministic, so the
+    one-run walk follows them."""
     live = ["q0", "q1"][: draw(st.integers(1, 2))]
     symbols = [BOTTOM, "A", "B"]
     extras = st.sampled_from([None, *symbols])
@@ -102,8 +120,12 @@ def stationary_machines(draw):
                 transitions.append(T(q, None, top, draw(extras), draw(st.sampled_from([*live, "d"]))))
                 continue
             for letter in "ab":
-                kind = draw(st.sampled_from(["push", "pop", "pop", "drawn", "none"]))
-                if kind == "push":
+                kind = draw(st.sampled_from(["push", "pop", "pop", "drawn", "none", "bounce"]))
+                if kind == "bounce":
+                    other = draw(st.sampled_from(live))
+                    transitions.append(T(q, letter, top, "A", other))
+                    transitions.append(T(other, "b" if letter == "a" else "a", "A", None, q))
+                elif kind == "push":
                     transitions.append(T(q, letter, top, top, q))
                 elif kind == "pop":
                     transitions.append(T(q, letter, top, None, q))
@@ -318,12 +340,12 @@ def _walks_match(pda, word, first_end, bounds):
     that both reach the same descriptions and intern the same cells. A
     second walk from where the first stopped pushes and pops over the cells
     the first interned."""
-    moves, width, n_states, accepting, single, initial, run_letters = membership_tables(pda)
+    moves, width, n_states, accepting, single, initial, run_units = membership_tables(pda)
     if single is None or not initial:
         return
-    machine = (moves, width, n_states, len(word) + 1, accepting, single, run_letters)
+    machine = (moves, width, n_states, len(word) + 1, accepting, single, run_units)
     (arena, top), (expected_arena, _) = _arena(initial, width), _arena(initial, width)
-    runs = search_module._search_runs(word, run_letters, 0, len(word))
+    runs = search_module._search_runs(word, run_units, 0, len(word))
     at = (0, 0, top, 1)
     for end in (first_end, len(word)):
         got = search_module._walk(word, end, *at, machine, arena, bounds, runs)
@@ -631,7 +653,7 @@ def test_a_search_walk_tests_each_run_once_at_its_second_letter(bulk_steps):
     assert bulk_steps["_search_bulk"] == [39, 38]
 
 
-def _searched_with_arenas(pda, words):
+def _searched_with_arenas(pda, words, limits=None):
     """accepts_each of words, and the cell arena of each chain it searched,
     once with the bulk walk and once with the per-step reference walk."""
     arenas = []
@@ -643,11 +665,11 @@ def _searched_with_arenas(pda, words):
         return out
 
     with patch.object(search_module, "_search_chain", kept):
-        verdicts = accepts_each(pda, words)
+        verdicts = accepts_each(pda, words, limits)
         bulk_arenas = arenas[:]
         arenas.clear()
         with patch.object(search_module, "_walk", reference_search_walk):
-            assert accepts_each(pda, words) == verdicts
+            assert accepts_each(pda, words, limits) == verdicts
     assert bulk_arenas == arenas
     return verdicts
 
@@ -676,15 +698,215 @@ def test_batch_remainders_pop_down_single_pushes_into_a_chain(bulk_steps):
 
 @pytest.mark.parametrize(
     "label, word, mode",
-    [
-        ("REG_AB", "ab" * 3300, ExtractionMode.STRICT),
-        ("GEN_PAL", BUILTINS["GEN_PAL"].generate(200), ExtractionMode.BEST_EFFORT),
-    ],
-    ids=["REG_AB", "GEN_PAL"],
+    [("GEN_PAL", BUILTINS["GEN_PAL"].generate(200), ExtractionMode.BEST_EFFORT)],
+    ids=["GEN_PAL"],
 )
 def test_pumps_without_runs_take_no_bulk_step(bulk_steps, label, word, mode):
+    # GEN_PAL's found run comes from the breadth-first search, and its
+    # search never walks. Its words alternate 0 and 1 on both sides of the
+    # middle, so walk tests those stretches as bounces, once each, and none
+    # fires: the run pushes on every letter before the middle and pops
+    # after it.
     source = BUILTINS[label].pda
     pda = normalize(source)
     result = extract(pda, word, mode=mode)
     assert verify(pda, result.path, result.decomposition, checkpoints=result.checkpoints, source=source).pumping_ok
-    assert all(not taken for taken in bulk_steps.values())
+    assert not bulk_steps["_follow_bulk"] and not bulk_steps["_search_bulk"]
+    assert bulk_steps["_walk_bulk"] == [0] * 4
+
+
+# Runs of a bounce.
+
+REG_AB = BUILTINS["REG_AB"].pda
+DYCK1 = BUILTINS["DYCK1"].pda
+
+
+def _four_state_cycle():
+    """On the bottom marker, q0 pushes A on a and q1 pops it on b, but into
+    q2, which pushes A on a into q3, whose b pops it back into q0: (ab)ᵐ
+    repeats every four steps, and no two of its steps are a bounce. ab is
+    one only on B, which the word never reaches: q0 pushes C and q4 pops
+    it back."""
+    return NormalizedPda(
+        states=["q0", "q1", "q2", "q3", "q4"],
+        input_alphabet=["a", "b"],
+        stack_alphabet=[BOTTOM, "A", "B", "C"],
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=["q0"],
+        transitions=[
+            T("q0", "a", BOTTOM, "A", "q1"),
+            T("q1", "b", "A", None, "q2"),
+            T("q2", "a", BOTTOM, "A", "q3"),
+            T("q3", "b", "A", None, "q0"),
+            T("q0", "a", "B", "C", "q4"),
+            T("q4", "b", "C", None, "q0"),
+        ],
+    )
+
+
+def _entered_bounce():
+    """(ab)ᵐcd whose first ab pushes and pops A from q0 into q, where each
+    later ab is a bounce that pushes and pops B, and cd one that pushes and
+    pops C: the run's first bounce, at its second ab, pushes a cell no step
+    before it made, and the search makes the cell of C after it."""
+    return NormalizedPda(
+        states=["q0", "q1", "q", "q2", "q3"],
+        input_alphabet=["a", "b", "c", "d"],
+        stack_alphabet=[BOTTOM, "A", "B", "C"],
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=["q"],
+        transitions=[
+            T("q0", "a", BOTTOM, "A", "q1"),
+            T("q1", "b", "A", None, "q"),
+            T("q", "a", BOTTOM, "B", "q2"),
+            T("q2", "b", "B", None, "q"),
+            T("q", "c", BOTTOM, "C", "q3"),
+            T("q3", "d", "C", None, "q"),
+        ],
+    )
+
+
+WIDE = SearchLimits(500, 500)
+BOUNCE_CASES = [
+    # (machine, word, limits, and the letters each bulk call took: of the
+    # one-run walk, of walk over the per-step run from its start, and of
+    # the search's walks, first of the word alone, then of the batch with
+    # the word a letter shorter and longer, whose common prefix ends a
+    # letter before the word's end)
+    pytest.param(REG_AB, "ab" * 15, WIDE, [], [], [], id="REG_AB-15"),
+    pytest.param(REG_AB, "ab" * 16, WIDE, [28], [30], [28], id="REG_AB-16"),
+    pytest.param(REG_AB, "ab" * 17, WIDE, [30], [32], [30, 30], id="REG_AB-17"),
+    pytest.param(REG_AB, "ab" * 33, WIDE, [62], [64], [62, 62], id="REG_AB-33"),
+    pytest.param(REG_AB, "ab" * 20 + "b" + "ab" * 20, WIDE, [38], None, [38, 38], id="REG_AB-broken"),
+    pytest.param(REG_AB, "ab" * 20 + "aab" + "ab" * 20, WIDE, [38], None, [38, 38], id="REG_AB-doubled"),
+    pytest.param(REG_AB, "ab" * 20 + "a", WIDE, [38], None, [38, 36], id="REG_AB-odd"),
+    pytest.param(REG_AB, "ab" * 40, SearchLimits(51, 500), [48], [78], [48, 48], id="REG_AB-max-steps"),
+    pytest.param(REG_AB, "ab" * 40, SearchLimits(500, 1), [], [78], [], id="REG_AB-max-height"),
+    pytest.param(DYCK1, "(" + "()" * 15 + ")", WIDE, [], [], [], id="DYCK1-15"),
+    pytest.param(DYCK1, "(" + "()" * 16 + ")", WIDE, [30], [30], [28], id="DYCK1-16"),
+    pytest.param(DYCK1, "(" + "()" * 17 + ")", WIDE, [32], [32], [30], id="DYCK1-17"),
+    pytest.param(DYCK1, "(" + "()" * 40 + ")", WIDE, [78], [78], [76], id="DYCK1-40"),
+    pytest.param(DYCK1, "(" + "()" * 40 + ")", SearchLimits(500, 2), [], [78], [], id="DYCK1-max-height"),
+    pytest.param(DYCK1, "(" + "()" * 40 + ")", SearchLimits(45, 500), [42], [78], [42], id="DYCK1-max-steps"),
+    pytest.param(DYCK1, "()" * 40, WIDE, [], [78], [], id="DYCK1-on-the-bottom"),
+    pytest.param(_four_state_cycle(), "ab" * 40, WIDE, [], [], [], id="four-state-cycle"),
+    pytest.param(_four_state_cycle(), "ab" * 40, SearchLimits(500, 3), [], [], [], id="four-state-cycle-max-height"),
+    pytest.param(_entered_bounce(), "ab" * 40 + "cd", WIDE, [78], [78], [78, 78], id="entered-from-another-slot"),
+]
+
+
+@pytest.mark.parametrize("pda, word, limits, follow, walk, search", BOUNCE_CASES)
+def test_bounce_runs_equal_the_per_step_loops(bulk_steps, pda, word, limits, follow, walk, search):
+    # A bounce is a push and a pop back into the slot it started from, on
+    # two letters. Each loop takes a run of at least BULK_RUN bounces in one
+    # bulk step, from the run's second bounce, and must give what its
+    # per-step reference gives, index for index and cell for cell: runs of
+    # BULK_RUN - 1, BULK_RUN, BULK_RUN + 1 and 2 * BULK_RUN + 1 bounces, a
+    # run broken by a doubled letter, one that ends in a lone push letter,
+    # one read up to the word's last letter, limits that cut inside a run,
+    # DYCK1's () on X and on the bottom marker, whose slot has an epsilon
+    # move, a machine whose pop goes on to another state, tested where a
+    # limit leaves room for one bounce too, and a run whose first bounce
+    # comes from another slot. None means the word has no run to walk.
+    assert _follow(run_module._follow_run, pda, word, limits) == _follow(reference_follow_run, pda, word, limits)
+    path = _per_step_path(pda, word)
+    taken = {"follow": _positive(bulk_steps["_follow_bulk"]), "walk": None}
+    assert isinstance(path, RunPath) == (walk is not None)
+    if isinstance(path, RunPath):
+        for at in (0, 1, 2, 3, len(path.steps) // 2):
+            pos = sum(t.letter is not None for t in path.steps[:at])
+            got, expected = list(path.stack_at(at)), list(path.stack_at(at))
+            state = path.state_at(at)
+            reached = run_module.walk(path.steps[at:], word, state, got, pos)
+            assert reached == reference_walk(path.steps[at:], word, state, expected, pos)
+            assert got == expected
+            if not at:
+                taken["walk"] = _positive(bulk_steps["_walk_bulk"])
+    bulk_steps["_search_bulk"].clear()
+    _walks_match(pda, word, len(word), (limits.max_steps, limits.max_stack_height))
+    _searched_with_arenas(pda, [word, word[:-1], word + word[-1]], limits)
+    taken["search"] = _positive(bulk_steps["_search_bulk"])
+    assert taken == {"follow": follow, "walk": walk, "search": search}
+
+
+def test_a_bounce_run_entered_flat_interns_its_cell_within_the_height_limit(bulk_steps):
+    # A general machine whose first ab keeps the stack's height and enters
+    # q, where each later ab is a bounce that pushes and pops B. The
+    # search's walk reaches the run's first bounce on the bottom marker
+    # alone: it interns the bottom-and-B cell as a first push would, and
+    # at a height limit of one symbol it takes no bounce at all.
+    pda = GeneralPda(
+        states=["q0", "q1", "q", "q2"],
+        input_alphabet=["a", "b"],
+        stack_alphabet=[BOTTOM, "B"],
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=["q"],
+        transitions=[
+            GeneralTransition("q0", "a", BOTTOM, (BOTTOM,), "q1"),
+            GeneralTransition("q1", "b", BOTTOM, (BOTTOM,), "q"),
+            GeneralTransition("q", "a", BOTTOM, (BOTTOM, "B"), "q2"),
+            GeneralTransition("q2", "b", "B", (), "q"),
+        ],
+    )
+    word = "ab" * 40
+    for height, verdict, taken in ((2, Accepted(), [76, 76]), (1, LimitExceeded(by_steps=False, by_height=True), [])):
+        bulk_steps["_search_bulk"].clear()
+        _walks_match(pda, word, len(word), (500, height))
+        limits = SearchLimits(500, height)
+        assert _searched_with_arenas(pda, [word, word[:-1], word + "b"], limits)[0] == verdict
+        assert _positive(bulk_steps["_search_bulk"]) == taken
+
+
+def test_walk_names_the_first_failing_step_inside_a_bounce_run():
+    # Steps that would be bounces but do not fire, or letters that break the
+    # run, are walked step by step from the run's start: the walk names the
+    # first offending step and its reason as the per-step walk does.
+    path = minimal_accepting_path(REG_AB, "ab" * 40)
+    push, pop = path.steps[:2]
+
+    def walked(steps, word, state, stack):
+        got, expected = list(stack), list(stack)
+        out = run_module.walk(steps, word, state, got, 0)
+        assert out == reference_walk(steps, word, state, expected, 0) and got == expected
+        return out
+
+    bounces = (push, pop) * 40
+    assert walked(bounces, "ab" * 40, "q0", [BOTTOM]) == ("q0", 80)
+    assert walked(bounces, "ab" * 30, "q0", [BOTTOM]) == ReplayError(60, "input-mismatch")
+    assert walked(bounces, "ab" * 20 + "ba" + "ab" * 19, "q0", [BOTTOM]) == ReplayError(40, "input-mismatch")
+    assert walked(bounces[:51] + (push,) + bounces[52:], "ab" * 40, "q0", [BOTTOM]) == ReplayError(51, "inapplicable")
+    assert walked(bounces, "ab" * 40, "q1", [BOTTOM]) == ReplayError(0, "inapplicable")
+    assert walked(bounces, "ab" * 40, "q0", []) == ReplayError(0, "inapplicable")
+    # From b, the run's first whole bounce lies one letter on.
+    assert walked((pop, *bounces[:-1]), "b" + "ab" * 39 + "a", "q1", [BOTTOM, BOTTOM]) == ("q1", 80)
+    # A pop into another state: from q2, the pair's second copy cannot fire.
+    cycle = _four_state_cycle().transitions
+    steps = cycle[:2] + cycle[2:4] * 39
+    assert walked(steps, "ab" * 40, "q0", [BOTTOM]) == ReplayError(4, "inapplicable")
+
+
+@pytest.mark.parametrize(
+    "label, word, mode, follow, walk, search",
+    [
+        ("REG_AB", "ab" * 3300, ExtractionMode.STRICT, [6596], [6596], [6594]),
+        ("DYCK1", "(" + "()" * 6600 + ")", ExtractionMode.STRICT, [13198], [13196] * 3, [13194]),
+        ("DYCK1", "(" + "()" * 3000 + ")", ExtractionMode.BEST_EFFORT, [5998], [5996], [5994]),
+    ],
+    ids=["REG_AB-strict", "DYCK1-strict", "DYCK1-best-effort"],
+)
+def test_pumps_over_bounces_take_them_in_bulk(bulk_steps, label, word, mode, follow, walk, search):
+    # The minimal run takes the bounces after the first in one bulk step,
+    # up to the last letter; the candidate walk the piece that holds them,
+    # and the search the common prefix's or common suffix's. The found run
+    # keeps no runs: bounces leave the profile as it is, per position.
+    source = BUILTINS[label].pda
+    pda = normalize(source)
+    result = extract(pda, word, mode=mode)
+    assert result.path.runs == ()
+    assert verify(pda, result.path, result.decomposition, checkpoints=result.checkpoints, source=source).pumping_ok
+    assert _positive(bulk_steps["_follow_bulk"]) == follow
+    assert _positive(bulk_steps["_walk_bulk"]) == walk
+    assert _positive(bulk_steps["_search_bulk"]) == search

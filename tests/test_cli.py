@@ -555,6 +555,23 @@ REPORT_DIGESTS = [
         "76f298254713322e6cc3055c10570db04ee58e521d655f3e9884ce8d40818869",
         id="best-effort-DYCK1-nested-json",
     ),
+    # Runs of a bounce: REG_AB's strict window ends inside its one run, and
+    # DYCK1's () nested under one bracket take case 1 in strict mode.
+    pytest.param(
+        ("pump", "REG_AB", "ab" * 6600, "--mode", "strict", "--report", "json"),
+        "4167b2a2ebd10077f733d1e8bdc11a6ab35ebe2fa3e1ada54152a9efefe5c448",
+        id="strict-REG_AB-13200-json",
+    ),
+    pytest.param(
+        ("pump", "DYCK1", "(" + "()" * 6600 + ")", "--mode", "strict", "--report", "json"),
+        "1abbbc0e053ca0ffb31eb7e09bdca03a4303ba93673b23b7a2d91f51f86910f4",
+        id="strict-DYCK1-bounces-json",
+    ),
+    pytest.param(
+        ("pump", "DYCK1", "(" + "()" * 3000 + ")", "--mode", "best-effort", "--report", "json"),
+        "47028e57a3e886a4900bada55922d2fd0aadf05e304324740374fb57798164b7",
+        id="best-effort-DYCK1-bounces-json",
+    ),
 ]
 
 

@@ -494,6 +494,29 @@ def test_spans_of_exactly_bulk_run_steps(start):
     assert max_levels(prof, len(prof) - 1, runs)[1][0] == k + 1
 
 
+@pytest.mark.parametrize("first_peak", [BULK_RUN, 2 * BULK_RUN + 9])
+def test_a_descent_straight_off_a_whole_climb_reads_the_eras_below_it(first_peak):
+    # A climb and a descent step by step leave a peak in the era of height
+    # 3; a whole climb of 2 * BULK_RUN steps starts there and a descent
+    # falls straight off its crest to 1, below the climb, then climbs back.
+    # The descent folds the kept peak of era 3, lower or higher than the
+    # crest, and none of the climb's own eras. Every window end, inside the
+    # climb, at its crest, on the descent and after it, against the sweep
+    # without runs and the oracle.
+    k = 2 * BULK_RUN
+    prof = (2, *range(3, first_peak + 1), *range(first_peak - 1, 2, -1))
+    climb = len(prof) - 1
+    prof += (*range(4, k + 4), *range(k + 2, 0, -1), 2, 3)
+    runs = ((climb, k, 0),)
+    assert prof[climb + k] == k + 3 and prof[climb + k + 1] == k + 2
+    for window_end in range(len(prof)):
+        spanned = max_levels(prof, window_end, runs)
+        assert spanned == max_levels(prof, window_end), window_end
+        for end, (level, witness) in zip((window_end, len(prof) - 1), spanned):
+            assert level == brute_force_max_level(prof, end)[0], window_end
+            assert witness is None if level == 0 else is_valid_level_triple(prof, witness) and witness.k <= end
+
+
 def test_the_found_run_of_a_strict_dyck_word_gives_its_levels_from_its_runs(dyck1):
     # (^6601 )^6601: a climb and a descent of one transition each; the strict
     # window ends 80 steps before the descent's end

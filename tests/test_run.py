@@ -383,6 +383,20 @@ def test_batch_search_joins_a_shared_tail_without_letter_runs(searched_letters):
     assert sum(searched_letters) <= 1.1 * max(map(len, words))
 
 
+def test_batch_search_covers_a_suffix_that_starts_in_the_prefix_once(searched_letters):
+    # Best-effort DYCK1 on (()())^267 pumps v = "(" and y = ")" around an
+    # empty x after the first letter, so the n = 0 word, "(" + z, ends in
+    # the common suffix z from its second letter, inside the two-letter
+    # common prefix. Clamped to start at the fork, the suffix is searched
+    # once: 1620 letters against the longest word's 1608, where the join
+    # inside the prefix searched it twice (3215).
+    pda = BUILTINS["DYCK1"].pda
+    d = extract(pda, "(()())" * 267, mode=ExtractionMode.BEST_EFFORT).decomposition
+    words = [pumped_word(d, n) for n in DEFAULT_N_SET]
+    assert accepts_each(pda, words) == (Accepted(),) * 5
+    assert sum(searched_letters) <= 1.1 * max(map(len, words))
+
+
 def test_joins_stop_once_a_suffix_cannot_be_shared(monkeypatch):
     # A GEN_PAL stack holds the letters read so far, so the pumped words
     # reach their common suffix on different stacks, made under their own

@@ -1246,17 +1246,27 @@ def test_a_walk_stops_at_the_limits_and_the_word_reads_limit_exceeded(search_wal
         assert search_walks[0] == (2, 5 if limits.max_steps == 5 else 3)
 
 
-def test_seeds_at_two_levels_then_a_walked_suffix(search_walks):
-    # "()" and "(())" return to the bottom marker where the common suffix
-    # starts, so their stretches park (q0, ⊥) and, one level deeper, the
-    # empty stack of the epsilon accept. "(())" comes first: its suffix walks
-    # from (q0, ⊥XX) once both seeds have joined, and "()" reuses that search.
+def test_a_suffix_that_starts_in_the_prefix_is_searched_once_from_the_fork(search_walks, monkeypatch):
+    # The words share their first letter, the fork, and end in the same 14
+    # letters, the whole first word. The common suffix is clamped to the 13
+    # letters after the fork, so the first word's remainder is the suffix
+    # chain, seeded by the prefix's (q0, ⊥X) and walked from position 2.
+    # "(())" and "()" search only up to their joins, 5 and 3, park
+    # (q0, ⊥X) there and reuse that search.
+    chains = []
+    search = search_module._search_chain
+
+    def recorded(word, start, end, *rest):
+        chains.append((len(word), start, end))
+        return search(word, start, end, *rest)
+
+    monkeypatch.setattr(search_module, "_search_chain", recorded)
     dyck1 = BUILTINS["DYCK1"].pda
     suffix = "(" * 7 + ")" * 7
     words = [suffix, "(())" + suffix, "()" + suffix]
     assert accepts_each(dyck1, words) == (Accepted(),) * 3
-    assert (6, 17) in search_walks
-    assert (4, 15) not in search_walks  # the walk "()" + suffix would take
+    assert chains == [(14, 0, 1), (14, 1, 14), (18, 1, 5), (16, 1, 3)]
+    assert search_walks == [(2, 13), (2, 4)]
     misses = [w + ")" for w in words]
     limits = default_limits(dyck1, max(misses, key=len))
     assert accepts_each(dyck1, misses) == tuple(reference_accepts(dyck1, w, limits) for w in misses)
