@@ -467,8 +467,6 @@ def _follow_run(pda: NormalizedPda, word, table, letter_moves, width, accepting,
         # module docstring). It stops at the start of each run's span.
         stop = min(n - 1, pos + max_steps - depth, pos + max_height - len(stack))
         first = pos
-        while r < len(ends) and ends[r] <= pos:  # the per-step loop below left run r
-            r += 1
         while True:
             cap = min(starts[r], stop) if r < len(starts) else stop
             while pos < cap and stack:

@@ -6,11 +6,11 @@ accepts() is its one-word call. It is a deliberately separate search loop
 shares no code with minimal_accepting_path or the replay side, which live
 in pumpkit.run. From there it takes only the verdict records, SearchLimits,
 default_limits and BULK_RUN, and pumpkit.run imports nothing from here.
-Its tables (ids, move table, walk table, accepting set) come from
-membership_tables, which reads only the machine: accepts_each builds them
-once per call,
-unless the caller passes them in, as `pumpkit check` does, building them
-once per command and passing them to every word's accepts call.
+Its tables (ids, move table, walk and thread tables, accepting set) come
+from membership_tables, which reads only the machine: accepts_each builds
+them once per call, unless the caller passes them in, as `pumpkit check`
+does, building them once per command and passing them to every word's
+accepts call.
 
 accepts_each searches its words in chains. A chain is a stretch of one
 word, from its start position to its end, searched by its own
@@ -64,27 +64,70 @@ it (_walk) on interned cells, with no key, visited insert or queue slot, for
 as long as the search would hold one description too. A walk starts only
 when no seed is left to join and (a) every step to the description read a
 letter: its position less the chain's start equals its level less the
-lowest seed level. Each step then needs (b) a slot (state, top) with no
-epsilon move and exactly one move on the next letter, (c) a successor
-within the limits and on a nonempty stack, and (d) a successor before the
-chain's end. Where a condition fails, the description reached is queued as
-its level's only entry. A move that pushes nothing reaches the current cell
-or the one below it, so such a step interns no cell and needs no height
-test: the walk starts from a description the search queued, within the
-height limit, and such a step does not grow the stack. Under (a), every
-visited description lies at or before the walk's position, so each
+lowest seed level. Each step then needs (b) a letter of single[slot], the
+next one, for the slot (state, top), (c) a successor within the limits and
+on a nonempty stack, and (d) a successor before the chain's end. single
+holds a letter with exactly one move in the slot, into no state that a
+run-ahead (below) can stand in. In a slot with epsilon moves it holds the
+letter only where each of them is a guess that dies on it at once: it only
+changes the state, into a slot with no epsilon move and no move on the
+letter. The search would find that guess beside the walked successor, at
+the same level, at the walk's position, with no successor: the walk leaves
+it out, and nothing later can meet it, since every later description lies
+past that position. Where a condition fails, the description reached is
+queued as its level's only entry. A move that pushes nothing reaches the
+current cell or the one below it, so such a step interns no cell and needs
+no height test: the walk starts from a description the search queued,
+within the height limit, and such a step does not grow the stack. Under
+(a), every description the search queued lies at or before the walk's
+position, and a run-ahead's lie in states no walk enters, so each
 successor is new; under (b) to (d) it is the only one and not cut. The
-search would therefore queue it as the whole next level: the walk takes the
-same steps and interns the same cells in the same order, and every cut
+search would therefore queue it as the whole next level: the walk takes
+the same steps and interns the same cells in the same order, and every cut
 flag, parked description and deepest level still comes from the search.
-The walked descriptions stay out of the visited set: every
-later description descends from the one queued, at or past its position.
-A seed that joined later could reach them again from the chain's start, so
-the walk waits for the last seed. membership_tables decides once, from the
-move table, whether a walk can happen at all: not when a slot holds a live
-epsilon move beside another live move, as GEN_PAL's midpoint guess does,
-since such a machine's levels seldom hold one description; its search then
-pays one test per level and none per description.
+The walked descriptions stay out of the visited set: every later
+description descends from the one queued, at or past its position. A seed
+that joined later could reach them again from the chain's start, so the
+walk waits for the last seed.
+
+A guess is an epsilon move in a slot that also holds a letter move, as
+GEN_PAL's midpoint guess is. A slot is a thread's when it pushes nothing
+(each move keeps or pops the top) and holds one epsilon move or only
+letter moves on distinct letters: a description in it has at most one
+successor, and makes no cell. Where the search finds a new successor of a
+guess on a nonempty stack in a thread's slot, _run_ahead follows its
+thread at once, each description at the level the search would find it
+at, and the successor is queued only when the thread is given up. Under
+the successor, the search would find the thread and nothing else, cut
+where it meets a visited description, so:
+- a thread that dies, for want of a move on the letter ahead, on the
+  empty stack, at a visited description or, in a leaf, at the end in no
+  accepting state, within the step limit (it never grows the stack, so the
+  height limit cannot cut it), reaches nothing that could accept or be
+  parked and cuts nothing. Its successor is dropped, and its descriptions
+  join the visited set, as the search would have put them there. Another
+  path that meets one later, maybe at a lower level, meets the same future,
+  which dies within the limits from there too: dropping it changes no
+  verdict, cut flag or parked description;
+- a leaf accepts when the thread stands on an accepting state at the
+  word's end within the step limit, where the search would have dequeued
+  that description;
+- every other thread is given up: one that would pass the step limit,
+  reaches the end of a chain that is no leaf, needs a slot that is no
+  thread's, takes n_states state-only epsilon moves in a row (so it
+  cycles) or reaches a description a thread given up before stood on. Its
+  successor is queued and the search takes the thread step by step: it
+  sets the cut flags and parks the thread's descriptions at their levels.
+  The descriptions of a thread given up are kept apart from the visited
+  set and end only later run-aheads.
+So no run-ahead steps onto a description an earlier one stood on, and the
+run-aheads of a chain step onto no more descriptions than the search
+without them would queue. The deepest level a chain returns covers its
+run-aheads, so a stored suffix search is reused only where its threads stay
+within the step limit shifted to the new seeds. On GEN_PAL the guess at
+position p reads as many letters as the even palindromic radius of the
+word at p, and its levels hold the one description of the push phase,
+which the search walks.
 
 A walk takes each run of a stationary move, or of a bounce, in one bulk
 step. A letter move is stationary when it lands back in the slot it fired
@@ -187,11 +230,12 @@ def _search_chain(
     expands its descriptions at end by epsilon moves only and parks them,
     with their levels and with keys relative to end. Returns (accepted,
     deepest, parked levels, parked keys, cut): no description the chain
-    queued or held against the limits lies deeper than level deepest, and
+    queued, held against the limits or reached by a run-ahead lies deeper
+    than level deepest, and
     cut has bit 1 set when the step limit cut a successor and bit 2 when
     the height limit did.
     """
-    moves, width, n_states, n1, accepting, single, run_units = machine
+    moves, width, n_states, n1, accepting, single, run_units, threads, guesses = machine
     sym, below, size, cells, _, _ = arena
     max_steps, max_height = bounds
     get_cell = cells.get
@@ -202,8 +246,10 @@ def _search_chain(
     parked_keys: list = []
     accepted = False
     cut = 0
+    ahead = 0  # the deepest level a run-ahead reached
     visited: set = set()
     seen = visited.add
+    ran: set = set()  # the descriptions of threads that were run ahead and queued
     queue: list = []
     enqueue = queue.append
     ns = len(seed_keys)
@@ -227,8 +273,7 @@ def _search_chain(
                 depth += 1
                 level_end = len(queue)
                 if (
-                    single is not None
-                    and level_end == i + 1
+                    level_end == i + 1
                     and si == ns
                     and depth <= max_steps
                     and cell
@@ -250,7 +295,8 @@ def _search_chain(
                     break
             if not cell:
                 continue
-            bucket = moves[state * width + sym[cell]]
+            slot = state * width + sym[cell]
+            bucket = moves[slot]
             if bucket is None:
                 continue
             here = word[pos] if pos < end else None
@@ -278,8 +324,92 @@ def _search_chain(
                     cut |= 1 if depth > max_steps else 2
                     continue
                 seen(found)
+                step = threads[target * width + sym[child]] if letter is None and slot in guesses and child else None
+                if step is not None:
+                    # A guess beside letter moves whose future is one
+                    # pushless thread: run it ahead (see the module
+                    # docstring). Most die at once, on the letter ahead.
+                    if pos < end and None not in step and here not in step:
+                        continue
+                    fate, thread, reached = _run_ahead(
+                        word, end, leaf, target, child, npos, depth, machine, arena, max_steps, visited, ran
+                    )
+                    if fate is _QUEUED:
+                        ran.update(thread)
+                    else:
+                        visited.update(thread)
+                        ahead = max(ahead, reached)
+                        if fate is _ACCEPTED:
+                            accepted = True
+                            break
+                        continue
                 enqueue(found)
-    return accepted, depth, parked_levels, parked_keys, cut
+            if accepted:
+                break
+    return accepted, max(depth, ahead), parked_levels, parked_keys, cut
+
+
+# What became of a thread run ahead: it died within the limits before it
+# could matter, it ended the word in an accepting state, or it was given up
+# and its first description is queued.
+_DIED = "died"
+_ACCEPTED = "accepted"
+_QUEUED = "queued"
+
+
+def _run_ahead(
+    word, end: int, leaf: bool, state: int, cell: int, pos: int, depth: int, machine, arena, max_steps: int, visited, ran
+) -> tuple:
+    """Follow the thread of the description (state, cell, pos) at level
+    depth, a guess the search has just found, through pushless slots with
+    one move each for the letter ahead; see the module docstring. Returns
+    its fate, the keys of the descriptions it stepped onto after the first,
+    in order, and the level of the last one it stood on.
+
+    The thread dies where its slot has no move for the letter ahead, on the
+    empty stack, at a visited description (one the search holds, or one a
+    thread that died stood on) and, in a leaf, at the end without an
+    accepting state. It is given up where it needs a slot that is not a
+    thread's, passes the step limit, reaches a description of a thread
+    given up before, takes n_states state-only epsilon moves in a row (so
+    it cycles) or reaches the end of a chain that is not a leaf.
+    """
+    width, n_states, n1, accepting, threads = machine[1], machine[2], machine[3], machine[4], machine[7]
+    sym, below = arena[0], arena[1]
+    thread: list = []
+    idle = 0  # state-only epsilon moves in a row
+    while True:
+        if pos == end:
+            if not leaf:
+                return _QUEUED, thread, depth
+            if state in accepting:
+                return _ACCEPTED, thread, depth
+        if not cell:
+            return _DIED, thread, depth
+        step = threads[state * width + sym[cell]]
+        if step is None:
+            return _QUEUED, thread, depth
+        move = step.get(None)  # a thread's slot holds one epsilon move or only letter moves
+        if move is None:
+            move = step.get(word[pos]) if pos < end else None
+            if move is None:
+                return _DIED, thread, depth
+            pos += 1
+            idle = -1
+        state, keeps_top = move
+        if not keeps_top:
+            cell = below[cell]
+            idle = -1
+        idle += 1
+        if idle >= n_states:
+            return _QUEUED, thread, depth
+        key = (cell * n1 + pos) * n_states + state
+        if key in visited:
+            return _DIED, thread, depth
+        if key in ran or depth >= max_steps:
+            return _QUEUED, thread, depth
+        depth += 1
+        thread.append(key)
 
 
 def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, arena, bounds, runs) -> tuple:
@@ -294,7 +424,7 @@ def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, 
     cells a per-step walk would; a run of bounces leaves the state and the
     cell as they are. Returns the state, position, cell and depth reached.
     """
-    _, width, _, _, _, single, _ = machine
+    width, single = machine[1], machine[5]
     sym, below, size, cells, _, _ = arena
     max_steps, max_height = bounds
     starts, ends = runs
@@ -452,15 +582,31 @@ def _search_runs(word, units, start: int, end: int) -> tuple:
     return [at for at, _ in spans], [stop for _, stop in spans]
 
 
+def _surviving(bucket, top: int, moves, width: int):
+    """The letters that some epsilon move of bucket, a slot's moves with top
+    symbol top, survives: those its target's slot has moves on. None when
+    one of them does more than change the state, or goes into a slot with an
+    epsilon move of its own."""
+    letters: set = set()
+    for letter, target, keeps_top, suffix in bucket:
+        if letter is None:
+            beside = [move[0] for move in moves[target * width + top] or ()]
+            if not keeps_top or suffix or None in beside:
+                return None
+            letters.update(beside)
+    return letters
+
+
 def membership_tables(pda: Pda) -> tuple:
     """The tables accepts_each searches pda with, read from the machine
     alone, no word: (moves, width, n_states, accepting, single, initial,
-    run_units), with initial the symbol ids of the initial stack, bottom
-    first, and run_units the letters the walks read with a stationary move
-    and the pairs of letters they read with a bounce; see the module
-    docstring. accepts and accepts_each build them per
-    call unless they are passed in, so a caller that searches one machine
-    word by word can build them once.
+    run_units, threads, guesses), with initial the symbol ids of the
+    initial stack, bottom first, run_units the letters the walks read with
+    a stationary move and the pairs of letters they read with a bounce,
+    threads the moves of the slots a run-ahead follows and guesses the
+    slots it starts from; see the module docstring. accepts and
+    accepts_each build them per call unless they are passed in, so a
+    caller that searches one machine word by word can build them once.
     """
     state_ids = {pda.initial_state: 0}
     symbol_ids: dict = {}
@@ -488,22 +634,57 @@ def membership_tables(pda: Pda) -> tuple:
             moves[slot] = []
         suffix = tuple(symbol_ids[s] for s in (push[1:] if keeps_top else push))
         moves[slot].append((t.letter, state_ids[t.target], keeps_top, suffix))
-    # For the walks (see the module docstring), single[slot] maps each letter
-    # with one move in a slot without epsilon moves to that move. It is None,
-    # and the search never walks, when a slot holds a live epsilon move
-    # beside another live move.
-    live = {state_ids[t.source] for t in pda.transitions}
-    single: list | None = [None] * len(moves)
+    # The threads a run-ahead follows (see the module docstring): a guess is
+    # an epsilon move in a slot that also holds a letter move, and a slot is
+    # a thread's when it pushes nothing and holds one epsilon move or only
+    # letter moves on distinct letters. threads[slot] maps the letter of
+    # each of its moves, None for epsilon, to (target, keeps_top), for the
+    # slots of the states a run-ahead can stand in: the guesses' targets and
+    # the states their threads go on to.
+    guesses = set()
+    guessed = set()
+    for slot, bucket in enumerate(moves):
+        if bucket is not None and len(bucket) > 1:
+            letters = {move[0] for move in bucket}
+            if None in letters and len(letters) > 1:
+                guesses.add(slot)
+                guessed.update(target for letter, target, _, _ in bucket if letter is None)
+    threads: list = [None] * len(moves)
+    grown = set(guessed)
+    while grown:
+        state = grown.pop()
+        for slot in range(state * width, (state + 1) * width):
+            bucket = moves[slot] or ()
+            letters = [move[0] for move in bucket]
+            pushless = not any(move[3] for move in bucket)
+            if pushless and len(set(letters)) == len(letters) and (None not in letters or len(letters) == 1):
+                threads[slot] = {letter: (target, keeps_top) for letter, target, keeps_top, _ in bucket}
+                grown.update(target for _, target, _, _ in bucket if target not in guessed)
+                guessed.update(target for _, target, _, _ in bucket)
+    # For the walks, single[slot] maps each letter with one move in the slot
+    # to that move, where the move goes to no state a run-ahead can stand in
+    # (so a walk never steps onto a description a thread was run ahead
+    # through) and, in a slot with epsilon moves, no epsilon move survives
+    # the letter: each only changes the state, into a slot with no epsilon
+    # move and no move on the letter, so it dies at once.
+    single: list = [None] * len(moves)
     for slot, bucket in enumerate(moves):
         if bucket is None:
             continue
-        live_letters = [letter for letter, target, _, _ in bucket if target in live]
-        if None in live_letters and len(live_letters) > 1:
-            single = None
-            break
         letters = [move[0] for move in bucket]
         if None not in letters:
-            single[slot] = {move[0]: move for move in bucket if letters.count(move[0]) == 1}
+            survive = ()
+        else:
+            survive = _surviving(bucket, slot % width, moves, width) if slot in guesses else None
+        if survive is not None:
+            single[slot] = {
+                move[0]: move
+                for move in bucket
+                if move[0] is not None
+                and letters.count(move[0]) == 1
+                and move[0] not in survive
+                and move[1] not in guessed
+            }
     # The letters a walk can read with a stationary move: from a slot, back
     # into its state with the same top symbol, by pushing a copy of it or
     # popping it. And the pairs of two different letters it can read with a
@@ -511,7 +692,7 @@ def membership_tables(pda: Pda) -> tuple:
     # state. A word reads one character at a time, so only one-character
     # letters count.
     run_units = set()
-    for slot, step in enumerate(single or ()):
+    for slot, step in enumerate(single):
         for letter, (_, target, keeps_top, suffix) in (step or {}).items():
             if len(letter) != 1:
                 continue
@@ -525,7 +706,7 @@ def membership_tables(pda: Pda) -> tuple:
                     if move[1:] == (slot // width, False, ()) and len(other) == 1 and other != letter
                 )
     initial = tuple(symbol_ids[s] for s in pda.initial_stack)
-    return moves, width, n_states, accepting, single, initial, frozenset(run_units)
+    return moves, width, n_states, accepting, single, initial, frozenset(run_units), threads, frozenset(guesses)
 
 
 def accepts_each(pda: Pda, words, limits=None, *, tables=None) -> tuple:
@@ -545,7 +726,7 @@ def accepts_each(pda: Pda, words, limits=None, *, tables=None) -> tuple:
         limits = default_limits(pda, max(words, key=len))
     if tables is None:
         tables = membership_tables(pda)
-    moves, width, n_states, accepting, single, initial, run_units = tables
+    moves, width, n_states, accepting, single, initial, run_units, threads, guesses = tables
     bounds = (limits.max_steps, limits.max_stack_height)
     # Stack cells: cell 0 is the empty stack; below * width + symbol -> cell.
     # Chain c holds the cells chain_lo[c]..chain_hi[c], which a walk's bulk
@@ -567,7 +748,7 @@ def accepts_each(pda: Pda, words, limits=None, *, tables=None) -> tuple:
     # into the chain's word; n1 is shared so that a seed or parked key, taken
     # relative to its position, is (cell * n1) * n_states + state everywhere.
     n1 = max(map(len, words)) + 1
-    machine = (moves, width, n_states, n1, accepting, single, run_units)
+    machine = (moves, width, n_states, n1, accepting, single, run_units, threads, guesses)
     arena = (sym, below, size, cells, chain_lo, chain_hi)
     try:
         distinct = list(dict.fromkeys(words))

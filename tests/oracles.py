@@ -19,6 +19,11 @@ only the fields it had then.
 spliced_steps is the literal splice of a found run at a decomposition's
 cuts, the reference for pumpkit.verify.replay_pumps, which takes each
 pumped run from one walk of the found run instead of splicing it.
+
+even_palindrome_radii is Manacher's linear-time algorithm (JACM 22(3),
+1975) for the even-length palindromes of a word, with no machine at all:
+the reference for how far each midpoint guess of GEN_PAL's membership
+search reads.
 """
 
 import operator
@@ -239,3 +244,21 @@ def spliced_steps(path, decomposition, n: int) -> tuple:
     steps = path.steps
     a, b, c, e = decomposition.cuts
     return steps[:a] + steps[a:b] * n + steps[b:c] + steps[c:e] * n + steps[e:]
+
+
+def even_palindrome_radii(word) -> list:
+    """r[p] for p = 0..len(word): the largest k such that word[p - k:p + k]
+    is a palindrome, by Manacher's algorithm. The rightmost palindrome found
+    so far, word[left:right], mirrors the radius at p from the one at
+    left + right - p, so each letter is compared past right once."""
+    n = len(word)
+    radii = [0] * (n + 1)
+    left = right = 0
+    for p in range(1, n):
+        k = min(radii[left + right - p], right - p) if p < right else 0
+        while p - k > 0 and p + k < n and word[p - k - 1] == word[p + k]:
+            k += 1
+        radii[p] = k
+        if p + k > right:
+            left, right = p - k, p + k
+    return radii

@@ -23,7 +23,7 @@ from itertools import accumulate
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import reference_follow_run, reference_search_walk, reference_walk
 from test_run_reference import DATA, one_run_machines, walk_machines
@@ -207,6 +207,17 @@ def _follow(follow_run, pda, word, limits):
     return outcomes
 
 
+# Words that the one-run walk takes in part in bulk: DYCK1's push and pop
+# runs and REG_AB's bounces, at lengths around BULK_RUN. They are explicit
+# examples of the test below, enough of them that at least a tenth of its
+# cases take a bulk step whatever the draws: 28 of at most 250 + 28.
+BULK_EXAMPLES = [
+    (BUILTINS[name].pda, BUILTINS[name].generate(m), SearchLimits(500, 500))
+    for name in ("DYCK1", "REG_AB")
+    for m in range(BULK_RUN, BULK_RUN + 14)
+]
+
+
 def test_follow_run_builds_the_per_step_run(bulk_steps):
     follow_run = run_module._follow_run
     bulk = []
@@ -219,8 +230,11 @@ def test_follow_run_builds_the_per_step_run(bulk_steps):
         assert _follow(follow_run, pda, word, limits) == _follow(reference_follow_run, pda, word, limits)
         bulk.append(any(bulk_steps["_follow_bulk"]))
 
+    for case in BULK_EXAMPLES:
+        matches = example(case)(matches)
     matches()
     assert sum(bulk) >= 0.1 * len(bulk)
+    assert len(bulk) <= 250 + len(BULK_EXAMPLES) <= 10 * len(BULK_EXAMPLES)
 
 
 # walk, the replay step semantics.
@@ -340,10 +354,10 @@ def _walks_match(pda, word, first_end, bounds):
     that both reach the same descriptions and intern the same cells. A
     second walk from where the first stopped pushes and pops over the cells
     the first interned."""
-    moves, width, n_states, accepting, single, initial, run_units = membership_tables(pda)
-    if single is None or not initial:
+    moves, width, n_states, accepting, single, initial, run_units, threads, guesses = membership_tables(pda)
+    if not initial:
         return
-    machine = (moves, width, n_states, len(word) + 1, accepting, single, run_units)
+    machine = (moves, width, n_states, len(word) + 1, accepting, single, run_units, threads, guesses)
     (arena, top), (expected_arena, _) = _arena(initial, width), _arena(initial, width)
     runs = search_module._search_runs(word, run_units, 0, len(word))
     at = (0, 0, top, 1)
@@ -768,6 +782,26 @@ def _entered_bounce():
     )
 
 
+def _two_way_bounce():
+    """Bounces on ab and on ba, both from the bottom marker: a word of
+    alternating letters holds a run of each pair, one letter apart, and
+    (ba)ᵐb ends in a push into the accepting q2."""
+    return NormalizedPda(
+        states=["q0", "q1", "q2"],
+        input_alphabet=["a", "b"],
+        stack_alphabet=[BOTTOM, "A", "B"],
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=["q2"],
+        transitions=[
+            T("q0", "a", BOTTOM, "A", "q1"),
+            T("q1", "b", "A", None, "q0"),
+            T("q0", "b", BOTTOM, "B", "q2"),
+            T("q2", "a", "B", None, "q0"),
+        ],
+    )
+
+
 WIDE = SearchLimits(500, 500)
 BOUNCE_CASES = [
     # (machine, word, limits, and the letters each bulk call took: of the
@@ -794,6 +828,7 @@ BOUNCE_CASES = [
     pytest.param(_four_state_cycle(), "ab" * 40, WIDE, [], [], [], id="four-state-cycle"),
     pytest.param(_four_state_cycle(), "ab" * 40, SearchLimits(500, 3), [], [], [], id="four-state-cycle-max-height"),
     pytest.param(_entered_bounce(), "ab" * 40 + "cd", WIDE, [78], [78], [78, 78], id="entered-from-another-slot"),
+    pytest.param(_two_way_bounce(), "ba" * 20 + "b", WIDE, [38], [38], [38, 36], id="two-way-overlapping-runs"),
 ]
 
 
@@ -808,8 +843,11 @@ def test_bounce_runs_equal_the_per_step_loops(bulk_steps, pda, word, limits, fol
     # one read up to the word's last letter, limits that cut inside a run,
     # DYCK1's () on X and on the bottom marker, whose slot has an epsilon
     # move, a machine whose pop goes on to another state, tested where a
-    # limit leaves room for one bounce too, and a run whose first bounce
-    # comes from another slot. None means the word has no run to walk.
+    # limit leaves room for one bounce too, a run whose first bounce
+    # comes from another slot, and runs of two pairs one letter apart, the
+    # second of which the one-run walk meets only after the first has
+    # carried it past the second's end. None means the word has no run to
+    # walk.
     assert _follow(run_module._follow_run, pda, word, limits) == _follow(reference_follow_run, pda, word, limits)
     path = _per_step_path(pda, word)
     taken = {"follow": _positive(bulk_steps["_follow_bulk"]), "walk": None}

@@ -593,9 +593,29 @@ def _mixed_words(language: str) -> list[str]:
     return [*words[:4], "", *words[4:], words[2], inside + "#", inside[:2] + "#" + inside[2:]]
 
 
+def _long_palindromes() -> list[str]:
+    """GEN_PAL words of the benchmark's shape at three sizes, each with its
+    near miss (last letter flipped) and with its middle letter flipped; a
+    palindrome with one more letter, whose true midpoint guess ends one
+    letter before the end; and runs of zeros, where every position's guess
+    lives long."""
+    entry = BUILTINS["GEN_PAL"]
+    words = []
+    for m in (50, 200, 500):
+        word = entry.generate(m)
+        flipped = "1" if word[m] == "0" else "0"
+        words += [word, entry.generate_near_miss(m), word[:m] + flipped + word[m + 1 :]]
+    word = entry.generate(200)
+    return [*words, word + "0", word + "1", "0" * 400, "0" * 399 + "1"]
+
+
+# Word lists that are not _mixed_words of a corpus language.
+WORD_LISTS = {"GEN_PAL-long": _long_palindromes}
+
 # (machine, language, extra flags, exit code, sha256 of the whole stdout).
-# GEN_PAL is also checked as loaded from its file; the step budget of five
-# cuts the longer DYCK1 words short.
+# GEN_PAL is also checked as loaded from its file and, on the long words, as
+# its normalized file; the step budget of five cuts the longer DYCK1 words
+# short.
 WORD_FILE_CHECKS = [
     pytest.param(
         "DYCK1", "DYCK1", (), 2, "25f4fe989847ea46d520758fa5adc36b9608caceb08654a0e9cd7b31c80af506", id="DYCK1"
@@ -618,6 +638,15 @@ WORD_FILE_CHECKS = [
         id="GEN_PAL.json",
     ),
     pytest.param(
+        "GEN_PAL", "GEN_PAL-long", (), 1, "654295efd3bf88506faa4c85af6c3ae4b1c62fe75f8910f77b8d3a57d98cb3af", id="GEN_PAL-long"
+    ),
+    pytest.param(
+        str(DATA / "GEN_PAL.json"), "GEN_PAL-long", (), 1, "654295efd3bf88506faa4c85af6c3ae4b1c62fe75f8910f77b8d3a57d98cb3af", id="GEN_PAL.json-long"
+    ),
+    pytest.param(
+        "normalize(GEN_PAL.json)", "GEN_PAL-long", (), 1, "654295efd3bf88506faa4c85af6c3ae4b1c62fe75f8910f77b8d3a57d98cb3af", id="normalized-GEN_PAL-long"
+    ),
+    pytest.param(
         "DYCK1",
         "DYCK1",
         ("--max-steps", "5"),
@@ -631,7 +660,11 @@ WORD_FILE_CHECKS = [
 class TestCheckWordFile:
     @pytest.mark.parametrize("machine, language, flags, code, digest", WORD_FILE_CHECKS)
     def test_matches_one_check_per_word(self, capsys, tmp_path, machine, language, flags, code, digest):
-        words = _mixed_words(language)
+        words = WORD_LISTS[language]() if language in WORD_LISTS else _mixed_words(language)
+        if machine.startswith("normalize("):
+            normalized = tmp_path / "normalized.json"
+            assert run(capsys, "normalize", str(DATA / machine[len("normalize(") : -1]), str(normalized))[0] == 0
+            machine = str(normalized)
         wf = tmp_path / "words.txt"
         wf.write_text("".join(w + "\n" for w in words), encoding="utf-8")
         got_code, out, err = run(capsys, "check", machine, "--word-file", str(wf), *flags)

@@ -1046,28 +1046,33 @@ def test_check_walks_the_deterministic_corpus_machines(search_walks, capsys, tmp
 
 
 @pytest.mark.parametrize("label", ["GEN_PAL", "GEN_PAL.json", "normalize(GEN_PAL)"])
-def test_gen_pal_searches_never_walk(search_walks, capsys, tmp_path, monkeypatch, label):
-    # Its epsilon guess of the midpoint sits beside letter moves, so the
-    # search does not even look for a level of one description.
-    tables = []
-    search = search_module._search_chain
-
-    def recorded(word, start, end, leaf, seed_levels, seed_keys, machine, *rest):
-        tables.append(machine[5])
-        return search(word, start, end, leaf, seed_levels, seed_keys, machine, *rest)
-
-    monkeypatch.setattr(search_module, "_search_chain", recorded)
+def test_gen_pal_searches_walk_their_push_phase(search_walks, capsys, tmp_path, label):
+    # Its epsilon guess of the midpoint only changes the state, into the pop
+    # phase, which reads the letter that pushed the top symbol: where the
+    # next letter is the other one, the guess dies at once, and the search
+    # walks the push phase letter by letter. On the generator's words of
+    # 2m letters it walks from the first letter to the middle, where the
+    # true guess is run ahead, and a near miss on to its last letter. The
+    # normalized machine's guess pops and pushes back, through an
+    # intermediate state, so its search never walks.
     entry = BUILTINS["GEN_PAL"]
     words = _words(entry, top=12)
+    middles = [len(w) // 2 for w in words if len(w) >= 4]
+    expected = [(1, m) for m in middles] + [(m + 1, 2 * m - 1) for m in middles[1::2] if m > 2]
     if label == "GEN_PAL.json":
         assert _check(capsys, tmp_path, str(DATA / label), words)
     else:
         pda = normalize(entry.pda) if label.startswith("normalize") else entry.pda
         limits = default_limits(pda, max(words, key=len))
         assert list(accepts_each(pda, words)) == [reference_accepts(pda, w, limits) for w in words]
+        search_walks.clear()
         for word in words:
             accepts(pda, word)
-    assert search_walks == [] and tables and set(tables) == {None}
+    if label.startswith("normalize"):
+        assert search_walks == []
+    else:
+        walked = [(pos, reached) for pos, reached in search_walks if reached > pos]
+        assert sorted(walked) == sorted(expected)
 
 
 @st.composite
@@ -1216,6 +1221,37 @@ def test_no_walk_behind_a_visited_description(search_walks, chain_searches):
     pda = _keeping(
         ("q0", "a", "f"), ("q0", "a", "e"), ("f", "b", "g"), ("g", "b", "h"),
         ("e", None, "e1"), ("e1", None, "e2"), ("e2", None, "e3"), ("e3", "b", "g"),
+    )
+    for limits in (WIDE, SearchLimits(5, 5)):
+        verdicts, chains = chain_searches(pda, ["abbb"], limits)
+        assert verdicts == (reference_accepts(pda, "abbb", limits),)
+        assert chains == chain_searches(pda, ["abbb"], limits, walks=False)[1]
+    assert search_walks == []
+
+
+def test_no_walk_behind_a_visited_description_on_a_pushing_epsilon_chain(search_walks, chain_searches):
+    # The same, with an epsilon chain that pushes A twice and pops one, so
+    # that no run-ahead could follow it even from a slot with letter moves:
+    # e3 pops the other A on b, onto g on the bottom marker, which f's path
+    # visited first.
+    keep = (BOTTOM,)
+    pda = GeneralPda(
+        states=["q0", "f", "g", "h", "e", "e1", "e2", "e3"],
+        input_alphabet=["a", "b"],
+        stack_alphabet=[BOTTOM, "A"],
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=[],
+        transitions=[
+            GeneralTransition("q0", "a", BOTTOM, keep, "f"),
+            GeneralTransition("q0", "a", BOTTOM, keep, "e"),
+            GeneralTransition("f", "b", BOTTOM, keep, "g"),
+            GeneralTransition("g", "b", BOTTOM, keep, "h"),
+            GeneralTransition("e", None, BOTTOM, (BOTTOM, "A"), "e1"),
+            GeneralTransition("e1", None, "A", ("A", "A"), "e2"),
+            GeneralTransition("e2", None, "A", (), "e3"),
+            GeneralTransition("e3", "b", "A", (), "g"),
+        ],
     )
     for limits in (WIDE, SearchLimits(5, 5)):
         verdicts, chains = chain_searches(pda, ["abbb"], limits)
