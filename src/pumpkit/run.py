@@ -159,7 +159,6 @@ one tuple, without a copy.
 
 from __future__ import annotations
 
-import re
 from itertools import accumulate, repeat
 from operator import itemgetter
 
@@ -597,7 +596,8 @@ def _letter_runs(word, lo: int, hi: int, pairs=None) -> tuple:
     starting at the run's second copy: one str.find per run and letter or
     pair skips the stretches between runs in C. The letters are read off the
     word, and so are the pairs, in both orders, when pairs is None. Only a
-    str word has runs."""
+    str word has runs. A run's end is found with str.startswith of BULK_RUN
+    copies of its unit, doubled while they match and then halved."""
     if not isinstance(word, str) or hi - lo < BULK_RUN:
         return (), ()
     # A run of BULK_RUN letters covers one of every BULK_RUN positions, and
@@ -608,11 +608,18 @@ def _letter_runs(word, lo: int, hi: int, pairs=None) -> tuple:
         pairs = {a + b for x in letters for y in after if x != y for a, b in ((x, y), (y, x))}
     spans = []
     for unit in letters | pairs:
-        more = re.compile(f"(?:{re.escape(unit)})*").match
         probe = unit * BULK_RUN
         at = word.find(probe, lo, hi)
         while at >= 0:
-            end = more(word, at + len(probe), hi).end()
+            end = at + len(probe)
+            more = probe
+            while word.startswith(more, end, hi):  # copies double while they match
+                end += len(more)
+                more += more
+            while len(more) > len(unit):  # then fewer copies than more holds are left
+                more = more[: len(more) // 2]
+                if word.startswith(more, end, hi):
+                    end += len(more)
             spans.append((at + len(unit), end))
             at = word.find(probe, end, hi)
     spans.sort()

@@ -129,39 +129,73 @@ position p reads as many letters as the even palindromic radius of the
 word at p, and its levels hold the one description of the push phase,
 which the search walks.
 
-A walk takes each run of a stationary move, or of a bounce, in one bulk
-step. A letter move is stationary when it lands back in the slot it fired
-from: its target is its source, and it pushes a copy of the symbol it pops
-or pops it onto an equal one. A bounce is two letter moves on two different
-letters: from (q, X) the first pushes Y on X and lands in q', and from
-(q', Y) the second pops Y back into q, so k bounces leave the state and the
-cell as they are. The runs are those of at least BULK_RUN equal letters, or
-BULK_RUN copies of a bounce's two letters, of a str word, and only of the
-letters and pairs membership_tables found such moves for; _search_runs
-finds them once per chain, for all of its walks, with one str.find per run
-and letter or pair, each span starting at the run's second copy. A word
-that is not a str has no runs. A walk caps its per-step stretch at the next
-span, tests the moves once, at the first position it reaches in the span,
-and then goes on to the next run, whatever the test took; it tells a pair's
-span from a letter's by the letter after the one it stands on. A run of
-bounces needs room for one more symbol, and interns the one cell its push
-reaches where the first push of a per-step walk would. Every other bulk
-step interns the same cells, in the same order, as a per-step walk: a push
-run climbs the cells it finds already interned and interns all the rest at
-once as one chain of consecutive cells, recorded in the arena. A pop run
-pops every copy of the top symbol that lies on top, up to the run's end and
-never down to the empty stack: it steps down one cell at a time where no
-chain holds the cell, and down a whole chain in one jump, since a chain's
-cells are provably the ones a per-step descent visits.
+A thread's loop is taken in bulk too. Where the thread, about to read a
+letter, stands in the slot it stood in one or two letters before, on a
+lower cell, and every cell it popped since lies on the cell numbered
+before it, its moves since then are a loop: they read a stretch of
+letters and popped a block of consecutive cells. A thread reads nothing
+but its slot, the letter ahead and, after a pop, the cell below, so a
+further copy of the loop fires the same moves wherever the letters ahead
+repeat the stretch and the cells below hold the block again, each lying
+on the one numbered before it: each of its descriptions lies one block
+lower and as many letters later as its match in the copy before, so its
+key is that one's plus a fixed delta. _descend takes such copies in
+batches that double while they are taken and halve when not, each tested
+with one compare of the word's letters and one of the cells' symbols,
+against the stretch's floor (below), and with its keys, one range per
+step of the loop, held against the visited set and the descriptions of
+threads given up with isdisjoint. A batch is taken only where it steps
+onto none of them, stays within the step limit and ends before the
+chain's end; the state-only epsilon moves of a copy repeat in every copy,
+and each copy reads a letter. The per-step loop takes what is left: the
+first description found visited or given up, the step limit, the end and
+a copy that matches in part. So the thread steps onto the descriptions
+the per-step thread steps onto, at the same levels, with the same fate;
+only the order of its keys differs, and the search uses them as a set.
+
+A walk takes each run of copies of a loop in one bulk step. A loop is one
+or two letter moves of single that come back to the slot they fired
+from. Of one letter, it is a stationary pop, which pops the top symbol
+onto an equal one and lands back in its state, or a push loop: a move
+that keeps the top, pushes a block whose last symbol is the top symbol
+and lands back in its state. Of two different letters, it is a bounce,
+from (q, X) a push of Y into q' and from (q', Y) a pop of Y back into q,
+so that k bounces leave the state and the cell as they are, or a push
+loop of two moves that each keep the top and push, the second landing
+back in q with X on top, so each copy pushes the same block, the two
+moves' pushes in order (GEN_PAL's loops read 01 and 10). The runs are
+those of at least BULK_RUN copies of a unit, a letter or two letters, of
+a str word, and only of the units membership_tables found loops for;
+_search_runs finds them once per chain, for all of its walks, with one
+str.find per run and unit, each span starting at the run's second copy. A
+word that is not a str has no runs. A walk caps its per-step stretch at
+the next span, tests the moves once, at the first position it reaches in
+the span, and then goes on to the next run, whatever the test took; it
+tells a pair's span from a letter's by the letter after the one it stands
+on. A run of bounces needs room for one more symbol, and interns the one
+cell its push reaches where the first push of a per-step walk would.
+Every other bulk step interns the same cells, in the same order, as a
+per-step walk. A push loop takes the copies that fit whole under the
+height limit, and the per-step loop the rest: each move of those copies
+is the slot's one move for its letter, reads a letter before the chain's
+end and within the step limit, and pushes within the height limit, so
+the per-step walk would take it, and k copies push the block k times.
+_push_chain climbs the cells of those pushes that already exist and
+interns all the rest at once, numbered in order, each but the first
+lying on the one before it. A pop run pops every copy of the top symbol
+that lies on top, up to the run's end and never down to the empty stack:
+down a stretch of consecutive cells in batches, each tested with one
+slice compare of their symbols, since a pop from a cell that lies on the
+one numbered before it reaches that one, and one cell at a time
+elsewhere.
 
 The search encodes its descriptions as plain ints. States are numbered
 with the initial state as 0, and stack symbols 0..width-1. The move table
 is a flat list indexed by state * width + popped symbol whose buckets keep
 declared order, so a dequeued description looks up its moves once. A stack
 is an int cell described by three parallel lists, sym, below and size;
-cell 0 is the empty stack, and cells are interned by below * width +
-symbol, so equal stacks are equal cells and a visited key stays O(1)
-whatever the stack depth. That key is the one int
+cell 0 is the empty stack, and equal stacks are equal cells, so a visited
+key stays O(1) whatever the stack depth. That key is the one int
 (cell * (n + 1) + position) * n_states + state, with n the length of the
 batch's longest word. Seeds and parked descriptions carry their key less
 position * n_states, so they stay valid in every chain and equal
@@ -169,13 +203,26 @@ position * n_states, so they stay valid in every chain and equal
 collector does not track ints, so the search allocates no tracked object
 that outlives a description, and the collector's work does not grow with
 the word.
+
+Most cells are pushed onto the newest cell, and so lie on the cell
+numbered before them. Such a cell c, with below[c] == c - 1, has no dict
+entry; the dict maps below * width + symbol to every other cell. To find
+the cell of s pushed on c, the search tests c + 1 (below[c + 1] == c and
+sym[c + 1] == s) and then the dict. No two cells lie on one cell with one
+symbol, so the two tests find a cell exactly when it exists, and a push
+onto the newest cell, which nothing lies on yet, needs no lookup at all.
+An entry is made only with its cell, so the entries of the cells made
+under a word are the dict's last ones, and truncation at the word's first
+cell pops them. floor[c] is the lowest cell of
+the stretch of nonempty cells up to c that each lie on the one numbered
+before it, so floor never decreases, and a bulk step finds how far
+consecutive cells reach in O(1), or with one bisect.
 """
 
 from __future__ import annotations
 
-import re
-from bisect import bisect_left, bisect_right
-from itertools import chain, islice, repeat
+from bisect import bisect_right
+from itertools import repeat
 
 from .pda import Pda
 from .run import BULK_RUN, Accepted, LimitExceeded, NotAccepted, SearchLimits, default_limits
@@ -236,9 +283,8 @@ def _search_chain(
     the height limit did.
     """
     moves, width, n_states, n1, accepting, single, run_units, threads, guesses = machine
-    sym, below, size, cells, _, _ = arena
+    sym, below, size = arena[:3]
     max_steps, max_height = bounds
-    get_cell = cells.get
     runs = _search_runs(word, run_units, start, end) if run_units else ((), ())
     base = start * n_states
     parked_base = end * n_states
@@ -307,16 +353,8 @@ def _search_chain(
                         continue
                     npos = pos + 1
                 child = cell if keeps_top else below[cell]
-                if suffix:
-                    for s in suffix:
-                        at = child * width + s
-                        above = get_cell(at)
-                        if above is None:
-                            above = cells[at] = len(sym)
-                            sym.append(s)
-                            below.append(child)
-                            size.append(size[child] + 1)
-                        child = above
+                for s in suffix:
+                    child = _push(child, s, width, arena)
                 found = (child * n1 + npos) * n_states + target
                 if found in visited:
                     continue
@@ -363,8 +401,9 @@ def _run_ahead(
     """Follow the thread of the description (state, cell, pos) at level
     depth, a guess the search has just found, through pushless slots with
     one move each for the letter ahead; see the module docstring. Returns
-    its fate, the keys of the descriptions it stepped onto after the first,
-    in order, and the level of the last one it stood on.
+    its fate, the keys of the descriptions it stepped onto after the first
+    (those of copies taken in bulk grouped by the loop's step, the rest in
+    order), and the level of the last one it stood on.
 
     The thread dies where its slot has no move for the letter ahead, on the
     empty stack, at a visited description (one the search holds, or one a
@@ -373,11 +412,19 @@ def _run_ahead(
     thread's, passes the step limit, reaches a description of a thread
     given up before, takes n_states state-only epsilon moves in a row (so
     it cycles) or reaches the end of a chain that is not a leaf.
+
+    Where, about to read a letter, the thread stands in the slot it stood
+    in one or two letters before, on a lower cell, having popped only cells
+    that lie on the one numbered before them since, _descend takes further
+    copies of that loop in bulk, and the per-step loop takes what is left:
+    the thread steps onto the descriptions the per-step thread steps onto,
+    at the same levels, and meets the same fate.
     """
     width, n_states, n1, accepting, threads = machine[1], machine[2], machine[3], machine[4], machine[7]
-    sym, below = arena[0], arena[1]
+    sym, below, floor = arena[0], arena[1], arena[4]
     thread: list = []
     idle = 0  # state-only epsilon moves in a row
+    marks: tuple = ()  # (state, cell, pos, len(thread)) where it was about to read, one and two letters back
     while True:
         if pos == end:
             if not leaf:
@@ -391,6 +438,21 @@ def _run_ahead(
             return _QUEUED, thread, depth
         move = step.get(None)  # a thread's slot holds one epsilon move or only letter moves
         if move is None:
+            for mark in marks:
+                # back in mark's slot, having popped consecutive cells down
+                # to cell, and as many consecutive cells again below it
+                if (
+                    mark[0] == state
+                    and mark[1] > cell
+                    and sym[mark[1]] == sym[cell]
+                    and floor[mark[1]] <= 2 * cell - mark[1]
+                ):
+                    reached = _descend(word, end, mark, cell, pos, depth, machine, arena, max_steps, thread, visited, ran)
+                    if reached[1] != pos:
+                        cell, pos, depth = reached
+                        marks = ()
+                    break
+            marks = ((state, cell, pos, len(thread)), *marks[:1])
             move = step.get(word[pos]) if pos < end else None
             if move is None:
                 return _DIED, thread, depth
@@ -412,20 +474,93 @@ def _run_ahead(
         thread.append(key)
 
 
+def _descend(
+    word, end: int, mark, cell: int, pos: int, depth: int, machine, arena, max_steps: int, thread, visited, ran
+) -> tuple:
+    """Take in bulk the further copies of the loop a run-ahead's thread has
+    just stepped through one step at a time: from mark, (state, cell, pos,
+    len(thread)) where it was about to read a letter, to the description
+    (cell, pos) at level depth, in the same slot and about to read again.
+    Returns the cell, position and level the copies taken reach; their keys
+    join thread. See the module docstring.
+
+    The first copy read the letters word[mark[2]:pos] and the symbols of the
+    block of cells cell + 1..mark[1], which it popped, and of cell. Where
+    the cells below cell are consecutive, hold the block again and the word
+    repeats the letters, a further copy fires the same moves, each landing
+    one block lower and as many letters later as its match in the first
+    copy: its key is that one's plus delta. Copies are taken in doubling
+    batches while none reaches the end, passes the step limit or steps onto
+    a key of visited or ran; the per-step loop takes what is left.
+    """
+    n_states, n1 = machine[2], machine[3]
+    sym, floor = arena[0], arena[4]
+    letters = word[mark[2] : pos]
+    block = sym[cell + 1 : mark[1] + 1]
+    keys = thread[mark[3] :]
+    top, size, steps = sym[cell], len(block), len(keys)
+    delta = (len(letters) - size * n1) * n_states
+    most = min((cell - floor[mark[1]]) // size, (end - 1 - pos) // len(letters), (max_steps - depth) // steps)
+    taken = 0
+    batch = 1
+    while batch > 0:
+        batch = min(batch, most - taken)
+        low = cell - batch * size  # the cell the batch lands on
+        at = pos + batch * len(letters)
+        if (
+            batch > 0
+            and word[pos:at] == letters * batch
+            and sym[low] == top
+            and sym[low + 1 : cell + 1] == block * batch
+        ):
+            copies = [range(key + (taken + 1) * delta, key + (taken + batch + 1) * delta, delta) for key in keys]
+            if all(visited.isdisjoint(r) and (not ran or ran.isdisjoint(r)) for r in copies):
+                for r in copies:
+                    thread.extend(r)
+                taken += batch
+                cell, pos, depth = low, at, depth + batch * steps
+                batch *= 2
+                continue
+        batch //= 2
+    return cell, pos, depth
+
+
+def _push(cell: int, symbol: int, width: int, arena) -> int:
+    """The cell of symbol pushed on cell, interned: the cell numbered after
+    cell when it lies on cell and holds symbol, else the dict's, else a new
+    one. The dict holds only the cells that do not lie on the cell numbered
+    before them, so a push onto the newest cell needs no lookup at all."""
+    sym, below, size, cells, floor = arena
+    above = cell + 1
+    if above < len(sym):
+        if below[above] == cell and sym[above] == symbol:
+            return above
+        at = cell * width + symbol
+        found = cells.get(at)
+        if found is not None:
+            return found
+        above = cells[at] = len(sym)
+        floor.append(above)
+    else:
+        floor.append(floor[cell] if cell else above)
+    sym.append(symbol)
+    below.append(cell)
+    size.append(size[cell] + 1)
+    return above
+
+
 def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, arena, bounds, runs) -> tuple:
     """Walk the one description of a breadth-first level, with depth the
     level of its successors, while the search would hold one; see the module
     docstring. Every step reads a letter, so positions and levels advance
-    together. runs holds the spans of the word's runs of one letter that a
-    stationary move reads, and of copies of two letters that a bounce
-    reads, each from the run's second copy: the walk tests the moves once,
-    at the first position it reaches in each span, and a stationary move or
-    a bounce takes the rest of the run in one bulk step that interns the
-    cells a per-step walk would; a run of bounces leaves the state and the
-    cell as they are. Returns the state, position, cell and depth reached.
+    together. runs holds the spans of the word's runs of the units a loop of
+    the walk reads, each from the run's second copy: the walk tests the
+    moves once, at the first position it reaches in each span, and a loop
+    takes the rest of the run's copies in one bulk step (_search_bulk).
+    Returns the state, position, cell and depth reached.
     """
     width, single = machine[1], machine[5]
-    sym, below, size, cells, _, _ = arena
+    sym, below, size = arena[:3]
     max_steps, max_height = bounds
     starts, ends = runs
     r = bisect_right(ends, pos)  # the next run to test
@@ -449,14 +584,7 @@ def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, 
                 if size[child] + len(suffix) > max_height:
                     break
                 for s in suffix:
-                    at = child * width + s
-                    above = cells.get(at)
-                    if above is None:
-                        above = cells[at] = len(sym)
-                        sym.append(s)
-                        below.append(child)
-                        size.append(size[child] + 1)
-                    child = above
+                    child = _push(child, s, width, arena)
             state = target
             cell = child
             pos += 1
@@ -471,26 +599,30 @@ def _walk(word, end: int, state: int, pos: int, cell: int, depth: int, machine, 
 
 
 def _search_bulk(word, pos: int, k: int, state: int, cell: int, machine, arena, max_height: int) -> tuple:
-    """Fire the walk's moves over up to k letters from pos in one step:
-    k // 2 bounces when the next letter differs, and otherwise up to k
-    firings of a stationary move. Returns the cell reached and the letters
-    read, 0 when the moves do not fire this way.
+    """Fire the walk's moves over up to k letters from pos in one step, as
+    copies of a loop that comes back to the slot (state, top): a bounce or
+    a push loop of two letters when the next letter differs, and otherwise
+    a push loop of one letter or a stationary pop. Returns the cell reached
+    and the letters read, 0 when the moves do not fire this way.
 
     A bounce, a push and a pop back into state, keeps the cell; it needs
     room for one more symbol, and the pushed cell is interned as the first
     per-step push would intern it.
 
-    A push of the top symbol's copy fires as often as the height limit
-    allows (_push_chain interns its cells). A pop fires once per copy of
-    the popped symbol on top, while a cell lies below: one cell at a time
-    where no chain that _push_chain interned holds the cell, and down such
-    a chain in one jump, since its cells are provably the ones a per-step
-    descent visits: each holds the popped symbol and lies on the one before
-    it. A chain starts on a cell the walk stood on, never on the empty
-    stack, so the jump never empties it.
+    A push loop's moves keep the top and push, its last push ends with the
+    top symbol and its last move lands back in state: each copy pushes the
+    same block, the symbols its moves push, in order. It takes the copies
+    that fit under the height limit, each whole (_push_chain interns their
+    cells).
+
+    A stationary pop fires once per copy of the popped symbol on top, while
+    a cell lies below: down a stretch of consecutive cells in batches, the
+    whole stretch first and halved until one slice compare finds the
+    popped symbol on each of its cells, and one cell at a time elsewhere. A
+    stretch's floor is never the empty stack, so a batch never empties it.
     """
     width, single = machine[1], machine[5]
-    sym, below, size, _, chain_lo, chain_hi = arena
+    sym, below, size, _, floor = arena
     top = sym[cell]
     step = single[state * width + top]
     move = None if step is None or k <= 0 else step.get(word[pos])
@@ -498,84 +630,124 @@ def _search_bulk(word, pos: int, k: int, state: int, cell: int, machine, arena, 
         return cell, 0
     _, target, keeps_top, suffix = move
     if k > 1 and word[pos + 1] != word[pos]:
-        step = single[target * width + suffix[0]] if keeps_top and len(suffix) == 1 else None
+        step = single[target * width + suffix[-1]] if keeps_top and suffix else None
         back = None if step is None else step.get(word[pos + 1])
-        if back is None or back[1:] != (state, False, ()) or size[cell] >= max_height:
+        if back is None or back[1] != state:
             return cell, 0
-        _push_chain(cell, suffix[0], 1, width, arena)
-        return cell, k - k % 2
+        if back[2:] == (False, ()) and len(suffix) == 1:
+            if size[cell] >= max_height:
+                return cell, 0
+            _push(cell, suffix[0], width, arena)
+            return cell, k - k % 2
+        if not back[2] or back[3][-1:] != (top,):
+            return cell, 0
+        return _push_loop(cell, suffix + back[3], k // 2, 2, width, arena, max_height)
     if target != state:
         return cell, 0
-    if keeps_top and suffix == (top,):
-        k = min(k, max_height - size[cell])
-        if k <= 0:
+    if keeps_top:
+        if suffix[-1:] != (top,):
             return cell, 0
-        return _push_chain(cell, top, k, width, arena), k
-    if keeps_top or suffix:
+        return _push_loop(cell, suffix, k, 1, width, arena, max_height)
+    if suffix:
         return cell, 0
     taken = 0
     while taken < k and sym[cell] == top and below[cell]:
-        c = bisect_right(chain_lo, cell) - 1
-        if c >= 0 and cell <= chain_hi[c]:
-            lo = chain_lo[c]
-            jump = min(k - taken, cell - lo + 1)
-            cell = cell - jump if cell - jump >= lo else below[lo]
-            taken += jump
+        batch = min(k - taken, cell - floor[cell])  # the consecutive cells below cell
+        while batch > 1 and sym[cell - batch + 1 : cell + 1] != [top] * batch:
+            batch //= 2
+        if batch:
+            cell -= batch
         else:
             cell = below[cell]
-            taken += 1
+            batch = 1
+        taken += batch
     return cell, taken
 
 
-def _push_chain(cell: int, symbol: int, k: int, width: int, arena) -> int:
-    """The cell of k copies of symbol pushed on cell, interned as k pushes
-    one at a time would intern them, in the same order: existing cells are
-    found by key, or climbed in bulk along a chain, and the first missing
-    one starts a new chain of all the rest, numbered consecutively and
-    recorded in chain_lo and chain_hi."""
-    sym, below, size, cells, chain_lo, chain_hi = arena
-    while k:
-        at = cell * width + symbol
-        above = cells.get(at)
-        if above is None:
-            # No cell above a new one exists yet: the rest are all new.
-            n0 = len(sym)
-            ids = list(range(n0, n0 + k))  # one int per cell, shared by cells and below
-            cells.update(zip(chain((at,), range(n0 * width + symbol, (n0 + k - 1) * width + symbol, width)), ids))
-            sym.extend(repeat(symbol, k))
-            below.append(cell)
-            below.extend(islice(ids, k - 1))
-            size.extend(range(size[cell] + 1, size[cell] + k + 1))
-            chain_lo.append(n0)
-            chain_hi.append(ids[-1])
-            return ids[-1]
-        c = bisect_right(chain_lo, above) - 1
-        if c >= 0 and above <= chain_hi[c]:
-            # the chain's cells above `above` are the next ones a push finds
-            climb = min(k, chain_hi[c] - above + 1)
-            cell = above + climb - 1
-            k -= climb
-        else:
+def _push_loop(cell: int, block: tuple, copies: int, letters: int, width: int, arena, max_height: int) -> tuple:
+    """Push up to copies copies of block on cell, as many as fit under the
+    height limit: the cell reached and the letters they read, letters a
+    copy."""
+    copies = min(copies, (max_height - arena[2][cell]) // len(block))
+    if copies <= 0:
+        return cell, 0
+    return _push_chain(cell, block, copies, width, arena), copies * letters
+
+
+def _push_chain(cell: int, block: tuple, k: int, width: int, arena) -> int:
+    """The cell of k copies of block pushed on cell, interned as pushes one
+    symbol at a time would intern them, in the same order. Cells that exist
+    are climbed, where they are consecutive as far as their symbols follow
+    the block's, with one slice compare, and the first missing one starts
+    a new stretch of consecutive cells, all the rest, numbered in order.
+    Only that stretch's first cell can need a dict entry: each later one
+    lies on the cell numbered before it."""
+    sym, below, size, cells, floor = arena
+    pushed, total = 0, len(block) * k
+    while pushed < total:
+        symbol = block[pushed % len(block)]
+        above = cell + 1
+        if above == len(sym):
+            break  # nothing lies above the newest cell
+        if below[above] != cell or sym[above] != symbol:
+            above = cells.get(cell * width + symbol)
+            if above is None:
+                break
             cell = above
-            k -= 1
+            pushed += 1
+            continue
+        # above and the cells after it, up to the end of their stretch of
+        # consecutive cells, are the next ones a push finds while their
+        # symbols follow the block
+        climb = min(total - pushed, bisect_right(floor, above, above, len(sym)) - above)
+        while climb > 1 and sym[above : above + climb] != _copies(block, pushed, climb):
+            climb //= 2
+        cell = above + climb - 1
+        pushed += climb
+    if pushed < total:
+        n0 = len(sym)
+        rest = total - pushed
+        if cell != n0 - 1:
+            cells[cell * width + block[pushed % len(block)]] = n0
+        floor.extend(repeat(floor[cell] if cell == n0 - 1 and cell else n0, rest))
+        sym.extend(_copies(block, pushed, rest))
+        below.append(cell)
+        below.extend(range(n0, n0 + rest - 1))
+        size.extend(range(size[cell] + 1, size[cell] + rest + 1))
+        cell = n0 + rest - 1
     return cell
+
+
+def _copies(block: tuple, start: int, count: int) -> list:
+    """The count symbols that copies of block push from the start-th on."""
+    skip = start % len(block)
+    return (list(block) * ((skip + count) // len(block) + 1))[skip : skip + count]
 
 
 def _search_runs(word, units, start: int, end: int) -> tuple:
     """(starts, ends) of the maximal runs of at least BULK_RUN copies of a
-    unit of units, a letter or a bounce's pair of letters, in
+    unit of units, a letter or two letters a loop of the walk reads, in
     word[start:end], in order, each starting at the run's second copy, for
     the walks of the chain that searches that stretch: one scan per chain,
-    however many walks it makes. Only a str word has runs."""
+    however many walks it makes. A run is found with one str.find and its
+    end with str.startswith of BULK_RUN copies of the unit, doubled while
+    they match and then halved. Only a str word has runs."""
     if not isinstance(word, str) or end - start < BULK_RUN:
         return (), ()
     spans = []
     for unit in units:
-        more = re.compile(f"(?:{re.escape(unit)})*").match
         probe = unit * BULK_RUN
         at = word.find(probe, start, end)
         while at >= 0:
-            stop = more(word, at + len(probe), end).end()
+            stop = at + len(probe)
+            more = probe
+            while word.startswith(more, stop, end):  # copies double while they match
+                stop += len(more)
+                more += more
+            while len(more) > len(unit):  # then fewer copies than more holds are left
+                more = more[: len(more) // 2]
+                if word.startswith(more, stop, end):
+                    stop += len(more)
             spans.append((at + len(unit), stop))
             at = word.find(probe, stop, end)
     spans.sort()
@@ -601,8 +773,9 @@ def membership_tables(pda: Pda) -> tuple:
     """The tables accepts_each searches pda with, read from the machine
     alone, no word: (moves, width, n_states, accepting, single, initial,
     run_units, threads, guesses), with initial the symbol ids of the
-    initial stack, bottom first, run_units the letters the walks read with
-    a stationary move and the pairs of letters they read with a bounce,
+    initial stack, bottom first, run_units the units the walks read with a
+    loop, a letter of a stationary pop or of a one-move push loop and two
+    letters of a bounce or of a two-move push loop (01 and 10 for GEN_PAL),
     threads the moves of the slots a run-ahead follows and guesses the
     slots it starts from; see the module docstring. accepts and
     accepts_each build them per call unless they are passed in, so a
@@ -685,25 +858,31 @@ def membership_tables(pda: Pda) -> tuple:
                 and move[0] not in survive
                 and move[1] not in guessed
             }
-    # The letters a walk can read with a stationary move: from a slot, back
-    # into its state with the same top symbol, by pushing a copy of it or
-    # popping it. And the pairs of two different letters it can read with a
-    # bounce: a push of one symbol, then a pop of it back into the slot's
-    # state. A word reads one character at a time, so only one-character
-    # letters count.
+    # The units a walk reads with a loop, moves of single that come back to
+    # the slot they start from (see _search_bulk): a letter of a stationary
+    # pop, or of a push loop of one move, one that keeps the top, pushes and
+    # lands in its state with its last push the top symbol; and two
+    # different letters of a bounce, a push of one symbol and a pop of it
+    # back into the slot's state, or of a push loop of two such moves. A
+    # word reads one character at a time, so only one-character letters
+    # count.
     run_units = set()
     for slot, step in enumerate(single):
+        state, top = divmod(slot, width)
         for letter, (_, target, keeps_top, suffix) in (step or {}).items():
             if len(letter) != 1:
                 continue
-            if target == slot // width and suffix == ((slot % width,) if keeps_top else ()):
+            if target == state and (suffix[-1:] == (top,) if keeps_top else not suffix):
                 run_units.add(letter)
-            if keeps_top and len(suffix) == 1:
-                back = single[target * width + suffix[0]] or {}
+            if keeps_top and suffix:
+                back = single[target * width + suffix[-1]] or {}
                 run_units.update(
                     letter + other
-                    for other, move in back.items()
-                    if move[1:] == (slot // width, False, ()) and len(other) == 1 and other != letter
+                    for other, (_, home, kept, pushed) in back.items()
+                    if home == state
+                    and len(other) == 1
+                    and other != letter
+                    and ((not kept and not pushed and len(suffix) == 1) or (kept and pushed[-1:] == (top,)))
                 )
     initial = tuple(symbol_ids[s] for s in pda.initial_stack)
     return moves, width, n_states, accepting, single, initial, frozenset(run_units), threads, frozenset(guesses)
@@ -728,28 +907,20 @@ def accepts_each(pda: Pda, words, limits=None, *, tables=None) -> tuple:
         tables = membership_tables(pda)
     moves, width, n_states, accepting, single, initial, run_units, threads, guesses = tables
     bounds = (limits.max_steps, limits.max_stack_height)
-    # Stack cells: cell 0 is the empty stack; below * width + symbol -> cell.
-    # Chain c holds the cells chain_lo[c]..chain_hi[c], which a walk's bulk
-    # push interned consecutively (see _push_chain).
-    sym = [-1]
-    below = [0]
-    size = [0]
-    cells: dict = {}
-    chain_lo: list = []
-    chain_hi: list = []
+    # Stack cells: cell 0 is the empty stack. The dict maps below * width +
+    # symbol to the cell, for the cells that do not lie on the cell numbered
+    # before them (see _push); floor[c] is the lowest cell of the stretch of
+    # consecutive nonempty cells that ends at c, each lying on the one
+    # numbered before it.
+    arena = sym, below, size, cells, floor = [-1], [0], [0], {}, [0]
     cell = 0
     for s in initial:
-        top = cells[cell * width + s] = len(sym)
-        sym.append(s)
-        below.append(cell)
-        size.append(size[cell] + 1)
-        cell = top
+        cell = _push(cell, s, width, arena)
     # A description is (cell * n1 + pos) * n_states + state, pos an offset
     # into the chain's word; n1 is shared so that a seed or parked key, taken
     # relative to its position, is (cell * n1) * n_states + state everywhere.
     n1 = max(map(len, words)) + 1
     machine = (moves, width, n_states, n1, accepting, single, run_units, threads, guesses)
-    arena = (sym, below, size, cells, chain_lo, chain_hi)
     try:
         distinct = list(dict.fromkeys(words))
     except TypeError:
@@ -772,17 +943,16 @@ def accepts_each(pda: Pda, words, limits=None, *, tables=None) -> tuple:
             distinct[0], 0, fork, False, levels, keys, machine, arena, bounds
         )
     mark = len(sym)  # cells from here on belong to one word
+    held = len(cells)  # and so do the dict's entries from here on, in order
     # Searched suffixes: seed key -> (accepted, cut, deepest level above the
     # lowest seed).
     joins: dict = {}
     outcomes: dict = {}  # word -> (accepted, cut anywhere on its path)
     for word in distinct:
         if len(sym) > mark:  # drop the cells of the word searched before
-            for c in range(mark, len(sym)):
-                del cells[below[c] * width + sym[c]]
-            del sym[mark:], below[mark:], size[mark:]
-            dropped = bisect_left(chain_lo, mark)
-            del chain_lo[dropped:], chain_hi[dropped:]
+            while len(cells) > held:
+                cells.popitem()
+            del sym[mark:], below[mark:], size[mark:], floor[mark:]
         start, seed_levels, seed_keys, cut = fork, levels, keys, prefix_cut
         join = len(word) - tail
         if tail and join > fork:

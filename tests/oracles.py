@@ -11,10 +11,14 @@ itself. numpy is a test dependency only, and this is its one user.
 reference_walk, reference_follow_run and reference_search_walk are the
 three per-step loops pumpkit.run.walk, pumpkit.run._follow_run and
 pumpkit.search._walk as they were before they took runs of a stationary
-move in one bulk step, kept step for step. reference_follow_run builds its RunPath with
+move in one bulk step, kept step for step, and reference_run_ahead is
+pumpkit.search._run_ahead as it was before it took the copies of a
+thread's loop in bulk. reference_follow_run builds its RunPath with
 pumpkit.run._run_path, looked up at each call, and reference_search_walk
 takes the search's machine and arena tuples as they are now, reading
-only the fields it had then.
+only the fields it had then. It interns each pushed cell with
+arena_push, one symbol at a time, by the arena's rule: a cell that lies on
+the cell numbered before it has no dict entry.
 
 spliced_steps is the literal splice of a found run at a decomposition's
 cuts, the reference for pumpkit.verify.replay_pumps, which takes each
@@ -203,7 +207,7 @@ def reference_search_walk(word, end, state, pos, cell, depth, machine, arena, bo
     """search._walk, one letter at a time; any arguments past bounds are
     ignored."""
     width, single = machine[1], machine[5]
-    sym, below, size, cells = arena[:4]
+    sym, below, size = arena[:3]
     max_steps, max_height = bounds
     first = pos
     stop = min(end - 1, pos + 1 + max_steps - depth)
@@ -223,18 +227,90 @@ def reference_search_walk(word, end, state, pos, cell, depth, machine, arena, bo
             if size[child] + len(suffix) > max_height:
                 break
             for s in suffix:
-                at = child * width + s
-                above = cells.get(at)
-                if above is None:
-                    above = cells[at] = len(sym)
-                    sym.append(s)
-                    below.append(child)
-                    size.append(size[child] + 1)
-                child = above
+                child = arena_push(child, s, width, arena)
         state = target
         cell = child
         pos += 1
     return state, pos, cell, depth + pos - first
+
+
+def reference_run_ahead(word, end, leaf, state, cell, pos, depth, machine, arena, max_steps, visited, ran):
+    """search._run_ahead one step at a time, as it was before it took the
+    copies of a thread's loop in bulk: its fate as the strings "died",
+    "accepted" or "queued", the keys of the descriptions it stepped onto
+    after the first, in order, and the level of the last one."""
+    width, n_states, n1, accepting, threads = machine[1], machine[2], machine[3], machine[4], machine[7]
+    sym, below = arena[0], arena[1]
+    thread = []
+    idle = 0
+    while True:
+        if pos == end:
+            if not leaf:
+                return "queued", thread, depth
+            if state in accepting:
+                return "accepted", thread, depth
+        if not cell:
+            return "died", thread, depth
+        step = threads[state * width + sym[cell]]
+        if step is None:
+            return "queued", thread, depth
+        move = step.get(None)
+        if move is None:
+            move = step.get(word[pos]) if pos < end else None
+            if move is None:
+                return "died", thread, depth
+            pos += 1
+            idle = -1
+        state, keeps_top = move
+        if not keeps_top:
+            cell = below[cell]
+            idle = -1
+        idle += 1
+        if idle >= n_states:
+            return "queued", thread, depth
+        key = (cell * n1 + pos) * n_states + state
+        if key in visited:
+            return "died", thread, depth
+        if key in ran or depth >= max_steps:
+            return "queued", thread, depth
+        depth += 1
+        thread.append(key)
+
+
+def arena_push(cell, s, width, arena):
+    """The cell of symbol s pushed on cell in a membership search's cell
+    arena (sym, below, size, cells, floor), interned one symbol at a time.
+    A cell that lies on the cell numbered before it is found as that cell's
+    successor and has no dict entry; any other is found in the dict, under
+    below * width + symbol. floor[c] is the lowest cell of the stretch of
+    nonempty cells up to c that each lie on the one numbered before them."""
+    sym, below, size, cells, floor = arena
+    n = len(sym)
+    if cell + 1 < n and below[cell + 1] == cell and sym[cell + 1] == s:
+        return cell + 1
+    if cells.get(cell * width + s) is not None:
+        return cells[cell * width + s]
+    if cell != n - 1:
+        cells[cell * width + s] = n
+    floor.append(floor[cell] if cell == n - 1 and cell else n)
+    sym.append(s)
+    below.append(cell)
+    size.append(size[cell] + 1)
+    return n
+
+
+def arena_rule(arena, width):
+    """The cells of arena, as (sym, below, size), after checking that its
+    dict holds exactly the cells that do not lie on the cell numbered
+    before them, each under below * width + symbol, and that floor matches
+    below."""
+    sym, below, size, cells, floor = arena
+    assert cells == {below[c] * width + sym[c]: c for c in range(1, len(sym)) if below[c] != c - 1}
+    expected = [0]
+    for c in range(1, len(sym)):
+        expected.append(expected[c - 1] if below[c] == c - 1 and c > 1 else c)
+    assert floor == expected
+    return sym, below, size
 
 
 def spliced_steps(path, decomposition, n: int) -> tuple:

@@ -17,15 +17,19 @@ ReplayError, and the same verdicts. Words that are not a str keep the
 per-step path, and every entry point must answer for them as for the str
 word. The found run keeps the runs of one stationary move its walk took in
 bulk as RunPath.runs, and is otherwise the run the per-step walk builds.
+search._walk also takes push loops, one or two moves that push a block
+and come back to their slot, as GEN_PAL's push phase is. Its cell arena
+keeps a dict entry only for a cell that does not lie on the cell numbered
+before it, and every arena these tests compare is checked for that rule.
 """
 
-from itertools import accumulate
+from itertools import accumulate, product
 from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_follow_run, reference_search_walk, reference_walk
+from oracles import arena_push, arena_rule, reference_follow_run, reference_search_walk, reference_walk
 from test_run_reference import DATA, one_run_machines, walk_machines
 
 from pumpkit import (
@@ -332,20 +336,18 @@ def search_walks(draw):
 
 def _arena(initial, width):
     """A search's cell arena with the initial stack interned, and its top."""
-    sym, below, size, cells = [-1], [0], [0], {}
+    arena = [-1], [0], [0], {}, [0]
     cell = 0
     for s in initial:
-        top = cells[cell * width + s] = len(sym)
-        sym.append(s)
-        below.append(cell)
-        size.append(size[cell] + 1)
-        cell = top
-    return (sym, below, size, cells, [], []), cell
+        cell = arena_push(cell, s, width, arena)
+    return arena, cell
 
 
-def _cells(arena):
-    sym, below, size, cells = arena[:4]
-    return sym, below, size, list(cells.items())
+def _cells(arena, width):
+    """Copies of the arena's sym, below and size, after checking that its
+    dict holds exactly the cells that do not lie on the cell numbered
+    before them, and its floor list matches below."""
+    return tuple(map(list, arena_rule(arena, width)))
 
 
 def _walks_match(pda, word, first_end, bounds):
@@ -364,7 +366,7 @@ def _walks_match(pda, word, first_end, bounds):
     for end in (first_end, len(word)):
         got = search_module._walk(word, end, *at, machine, arena, bounds, runs)
         assert got == reference_search_walk(word, end, *at, machine, expected_arena, bounds)
-        assert _cells(arena) == _cells(expected_arena)
+        assert _cells(arena, width) == _cells(expected_arena, width)
         at = got
 
 
@@ -430,7 +432,7 @@ def test_a_walk_climbs_the_cells_a_bulk_push_made(bulk_steps):
 
     def kept(*args):
         out = search(*args)
-        arenas.append(_cells(args[-2]))
+        arenas.append(_cells(args[-2], args[-3][1]))
         return out
 
     with patch.object(search_module, "_search_chain", kept):
@@ -482,7 +484,8 @@ def test_pops_after_single_pushes_equal_the_per_step_loops(bulk_steps):
 def test_a_bulk_pop_stops_at_another_symbol_and_above_the_empty_stack(bulk_steps):
     # q0 pops A and the bottom marker by b and stays; B has no b move. The
     # pop run of the first word starts on A cells pushed one at a time
-    # above B cells and a chain of A, so the bulk pop stops at the first B.
+    # above B cells and a bulk push of A, so the bulk pop stops at the
+    # first B.
     # The second word's pop run has more letters than the stack has cells,
     # and the walk stops on the last one.
     pda = NormalizedPda(
@@ -675,7 +678,7 @@ def _searched_with_arenas(pda, words, limits=None):
 
     def kept(*args):
         out = search(*args)
-        arenas.append(_cells(args[-2]))
+        arenas.append(_cells(args[-2], args[-3][1]))
         return out
 
     with patch.object(search_module, "_search_chain", kept):
@@ -690,9 +693,10 @@ def _searched_with_arenas(pda, words, limits=None):
 
 def test_a_pop_run_goes_down_single_pushes_and_then_a_chain_in_bulk(bulk_steps):
     # After one close and three opens, the pop run starts on two cells that
-    # the walk pushed one at a time above the chain of the first push run:
-    # the bulk pop steps down them and then jumps down the chain, up to the
-    # chain's last letter.
+    # the walk pushed one at a time above the cells of the first push run,
+    # each on the newest cell, so all lie on the cell numbered before them:
+    # the bulk pop goes down them in doubling batches, up to the chain's
+    # last letter.
     word = "(" * 6600 + ")(((" + ")" * 6602
     assert _searched_with_arenas(BUILTINS["DYCK1"].pda, [word]) == (Accepted(),)
     assert bulk_steps["_search_bulk"] == [6598, 6600]
@@ -702,7 +706,7 @@ def test_batch_remainders_pop_down_single_pushes_into_a_chain(bulk_steps):
     # The words share the push run and one close, and differ right after
     # it; the last one ends apart, so no suffix is shared. Each remainder
     # pushes cells one at a time before its pop run goes down them and the
-    # chain the shared push run interned.
+    # cells the shared push run interned.
     prefix = "(" * 40 + ")"
     words = [prefix + "(((" + ")" * 42, prefix + ")(((" + ")" * 41, prefix + "((((" + ")" * 43 + "("]
     verdicts = _searched_with_arenas(BUILTINS["DYCK1"].pda, words)
@@ -710,23 +714,76 @@ def test_batch_remainders_pop_down_single_pushes_into_a_chain(bulk_steps):
     assert _positive(bulk_steps["_search_bulk"]) == [38, 40, 39, 42]
 
 
+def _branching():
+    """q0 reads a by pushing A or B and b by popping either, so its levels
+    hold descriptions on several cells, which push onto cells below the
+    newest one."""
+    return GeneralPda(
+        states=["q0"],
+        input_alphabet=["a", "b"],
+        stack_alphabet=[BOTTOM, "A", "B"],
+        initial_state="q0",
+        initial_stack=[BOTTOM],
+        accept_states=["q0"],
+        transitions=[
+            *(GeneralTransition("q0", "a", top, (top, pushed), "q0") for top in (BOTTOM, "A", "B") for pushed in "AB"),
+            *(GeneralTransition("q0", "b", top, (), "q0") for top in "AB"),
+        ],
+    )
+
+
+@pytest.mark.parametrize("label", [*sorted(BUILTINS), "branching"])
+def test_the_dict_holds_the_cells_apart_from_the_one_before_after_every_chain_and_truncation(label):
+    # Before each chain's search, so after each truncation, and after it,
+    # the arena's dict holds exactly the cells that do not lie on the cell
+    # numbered before them. The batch's words share a prefix and differ
+    # after it, so every word after the first truncates the cells of the
+    # one before. The corpus machines push onto the newest cell only, and
+    # the branching machine onto others too.
+    if label == "branching":
+        pda = _branching()
+        words = ["a" * 6 + "b" * 6, "a" * 6 + "b" * 7, "ab" * 6]
+    else:
+        pda = BUILTINS[label].pda
+        words = [BUILTINS[label].generate(m) for m in (20, 40, 41)]
+        words += [BUILTINS[label].generate_near_miss(m) for m in (20, 41)]
+    words += ["".join(letters) for n in range(7) for letters in product(sorted(pda.input_alphabet), repeat=n)]
+    checked = []
+    search = search_module._search_chain
+
+    def checked_search(*args):
+        arena, width = args[-2], args[-3][1]
+        checked.append(len(arena_rule(arena, width)[0]))
+        out = search(*args)
+        checked.append(len(arena_rule(arena, width)[0]))
+        return out
+
+    with patch.object(search_module, "_search_chain", checked_search):
+        for machine in (pda, normalize(pda)):
+            assert accepts_each(machine, words) == tuple(accepts(machine, w) for w in words)
+    assert any(after < before for before, after in zip(checked, checked[1:]))  # some truncation ran
+
+
 @pytest.mark.parametrize(
     "label, word, mode",
     [("GEN_PAL", BUILTINS["GEN_PAL"].generate(200), ExtractionMode.BEST_EFFORT)],
     ids=["GEN_PAL"],
 )
-def test_pumps_without_runs_take_no_bulk_step(bulk_steps, label, word, mode):
-    # GEN_PAL's found run comes from the breadth-first search, and its
-    # search never walks. Its words alternate 0 and 1 on both sides of the
-    # middle, so walk tests those stretches as bounces, once each, and none
-    # fires: the run pushes on every letter before the middle and pops
-    # after it.
+def test_only_the_search_takes_gen_pal_push_loops_in_bulk(bulk_steps, label, word, mode):
+    # GEN_PAL's found run comes from the breadth-first search, so the run
+    # side takes no bulk step: walk tests the stretches on both sides of the
+    # middle as bounces, once each, and none fires, since the run pushes on
+    # every letter before the middle and pops after it. The search route's
+    # walks take the stretch before the middle as copies of the push loop
+    # 01 or 10, two letters each, in bulk.
     source = BUILTINS[label].pda
     pda = normalize(source)
     result = extract(pda, word, mode=mode)
     assert verify(pda, result.path, result.decomposition, checkpoints=result.checkpoints, source=source).pumping_ok
-    assert not bulk_steps["_follow_bulk"] and not bulk_steps["_search_bulk"]
+    assert not bulk_steps["_follow_bulk"]
     assert bulk_steps["_walk_bulk"] == [0] * 4
+    taken = _positive(bulk_steps["_search_bulk"])
+    assert taken and all(took % 2 == 0 for took in taken)
 
 
 # Runs of a bounce.

@@ -609,13 +609,36 @@ def _long_palindromes() -> list[str]:
     return [*words, word + "0", word + "1", "0" * 400, "0" * 399 + "1"]
 
 
+def _loop_palindromes() -> list[str]:
+    """GEN_PAL words whose push phase and midpoint descent repeat a loop of
+    one or two letters: generator palindromes and near misses at m = 1000
+    and 1001; generator palindromes whose alternation has a 00 or 11 break
+    1, 17 or 33 letters from the start or from the middle (mirrored, so
+    they stay palindromes); and palindromes of period 0110, which no loop
+    of one or two letters reads."""
+    entry = BUILTINS["GEN_PAL"]
+    words = []
+    for m in (1000, 1001):
+        words += [entry.generate(m), entry.generate_near_miss(m)]
+    half = entry.generate(1000)[:1000]
+    for d in (1, 17, 33):
+        for at in (d, len(half) - d):
+            for letter in "01":
+                broken = half[:at] + letter + half[at:]
+                words.append(broken + broken[::-1])
+    period = "0110" * 250
+    return [*words, period, period + "0110", period[:-1] + "1"]
+
+
 # Word lists that are not _mixed_words of a corpus language.
-WORD_LISTS = {"GEN_PAL-long": _long_palindromes}
+WORD_LISTS = {"GEN_PAL-long": _long_palindromes, "GEN_PAL-loops": _loop_palindromes}
 
 # (machine, language, extra flags, exit code, sha256 of the whole stdout).
 # GEN_PAL is also checked as loaded from its file and, on the long words, as
 # its normalized file; the step budget of five cuts the longer DYCK1 words
-# short.
+# short. On the loop words, the step and height limits cut inside a copy of a
+# push loop (777 steps, height 1001) or of the midpoint descent (2003 steps),
+# or at the last copy of the m = 1000 push phase (height 2001).
 WORD_FILE_CHECKS = [
     pytest.param(
         "DYCK1", "DYCK1", (), 2, "25f4fe989847ea46d520758fa5adc36b9608caceb08654a0e9cd7b31c80af506", id="DYCK1"
@@ -645,6 +668,86 @@ WORD_FILE_CHECKS = [
     ),
     pytest.param(
         "normalize(GEN_PAL.json)", "GEN_PAL-long", (), 1, "654295efd3bf88506faa4c85af6c3ae4b1c62fe75f8910f77b8d3a57d98cb3af", id="normalized-GEN_PAL-long"
+    ),
+    pytest.param(
+        "GEN_PAL",
+        "GEN_PAL-loops",
+        (),
+        1,
+        "dc67454ce72705b9b6ff4ce9315c7c9bf2617cb5e6efb709a02f3e0988a8a901",
+        id="GEN_PAL-loops",
+    ),
+    pytest.param(
+        str(DATA / "GEN_PAL.json"),
+        "GEN_PAL-loops",
+        (),
+        1,
+        "dc67454ce72705b9b6ff4ce9315c7c9bf2617cb5e6efb709a02f3e0988a8a901",
+        id="GEN_PAL.json-loops",
+    ),
+    pytest.param(
+        "normalize(GEN_PAL.json)",
+        "GEN_PAL-loops",
+        (),
+        1,
+        "dc67454ce72705b9b6ff4ce9315c7c9bf2617cb5e6efb709a02f3e0988a8a901",
+        id="normalized-GEN_PAL-loops",
+    ),
+    pytest.param(
+        "GEN_PAL",
+        "GEN_PAL-loops",
+        ("--max-steps", "777"),
+        3,
+        "0a0f3a51730b5d1b0bf8e51abe3cdfc799d1bbd006d027df9c447aeffe646065",
+        id="GEN_PAL-loops-max-steps-777",
+    ),
+    pytest.param(
+        "GEN_PAL",
+        "GEN_PAL-loops",
+        ("--max-steps", "2003"),
+        3,
+        "d4b5716a6b700bd1478536c204a168ccbafb2401cc46487466730c330ae0dfbd",
+        id="GEN_PAL-loops-max-steps-2003",
+    ),
+    pytest.param(
+        "GEN_PAL",
+        "GEN_PAL-loops",
+        ("--max-stack-height", "1001"),
+        3,
+        "0a0f3a51730b5d1b0bf8e51abe3cdfc799d1bbd006d027df9c447aeffe646065",
+        id="GEN_PAL-loops-max-stack-height-1001",
+    ),
+    pytest.param(
+        "GEN_PAL",
+        "GEN_PAL-loops",
+        ("--max-stack-height", "2001"),
+        3,
+        "dbbd3f6c8713f32ee40f3a33e5d596f14a6c3a52db8a8c5f7c8fe90666de896e",
+        id="GEN_PAL-loops-max-stack-height-2001",
+    ),
+    pytest.param(
+        str(DATA / "GEN_PAL.json"),
+        "GEN_PAL-loops",
+        ("--max-steps", "2003"),
+        3,
+        "d4b5716a6b700bd1478536c204a168ccbafb2401cc46487466730c330ae0dfbd",
+        id="GEN_PAL.json-loops-max-steps-2003",
+    ),
+    pytest.param(
+        str(DATA / "GEN_PAL.json"),
+        "GEN_PAL-loops",
+        ("--max-stack-height", "1001"),
+        3,
+        "0a0f3a51730b5d1b0bf8e51abe3cdfc799d1bbd006d027df9c447aeffe646065",
+        id="GEN_PAL.json-loops-max-stack-height-1001",
+    ),
+    pytest.param(
+        "normalize(GEN_PAL.json)",
+        "GEN_PAL-loops",
+        ("--max-stack-height", "2001"),
+        3,
+        "dbbd3f6c8713f32ee40f3a33e5d596f14a6c3a52db8a8c5f7c8fe90666de896e",
+        id="normalized-GEN_PAL-loops-max-stack-height-2001",
     ),
     pytest.param(
         "DYCK1",

@@ -11,7 +11,13 @@ reference_accepts on drawn machines with such guesses, under limits that
 cut at every position, and every chain search to what it returns with the
 walks turned off; pin the rules that keep the search exact and its work
 bounded; and check on GEN_PAL that each guess run ahead reads exactly as
-many letters as Manacher's palindromic radius at its position.
+many letters as Manacher's palindromic radius at its position, at m up to
+2000. A thread takes the copies of a loop of one or two letters down
+consecutive stack cells in bulk: on drawn machines shaped as GEN_PAL, with
+words that repeat such loops, the search keeps the reference's verdicts
+under every step limit and height limits that cut inside a loop, and on
+drawn stacks a bulk run-ahead meets the fate, level and descriptions of
+the per-step one in oracles.py.
 """
 
 import importlib
@@ -21,7 +27,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import even_palindrome_radii
+from oracles import arena_push, even_palindrome_radii, reference_run_ahead
 from test_run_reference import chain_searches, reference_accepts, search_walks  # noqa: F401 (fixtures)
 
 from pumpkit import (
@@ -37,6 +43,7 @@ from pumpkit import (
     accepts_each,
     normalize,
 )
+from pumpkit.run import BULK_RUN
 from pumpkit.search import membership_tables
 
 search_module = importlib.import_module("pumpkit.search")
@@ -118,6 +125,19 @@ def _pal_words():
     return words
 
 
+def _long_pal_words():
+    """Generator palindromes and near misses at m up to 2000, whose guesses
+    near the middle descend in bulk, and the m = 2000 palindrome with an
+    00 or 11 break a few letters from either end."""
+    entry = BUILTINS["GEN_PAL"]
+    words = [f(m) for m in (500, 1000, 1999, 2000) for f in (entry.generate, entry.generate_near_miss)]
+    half = entry.generate(2000)[:2000]
+    for at in (1, 17, 1983, 1999):
+        broken = half[:at] + half[at - 1] + half[at:]
+        words += [broken + broken[::-1], broken + broken[-2::-1]]
+    return words
+
+
 def test_each_gen_pal_guess_run_ahead_reads_its_palindromic_radius(run_aheads):
     # The guess at p pops the letter that pushed the top symbol for each
     # letter it reads, so it reads word[p:p + k] exactly when word[p - k:p]
@@ -127,7 +147,7 @@ def test_each_gen_pal_guess_run_ahead_reads_its_palindromic_radius(run_aheads):
     # position is guessed twice.
     pda = BUILTINS["GEN_PAL"].pda
     tables = membership_tables(pda)
-    for word in _pal_words():
+    for word in _pal_words() + _long_pal_words():
         run_aheads.clear()
         verdict = accepts(pda, word, tables=tables)
         assert verdict == (Accepted() if len(word) % 2 == 0 and word == word[::-1] else NotAccepted())
@@ -145,7 +165,7 @@ def test_each_gen_pal_guess_run_ahead_reads_its_palindromic_radius(run_aheads):
 
 
 @st.composite
-def guess_machines(draw):
+def guess_machines(draw, loops=False):
     """General machines whose searches run guesses ahead. q0 and q1 read a
     and b by pushing a symbol named after the letter, popping or keeping
     the stack; most of their slots also hold a guess, an epsilon move into
@@ -153,23 +173,41 @@ def guess_machines(draw):
     t0 and t1 read a and b by popping or keeping the stack into t0, t1 or
     the move-less f, or take one epsilon move that pops or keeps; a few of
     their slots hold a second move on a letter or a push, where a thread is
-    given up."""
+    given up.
+
+    With loops, the machine is shaped as GEN_PAL is: q0 pushes A on a and B
+    on b, some of its moves pushing the top again above, and stays in q0;
+    q1 has no move, and every slot of q0 holds a guess, mostly into t0. t0
+    mostly pops A on a and B on b and reads nothing else there, and no
+    thread's slot holds a second move. So a walk meets push loops of one
+    letter, which push a block of two symbols a copy, and of two letters,
+    pushing A on a and B on b and back; and a thread meets pop loops of one
+    or two letters, some with an epsilon pop between them, that pop one or
+    two symbols a letter."""
     push_states = ["q0", "q1"]
     threads = ["t0", "t1"]
     symbols = [BOTTOM, "A", "B"]
     transitions = []
     for source in push_states:
+        if loops and source == "q1":
+            continue
         for top in symbols:
             for letter in "ab":
-                if draw(st.integers(0, 3)):
+                if loops:
+                    push = draw(st.sampled_from([(top, letter.upper())] * 3 + [(top, letter.upper(), top)]))
+                    transitions.append(G(source, letter, top, push, source))
+                elif draw(st.integers(0, 3)):
                     push = draw(st.sampled_from([(top, letter.upper()), (), (top,)]))
                     transitions.append(G(source, letter, top, push, draw(st.sampled_from(push_states))))
-            if draw(st.integers(0, 3)):
+            if loops or draw(st.integers(0, 3)):
                 push = (top,) if draw(st.integers(0, 5)) else ()
-                transitions.append(G(source, None, top, push, draw(st.sampled_from(threads))))
+                guessed = draw(st.sampled_from(["t0"] * 5 + ["t1"] if loops else threads))
+                transitions.append(G(source, None, top, push, guessed))
+    kinds = ["letters", "letters", "letters", "epsilon", "none", *(() if loops else ("branch",))]
     for source in threads:
         for top in symbols:
-            kind = draw(st.sampled_from(["letters", "letters", "letters", "epsilon", "none", "branch"]))
+            popped = loops and source == "t0" and top != BOTTOM and draw(st.integers(0, 5))
+            kind = "letters" if popped else draw(st.sampled_from(kinds))
             if kind == "epsilon":
                 push = draw(st.sampled_from([(), (top,)]))
                 transitions.append(G(source, None, top, push, draw(st.sampled_from([*threads, "f"]))))
@@ -177,7 +215,10 @@ def guess_machines(draw):
             if kind == "none":
                 continue
             for letter in "ab":
-                if draw(st.integers(0, 3)):
+                if popped:
+                    if letter.upper() == top:
+                        transitions.append(G(source, letter, top, (), source))
+                elif draw(st.integers(0, 3)):
                     push = draw(st.sampled_from([(), (top,)]))
                     transitions.append(G(source, letter, top, push, draw(st.sampled_from([*threads, "f"]))))
             if kind == "branch":
@@ -224,6 +265,143 @@ def test_run_aheads_keep_the_reference_verdicts_on_drawn_machines(run_aheads, ch
     # accept in a fair share of them.
     for fate in (search_module._DIED, search_module._QUEUED, search_module._ACCEPTED):
         assert sum(fate in seen for seen in fates) >= 0.1 * len(fates), fate
+
+
+@st.composite
+def loop_words(draw):
+    """A word with a run of BULK_RUN - 1 to BULK_RUN + 1 copies of a unit of
+    one or two letters, then the unit's mirror repeated about as often,
+    between short drawn stretches: walks take the run as copies of a push
+    loop, and the threads of the guesses near its end pop back down it as
+    copies of a pop loop."""
+    unit = draw(st.sampled_from(["a", "b", "ab", "ba"]))
+    k = draw(st.integers(BULK_RUN - 1, BULK_RUN + 1))
+    text = st.text("ab", max_size=2)
+    return draw(text) + unit * k + draw(text) + unit[::-1] * (k + draw(st.integers(-2, 1))) + draw(text)
+
+
+def test_push_and_pop_loops_keep_the_reference_verdicts_on_drawn_machines(monkeypatch):
+    # Under every step limit, and under height limits that cut a push
+    # loop's run between two copies or inside one, the search gives the
+    # reference's verdicts; a fair share of the draws take push loops and
+    # descents in bulk.
+    pushed, descended = [], []
+    push_loop, descend = search_module._push_loop, search_module._descend
+
+    def counted_push_loop(*args):
+        out = push_loop(*args)
+        pushed.append(out[1])
+        return out
+
+    def counted_descend(word, end, mark, cell, pos, *rest):
+        out = descend(word, end, mark, cell, pos, *rest)
+        descended.append(out[1] - pos)
+        return out
+
+    monkeypatch.setattr(search_module, "_push_loop", counted_push_loop)
+    monkeypatch.setattr(search_module, "_descend", counted_descend)
+    bulk = []
+
+    @given(guess_machines(loops=True), loop_words(), st.lists(st.integers(1, 2 * BULK_RUN + 4), min_size=2, max_size=2))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def matches(pda, word, heights):
+        pushed.clear()
+        descended.clear()
+        batch = [word, word[:-1], word + "a"]
+        steps = 2 * len(word) + 4
+        for machine in (pda, normalize(pda)):
+            for limits in [SearchLimits(n, 2 * len(word)) for n in range(steps + 1)]:
+                assert accepts(machine, word, limits) == reference_accepts(machine, word, limits), (word, limits)
+            for limits in [SearchLimits(steps, h) for h in heights]:
+                expected = [reference_accepts(machine, w, limits) for w in batch]
+                assert list(accepts_each(machine, batch, limits)) == expected, (batch, limits)
+        bulk.append((any(pushed), any(descended)))
+
+    matches()
+    assert sum(push for push, _ in bulk) >= 0.1 * len(bulk)
+    assert sum(descent for _, descent in bulk) >= 0.1 * len(bulk)
+
+
+@st.composite
+def thread_cases(draw):
+    """A run-ahead to take on a drawn stack: a machine with loops, a state
+    whose slots include a thread's, mostly t0, a stack of copies of a block
+    of one or two of A and B on a short drawn bottom, its cells interned
+    consecutively, apart (each after a decoy cell on the same cell) or
+    mixed, and a word that mostly reads the block's letters in the order t0
+    pops them, about once a copy, with a position, level, step limit and
+    leaf flag."""
+    pda = draw(guess_machines(loops=True))
+    moves, width, n_states, accepting, single, initial, run_units, threads, guesses = membership_tables(pda)
+    state_ids, symbol_ids = {"q0": 0}, {}  # numbered as membership_tables numbers them
+    for s in pda.initial_stack:
+        symbol_ids.setdefault(s, len(symbol_ids))
+    for t in pda.transitions:
+        state_ids.setdefault(t.source, len(state_ids))
+        state_ids.setdefault(t.target, len(state_ids))
+        for s in (t.pop, *t.push):
+            symbol_ids.setdefault(s, len(symbol_ids))
+    states = [q for q in range(n_states) if any(threads[q * width : (q + 1) * width])]
+    if state_ids.get("t0") in states and draw(st.integers(0, 5)):
+        states = [state_ids["t0"]]
+    block = draw(st.lists(st.sampled_from("AB"), min_size=1, max_size=2))
+    bottom = draw(st.lists(st.sampled_from(sorted(symbol_ids)), max_size=2))
+    copies = draw(st.integers(1, 24))
+    stack = [*pda.initial_stack, *bottom, *block * copies]
+    apart = draw(st.sampled_from(["none", "all", "some"]))
+    arena = [-1], [0], [0], {}, [0]
+    cell = 0
+    for s in stack:
+        if apart == "all" or (apart == "some" and draw(st.booleans())):
+            decoy = draw(st.sampled_from([x for x in range(width) if x != symbol_ids[s]]))
+            arena_push(cell, decoy, width, arena)  # so the next cell lies apart from cell
+        cell = arena_push(cell, symbol_ids[s], width, arena)
+    unit = draw(st.sampled_from(["".join(block[::-1]).lower()] * 4 + ["a", "b", "ab", "ba"]))
+    reads = draw(st.sampled_from([copies, copies, copies + 1, copies - 1, copies // 2]))
+    word = draw(st.sampled_from(["", "", "", "", "a", "b"])) + unit * reads + draw(st.text("ab", max_size=2))
+    pos = draw(st.sampled_from([0, 0, 0, min(len(word), 1)]))
+    end = draw(st.sampled_from([len(word), max(pos, len(word) - 3)]))
+    depth = draw(st.integers(0, 4))
+    max_steps = draw(st.sampled_from([depth, depth + 5, depth + 23, 500, 500]))
+    machine = (moves, width, n_states, len(word) + 1, accepting, single, run_units, threads, guesses)
+    state = draw(st.sampled_from(states or [0]))
+    return (word, end, draw(st.booleans()), state, cell, pos, depth, machine, arena, max_steps), apart
+
+
+def test_a_bulk_run_ahead_matches_the_per_step_run_ahead(monkeypatch):
+    # The thread reaches the same fate and level and steps onto the same
+    # descriptions as the per-step run-ahead, with and without consecutive
+    # cells below it, and with some of the descriptions it steps onto
+    # already visited or given up: the copies of a loop are taken in bulk
+    # only up to the first of those, and never where the cells below are
+    # not consecutive.
+    descend = search_module._descend
+    descended = []
+
+    def counted(word, end, mark, cell, pos, *rest):
+        out = descend(word, end, mark, cell, pos, *rest)
+        descended.append(out[1] - pos)
+        return out
+
+    monkeypatch.setattr(search_module, "_descend", counted)
+    bulk = {"none": [], "all": [], "some": []}
+
+    @given(thread_cases(), st.data())
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def matches(case, data):
+        args, apart = case
+        keys = reference_run_ahead(*args, set(), set())[1]
+        marked = data.draw(st.lists(st.sampled_from(keys), max_size=3)) if keys else []
+        for visited, ran in ((set(), set()), ({*marked[:1]}, {*marked[1:]}), (set(), {*marked})):
+            descended.clear()
+            fate, thread, reached = search_module._run_ahead(*args, visited, ran)
+            expected = reference_run_ahead(*args, visited, ran)
+            assert (fate, set(thread), reached) == (expected[0], set(expected[1]), expected[2])
+            bulk[apart].append(any(descended))
+
+    matches()
+    assert sum(bulk["none"]) >= 0.1 * len(bulk["none"])
+    assert not any(bulk["all"])
 
 
 # The rules.
@@ -335,13 +513,13 @@ def _walked_keys(word, state, pos, cell, reached, machine, arena):
     position reached stepped onto, replayed one step at a time on the cells
     it interned."""
     width, n_states, n1, single = machine[1], machine[2], machine[3], machine[5]
-    sym, below, cells = arena[0], arena[1], arena[3]
+    sym, below = arena[0], arena[1]
     keys = []
     while pos < reached:
         _, state, keeps_top, suffix = single[state * width + sym[cell]][word[pos]]
         cell = cell if keeps_top else below[cell]
         for s in suffix:
-            cell = cells[cell * width + s]
+            cell = arena_push(cell, s, width, arena)
         pos += 1
         keys.append((cell * n1 + pos) * n_states + state)
     return keys
